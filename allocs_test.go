@@ -13,12 +13,14 @@ import (
 // reclaimed by the System at window end. The seed implementation spent
 // ~36n allocations per window; PR 1 cut that to ~n; this pins zero — on
 // both the columnar vote-tally kernel (the default for core) and the legacy
-// message-at-a-time path.
+// message-at-a-time path, and on the latter also under fixed silence, whose
+// plan (one shared sender list, one row slice) used to be rebuilt per window.
 func TestApplyWindowAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name     string
 		columnar bool
-	}{{"columnar", true}, {"message", false}} {
+		silence  bool
+	}{{"columnar", true, false}, {"message", false, false}, {"message-silence", false, true}} {
 		t.Run(mode.name, func(t *testing.T) {
 			const n = 24
 			cfg := Config{Algorithm: AlgorithmCore, N: n, T: n / 8,
@@ -28,6 +30,11 @@ func TestApplyWindowAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			adv := FullDelivery()
+			if mode.silence {
+				if adv, err = Silence(cfg, 0, 1, 2); err != nil {
+					t.Fatal(err)
+				}
+			}
 			for i := 0; i < 32; i++ { // warm up scratch buffers, pools, and arenas
 				if err := s.ApplyWindowWith(adv); err != nil {
 					t.Fatal(err)

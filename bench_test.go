@@ -56,21 +56,15 @@ func BenchmarkE15ScalingCurves(b *testing.B)   { benchExperiment(b, "E15") }
 // shared with cmd/bench via internal/benchcases so BENCH_baseline.json and
 // this benchmark cannot drift apart.
 func BenchmarkWindowThroughput(b *testing.B) {
-	for _, n := range []int{12, 24, 48, 1024} {
+	for _, n := range []int{12, 24, 48, 256, 1024} {
 		b.Run(benchcases.SizeLabel(n), benchcases.WindowThroughput(n))
 	}
 }
 
-// BenchmarkWindowThroughputColumnar pins the columnar vote-tally kernel by
-// name (the case fails if the columnar gate does not engage), and
 // BenchmarkWindowThroughputMessage keeps the legacy message-at-a-time path
-// measured for comparison. Both bodies are shared with cmd/bench.
-func BenchmarkWindowThroughputColumnar(b *testing.B) {
-	for _, n := range []int{256, 1024} {
-		b.Run(benchcases.SizeLabel(n), benchcases.WindowThroughputColumnar(n))
-	}
-}
-
+// measured for comparison (BenchmarkWindowThroughput is the columnar kernel,
+// and fails if the columnar gate does not engage). The body is shared with
+// cmd/bench.
 func BenchmarkWindowThroughputMessage(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		b.Run(benchcases.SizeLabel(n), benchcases.WindowThroughputMessage(n))
@@ -96,6 +90,12 @@ func BenchmarkSplitVoteWindow(b *testing.B) {
 	for _, n := range []int{24, 48} {
 		b.Run(benchcases.SizeLabel(n), benchcases.SplitVoteWindow(n))
 	}
+}
+
+// BenchmarkSubsetPlanWindow measures the seeded scheduler's per-window
+// planning cost (n random (n-t)-subsets).
+func BenchmarkSubsetPlanWindow(b *testing.B) {
+	b.Run(benchcases.SizeLabel(128), benchcases.SubsetPlanWindow(128))
 }
 
 // BenchmarkBrachaWindow measures windows of the RBC-based protocol (about

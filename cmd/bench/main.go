@@ -85,12 +85,8 @@ func suite() []struct {
 			fn   func(b *testing.B)
 		}{name, fn})
 	}
-	for _, n := range []int{12, 24, 48, 1024} {
+	for _, n := range []int{12, 24, 48, 256, 1024} {
 		add("WindowThroughput/"+benchcases.SizeLabel(n), benchcases.WindowThroughput(n))
-	}
-	for _, n := range []int{256, 1024} {
-		add("WindowThroughputColumnar/"+benchcases.SizeLabel(n),
-			benchcases.WindowThroughputColumnar(n))
 	}
 	for _, n := range []int{256, 1024} {
 		add("WindowThroughputMessage/"+benchcases.SizeLabel(n),
@@ -101,6 +97,7 @@ func suite() []struct {
 			benchcases.WindowThroughputSharded(n, 4))
 	}
 	add("SplitVoteWindow/"+benchcases.SizeLabel(24), benchcases.SplitVoteWindow(24))
+	add("SubsetPlanWindow/"+benchcases.SizeLabel(128), benchcases.SubsetPlanWindow(128))
 	add("BrachaWindow/"+benchcases.SizeLabel(13), benchcases.BrachaWindow(13))
 	add("PaxosDecision/"+benchcases.SizeLabel(5), benchcases.PaxosDecision(5))
 	add("BufferOps", benchcases.BufferOps())

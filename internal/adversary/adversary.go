@@ -47,13 +47,19 @@ func (FullDelivery) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 type FixedSilence struct {
 	// Silent lists the processors whose messages are never delivered.
 	Silent []sim.ProcID
+
+	// rows is the window's Senders, every row the same n-|Silent| senders,
+	// built once by NewFixedSilence and only ever read; a literal
+	// FixedSilence{Silent: ...} has none and builds them per window.
+	rows [][]sim.ProcID
 }
 
 var _ sim.WindowAdversary = FixedSilence{}
 
 // NewFixedSilence validates the silent set against the system shape: at most
-// t distinct processors, every ID in [0, n). The returned adversary is
-// stateless and safe to reuse across trials.
+// t distinct processors, every ID in [0, n). The returned adversary carries
+// its (read-only) sender rows for n, so planning a window allocates nothing;
+// it is stateless and safe to reuse across trials.
 func NewFixedSilence(n, t int, silent []sim.ProcID) (FixedSilence, error) {
 	if len(silent) > t {
 		return FixedSilence{}, fmt.Errorf("adversary: %d silent processors exceed fault budget t=%d", len(silent), t)
@@ -68,19 +74,30 @@ func NewFixedSilence(n, t int, silent []sim.ProcID) (FixedSilence, error) {
 		}
 		seen[p] = true
 	}
-	return FixedSilence{Silent: silent}, nil
+	a := FixedSilence{Silent: silent}
+	a.rows = a.senderRows(n)
+	return a, nil
 }
 
 // PlanDelivery implements sim.WindowAdversary.
 func (a FixedSilence) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
-	n := s.N()
+	rows := a.rows
+	if len(rows) != s.N() {
+		rows = a.senderRows(s.N())
+	}
+	return sim.Window{Senders: rows}
+}
+
+// senderRows builds the Senders of every window for n processors: each
+// receiver admits the same ascending list of unsilenced senders.
+func (a FixedSilence) senderRows(n int) [][]sim.ProcID {
 	senders := make([]sim.ProcID, 0, n)
 	for i := 0; i < n; i++ {
 		if !a.silenced(sim.ProcID(i)) {
 			senders = append(senders, sim.ProcID(i))
 		}
 	}
-	return sim.UniformWindow(n, senders, nil)
+	return sim.UniformWindow(n, senders, nil).Senders
 }
 
 // silenced reports whether p is in the silent set (linear scan: the set has

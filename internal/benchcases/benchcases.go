@@ -11,6 +11,7 @@ import (
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/lowerbound"
 	"asyncagree/internal/registry"
+	"asyncagree/internal/sched"
 	"asyncagree/internal/sim"
 )
 
@@ -24,9 +25,12 @@ func SizeLabel(n int) string { return "n=" + strconv.Itoa(n) }
 // algorithm under full delivery (the simulator's hot loop) at size n with
 // t = n/8 and split inputs, in the default execution configuration — which,
 // since core opts into the columnar vote-tally kernel, is the columnar
-// path. Each window carries n² messages (n broadcasters × n receivers);
-// the bodies report msgs/op so cmd/bench can derive ns/message and keep
-// O(n²)-inherent growth distinguishable from kernel overhead.
+// path; the shared body fails loudly if the columnar gate does not engage (a
+// silent fall-back to the message-at-a-time path would otherwise show up only
+// as a mysterious slowdown). Each window carries n² messages (n broadcasters
+// × n receivers); the bodies report msgs/op so cmd/bench can derive
+// ns/message and keep O(n²)-inherent growth distinguishable from kernel
+// overhead.
 func WindowThroughput(n int) func(b *testing.B) {
 	return windowThroughput(n, 1, true)
 }
@@ -36,16 +40,6 @@ func WindowThroughput(n int) func(b *testing.B) {
 // the serial case (property-tested in registry); only wall-clock differs.
 func WindowThroughputSharded(n, workers int) func(b *testing.B) {
 	return windowThroughput(n, workers, true)
-}
-
-// WindowThroughputColumnar pins the columnar vote-tally kernel by name for
-// the CI perf gate: identical to WindowThroughput except that it fails
-// loudly if the columnar gate did not engage (a silent fall-back to the
-// message-at-a-time path would otherwise show up only as a mysterious
-// slowdown). Serial; the sharded interaction is covered by
-// WindowThroughputSharded.
-func WindowThroughputColumnar(n int) func(b *testing.B) {
-	return windowThroughput(n, 1, true)
 }
 
 // WindowThroughputMessage is the legacy message-at-a-time path, kept
@@ -108,6 +102,29 @@ func SplitVoteWindow(n int) func(b *testing.B) {
 			if err := s.ApplyWindowWith(adv); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+}
+
+// planSink keeps SubsetPlanWindow's result live.
+var planSink [][]sim.ProcID
+
+// SubsetPlanWindow measures one planning call of the seeded scheduler at size
+// n with t = n/8: an independent random (n-t)-subset per receiver, n
+// rng.SubsetInto draws — the planning kernel of the chaos cells, next to
+// SplitVoteWindow's. Planning never touches the System beyond its shape.
+func SubsetPlanWindow(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		b.ReportAllocs()
+		s, _, err := lowerbound.NewCoreSystem(n, n/8, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sch := sched.NewSeededRandom(1)
+		planSink = sch.PlanSenders(s, nil) // grow the row scratch once
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			planSink = sch.PlanSenders(s, nil)
 		}
 	}
 }

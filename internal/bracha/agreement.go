@@ -29,13 +29,25 @@ type Agreement struct {
 
 	engine *rbc.Engine
 
-	// acc[r][s][sender] is the accepted Val from sender for (round r, step s).
-	acc map[int]map[int]map[sim.ProcID]Val
+	// rounds holds the tallies of the live rounds — the current one plus any
+	// later round a faster member already broadcast in — in no particular
+	// order: a handful at most, so lookup is a linear scan. Released tallies
+	// stay in rounds[len:cap] with their bitsets for reuse (trial recycling,
+	// DESIGN.md §2a). seenWords sizes one step's sender bitset: enough words
+	// to index the highest member ID.
+	rounds    []roundTally
+	seenWords int
+}
 
-	// roundPool/stepPool recycle the per-round and per-step accumulator maps
-	// released when a round completes (trial recycling, DESIGN.md §2a).
-	roundPool []map[int]map[sim.ProcID]Val
-	stepPool  []map[sim.ProcID]Val
+// roundTally is everything the protocol keeps of one round's accepted
+// values: per step, which senders already had a value accepted (reliable
+// broadcast accepts one value per sender and tag; the bitset drops a repeat)
+// and how many accepted values carry each (V, D). The values themselves are
+// not kept: validation and the step rules read only these twelve counts.
+type roundTally struct {
+	round int
+	seen  []uint64       // step s's senders: seen[(s-1)*seenWords:][:seenWords]
+	cnt   [3][2][2]int32 // cnt[step-1][V][D]
 }
 
 // NewAgreement constructs an agreement instance among members (which must
@@ -60,7 +72,8 @@ func NewAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, i
 		step:    1,
 		x:       input,
 		engine:  engine,
-		acc:     make(map[int]map[int]map[sim.ProcID]Val),
+		// ms is sorted, so its last entry is the highest member ID.
+		seenWords: int(ms[len(ms)-1])/64 + 1,
 	}, nil
 }
 
@@ -108,30 +121,36 @@ func (a *Agreement) Handle(m sim.Message, r sim.RandSource) {
 			continue
 		}
 		if round < a.round {
-			// A straggler for a completed round: its accumulators were
-			// already released (releaseRound), and progress only ever reads
-			// the current round and its predecessor step, so storing the
-			// value would recreate maps that nothing reads and nothing
-			// returns to the pools — the old steady-state allocation leak of
-			// the Bracha benchmark.
+			// A straggler for a completed round: its tally was already
+			// released (releaseRound), and progress only ever reads the
+			// current round, so counting the value would reopen a tally that
+			// nothing reads and nothing releases.
 			continue
 		}
-		byStep := a.acc[round]
-		if byStep == nil {
-			byStep = a.takeRoundMap()
-			a.acc[round] = byStep
-		}
-		bySender := byStep[step]
-		if bySender == nil {
-			bySender = a.takeStepMap()
-			byStep[step] = bySender
-		}
-		if _, dup := bySender[acc.T.Sender]; dup {
-			continue
-		}
-		bySender[acc.T.Sender] = val
+		a.accept(round, step, acc.T.Sender, val)
 	}
 	a.progress(r)
+}
+
+// accept counts sender's accepted value for (round, step), once per sender.
+// A sender outside the member ID range is ignored: reliable broadcast only
+// echoes an INIT that arrived from the tag's own sender, so with at most t
+// Byzantine members no such broadcast is ever accepted.
+func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) {
+	if sender < 0 || int(sender) >= a.seenWords*64 {
+		return
+	}
+	rt := a.openTally(round)
+	w, bit := (step-1)*a.seenWords+int(sender)>>6, uint64(1)<<(uint(sender)&63)
+	if rt.seen[w]&bit != 0 {
+		return
+	}
+	rt.seen[w] |= bit
+	d := 0
+	if val.D {
+		d = 1
+	}
+	rt.cnt[step-1][val.V][d]++
 }
 
 func (a *Agreement) broadcastStep() {
@@ -157,84 +176,94 @@ func valAny(v sim.Bit, d bool) any {
 	return valBoxes[v][i]
 }
 
-// takeRoundMap fetches a per-round accumulator map from the pool.
-func (a *Agreement) takeRoundMap() map[int]map[sim.ProcID]Val {
-	if n := len(a.roundPool); n > 0 {
-		m := a.roundPool[n-1]
-		a.roundPool = a.roundPool[:n-1]
-		return m
+// tally returns the live tally of round, or nil.
+func (a *Agreement) tally(round int) *roundTally {
+	for i := range a.rounds {
+		if a.rounds[i].round == round {
+			return &a.rounds[i]
+		}
 	}
-	return make(map[int]map[sim.ProcID]Val, 3)
+	return nil
 }
 
-// takeStepMap fetches a per-step accumulator map from the pool.
-func (a *Agreement) takeStepMap() map[sim.ProcID]Val {
-	if n := len(a.stepPool); n > 0 {
-		m := a.stepPool[n-1]
-		a.stepPool = a.stepPool[:n-1]
-		return m
+// openTally returns the tally of round, opening a zeroed one (a released
+// slot, if any) when the round has none yet. The pointer is valid until the
+// next openTally or releaseRound.
+func (a *Agreement) openTally(round int) *roundTally {
+	if rt := a.tally(round); rt != nil {
+		return rt
 	}
-	return make(map[sim.ProcID]Val, a.n)
+	k := len(a.rounds)
+	if k < cap(a.rounds) {
+		a.rounds = a.rounds[:k+1]
+	} else {
+		a.rounds = append(a.rounds, roundTally{})
+	}
+	rt := &a.rounds[k]
+	if rt.seen == nil {
+		rt.seen = make([]uint64, 3*a.seenWords)
+	}
+	rt.round = round
+	return rt
 }
 
-// releaseRound returns a completed round's accumulator maps to the pools.
+// releaseRound zeroes a completed round's tally and parks it past the live
+// prefix for reuse.
 func (a *Agreement) releaseRound(round int) {
-	byStep := a.acc[round]
-	if byStep == nil {
+	rt := a.tally(round)
+	if rt == nil {
 		return
 	}
-	for s, m := range byStep {
-		clear(m)
-		a.stepPool = append(a.stepPool, m)
-		delete(byStep, s)
-	}
-	a.roundPool = append(a.roundPool, byStep)
-	delete(a.acc, round)
-}
-
-// countVals tallies accepted values for (round, step) over all senders.
-func (a *Agreement) countVals(round, step int) [2]int {
-	var count [2]int
-	for _, v := range a.acc[round][step] {
-		count[v.V]++
-	}
-	return count
+	clear(rt.seen)
+	rt.cnt = [3][2][2]int32{}
+	last := &a.rounds[len(a.rounds)-1]
+	*rt, *last = *last, *rt
+	a.rounds = a.rounds[:len(a.rounds)-1]
 }
 
 // validCounts tallies the accepted values for (round, step) that pass
 // Bracha's message validation (see the package comment): the number of
 // validated senders, the per-value totals, and — step 3 only — the
-// per-value totals of validated *marked* values. Counting directly (rather
-// than materializing the validated subset as a map) keeps the Deliver hot
-// path allocation-free.
+// per-value totals of validated *marked* values.
 func (a *Agreement) validCounts(round, step int) (valid int, count, marked [2]int) {
-	all := a.acc[round][step]
-	if step == 1 {
-		for _, v := range all {
-			count[v.V]++
-		}
-		return len(all), count, marked
+	rt := a.tally(round)
+	if rt == nil {
+		return 0, count, marked
 	}
-	prev := a.countVals(round, step-1)
-	for _, v := range all {
-		switch {
-		case step == 2:
-			if 2*prev[v.V] > a.n-a.t {
-				valid++
-				count[v.V]++
+	return rt.validCounts(step, a.n, a.t)
+}
+
+// validCounts is the validation rule as a function of the round's twelve
+// counters alone. Whether an accepted value counts depends only on its step,
+// its (V, D) and the previous step's total for V — never on who sent it — so
+// summing whole (V, D) classes equals scanning the accepted values one by
+// one: a step-2 value v is valid iff 2*cnt1[v] > n-t (some (n-t)-subset of
+// step 1 has majority v), a marked step-3 value iff 2*cnt2[v] > n, everything
+// else always. Nothing is latched: a class that fails today is re-judged on
+// the next call, and since a round's counters only grow, one that passes
+// keeps passing.
+func (rt *roundTally) validCounts(step, n, t int) (valid int, count, marked [2]int) {
+	cnt := &rt.cnt
+	total := func(step int, v sim.Bit) int { // accepted step values carrying v, marked or not
+		return int(cnt[step-1][v][0] + cnt[step-1][v][1])
+	}
+	for v := sim.Bit(0); v <= 1; v++ {
+		switch step {
+		case 1:
+			count[v] = total(1, v)
+		case 2:
+			if 2*total(1, v) > n-t {
+				count[v] = total(2, v)
 			}
-		case !v.D: // step 3, unmarked: always valid
-			valid++
-			count[v.V]++
-		default: // step 3, marked: needs step-2 justification
-			if 2*prev[v.V] > a.n {
-				valid++
-				count[v.V]++
-				marked[v.V]++
+		case 3:
+			count[v] = int(cnt[2][v][0]) // unmarked: always valid
+			if 2*total(2, v) > n {       // marked: needs step-2 justification
+				marked[v] = int(cnt[2][v][1])
+				count[v] += marked[v]
 			}
 		}
 	}
-	return valid, count, marked
+	return count[0] + count[1], count, marked
 }
 
 // progress advances through steps while the current step's wait threshold
@@ -305,7 +334,7 @@ func (a *Agreement) Reset() {
 }
 
 // Recycle rewinds the instance to the state NewAgreement + Start would
-// produce for the given input, keeping the accumulator map, RBC engine
+// produce for the given input, keeping the round tallies, RBC engine
 // structures, and outbox capacity (trial recycling).
 func (a *Agreement) Recycle(input sim.Bit) {
 	a.input = input
@@ -320,8 +349,8 @@ func (a *Agreement) rewind(x sim.Bit) {
 	a.x = x
 	a.mark = false
 	a.decided = false
-	for round := range a.acc {
-		a.releaseRound(round)
+	for len(a.rounds) > 0 {
+		a.releaseRound(a.rounds[0].round)
 	}
 	a.engine.Reset()
 	a.broadcastStep()

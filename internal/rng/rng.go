@@ -13,6 +13,7 @@ package rng
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // Source is a deterministic pseudo-random source. The zero value is a valid
@@ -131,24 +132,50 @@ func (s *Source) Subset(n, k int) []int {
 // SubsetInto returns a uniformly random k-element subset of [0, len(dst)),
 // sorted ascending, in dst[:k] — the allocation-free counterpart of Subset
 // for callers that own an n-length scratch slice (contents need not be
-// initialized). It draws exactly the same values from the stream as
-// Subset(len(dst), k). It panics if k > len(dst) or k < 0.
+// initialized; dst[k:] is left unspecified). It draws exactly the same
+// values from the stream as Subset(len(dst), k). It panics if k > len(dst)
+// or k < 0.
+//
+// The draw sequence is frozen: it is PermInto's full Fisher-Yates pass,
+// len(dst)-1 draws whatever k is, because the stream position after a
+// planning call is part of every seeded record (the per-window schedulers
+// and chaos adversaries draw one subset per receiver per window). Cheaper
+// samplers (a partial shuffle, Floyd's algorithm) draw differently and
+// would change every recorded execution, so only the ordering of the chosen
+// prefix is optimized. Every window caller passes k = n-t, most of n, so
+// that ordering is an O(n) membership-bitset pass rather than a sort.
 func (s *Source) SubsetInto(dst []int, k int) []int {
 	if k < 0 || k > len(dst) {
 		panic(fmt.Sprintf("rng: SubsetInto called with k = %d out of range [0, %d]", k, len(dst)))
 	}
-	// Fisher-Yates over the scratch, then sort by insertion (k is typically
-	// small relative to the cost of importing sort).
 	s.PermInto(dst)
-	out := dst[:k]
-	insertionSort(out)
-	return out
+	sortPrefix(dst, k)
+	return dst[:k]
 }
 
-func insertionSort(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j-1] > a[j]; j-- {
-			a[j-1], a[j] = a[j], a[j-1]
+// subsetScratchWords sizes sortPrefix's stack bitset: it covers n up to
+// 4096, every size the simulator runs (E15 tops out there).
+const subsetScratchWords = 64
+
+// sortPrefix rewrites p[:k] ascending, where p is a permutation of
+// [0, len(p)): it marks the chosen values in a stack bitset and reads the
+// bitset back in order, O(n) with no comparisons and no allocation. Beyond
+// the scratch it falls back to a comparison sort.
+func sortPrefix(p []int, k int) {
+	n := len(p)
+	if n > subsetScratchWords*64 {
+		slices.Sort(p[:k])
+		return
+	}
+	var member [subsetScratchWords]uint64
+	for _, v := range p[:k] {
+		member[v>>6] |= 1 << (uint(v) & 63)
+	}
+	i := 0
+	for w, word := range member[:(n+63)/64] {
+		for ; word != 0; word &= word - 1 {
+			p[i] = w<<6 | bits.TrailingZeros64(word)
+			i++
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -162,6 +163,38 @@ func TestSubsetIntoMatchesSubset(t *testing.T) {
 		}
 	}()
 	New(1).SubsetInto(scratch[:4], 5)
+}
+
+// TestSubsetIntoMatchesReference is the differential check of SubsetInto's
+// linear-time ordering pass against the definition it replaces — a full
+// PermInto shuffle, then a comparison sort of the chosen prefix — across the
+// bitset's word boundaries and both sides of its fixed scratch (n > 4096
+// takes the fallback). Equal output AND equal source state afterwards: the
+// stream position is part of every seeded record, so the draw sequence must
+// not move.
+func TestSubsetIntoMatchesReference(t *testing.T) {
+	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 1024, 4096, 4097} {
+		for _, k := range []int{0, 1, n - n/8, n} {
+			got, want := New(uint64(n)*31+uint64(k)), New(uint64(n)*31+uint64(k))
+			dst, ref := make([]int, n), make([]int, n)
+			for round := 0; round < 3; round++ { // dst is dirty from the second round on
+				sub := got.SubsetInto(dst, k)
+				want.PermInto(ref)
+				slices.Sort(ref[:k])
+				if !slices.Equal(sub, ref[:k]) {
+					t.Fatalf("SubsetInto(n=%d, k=%d) round %d = %v, want %v", n, k, round, sub, ref[:k])
+				}
+				if *got != *want {
+					t.Fatalf("SubsetInto(n=%d, k=%d) round %d left the source at %#x, PermInto at %#x",
+						n, k, round, got.state, want.state)
+				}
+			}
+			src := New(7)
+			if allocs := testing.AllocsPerRun(10, func() { src.SubsetInto(dst, k) }); allocs != 0 {
+				t.Fatalf("SubsetInto(n=%d, k=%d) allocates %.1f per call, want 0", n, k, allocs)
+			}
+		}
+	}
 }
 
 func TestSubsetProperties(t *testing.T) {

@@ -16,13 +16,11 @@ import "fmt"
 // goroutine executes a shard, so every setting (including 1) produces the
 // same bytes.
 //
-// The sharded delivery path engages only for a batch that is the System's
-// own just-sent WindowSend batch (recognized by slice identity). That batch
-// carries the invariants the fast path leans on: every entry is the
-// verbatim stored copy of a live buffered message, To is in range, and the
-// batch is ordered sender-major with globally ascending IDs — which makes a
-// stable counting sort by receiver equal to the serial (To, From, ID) sort.
-// Hand-built batches (tests, exotic drivers) fall back to the serial path.
+// The sharded delivery path engages only for the System's own just-sent
+// WindowSend batch (ownBatch, window.go), the same precondition under which
+// the serial path orders by bucketByReceiver: both paths share that one
+// counting sort and differ only in who walks the buckets. Hand-built batches
+// (tests, exotic drivers) take the serial path's comparison sort.
 
 // shardMaxShards bounds the shard count the way reduceMaxBlocks bounds
 // parallel.Reduce: enough shards that work-stealing balances uneven
@@ -108,8 +106,6 @@ func (s *System) ensureShardPool() *shardPool {
 			s.shards[b].lo = b * s.n / c
 			s.shards[b].hi = (b + 1) * s.n / c
 		}
-		s.orderOff = make([]int32, s.n+1)
-		s.orderPos = make([]int32, s.n)
 	}
 	return s.shardPool
 }
@@ -152,15 +148,8 @@ func (s *System) shardRun(phase shardPhase, i int) {
 	}
 }
 
-// shardedBatch reports whether batch is the System's own just-sent
-// WindowSend batch — the precondition for the sharded delivery path.
-func (s *System) shardedBatch(batch []Message) bool {
-	return len(batch) > 0 && len(batch) == len(s.batchScratch) &&
-		&batch[0] == &s.batchScratch[0]
-}
-
 // windowDeliverSharded is the sharded body of WindowDeliver. The caller has
-// already checked len(senders); batch passed shardedBatch.
+// already checked len(senders); batch passed ownBatch.
 func (s *System) windowDeliverSharded(batch []Message, senders [][]ProcID) error {
 	pool := s.ensureShardPool()
 	s.resetShards()
@@ -187,9 +176,8 @@ func (s *System) windowDeliverSharded(batch []Message, senders [][]ProcID) error
 		}
 	}
 
-	// Phase 2 — serial receiver-major ordering. The batch is sender-major
-	// with ascending IDs, so a stable counting sort by To reproduces the
-	// serial (To, From, ID) sort exactly, in O(batch) with no comparisons.
+	// Phase 2 — serial receiver-major ordering, the serial path's own
+	// ordering step.
 	s.bucketByReceiver(batch)
 
 	// Phase 3 — parallel delivery, each shard delivering to its own
@@ -261,33 +249,6 @@ func (s *System) shardValidate(sh *windowShard) {
 				ErrBadWindow, i, distinct, s.n-s.t)
 			return
 		}
-	}
-}
-
-// bucketByReceiver computes, into orderOff/orderIdx, the batch indices
-// grouped by receiver in stable batch order: orderIdx[orderOff[r]:
-// orderOff[r+1]] are the batch positions addressed to receiver r, in
-// (From, ID) ascending order by the WindowSend batch invariant.
-func (s *System) bucketByReceiver(batch []Message) {
-	n := s.n
-	off := s.orderOff[:n+1]
-	clear(off)
-	for i := range batch {
-		off[int(batch[i].To)+1]++
-	}
-	for r := 0; r < n; r++ {
-		off[r+1] += off[r]
-	}
-	if cap(s.orderIdx) < len(batch) {
-		s.orderIdx = make([]int32, len(batch))
-	}
-	idx := s.orderIdx[:len(batch)]
-	pos := s.orderPos[:n]
-	copy(pos, off[:n])
-	for i := range batch {
-		r := int(batch[i].To)
-		idx[pos[r]] = int32(i)
-		pos[r]++
 	}
 }
 

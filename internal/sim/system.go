@@ -121,11 +121,16 @@ type System struct {
 	violation error
 
 	// Scratch state for the allocation-free window pipeline (window.go).
-	// batchScratch backs the slice returned by WindowSend; orderScratch
-	// holds its sorted copy; allowBits is a receiver-major bitset of
-	// permitted senders (allowWords words per receiver) with allowAll
-	// flagging receivers whose sender set is nil ("all senders").
+	// batchScratch backs the slice returned by WindowSend; orderIdx/orderOff/
+	// orderPos hold its receiver-major order (bucketByReceiver, shared with
+	// the sharded core); orderScratch holds the comparison-sorted copy of a
+	// hand-built batch; allowBits is a receiver-major bitset of permitted
+	// senders (allowWords words per receiver) with allowAll flagging
+	// receivers whose sender set is nil ("all senders").
 	batchScratch []Message
+	orderIdx     []int32 // batch indices bucketed by receiver
+	orderOff     []int32 // orderIdx bucket offsets, len n+1
+	orderPos     []int32 // bucket fill cursors, len n
 	orderScratch []Message
 	allowWords   int
 	allowBits    []uint64
@@ -134,19 +139,16 @@ type System struct {
 	// Sharded window core state (shard.go, shardpool.go). shardWorkers is
 	// the configured parallelism (<= 1 selects the serial facade above);
 	// parallelSend additionally shards WindowSend when the algorithm
-	// declares its Send concurrency-safe. The pool, per-shard scratch, and
-	// order buffers are lazily built on the first sharded window and — like
-	// the serial scratch — deliberately survive Recycle, so a pooled trial
-	// engine keeps its worker goroutines hot across thousands of trials.
+	// declares its Send concurrency-safe. The pool and per-shard scratch are
+	// lazily built on the first sharded window and — like the serial scratch
+	// — deliberately survive Recycle, so a pooled trial engine keeps its
+	// worker goroutines hot across thousands of trials.
 	shardWorkers int
 	parallelSend bool
 	shardPool    *shardPool
 	shardCleanup runtime.Cleanup
 	shards       []windowShard
 	shardSenders [][]ProcID // phaseValidate input; nil outside that phase
-	orderIdx     []int32    // batch indices bucketed by receiver
-	orderOff     []int32    // orderIdx bucket offsets, len n+1
-	orderPos     []int32    // bucket fill cursors, len n
 
 	// Columnar kernel state (columnar.go). colOff disables the fast path
 	// (the zero value keeps it enabled); colCap caches whether every process

@@ -44,57 +44,116 @@ func (s *System) allowedRow(i int) []uint64 {
 // like a nil per-receiver set, means "all senders". Batch messages not
 // delivered are dropped (within the window model, a message not delivered in
 // its window is never delivered).
+//
+// Delivery order is (receiver, sender, ID). For the System's own just-sent
+// batch (ownBatch) — every window of every sweep — that order comes from
+// bucketByReceiver's O(batch) counting sort, on the serial path and the
+// sharded core alike; only a hand-built batch, which carries none of the
+// invariants the counting sort leans on, is comparison-sorted.
 func (s *System) WindowDeliver(batch []Message, senders [][]ProcID) error {
 	if senders != nil && len(senders) != s.n {
 		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
 	}
-	// The sharded core handles only the System's own just-sent batch, whose
-	// invariants (verbatim stored copies, in-range To, sender-major ascending
-	// IDs) its ordering shortcut relies on; hand-built batches stay here.
-	if s.shardWorkers > 1 && s.shardedBatch(batch) {
+	own := s.ownBatch(batch)
+	if own && s.shardWorkers > 1 {
 		return s.windowDeliverSharded(batch, senders)
 	}
 	if err := s.validateSenders(senders); err != nil {
 		return err
 	}
-
-	// Deliver in (receiver, sender, ID) order for determinism. The sort key
-	// is a total order (IDs are unique), so the result is independent of the
-	// sorting algorithm.
-	ordered := append(s.orderScratch[:0], batch...)
-	s.orderScratch = ordered
-	slices.SortFunc(ordered, func(a, b Message) int {
-		if c := cmp.Compare(a.To, b.To); c != 0 {
-			return c
+	if own {
+		s.bucketByReceiver(batch)
+		for _, j := range s.orderIdx[:len(batch)] {
+			s.deliverAllowed(&batch[j])
 		}
-		if c := cmp.Compare(a.From, b.From); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-	for i := range ordered {
-		m := &ordered[i]
-		if s.crashed[m.To] {
-			continue
-		}
-		if !s.allowAll[m.To] {
-			if m.From < 0 || int(m.From) >= s.n {
-				continue
+	} else {
+		// The sort key is a total order (IDs are unique), so the result is
+		// independent of the sorting algorithm.
+		ordered := append(s.orderScratch[:0], batch...)
+		s.orderScratch = ordered
+		slices.SortFunc(ordered, func(a, b Message) int {
+			if c := cmp.Compare(a.To, b.To); c != 0 {
+				return c
 			}
-			if s.allowedRow(int(m.To))[int(m.From)>>6]&(uint64(1)<<(uint(m.From)&63)) == 0 {
-				continue
+			if c := cmp.Compare(a.From, b.From); c != 0 {
+				return c
 			}
-		}
-		if taken, ok := s.buffer.Take(m.ID); ok {
-			s.deliver(taken)
+			return cmp.Compare(a.ID, b.ID)
+		})
+		for i := range ordered {
+			s.deliverAllowed(&ordered[i])
 		}
 	}
 	// Undelivered remainder of this window's batch is never delivered.
-	for i := range ordered {
-		s.buffer.Take(ordered[i].ID)
+	for i := range batch {
+		s.buffer.Take(batch[i].ID)
 	}
 	s.reclaimBatch(batch)
 	return nil
+}
+
+// deliverAllowed delivers batch entry m if its receiver is live and admits
+// its sender this window. The message is taken from the buffer first and the
+// stored copy delivered, so one an adversary consumed while planning (legal,
+// if eccentric) is skipped.
+func (s *System) deliverAllowed(m *Message) {
+	if s.crashed[m.To] {
+		return
+	}
+	if !s.allowAll[m.To] {
+		if m.From < 0 || int(m.From) >= s.n {
+			return
+		}
+		if s.allowedRow(int(m.To))[int(m.From)>>6]&(uint64(1)<<(uint(m.From)&63)) == 0 {
+			return
+		}
+	}
+	if taken, ok := s.buffer.Take(m.ID); ok {
+		s.deliver(taken)
+	}
+}
+
+// ownBatch reports whether batch is the System's own just-sent WindowSend
+// batch, recognized by slice identity. That batch carries the invariants
+// bucketByReceiver and the sharded core lean on: every entry is the verbatim
+// stored copy of a buffered message, To is in range, and the order is
+// sender-major with globally ascending IDs. An empty batch (every sender
+// crashed) is never "own": it has nothing to order.
+func (s *System) ownBatch(batch []Message) bool {
+	return len(batch) > 0 && len(batch) == len(s.batchScratch) &&
+		&batch[0] == &s.batchScratch[0]
+}
+
+// bucketByReceiver computes, into orderOff/orderIdx, the batch indices
+// grouped by receiver in stable batch order: orderIdx[orderOff[r]:
+// orderOff[r+1]] are the batch positions addressed to receiver r. The own
+// batch is sender-major with ascending IDs, so this stable counting sort by
+// To reproduces the (To, From, ID) comparison sort exactly, in O(batch).
+func (s *System) bucketByReceiver(batch []Message) {
+	n := s.n
+	if len(s.orderOff) == 0 {
+		s.orderOff = make([]int32, n+1)
+		s.orderPos = make([]int32, n)
+	}
+	off := s.orderOff[:n+1]
+	clear(off)
+	for i := range batch {
+		off[int(batch[i].To)+1]++
+	}
+	for r := 0; r < n; r++ {
+		off[r+1] += off[r]
+	}
+	if cap(s.orderIdx) < len(batch) {
+		s.orderIdx = make([]int32, len(batch))
+	}
+	idx := s.orderIdx[:len(batch)]
+	pos := s.orderPos[:n]
+	copy(pos, off[:n])
+	for i := range batch {
+		r := int(batch[i].To)
+		idx[pos[r]] = int32(i)
+		pos[r]++
+	}
 }
 
 // validateSenders validates every sender set into the reusable allow bitset
