@@ -9,22 +9,23 @@
 //	bench                               # print JSON to stdout
 //	bench -out BENCH_baseline.json      # record the committed baseline
 //	bench -benchtime 2s                 # more stable numbers
-//	bench -compare BENCH_baseline.json  # perf smoke: fail on regression
+//	bench -compare BENCH_baseline.json  # perf smoke: fail on an allocs/op regression
 //	bench -cpuprofile cpu.pprof         # profile the run (go tool pprof)
 //	bench -memprofile mem.pprof         # heap profile at end of run
 //
-// Regression rules for -compare: an entry fails on ns/op above
-// baseline*(1+threshold) (default 0.25), or on allocs/op above
-// baseline*(1+allocs-threshold)+allocs-grace. The two thresholds are
-// separate flags so CI can widen the noisy, machine-dependent ns/op bound
-// without loosening the machine-independent allocation gate. The small
-// absolute grace (default 8) absorbs cross-machine variance in amortized
-// warm-up allocations (worker counts change how many pooled trial engines
-// are constructed before steady state); any systematic re-introduction of
-// per-window or per-trial allocation exceeds it immediately. A baseline
-// entry with no matching fresh benchmark also fails the comparison: a
-// renamed or deleted case must come with a regenerated baseline, not a
-// silent coverage hole.
+// -compare gates allocs/op only: an entry fails above
+// baseline*(1+allocs-threshold)+allocs-grace, and a baseline of 0 allocs
+// tolerates exactly 0. Allocation counts are machine-independent; ns/op on a
+// shared runner is not, so the ns/op columns are printed for the reader and
+// every timing claim is made by the repo benchmark instead (BENCHMARK.json,
+// benchmark/), which states its environment, sample count and noise floor.
+// The small absolute grace (default 8) absorbs cross-machine variance in
+// amortized warm-up allocations (worker counts change how many pooled trial
+// engines are constructed before steady state); any systematic
+// re-introduction of per-window or per-trial allocation exceeds it
+// immediately. A baseline entry with no matching fresh benchmark also fails
+// the comparison: a renamed or deleted case must come with a regenerated
+// baseline, not a silent coverage hole.
 package main
 
 import (
@@ -112,7 +113,6 @@ func run(args []string) error {
 		out          = fs.String("out", "", "write JSON here instead of stdout")
 		benchtime    = fs.Duration("benchtime", time.Second, "target time per benchmark")
 		compare      = fs.String("compare", "", "diff a fresh run against this baseline JSON and exit non-zero on regression")
-		threshold    = fs.Float64("threshold", 0.25, "relative ns/op regression threshold for -compare")
 		allocsThresh = fs.Float64("allocs-threshold", 0.25, "relative allocs/op regression threshold for -compare")
 		allocsGrace  = fs.Int64("allocs-grace", 8, "absolute allocs/op grace for -compare")
 		cpuprofile   = fs.String("cpuprofile", "", "write a CPU profile of the benchmark run here (go test convention)")
@@ -174,7 +174,7 @@ func run(args []string) error {
 	}
 
 	if *compare != "" {
-		return compareBaseline(*compare, entries, *threshold, *allocsThresh, *allocsGrace)
+		return compareBaseline(*compare, entries, *allocsThresh, *allocsGrace)
 	}
 
 	doc := baselineDoc{
@@ -194,9 +194,9 @@ func run(args []string) error {
 }
 
 // compareBaseline diffs fresh entries against the baseline file and returns
-// an error (non-zero exit) if any shared entry regressed or any baseline
-// entry was not measured by the fresh run.
-func compareBaseline(path string, fresh []Entry, nsThresh, allocsThresh float64, allocsGrace int64) error {
+// an error (non-zero exit) if any shared entry's allocs/op regressed or any
+// baseline entry was not measured by the fresh run.
+func compareBaseline(path string, fresh []Entry, allocsThresh float64, allocsGrace int64) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -219,15 +219,17 @@ func compareBaseline(path string, fresh []Entry, nsThresh, allocsThresh float64,
 			fmt.Printf("%-28s NEW (no baseline entry; record with -out)\n", e.Name)
 			continue
 		}
-		nsLimit := b.NsPerOp * (1 + nsThresh)
-		allocLimit := int64(math.Ceil(float64(b.AllocsPerOp)*(1+allocsThresh))) + allocsGrace
+		var allocLimit int64 // a baseline of 0 allocs tolerates 0
+		if b.AllocsPerOp > 0 {
+			allocLimit = int64(math.Ceil(float64(b.AllocsPerOp)*(1+allocsThresh))) + allocsGrace
+		}
 		status := "ok"
-		if e.NsPerOp > nsLimit || e.AllocsPerOp > allocLimit {
+		if e.AllocsPerOp > allocLimit {
 			status = "REGRESSION"
 			regressions++
 		}
-		fmt.Printf("%-28s %-10s ns/op %12.0f -> %12.0f (limit %12.0f)  allocs/op %8d -> %8d (limit %8d)\n",
-			e.Name, status, b.NsPerOp, e.NsPerOp, nsLimit, b.AllocsPerOp, e.AllocsPerOp, allocLimit)
+		fmt.Printf("%-28s %-10s allocs/op %8d -> %8d (limit %8d)  ns/op %12.0f -> %12.0f (not gated)\n",
+			e.Name, status, b.AllocsPerOp, e.AllocsPerOp, allocLimit, b.NsPerOp, e.NsPerOp)
 	}
 	for _, b := range base.Entries {
 		if !measured[b.Name] {

@@ -1,9 +1,11 @@
 // Command load is an open-loop load generator for the agreed daemon: it
 // fires requests at a fixed target rate (-rps) regardless of how fast the
-// server answers — the arrival process never slows down to match a
-// struggling server, which is exactly what makes overload visible — while a
-// concurrency bound (-concurrency) caps in-flight work; a tick that finds
-// no free slot is counted as skipped, not silently dropped.
+// server answers — request i is due at start + i/rps whatever happened to
+// the requests before it, so the arrival process never slows down to match
+// a struggling server, which is exactly what makes overload visible — while
+// a concurrency bound (-concurrency) caps in-flight work; a due request that
+// finds no free slot is counted as skipped, never silently dropped: the
+// report's sent + skipped is every request that fell due.
 //
 // The request mix is deterministic: scenarios come from -mix (comma-
 // separated alg/adv/sched/input/n:t specs) picked by a seeded RNG, and each
@@ -13,7 +15,9 @@
 //
 // 503s (overload shedding, quarantine) are retried with the deterministic
 // backoff of internal/retry, honoring cancellation mid-sleep; other errors
-// are terminal for that request. Latency lands in internal/stream summaries
+// are terminal for that request. Latency is timed from a request's due time
+// (so lateness of the generator counts against the server it could not
+// reach in time) and lands in internal/stream summaries
 // (mean/min/max) and a deterministic reservoir (p50/p90/p99). The exit
 // status enforces budgets: non-zero when the error rate exceeds
 // -max-error-rate or the p99 exceeds -max-p99.
@@ -176,15 +180,13 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintf(os.Stderr, "load: -mix: %v\n", err)
 		return 2
 	}
-	if *rps <= 0 {
-		fmt.Fprintln(os.Stderr, "load: -rps must be positive")
+	if *rps <= 0 || *rps > 1e9 {
+		fmt.Fprintln(os.Stderr, "load: -rps must be positive (and at most 1e9)")
 		return 2
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ctx, cancel := context.WithTimeout(ctx, *duration)
-	defer cancel()
 
 	base := "http://" + *addr
 	client := &http.Client{}
@@ -201,20 +203,29 @@ func run(args []string, stdout io.Writer) int {
 	sem := make(chan struct{}, *concurrency)
 	var wg sync.WaitGroup
 	interval := time.Duration(float64(time.Second) / *rps)
-	ticker := time.NewTicker(interval)
-	defer ticker.Stop()
-
-	sent, skipped := 0, 0
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		case <-ticker.C:
+	// Request i is due at start + i*interval whatever happened to the
+	// requests before it (the rule benchmark/loadgen.go documents): a loop
+	// that wakes late sends the overdue requests at once instead of losing
+	// their ticks, so sent + skipped is every request that fell due.
+	n := int((*duration + interval - 1) / interval)
+	start := time.Now()
+	ctx, cancel := context.WithDeadline(ctx, start.Add(*duration))
+	defer cancel()
+	due, sent, skipped := 0, 0, 0
+	for ; due < n; due++ {
+		at := start.Add(time.Duration(due) * interval)
+		if wait := time.Until(at); wait > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(wait):
+			}
 		}
-		// Open loop: the tick fires on schedule no matter what; if every
-		// slot is busy the tick is recorded as skipped rather than queued
-		// (queuing would close the loop and hide the overload).
+		if ctx.Err() != nil {
+			break // interrupted: the rest of the schedule never fell due
+		}
+		// Open loop: the request is due on schedule no matter what; if every
+		// slot is busy it is recorded as skipped rather than queued (queuing
+		// would close the loop and hide the overload).
 		select {
 		case sem <- struct{}{}:
 		default:
@@ -228,12 +239,12 @@ loop:
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			ta.add(fire(ctx, client, pol, base, *instance, sp, uint64(idx)))
+			ta.add(fire(ctx, client, pol, base, *instance, sp, uint64(idx), at))
 		}()
 	}
 	wg.Wait()
 
-	return report(stdout, ta, sent, skipped, *maxErrRate, *maxP99, *quiet)
+	return report(stdout, ta, due, sent, skipped, *maxErrRate, *maxP99, *quiet)
 }
 
 // createInstance idempotently creates the named instance before the run.
@@ -262,8 +273,10 @@ func createInstance(ctx context.Context, client *http.Client, base, name string,
 }
 
 // fire sends one request, retrying 503s under the policy, and classifies
-// the outcome. Latency covers the successful attempt only.
-func fire(ctx context.Context, client *http.Client, pol retry.Policy, base, instance string, sp scenarioSpec, seed uint64) outcome {
+// the outcome. Latency runs from due, the instant the schedule owed the
+// request, to the answer that ended it: a late send and the backoff of a
+// retried 503 are waiting the caller really did.
+func fire(ctx context.Context, client *http.Client, pol retry.Policy, base, instance string, sp scenarioSpec, seed uint64, due time.Time) outcome {
 	var (
 		o        outcome
 		attempts int
@@ -281,7 +294,6 @@ func fire(ctx context.Context, client *http.Client, pol retry.Policy, base, inst
 			o.err = rerr
 			return nil // not retryable
 		}
-		start := time.Now()
 		resp, derr := client.Do(req)
 		if derr != nil {
 			// A request cut short by the generator's own shutdown (duration
@@ -298,7 +310,7 @@ func fire(ctx context.Context, client *http.Client, pol retry.Policy, base, inst
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		o.status = resp.StatusCode
-		o.latency = time.Since(start)
+		o.latency = time.Since(due)
 		o.err = nil
 		if resp.StatusCode == http.StatusServiceUnavailable {
 			return fmt.Errorf("503") // retry shed/quarantined requests
@@ -322,7 +334,7 @@ func fire(ctx context.Context, client *http.Client, pol retry.Policy, base, inst
 
 // report prints the run summary and maps budget violations to the exit
 // status.
-func report(stdout io.Writer, ta *tally, sent, skipped int, maxErrRate float64, maxP99 time.Duration, quiet bool) int {
+func report(stdout io.Writer, ta *tally, due, sent, skipped int, maxErrRate float64, maxP99 time.Duration, quiet bool) int {
 	ta.mu.Lock()
 	defer ta.mu.Unlock()
 
@@ -341,8 +353,8 @@ func report(stdout io.Writer, ta *tally, sent, skipped int, maxErrRate float64, 
 	}
 
 	if !quiet {
-		fmt.Fprintf(stdout, "load: %d sent (%d ticks skipped at concurrency cap), %d ok, %d shed, %d faulted, %d net errors, %d canceled, %d retries\n",
-			sent, skipped, ta.ok, ta.shed, ta.faults, ta.netErrors, ta.canceled, ta.retries)
+		fmt.Fprintf(stdout, "load: %d due: %d sent, %d skipped at concurrency cap; %d ok, %d shed, %d faulted, %d net errors, %d canceled, %d retries\n",
+			due, sent, skipped, ta.ok, ta.shed, ta.faults, ta.netErrors, ta.canceled, ta.retries)
 		if ta.ok > 0 {
 			fmt.Fprintf(stdout, "load: latency mean %.1fms p50 %.1fms p90 %.1fms p99 %.1fms max %.1fms\n",
 				ta.latency.Mean()*1000, p50.Seconds()*1000, p90.Seconds()*1000,

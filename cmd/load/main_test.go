@@ -2,10 +2,12 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"asyncagree/internal/service"
 )
@@ -58,7 +60,7 @@ func TestLoadAgainstService(t *testing.T) {
 	if !strings.Contains(out.String(), " ok, ") || !strings.Contains(out.String(), "latency") {
 		t.Fatalf("report missing counts or latency:\n%s", out.String())
 	}
-	if strings.Contains(out.String(), "0 ok,") {
+	if strings.Contains(out.String(), " 0 ok,") {
 		t.Fatalf("no successful requests:\n%s", out.String())
 	}
 }
@@ -118,6 +120,44 @@ func TestLoadRetriesShedding(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "retries") || strings.Contains(out.String(), " 0 retries") {
 		t.Fatalf("expected retried requests in report:\n%s", out.String())
+	}
+}
+
+// TestLoadCountsEveryDueRequest: against a server slower than the schedule,
+// with one slot, most due requests find the slot busy. Every one of them is
+// accounted for — sent + skipped is the whole schedule (300 ms at 100 rps is
+// 30 requests), where a ticker-driven loop silently dropped the ticks it was
+// late for — and latency is timed from the due time, so it cannot be shorter
+// than the server's 50 ms.
+func TestLoadCountsEveryDueRequest(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(50 * time.Millisecond)
+		w.Write([]byte(`{"result":{}}`))
+	}))
+	defer hs.Close()
+	var out bytes.Buffer
+	code := run([]string{
+		"-addr", strings.TrimPrefix(hs.URL, "http://"),
+		"-rps", "100", "-duration", "300ms", "-concurrency", "1", "-max-error-rate", "0",
+	}, &out)
+	if code != 0 {
+		t.Fatalf("exit %d, output:\n%s", code, out.String())
+	}
+	var due, sent, skipped int
+	if _, err := fmt.Sscanf(out.String(), "load: %d due: %d sent, %d skipped", &due, &sent, &skipped); err != nil {
+		t.Fatalf("report has no due/sent/skipped counts: %v\n%s", err, out.String())
+	}
+	if due != 30 || sent+skipped != due {
+		t.Fatalf("due %d (want 30), sent %d + skipped %d", due, sent, skipped)
+	}
+	if sent < 2 || sent > 8 || skipped < 20 {
+		t.Fatalf("a 50 ms server with one slot should take about 6 of 30 requests: sent %d, skipped %d", sent, skipped)
+	}
+	var mean, p50 float64
+	if i := strings.Index(out.String(), "load: latency mean"); i < 0 {
+		t.Fatalf("no latency line:\n%s", out.String())
+	} else if _, err := fmt.Sscanf(out.String()[i:], "load: latency mean %fms p50 %fms", &mean, &p50); err != nil || p50 < 50 {
+		t.Fatalf("p50 %.1f ms (err %v) is below the server's 50 ms: latency is not timed from the due time\n%s", p50, err, out.String())
 	}
 }
 

@@ -35,49 +35,22 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"strconv"
-	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	"asyncagree/internal/ckptio"
-	"asyncagree/internal/faultinject"
 	"asyncagree/internal/registry"
-	"asyncagree/internal/retry"
+	"asyncagree/internal/resumable"
 	"asyncagree/internal/search"
 )
 
 func main() {
-	stop := installInterrupt()
-	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
+	if err := run(os.Args[1:], os.Stdout, resumable.InstallInterrupt()); err != nil {
 		fmt.Fprintln(os.Stderr, "search:", err)
 		os.Exit(1)
 	}
-}
-
-// installInterrupt converts the first SIGINT or SIGTERM into a clean-stop
-// request (the search flushes sinks and the checkpoint, then exits with a
-// resume hint); a second signal falls back to the default abrupt exit.
-// SIGTERM gets the same treatment as Ctrl-C because container runtimes and
-// batch schedulers terminate with it — losing the resume invocation to an
-// orchestrated shutdown would defeat the checkpoint contract.
-func installInterrupt() func() bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		stopped.Store(true)
-		signal.Stop(ch)
-	}()
-	return stopped.Load
 }
 
 func run(args []string, out io.Writer, interrupted func() bool) error {
@@ -96,36 +69,19 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		refine     = fs.Int("refine", 0, "grid refinement rounds (0 = default 2, negative = none)")
 		gens       = fs.Int("gens", 0, "evolutionary generations (0 = default 3, negative = none)")
 		pop        = fs.Int("pop", 0, "candidates per generation (0 = default 8)")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; output is identical at any setting)")
-		serial     = fs.Bool("serial", false, "evaluate candidates on a serial loop instead of the worker pool")
-		verbose    = fs.Bool("v", false, "also print skipped sizes")
-		list       = fs.Bool("list", false, "print the registered algorithms, adversaries (with knobs), schedulers, and input patterns")
-		outPath    = fs.String("out", "", "stream per-evaluation JSONL records here")
-		ckptPath   = fs.String("checkpoint", "", "checkpoint file for -resume (default <out>.ckpt when -out is set; \"off\" disables)")
-		resume     = fs.Bool("resume", false, "replay evaluations already recorded in the checkpoint and continue the search")
-		progress   = fs.Bool("progress", false, "report evaluation progress to stderr")
-		stopAfter  = fs.Int("interrupt-after", 0, "stop cleanly after N emitted evaluations, as if interrupted (testing hook for -resume)")
-
-		retryN    = fs.Int("retry", 3, "attempts per sink/checkpoint write before the sink is dropped")
-		retryBase = fs.Duration("retry-backoff", 5*time.Millisecond, "base of the deterministic exponential retry backoff")
-
-		injPanics  = fs.String("inject-panics", "", "fault injection: evaluations to panic (\"3,7,9-12\" or \"rand:K@seed\")")
-		injStalls  = fs.String("inject-stalls", "", "fault injection: evaluations to stall (same syntax)")
-		injStallAt = fs.Int("inject-stall-window", 0, "window at which injected stalls fire (0 = default)")
-		injOut     = fs.String("inject-out-failures", "", "fault injection: -out write-failure schedule (\"N\", \"NxK\", \"N+\", comma-composed)")
-		injCkpt    = fs.String("inject-ckpt-failures", "", "fault injection: checkpoint write-failure schedule (same syntax)")
+		// -out -checkpoint -resume -progress -interrupt-after -retry
+		// -retry-backoff -inject-* -serial -shard-workers -v -list
+		shared = resumable.Register(fs, "search", "evaluation",
+			"stream per-evaluation JSONL records here")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *list {
+	if shared.List {
 		registry.WriteInventory(out)
 		return nil
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	if *trials < 0 {
 		return fmt.Errorf("trials must be >= 0, got %d", *trials)
 	}
@@ -141,23 +97,11 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 	if *pop < 0 {
 		return fmt.Errorf("pop must be >= 0, got %d", *pop)
 	}
-	if *stopAfter < 0 {
-		return fmt.Errorf("interrupt-after must be >= 0, got %d", *stopAfter)
-	}
-	if *retryN < 1 {
-		return fmt.Errorf("retry must be >= 1 attempt, got %d", *retryN)
-	}
-	if *retryBase < 0 {
-		return fmt.Errorf("retry-backoff must be >= 0, got %s", *retryBase)
-	}
-	if *injStallAt < 0 {
-		return fmt.Errorf("inject-stall-window must be >= 0, got %d", *injStallAt)
-	}
 	o := search.Options{
 		Algorithm:          *alg,
 		Input:              *input,
-		Adversaries:        splitList(*advs),
-		Schedulers:         splitList(*scheds),
+		Adversaries:        resumable.SplitList(*advs),
+		Schedulers:         resumable.SplitList(*scheds),
 		TrialsPerCandidate: *trials,
 		MaxWindows:         *maxWindows,
 		Budget:             *budget,
@@ -166,124 +110,38 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		Refinements:        *refine,
 		Generations:        *gens,
 		Population:         *pop,
-		ShardWorkers:       *shardW,
+		ShardWorkers:       shared.ShardWorkers,
 	}
 	var err error
-	if o.Sizes, err = parseSizes(*sizes); err != nil {
+	if o.Sizes, err = resumable.ParseSizes(*sizes); err != nil {
 		return err
 	}
-	inject := &faultinject.Plan{StallWindow: *injStallAt}
-	if inject.Panic, err = faultinject.ParseTrialSet(*injPanics); err != nil {
-		return err
-	}
-	if inject.Stall, err = faultinject.ParseTrialSet(*injStalls); err != nil {
-		return err
-	}
-	outFailures, err := faultinject.ParseWriteFailures(*injOut)
+
+	sess, err := resumable.Open(shared, o.Signature(),
+		func(r search.EvalRecord) int { return r.Index },
+		func(w io.Writer, _ bool) search.Sink { return search.NewJSONLSink(w) }, interrupted)
 	if err != nil {
 		return err
 	}
-	ckptFailures, err := faultinject.ParseWriteFailures(*injCkpt)
-	if err != nil {
-		return err
-	}
-	retryPolicy := retry.Policy{Attempts: *retryN, Base: *retryBase, Max: 16 * *retryBase}
+	defer sess.Close()
 
-	ckpt := *ckptPath
-	switch {
-	case ckpt == "off":
-		ckpt = ""
-	case ckpt == "" && *outPath != "":
-		ckpt = *outPath + ".ckpt"
+	ro := search.RunOptions{
+		Sinks:  sess.Sinks,
+		Resume: sess.Prefix,
+		Stop:   sess.Stop,
+		Serial: shared.Serial,
+		Inject: sess.Inject,
 	}
-	if *resume && ckpt == "" {
-		return errors.New("-resume needs a checkpoint: set -out or -checkpoint")
-	}
-
-	sig := o.Signature()
-	var prefix []search.EvalRecord
-	if *resume {
-		var salvage *registry.SalvageReport
-		if prefix, salvage, err = search.LoadCheckpoint(ckpt, sig); err != nil {
-			return err
-		}
-		if !salvage.Empty() {
-			fmt.Fprintf(os.Stderr, "search: %s: %s\n", ckpt, salvage)
-		}
-		if *progress && len(prefix) > 0 {
-			fmt.Fprintf(os.Stderr, "search: resuming past %d checkpointed evaluations\n", len(prefix))
-		}
-	}
-
-	ro := search.RunOptions{Resume: prefix, Serial: *serial}
-	if !inject.Empty() {
-		ro.Inject = inject
-	}
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	if *outPath != "" {
-		sink, f, err := openOutSink(*outPath, prefix, retryPolicy, outFailures)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, f)
-		ro.Sinks = append(ro.Sinks, search.NamedSink{Name: *outPath, Sink: sink})
-	}
-	if ckpt != "" {
-		sink, f, err := openCheckpointSink(ckpt, sig, prefix, retryPolicy, ckptFailures)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, f)
-		ro.Sinks = append(ro.Sinks, search.NamedSink{Name: ckpt, Sink: sink})
-	}
-
-	var emitted atomic.Int64
-	ro.Stop = func() bool {
-		if interrupted != nil && interrupted() {
-			return true
-		}
-		return *stopAfter > 0 && emitted.Load() >= int64(*stopAfter)
-	}
-	lastReport := time.Now()
 	ro.Progress = func(evals, trialsSpent int) {
-		emitted.Store(int64(evals))
-		if *progress && time.Since(lastReport) >= 500*time.Millisecond {
-			lastReport = time.Now()
+		if sess.Note(evals, false) {
 			fmt.Fprintf(os.Stderr, "search: %d evaluations, %d trials\n", evals, trialsSpent)
 		}
 	}
 
 	start := time.Now()
 	rep, err := search.Run(o, ro)
-	if errors.Is(err, search.ErrInterrupted) {
-		// Echo the invocation with -resume added and -interrupt-after
-		// stripped — re-running the hint verbatim must make progress, not
-		// re-interrupt itself after the replayed prefix.
-		var resumeArgs []string
-		for i := 0; i < len(args); i++ {
-			if args[i] == "-interrupt-after" || args[i] == "--interrupt-after" {
-				i++ // skip the value too
-				continue
-			}
-			if strings.HasPrefix(args[i], "-interrupt-after=") || strings.HasPrefix(args[i], "--interrupt-after=") {
-				continue
-			}
-			resumeArgs = append(resumeArgs, args[i])
-		}
-		if !*resume {
-			resumeArgs = append(resumeArgs, "-resume")
-		}
-		fmt.Fprintf(os.Stderr, "search: interrupted after %d evaluations; partial results are checkpointed — resume with: search %s\n",
-			emitted.Load(), strings.Join(resumeArgs, " "))
-		return err
-	}
 	if err != nil {
-		return err
+		return sess.Failed(err, args)
 	}
 
 	fmt.Fprint(out, rep.Table().String())
@@ -292,7 +150,7 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 	if rep.BudgetExhausted {
 		fmt.Fprintf(out, "trial budget %d exhausted: later stages were truncated\n", o.Budget)
 	}
-	if *verbose {
+	if shared.Verbose {
 		for _, s := range rep.Skipped {
 			fmt.Fprintf(out, "  skipped: %s\n", s)
 		}
@@ -314,84 +172,4 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 			rep.Faulted, len(rep.SinkFailures))
 	}
 	return nil
-}
-
-// openOutSink prepares the per-evaluation record export: the file is
-// rewritten from the resumed prefix (healing any torn tail of the
-// interrupted run) and the returned sink appends the remaining live
-// evaluations, so the finished file is byte-identical to an uninterrupted
-// run's. Streaming appends run through the retry/fault-injection stack; the
-// atomic prefix rewrite does not (it already fails safe: temp file +
-// rename).
-func openOutSink(path string, prefix []search.EvalRecord, pol retry.Policy, failures *faultinject.WriteFailures) (search.Sink, *os.File, error) {
-	f, err := ckptio.RewriteThenAppend(path, func(w io.Writer) error {
-		sink := search.NewJSONLSink(w)
-		for _, rec := range prefix {
-			if err := sink.Consume(rec); err != nil {
-				return err
-			}
-		}
-		return sink.Flush()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return search.NewJSONLSink(ckptio.HardenWriter(f, pol, failures)), f, nil
-}
-
-// openCheckpointSink prepares the checkpoint: header plus the verified
-// resumed prefix are rewritten, and the returned sink appends every further
-// completed evaluation as it is emitted — through the same
-// retry/fault-injection stack as the record export.
-func openCheckpointSink(path, sig string, prefix []search.EvalRecord, pol retry.Policy, failures *faultinject.WriteFailures) (search.Sink, *os.File, error) {
-	f, err := ckptio.RewriteThenAppend(path, func(w io.Writer) error {
-		if err := registry.WriteCheckpointHeader(w, sig); err != nil {
-			return err
-		}
-		sink := search.NewJSONLSink(w)
-		for _, rec := range prefix {
-			if err := sink.Consume(rec); err != nil {
-				return err
-			}
-		}
-		return sink.Flush()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return search.NewJSONLSink(ckptio.HardenWriter(f, pol, failures)), f, nil
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseSizes(s string) ([]registry.Size, error) {
-	var sizes []registry.Size
-	for _, part := range splitList(s) {
-		nt := strings.SplitN(part, ":", 2)
-		if len(nt) != 2 {
-			return nil, fmt.Errorf("bad size %q (want n:t, e.g. 24:3)", part)
-		}
-		n, err := strconv.Atoi(nt[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		t, err := strconv.Atoi(nt[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		sizes = append(sizes, registry.Size{N: n, T: t})
-	}
-	return sizes, nil
 }

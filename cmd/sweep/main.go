@@ -43,49 +43,23 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"strconv"
 	"strings"
-	"sync/atomic"
-	"syscall"
 	"time"
 
-	"asyncagree/internal/ckptio"
-	"asyncagree/internal/faultinject"
 	"asyncagree/internal/registry"
-	"asyncagree/internal/retry"
+	"asyncagree/internal/resumable"
 )
 
 func main() {
-	stop := installInterrupt()
-	if err := run(os.Args[1:], os.Stdout, stop); err != nil {
+	if err := run(os.Args[1:], os.Stdout, resumable.InstallInterrupt()); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
-}
-
-// installInterrupt converts the first SIGINT or SIGTERM into a clean-stop
-// request (the sweep flushes sinks and the checkpoint, then exits with a
-// resume hint); a second signal falls back to the default abrupt exit.
-// SIGTERM gets the same treatment as Ctrl-C because container runtimes and
-// batch schedulers terminate with it — losing the resume invocation to an
-// orchestrated shutdown would defeat the checkpoint contract.
-func installInterrupt() func() bool {
-	var stopped atomic.Bool
-	ch := make(chan os.Signal, 1)
-	signal.Notify(ch, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		<-ch
-		stopped.Store(true)
-		signal.Stop(ch)
-	}()
-	return stopped.Load
 }
 
 func run(args []string, out io.Writer, interrupted func() bool) error {
@@ -98,51 +72,34 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		inputs     = fs.String("inputs", "", "comma-separated input patterns (empty = default grid)")
 		trials     = fs.Int("trials", 0, "trials per cell, seeded 1..trials (0 = default grid)")
 		maxWindows = fs.Int("max-windows", 0, "per-trial window budget (0 = default)")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; records are identical at any setting)")
 		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (records are identical either way)")
-		serial     = fs.Bool("serial", false, "run trials on a serial loop instead of the worker pool")
-		verbose    = fs.Bool("v", false, "also print skipped sizes and incompatible-pair counts")
-		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")
-		outPath    = fs.String("out", "", "stream per-trial records here (.csv = CSV, anything else = JSONL)")
-		ckptPath   = fs.String("checkpoint", "", "checkpoint file for -resume (default <out>.ckpt when -out is set; \"off\" disables)")
-		resume     = fs.Bool("resume", false, "skip trials already recorded in the checkpoint and continue the sweep")
-		progress   = fs.Bool("progress", false, "report trial progress to stderr")
-		stopAfter  = fs.Int("interrupt-after", 0, "stop cleanly after N completed trials, as if interrupted (testing hook for -resume)")
-
-		deadline  = fs.Duration("deadline", 0, "per-trial wall-clock budget; exceeding it records the trial as non-terminating (0 = off)")
-		quarAfter = fs.Int("quarantine-after", 0, "quarantine a cell after N consecutive faulted trials (0 = default 3, negative = never)")
-		retryN    = fs.Int("retry", 3, "attempts per sink/checkpoint write before the sink is dropped")
-		retryBase = fs.Duration("retry-backoff", 5*time.Millisecond, "base of the deterministic exponential retry backoff")
-
-		injPanics  = fs.String("inject-panics", "", "fault injection: trials to panic (\"3,7,9-12\" or \"rand:K@seed\")")
-		injStalls  = fs.String("inject-stalls", "", "fault injection: trials to stall past the watchdog (same syntax)")
-		injStallAt = fs.Int("inject-stall-window", 0, "window at which injected stalls fire (0 = default)")
-		injOut     = fs.String("inject-out-failures", "", "fault injection: -out write-failure schedule (\"N\", \"NxK\", \"N+\", comma-composed)")
-		injCkpt    = fs.String("inject-ckpt-failures", "", "fault injection: checkpoint write-failure schedule (same syntax)")
+		deadline   = fs.Duration("deadline", 0, "per-trial wall-clock budget; exceeding it records the trial as non-terminating (0 = off)")
+		quarAfter  = fs.Int("quarantine-after", 0, "quarantine a cell after N consecutive faulted trials (0 = default 3, negative = never)")
+		// -out -checkpoint -resume -progress -interrupt-after -retry
+		// -retry-backoff -inject-* -serial -shard-workers -v -list
+		shared = resumable.Register(fs, "sweep", "trial",
+			"stream per-trial records here (.csv = CSV, anything else = JSONL)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *list {
+	if shared.List {
 		registry.WriteInventory(out)
 		return nil
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	m := registry.Matrix{
-		Algorithms:   splitList(*algs),
-		Adversaries:  splitList(*advs),
-		Schedulers:   splitList(*scheds),
-		Inputs:       splitList(*inputs),
+		Algorithms:   resumable.SplitList(*algs),
+		Adversaries:  resumable.SplitList(*advs),
+		Schedulers:   resumable.SplitList(*scheds),
+		Inputs:       resumable.SplitList(*inputs),
 		MaxWindows:   *maxWindows,
-		ShardWorkers: *shardW,
+		ShardWorkers: shared.ShardWorkers,
 
 		DisableColumnar: !*columnar,
 	}
 	var err error
-	if m.Sizes, err = parseSizes(*sizes); err != nil {
+	if m.Sizes, err = resumable.ParseSizes(*sizes); err != nil {
 		return err
 	}
 	if *trials < 0 {
@@ -151,112 +108,43 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 	if *maxWindows < 0 {
 		return fmt.Errorf("max-windows must be >= 0, got %d", *maxWindows)
 	}
-	if *stopAfter < 0 {
-		return fmt.Errorf("interrupt-after must be >= 0, got %d", *stopAfter)
-	}
 	if *deadline < 0 {
 		return fmt.Errorf("deadline must be >= 0, got %s", *deadline)
 	}
-	if *retryN < 1 {
-		return fmt.Errorf("retry must be >= 1 attempt, got %d", *retryN)
-	}
-	if *retryBase < 0 {
-		return fmt.Errorf("retry-backoff must be >= 0, got %s", *retryBase)
-	}
-	if *injStallAt < 0 {
-		return fmt.Errorf("inject-stall-window must be >= 0, got %d", *injStallAt)
-	}
-	inject := &faultinject.Plan{StallWindow: *injStallAt}
-	if inject.Panic, err = faultinject.ParseTrialSet(*injPanics); err != nil {
-		return err
-	}
-	if inject.Stall, err = faultinject.ParseTrialSet(*injStalls); err != nil {
-		return err
-	}
-	outFailures, err := faultinject.ParseWriteFailures(*injOut)
-	if err != nil {
-		return err
-	}
-	ckptFailures, err := faultinject.ParseWriteFailures(*injCkpt)
-	if err != nil {
-		return err
-	}
-	retryPolicy := retry.Policy{Attempts: *retryN, Base: *retryBase, Max: 16 * *retryBase}
 	for seed := uint64(1); seed <= uint64(*trials); seed++ {
 		m.Seeds = append(m.Seeds, seed)
 	}
 
-	ckpt := *ckptPath
-	switch {
-	case ckpt == "off":
-		ckpt = ""
-	case ckpt == "" && *outPath != "":
-		ckpt = *outPath + ".ckpt"
-	}
-	if *resume && ckpt == "" {
-		return errors.New("-resume needs a checkpoint: set -out or -checkpoint")
-	}
-
-	grid := m.GridSignature()
-	var prefix []registry.TrialRecord
-	if *resume {
-		var salvage *registry.SalvageReport
-		if prefix, salvage, err = registry.LoadCheckpointSalvage(ckpt, grid); err != nil {
-			return err
+	// The -out export is CSV or JSONL by extension; on resume the CSV header
+	// is already in the rewritten prefix.
+	outSink := func(w io.Writer, appending bool) registry.ResultSink {
+		if !strings.EqualFold(filepath.Ext(shared.Out), ".csv") {
+			return registry.NewJSONLSink(w)
 		}
-		if !salvage.Empty() {
-			fmt.Fprintf(os.Stderr, "sweep: %s: %s\n", ckpt, salvage)
+		csv := registry.NewCSVSink(w)
+		if appending {
+			csv.SkipHeader()
 		}
-		if *progress && len(prefix) > 0 {
-			fmt.Fprintf(os.Stderr, "sweep: resuming past %d checkpointed trials\n", len(prefix))
-		}
+		return csv
 	}
+	sess, err := resumable.Open(shared, m.GridSignature(),
+		func(r registry.TrialRecord) int { return r.Index }, outSink, interrupted)
+	if err != nil {
+		return err
+	}
+	defer sess.Close()
 
 	opts := registry.RunOptions{
-		Resume:          prefix,
-		Serial:          *serial,
+		Sinks:           sess.Sinks,
+		Resume:          sess.Prefix,
+		Stop:            sess.Stop,
+		Serial:          shared.Serial,
 		TrialDeadline:   *deadline,
 		QuarantineAfter: *quarAfter,
+		Inject:          sess.Inject,
 	}
-	if !inject.Empty() {
-		opts.Inject = inject
-	}
-	var closers []io.Closer
-	defer func() {
-		for _, c := range closers {
-			c.Close()
-		}
-	}()
-	if *outPath != "" {
-		sink, f, err := openOutSink(*outPath, prefix, retryPolicy, outFailures)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, f)
-		opts.Sinks = append(opts.Sinks, registry.NamedSink{Name: *outPath, ResultSink: sink})
-	}
-	if ckpt != "" {
-		sink, f, err := openCheckpointSink(ckpt, grid, prefix, retryPolicy, ckptFailures)
-		if err != nil {
-			return err
-		}
-		closers = append(closers, f)
-		opts.Sinks = append(opts.Sinks, registry.NamedSink{Name: ckpt, ResultSink: sink})
-	}
-
-	var emitted atomic.Int64
-	stopRequested := func() bool {
-		if interrupted != nil && interrupted() {
-			return true
-		}
-		return *stopAfter > 0 && emitted.Load() >= int64(*stopAfter)
-	}
-	opts.Stop = stopRequested
-	lastReport := time.Now()
 	opts.Progress = func(done, total int) {
-		emitted.Store(int64(done))
-		if *progress && (done == total || time.Since(lastReport) >= 500*time.Millisecond) {
-			lastReport = time.Now()
+		if sess.Note(done, done == total) {
 			fmt.Fprintf(os.Stderr, "sweep: %d/%d trials (%.1f%%)\n",
 				done, total, 100*float64(done)/float64(total))
 		}
@@ -264,36 +152,14 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 
 	start := time.Now()
 	sweep, err := m.RunWith(opts)
-	if errors.Is(err, registry.ErrInterrupted) {
-		// Echo the invocation with -resume added and -interrupt-after
-		// stripped — re-running the hint verbatim must make progress, not
-		// re-interrupt itself after the replayed prefix.
-		var resumeArgs []string
-		for i := 0; i < len(args); i++ {
-			if args[i] == "-interrupt-after" || args[i] == "--interrupt-after" {
-				i++ // skip the value too
-				continue
-			}
-			if strings.HasPrefix(args[i], "-interrupt-after=") || strings.HasPrefix(args[i], "--interrupt-after=") {
-				continue
-			}
-			resumeArgs = append(resumeArgs, args[i])
-		}
-		if !*resume {
-			resumeArgs = append(resumeArgs, "-resume")
-		}
-		fmt.Fprintf(os.Stderr, "sweep: interrupted after %d trials; partial results are checkpointed — resume with: sweep %s\n",
-			emitted.Load(), strings.Join(resumeArgs, " "))
-		return err
-	}
 	if err != nil {
-		return err
+		return sess.Failed(err, args)
 	}
 
 	fmt.Fprint(out, sweep.Table().String())
 	fmt.Fprintf(out, "\ncells %d   trials %d   incompatible-pairs %d   skipped-sizes %d\n",
 		len(sweep.Cells), sweep.TrialCount, sweep.Incompatible, len(sweep.Skipped))
-	if *verbose {
+	if shared.Verbose {
 		for _, s := range sweep.Skipped {
 			fmt.Fprintf(out, "  skipped: %s\n", s)
 		}
@@ -321,97 +187,4 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 			sweep.Faulted, len(sweep.Quarantined), len(sweep.SinkFailures))
 	}
 	return nil
-}
-
-// openOutSink prepares the per-trial record export: the file is rewritten
-// from the resumed prefix (healing any torn tail of the interrupted run)
-// and the returned sink appends the remaining live trials, so the finished
-// file is byte-identical to an uninterrupted run's. Streaming appends run
-// through the retry/fault-injection stack; the atomic prefix rewrite does
-// not (it already fails safe: temp file + rename).
-func openOutSink(path string, prefix []registry.TrialRecord, pol retry.Policy, failures *faultinject.WriteFailures) (registry.ResultSink, *os.File, error) {
-	csv := strings.EqualFold(filepath.Ext(path), ".csv")
-	f, err := ckptio.RewriteThenAppend(path, func(w io.Writer) error {
-		var sink registry.ResultSink
-		if csv {
-			sink = registry.NewCSVSink(w)
-		} else {
-			sink = registry.NewJSONLSink(w)
-		}
-		for _, rec := range prefix {
-			if err := sink.Consume(rec); err != nil {
-				return err
-			}
-		}
-		return sink.Flush()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	w := ckptio.HardenWriter(f, pol, failures)
-	if csv {
-		s := registry.NewCSVSink(w)
-		if len(prefix) > 0 {
-			s.SkipHeader()
-		}
-		return s, f, nil
-	}
-	return registry.NewJSONLSink(w), f, nil
-}
-
-// openCheckpointSink prepares the checkpoint: header plus the verified
-// resumed prefix are rewritten, and the returned sink appends every further
-// completed trial as it is emitted — through the same retry/fault-injection
-// stack as the record export.
-func openCheckpointSink(path, grid string, prefix []registry.TrialRecord, pol retry.Policy, failures *faultinject.WriteFailures) (registry.ResultSink, *os.File, error) {
-	f, err := ckptio.RewriteThenAppend(path, func(w io.Writer) error {
-		if err := registry.WriteCheckpointHeader(w, grid); err != nil {
-			return err
-		}
-		sink := registry.NewJSONLSink(w)
-		for _, rec := range prefix {
-			if err := sink.Consume(rec); err != nil {
-				return err
-			}
-		}
-		return sink.Flush()
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return registry.NewJSONLSink(ckptio.HardenWriter(f, pol, failures)), f, nil
-}
-
-func splitList(s string) []string {
-	if s == "" {
-		return nil
-	}
-	parts := strings.Split(s, ",")
-	out := parts[:0]
-	for _, p := range parts {
-		if p = strings.TrimSpace(p); p != "" {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-func parseSizes(s string) ([]registry.Size, error) {
-	var sizes []registry.Size
-	for _, part := range splitList(s) {
-		nt := strings.SplitN(part, ":", 2)
-		if len(nt) != 2 {
-			return nil, fmt.Errorf("bad size %q (want n:t, e.g. 24:3)", part)
-		}
-		n, err := strconv.Atoi(nt[0])
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		t, err := strconv.Atoi(nt[1])
-		if err != nil {
-			return nil, fmt.Errorf("bad size %q: %v", part, err)
-		}
-		sizes = append(sizes, registry.Size{N: n, T: t})
-	}
-	return sizes, nil
 }

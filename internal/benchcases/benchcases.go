@@ -173,7 +173,11 @@ func BrachaWindow(n int) func(b *testing.B) {
 			b.Fatal(err)
 		}
 		adv := adversary.FullDelivery{}
-		for i := 0; i < 2; i++ { // steady-state scratch (see windowThroughput)
+		// Steady state needs several completed protocol rounds: the RBC and
+		// tally pools reach their high-water mark only after the straggler
+		// cycle of a few rounds (TestBrachaWindowAllocs warms up the same
+		// way and pins the steady state at 0 allocs).
+		for i := 0; i < 200; i++ {
 			if err := s.ApplyWindowWith(adv); err != nil {
 				b.Fatal(err)
 			}

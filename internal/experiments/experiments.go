@@ -89,29 +89,18 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q", id)
 }
 
-// RunTrials fans the independent seeded trials of one experiment across a
-// GOMAXPROCS-wide worker pool and returns the per-trial results ordered by
-// trial index (never by completion), so aggregate tables are byte-identical
-// to a serial loop. Trial fn must derive all randomness from its index and
-// must not share mutable state (every trial builds its own sim.System). On
-// failure the error of the lowest failing index is returned — the same
-// error a serial loop would have surfaced first.
-//
-// RunTrials holds all trial results at once; the experiment drivers reduce
-// through ReduceTrials instead, which keeps only online accumulators.
-func RunTrials[T any](trials int, fn func(trial int) (T, error)) ([]T, error) {
-	return parallel.Map(trials, fn)
-}
-
-// ReduceTrials is the streaming counterpart of RunTrials: trials fan across
-// the same worker pool, but each worker folds its results into a block
+// ReduceTrials fans the independent seeded trials of one experiment across a
+// GOMAXPROCS-wide worker pool: each worker folds its results into a block
 // accumulator and the blocks merge in index order, so an experiment's
 // memory is its accumulator — O(1) in the trial count — instead of a result
-// slice. With the order-deterministic accumulators of internal/stream the
+// slice. Trial fn must derive all randomness from its index and must not
+// share mutable state (every trial builds or acquires its own sim.System).
+// With the order-deterministic accumulators of internal/stream the
 // aggregate is byte-identical to the serial loop for every statistic the
 // tables render (counts, integer-sample means, quantiles within the sketch
-// capacity); see parallel.Reduce for the exact contract. Error semantics
-// match RunTrials: the lowest failing trial index wins.
+// capacity); see parallel.Reduce for the exact contract. On failure the
+// error of the lowest failing trial index is returned — the same error a
+// serial loop would have surfaced first.
 func ReduceTrials[A any](trials int, newAcc func() A, fold func(acc A, trial int) (A, error), merge func(into, from A) A) (A, error) {
 	return parallel.Reduce(trials, newAcc, fold, merge)
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"errors"
-	"reflect"
 	"testing"
 
 	"asyncagree/internal/adversary"
@@ -32,53 +31,6 @@ func trialFn(t *testing.T) func(trial int) (sim.RunResult, error) {
 			return sim.RunResult{}, err
 		}
 		return s.RunWindows(adversary.NewRandomWindows(seed, 0.4, tt), 40000)
-	}
-}
-
-// TestRunTrialsMatchesSerial is the repository's parallel-determinism
-// guarantee: fanning seeded trials across the worker pool yields exactly
-// the results of the serial loop, in the same order.
-func TestRunTrialsMatchesSerial(t *testing.T) {
-	const trials = 24
-	fn := trialFn(t)
-
-	serial := make([]sim.RunResult, trials)
-	for i := range serial {
-		res, err := fn(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		serial[i] = res
-	}
-	par, err := RunTrials(trials, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel results diverged from serial:\nserial  %+v\nparallel %+v", serial, par)
-	}
-	// And the parallel path itself must be replayable.
-	again, err := RunTrials(trials, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(par, again) {
-		t.Fatal("two parallel runs with identical seeds diverged")
-	}
-}
-
-// TestRunTrialsSurfacesLowestError mirrors serial error semantics: the
-// reported failure is the one the serial loop would have hit first.
-func TestRunTrialsSurfacesLowestError(t *testing.T) {
-	sentinel := errors.New("trial failed")
-	_, err := RunTrials(32, func(trial int) (int, error) {
-		if trial >= 5 {
-			return 0, sentinel
-		}
-		return trial, nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v, want sentinel", err)
 	}
 }
 
@@ -152,7 +104,8 @@ func TestReduceTrialsMatchesSerialAccumulation(t *testing.T) {
 	}
 }
 
-// TestReduceTrialsSurfacesLowestError mirrors RunTrials error semantics.
+// TestReduceTrialsSurfacesLowestError mirrors serial error semantics: the
+// reported failure is the one the serial loop would have hit first.
 func TestReduceTrialsSurfacesLowestError(t *testing.T) {
 	sentinel := errors.New("trial failed")
 	_, err := ReduceTrials(32,

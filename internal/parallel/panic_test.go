@@ -2,49 +2,9 @@ package parallel
 
 import (
 	"errors"
-	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 )
-
-// TestMapPanicBecomesError: a panicking index surfaces as the *PanicError
-// of the lowest panicking index, like any other trial error, instead of
-// crashing the pool.
-func TestMapPanicBecomesError(t *testing.T) {
-	_, err := Map(16, func(i int) (int, error) {
-		if i == 5 || i == 9 {
-			panic(fmt.Sprintf("boom %d", i))
-		}
-		return i, nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %v, want *PanicError", err)
-	}
-	if pe.Value != "boom 5" && pe.Value != "boom 9" {
-		t.Fatalf("panic value = %v", pe.Value)
-	}
-	if len(pe.Stack) == 0 || !strings.Contains(string(pe.Stack), "goroutine") {
-		t.Fatalf("stack not captured: %q", pe.Stack)
-	}
-}
-
-// TestMapSerialPanicSameSurface pins that the GOMAXPROCS=1 fallback loop
-// recovers panics identically to the worker pool.
-func TestMapSerialPanicSameSurface(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	_, err := Map(4, func(i int) (int, error) {
-		if i == 2 {
-			panic("serial boom")
-		}
-		return i, nil
-	})
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Index != 2 {
-		t.Fatalf("err = %v, want *PanicError at index 2", err)
-	}
-}
 
 // TestStreamPanicPrefixIntact: everything emitted before the failing index
 // is still the exact serial prefix.
@@ -64,6 +24,9 @@ func TestStreamPanicPrefixIntact(t *testing.T) {
 	var pe *PanicError
 	if !errors.As(err, &pe) || pe.Index != 10 {
 		t.Fatalf("err = %v, want *PanicError at index 10", err)
+	}
+	if pe.Value != "stream boom" || !strings.Contains(string(pe.Stack), "goroutine") {
+		t.Fatalf("panic value %v or stack not captured: %q", pe.Value, pe.Stack)
 	}
 	if len(got) > 10 {
 		t.Fatalf("emitted %d results past the panicking index", len(got)-10)
@@ -117,7 +80,9 @@ func TestReducePanicFailsBlock(t *testing.T) {
 // matchable with errors.Is through the wrapper.
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("invariant violated")
-	_, err := Map(1, func(i int) (int, error) { panic(sentinel) })
+	err := Stream(1, 0,
+		func(i int) (int, error) { panic(sentinel) },
+		func(int, int) error { return nil })
 	if !errors.Is(err, sentinel) {
 		t.Fatalf("err = %v does not unwrap to the panic value", err)
 	}

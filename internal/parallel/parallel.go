@@ -5,16 +5,15 @@
 // picks the seed, and each trial builds its own sim.System — Systems are
 // not safe for concurrent use but are never shared). That makes the trial
 // loops embarrassingly parallel, with one requirement: results must be
-// byte-identical to the serial loop. Map guarantees that by writing each
-// result into its index's slot and, on failure, reporting the error of the
+// byte-identical to the serial loop, and a failure must be the error of the
 // lowest-index failing trial — exactly the error a serial loop would have
 // hit first.
 //
-// Map holds all n results at once. The streaming primitives keep memory
-// bounded instead: Stream delivers results to a consumer in strictly
-// increasing index order through a fixed-size reorder window, and Reduce
-// folds results into per-block accumulators merged in index order, so a
-// sweep's footprint is the accumulator, not the result set (DESIGN.md §4).
+// Both primitives keep memory bounded: Stream delivers results to a
+// consumer in strictly increasing index order through a fixed-size reorder
+// window, and Reduce folds results into per-block accumulators merged in
+// index order, so a sweep's footprint is the accumulator, not the result
+// set (DESIGN.md §4).
 package parallel
 
 import (
@@ -54,8 +53,8 @@ func (e *PanicError) Unwrap() error {
 }
 
 // guard wraps fn so a panic inside fn(i) is returned as a *PanicError
-// instead of unwinding the worker goroutine. Every pool entry point (Map,
-// Stream, Reduce — serial fallbacks included, so the error surface does not
+// instead of unwinding the worker goroutine. Every pool entry point (Stream,
+// Reduce — serial fallbacks included, so the error surface does not
 // depend on GOMAXPROCS) runs its work function through this wrapper.
 func guard[T any](fn func(int) (T, error)) func(int) (T, error) {
 	return func(i int) (v T, err error) {
@@ -69,76 +68,10 @@ func guard[T any](fn func(int) (T, error)) func(int) (T, error) {
 	}
 }
 
-// Map runs fn(i) for every i in [0, n) across up to GOMAXPROCS workers and
-// returns the results ordered by index (never by completion time). If any
-// calls fail, the error of the smallest failing index is returned along
-// with the partial results. fn must be safe to call concurrently with
-// distinct indices.
-func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
-	results := make([]T, n)
-	if n == 0 {
-		return results, nil
-	}
-	fn = guard(fn)
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			v, err := fn(i)
-			if err != nil {
-				return results, err
-			}
-			results[i] = v
-		}
-		return results, nil
-	}
-
-	var (
-		next     atomic.Int64
-		failed   atomic.Bool
-		mu       sync.Mutex
-		firstErr error
-		errIndex = n
-		wg       sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				v, err := fn(i)
-				if err != nil {
-					// Stop claiming new trials; in-flight ones finish.
-					// Claims are monotone, so every index below this one was
-					// already claimed and any lower-index failure still gets
-					// recorded — the returned error is exactly the one the
-					// serial loop would have hit first.
-					mu.Lock()
-					if i < errIndex {
-						errIndex, firstErr = i, err
-					}
-					mu.Unlock()
-					failed.Store(true)
-					return
-				}
-				results[i] = v
-			}
-		}()
-	}
-	wg.Wait()
-	return results, firstErr
-}
-
 // Stream runs fn(i) for every i in [0, n) across up to GOMAXPROCS workers
 // and delivers every result to emit in strictly increasing index order —
-// the streaming counterpart of Map for consumers (aggregators, sinks) that
-// must observe results in serial order without holding them all. At most
+// for consumers (aggregators, sinks) that must observe results in serial
+// order without holding them all. At most
 // window results are in flight at once (0 selects a default scaled to the
 // worker count): workers stall rather than run further ahead of the
 // emission frontier, so peak buffered memory is O(window), independent of
@@ -283,7 +216,7 @@ const reduceMaxBlocks = 64
 
 // Reduce runs fn(acc, i) for every i in [0, n), folding into per-block
 // accumulators that are merged in block index order, and returns the merged
-// accumulator — the streaming counterpart of Map-then-fold for trial loops
+// accumulator — the bounded-memory form of collect-then-fold for trial loops
 // whose aggregate is an online accumulator (stream.Summary and friends)
 // rather than a result slice. Memory is O(blocks), independent of n.
 //
@@ -298,7 +231,7 @@ const reduceMaxBlocks = 64
 //
 // newAcc must return a fresh accumulator; fold folds observation i into acc
 // and returns it; merge appends from's observations after into's and
-// returns the result. fold errors surface as in Map: the lowest failing
+// returns the result. fold errors surface as in Stream: the lowest failing
 // index wins, and no partial accumulator is returned.
 func Reduce[A any](n int, newAcc func() A, fold func(acc A, i int) (A, error), merge func(into, from A) A) (A, error) {
 	if n == 0 {

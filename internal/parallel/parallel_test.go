@@ -7,43 +7,6 @@ import (
 	"testing"
 )
 
-func TestMapOrdersResultsByIndex(t *testing.T) {
-	got, err := Map(100, func(i int) (int, error) { return i * i, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("results[%d] = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
-func TestMapReturnsLowestIndexError(t *testing.T) {
-	sentinel := errors.New("boom")
-	for trial := 0; trial < 20; trial++ { // races would be flaky; repeat
-		_, err := Map(64, func(i int) (int, error) {
-			if i == 7 || i == 31 {
-				return 0, fmt.Errorf("%w at %d", sentinel, i)
-			}
-			return i, nil
-		})
-		if !errors.Is(err, sentinel) {
-			t.Fatalf("err = %v, want wrapped sentinel", err)
-		}
-		if err.Error() != "boom at 7" {
-			t.Fatalf("err = %q, want the lowest-index failure", err)
-		}
-	}
-}
-
-func TestMapZeroTrials(t *testing.T) {
-	got, err := Map(0, func(i int) (int, error) { return 0, errors.New("never called") })
-	if err != nil || len(got) != 0 {
-		t.Fatalf("got %v, %v", got, err)
-	}
-}
-
 // TestStreamEmitsInIndexOrder is Stream's core contract: emission is the
 // serial order whatever the completion order, run after run.
 func TestStreamEmitsInIndexOrder(t *testing.T) {

@@ -276,18 +276,13 @@ func (e *TrialEngine) RunUntil(maxWindows int, expired func(windows int) bool) (
 // after a failed (erroring or stalled) run is fine: the next acquisition
 // rewinds everything.
 //
-// Release must never be deferred across a running trial. If the trial
-// panics, skipping Release is exactly what we want: a panic can unwind the
-// system mid-window, leaving internal state (message buffer, payload pools,
-// scratch slices) outside anything the Recycle contract anticipates, so the
-// poisoned engine is simply dropped for the garbage collector and the next
-// acquisition constructs a fresh one. The sweep pipeline's panic isolation
-// (Matrix.RunWith) relies on this — it recovers the panic above the call to
-// RunPooledTrial, which has already abandoned the engine.
-//
-// Callers that hold the engine pointer across their own recover (the
-// service layer) should call Poison on the recovered engine: Release then
-// refuses it even if reached, and the audit counters record the event.
+// Release must never be deferred across a running trial: a panic can unwind
+// the system mid-window, leaving internal state (message buffer, payload
+// pools, scratch slices) outside anything the Recycle contract anticipates.
+// RunContained recovers such a panic and Poisons the engine instead, so
+// Release — even if reached — refuses it and the audit counters record the
+// event; the garbage collector reclaims it and the next acquisition
+// constructs a fresh one.
 func (e *TrialEngine) Release() {
 	if e.poisoned {
 		engineStats.blockedReleases.Add(1)
@@ -312,9 +307,9 @@ func (e *TrialEngine) Poison() {
 
 // RunPooledTrial acquires a pooled engine, runs one window-mode trial of
 // the named scenario at p, and releases the engine: the steady-state trial
-// path shared by the sweep matrix and the experiment drivers. Release is a
-// plain call, not a defer — see Release for why a panicking trial must
-// abandon its engine rather than pool it.
+// path of the experiment drivers and benchmarks, which treat a panic as a
+// crash. Release is a plain call, not a defer — see Release. Front ends
+// that must survive a faulty trial use RunContained.
 func RunPooledTrial(algName, advName, schedName string, p Params, maxWindows int) (sim.RunResult, error) {
 	e, err := AcquireTrial(algName, advName, schedName, p)
 	if err != nil {

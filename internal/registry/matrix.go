@@ -1,15 +1,12 @@
 package registry
 
 import (
-	"errors"
 	"fmt"
-	"runtime/debug"
 	"strings"
 	"sync/atomic"
 	"time"
 
 	"asyncagree/internal/faultinject"
-	"asyncagree/internal/parallel"
 	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
 )
@@ -293,82 +290,6 @@ func (m Matrix) specAt(cells []Cell, i int) trialSpec {
 	}
 }
 
-// allSpecs materializes every trial spec in expansion order. The streaming
-// pipeline never calls this (trials are derived one at a time by specAt);
-// it exists for equivalence tests that iterate the trial list directly.
-func (m Matrix) allSpecs() ([]trialSpec, error) {
-	cells, resolved, _, err := m.expand()
-	if err != nil {
-		return nil, err
-	}
-	specs := make([]trialSpec, 0, len(cells)*len(resolved.Seeds))
-	for i := 0; i < len(cells)*len(resolved.Seeds); i++ {
-		specs = append(specs, resolved.specAt(cells, i))
-	}
-	return specs, nil
-}
-
-// runTrial executes one expanded trial through the pooled engine: acquire
-// (recycling a finished System + adversary + scheduler when the scenario
-// pool has one), run window mode to the budget, release. Pooled execution
-// is byte-identical to runTrialFresh (test-asserted).
-func runTrial(ts trialSpec) (sim.RunResult, error) {
-	inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
-	return RunPooledTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p, ts.maxWindows)
-}
-
-// runTrialUntil is runTrial with the cooperative stall watchdog threaded
-// through to the window loop; a nil expired is exactly runTrial. On a
-// stalled trial the engine is still released (a rewind handles a half-run
-// system); only a panic — which unwinds past the Release call — abandons it.
-func runTrialUntil(ts trialSpec, expired func(windows int) bool) (sim.RunResult, bool, error) {
-	inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
-	if err != nil {
-		return sim.RunResult{}, false, err
-	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
-	e, err := AcquireTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p)
-	if err != nil {
-		return sim.RunResult{}, false, err
-	}
-	res, stalled, err := e.RunUntil(ts.maxWindows, expired)
-	e.Release()
-	return res, stalled, err
-}
-
-// runTrialFresh is the pre-pool path — build a fresh system and fresh
-// adversary + scheduler state from the seed — kept as the reference
-// implementation the recycled path is equivalence-tested against.
-func runTrialFresh(ts trialSpec) (sim.RunResult, error) {
-	inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
-	sys, err := NewSystem(ts.Algorithm, p)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	adv, err := NewScheduledAdversary(ts.Adversary, ts.Scheduler, ts.Algorithm, p)
-	if err != nil {
-		return sim.RunResult{}, err
-	}
-	return sys.RunWindows(adv, ts.maxWindows)
-}
-
-// ErrInterrupted is returned by RunWith when RunOptions.Stop requested a
-// clean stop: everything emitted so far is a consistent index-order prefix
-// (already flushed through the sinks), and a resumed run completes the rest
-// with output identical to an uninterrupted one.
-var ErrInterrupted = errors.New("registry: sweep interrupted")
-
 // RunOptions configures the streaming result pipeline of Matrix.RunWith.
 // The zero value reproduces Matrix.Run exactly.
 type RunOptions struct {
@@ -415,31 +336,11 @@ type RunOptions struct {
 	// nothing). RunWith materializes seeded selections against the expanded
 	// trial count before the first trial runs.
 	Inject *faultinject.Plan
-
-	// trialFn overrides the trial executor (the pooled engine by default);
-	// recycle tests substitute the construct-per-trial reference path. The
-	// override bypasses the stall watchdog and fault injection.
-	trialFn func(trialSpec) (sim.RunResult, error)
 }
 
 // DefaultQuarantineAfter is the consecutive-fault threshold that
 // quarantines a cell when RunOptions.QuarantineAfter is zero.
 const DefaultQuarantineAfter = 3
-
-// deadlineCheckInterval is how many windows pass between wall-clock reads
-// of the TrialDeadline watchdog: rare enough that time.Since stays off the
-// hot window loop, frequent enough (windows are sub-millisecond) that a
-// runaway trial is caught close to its deadline.
-const deadlineCheckInterval = 32
-
-// trialOutcome is what the hardened trial executor hands the emission path:
-// a clean result, or a fault classification with a human-readable
-// description (the raw material of a fault TrialRecord).
-type trialOutcome struct {
-	res   sim.RunResult
-	kind  string // "" = clean; otherwise a Fault* constant
-	fault string
-}
 
 // firstLine truncates a fault description (which may carry a stack) to its
 // first line for single-line reports.
@@ -504,12 +405,6 @@ func (m Matrix) Run() (*Sweep, error) { return m.RunWith(RunOptions{}) }
 // the parallel path's determinism testable and to time parallel speedups.
 func (m Matrix) RunSerial() (*Sweep, error) { return m.RunWith(RunOptions{Serial: true}) }
 
-// runFresh runs the sweep serially through the construct-per-trial
-// reference path (no pooling); recycle tests compare it against Run.
-func (m Matrix) runFresh() (*Sweep, error) {
-	return m.RunWith(RunOptions{Serial: true, trialFn: runTrialFresh})
-}
-
 // RunWith expands the matrix and streams every trial through the result
 // pipeline: trials execute across the worker pool (or serially), results
 // are delivered in strictly increasing trial-index order to the per-cell
@@ -525,12 +420,6 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 	if len(opts.Resume) > total {
 		return nil, fmt.Errorf("registry: checkpoint has %d trials, grid only %d", len(opts.Resume), total)
 	}
-	for i, rec := range opts.Resume {
-		if want := resolved.specAt(cells, i).key(); rec.Key() != want {
-			return nil, fmt.Errorf("registry: checkpoint trial %d is %q, grid expects %q (was the grid changed?)",
-				i, rec.Key(), want)
-		}
-	}
 	inject := opts.Inject
 	inject.Materialize(total)
 	quarAfter := opts.QuarantineAfter
@@ -538,24 +427,28 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 		quarAfter = DefaultQuarantineAfter
 	}
 
-	// execute runs one live trial through the hardened path: fault
-	// injection, the stall watchdog, and panic recovery. A panic anywhere
-	// below — algorithm step, adversary planning, the engine itself —
-	// becomes a FaultPanic outcome carrying the stack; the poisoned engine
-	// was abandoned by the unwind (see TrialEngine.Release).
-	execute := func(i int, ts trialSpec) (out trialOutcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				out = trialOutcome{kind: FaultPanic,
-					fault: fmt.Sprintf("panic: %v\n%s", r, debug.Stack())}
-			}
-		}()
-		if opts.trialFn != nil {
-			res, err := opts.trialFn(ts)
-			if err != nil {
-				return trialOutcome{res: res, kind: FaultError, fault: err.Error()}
-			}
-			return trialOutcome{res: res}
+	agg := newCellAgg(sweep, cells)
+	// Quarantine bookkeeping lives in the fold, on the serial emission path,
+	// so the decision is a pure function of the index-ordered record stream
+	// — identical on serial and parallel runs. quarFlags is only a
+	// claim-time skip hint for workers; it is monotone (set strictly before
+	// the flagged cell's later trials are emitted), so acting on it early
+	// never changes the emitted records, just saves the work of running a
+	// doomed trial.
+	var (
+		quarFlags   = make([]atomic.Bool, len(cells))
+		quarantined = make([]bool, len(cells))
+		quarReason  = make([]string, len(cells))
+		consec      = make([]int, len(cells))
+	)
+	key := func(i int) string { return resolved.specAt(cells, i).key() }
+	// execute runs one live trial: this front end decides which watchdog to
+	// arm (an injected panic or stall, else the wall-clock deadline) and
+	// words the fault; RunContained does everything else.
+	execute := func(i int) TrialRecord {
+		ts := resolved.specAt(cells, i)
+		if quarFlags[ts.cell].Load() {
+			return TrialRecord{FaultKind: FaultQuarantined} // the fold rewrites it
 		}
 		var expired func(windows int) bool
 		stallDesc := ""
@@ -563,9 +456,8 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 			// Panic on the first watchdog poll — after the engine is
 			// acquired, so the injected fault exercises the real
 			// poisoned-engine discard path.
-			key := ts.key()
 			expired = func(int) bool {
-				panic(fmt.Sprintf("faultinject: injected panic (trial %d, %s)", i, key))
+				panic(fmt.Sprintf("faultinject: injected panic (trial %d, %s)", i, ts.key()))
 			}
 		} else if w, ok := inject.ShouldStall(i); ok {
 			stallDesc = fmt.Sprintf("faultinject: injected stall at window %d", w)
@@ -575,144 +467,68 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 			deadline := opts.TrialDeadline
 			stallDesc = fmt.Sprintf("trial exceeded wall-clock deadline %s", deadline)
 			expired = func(windows int) bool {
-				return windows%deadlineCheckInterval == 0 && time.Since(start) > deadline
+				return windows%DeadlineCheckInterval == 0 && time.Since(start) > deadline
 			}
 		}
-		res, stalled, err := runTrialUntil(ts, expired)
-		if err != nil {
-			return trialOutcome{res: res, kind: FaultError,
-				fault: fmt.Sprintf("%v (trial %d, %s)", err, i, ts.key())}
+		out := RunContained(ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Input,
+			Params{N: ts.Size.N, T: ts.Size.T, Seed: ts.seed,
+				ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar},
+			ts.maxWindows, expired, nil)
+		rec := newTrialRecord(i, ts, out.Result)
+		rec.FaultKind, rec.Fault = out.Kind, out.Fault
+		switch out.Kind {
+		case FaultError:
+			rec.Fault = fmt.Sprintf("%s (trial %d, %s)", out.Fault, i, ts.key())
+		case FaultDeadline:
+			rec.Fault = fmt.Sprintf("%s after %d windows (trial %d, %s)", stallDesc, out.Result.Windows, i, ts.key())
 		}
-		if stalled {
-			return trialOutcome{res: res, kind: FaultDeadline,
-				fault: fmt.Sprintf("%s after %d windows (trial %d, %s)", stallDesc, res.Windows, i, ts.key())}
-		}
-		return trialOutcome{res: res}
+		return rec
 	}
-
-	agg := newCellAgg(sweep, cells)
-	// Quarantine bookkeeping lives on the serial emission path, so the
-	// decision is a pure function of the index-ordered record stream —
-	// identical on serial and parallel runs. quarFlags is only a claim-time
-	// skip hint for workers; it is monotone (set strictly before the flagged
-	// cell's later trials are emitted), so acting on it early never changes
-	// the emitted records, just saves the work of running a doomed trial.
-	var (
-		quarFlags   = make([]atomic.Bool, len(cells))
-		quarantined = make([]bool, len(cells))
-		quarReason  = make([]string, len(cells))
-		consec      = make([]int, len(cells))
-		sinkDropped = make([]bool, len(opts.Sinks))
-	)
-	fn := func(i int) (trialOutcome, error) {
-		if opts.Stop != nil && opts.Stop() {
-			return trialOutcome{}, ErrInterrupted
-		}
-		if i < len(opts.Resume) {
-			rec := opts.Resume[i]
-			return trialOutcome{res: rec.Result(), kind: rec.FaultKind, fault: rec.Fault}, nil
-		}
-		ts := resolved.specAt(cells, i)
-		if quarFlags[ts.cell].Load() {
-			return trialOutcome{kind: FaultQuarantined}, nil // emit fills the reason
-		}
-		return execute(i, ts), nil
-	}
-	emit := func(i int, out trialOutcome) error {
+	fold := func(i int, rec TrialRecord) TrialRecord {
 		cell := i / len(resolved.Seeds)
 		if quarantined[cell] {
 			// Deterministic rewrite: once a cell is quarantined every later
 			// trial of it — whether skipped at claim time or already
 			// executed by a worker that ran ahead — emits the same record.
-			out = trialOutcome{kind: FaultQuarantined, fault: quarReason[cell]}
+			rec = newTrialRecord(i, resolved.specAt(cells, i), sim.RunResult{})
+			rec.FaultKind, rec.Fault = FaultQuarantined, quarReason[cell]
 		}
-		if out.kind == "" {
-			agg.consume(cell, out.res)
+		switch {
+		case !rec.Faulted():
+			agg.consume(cell, rec.Result())
 			consec[cell] = 0
-		} else {
+		case rec.FaultKind == FaultQuarantined:
 			sweep.Faulted++
-			if out.kind != FaultQuarantined {
-				consec[cell]++
-				if quarAfter > 0 && consec[cell] >= quarAfter && !quarantined[cell] {
-					c := cells[cell]
-					quarantined[cell] = true
-					quarReason[cell] = fmt.Sprintf("cell quarantined after %d consecutive faults", consec[cell])
-					quarFlags[cell].Store(true)
-					sweep.Quarantined = append(sweep.Quarantined,
-						fmt.Sprintf("%s/%s/%s/%s %s: quarantined after %d consecutive faults (last: %s: %s)",
-							c.Algorithm, c.Adversary, c.Scheduler, c.Input, c.Size,
-							consec[cell], out.kind, firstLine(out.fault)))
-				}
-			}
-		}
-		if i >= len(opts.Resume) {
-			rec := newTrialRecord(i, resolved.specAt(cells, i), out.res)
-			rec.FaultKind, rec.Fault = out.kind, out.fault
-			for si, sink := range opts.Sinks {
-				if sinkDropped[si] {
-					continue
-				}
-				if serr := sink.Consume(rec); serr != nil {
-					// Degrade, don't abort: the sweep and its aggregates are
-					// unaffected by a lost export; the drop is reported and
-					// the caller turns it into a non-zero exit.
-					sinkDropped[si] = true
-					sweep.SinkFailures = append(sweep.SinkFailures,
-						fmt.Sprintf("%s: dropped at trial %d: %v", sinkLabel(si, sink), i, serr))
-				}
+		default:
+			sweep.Faulted++
+			consec[cell]++
+			if quarAfter > 0 && consec[cell] >= quarAfter {
+				c := cells[cell]
+				quarantined[cell] = true
+				quarReason[cell] = fmt.Sprintf("cell quarantined after %d consecutive faults", consec[cell])
+				quarFlags[cell].Store(true)
+				sweep.Quarantined = append(sweep.Quarantined,
+					fmt.Sprintf("%s/%s/%s/%s %s: quarantined after %d consecutive faults (last: %s: %s)",
+						c.Algorithm, c.Adversary, c.Scheduler, c.Input, c.Size,
+						consec[cell], rec.FaultKind, firstLine(rec.Fault)))
 			}
 		}
 		if opts.Progress != nil {
 			opts.Progress(i+1, total)
 		}
-		// The emission-path check is what makes completed-count stop
-		// conditions (cmd/sweep -interrupt-after, and SIGINT observed
-		// between emissions) fire deterministically: the claim-time check
-		// alone can lag a full reorder window behind on parallel runs.
-		if opts.Stop != nil && opts.Stop() {
-			return ErrInterrupted
-		}
-		return nil
+		return rec
 	}
 
-	if opts.Serial {
-		err = serialStream(total, fn, emit)
-	} else {
-		err = parallel.Stream(total, 0, fn, emit)
-	}
-	// Flush even on error/interrupt: everything emitted is a consistent
-	// prefix and must reach disk for resume. A failing flush on a sink that
-	// is still live degrades like a failing Consume; dropped sinks are
-	// still flushed best-effort (earlier durable bytes may be buffered
-	// below the failure) with the error already reported.
-	for si, sink := range opts.Sinks {
-		if ferr := sink.Flush(); ferr != nil && !sinkDropped[si] {
-			sinkDropped[si] = true
-			sweep.SinkFailures = append(sweep.SinkFailures,
-				fmt.Sprintf("%s: final flush failed: %v", sinkLabel(si, sink), ferr))
-		}
-	}
+	pipe := Pipeline[TrialRecord]{Unit: "trial", Sinks: opts.Sinks, Resume: opts.Resume,
+		Stop: opts.Stop, Serial: opts.Serial}
+	err = pipe.Run(total, key, execute, fold)
+	sweep.SinkFailures = pipe.Flush()
 	if err != nil {
 		return nil, err
 	}
 	sweep.TrialCount = total
 	agg.finalize()
 	return sweep, nil
-}
-
-// serialStream is the serial reference loop for the streaming pipeline —
-// the same fn/emit contract as parallel.Stream on a plain loop.
-func serialStream[T any](n int, fn func(int) (T, error), emit func(int, T) error) error {
-	for i := 0; i < n; i++ {
-		res, err := fn(i)
-		if err != nil {
-			return err
-		}
-		if err := emit(i, res); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Table renders the sweep as an aligned text table in expansion order.

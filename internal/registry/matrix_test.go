@@ -234,20 +234,15 @@ func TestAdversarySchedulerMatchesBareAdversary(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, seed := range []uint64{1, 2} {
-			ts := trialSpec{
-				Cell: Cell{Algorithm: c.alg, Adversary: c.adv,
-					Scheduler: "adversary", Input: "split", Size: c.size},
-				seed: seed, maxWindows: 2000,
-			}
-			got, err := runTrial(ts)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", c.alg, c.adv, err)
-			}
 			inputs, err := Inputs("split", c.size.N, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
 			p := Params{N: c.size.N, T: c.size.T, Inputs: inputs, Seed: seed}
+			got, err := RunPooledTrial(c.alg, c.adv, "adversary", p, 2000)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", c.alg, c.adv, err)
+			}
 			sys, err := NewSystem(c.alg, p)
 			if err != nil {
 				t.Fatal(err)

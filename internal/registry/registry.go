@@ -18,8 +18,10 @@
 // parallel switch statements.
 //
 // The sweep engine (matrix.go) expands algorithm × adversary × scheduler ×
-// size × input × seed grids into independent seeded trials and fans them
-// over internal/parallel.Map with serial-identical aggregate output.
+// size × input × seed grids into independent seeded trials and streams them
+// through the record pipeline (pipeline.go, over internal/parallel.Stream)
+// with serial-identical records and aggregates; every trial — the sweep's,
+// the search's, the daemon's — executes through RunContained (contained.go).
 package registry
 
 import (

@@ -109,59 +109,22 @@ func (r TrialRecord) Result() sim.RunResult {
 	}
 }
 
-// ResultSink consumes completed trials in strictly increasing Index order.
-// Matrix.RunWith calls Consume on the serial emission path (never
-// concurrently) and Flush exactly once at the end of the run — including
-// interrupted and failed runs, so everything consumed is durable.
-type ResultSink interface {
-	// Consume accepts the next completed trial; an error aborts the sweep
-	// (surfaced like a failing trial at that index).
-	Consume(TrialRecord) error
-	// Flush makes everything consumed durable.
-	Flush() error
-}
+// ResultSink is a Sink of trial records: what Matrix.RunWith drives.
+type ResultSink = Sink[TrialRecord]
 
-// NamedSink attaches a human-readable name (typically the output path) to a
-// sink so RunWith's degradation reports can say which sink was dropped.
+// NamedSink is Named for trial records, under the field spelling that
+// predates the generic pipeline.
 type NamedSink struct {
 	// Name identifies the sink in failure reports, e.g. its file path.
 	Name string
 	ResultSink
 }
 
-// sinkLabel names a sink for degradation reports.
-func sinkLabel(i int, s ResultSink) string {
-	switch ns := s.(type) {
-	case NamedSink:
-		return ns.Name
-	case *NamedSink:
-		return ns.Name
-	}
-	return fmt.Sprintf("sink %d", i)
-}
+func (n NamedSink) sinkName() string { return n.Name }
 
-// JSONLSink streams records as one JSON object per line — the machine-
-// readable sweep export and the checkpoint body format.
-type JSONLSink struct {
-	w *bufio.Writer
-}
-
-// NewJSONLSink wraps w in a buffered JSONL record writer.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: bufio.NewWriter(w)} }
-
-// Consume implements ResultSink.
-func (s *JSONLSink) Consume(rec TrialRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = s.w.Write(b)
-	return err
-}
-
-// Flush implements ResultSink.
-func (s *JSONLSink) Flush() error { return s.w.Flush() }
+// NewJSONLSink wraps w in a buffered JSONL writer of trial records — the
+// sweep's -out export and checkpoint body format.
+func NewJSONLSink(w io.Writer) *JSONLSink[TrialRecord] { return NewJSONLSinkOf[TrialRecord](w) }
 
 // csvHeader is the CSVSink column order (one column per TrialRecord field).
 var csvHeader = []string{"index", "algorithm", "adversary", "scheduler", "input",

@@ -1,8 +1,6 @@
 package search
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -57,56 +55,22 @@ func (r EvalRecord) Key() string {
 	return fmt.Sprintf("%s|%d:%d|%s", r.Stage, r.N, r.T, r.Candidate.Key())
 }
 
-// Sink consumes completed evaluations in strictly increasing Index order —
-// the search counterpart of registry.ResultSink. Run calls Consume on the
-// serial emission path (never concurrently) and Flush exactly once at the
-// end, including interrupted and failed runs.
-type Sink interface {
-	Consume(EvalRecord) error
-	Flush() error
-}
+// The search streams its evaluations through the registry's generic record
+// pipeline; these names bind it to EvalRecord.
+type (
+	// Sink consumes completed evaluations in strictly increasing Index
+	// order — a registry.Sink of evaluation records.
+	Sink = registry.Sink[EvalRecord]
+	// NamedSink attaches a human-readable name (typically the output path)
+	// to a sink for degradation reports.
+	NamedSink = registry.Named[EvalRecord]
+)
 
-// NamedSink attaches a human-readable name (typically the output path) to a
-// sink for degradation reports.
-type NamedSink struct {
-	// Name identifies the sink in failure reports, e.g. its file path.
-	Name string
-	Sink
-}
-
-// sinkLabel names a sink for degradation reports.
-func sinkLabel(i int, s Sink) string {
-	switch ns := s.(type) {
-	case NamedSink:
-		return ns.Name
-	case *NamedSink:
-		return ns.Name
-	}
-	return fmt.Sprintf("sink %d", i)
-}
-
-// JSONLSink streams evaluations as one JSON object per line — the search
+// NewJSONLSink wraps w in a buffered JSONL evaluation writer — the search
 // export and checkpoint body format.
-type JSONLSink struct {
-	w *bufio.Writer
+func NewJSONLSink(w io.Writer) *registry.JSONLSink[EvalRecord] {
+	return registry.NewJSONLSinkOf[EvalRecord](w)
 }
-
-// NewJSONLSink wraps w in a buffered JSONL evaluation writer.
-func NewJSONLSink(w io.Writer) *JSONLSink { return &JSONLSink{w: bufio.NewWriter(w)} }
-
-// Consume implements Sink.
-func (s *JSONLSink) Consume(rec EvalRecord) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = s.w.Write(b)
-	return err
-}
-
-// Flush implements Sink.
-func (s *JSONLSink) Flush() error { return s.w.Flush() }
 
 // LoadCheckpoint reads the verified evaluation prefix of a search
 // checkpoint recorded against sig (Options.Signature): the same header

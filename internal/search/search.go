@@ -16,9 +16,11 @@
 // Determinism contract: the full evaluation schedule — batch membership,
 // global indices, mutation rng consumption — is a pure function of Options
 // and the index-ordered evaluation records emitted before each batch is
-// generated. Batches evaluate through parallel.Stream (or a serial loop,
-// byte-identically), and every emitted record flows through the configured
-// sinks in index order. Checkpoints record the emitted prefix in the sweep's
+// generated. Batches run on the registry's record pipeline
+// (registry.Pipeline: worker pool or serial loop, byte-identically, with
+// resume replay, sink fan-out and the final flush), every trial executes
+// through registry.RunContained, and this package supplies only the schedule
+// and the fold. Checkpoints record the emitted prefix in the sweep's
 // grid-signature JSONL format (header + one EvalRecord per line) against
 // Options.Signature; an interrupted search resumed from its checkpoint
 // regenerates the schedule, replays the recorded prefix through the same
@@ -28,22 +30,20 @@
 package search
 
 import (
-	"errors"
 	"fmt"
-	"runtime/debug"
 
 	"asyncagree/internal/faultinject"
-	"asyncagree/internal/parallel"
 	"asyncagree/internal/registry"
 	"asyncagree/internal/rng"
 	"asyncagree/internal/stream"
 )
 
 // ErrInterrupted is returned by Run when RunOptions.Stop requested a clean
-// stop: everything emitted is a consistent index-ordered prefix (already
+// stop — the record pipeline's registry.ErrInterrupted under the search's
+// name: everything emitted is a consistent index-ordered prefix (already
 // flushed through the sinks), and a resumed search completes the rest with
 // output identical to an uninterrupted one.
-var ErrInterrupted = errors.New("search: interrupted")
+var ErrInterrupted = registry.ErrInterrupted
 
 // Options describes one search: the scenario axes, the evaluation cost per
 // candidate, and the stage schedule. The zero value resolves to the default
@@ -216,11 +216,10 @@ type driver struct {
 	o      Options
 	ro     RunOptions
 	report *Report
+	pipe   registry.Pipeline[EvalRecord]
 
-	next        int // next global evaluation index
-	spent       int // trials consumed by emitted evaluations
-	exhausted   bool
-	sinkDropped []bool
+	spent     int // trials consumed by emitted evaluations
+	exhausted bool
 }
 
 // Run executes the search. The returned Report is non-nil exactly when err
@@ -241,7 +240,8 @@ func Run(o Options, ro RunOptions) (*Report, error) {
 			Signature: o.Signature(),
 			Frontier:  map[string][]EvalRecord{},
 		},
-		sinkDropped: make([]bool, len(ro.Sinks)),
+		pipe: registry.Pipeline[EvalRecord]{Unit: "eval", Sinks: ro.Sinks, Resume: ro.Resume,
+			Stop: ro.Stop, Serial: ro.Serial},
 	}
 
 	// Build the per-size states up front; sizes the algorithm rejects are
@@ -309,15 +309,7 @@ func Run(o Options, ro RunOptions) (*Report, error) {
 		return nil
 	}()
 
-	// Flush even on error/interrupt: everything emitted is a consistent
-	// prefix and must reach disk for resume.
-	for si, sink := range ro.Sinks {
-		if ferr := sink.Flush(); ferr != nil && !d.sinkDropped[si] {
-			d.sinkDropped[si] = true
-			d.report.SinkFailures = append(d.report.SinkFailures,
-				fmt.Sprintf("%s: final flush failed: %v", sinkLabel(si, sink), ferr))
-		}
-	}
+	d.report.SinkFailures = d.pipe.Flush()
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -394,9 +386,9 @@ func (d *driver) generation(st *sizeState, src *rng.Source) []Candidate {
 	return out
 }
 
-// runBatch evaluates one stage's candidates: budget truncation, resume
-// replay with schedule verification, parallel (or serial) evaluation with
-// index-ordered emission, frontier and budget updates on the serial
+// runBatch evaluates one stage's candidates as the next batch of the record
+// pipeline: budget truncation here, then execution, resume replay and sink
+// fan-out in the pipeline, with the frontier and budget folded on its serial
 // emission path.
 func (d *driver) runBatch(st *sizeState, stage string, cands []Candidate) error {
 	if d.exhausted || len(cands) == 0 {
@@ -417,135 +409,68 @@ func (d *driver) runBatch(st *sizeState, stage string, cands []Candidate) error 
 			return err
 		}
 	}
-	base := d.next
-	d.next += len(cands)
-	fn := func(j int) (EvalRecord, error) {
-		if d.ro.Stop != nil && d.ro.Stop() {
-			return EvalRecord{}, ErrInterrupted
-		}
-		i := base + j
-		if i < len(d.ro.Resume) {
-			rec := d.ro.Resume[i]
-			want := EvalRecord{Index: i, Stage: stage, N: st.size.N, T: st.size.T, Candidate: cands[j]}
-			if rec.Key() != want.Key() {
-				return EvalRecord{}, fmt.Errorf("search: checkpoint eval %d is %q, schedule expects %q (were the search options changed?)",
-					i, rec.Key(), want.Key())
+	base := d.report.Evals // every earlier batch was emitted in full
+	blank := func(i int) EvalRecord {
+		return EvalRecord{Index: i, Stage: stage, N: st.size.N, T: st.size.T, Candidate: cands[i-base]}
+	}
+	return d.pipe.Run(len(cands),
+		func(i int) string { return blank(i).Key() },
+		func(i int) EvalRecord { return d.evaluate(blank(i)) },
+		func(_ int, rec EvalRecord) EvalRecord {
+			d.report.Evals++
+			d.spent += rec.Trials
+			d.report.TrialsSpent += rec.Trials
+			if rec.Faulted() {
+				d.report.Faulted++
+			} else {
+				key := rec.Candidate.Key()
+				st.frontier.Add(rec.MeanStall, key)
+				st.byKey[key] = rec
 			}
-			return rec, nil
-		}
-		return d.evaluate(i, stage, st.size, cands[j]), nil
-	}
-	emit := func(j int, rec EvalRecord) error {
-		d.emit(st, base+j, rec)
-		if d.ro.Stop != nil && d.ro.Stop() {
-			return ErrInterrupted
-		}
-		return nil
-	}
-	if d.ro.Serial {
-		for j := range cands {
-			rec, err := fn(j)
-			if err != nil {
-				return err
+			if d.ro.Progress != nil {
+				d.ro.Progress(d.report.Evals, d.report.TrialsSpent)
 			}
-			if err := emit(j, rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return parallel.Stream(len(cands), 0, fn, emit)
-}
-
-// emit folds one evaluation into the run state on the serial emission path:
-// report counters, the frontier, the sinks, and the progress callback.
-func (d *driver) emit(st *sizeState, i int, rec EvalRecord) {
-	d.report.Evals++
-	d.spent += rec.Trials
-	d.report.TrialsSpent += rec.Trials
-	if rec.Faulted() {
-		d.report.Faulted++
-	} else {
-		key := rec.Candidate.Key()
-		st.frontier.Add(rec.MeanStall, key)
-		st.byKey[key] = rec
-	}
-	if i >= len(d.ro.Resume) {
-		for si, sink := range d.ro.Sinks {
-			if d.sinkDropped[si] {
-				continue
-			}
-			if serr := sink.Consume(rec); serr != nil {
-				// Degrade, don't abort: the search and its frontier are
-				// unaffected by a lost export; the drop is reported and the
-				// caller turns it into a non-zero exit.
-				d.sinkDropped[si] = true
-				d.report.SinkFailures = append(d.report.SinkFailures,
-					fmt.Sprintf("%s: dropped at eval %d: %v", sinkLabel(si, sink), i, serr))
-			}
-		}
-	}
-	if d.ro.Progress != nil {
-		d.ro.Progress(d.report.Evals, d.report.TrialsSpent)
-	}
+			return rec
+		})
 }
 
 // evaluate scores one candidate: TrialsPerCandidate seeded trials (seeds
-// 1..k — the same ladder the lowerbound replay uses) through the pooled
-// trial engine, reduced into the stall statistics. A panic anywhere below
-// becomes a fault record (the poisoned engine was abandoned by the unwind);
-// injected faults exercise exactly that path.
-func (d *driver) evaluate(i int, stage string, size registry.Size, c Candidate) (rec EvalRecord) {
-	rec = EvalRecord{Index: i, Stage: stage, N: size.N, T: size.T, Candidate: c}
-	defer func() {
-		if r := recover(); r != nil {
-			rec.FaultKind = registry.FaultPanic
-			rec.Fault = fmt.Sprintf("panic: %v\n%s", r, debug.Stack())
-		}
-	}()
+// 1..k — the same ladder the lowerbound replay uses) through
+// registry.RunContained, reduced into the stall statistics. The first
+// faulted trial ends the evaluation as a fault record; injected faults
+// exercise exactly that path.
+func (d *driver) evaluate(rec EvalRecord) EvalRecord {
 	var (
 		sum                  stream.Summary
+		i                    = rec.Index
 		injectPanic          = d.ro.Inject.ShouldPanic(i)
 		stallAt, injectStall = d.ro.Inject.ShouldStall(i)
 	)
 	for trial := 1; trial <= d.o.TrialsPerCandidate; trial++ {
-		seed := uint64(trial)
-		inputs, err := registry.Inputs(d.o.Input, size.N, seed)
-		if err != nil {
-			rec.FaultKind, rec.Fault = registry.FaultError, err.Error()
-			return rec
-		}
-		p := registry.Params{N: size.N, T: size.T, Inputs: inputs, Seed: seed,
-			AdvKnobs: knobsOrNil(c.Knobs), ShardWorkers: d.o.ShardWorkers}
 		var expired func(windows int) bool
 		if injectPanic && trial == 1 {
-			key := rec.Key()
 			expired = func(int) bool {
-				panic(fmt.Sprintf("faultinject: injected panic (eval %d, %s)", i, key))
+				panic(fmt.Sprintf("faultinject: injected panic (eval %d, %s)", i, rec.Key()))
 			}
 		} else if injectStall {
 			expired = func(windows int) bool { return windows >= stallAt }
 		}
-		e, err := registry.AcquireTrial(d.o.Algorithm, c.Adversary, c.Scheduler, p)
-		if err != nil {
-			rec.FaultKind = registry.FaultError
-			rec.Fault = fmt.Sprintf("%v (eval %d, %s)", err, i, rec.Key())
+		out := registry.RunContained(d.o.Algorithm, rec.Adversary, rec.Scheduler, d.o.Input,
+			registry.Params{N: rec.N, T: rec.T, Seed: uint64(trial),
+				AdvKnobs: knobsOrNil(rec.Knobs), ShardWorkers: d.o.ShardWorkers},
+			d.o.MaxWindows, expired, nil)
+		if out.Kind != "" {
+			rec.FaultKind, rec.Fault = out.Kind, out.Fault
+			switch out.Kind {
+			case registry.FaultError:
+				rec.Fault = fmt.Sprintf("%s (eval %d, %s)", out.Fault, i, rec.Key())
+			case registry.FaultDeadline:
+				rec.Fault = fmt.Sprintf("faultinject: injected stall at window %d after %d windows (eval %d, %s)",
+					stallAt, out.Result.Windows, i, rec.Key())
+			}
 			return rec
 		}
-		res, stalled, err := e.RunUntil(d.o.MaxWindows, expired)
-		e.Release()
-		if err != nil {
-			rec.FaultKind = registry.FaultError
-			rec.Fault = fmt.Sprintf("%v (eval %d, %s)", err, i, rec.Key())
-			return rec
-		}
-		if stalled {
-			rec.FaultKind = registry.FaultDeadline
-			rec.Fault = fmt.Sprintf("faultinject: injected stall at window %d after %d windows (eval %d, %s)",
-				stallAt, res.Windows, i, rec.Key())
-			return rec
-		}
-		fd := res.FirstDecision
+		fd := out.Result.FirstDecision
 		if fd < 0 {
 			fd = d.o.MaxWindows // censored
 			rec.Survived++

@@ -1,13 +1,12 @@
 package service
 
 import (
-	"bufio"
-	"encoding/json"
 	"io"
 	"os"
 
-	"asyncagree/internal/ckptio"
 	"asyncagree/internal/registry"
+	"asyncagree/internal/resumable"
+	"asyncagree/internal/retry"
 )
 
 // The instance journal is the daemon's only durable state: an append-only
@@ -44,36 +43,29 @@ type journalRecord struct {
 // lock of its own and records can never interleave out of index order.
 type journal struct {
 	f    *os.File
-	bw   *bufio.Writer
+	sink registry.Sink[journalRecord]
 	next int   // next record index
 	err  error // first append failure; latches degraded mode
 }
 
 // openJournal loads the journal at path (salvaging whatever a previous
 // crash left), rewrites the healed prefix atomically, and reopens for
-// append. It returns the replayable records and the salvage report.
+// append — the same opener the sweep and search checkpoints use. It returns
+// the replayable records and the salvage report.
 func openJournal(path string) (*journal, []journalRecord, *registry.SalvageReport, error) {
 	recs, salvage, err := registry.LoadCheckpointRecords[journalRecord](
 		path, journalGrid, func(r journalRecord) int { return r.Index })
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	f, err := ckptio.RewriteThenAppend(path, func(w io.Writer) error {
-		if err := registry.WriteCheckpointHeader(w, journalGrid); err != nil {
-			return err
-		}
-		enc := json.NewEncoder(w)
-		for _, rec := range recs {
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	jsonl := func(w io.Writer, _ bool) registry.Sink[journalRecord] {
+		return registry.NewJSONLSinkOf[journalRecord](w)
+	}
+	sink, f, err := resumable.OpenLog(path, journalGrid, recs, jsonl, retry.Policy{}, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	return &journal{f: f, bw: bufio.NewWriter(f), next: len(recs)}, recs, salvage, nil
+	return &journal{f: f, sink: sink, next: len(recs)}, recs, salvage, nil
 }
 
 // Err reports the latched append failure, if any.
@@ -87,22 +79,13 @@ func (j *journal) append(rec journalRecord) error {
 		return j.err
 	}
 	rec.Index = j.next
-	b, err := json.Marshal(rec)
-	if err != nil {
-		j.err = err
-		return err
+	if j.err = j.sink.Consume(rec); j.err == nil {
+		j.err = j.sink.Flush()
 	}
-	b = append(b, '\n')
-	if _, err := j.bw.Write(b); err != nil {
-		j.err = err
-		return err
+	if j.err == nil {
+		j.next++
 	}
-	if err := j.bw.Flush(); err != nil {
-		j.err = err
-		return err
-	}
-	j.next++
-	return nil
+	return j.err
 }
 
 // Close flushes and closes the file.
@@ -110,7 +93,7 @@ func (j *journal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	ferr := j.bw.Flush()
+	ferr := j.sink.Flush()
 	cerr := j.f.Close()
 	j.f = nil
 	if ferr != nil {

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"runtime/debug"
 	"strconv"
 	"strings"
 	"time"
@@ -145,11 +144,6 @@ func fromRunResult(res sim.RunResult) Result {
 // nobody: the scenario's quarantine streak ignores it.
 const faultCanceled = "canceled"
 
-// deadlineCheckWindows is how many windows run between deadline polls. The
-// poll is one ctx.Err() atomic load; 32 keeps it off the per-window profile
-// while bounding overshoot to 32 windows (microseconds).
-const deadlineCheckWindows = 32
-
 // RunRequest is the POST /run body: a scenario plus the per-request
 // execution parameters.
 type RunRequest struct {
@@ -169,91 +163,47 @@ type RunReply struct {
 	Result   Result   `json:"result"`
 }
 
-// execute runs one trial of sc at seed on a pooled engine, fully contained:
-// panics poison the engine and come back as FaultPanic results, deadline
-// expiry comes back as FaultDeadline with the partial result, and trial
-// errors as FaultError. onEvent, when non-nil, observes the trial's event
+// execute runs one trial of sc at seed through registry.RunContained and
+// words the receipt for the wire: a panic (the engine already poisoned)
+// comes back as FaultPanic, deadline expiry as FaultDeadline with the partial
+// result, client cancellation as faultCanceled, and trial errors as
+// FaultError. This front end only decides the watchdog: the request context,
+// or the injected panic. onEvent, when non-nil, observes the trial's event
 // stream (trace mode). The caller has already been admitted.
 func (s *Server) execute(ctx context.Context, sc Scenario, seed uint64, onEvent func(sim.Event)) Result {
 	if s.testHookPreExecute != nil {
 		s.testHookPreExecute(ctx)
 	}
-	inputs, err := registry.Inputs(sc.Input, sc.N, seed)
-	if err != nil {
-		return Result{FaultKind: registry.FaultError, Fault: err.Error()}
-	}
-	p := registry.Params{
-		N: sc.N, T: sc.T, Inputs: inputs, Seed: seed,
-		ShardWorkers: s.cfg.ShardWorkers, DisableColumnar: s.cfg.DisableColumnar,
-		AdvKnobs: sc.Knobs,
-	}
-	e, err := registry.AcquireTrial(sc.Algorithm, sc.Adversary, sc.Scheduler, p)
-	if err != nil {
-		return Result{FaultKind: registry.FaultError, Fault: err.Error()}
-	}
-
 	reqIndex := int(s.reqSeq.Add(1) - 1)
 	injectPanic := s.cfg.InjectPanics.Contains(reqIndex)
 	expired := func(windows int) bool {
 		if injectPanic {
 			panic(fmt.Sprintf("injected panic at request %d (window %d)", reqIndex, windows))
 		}
-		if windows%deadlineCheckWindows != 0 {
-			return false
-		}
-		return ctx.Err() != nil
+		return windows%registry.DeadlineCheckInterval == 0 && ctx.Err() != nil
 	}
+	out := registry.RunContained(sc.Algorithm, sc.Adversary, sc.Scheduler, sc.Input,
+		registry.Params{N: sc.N, T: sc.T, Seed: seed, AdvKnobs: sc.Knobs,
+			ShardWorkers: s.cfg.ShardWorkers, DisableColumnar: s.cfg.DisableColumnar},
+		sc.MaxWindows, expired, onEvent)
 
-	// The trial proper runs inside a recover barrier: a panic anywhere in
-	// the window pipeline (or injected above) poisons the engine — Release
-	// is then a refused no-op even if some path reaches it — and becomes a
-	// structured FaultPanic result instead of a dead worker.
-	var (
-		res      sim.RunResult
-		stalled  bool
-		runErr   error
-		panicked bool
-	)
-	func() {
-		defer func() {
-			if rec := recover(); rec != nil {
-				panicked = true
-				e.Poison()
-				s.poisoned.Add(1)
-				runErr = fmt.Errorf("panic: %v\n%s", rec, debug.Stack())
-			}
-		}()
-		if onEvent != nil {
-			e.System().OnEvent = onEvent
-		}
-		res, stalled, runErr = e.RunUntil(sc.MaxWindows, expired)
-	}()
-	if !panicked {
-		// The event hook survives Recycle (deliberately, for long-lived
-		// tracers); a pooled engine must not carry this request's closure to
-		// the next unrelated trial.
-		e.System().OnEvent = nil
-		e.Release()
-	}
-
-	switch {
-	case panicked:
-		return Result{FaultKind: registry.FaultPanic, Fault: runErr.Error()}
-	case runErr != nil:
-		return Result{FaultKind: registry.FaultError, Fault: runErr.Error()}
-	case stalled:
-		out := fromRunResult(res)
+	switch out.Kind {
+	case "":
+		return fromRunResult(out.Result)
+	case registry.FaultDeadline:
+		res := fromRunResult(out.Result)
 		if errors.Is(ctx.Err(), context.Canceled) {
-			out.FaultKind = faultCanceled
-			out.Fault = "client canceled the request"
+			res.FaultKind = faultCanceled
+			res.Fault = "client canceled the request"
 		} else {
-			out.FaultKind = registry.FaultDeadline
-			out.Fault = fmt.Sprintf("deadline exceeded after %d windows", res.Windows)
+			res.FaultKind = registry.FaultDeadline
+			res.Fault = fmt.Sprintf("deadline exceeded after %d windows", out.Result.Windows)
 		}
-		return out
-	default:
-		return fromRunResult(res)
+		return res
+	case registry.FaultPanic:
+		s.poisoned.Add(1)
 	}
+	return Result{FaultKind: out.Kind, Fault: out.Fault}
 }
 
 // requestTimeout resolves the effective deadline for a request-supplied
