@@ -173,8 +173,8 @@ func TestRecycledPaxosTrialAllocFree(t *testing.T) {
 }
 
 // TestShardedApplyWindowAllocFree pins the zero-steady-state-allocation
-// property of the sharded window core: once the worker pool, per-shard
-// scratch, and order buffers are warm, a sharded window allocates nothing —
+// property of the window core under pool workers: once the pool, per-shard
+// scratch, and order buffers are warm, a window allocates nothing —
 // phases are dispatched through a reused enum/channel protocol, never
 // closures.
 func TestShardedApplyWindowAllocFree(t *testing.T) {

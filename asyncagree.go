@@ -154,10 +154,11 @@ type Config struct {
 	CoreThresholds *Thresholds
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []ProcID
-	// ShardWorkers sets intra-trial parallelism: window delivery (and
-	// sending, where the algorithm declares it safe) runs across this many
-	// goroutines. <= 1 runs serial. Execution output is byte-identical at
-	// every setting; this only changes wall-clock at large N.
+	// ShardWorkers is how many goroutines walk each window's processor
+	// ranges: delivery (and sending, where the algorithm declares it safe)
+	// runs across this many. <= 1 walks them inline on the caller. Execution
+	// output is byte-identical at every setting; this only changes
+	// wall-clock at large N.
 	ShardWorkers int
 	// DisableColumnar opts out of the columnar vote-tally fast path for
 	// algorithms that support it (core and Ben-Or). Like ShardWorkers this

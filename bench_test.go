@@ -71,10 +71,10 @@ func BenchmarkWindowThroughputMessage(b *testing.B) {
 	}
 }
 
-// BenchmarkWindowThroughputSharded measures the same hot loop with the
-// sharded window core engaged (worker counts 2 and 4). Output is
-// byte-identical to the serial case; only wall-clock differs — on a
-// multi-core machine the sharded path should win decisively at n >= 256.
+// BenchmarkWindowThroughputSharded measures the same hot loop with pool
+// workers walking the window's ranges (worker counts 2 and 4). Output is
+// byte-identical to the inline case; only wall-clock differs — on a
+// multi-core machine the workers should win decisively at n >= 256.
 func BenchmarkWindowThroughputSharded(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, w := range []int{2, 4} {

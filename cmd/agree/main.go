@@ -46,7 +46,7 @@ func run(args []string) error {
 		schedName  = fs.String("sched", "adversary", "delivery scheduler: "+strings.Join(asyncagree.Schedulers(), " | "))
 		seed       = fs.Uint64("seed", 1, "random seed (same seed + same flags = same execution)")
 		maxWindows = fs.Int("max-windows", 100000, "window budget")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; output is identical at any setting)")
+		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines walking each window's processor ranges (1 = inline on the caller; output is identical at any setting)")
 		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (output is identical either way)")
 		trace      = fs.Bool("trace", false, "print every simulator event")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")

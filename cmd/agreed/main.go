@@ -69,12 +69,16 @@ func run(args []string, stdout io.Writer) int {
 		deadline     = fs.Duration("deadline", 30*time.Second, "per-request execution deadline")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
 		quarAfter    = fs.Int("quarantine-after", 3, "quarantine a scenario after this many consecutive faults (<0 disables)")
-		shardWorkers = fs.Int("shard-workers", 0, "intra-trial shard workers (<=1: serial; results identical at any setting)")
+		shardWorkers = fs.Int("shard-workers", 0, "intra-trial parallelism: goroutines walking each window's processor ranges (0 or 1 = inline on the caller; results are identical at any setting)")
 		columnar     = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (results identical either way)")
 		injectPanics = fs.String("inject-panics", "", "chaos: explicit request indices whose trials panic (e.g. 0,5,9-12)")
 		maxWindows   = fs.Int("max-windows", 20000, "default per-trial window budget")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *shardWorkers < 0 {
+		fmt.Fprintf(os.Stderr, "agreed: shard-workers must be >= 0, got %d\n", *shardWorkers)
 		return 2
 	}
 

@@ -25,6 +25,9 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out); code != 2 {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
 	}
+	if code := run([]string{"-shard-workers", "-1"}, &out); code != 2 {
+		t.Fatalf("negative shard-workers: exit %d, want 2", code)
+	}
 }
 
 // lineBuffer is a concurrency-safe writer the test polls for the daemon's

@@ -35,14 +35,15 @@ func WindowThroughput(n int) func(b *testing.B) {
 	return windowThroughput(n, 1, true)
 }
 
-// WindowThroughputSharded is WindowThroughput with the sharded window core
-// engaged at the given worker count. Execution output is byte-identical to
-// the serial case (property-tested in registry); only wall-clock differs.
+// WindowThroughputSharded is WindowThroughput with the window's ranges
+// walked by the given number of pool workers. Execution output is
+// byte-identical to the inline case (property-tested in registry); only
+// wall-clock differs.
 func WindowThroughputSharded(n, workers int) func(b *testing.B) {
 	return windowThroughput(n, workers, true)
 }
 
-// WindowThroughputMessage is the legacy message-at-a-time path, kept
+// WindowThroughputMessage is the message-at-a-time representation, kept
 // measured so per-Deliver dispatch regressions stay visible now that the
 // default path is columnar.
 func WindowThroughputMessage(n int) func(b *testing.B) {

@@ -10,7 +10,7 @@ import (
 
 // e15ShardWorkers is the worker count the sharded leg of every E15 trial
 // runs at. It is a constant, not runtime.GOMAXPROCS, so the experiment
-// exercises the sharded window core on every machine (including single-CPU
+// exercises the window core's worker pool on every machine (including single-CPU
 // CI) and its table is machine-independent; ShardWorkers is a pure
 // performance knob, so records cannot move with it either way.
 const e15ShardWorkers = 4
@@ -32,11 +32,12 @@ const e15ShardWorkers = 4
 //     n~32 the budget is not survivable — E2's curve is the reason — so
 //     the stall axis starts where the exponential has taken over.)
 //
-// Every trial runs three times through the pooled engine — serial
-// message-at-a-time (the reference), serial columnar, and sharded columnar
-// (ShardWorkers=4) — and all three RunResults must be identical: the
-// serial==parallel and message==columnar determinism contracts, checked end
-// to end at sizes the property tests cannot afford.
+// Every trial runs three times through the pooled engine, at three settings
+// of the one window core — messages walked inline (the reference), columns
+// walked inline, and columns walked by ShardWorkers=4 — and all three
+// RunResults must be identical: the inline==pooled and message==columnar
+// determinism contracts, checked end to end at sizes the property tests
+// cannot afford.
 func runE15(scale Scale) (Result, error) {
 	type sizeCfg struct {
 		n, trials int
@@ -173,7 +174,7 @@ func runE15(scale Scale) (Result, error) {
 	}
 
 	notes := []string{
-		fmt.Sprintf("every trial ran three ways — serial message-at-a-time, serial columnar, and sharded columnar (ShardWorkers=%d) — with RunResults compared per seed", e15ShardWorkers),
+		fmt.Sprintf("every trial ran at three settings of the one window core — messages walked inline, columns walked inline, and columns walked by %d pool workers — with RunResults compared per seed", e15ShardWorkers),
 		fmt.Sprintf("latency axis window budget: %d; stall axis window budget: %d acceptable windows", latBudget, stallBudget),
 		verdict(pass,
 			"windows-to-decision stays flat as n grows (core decides in the first window on unanimous inputs, Paxos within a fixed round budget), the split-vote adversary still stalls within budget at every size, and the columnar and sharded execution paths reproduce the serial message-at-a-time results exactly"),

@@ -51,11 +51,12 @@ type Matrix struct {
 	Seeds []uint64
 	// MaxWindows is the per-trial window budget; 0 = DefaultMatrix().MaxWindows.
 	MaxWindows int
-	// ShardWorkers sets the intra-trial parallelism of every trial (see
-	// Params.ShardWorkers); <= 1 runs the serial facade. Per-trial output is
-	// byte-identical at any setting, so it is a performance knob, not a grid
-	// axis: it is deliberately excluded from GridSignature, and a sweep
-	// checkpointed at one worker count may resume at another.
+	// ShardWorkers is how many goroutines walk each window's processor
+	// ranges in every trial (see Params.ShardWorkers); <= 1 walks them
+	// inline on the caller. Per-trial output is byte-identical at any
+	// setting, so it is a performance knob, not a grid axis: it is
+	// deliberately excluded from GridSignature, and a sweep checkpointed at
+	// one worker count may resume at another.
 	ShardWorkers int
 	// DisableColumnar turns off the columnar vote-tally fast path for every
 	// trial (see Params.DisableColumnar). Like ShardWorkers it is a

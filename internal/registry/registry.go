@@ -87,13 +87,14 @@ type Params struct {
 	CoreThresholds *core.Thresholds
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []sim.ProcID
-	// ShardWorkers sets the intra-trial parallelism of the sharded window
-	// core (sim.SetShardWorkers): <= 1 runs the serial facade; k >= 2 runs
-	// window delivery (and sending, where the algorithm declares it safe)
-	// across k goroutines. Observable behavior is byte-identical at every
-	// setting, so this is a performance knob, not an execution parameter —
-	// it is deliberately excluded from sweep grid signatures and engine pool
-	// keys. Applied only when the algorithm's ParallelDelivery flag is set.
+	// ShardWorkers is how many goroutines walk each window's processor
+	// ranges (sim.SetShardWorkers): <= 1 walks them inline on the caller;
+	// k >= 2 runs window delivery (and sending, where the algorithm declares
+	// it safe) across k goroutines. Observable behavior is byte-identical at
+	// every setting, so this is a performance knob, not an execution
+	// parameter — it is deliberately excluded from sweep grid signatures and
+	// engine pool keys. Applied only when the algorithm's ParallelDelivery
+	// flag is set.
 	ShardWorkers int
 	// DisableColumnar turns off the columnar vote-tally fast path
 	// (sim/columnar.go) for algorithms that declare ColumnarVotes; the zero
@@ -145,8 +146,8 @@ type Algorithm struct {
 	NeedsFullDelivery bool
 	// ParallelDelivery declares that the algorithm's Deliver touches only
 	// the receiving processor's own state (plus read-only shared payloads),
-	// so distinct receivers may be delivered to concurrently and the sharded
-	// window core (Params.ShardWorkers) may engage.
+	// so distinct receivers may be delivered to concurrently and pool
+	// workers (Params.ShardWorkers) may walk the window's receiver ranges.
 	ParallelDelivery bool
 	// ParallelSend declares the same independence for Send: no mutable
 	// state shared across senders, so the per-sender collection loop may
@@ -414,8 +415,8 @@ func NewSystem(alg string, p Params) (*sim.System, error) {
 	return sys, nil
 }
 
-// applyShardParams configures the sharded window core and the columnar
-// fast path on sys from the descriptor's concurrency-safety declarations
+// applyShardParams configures the window core's worker count and the
+// columnar fast path on sys from the descriptor's concurrency-safety declarations
 // and the requested knobs. Safe to call on every pooled-engine
 // acquisition: sim.System keeps its worker pool when the count is
 // unchanged.

@@ -143,7 +143,7 @@ func Register(fs *flag.FlagSet, cmd, unit, outHelp string) *Flags {
 	fs.StringVar(&f.injectOut, "inject-out-failures", "", "fault injection: -out write-failure schedule (\"N\", \"NxK\", \"N+\", comma-composed)")
 	fs.StringVar(&f.injectCkpt, "inject-ckpt-failures", "", "fault injection: checkpoint write-failure schedule (same syntax)")
 	fs.BoolVar(&f.Serial, "serial", false, "run "+unit+"s on a serial loop instead of the worker pool")
-	fs.IntVar(&f.ShardWorkers, "shard-workers", 1, "intra-trial parallelism: goroutines sharding each window's delivery (1 = serial; records are identical at any setting)")
+	fs.IntVar(&f.ShardWorkers, "shard-workers", 1, "intra-trial parallelism: goroutines walking each window's processor ranges (1 = inline on the caller; records are identical at any setting)")
 	fs.BoolVar(&f.Verbose, "v", false, "also print skipped sizes")
 	fs.BoolVar(&f.List, "list", false, "print the registered algorithms, adversaries (with knobs), schedulers, and input patterns")
 	return f

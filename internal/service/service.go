@@ -65,9 +65,9 @@ type Config struct {
 	// QuarantineAfter quarantines a scenario after this many consecutive
 	// faulted requests (default 3; negative disables quarantine).
 	QuarantineAfter int
-	// ShardWorkers sets the intra-trial parallelism of every served trial
-	// (a pure performance knob — results are byte-identical at any
-	// setting); <= 1 runs the serial facade.
+	// ShardWorkers is how many goroutines walk each window's processor
+	// ranges in every served trial (a pure performance knob — results are
+	// byte-identical at any setting); <= 1 walks them inline on the caller.
 	ShardWorkers int
 	// DisableColumnar opts every served trial out of the columnar
 	// vote-tally fast path (another pure performance knob — results are

@@ -189,28 +189,29 @@ func (b *Buffer) Reset() {
 	b.live = 0
 }
 
-// DrainAll removes every buffered message in one O(arena) sweep. Unlike
-// Reset it preserves the ID sequence — nextID keeps counting and idBase
-// advances past it — so IDs stay globally monotone across windows. The
-// sharded window core uses this to retire a fully-buffered window batch
-// without per-ID Take calls; callers must know the buffer holds nothing
-// worth keeping.
+// DrainAll removes every buffered message in one sweep over the live ID
+// span — one window's batch in window mode, however large earlier windows
+// grew the arena. Unlike Reset it preserves the ID sequence — nextID keeps
+// counting and idBase advances past it — so IDs stay globally monotone
+// across windows. drainWindow uses this to retire a fully-buffered window
+// batch without per-ID Take calls; callers must know the buffer holds
+// nothing worth keeping. Slots are freed newest first, so the next window's
+// Adds reuse them in this window's order.
 func (b *Buffer) DrainAll() {
-	for i := range b.arena {
-		sl := &b.arena[i]
-		sl.msg = Message{}
+	mask := len(b.ring) - 1
+	for k := int(b.nextID - b.idBase); k >= 0; k-- {
+		e := &b.ring[(b.head+k)&mask]
+		if *e < 0 {
+			continue
+		}
+		sl := &b.arena[*e]
+		if p := int(sl.msg.To); p >= 0 && p < len(b.heads) {
+			b.heads[p], b.tails[p] = -1, -1
+		}
+		sl.msg = Message{} // release payload references to the GC
 		sl.next, sl.prev = -1, -1
-	}
-	b.free = b.free[:0]
-	for i := len(b.arena) - 1; i >= 0; i-- {
-		b.free = append(b.free, int32(i))
-	}
-	for i := range b.ring {
-		b.ring[i] = -1
-	}
-	for i := range b.heads {
-		b.heads[i] = -1
-		b.tails[i] = -1
+		b.free = append(b.free, *e)
+		*e = -1
 	}
 	b.idBase = b.nextID + 1
 	b.head = 0

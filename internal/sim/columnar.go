@@ -1,31 +1,28 @@
 package sim
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
-// This file implements the columnar vote-tally kernel: a fast path through
-// ApplyWindowWith that collapses the window's O(n²) message-at-a-time
-// delivery into O(n²/64) bitset words. Algorithms that broadcast one small
+// This file implements the columnar representation of a window: a fast path
+// through ApplyWindowWith that collapses the window's O(n²) message-at-a-time
+// delivery into O(n²/64) bitset words, on the same ranges and the same merge
+// as the message representation (shard.go). Algorithms that broadcast one small
 // vote record per step (the paper's setting — every message is a (round,
 // value) pair) publish their window's broadcast as (round, class, value)
 // sender-bitset columns instead of materializing n boxed payload copies;
 // each receiver's delivery then reduces to popcount(allowRow & column) per
-// column plus a word-exact scan that reproduces the legacy threshold
-// crossings bit for bit. See DESIGN.md §2c.
+// column plus a word-exact scan that reproduces the message path's threshold
+// crossings bit for bit. See DESIGN.md §2.
 //
 // The path is byte-identical to the message-at-a-time pipeline in RunResult,
 // ConfigurationSnapshot, and rng consumption, and engages only when every
 // guard holds (columnarPlanner): the kernel is enabled (SetColumnar), no
 // event observer is installed (the columnar path materializes no Messages,
-// so EvSend/EvDeliver traces require the legacy path), no processor is
+// so EvSend/EvDeliver traces require the message path), no processor is
 // Byzantine-corrupted, every process implements both VoteBroadcaster and
 // TallyReceiver, and the adversary implements ColumnarPlanner and currently
 // plans without reading the batch. Everything else — hand-built windows
 // through ApplyWindow/WindowDeliver, non-columnar algorithms, traced runs —
-// takes the untouched existing path, mirroring the sharded core's
-// hand-built-batch gate.
+// takes the message path.
 
 // ValNeutral is the smallest neutral (non-value-bearing) column value: a
 // published Val < ValNeutral carries the bit Val ∈ {0, 1}, while Val >=
@@ -335,8 +332,8 @@ func (s *System) applyWindowColumnar(cp ColumnarPlanner) error {
 
 // columnarSend runs the window's sending steps through SendColumnar and
 // builds the per-depth sender buckets the chain-depth accounting needs.
-// Exactly like the serial sender loop, every live sender costs one step
-// even when it publishes nothing.
+// Exactly like sendRange, every live sender costs one step even when it
+// publishes nothing.
 func (s *System) columnarSend() {
 	s.colSet.reset(s.allowWords)
 	for i := 0; i < s.n; i++ {
@@ -427,107 +424,26 @@ func (s *System) columnarCount(row []uint64) (msgs int64, depth int) {
 }
 
 // columnarDeliver is the delivery half of the columnar window: validate the
-// sender sets into the shared allow bitset, then hand every live receiver
-// its masked tally. Receivers that would have received zero messages skip
-// the DeliverTally call, matching the legacy path (which never invokes
-// Deliver, and hence never refreshes decision bookkeeping, for them).
+// sender sets into the allow bitset, then tally every receiver range against
+// the columns, through the same ranges and the same merge as the message
+// path. OnEvent is nil here, so the merge carries no events.
 func (s *System) columnarDeliver(senders [][]ProcID) error {
-	if senders != nil && len(senders) != s.n {
-		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
-	}
-	if s.shardWorkers > 1 {
-		return s.columnarDeliverSharded(senders)
-	}
-	if err := s.validateSenders(senders); err != nil {
+	rs := s.ranges(true)
+	if err := s.validateSenders(rs, senders); err != nil {
 		return err
 	}
-	// The all-senders tally is shared by every allowAll receiver.
+	// The all-senders tally is shared by every allowAll receiver; the ranges
+	// only read it.
 	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
-	wt := &s.colTally
-	wt.cs = &s.colSet
-	for i := 0; i < s.n; i++ {
-		if s.crashed[i] {
-			continue
-		}
-		var msgs int64
-		var depth int
-		if s.allowAll[i] {
-			msgs, depth = s.colFullMsgs, s.colFullDepth
-			wt.allowAll, wt.allow = true, nil
-		} else {
-			row := s.allowedRow(i)
-			msgs, depth = s.columnarCount(row)
-			wt.allowAll, wt.allow = false, row
-		}
-		if msgs == 0 {
-			continue
-		}
-		s.steps += msgs
-		if s.chainDepth[i] < depth {
-			s.chainDepth[i] = depth
-		}
-		s.procs[i].(TallyReceiver).DeliverTally(wt, s.rngs[i])
-		s.recordOutputs(ProcID(i))
-	}
+	s.runPhase(phaseTally, rs, nil)
 	return nil
 }
 
-// columnarDeliverSharded runs the tally loop across the shard pool:
-// validation and the merge reuse the sharded core's machinery unchanged
-// (ascending shard order, first error/violation wins, panics re-raised at
-// the merge), and each shard tallies its receiver range against its own
-// WindowTally scratch.
-func (s *System) columnarDeliverSharded(senders [][]ProcID) error {
-	pool := s.ensureShardPool()
-	s.resetShards()
-	for i := range s.allowAll {
-		s.allowAll[i] = true
-	}
-	if senders != nil {
-		s.shardSenders = senders
-		pool.run(s, phaseValidate, len(s.shards))
-		s.shardSenders = nil
-		for i := range s.shards {
-			sh := &s.shards[i]
-			if sh.panicked {
-				panic(sh.panicVal)
-			}
-			if sh.err != nil {
-				return sh.err
-			}
-		}
-	}
-	// Precompute the shared all-senders tally serially: the shards read it.
-	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
-	pool.run(s, phaseTally, len(s.shards))
-	anyDecided := false
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.steps += sh.steps
-		if sh.decided {
-			anyDecided = true
-		}
-		if sh.violation != nil && s.violation == nil {
-			s.violation = sh.violation
-		}
-		if sh.panicked {
-			if anyDecided && s.firstDecision < 0 {
-				s.firstDecision = s.windows
-			}
-			panic(sh.panicVal)
-		}
-	}
-	if anyDecided && s.firstDecision < 0 {
-		s.firstDecision = s.windows
-	}
-	return nil
-}
-
-// shardTallyRange is the phaseTally body: the serial tally loop restricted
-// to the shard's receiver range, with step counts and decision flags routed
-// into shard scratch for the ascending merge. OnEvent is nil on the
-// columnar path, so no events are buffered.
-func (s *System) shardTallyRange(sh *windowShard) {
+// tallyRange hands every live receiver of the range its masked tally.
+// Receivers that would have received zero messages skip the DeliverTally
+// call, matching the message path (which never invokes Deliver, and hence
+// never refreshes decision bookkeeping, for them).
+func (s *System) tallyRange(sh *windowShard) {
 	wt := &sh.tally
 	wt.cs = &s.colSet
 	for i := sh.lo; i < sh.hi; i++ {
@@ -552,6 +468,6 @@ func (s *System) shardTallyRange(sh *windowShard) {
 			s.chainDepth[i] = depth
 		}
 		s.procs[i].(TallyReceiver).DeliverTally(wt, s.rngs[i])
-		s.shardRecordOutputs(sh, ProcID(i))
+		s.recordOutputs(sh, ProcID(i))
 	}
 }

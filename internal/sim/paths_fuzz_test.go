@@ -1,0 +1,148 @@
+package sim_test
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"asyncagree/internal/core"
+	"asyncagree/internal/rng"
+	"asyncagree/internal/sim"
+)
+
+// Sender-set shapes shapePlan draws; the numbering is part of the corpus.
+const (
+	shapeNil         = iota // nil Senders: full delivery
+	shapeShared             // one (n-t)-subset slice handed to every receiver
+	shapePerReceiver        // a fresh subset per receiver, some rows nil
+	shapeIllegal            // per-receiver, with one illegal set in one window
+	shapeCount
+)
+
+// shapePlan plans windows from its own seeded stream alone — never from the
+// batch or the columns — so the same seed plans the same windows on every
+// path: sender sets of the chosen shape plus up to t resets. With disown set
+// it turns each just-sent batch into a hand-built one, as orderProbe does.
+type shapePlan struct {
+	r      *rng.Source
+	shape  int
+	disown bool
+	perm   []int
+}
+
+func (p *shapePlan) subset(n, k int) []sim.ProcID {
+	if len(p.perm) != n {
+		p.perm = make([]int, n)
+	}
+	out := make([]sim.ProcID, 0, k)
+	for _, q := range p.r.SubsetInto(p.perm, k) {
+		out = append(out, sim.ProcID(q))
+	}
+	return out
+}
+
+func (p *shapePlan) plan(s *sim.System) sim.Window {
+	n, t := s.N(), s.T()
+	var w sim.Window
+	switch p.shape {
+	case shapeShared:
+		w = sim.UniformWindow(n, p.subset(n, n-t), nil)
+	case shapePerReceiver, shapeIllegal:
+		w.Senders = make([][]sim.ProcID, n)
+		for i := range w.Senders {
+			if k := n - p.r.Intn(t+2); k < n { // k == n leaves the row nil
+				w.Senders[i] = p.subset(n, max(k, n-t))
+			}
+		}
+		if p.shape == shapeIllegal && s.Windows() == 2 {
+			i := p.r.Intn(n)
+			if t > 0 && p.r.Bit() == 0 {
+				w.Senders[i] = p.subset(n, n-t-1) // one sender short
+			} else {
+				w.Senders[i] = append(p.subset(n, n-t), sim.ProcID(n)) // no such sender
+			}
+		}
+	}
+	w.Resets = p.subset(n, p.r.Intn(t+1))
+	return w
+}
+
+func (p *shapePlan) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
+	w := p.plan(s)
+	if p.disown {
+		s.DisownBatch()
+	}
+	return w
+}
+
+func (p *shapePlan) PlansColumnar() bool { return true }
+
+func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Window {
+	return p.plan(s)
+}
+
+// FuzzWindowPaths is the differential check over every route through a
+// window: any worker count, the message or the columnar representation, the
+// System's own batch or a hand-built one, under any sender-set shape, must
+// reproduce the inline message run on the own batch — its first error,
+// RunResult and final configuration, and (where the path materializes
+// messages at all) its event feed. The seeds are the word-boundary sizes of
+// columnar_equiv_test.go and the uneven-shard sizes of shard_test.go.
+func FuzzWindowPaths(f *testing.F) {
+	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
+		for shape := 0; shape < shapeCount; shape++ {
+			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw uint8) {
+		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
+		ft := int(tRaw) % ((n + 5) / 6)
+		th, err := core.DefaultThresholds(n, ft)
+		if err != nil {
+			t.Skip(err)
+		}
+		workers := []int{1, 2, 4}[int(workersRaw)%3]
+		shape := int(shapeRaw) % shapeCount
+
+		run := func(workers int, columnar, disown bool) (events []string, res sim.RunResult, snap []string, err error) {
+			s, err := sim.New(sim.Config{
+				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: core.NewFactory(n, ft, th),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.SetShardWorkers(workers)
+			s.SetParallelSend(true)
+			s.SetColumnar(columnar)
+			adv := &shapePlan{r: rng.New(seed), shape: shape, disown: disown}
+			if columnar != s.ColumnarPlanned(adv) {
+				t.Fatalf("columnar path planned = %v, want %v", !columnar, columnar)
+			}
+			if !columnar {
+				// An observer forces the message path, so only that one has a
+				// feed to compare.
+				s.OnEvent = func(ev sim.Event) {
+					events = append(events, fmt.Sprintf("%d w%d p%d %d>%d#%d d%d v%d",
+						ev.Kind, ev.Window, ev.Proc, ev.Msg.From, ev.Msg.To, ev.Msg.ID, ev.Msg.Depth, ev.Value))
+				}
+			}
+			res, err = s.RunWindows(adv, 6)
+			s.SetShardWorkers(1) // stop the pool
+			return events, res, s.ConfigurationSnapshot(), err
+		}
+		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false)
+		events, res, snap, err := run(workers, columnar, disown)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("first error %v, the inline message run had %v", err, wantErr)
+		}
+		if res != wantRes {
+			t.Fatalf("results diverged:\ngot  %+v\nwant %+v", res, wantRes)
+		}
+		if !slices.Equal(snap, wantSnap) {
+			t.Fatalf("configurations diverged:\ngot  %q\nwant %q", snap, wantSnap)
+		}
+		if !columnar && !slices.Equal(events, wantEvents) {
+			t.Fatalf("event feeds diverged (%d events, want %d)", len(events), len(wantEvents))
+		}
+	})
+}

@@ -2,25 +2,21 @@ package sim
 
 import "fmt"
 
-// This file implements the sharded window core: WindowDeliver's validation
-// and per-receiver delivery, and WindowSend's per-sender collection, run
-// across a persistent worker pool (shardpool.go) with observable behavior
-// byte-identical to the serial facade in window.go. See DESIGN.md §2b.
+// This file implements the window core: one body per phase of an acceptable
+// window — validate the sender sets, deliver messages, tally columns
+// (columnar.go), run sending steps — each written over a range [lo, hi) of
+// processors, plus the one merge that folds range scratch back into the
+// System. See DESIGN.md §2.
 //
-// The determinism discipline mirrors parallel.Reduce: receivers are
-// partitioned into contiguous shards that are a pure function of n alone
-// (never GOMAXPROCS or the worker count), each shard writes only its own
-// scratch plus per-receiver state no other shard touches, and shard outputs
-// — steps, decisions, violations, buffered trace events, send batches —
-// merge in ascending shard order. The worker count decides only which
-// goroutine executes a shard, so every setting (including 1) produces the
-// same bytes.
-//
-// The sharded delivery path engages only for the System's own just-sent
-// WindowSend batch (ownBatch, window.go), the same precondition under which
-// the serial path orders by bucketByReceiver: both paths share that one
-// counting sort and differ only in who walks the buckets. Hand-built batches
-// (tests, exotic drivers) take the serial path's comparison sort.
+// The worker count decides only who walks the ranges. SetShardWorkers(k <= 1)
+// walks the whole System as one range [0, n) inline on the caller: no
+// goroutine, no pool, no recover. k >= 2 walks the fixed shard partition
+// through a persistent worker pool (shardpool.go). Observable behavior is
+// byte-identical either way, by the discipline of parallel.Reduce: the
+// partition is a pure function of n alone (never GOMAXPROCS or the worker
+// count), each range writes only its own scratch plus per-processor state no
+// other range touches, and range outputs — steps, decisions, violations,
+// buffered trace events, sent messages — merge in ascending range order.
 
 // shardMaxShards bounds the shard count the way reduceMaxBlocks bounds
 // parallel.Reduce: enough shards that work-stealing balances uneven
@@ -38,30 +34,30 @@ func shardCountFor(n int) int {
 	return shardMaxShards
 }
 
-// windowShard is one shard's private scratch: the receiver range it owns
-// and everything its phase bodies produce for the serial merge.
+// windowShard is one range's private scratch: the processors it owns and
+// everything its phase bodies produce for the merge.
 type windowShard struct {
 	lo, hi int // receiver (delivery) or sender (send) range [lo, hi)
 
-	steps     int64   // local step count, summed into System.steps
-	err       error   // first validation error (ascending receiver order)
-	violation error   // first write-once violation (ascending receiver order)
-	decided   bool    // some processor newly decided in this shard
-	events    []Event // buffered trace events, in serial emission order
+	steps     int64    // local step count, summed into System.steps
+	err       error    // first validation error (ascending receiver order)
+	violation error    // first write-once violation (ascending receiver order)
+	decided   []ProcID // processors that newly decided in this range
+	events    []Event  // buffered trace events, in emission order
 	sendMsgs  []Message
 	tally     WindowTally // phaseTally scratch (columnar.go)
 
-	panicked bool // a phase body panicked; panicVal re-raised at merge
+	panicked bool // a pool-run body panicked; panicVal re-raised at merge
 	panicVal any
 }
 
-// SetShardWorkers sets the worker count of the sharded window core.
-// k <= 1 selects the serial facade (the historical single-core pipeline);
-// k >= 2 runs window validation, per-receiver delivery, and — when enabled
-// via SetParallelSend — per-sender collection across k goroutines (k-1 pool
-// workers plus the calling goroutine). Observable behavior is byte-identical
-// at every setting; only wall-clock changes. The setting survives Recycle,
-// so a pooled trial engine configures it once per acquisition.
+// SetShardWorkers sets how many goroutines walk the window's ranges. k <= 1
+// walks them inline on the caller; k >= 2 runs window validation,
+// per-receiver delivery or tallying, and — when enabled via SetParallelSend —
+// the sending steps across k goroutines (k-1 pool workers plus the caller).
+// Observable behavior is byte-identical at every setting; only wall-clock
+// changes. The setting survives Recycle, so a pooled trial engine configures
+// it once per acquisition.
 func (s *System) SetShardWorkers(k int) {
 	if k < 1 {
 		k = 1
@@ -77,7 +73,7 @@ func (s *System) SetShardWorkers(k int) {
 	}
 }
 
-// ShardWorkers returns the configured worker count (1 = serial facade).
+// ShardWorkers returns the configured worker count (1 = inline).
 func (s *System) ShardWorkers() int {
 	if s.shardWorkers < 1 {
 		return 1
@@ -87,48 +83,67 @@ func (s *System) ShardWorkers() int {
 
 // SetParallelSend declares whether the algorithm's Send is safe to invoke
 // on distinct processors concurrently (no shared mutable state), letting
-// WindowSend shard its per-sender loop too. Ignored on the serial facade.
-// The registry sets this from the algorithm descriptor's ParallelSend flag.
+// the pool walk WindowSend's sender ranges too. Without workers it changes
+// nothing. The registry sets this from the algorithm descriptor's
+// ParallelSend flag.
 func (s *System) SetParallelSend(on bool) { s.parallelSend = on }
 
-// ensureShardPool lazily creates the worker pool and the per-shard scratch
-// on the first sharded window, so serial Systems never pay for either.
-func (s *System) ensureShardPool() *shardPool {
-	if s.shardPool == nil {
-		p := newShardPool(s.shardWorkers - 1)
-		s.shardPool = p
-		s.shardCleanup = p.installCleanup(s)
-	}
-	if len(s.shards) == 0 {
-		c := shardCountFor(s.n)
-		s.shards = make([]windowShard, c)
-		for b := range s.shards {
-			s.shards[b].lo = b * s.n / c
-			s.shards[b].hi = (b + 1) * s.n / c
+// ranges rewinds and returns the range scratch the coming phases write: the
+// whole System as one range, or, when the caller's bodies may run
+// concurrently and workers are configured, the shard partition. The pool and
+// the per-shard scratch are built on the first such call, so a System that
+// never asks for workers pays for neither.
+func (s *System) ranges(concurrent bool) []windowShard {
+	rs := s.whole[:]
+	rs[0].lo, rs[0].hi = 0, s.n
+	if concurrent && s.shardWorkers > 1 {
+		if s.shardPool == nil {
+			s.shardPool = newShardPool(s.shardWorkers - 1)
+			s.shardCleanup = s.shardPool.installCleanup(s)
 		}
+		if len(s.shards) == 0 {
+			c := shardCountFor(s.n)
+			s.shards = make([]windowShard, c)
+			for b := range s.shards {
+				s.shards[b].lo = b * s.n / c
+				s.shards[b].hi = (b + 1) * s.n / c
+			}
+		}
+		rs = s.shards
 	}
-	return s.shardPool
-}
-
-// resetShards rewinds every shard's merge outputs for a new phase group.
-func (s *System) resetShards() {
-	for i := range s.shards {
-		sh := &s.shards[i]
+	for i := range rs {
+		sh := &rs[i]
 		sh.steps = 0
 		sh.err = nil
 		sh.violation = nil
-		sh.decided = false
+		sh.decided = sh.decided[:0]
 		sh.events = sh.events[:0]
+		sh.sendMsgs = sh.sendMsgs[:0]
 		sh.panicked = false
 		sh.panicVal = nil
 	}
+	return rs
 }
 
-// shardRun executes one shard of the current phase, capturing a panic into
-// the shard's scratch instead of unwinding the worker: the serial merge
-// re-raises the first panic in ascending shard order, so the trial-level
-// panic isolation of the sweep pipeline (and its poisoned-engine
-// abandonment) sees a normal panicking System.
+// phaseBody runs one phase over one range.
+func (s *System) phaseBody(phase shardPhase, sh *windowShard) {
+	switch phase {
+	case phaseValidate:
+		s.validateRange(sh)
+	case phaseDeliver:
+		s.deliverRange(sh)
+	case phaseSend:
+		s.sendRange(sh)
+	case phaseTally:
+		s.tallyRange(sh)
+	}
+}
+
+// shardRun is the pool's entry into phaseBody. It captures a panic into the
+// shard's scratch instead of unwinding the worker: the merge re-raises the
+// first panic in ascending shard order, so the trial-level panic isolation
+// of the sweep pipeline (and its poisoned-engine abandonment) sees a normal
+// panicking System.
 func (s *System) shardRun(phase shardPhase, i int) {
 	sh := &s.shards[i]
 	defer func() {
@@ -136,63 +151,41 @@ func (s *System) shardRun(phase shardPhase, i int) {
 			sh.panicked, sh.panicVal = true, r
 		}
 	}()
-	switch phase {
-	case phaseValidate:
-		s.shardValidate(sh)
-	case phaseDeliver:
-		s.shardDeliverRange(sh)
-	case phaseSend:
-		s.shardSendRange(sh)
-	case phaseTally:
-		s.shardTallyRange(sh)
-	}
+	s.phaseBody(phase, sh)
 }
 
-// windowDeliverSharded is the sharded body of WindowDeliver. The caller has
-// already checked len(senders); batch passed ownBatch.
-func (s *System) windowDeliverSharded(batch []Message, senders [][]ProcID) error {
-	pool := s.ensureShardPool()
-	s.resetShards()
-
-	// Phase 1 — validation. Each shard validates its own receivers' sender
-	// sets into the shared bitset (disjoint per-receiver rows), recording
-	// its first error; merging ascending yields the error the serial scan
-	// would have hit first, before anything is delivered.
-	for i := range s.allowAll {
-		s.allowAll[i] = true
+// runPhase runs a sending or delivering phase over rs and merges the result.
+// A single range is walked by the caller with no recover, so a panicking
+// process unwinds with its own stack; the deferred merge still records what
+// preceded the panic, as it does for the pool.
+func (s *System) runPhase(phase shardPhase, rs []windowShard, sent *[]Message) {
+	if len(rs) == 1 {
+		defer s.mergeRanges(rs, sent)
+		s.phaseBody(phase, &rs[0])
+		return
 	}
-	if senders != nil {
-		s.shardSenders = senders
-		pool.run(s, phaseValidate, len(s.shards))
-		s.shardSenders = nil
-		for i := range s.shards {
-			sh := &s.shards[i]
-			if sh.panicked {
-				panic(sh.panicVal)
-			}
-			if sh.err != nil {
-				return sh.err
-			}
-		}
-	}
+	s.shardPool.run(s, phase, len(rs))
+	s.mergeRanges(rs, sent)
+}
 
-	// Phase 2 — serial receiver-major ordering, the serial path's own
-	// ordering step.
-	s.bucketByReceiver(batch)
-
-	// Phase 3 — parallel delivery, each shard delivering to its own
-	// contiguous receiver range.
-	pool.run(s, phaseDeliver, len(s.shards))
-
-	// Phase 4 — serial merge in ascending shard order: concatenated shard
-	// outputs equal the serial receiver-order pipeline byte for byte.
-	anyDecided := false
-	for i := range s.shards {
-		sh := &s.shards[i]
+// mergeRanges folds range scratch into the System in ascending range order,
+// so the concatenated outputs equal one walk over [0, n) byte for byte. Sent
+// messages get their buffer IDs here and are appended to *sent. A range that
+// panicked stops the merge: what it and the ranges before it did up to the
+// panic is recorded, and the decisions later ranges booked are withdrawn, so
+// the System's accounts read as after a single walk that stopped there. (The
+// later ranges' processes did run; the engine is abandoned either way.)
+func (s *System) mergeRanges(rs []windowShard, sent *[]Message) {
+	decided := false
+	for i := range rs {
+		sh := &rs[i]
 		s.steps += sh.steps
-		if sh.decided {
-			anyDecided = true
+		for j := range sh.sendMsgs {
+			stored := s.buffer.Add(sh.sendMsgs[j])
+			*sent = append(*sent, stored)
+			s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
 		}
+		decided = decided || len(sh.decided) > 0
 		if sh.violation != nil && s.violation == nil {
 			s.violation = sh.violation
 		}
@@ -200,37 +193,76 @@ func (s *System) windowDeliverSharded(batch []Message, senders [][]ProcID) error
 			s.emit(ev)
 		}
 		if sh.panicked {
-			// Decisions recorded before the panic (earlier shards and this
-			// shard's pre-panic receivers) are merged, like the serial path
-			// at its panic point; later shards are poisoned state the
-			// abandoned engine never exposes.
-			if anyDecided && s.firstDecision < 0 {
+			if decided && s.firstDecision < 0 {
 				s.firstDecision = s.windows
+			}
+			for _, later := range rs[i+1:] {
+				for _, id := range later.decided {
+					s.decidedOK[id], s.decidedVal[id], s.decidedWindow[id] = false, 0, 0
+				}
 			}
 			panic(sh.panicVal)
 		}
 	}
-	if anyDecided && s.firstDecision < 0 {
+	if decided && s.firstDecision < 0 {
 		s.firstDecision = s.windows
 	}
+}
 
-	// Phase 5 — serial drain and reclaim, same as the serial path.
-	s.drainWindow(batch)
-	s.reclaimBatch(batch)
+// validateSenders validates every sender set into the allow bitset before
+// anything is delivered: an illegal window must leave the configuration
+// untouched. Each range reports its first error; the first in ascending
+// range order is the one a single scan would have hit.
+func (s *System) validateSenders(rs []windowShard, senders [][]ProcID) error {
+	if senders == nil {
+		for i := range s.allowAll {
+			s.allowAll[i] = true
+		}
+		return nil
+	}
+	if len(senders) != s.n {
+		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
+	}
+	s.phaseSenders = senders
+	if len(rs) == 1 {
+		s.validateRange(&rs[0])
+	} else {
+		s.shardPool.run(s, phaseValidate, len(rs))
+	}
+	s.phaseSenders = nil
+	for i := range rs {
+		if rs[i].panicked {
+			panic(rs[i].panicVal)
+		}
+		if rs[i].err != nil {
+			return rs[i].err
+		}
+	}
 	return nil
 }
 
-// shardValidate validates the sender sets of the shard's receivers into the
-// shared allow bitset. Writes touch only this shard's receivers.
-func (s *System) shardValidate(sh *windowShard) {
-	senders := s.shardSenders
+// validateRange turns the sender sets of the range's receivers into their
+// rows of the allow bitset; a nil set means all senders. Writes touch only
+// this range's receivers. Adversaries commonly hand many receivers the same
+// backing slice (the scheduler scratch-sharing pattern), so a set whose
+// identity matches the previously validated one copies that row instead of
+// re-scanning; a shared invalid set still errors at its first user, with
+// that user's index.
+func (s *System) validateRange(sh *windowShard) {
+	senders := s.phaseSenders
+	var lastSet *ProcID
+	lastLen, lastRow := -1, -1
 	for i := sh.lo; i < sh.hi; i++ {
 		set := senders[i]
+		s.allowAll[i] = set == nil
 		if set == nil {
-			continue // nil means all senders
+			continue
 		}
-		s.allowAll[i] = false
 		row := s.allowedRow(i)
+		if lastRow >= 0 && len(set) == lastLen && &set[0] == lastSet {
+			copy(row, s.allowedRow(lastRow))
+			continue
+		}
 		clear(row)
 		distinct := 0
 		for _, p := range set {
@@ -249,17 +281,20 @@ func (s *System) shardValidate(sh *windowShard) {
 				ErrBadWindow, i, distinct, s.n-s.t)
 			return
 		}
+		lastSet, lastLen, lastRow = &set[0], len(set), i
 	}
 }
 
-// shardDeliverRange delivers the window's messages to the shard's receiver
-// range, in the bucketed serial order. All writes are shard-local or
-// per-receiver (chainDepth, decided*, the process, its rng); the buffer is
-// only read (Get), never mutated, so concurrent shards never conflict.
-func (s *System) shardDeliverRange(sh *windowShard) {
-	batch := s.batchScratch
-	idx := s.orderIdx[:len(batch)]
-	off := s.orderOff[:s.n+1]
+// deliverRange delivers the window's messages to the range's receivers, in
+// the (receiver, sender, ID) order orderIdx/orderOff hold. All writes are
+// range-local or per-receiver (chainDepth, decided*, the process, its rng);
+// the buffer is only read, so concurrent ranges never conflict. The stored
+// copy is what gets delivered: a message an adversary consumed while
+// planning (legal, if eccentric), or a hand-built entry that was never
+// buffered, is skipped.
+func (s *System) deliverRange(sh *windowShard) {
+	batch := s.phaseBatch
+	idx, off := s.orderIdx, s.orderOff
 	for r := sh.lo; r < sh.hi; r++ {
 		if s.crashed[r] {
 			continue
@@ -280,21 +315,16 @@ func (s *System) shardDeliverRange(sh *windowShard) {
 					continue
 				}
 			}
-			// Deliver the stored message, like the serial Take — an
-			// adversary that consumed a buffered message while planning
-			// (legal, if eccentric) makes it undeliverable on both paths.
-			stored, ok := s.buffer.Get(m.ID)
-			if !ok {
-				continue
+			if stored, ok := s.buffer.Get(m.ID); ok {
+				s.deliverMsg(sh, stored)
 			}
-			s.shardDeliverMsg(sh, stored)
 		}
 	}
 }
 
-// shardDeliverMsg is deliver (system.go) with all window-global effects
-// routed into shard scratch for the ordered merge.
-func (s *System) shardDeliverMsg(sh *windowShard, m Message) {
+// deliverMsg executes a receiving step for message m, with every effect that
+// is not per-receiver routed into range scratch for the ordered merge.
+func (s *System) deliverMsg(sh *windowShard, m Message) {
 	sh.steps++
 	if s.chainDepth[m.To] < m.Depth {
 		s.chainDepth[m.To] = m.Depth
@@ -303,13 +333,14 @@ func (s *System) shardDeliverMsg(sh *windowShard, m Message) {
 	if s.OnEvent != nil {
 		sh.events = append(sh.events, Event{Kind: EvDeliver, Proc: m.To, Msg: m})
 	}
-	s.shardRecordOutputs(sh, m.To)
+	s.recordOutputs(sh, m.To)
 }
 
-// shardRecordOutputs is recordOutputs with write-once violations and the
-// first-decision flag deferred to shard scratch; decidedVal/decidedOK/
-// decidedWindow are per-receiver and written directly.
-func (s *System) shardRecordOutputs(sh *windowShard, id ProcID) {
+// recordOutputs refreshes decision bookkeeping for processor id and enforces
+// the write-once contract. decidedVal/decidedOK/decidedWindow are
+// per-processor and written directly; the violation and the first-decision
+// flag wait in range scratch for the merge.
+func (s *System) recordOutputs(sh *windowShard, id ProcID) {
 	v, ok := s.procs[id].Output()
 	if !ok {
 		if s.decidedOK[id] && sh.violation == nil {
@@ -326,60 +357,18 @@ func (s *System) shardRecordOutputs(sh *windowShard, id ProcID) {
 	s.decidedOK[id] = true
 	s.decidedVal[id] = v
 	s.decidedWindow[id] = s.windows
-	sh.decided = true
+	sh.decided = append(sh.decided, id)
 	if s.OnEvent != nil {
 		sh.events = append(sh.events, Event{Kind: EvDecide, Proc: id, Value: v})
 	}
 }
 
-// drainWindow removes the completed window's batch from the buffer. The
-// common case — the buffer holds exactly the batch, a dense ID span, which
-// window mode guarantees — drains the whole buffer in one O(arena) sweep;
-// anything else (step-mode residue, adversary-injected messages) falls back
-// to the serial per-ID Take loop, which preserves non-batch messages.
-func (s *System) drainWindow(batch []Message) {
-	if s.buffer.live == len(batch) &&
-		batch[0].ID == s.buffer.idBase && batch[len(batch)-1].ID == s.buffer.nextID {
-		s.buffer.DrainAll()
-		return
-	}
-	for i := range batch {
-		s.buffer.Take(batch[i].ID)
-	}
-}
-
-// windowSendSharded is the sharded body of WindowSend: shards collect their
-// senders' messages into private scratch in parallel, then a serial merge
-// in ascending shard order assigns buffer IDs — so IDs, batch order, and
-// EvSend events are byte-identical to the serial sender loop.
-func (s *System) windowSendSharded() []Message {
-	pool := s.ensureShardPool()
-	s.resetShards()
-	pool.run(s, phaseSend, len(s.shards))
-	batch := s.batchScratch[:0]
-	for i := range s.shards {
-		sh := &s.shards[i]
-		s.steps += sh.steps
-		for j := range sh.sendMsgs {
-			stored := s.buffer.Add(sh.sendMsgs[j])
-			batch = append(batch, stored)
-			s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
-		}
-		if sh.panicked {
-			s.batchScratch = batch
-			panic(sh.panicVal)
-		}
-	}
-	s.batchScratch = batch
-	return batch
-}
-
-// shardSendRange runs the sending steps of the shard's sender range,
-// collecting accepted messages into shard scratch. chainDepth is read-only
-// during the send phase (only delivery mutates it), and each sender reads
-// just its own entry.
-func (s *System) shardSendRange(sh *windowShard) {
-	msgs := sh.sendMsgs[:0]
+// sendRange runs the sending steps of the range's live senders, collecting
+// the accepted messages into range scratch; the merge moves them into the
+// buffer, so IDs, batch order and EvSend events do not depend on who walked
+// which range. chainDepth is read-only during the send phase (only delivery
+// mutates it), and each sender reads just its own entry.
+func (s *System) sendRange(sh *windowShard) {
 	for i := sh.lo; i < sh.hi; i++ {
 		if s.crashed[i] {
 			continue
@@ -388,16 +377,15 @@ func (s *System) shardSendRange(sh *windowShard) {
 		out := s.procs[i].Send()
 		depth := s.chainDepth[i] + 1
 		for _, m := range out {
-			m.From = ProcID(i) // channels are authenticated
+			m.From = ProcID(i) // channels are authenticated: the sender cannot forge From
 			if m.To < 0 || int(m.To) >= s.n {
-				continue
+				continue // drop messages to nonexistent processors
 			}
 			if s.crashed[m.To] {
-				continue
+				continue // a crashed processor never receives anything
 			}
 			m.Depth = depth
-			msgs = append(msgs, m)
+			sh.sendMsgs = append(sh.sendMsgs, m)
 		}
 	}
-	sh.sendMsgs = msgs
 }

@@ -6,8 +6,9 @@ import (
 	"sync/atomic"
 )
 
-// shardPool is the persistent per-System worker pool behind the sharded
-// window core (shard.go). It exists so that a System recycled across
+// shardPool is the persistent per-System worker pool that walks the window
+// core's shards (shard.go) under SetShardWorkers(k >= 2); a System left at
+// k <= 1 never builds one. It exists so that a System recycled across
 // thousands of trials (the PR 4 pooled-engine path) pays for goroutine
 // creation once, not per window: the pool spawns workers-1 goroutines at
 // construction and thereafter a phase costs one buffered channel send per

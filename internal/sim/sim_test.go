@@ -212,6 +212,30 @@ func TestWindowDeliverNilSendersMeansFullDelivery(t *testing.T) {
 	}
 }
 
+// TestWindowDeliverHandBuiltOddEntries pins what a hand-built batch may hold
+// beyond verbatim copies: an entry listed twice is delivered once, and one
+// that names no buffered message (here under a foreign sender too) is a
+// no-op, at any worker count.
+func TestWindowDeliverHandBuiltOddEntries(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		s := newTestSystem(t, 4, 1, "split", 0)
+		s.SetShardWorkers(workers)
+		batch := append([]Message(nil), s.WindowSend()...)
+		batch = append(batch, batch[5], Message{ID: 999, From: 17, To: 2})
+		if err := s.WindowDeliver(batch, nil); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 4; i++ {
+			if got := len(s.Proc(ProcID(i)).(*echoProc).delivered); got != 4 {
+				t.Fatalf("workers=%d: processor %d received %d messages, want 4", workers, i, got)
+			}
+		}
+		if s.Buffer().Len() != 0 || s.Steps() != 4+16 {
+			t.Fatalf("workers=%d: %d messages left buffered after %d steps, want 0 after 20", workers, s.Buffer().Len(), s.Steps())
+		}
+	}
+}
+
 func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
 	batch := s.WindowSend()

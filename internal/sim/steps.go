@@ -17,7 +17,13 @@ func (s *System) StepSend(id ProcID) ([]Message, error) {
 	if s.crashed[id] {
 		return nil, fmt.Errorf("%w: processor %d", ErrCrashed, id)
 	}
-	return s.stepSend(id), nil
+	// The one-sender case of the window core; the fresh slice is the
+	// caller's to retain.
+	rs := s.ranges(false)
+	rs[0].lo, rs[0].hi = int(id), int(id)+1
+	var sent []Message
+	s.runPhase(phaseSend, rs, &sent)
+	return sent, nil
 }
 
 // StepDeliver executes a receiving step, delivering buffered message msgID.

@@ -122,48 +122,49 @@ type System struct {
 
 	// Scratch state for the allocation-free window pipeline (window.go).
 	// batchScratch backs the slice returned by WindowSend; orderIdx/orderOff/
-	// orderPos hold its receiver-major order (bucketByReceiver, shared with
-	// the sharded core); orderScratch holds the comparison-sorted copy of a
-	// hand-built batch; allowBits is a receiver-major bitset of permitted
-	// senders (allowWords words per receiver) with allowAll flagging
-	// receivers whose sender set is nil ("all senders").
+	// orderPos hold the delivering batch's receiver-major order
+	// (bucketByReceiver, or sortByReceiver for a hand-built batch); allowBits
+	// is a receiver-major bitset of permitted senders (allowWords words per
+	// receiver) with allowAll flagging receivers whose sender set is nil
+	// ("all senders").
 	batchScratch []Message
 	orderIdx     []int32 // batch indices bucketed by receiver
 	orderOff     []int32 // orderIdx bucket offsets, len n+1
 	orderPos     []int32 // bucket fill cursors, len n
-	orderScratch []Message
 	allowWords   int
 	allowBits    []uint64
 	allowAll     []bool
 
-	// Sharded window core state (shard.go, shardpool.go). shardWorkers is
-	// the configured parallelism (<= 1 selects the serial facade above);
-	// parallelSend additionally shards WindowSend when the algorithm
-	// declares its Send concurrency-safe. The pool and per-shard scratch are
-	// lazily built on the first sharded window and — like the serial scratch
-	// — deliberately survive Recycle, so a pooled trial engine keeps its
-	// worker goroutines hot across thousands of trials.
+	// Window core state (shard.go, shardpool.go). whole is the scratch of the
+	// one range [0, n) the caller walks inline; shardWorkers >= 2 swaps in
+	// shards, walked by shardPool, for every phase whose bodies may run
+	// concurrently (parallelSend says whether the algorithm's Send may). The
+	// pool and per-shard scratch are built on the first such phase and — like
+	// the rest of the scratch — deliberately survive Recycle, so a pooled
+	// trial engine keeps its worker goroutines hot across thousands of
+	// trials. phaseSenders and phaseBatch are the running phase's inputs, nil
+	// outside it.
+	whole        [1]windowShard
 	shardWorkers int
 	parallelSend bool
 	shardPool    *shardPool
 	shardCleanup runtime.Cleanup
 	shards       []windowShard
-	shardSenders [][]ProcID // phaseValidate input; nil outside that phase
+	phaseSenders [][]ProcID
+	phaseBatch   []Message
 
 	// Columnar kernel state (columnar.go). colOff disables the fast path
 	// (the zero value keeps it enabled); colCap caches whether every process
 	// implements the columnar hooks (+1 yes, -1 no, 0 unknown — sound to
 	// cache because it is only consulted while no processor is corrupted and
 	// Recycle rebuilds corrupted processors through the same factory, so
-	// process types never change under the guard). colSet/colTally/colDepth*
-	// are reusable window scratch; colFullMsgs/colFullDepth cache the
-	// all-senders tally shared by allowAll receivers, computed serially
-	// before any parallel tally phase. Like the sharded scratch, all of it
-	// deliberately survives Recycle.
+	// process types never change under the guard). colSet/colDepth* are
+	// reusable window scratch; colFullMsgs/colFullDepth cache the all-senders
+	// tally shared by allowAll receivers, computed before the tally phase.
+	// Like the core's scratch, all of it deliberately survives Recycle.
 	colOff       bool
 	colCap       int8
 	colSet       ColumnSet
-	colTally     WindowTally
 	colDepths    []int
 	colDepthRows [][]uint64
 	colFullMsgs  int64
@@ -336,78 +337,26 @@ func (s *System) emit(ev Event) {
 	}
 }
 
-// recordOutputs refreshes decision bookkeeping for processor id and enforces
-// the write-once contract.
-func (s *System) recordOutputs(id ProcID) {
-	v, ok := s.procs[id].Output()
-	if !ok {
-		if s.decidedOK[id] && s.violation == nil {
-			s.violation = fmt.Errorf("%w: processor %d un-decided", ErrOutputRewritten, id)
-		}
-		return
-	}
-	if s.decidedOK[id] {
-		if v != s.decidedVal[id] && s.violation == nil {
-			s.violation = fmt.Errorf("%w: processor %d changed %d -> %d", ErrOutputRewritten, id, s.decidedVal[id], v)
-		}
-		return
-	}
-	s.decidedOK[id] = true
-	s.decidedVal[id] = v
-	s.decidedWindow[id] = s.windows
-	if s.firstDecision < 0 {
-		s.firstDecision = s.windows
-	}
-	s.emit(Event{Kind: EvDecide, Proc: id, Value: v})
-}
-
-// sendInto executes a sending step for processor id, appending the messages
-// placed into the buffer to dst and returning the extended slice. The window
-// pipeline passes its reusable batch scratch as dst so the hot path performs
-// no per-step allocation.
-func (s *System) sendInto(id ProcID, dst []Message) []Message {
-	s.steps++
-	batch := s.procs[id].Send()
-	for _, m := range batch {
-		m.From = id // channels are authenticated: the sender cannot forge From
-		if m.To < 0 || int(m.To) >= s.n {
-			continue // drop messages to nonexistent processors
-		}
-		if s.crashed[m.To] {
-			continue // a crashed processor never receives anything
-		}
-		m.Depth = s.chainDepth[id] + 1
-		stored := s.buffer.Add(m)
-		dst = append(dst, stored)
-		s.emit(Event{Kind: EvSend, Proc: id, Msg: stored})
-	}
-	return dst
-}
-
-// stepSend executes a sending step for processor id, returning the messages
-// placed into the buffer in a freshly allocated slice (step-mode callers may
-// retain it).
-func (s *System) stepSend(id ProcID) []Message {
-	return s.sendInto(id, nil)
-}
-
 // deliver executes a receiving step for message m (already removed from the
-// buffer).
+// buffer) outside a window: step mode's one-message case of the window core.
 func (s *System) deliver(m Message) {
-	s.steps++
-	if s.chainDepth[m.To] < m.Depth {
-		s.chainDepth[m.To] = m.Depth
-	}
-	s.procs[m.To].Deliver(m, s.rngs[m.To])
-	s.emit(Event{Kind: EvDeliver, Proc: m.To, Msg: m})
-	s.recordOutputs(m.To)
+	rs := s.ranges(false)
+	s.deliverMsg(&rs[0], m)
+	s.mergeRanges(rs, nil)
 }
 
-// reset executes a resetting step for processor id.
-func (s *System) reset(id ProcID) {
-	s.steps++
-	s.resetCounts[id]++
-	s.procs[id].Reset()
-	s.emit(Event{Kind: EvReset, Proc: id})
-	s.recordOutputs(id) // output must survive a reset
+// reset executes the resetting steps of procs, in order.
+func (s *System) reset(procs ...ProcID) {
+	rs := s.ranges(false)
+	sh := &rs[0]
+	for _, id := range procs {
+		sh.steps++
+		s.resetCounts[id]++
+		s.procs[id].Reset()
+		if s.OnEvent != nil {
+			sh.events = append(sh.events, Event{Kind: EvReset, Proc: id})
+		}
+		s.recordOutputs(sh, id) // output must survive a reset
+	}
+	s.mergeRanges(rs, nil)
 }

@@ -17,18 +17,9 @@ import (
 // all n processors send; the crash-model reuse of windows in Section 5
 // (Definition 19) simply has crashed processors contribute nothing.
 func (s *System) WindowSend() []Message {
-	if s.shardWorkers > 1 && s.parallelSend {
-		return s.windowSendSharded()
-	}
-	batch := s.batchScratch[:0]
-	for i := 0; i < s.n; i++ {
-		if s.crashed[i] {
-			continue
-		}
-		batch = s.sendInto(ProcID(i), batch)
-	}
-	s.batchScratch = batch
-	return batch
+	s.batchScratch = s.batchScratch[:0]
+	s.runPhase(phaseSend, s.ranges(s.parallelSend), &s.batchScratch)
+	return s.batchScratch
 }
 
 // allowedRow returns receiver i's sender bitset row.
@@ -47,75 +38,37 @@ func (s *System) allowedRow(i int) []uint64 {
 //
 // Delivery order is (receiver, sender, ID). For the System's own just-sent
 // batch (ownBatch) — every window of every sweep — that order comes from
-// bucketByReceiver's O(batch) counting sort, on the serial path and the
-// sharded core alike; only a hand-built batch, which carries none of the
-// invariants the counting sort leans on, is comparison-sorted.
+// bucketByReceiver's O(batch) counting sort. A hand-built batch carries none
+// of the invariants the counting sort leans on, nor the one that lets ranges
+// run concurrently (every stored copy is addressed to the bucket it sits
+// in), so it is comparison-sorted and walked as one range by the caller.
+// That is its only difference: validation, the range body, the merge and the
+// drain are the same.
 func (s *System) WindowDeliver(batch []Message, senders [][]ProcID) error {
-	if senders != nil && len(senders) != s.n {
-		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
-	}
 	own := s.ownBatch(batch)
-	if own && s.shardWorkers > 1 {
-		return s.windowDeliverSharded(batch, senders)
-	}
-	if err := s.validateSenders(senders); err != nil {
+	rs := s.ranges(own)
+	if err := s.validateSenders(rs, senders); err != nil {
 		return err
+	}
+	if len(batch) == 0 {
+		return nil // nobody sent (all crashed, or silent): a legal window with nothing in it
 	}
 	if own {
 		s.bucketByReceiver(batch)
-		for _, j := range s.orderIdx[:len(batch)] {
-			s.deliverAllowed(&batch[j])
-		}
 	} else {
-		// The sort key is a total order (IDs are unique), so the result is
-		// independent of the sorting algorithm.
-		ordered := append(s.orderScratch[:0], batch...)
-		s.orderScratch = ordered
-		slices.SortFunc(ordered, func(a, b Message) int {
-			if c := cmp.Compare(a.To, b.To); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.From, b.From); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.ID, b.ID)
-		})
-		for i := range ordered {
-			s.deliverAllowed(&ordered[i])
-		}
+		s.sortByReceiver(batch)
 	}
-	// Undelivered remainder of this window's batch is never delivered.
-	for i := range batch {
-		s.buffer.Take(batch[i].ID)
-	}
+	s.phaseBatch = batch
+	s.runPhase(phaseDeliver, rs, nil)
+	s.phaseBatch = nil
+	s.drainWindow(batch, own)
 	s.reclaimBatch(batch)
 	return nil
 }
 
-// deliverAllowed delivers batch entry m if its receiver is live and admits
-// its sender this window. The message is taken from the buffer first and the
-// stored copy delivered, so one an adversary consumed while planning (legal,
-// if eccentric) is skipped.
-func (s *System) deliverAllowed(m *Message) {
-	if s.crashed[m.To] {
-		return
-	}
-	if !s.allowAll[m.To] {
-		if m.From < 0 || int(m.From) >= s.n {
-			return
-		}
-		if s.allowedRow(int(m.To))[int(m.From)>>6]&(uint64(1)<<(uint(m.From)&63)) == 0 {
-			return
-		}
-	}
-	if taken, ok := s.buffer.Take(m.ID); ok {
-		s.deliver(taken)
-	}
-}
-
 // ownBatch reports whether batch is the System's own just-sent WindowSend
 // batch, recognized by slice identity. That batch carries the invariants
-// bucketByReceiver and the sharded core lean on: every entry is the verbatim
+// bucketByReceiver and concurrent ranges lean on: every entry is the verbatim
 // stored copy of a buffered message, To is in range, and the order is
 // sender-major with globally ascending IDs. An empty batch (every sender
 // crashed) is never "own": it has nothing to order.
@@ -130,25 +83,15 @@ func (s *System) ownBatch(batch []Message) bool {
 // batch is sender-major with ascending IDs, so this stable counting sort by
 // To reproduces the (To, From, ID) comparison sort exactly, in O(batch).
 func (s *System) bucketByReceiver(batch []Message) {
-	n := s.n
-	if len(s.orderOff) == 0 {
-		s.orderOff = make([]int32, n+1)
-		s.orderPos = make([]int32, n)
-	}
-	off := s.orderOff[:n+1]
-	clear(off)
+	idx, off := s.orderFor(batch)
 	for i := range batch {
 		off[int(batch[i].To)+1]++
 	}
-	for r := 0; r < n; r++ {
+	for r := 0; r < s.n; r++ {
 		off[r+1] += off[r]
 	}
-	if cap(s.orderIdx) < len(batch) {
-		s.orderIdx = make([]int32, len(batch))
-	}
-	idx := s.orderIdx[:len(batch)]
-	pos := s.orderPos[:n]
-	copy(pos, off[:n])
+	pos := s.orderPos[:s.n]
+	copy(pos, off[:s.n])
 	for i := range batch {
 		r := int(batch[i].To)
 		idx[pos[r]] = int32(i)
@@ -156,52 +99,61 @@ func (s *System) bucketByReceiver(batch []Message) {
 	}
 }
 
-// validateSenders validates every sender set into the reusable allow bitset
-// before anything is delivered: an illegal window must leave the
-// configuration untouched. Shared by the serial message path and the
-// columnar kernel. Adversaries commonly hand many receivers the same
-// backing slice (the scheduler scratch-sharing pattern), so a set whose
-// identity matches the previously validated one copies that row instead of
-// re-scanning; a shared invalid set still errors at its first user with
-// that user's index, identically on both paths.
-func (s *System) validateSenders(senders [][]ProcID) error {
-	for i := range s.allowAll {
-		s.allowAll[i] = true
+// sortByReceiver is bucketByReceiver for a hand-built batch: the batch
+// indices comparison-sorted by (To, From, ID), the reference order
+// TestBucketedOrderMatchesComparisonSort holds the counting sort to. IDs are
+// unique, so the key is a total order and the result is independent of the
+// sorting algorithm; an entry listed twice is kept once, since a buffered
+// message is delivered at most once.
+func (s *System) sortByReceiver(batch []Message) {
+	idx, off := s.orderFor(batch)
+	for i := range idx {
+		idx[i] = int32(i)
 	}
-	if senders == nil {
-		return nil
+	slices.SortFunc(idx, func(a, b int32) int {
+		ma, mb := &batch[a], &batch[b]
+		return cmp.Or(cmp.Compare(ma.To, mb.To), cmp.Compare(ma.From, mb.From), cmp.Compare(ma.ID, mb.ID))
+	})
+	idx = slices.CompactFunc(idx, func(a, b int32) bool {
+		return batch[a].ID == batch[b].ID && batch[a].To == batch[b].To && batch[a].From == batch[b].From
+	})
+	for _, j := range idx {
+		off[int(batch[j].To)+1]++
 	}
-	var lastSet *ProcID
-	lastLen, lastRow := -1, -1
-	for i, set := range senders {
-		if set == nil {
-			continue // nil means all senders
-		}
-		s.allowAll[i] = false
-		row := s.allowedRow(i)
-		if lastRow >= 0 && len(set) == lastLen && &set[0] == lastSet {
-			copy(row, s.allowedRow(lastRow))
-			continue
-		}
-		clear(row)
-		distinct := 0
-		for _, p := range set {
-			if err := s.checkProc(p); err != nil {
-				return err
-			}
-			w, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
-			if row[w]&bit == 0 {
-				row[w] |= bit
-				distinct++
-			}
-		}
-		if distinct < s.n-s.t {
-			return fmt.Errorf("%w: sender set for processor %d has %d distinct senders < n-t=%d",
-				ErrBadWindow, i, distinct, s.n-s.t)
-		}
-		lastSet, lastLen, lastRow = &set[0], len(set), i
+	for r := 0; r < s.n; r++ {
+		off[r+1] += off[r]
 	}
-	return nil
+}
+
+// orderFor sizes the order buffers for batch, lazily built on the first
+// window, and returns orderIdx cut to the batch and orderOff zeroed.
+func (s *System) orderFor(batch []Message) (idx, off []int32) {
+	if len(s.orderOff) == 0 {
+		s.orderOff = make([]int32, s.n+1)
+		s.orderPos = make([]int32, s.n)
+	}
+	if cap(s.orderIdx) < len(batch) {
+		s.orderIdx = make([]int32, len(batch))
+	}
+	clear(s.orderOff)
+	return s.orderIdx[:len(batch)], s.orderOff
+}
+
+// drainWindow removes the completed window's batch from the buffer. The
+// common case — the buffer holds exactly the System's own batch, a dense ID
+// span, which window mode guarantees — drains the whole buffer in one
+// sweep. Anything else (a hand-built batch, step-mode residue, messages an
+// adversary injected or consumed) takes the per-ID loop, which preserves
+// non-batch messages and shrugs at entries that are not buffered.
+func (s *System) drainWindow(batch []Message, own bool) {
+	if own && s.buffer.live == len(batch) &&
+		batch[0].ID == s.buffer.idBase && batch[len(batch)-1].ID == s.buffer.nextID {
+		s.buffer.DrainAll()
+		return
+	}
+	for i := range batch {
+		s.buffer.Take(batch[i].ID)
+	}
 }
 
 // reclaimBatch hands the completed window's payloads back to senders that
@@ -250,8 +202,8 @@ func (s *System) WindowResets(resets []ProcID) error {
 			}
 		}
 	}
-	for _, p := range resets {
-		s.reset(p)
+	if len(resets) > 0 {
+		s.reset(resets...)
 	}
 	return nil
 }
