@@ -1,37 +1,49 @@
 package asyncagree
 
 import (
+	"runtime"
 	"testing"
 
 	"asyncagree/internal/registry"
 )
 
+// This file holds the allocation ceilings of the substrate benchmarks in
+// bench_test.go (with sim.TestBufferAddTakeAllocFree for BufferOps):
+// allocation counts are machine-independent, so unlike a timing they can be
+// asserted by `go test` on any runner.
+
 // TestApplyWindowAllocs is the allocation-regression guard for the window
 // hot loop: after warmup, one full acceptable window of the core algorithm
-// under full delivery must allocate NOTHING — the vote payload boxes (the
-// last remaining per-window source, n boxes per window) are now pooled and
-// reclaimed by the System at window end. The seed implementation spent
-// ~36n allocations per window; PR 1 cut that to ~n; this pins zero — on
-// both the columnar vote-tally kernel (the default for core) and the legacy
-// message-at-a-time path, and on the latter also under fixed silence, whose
-// plan (one shared sender list, one row slice) used to be rebuilt per window.
+// must allocate NOTHING — the vote payload boxes (the last remaining
+// per-window source, n boxes per window) are pooled and reclaimed by the
+// System at window end. The seed implementation spent ~36n allocations per
+// window; PR 1 cut that to ~n; this pins zero — on the columnar vote-tally
+// kernel (the default for core; n = 1024 keeps a multi-word sender bitset
+// covered), on the legacy message-at-a-time path, on the latter also under
+// fixed silence, whose plan (one shared sender list, one row slice) used to
+// be rebuilt per window, and under the split-vote adversary's planning.
 func TestApplyWindowAllocs(t *testing.T) {
 	for _, mode := range []struct {
-		name     string
-		columnar bool
-		silence  bool
-	}{{"columnar", true, false}, {"message", false, false}, {"message-silence", false, true}} {
+		name    string
+		n       int
+		message bool
+		adv     func(Config) (WindowAdversary, error)
+	}{
+		{name: "columnar", n: 24},
+		{name: "columnar-1024", n: 1024},
+		{name: "message", n: 24, message: true},
+		{name: "message-silence", n: 24, message: true,
+			adv: func(cfg Config) (WindowAdversary, error) { return Silence(cfg, 0, 1, 2) }},
+		{name: "splitvote", n: 24, adv: SplitVoteAdversary},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			const n = 24
-			cfg := Config{Algorithm: AlgorithmCore, N: n, T: n / 8,
-				Inputs: SplitInputs(n), Seed: 1, DisableColumnar: !mode.columnar}
-			s, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			cfg := coreConfig(mode.n)
+			cfg.DisableColumnar = mode.message
+			s := mustNew(t, cfg)
 			adv := FullDelivery()
-			if mode.silence {
-				if adv, err = Silence(cfg, 0, 1, 2); err != nil {
+			if mode.adv != nil {
+				var err error
+				if adv, err = mode.adv(cfg); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -47,7 +59,68 @@ func TestApplyWindowAllocs(t *testing.T) {
 			})
 			if allocs > 0 {
 				t.Fatalf("ApplyWindow (%s) allocates %.1f per window at n=%d, want 0",
-					mode.name, allocs, n)
+					mode.name, allocs, mode.n)
+			}
+		})
+	}
+}
+
+// TestSubsetPlanAllocFree pins the seeded scheduler's planning call — n
+// random (n-t)-subsets, the kernel of the chaos cells — at zero allocations
+// once its row scratch has grown.
+func TestSubsetPlanAllocFree(t *testing.T) {
+	const n = 128
+	if allocs := testing.AllocsPerRun(100, subsetPlanner(t, n)); allocs > 0 {
+		t.Fatalf("seeded PlanSenders allocates %.1f per call at n=%d, want 0", allocs, n)
+	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun at two workers instead of its
+// GOMAXPROCS(1): the mean process-wide malloc count of f once warm. A sweep
+// fans its trials across GOMAXPROCS workers, and the worker-pool path
+// (goroutines, the reorder window, one pooled engine per worker and cell) is
+// the one the sweep ceilings must cover; the count grows with the worker
+// count (43, 56, 58-64, 62-73 per sixteen-trial sweep at 1, 2, 4, 8), so it
+// is pinned to the 2-vCPU reference box's to mean the same on every machine.
+func mallocsPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for i := 0; i < 8; i++ { // every worker has met every cell's engine pool
+		f()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+}
+
+// TestSweepAllocCeilings pins what a whole sweep allocates — expansion,
+// trial fan-out across the worker pool, the record pipeline, aggregation —
+// with warm engine pools: a fixed few dozen for the sixteen-trial grid (56
+// measured), and about one per trial (the record's way through the pipeline)
+// for the 4096-trial cell (4134 measured). Buffering every TrialRecord, or
+// losing engine recycling, goes through either ceiling at once.
+func TestSweepAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race builds randomize sync.Pool retention; the scenario pool cannot stay warm")
+	}
+	for _, c := range []struct {
+		name          string
+		m             Matrix
+		cells, trials int
+		runs          int
+		ceiling       float64
+	}{
+		{"grid-16-trials", sweepThroughputMatrix(), 4, 16, 50, 58},
+		{"cell-4096-trials", sweepMemoryMatrix(4096), 1, 4096, 5, 5156},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			allocs := mallocsPerRun(c.runs, func() { runSweep(t, c.m, c.cells, c.trials) })
+			t.Logf("%.1f allocs per sweep", allocs)
+			if allocs > c.ceiling {
+				t.Fatalf("a %d-trial sweep allocates %.1f, ceiling %.0f", c.trials, allocs, c.ceiling)
 			}
 		})
 	}
@@ -62,17 +135,9 @@ func TestApplyWindowAllocs(t *testing.T) {
 // structured integers, so the steady-state window allocates nothing.
 func TestBrachaWindowAllocs(t *testing.T) {
 	const n = 13
-	cfg := Config{Algorithm: AlgorithmBracha, N: n, T: (n - 1) / 3,
-		Inputs: SplitInputs(n), Seed: 1}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustNew(t, brachaConfig(n))
 	adv := FullDelivery()
-	// The warm-up must cover several protocol rounds: pools reach their
-	// high-water mark only after the straggler-recreation cycle of a few
-	// completed rounds.
-	for i := 0; i < 200; i++ {
+	for i := 0; i < brachaWarmWindows; i++ {
 		if err := s.ApplyWindowWith(adv); err != nil {
 			t.Fatal(err)
 		}

@@ -29,9 +29,10 @@
 // window pipeline, §3 for the parallel sweep engine, §3a for the pluggable
 // delivery schedulers) and EXPERIMENTS.md
 // for the reproduction results; `go run ./cmd/experiments` regenerates
-// them, `go run ./cmd/sweep` runs the full algorithm × adversary scenario
-// matrix, and `go run ./cmd/bench -out BENCH_baseline.json` records the
-// substrate performance baseline.
+// them and `go run ./cmd/sweep` runs the full algorithm × adversary scenario
+// matrix. Timing claims are made by `bash benchmark/run.sh` (BENCHMARK.json);
+// allocs_test.go holds the allocation ceilings of the benchmarks in
+// bench_test.go.
 package asyncagree
 
 import (

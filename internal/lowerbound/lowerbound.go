@@ -23,48 +23,33 @@ import (
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/core"
 	"asyncagree/internal/parallel"
+	"asyncagree/internal/registry"
 	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
 	"asyncagree/internal/stream"
 	"asyncagree/internal/talagrand"
 )
 
-// ClassifyCoreVote adapts core protocol messages for the split-vote
-// adversary.
-func ClassifyCoreVote(m sim.Message) adversary.VoteInfo {
-	if _, v, ok := core.ExtractVote(m); ok {
-		return adversary.VoteInfo{HasValue: true, Value: v}
-	}
-	return adversary.VoteInfo{}
+// coreParams is the setting of the Section 3 slowness argument at (n, t): the
+// registered core algorithm with Theorem 4's default thresholds on the
+// alternating (split) input assignment.
+func coreParams(n, t int, seed uint64) registry.Params {
+	return registry.Params{N: n, T: t, Seed: seed, Inputs: registry.SplitInputs(n)}
 }
 
-// NewCoreSystem builds a core-algorithm system with Theorem 4's default
-// thresholds and an alternating (split) input assignment — the input setting
-// the Section 3 slowness argument uses.
-func NewCoreSystem(n, t int, seed uint64) (*sim.System, core.Thresholds, error) {
-	th, err := core.DefaultThresholds(n, t)
-	if err != nil {
-		return nil, core.Thresholds{}, err
-	}
-	inputs := make([]sim.Bit, n)
-	for i := range inputs {
-		inputs[i] = sim.Bit(i % 2)
-	}
-	s, err := sim.New(sim.Config{
-		N: n, T: t, Seed: seed, Inputs: inputs,
-		NewProcess: core.NewFactory(n, t, th),
-	})
-	if err != nil {
-		return nil, core.Thresholds{}, err
-	}
-	return s, th, nil
+// newCoreSystem builds the core-algorithm system of coreParams.
+func newCoreSystem(n, t int, seed uint64) (*sim.System, error) {
+	return registry.NewSystem("core", coreParams(n, t, seed))
 }
 
-// NewSplitVote returns the split-vote adversary tuned to thresholds th (it
-// keeps every per-receiver count strictly below the deterministic-adoption
-// threshold T3).
-func NewSplitVote(th core.Thresholds) *adversary.SplitVote {
-	return &adversary.SplitVote{Classify: ClassifyCoreVote, Cap: th.T3 - 1}
+// newSplitVote returns a fresh split-vote adversary tuned to core at (n, t),
+// typed so callers can read its GaveUp and Windows counters.
+func newSplitVote(n, t int) (*adversary.SplitVote, error) {
+	adv, err := registry.NewAdversary("splitvote", "core", coreParams(n, t, 0))
+	if err != nil {
+		return nil, err
+	}
+	return adv.(*adversary.SplitVote), nil
 }
 
 // ProjectConfiguration encodes the decision-relevant projection of a core
@@ -111,7 +96,7 @@ func DecisionSets(n, t, trials, maxWindows int) (z0, z1 *talagrand.ExplicitSet, 
 		func(a setPair, trial int) (setPair, error) {
 			seed := uint64(trial/3 + 1)
 			advPick := trial % 3
-			s, th, err := NewCoreSystem(n, t, seed*17+uint64(advPick))
+			s, err := newCoreSystem(n, t, seed*17+uint64(advPick))
 			if err != nil {
 				return a, err
 			}
@@ -122,7 +107,9 @@ func DecisionSets(n, t, trials, maxWindows int) (z0, z1 *talagrand.ExplicitSet, 
 			case 1:
 				adv = adversary.NewRandomWindows(seed, 0.3, t)
 			case 2:
-				adv = NewSplitVote(th)
+				if adv, err = newSplitVote(n, t); err != nil {
+					return a, err
+				}
 			}
 			// Step window by window so the configuration is captured at the
 			// first decision, not at termination.
@@ -226,11 +213,14 @@ func StallSeries(ns []int, tFrac float64, trials, maxWindows int) ([]StallPoint,
 		acc, err := parallel.Reduce(trials,
 			func() *stallAcc { return &stallAcc{quantiles: stream.NewReservoir(0)} },
 			func(a *stallAcc, trial int) (*stallAcc, error) {
-				s, th, err := NewCoreSystem(n, t, uint64(trial+1))
+				s, err := newCoreSystem(n, t, uint64(trial+1))
 				if err != nil {
 					return a, err
 				}
-				adv := NewSplitVote(th)
+				adv, err := newSplitVote(n, t)
+				if err != nil {
+					return a, err
+				}
 				res, err := s.RunWindows(adv, maxWindows)
 				if err != nil {
 					return a, err
@@ -292,11 +282,15 @@ func SurvivalCurve(n, t int, ws []int, trials int) ([]float64, error) {
 	hist, err := parallel.Reduce(trials,
 		func() *stream.Hist { return stream.NewHist(maxW + 2) },
 		func(h *stream.Hist, trial int) (*stream.Hist, error) {
-			s, th, err := NewCoreSystem(n, t, uint64(trial+1))
+			s, err := newCoreSystem(n, t, uint64(trial+1))
 			if err != nil {
 				return h, err
 			}
-			res, err := s.RunWindows(NewSplitVote(th), maxW)
+			adv, err := newSplitVote(n, t)
+			if err != nil {
+				return h, err
+			}
+			res, err := s.RunWindows(adv, maxW)
 			if err != nil {
 				return h, err
 			}

@@ -10,15 +10,12 @@ import (
 )
 
 func TestNewCoreSystem(t *testing.T) {
-	s, th, err := NewCoreSystem(12, 1, 1)
+	s, err := newCoreSystem(12, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.N() != 12 || s.T() != 1 {
 		t.Fatalf("n=%d t=%d", s.N(), s.T())
-	}
-	if th.T1 != 10 || th.T3 != 9 {
-		t.Fatalf("thresholds %+v", th)
 	}
 	// Inputs alternate.
 	if s.Input(0) != 0 || s.Input(1) != 1 {
@@ -27,13 +24,13 @@ func TestNewCoreSystem(t *testing.T) {
 }
 
 func TestNewCoreSystemRejectsLargeT(t *testing.T) {
-	if _, _, err := NewCoreSystem(12, 2, 1); err == nil {
+	if _, err := newCoreSystem(12, 2, 1); err == nil {
 		t.Fatal("t = n/6 accepted")
 	}
 }
 
 func TestProjectConfiguration(t *testing.T) {
-	s, _, err := NewCoreSystem(12, 1, 1)
+	s, err := newCoreSystem(12, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +141,6 @@ func TestSurvivalCurveMonotone(t *testing.T) {
 	}
 }
 
-func TestClassifyCoreVote(t *testing.T) {
-	info := ClassifyCoreVote(sim.Message{Payload: "junk"})
-	if info.HasValue {
-		t.Fatal("junk classified as vote")
-	}
-}
-
 // TestStallSeriesMatchesBatchSummaries is the streaming port's
 // byte-identity guarantee: the online StallSeries summaries equal the
 // historical collect-then-SummarizeInts path, field for field, for every
@@ -171,11 +161,14 @@ func TestStallSeriesMatchesBatchSummaries(t *testing.T) {
 		var fds []int
 		gaveUp, windows := 0, 0
 		for trial := 0; trial < trials; trial++ {
-			s, th, err := NewCoreSystem(n, tt, uint64(trial+1))
+			s, err := newCoreSystem(n, tt, uint64(trial+1))
 			if err != nil {
 				t.Fatal(err)
 			}
-			adv := NewSplitVote(th)
+			adv, err := newSplitVote(n, tt)
+			if err != nil {
+				t.Fatal(err)
+			}
 			res, err := s.RunWindows(adv, maxW)
 			if err != nil {
 				t.Fatal(err)
@@ -217,11 +210,15 @@ func TestSurvivalCurveMatchesBatchCounts(t *testing.T) {
 	maxW := 80
 	var firsts []int
 	for trial := 0; trial < trials; trial++ {
-		s, th, err := NewCoreSystem(n, tt, uint64(trial+1))
+		s, err := newCoreSystem(n, tt, uint64(trial+1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := s.RunWindows(NewSplitVote(th), maxW)
+		adv, err := newSplitVote(n, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.RunWindows(adv, maxW)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -256,7 +253,7 @@ func TestDecisionSetsMatchSerialSampling(t *testing.T) {
 	for trial := 0; trial < trials*3; trial++ {
 		seed := uint64(trial/3 + 1)
 		advPick := trial % 3
-		s, th, err := NewCoreSystem(n, tt, seed*17+uint64(advPick))
+		s, err := newCoreSystem(n, tt, seed*17+uint64(advPick))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +264,9 @@ func TestDecisionSetsMatchSerialSampling(t *testing.T) {
 		case 1:
 			adv = adversary.NewRandomWindows(seed, 0.3, tt)
 		case 2:
-			adv = NewSplitVote(th)
+			if adv, err = newSplitVote(n, tt); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for w := 0; w < maxW; w++ {
 			if err := s.ApplyWindowWith(adv); err != nil {

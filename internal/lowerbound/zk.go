@@ -3,7 +3,6 @@ package lowerbound
 import (
 	"fmt"
 
-	"asyncagree/internal/core"
 	"asyncagree/internal/parallel"
 	"asyncagree/internal/sim"
 	"asyncagree/internal/talagrand"
@@ -43,9 +42,8 @@ type ScheduledWindow struct {
 
 // Schedule is a replayable partial execution of the core algorithm.
 type Schedule struct {
-	// N, T, Th and SysSeed fix the system.
+	// N, T and SysSeed fix the system.
 	N, T    int
-	Th      core.Thresholds
 	SysSeed uint64
 	// Windows is the recorded window sequence.
 	Windows []ScheduledWindow
@@ -53,7 +51,7 @@ type Schedule struct {
 
 // Replay reconstructs the configuration at the end of the schedule.
 func (sch Schedule) Replay() (*sim.System, error) {
-	s, _, err := NewCoreSystem(sch.N, sch.T, sch.SysSeed)
+	s, err := newCoreSystem(sch.N, sch.T, sch.SysSeed)
 	if err != nil {
 		return nil, err
 	}
@@ -180,11 +178,6 @@ func MeasureZ1Separation(n, t, prefixes, maxPrefixLen int, zt ZkTester) (Z1Separ
 		},
 		func(a setPair, p int) (setPair, error) {
 			sch := Schedule{N: n, T: t, SysSeed: uint64(p + 1)}
-			th, err := core.DefaultThresholds(n, t)
-			if err != nil {
-				return a, err
-			}
-			sch.Th = th
 			// Drive the prefix toward decisions with full-delivery windows of
 			// varying length so both decided and undecided configurations are
 			// sampled.

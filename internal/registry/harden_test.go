@@ -288,7 +288,7 @@ func TestSinkFailureDegrades(t *testing.T) {
 
 	bad := &failAtSink{failAt: 3}
 	good := &memorySink{}
-	sweep, err := m.RunWith(RunOptions{Sinks: []ResultSink{NamedSink{Name: "bad.jsonl", ResultSink: bad}, good}})
+	sweep, err := m.RunWith(RunOptions{Sinks: []ResultSink{NamedSink{Name: "bad.jsonl", Sink: bad}, good}})
 	if err != nil {
 		t.Fatalf("sink failure aborted the sweep: %v", err)
 	}

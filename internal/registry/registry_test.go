@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"asyncagree/internal/adversary"
+	"asyncagree/internal/core"
 	"asyncagree/internal/sched"
 	"asyncagree/internal/sim"
 )
@@ -281,6 +282,13 @@ func TestSplitVoteConstruction(t *testing.T) {
 	}
 	if want := 24 - 3*3 - 1; sv.Cap != want {
 		t.Fatalf("core cap = %d, want %d", sv.Cap, want)
+	}
+	// The classifier is core's: a vote carries its value, anything else none.
+	if info := sv.Classify(sim.Message{Payload: core.Vote{R: 1, X: 1}}); !info.HasValue || info.Value != 1 {
+		t.Fatalf("core vote classified as %+v", info)
+	}
+	if sv.Classify(sim.Message{Payload: "junk"}).HasValue {
+		t.Fatal("junk classified as a vote")
 	}
 	adv, err = NewAdversary("splitvote", "benor", Params{N: 9, T: 2})
 	if err != nil {

@@ -112,15 +112,8 @@ func (r TrialRecord) Result() sim.RunResult {
 // ResultSink is a Sink of trial records: what Matrix.RunWith drives.
 type ResultSink = Sink[TrialRecord]
 
-// NamedSink is Named for trial records, under the field spelling that
-// predates the generic pipeline.
-type NamedSink struct {
-	// Name identifies the sink in failure reports, e.g. its file path.
-	Name string
-	ResultSink
-}
-
-func (n NamedSink) sinkName() string { return n.Name }
+// NamedSink is Named for trial records.
+type NamedSink = Named[TrialRecord]
 
 // NewJSONLSink wraps w in a buffered JSONL writer of trial records — the
 // sweep's -out export and checkpoint body format.

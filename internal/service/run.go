@@ -53,6 +53,12 @@ func (sc *Scenario) normalize(cfg Config) {
 	}
 }
 
+// maxN is the largest processor count the service constructs: the largest
+// shape any experiment or benchmark workload runs (E15's 4096:2). A System's
+// allow bitset alone is n²/8 bytes, allocated before the first deadline poll
+// can fire, so the bound has to be on the way in.
+const maxN = 4096
+
 // validate rejects a scenario the registries cannot serve; the error text is
 // the 400 body.
 func (sc *Scenario) validate() error {
@@ -67,8 +73,8 @@ func (sc *Scenario) validate() error {
 	if _, err := registry.LookupScheduler(sc.Scheduler); err != nil {
 		return err
 	}
-	if sc.N < 1 {
-		return fmt.Errorf("service: n must be >= 1, got %d", sc.N)
+	if sc.N < 1 || sc.N > maxN {
+		return fmt.Errorf("service: n must be in [1, %d], got %d", maxN, sc.N)
 	}
 	if sc.T < 0 {
 		return fmt.Errorf("service: t must be >= 0, got %d", sc.T)
@@ -237,8 +243,7 @@ func statusForFault(kind string) int {
 // with the result (or stream NDJSON trace + result when ?trace=1).
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	req.Scenario.normalize(s.cfg)

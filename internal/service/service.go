@@ -188,6 +188,9 @@ func (s *Server) replay(rec journalRecord) error {
 		if _, ok := s.instances[rec.Instance]; ok {
 			return fmt.Errorf("journal record %d recreates instance %q", rec.Index, rec.Instance)
 		}
+		if err := rec.Create.validate(); err != nil {
+			return fmt.Errorf("journal record %d creates instance %q: %w", rec.Index, rec.Instance, err)
+		}
 		s.instances[rec.Instance] = newInstance(rec.Instance, *rec.Create)
 	case rec.Run != nil:
 		inst, ok := s.instances[rec.Instance]
@@ -426,4 +429,24 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 		w.Header().Set("Retry-After", "1")
 	}
 	writeJSON(w, status, errorBody{Error: msg})
+}
+
+// maxBodyBytes bounds a request body; the largest legitimate one is a
+// scenario with a handful of knobs.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body, at most maxBodyBytes of it, into v; on
+// failure it has answered 400 and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	msg := "bad request body: " + err.Error()
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		msg = fmt.Sprintf("bad request body: larger than the %d-byte limit", tooLarge.Limit)
+	}
+	writeError(w, http.StatusBadRequest, msg)
+	return false
 }

@@ -89,6 +89,7 @@ func TestRunEndpointDeterministic(t *testing.T) {
 
 func TestRunValidationRejects(t *testing.T) {
 	s := newTestServer(t, Config{})
+	before := registry.EngineStatsSnapshot()
 	cases := []RunRequest{
 		{Scenario: Scenario{Algorithm: "nope", N: 12, T: 1}},
 		{Scenario: Scenario{Algorithm: "core", Adversary: "nope", N: 12, T: 1}},
@@ -99,6 +100,35 @@ func TestRunValidationRejects(t *testing.T) {
 		if w := doJSON(t, s, "POST", "/run", req); w.Code != http.StatusBadRequest {
 			t.Errorf("case %d: status %d, want 400 (body %s)", i, w.Code, w.Body.String())
 		}
+	}
+
+	// The size bounds answer with the limit they enforce, on both endpoints
+	// that decode a scenario.
+	tooWide := Scenario{Algorithm: "core", N: maxN + 1, T: 1}
+	huge := json.RawMessage(`{"algorithm":"` + strings.Repeat("x", 2<<20) + `"}`)
+	for _, c := range []struct {
+		method, path string
+		body         any
+		want         string
+	}{
+		{"POST", "/run", RunRequest{Scenario: tooWide}, "[1, 4096]"},
+		{"PUT", "/instances/wide", CreateInstanceRequest{Scenario: tooWide}, "[1, 4096]"},
+		{"POST", "/run", huge, "1048576-byte limit"},
+		{"PUT", "/instances/huge", huge, "1048576-byte limit"},
+	} {
+		w := doJSON(t, s, c.method, c.path, c.body)
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), c.want) {
+			t.Errorf("%s: status %d body %.200s, want 400 naming %q", c.path, w.Code, w.Body.String(), c.want)
+		}
+	}
+	if after := registry.EngineStatsSnapshot(); after.Acquired != before.Acquired {
+		t.Fatalf("rejected requests acquired %d engines, want 0", after.Acquired-before.Acquired)
+	}
+
+	// The bound itself is still served.
+	atBound := RunRequest{Scenario: Scenario{Algorithm: "core", N: maxN, T: 2, MaxWindows: 1}}
+	if w := doJSON(t, s, "POST", "/run", atBound); w.Code != http.StatusOK {
+		t.Fatalf("n=%d: status %d, want 200 (body %s)", maxN, w.Code, w.Body.String())
 	}
 }
 
