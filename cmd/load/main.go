@@ -184,6 +184,10 @@ func run(args []string, stdout io.Writer) int {
 		fmt.Fprintln(os.Stderr, "load: -rps must be positive (and at most 1e9)")
 		return 2
 	}
+	if *concurrency < 1 {
+		fmt.Fprintln(os.Stderr, "load: -concurrency must be at least 1")
+		return 2
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

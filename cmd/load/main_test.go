@@ -163,10 +163,14 @@ func TestLoadCountsEveryDueRequest(t *testing.T) {
 
 func TestLoadBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if code := run([]string{"-mix", "garbage"}, &out); code != 2 {
-		t.Fatalf("bad mix: exit %d, want 2", code)
-	}
-	if code := run([]string{"-rps", "0"}, &out); code != 2 {
-		t.Fatalf("zero rps: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-mix", "garbage"},
+		{"-rps", "0"},
+		{"-concurrency", "0"},
+		{"-concurrency", "-1"},
+	} {
+		if code := run(args, &out); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
 	}
 }

@@ -33,6 +33,10 @@ type FullDelivery struct{}
 
 var _ sim.WindowAdversary = FullDelivery{}
 
+// RecycleTrial is a no-op: the benign adversary has no state, so a pooled
+// instance is already the fresh one.
+func (FullDelivery) RecycleTrial(uint64) {}
+
 // PlanDelivery implements sim.WindowAdversary.
 func (FullDelivery) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 	return sim.Window{} // nil Senders = deliver everything, allocation-free
@@ -55,6 +59,10 @@ type FixedSilence struct {
 }
 
 var _ sim.WindowAdversary = FixedSilence{}
+
+// RecycleTrial is a no-op: the silent set is fixed at construction and only
+// ever read, so a pooled instance is already the fresh one.
+func (FixedSilence) RecycleTrial(uint64) {}
 
 // NewFixedSilence validates the silent set against the system shape: at most
 // t distinct processors, every ID in [0, n). The returned adversary carries
@@ -200,8 +208,8 @@ var _ sim.WindowAdversary = (*ResetStorm)(nil)
 func NewResetStorm() *ResetStorm { return &ResetStorm{} }
 
 // RecycleTrial rewinds the rotation cursor to zero, the fresh-construction
-// state.
-func (a *ResetStorm) RecycleTrial() { a.next = 0 }
+// state (the storm draws no randomness, so the seed is unused).
+func (a *ResetStorm) RecycleTrial(uint64) { a.next = 0 }
 
 // PlanDelivery implements sim.WindowAdversary.
 func (a *ResetStorm) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {

@@ -74,8 +74,9 @@ func NewSplitVote(classify func(sim.Message) VoteInfo, cap int) *SplitVote {
 
 // RecycleTrial rewinds the adversary's per-execution counters so a pooled
 // instance starts the next trial exactly as a fresh one would. Classify and
-// Cap persist (they are a function of the cell, not the trial).
-func (a *SplitVote) RecycleTrial() {
+// Cap persist (they are a function of the cell, not the trial); the
+// strategy is deterministic, so the seed is unused.
+func (a *SplitVote) RecycleTrial(uint64) {
 	a.GaveUp = 0
 	a.Windows = 0
 }

@@ -6,6 +6,7 @@ import (
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/bracha"
 	"asyncagree/internal/committee"
+	"asyncagree/internal/parallel"
 	"asyncagree/internal/paxos"
 	"asyncagree/internal/registry"
 	"asyncagree/internal/sim"
@@ -29,35 +30,29 @@ func runE8(scale Scale) (Result, error) {
 	var xs, ys []float64
 	for _, n := range ns {
 		t := n / 4
-		type e8Acc struct {
-			chains    stream.Summary
-			quantiles *stream.Reservoir
-		}
-		acc, err := ReduceTrials(trials,
-			func() *e8Acc { return &e8Acc{quantiles: stream.NewReservoir(0)} },
-			func(a *e8Acc, trial int) (*e8Acc, error) {
+		var chains stream.Summary
+		quantiles := stream.NewReservoir(0)
+		err := parallel.Stream(trials, 0,
+			func(trial int) (int, error) {
 				p := registry.Params{N: n, T: t, Seed: uint64(trial + 1), Inputs: registry.SplitInputs(n)}
 				res, err := registry.RunPooledTrial("benor", "splitvote", "adversary", p, maxW)
 				if err != nil {
-					return a, err
+					return 0, err
 				}
-				chain := res.MaxChainDepth
 				if res.FirstDecision < 0 {
-					chain = maxW // censored
+					return maxW, nil // censored
 				}
-				a.chains.AddInt(chain)
-				a.quantiles.AddInt(chain)
-				return a, nil
+				return res.MaxChainDepth, nil
 			},
-			func(into, from *e8Acc) *e8Acc {
-				into.chains.Merge(&from.chains)
-				into.quantiles.Merge(from.quantiles)
-				return into
+			func(_ int, chain int) error {
+				chains.AddInt(chain)
+				quantiles.AddInt(chain)
+				return nil
 			})
 		if err != nil {
 			return Result{}, err
 		}
-		sum := stats.FromStream(&acc.chains, acc.quantiles)
+		sum := stats.FromStream(&chains, quantiles)
 		table.AddRow(n, t, trials, sum.Mean, sum.Median, sum.Max)
 		xs = append(xs, float64(n))
 		ys = append(ys, sum.Mean)
@@ -93,11 +88,7 @@ func runE10(scale Scale) (Result, error) {
 	table := stats.NewTable("algorithm", "attack", "trials", "decided", "agree+valid", "mean-windows")
 	pass := true
 
-	type outcome struct {
-		decided, safe int
-		windows       stream.Summary
-	}
-	run := func(alg, attack string, seed uint64) (bool, bool, int, error) {
+	run := func(alg, attack string, seed uint64) (sim.RunResult, error) {
 		var s *sim.System
 		var err error
 		tt := 3 // non-adaptive budget; adaptive uses GroupT+1 = 3 as well
@@ -111,10 +102,10 @@ func runE10(scale Scale) (Result, error) {
 				N: n, T: 8, Seed: seed, Inputs: registry.UnanimousInputs(n, 1),
 			})
 		default:
-			return false, false, 0, fmt.Errorf("bad alg %q", alg)
+			return sim.RunResult{}, fmt.Errorf("bad alg %q", alg)
 		}
 		if err != nil {
-			return false, false, 0, err
+			return sim.RunResult{}, err
 		}
 		switch attack {
 		case "none":
@@ -126,7 +117,7 @@ func runE10(scale Scale) (Result, error) {
 					v = (v + 1) % sim.ProcID(n)
 				}
 				if err := s.Corrupt(v, bracha.NewSilent(v)); err != nil {
-					return false, false, 0, err
+					return sim.RunResult{}, err
 				}
 			}
 		}
@@ -134,7 +125,7 @@ func runE10(scale Scale) (Result, error) {
 		corrupted := !adaptiveArmed
 		for w := 0; w < maxW && !s.AllDecided(); w++ {
 			if err := s.ApplyWindowWith(adversary.FullDelivery{}); err != nil {
-				return false, false, 0, err
+				return sim.RunResult{}, err
 			}
 			if corrupted {
 				continue
@@ -152,13 +143,12 @@ func runE10(scale Scale) (Result, error) {
 			}
 			for i := 0; i < 3 && i < len(final); i++ {
 				if err := s.Corrupt(final[i], bracha.NewSilent(final[i])); err != nil {
-					return false, false, 0, err
+					return sim.RunResult{}, err
 				}
 			}
 			corrupted = true
 		}
-		res := s.Result()
-		return res.AllDecided, res.Agreement && res.Validity && (!res.AllDecided || res.Decision == 1), res.Windows, nil
+		return s.Result(), nil
 	}
 
 	for _, alg := range []string{"committee", "bracha"} {
@@ -166,34 +156,17 @@ func runE10(scale Scale) (Result, error) {
 			if alg == "bracha" && attack == "adaptive" {
 				continue // no committee to strike; covered by non-adaptive
 			}
-			o, err := ReduceTrials(trials,
-				func() *outcome { return &outcome{} },
-				func(a *outcome, trial int) (*outcome, error) {
-					decided, safe, w, err := run(alg, attack, uint64(trial+1))
-					if err != nil {
-						return a, err
-					}
-					if decided {
-						a.decided++
-						a.windows.AddInt(w)
-					}
-					if safe {
-						a.safe++
-					}
-					return a, nil
-				},
-				func(into, from *outcome) *outcome {
-					into.decided += from.decided
-					into.safe += from.safe
-					into.windows.Merge(&from.windows)
-					return into
-				})
+			// Inputs are unanimous 1, so validity already pins the decision.
+			var o tally
+			err := parallel.Stream(trials, 0,
+				func(trial int) (sim.RunResult, error) { return run(alg, attack, uint64(trial+1)) },
+				o.fold)
 			if err != nil {
 				return Result{}, err
 			}
 			table.AddRow(alg, attack, trials,
 				fmt.Sprintf("%d/%d", o.decided, trials),
-				fmt.Sprintf("%d/%d", o.safe, trials),
+				fmt.Sprintf("%d/%d", trials-o.unsafe, trials),
 				o.windows.Mean())
 			switch {
 			case alg == "committee" && attack == "adaptive" && o.decided == trials:
@@ -235,15 +208,15 @@ func runE11(scale Scale) (Result, error) {
 		{"fair lockstep", []sim.ProcID{0, 1}, false},
 		{"dueling", []sim.ProcID{0, 1}, true},
 	} {
-		acc, err := ReduceTrials(trials,
-			func() [2]int { return [2]int{} },
-			func(a [2]int, trial int) ([2]int, error) {
+		var all tally
+		err := parallel.Stream(trials, 0,
+			func(trial int) (sim.RunResult, error) {
 				s, err := registry.NewSystem("paxos", registry.Params{
 					N: n, T: 2, Seed: uint64(trial + 1), Inputs: registry.SplitInputs(n),
 					Proposers: cfg.proposers,
 				})
 				if err != nil {
-					return a, err
+					return sim.RunResult{}, err
 				}
 				var sched sim.StepAdversary
 				if cfg.dueling {
@@ -251,27 +224,13 @@ func runE11(scale Scale) (Result, error) {
 				} else {
 					sched = adversary.NewLockstep()
 				}
-				res, err := s.RunSteps(sched, budget)
-				if err != nil {
-					return a, err
-				}
-				if res.AllDecided {
-					a[0]++
-				}
-				if res.Agreement && res.Validity {
-					a[1]++
-				}
-				return a, nil
+				return s.RunSteps(sched, budget)
 			},
-			func(into, from [2]int) [2]int {
-				into[0] += from[0]
-				into[1] += from[1]
-				return into
-			})
+			all.fold)
 		if err != nil {
 			return Result{}, err
 		}
-		decided, safe := acc[0], acc[1]
+		decided, safe := all.decided, trials-all.unsafe
 		table.AddRow(cfg.name, len(cfg.proposers), trials,
 			fmt.Sprintf("%d/%d", decided, trials),
 			fmt.Sprintf("%d/%d", safe, trials))

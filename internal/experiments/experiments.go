@@ -13,8 +13,9 @@ import (
 	"fmt"
 	"sort"
 
-	"asyncagree/internal/parallel"
+	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
+	"asyncagree/internal/stream"
 )
 
 // Scale selects experiment effort.
@@ -89,20 +90,38 @@ func Get(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("experiments: unknown id %q", id)
 }
 
-// ReduceTrials fans the independent seeded trials of one experiment across a
-// GOMAXPROCS-wide worker pool: each worker folds its results into a block
-// accumulator and the blocks merge in index order, so an experiment's
-// memory is its accumulator — O(1) in the trial count — instead of a result
-// slice. Trial fn must derive all randomness from its index and must not
-// share mutable state (every trial builds or acquires its own sim.System).
-// With the order-deterministic accumulators of internal/stream the
-// aggregate is byte-identical to the serial loop for every statistic the
-// tables render (counts, integer-sample means, quantiles within the sketch
-// capacity); see parallel.Reduce for the exact contract. On failure the
-// error of the lowest failing trial index is returned — the same error a
-// serial loop would have surfaced first.
-func ReduceTrials[A any](trials int, newAcc func() A, fold func(acc A, trial int) (A, error), merge func(into, from A) A) (A, error) {
-	return parallel.Reduce(trials, newAcc, fold, merge)
+// tally folds the counters several drivers read out of a run: it is the
+// whole aggregate of a trial battery, filled by a parallel.Stream fold in
+// trial order exactly as a serial loop would fill it.
+type tally struct {
+	// decided counts trials in which every live honest processor decided;
+	// windows summarizes their lengths.
+	decided int
+	windows stream.Summary
+	// unsafe counts trials that broke agreement or validity.
+	unsafe int
+	// maxFirst is the latest first-decision window of any trial.
+	maxFirst int
+}
+
+// fold is add in the shape of a parallel.Stream consumer, for drivers whose
+// whole fold is the tally.
+func (t *tally) fold(_ int, res sim.RunResult) error {
+	t.add(res)
+	return nil
+}
+
+func (t *tally) add(res sim.RunResult) {
+	if res.AllDecided {
+		t.decided++
+		t.windows.AddInt(res.Windows)
+	}
+	if !res.Agreement || !res.Validity {
+		t.unsafe++
+	}
+	if res.FirstDecision > t.maxFirst {
+		t.maxFirst = res.FirstDecision
+	}
 }
 
 // verdict formats a pass/fail note.

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -35,13 +37,33 @@ func TestGet(t *testing.T) {
 	}
 }
 
+// render formats one result the way cmd/experiments prints it, without the
+// elapsed time.
+func render(res Result) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s: %s\n\n%s\n", res.ID, res.Title, res.Table)
+	for _, n := range res.Notes {
+		fmt.Fprintf(&b, "  %s\n", n)
+	}
+	b.WriteString("\n")
+	return b.String()
+}
+
 // TestAllExperimentsQuick runs every experiment at quick scale and requires
 // the paper's qualitative claims to hold. This is the repository's
-// end-to-end reproduction check.
+// end-to-end reproduction check. The rendered tables and notes must also
+// match testdata/quick.golden byte for byte: every experiment is
+// deterministic given its built-in seeds, so a refactor of the drivers or
+// of the trial fan-out under them cannot move a digit unnoticed. After an
+// intended change, regenerate it from the CLI, which prints the same text
+// plus elapsed times:
+//
+//	go run ./cmd/experiments | sed -E 's/ \([0-9.]+s\)$//' > internal/experiments/testdata/quick.golden
 func TestAllExperimentsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are expensive")
 	}
+	var got strings.Builder
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -58,6 +80,25 @@ func TestAllExperimentsQuick(t *testing.T) {
 			if !res.Pass {
 				t.Fatalf("%s FAILED the paper claim:\n%s\nnotes: %v", e.ID, res.Table, res.Notes)
 			}
+			got.WriteString(render(res))
 		})
+	}
+	want, err := os.ReadFile("testdata/quick.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotLines := strings.Split(got.String(), "\n")
+	wantLines := strings.Split(string(want), "\n")
+	for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+		var g, w string
+		if i < len(gotLines) {
+			g = gotLines[i]
+		}
+		if i < len(wantLines) {
+			w = wantLines[i]
+		}
+		if g != w {
+			t.Fatalf("tables differ from testdata/quick.golden at line %d:\n got: %q\nwant: %q", i+1, g, w)
+		}
 	}
 }

@@ -5,10 +5,10 @@ import (
 
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/core"
+	"asyncagree/internal/parallel"
 	"asyncagree/internal/registry"
 	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
-	"asyncagree/internal/stream"
 )
 
 // runE1 stresses Theorem 4: the core algorithm with default thresholds and
@@ -32,46 +32,32 @@ func runE1(scale Scale) (Result, error) {
 		// adversaries (the "subsets" chaos scheduler is omitted: it is
 		// strictly weaker than "random" here).
 		for _, advName := range []string{"full", "random", "storm", "splitvote"} {
-			type e1Acc struct {
-				agreeViol, validViol, terminated int
-				windows                          stream.Summary
-			}
-			acc, err := ReduceTrials(trials,
-				func() *e1Acc { return &e1Acc{} },
-				func(a *e1Acc, trial int) (*e1Acc, error) {
+			var all tally
+			agreeViol, validViol := 0, 0
+			err := parallel.Stream(trials, 0,
+				func(trial int) (sim.RunResult, error) {
 					seed := uint64(trial + 1)
 					p := registry.Params{N: n, T: t, Seed: seed, Inputs: patternInputs(n, seed)}
-					res, err := registry.RunPooledTrial("core", advName, "adversary", p, maxWindows)
-					if err != nil {
-						return a, err
-					}
+					return registry.RunPooledTrial("core", advName, "adversary", p, maxWindows)
+				},
+				func(_ int, res sim.RunResult) error {
+					all.add(res)
 					if !res.Agreement {
-						a.agreeViol++
+						agreeViol++
 					}
 					if !res.Validity {
-						a.validViol++
+						validViol++
 					}
-					if res.AllDecided {
-						a.terminated++
-						a.windows.AddInt(res.Windows)
-					}
-					return a, nil
-				},
-				func(into, from *e1Acc) *e1Acc {
-					into.agreeViol += from.agreeViol
-					into.validViol += from.validViol
-					into.terminated += from.terminated
-					into.windows.Merge(&from.windows)
-					return into
+					return nil
 				})
 			if err != nil {
 				return Result{}, err
 			}
-			if acc.agreeViol > 0 || acc.validViol > 0 || acc.terminated < trials {
+			if all.unsafe > 0 || all.decided < trials {
 				pass = false
 			}
-			table.AddRow(n, t, advName, trials, acc.agreeViol, acc.validViol,
-				fmt.Sprintf("%d/%d", acc.terminated, trials), acc.windows.Mean())
+			table.AddRow(n, t, advName, trials, agreeViol, validViol,
+				fmt.Sprintf("%d/%d", all.decided, trials), all.windows.Mean())
 		}
 	}
 	return Result{
@@ -146,41 +132,25 @@ func runE9(scale Scale) (Result, error) {
 	}
 	for _, cfg := range configs {
 		for _, v := range []sim.Bit{0, 1} {
-			type e9Acc struct{ decidedAll, maxFirst int }
-			acc, err := ReduceTrials(trials,
-				func() *e9Acc { return &e9Acc{} },
-				func(a *e9Acc, trial int) (*e9Acc, error) {
+			var all tally
+			err := parallel.Stream(trials, 0,
+				func(trial int) (sim.RunResult, error) {
 					p := registry.Params{
 						N: cfg.n, T: cfg.t, Seed: uint64(trial + 1),
 						Inputs: registry.UnanimousInputs(cfg.n, v),
 					}
-					res, err := registry.RunPooledTrial(cfg.name, "full", "adversary", p, cfg.maxW)
-					if err != nil {
-						return a, err
-					}
-					if res.AllDecided && res.Decision == v && res.Agreement && res.Validity {
-						a.decidedAll++
-					}
-					if res.FirstDecision > a.maxFirst {
-						a.maxFirst = res.FirstDecision
-					}
-					return a, nil
+					return registry.RunPooledTrial(cfg.name, "full", "adversary", p, cfg.maxW)
 				},
-				func(into, from *e9Acc) *e9Acc {
-					into.decidedAll += from.decidedAll
-					if from.maxFirst > into.maxFirst {
-						into.maxFirst = from.maxFirst
-					}
-					return into
-				})
+				all.fold)
 			if err != nil {
 				return Result{}, err
 			}
-			if acc.decidedAll != trials {
+			// Inputs are unanimous v, so validity already pins the decision.
+			if all.decided != trials || all.unsafe > 0 {
 				pass = false
 			}
 			table.AddRow(cfg.name, cfg.n, cfg.t, v, trials,
-				fmt.Sprintf("%d/%d", acc.decidedAll, trials), acc.maxFirst)
+				fmt.Sprintf("%d/%d", all.decided, trials), all.maxFirst)
 		}
 	}
 	return Result{
@@ -210,23 +180,20 @@ func runE12(scale Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		acc, err := ReduceTrials(trials,
-			func() [2]int { return [2]int{} },
-			func(a [2]int, trial int) ([2]int, error) {
+		conflicts, observed := 0, 0
+		err = parallel.Stream(trials, 0,
+			func(trial int) ([2]int, error) {
 				c, w, err := countConflictWindows(n, t, th, uint64(trial+1), windows)
-				a[0] += c
-				a[1] += w
-				return a, err
+				return [2]int{c, w}, err
 			},
-			func(into, from [2]int) [2]int {
-				into[0] += from[0]
-				into[1] += from[1]
-				return into
+			func(_ int, cw [2]int) error {
+				conflicts += cw[0]
+				observed += cw[1]
+				return nil
 			})
 		if err != nil {
 			return Result{}, err
 		}
-		conflicts, observed := acc[0], acc[1]
 		if conflicts > 0 {
 			pass = false
 		}

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"asyncagree/internal/parallel"
 	"asyncagree/internal/registry"
+	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
-	"asyncagree/internal/stream"
 )
 
 // e15ShardWorkers is the worker count the sharded leg of every E15 trial
@@ -53,60 +54,49 @@ func runE15(scale Scale) (Result, error) {
 	// A flat latency curve means: within this fixed budget at EVERY size.
 	const latBudget = 16
 
-	type e15Acc struct {
-		decided, maxFirst int
-		mismatch, unsafe  bool
-		windows           stream.Summary
+	// leg is one seeded trial: the reference result and whether either
+	// other execution path diverged from it.
+	type leg struct {
+		res      sim.RunResult
+		mismatch bool
 	}
 	// runLegs executes one seeded trial on all three execution paths —
 	// serial message-at-a-time (the reference), serial columnar, and
-	// sharded columnar — and folds the reference result into the
-	// accumulator. Any leg diverging from the reference is a mismatch.
-	runLegs := func(a *e15Acc, alg, adv, pattern string, n, t, maxW int, seed uint64) error {
+	// sharded columnar.
+	runLegs := func(alg, adv, pattern string, n, t, maxW int, seed uint64) (leg, error) {
 		inputs, err := registry.Inputs(pattern, n, seed)
 		if err != nil {
-			return err
+			return leg{}, err
 		}
 		p := registry.Params{N: n, T: t, Seed: seed, Inputs: inputs,
 			ShardWorkers: 1, DisableColumnar: true}
 		serial, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
 		if err != nil {
-			return err
+			return leg{}, err
 		}
 		p.DisableColumnar = false
 		columnar, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
 		if err != nil {
-			return err
+			return leg{}, err
 		}
 		p.ShardWorkers = e15ShardWorkers
 		sharded, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
 		if err != nil {
-			return err
+			return leg{}, err
 		}
-		if serial != columnar || serial != sharded {
-			a.mismatch = true
-		}
-		if !serial.Agreement || !serial.Validity {
-			a.unsafe = true
-		}
-		if serial.AllDecided {
-			a.decided++
-			a.windows.AddInt(serial.Windows)
-		}
-		if serial.FirstDecision > a.maxFirst {
-			a.maxFirst = serial.FirstDecision
-		}
-		return nil
+		return leg{res: serial, mismatch: serial != columnar || serial != sharded}, nil
 	}
-	merge := func(into, from *e15Acc) *e15Acc {
-		into.decided += from.decided
-		if from.maxFirst > into.maxFirst {
-			into.maxFirst = from.maxFirst
-		}
-		into.mismatch = into.mismatch || from.mismatch
-		into.unsafe = into.unsafe || from.unsafe
-		into.windows.Merge(&from.windows)
-		return into
+	// battery fans one row's trials across the pool and tallies the
+	// reference results in trial order.
+	battery := func(trials int, run func(seed uint64) (leg, error)) (all tally, mismatch bool, err error) {
+		err = parallel.Stream(trials, 0,
+			func(trial int) (leg, error) { return run(uint64(trial + 1)) },
+			func(_ int, l leg) error {
+				all.add(l.res)
+				mismatch = mismatch || l.mismatch
+				return nil
+			})
+		return all, mismatch, err
 	}
 	eq := func(mismatch bool) string {
 		if mismatch {
@@ -131,16 +121,13 @@ func runE15(scale Scale) (Result, error) {
 		for _, lc := range latCfgs {
 			sc, lc := sc, lc
 			t := lc.t(sc.n)
-			acc, err := ReduceTrials(sc.trials,
-				func() *e15Acc { return &e15Acc{} },
-				func(a *e15Acc, trial int) (*e15Acc, error) {
-					return a, runLegs(a, lc.alg, "full", lc.pattern, sc.n, t, latBudget, uint64(trial+1))
-				},
-				merge)
+			acc, mismatch, err := battery(sc.trials, func(seed uint64) (leg, error) {
+				return runLegs(lc.alg, "full", lc.pattern, sc.n, t, latBudget, seed)
+			})
 			if err != nil {
 				return Result{}, err
 			}
-			if acc.mismatch || acc.unsafe || acc.decided != sc.trials {
+			if mismatch || acc.unsafe > 0 || acc.decided != sc.trials {
 				pass = false
 			}
 			// The unanimous fast path must stay a first-window decision at
@@ -150,27 +137,24 @@ func runE15(scale Scale) (Result, error) {
 			}
 			table.AddRow("latency", lc.alg, sc.n, t, "full", lc.pattern, sc.trials,
 				fmt.Sprintf("%d/%d", acc.decided, sc.trials),
-				acc.windows.Mean(), acc.maxFirst, eq(acc.mismatch))
+				acc.windows.Mean(), acc.maxFirst, eq(mismatch))
 		}
 	}
 
 	for _, sc := range stallSizes {
 		sc := sc
-		acc, err := ReduceTrials(sc.trials,
-			func() *e15Acc { return &e15Acc{} },
-			func(a *e15Acc, trial int) (*e15Acc, error) {
-				return a, runLegs(a, "core", "splitvote", "split", sc.n, sc.n/8, stallBudget, uint64(trial+1))
-			},
-			merge)
+		acc, mismatch, err := battery(sc.trials, func(seed uint64) (leg, error) {
+			return runLegs("core", "splitvote", "split", sc.n, sc.n/8, stallBudget, seed)
+		})
 		if err != nil {
 			return Result{}, err
 		}
-		if acc.mismatch || acc.unsafe || acc.decided != 0 {
+		if mismatch || acc.unsafe > 0 || acc.decided != 0 {
 			pass = false
 		}
 		table.AddRow("stall", "core", sc.n, sc.n/8, "splitvote", "split", sc.trials,
 			fmt.Sprintf("%d/%d", acc.decided, sc.trials),
-			acc.windows.Mean(), acc.maxFirst, eq(acc.mismatch))
+			acc.windows.Mean(), acc.maxFirst, eq(mismatch))
 	}
 
 	notes := []string{

@@ -3,9 +3,10 @@ package experiments
 import (
 	"fmt"
 
+	"asyncagree/internal/parallel"
 	"asyncagree/internal/registry"
+	"asyncagree/internal/sim"
 	"asyncagree/internal/stats"
-	"asyncagree/internal/stream"
 )
 
 // runE14 measures scheduler sensitivity: the E8/E9 decision-round curves
@@ -52,53 +53,26 @@ func runE14(scale Scale) (Result, error) {
 				continue
 			}
 			for _, pattern := range []string{"ones", "split"} {
-				type e14Acc struct {
-					decided, maxFirst int
-					unsafe            bool
-					windows           stream.Summary
-				}
-				acc, err := ReduceTrials(trials,
-					func() *e14Acc { return &e14Acc{} },
-					func(a *e14Acc, trial int) (*e14Acc, error) {
+				var all tally
+				err := parallel.Stream(trials, 0,
+					func(trial int) (sim.RunResult, error) {
 						seed := uint64(trial + 1)
 						inputs, err := registry.Inputs(pattern, cfg.n, seed)
 						if err != nil {
-							return a, err
+							return sim.RunResult{}, err
 						}
 						p := registry.Params{N: cfg.n, T: cfg.t, Seed: seed, Inputs: inputs}
-						res, err := registry.RunPooledTrial(cfg.name, "full", sched, p, maxW)
-						if err != nil {
-							return a, err
-						}
-						if !res.Agreement || !res.Validity {
-							a.unsafe = true
-						}
-						if res.AllDecided {
-							a.decided++
-							a.windows.AddInt(res.Windows)
-						}
-						if res.FirstDecision > a.maxFirst {
-							a.maxFirst = res.FirstDecision
-						}
-						return a, nil
+						return registry.RunPooledTrial(cfg.name, "full", sched, p, maxW)
 					},
-					func(into, from *e14Acc) *e14Acc {
-						into.decided += from.decided
-						if from.maxFirst > into.maxFirst {
-							into.maxFirst = from.maxFirst
-						}
-						into.unsafe = into.unsafe || from.unsafe
-						into.windows.Merge(&from.windows)
-						return into
-					})
+					all.fold)
 				if err != nil {
 					return Result{}, err
 				}
-				if acc.unsafe {
+				if all.unsafe > 0 {
 					pass = false
 				}
-				decided, maxFirst := acc.decided, acc.maxFirst
-				mean := acc.windows.Mean()
+				decided, maxFirst := all.decided, all.maxFirst
+				mean := all.windows.Mean()
 				// A discipline with zero decided trials has no meaningful
 				// mean (SummarizeInts yields 0, which would win "fastest");
 				// leave it out of the curve note — the table row and the

@@ -82,23 +82,17 @@ func ProjectConfiguration(s *sim.System) (talagrand.Point, error) {
 // (a 1-decision present) in the projected space.
 func DecisionSets(n, t, trials, maxWindows int) (z0, z1 *talagrand.ExplicitSet, err error) {
 	// One independent trial per (seed, adversary) pair, fanned across the
-	// worker pool; each trial folds its membership point straight into a
-	// block-local set pair and the blocks merge in trial-index order, so
-	// the sampled sets match the serial loop exactly without ever holding
-	// the per-trial sample list.
-	type setPair struct {
-		z0, z1 *talagrand.ExplicitSet
-	}
-	acc, err := parallel.Reduce(trials*3,
-		func() setPair {
-			return setPair{z0: talagrand.NewExplicitSet(), z1: talagrand.NewExplicitSet()}
-		},
-		func(a setPair, trial int) (setPair, error) {
+	// worker pool; each trial's membership sample folds into the two sets in
+	// trial-index order, so the sampled sets are the serial loop's without
+	// ever holding the per-trial sample list.
+	z0, z1 = talagrand.NewExplicitSet(), talagrand.NewExplicitSet()
+	err = parallel.Stream(trials*3, 0,
+		func(trial int) (membership, error) {
 			seed := uint64(trial/3 + 1)
 			advPick := trial % 3
 			s, err := newCoreSystem(n, t, seed*17+uint64(advPick))
 			if err != nil {
-				return a, err
+				return membership{}, err
 			}
 			var adv sim.WindowAdversary
 			switch advPick {
@@ -108,45 +102,56 @@ func DecisionSets(n, t, trials, maxWindows int) (z0, z1 *talagrand.ExplicitSet, 
 				adv = adversary.NewRandomWindows(seed, 0.3, t)
 			case 2:
 				if adv, err = newSplitVote(n, t); err != nil {
-					return a, err
+					return membership{}, err
 				}
 			}
 			// Step window by window so the configuration is captured at the
 			// first decision, not at termination.
 			for w := 0; w < maxWindows; w++ {
 				if err := s.ApplyWindowWith(adv); err != nil {
-					return a, err
+					return membership{}, err
 				}
 				if s.DecidedCount() == 0 {
 					continue
 				}
-				point, err := ProjectConfiguration(s)
-				if err != nil {
-					return a, err
+				m := membership{}
+				if m.point, err = ProjectConfiguration(s); err != nil {
+					return membership{}, err
 				}
 				vals, oks := s.Outputs()
 				for i, ok := range oks {
 					if ok {
-						if vals[i] == 0 {
-							a.z0.Add(point)
-						} else {
-							a.z1.Add(point)
-						}
+						m.in[vals[i]] = true
 					}
 				}
-				return a, nil
+				return m, nil
 			}
-			return a, nil // no decision within maxWindows
+			return membership{}, nil // no decision within maxWindows
 		},
-		func(into, from setPair) setPair {
-			into.z0.AddSet(from.z0)
-			into.z1.AddSet(from.z1)
-			return into
+		func(_ int, m membership) error {
+			m.addTo(z0, z1)
+			return nil
 		})
 	if err != nil {
 		return nil, nil, err
 	}
-	return acc.z0, acc.z1, nil
+	return z0, z1, nil
+}
+
+// membership is one sampled configuration's projection and which of the two
+// decision sets it belongs to (possibly neither, possibly both).
+type membership struct {
+	point talagrand.Point
+	in    [2]bool
+}
+
+func (m membership) addTo(z0, z1 *talagrand.ExplicitSet) {
+	if m.in[0] {
+		z0.Add(m.point)
+	}
+	if m.in[1] {
+		z1.Add(m.point)
+	}
 }
 
 // SeparationResult reports the measured Hamming separation of the sampled
@@ -205,51 +210,45 @@ func StallSeries(ns []int, tFrac float64, trials, maxWindows int) ([]StallPoint,
 		if t < 1 {
 			t = 1
 		}
-		type stallAcc struct {
-			fds             stream.Summary
-			quantiles       *stream.Reservoir
-			gaveUp, windows int
-		}
-		acc, err := parallel.Reduce(trials,
-			func() *stallAcc { return &stallAcc{quantiles: stream.NewReservoir(0)} },
-			func(a *stallAcc, trial int) (*stallAcc, error) {
+		type stallTrial struct{ fd, gaveUp, windows int }
+		var fds stream.Summary
+		quantiles := stream.NewReservoir(0)
+		gaveUp, windows := 0, 0
+		err := parallel.Stream(trials, 0,
+			func(trial int) (stallTrial, error) {
 				s, err := newCoreSystem(n, t, uint64(trial+1))
 				if err != nil {
-					return a, err
+					return stallTrial{}, err
 				}
 				adv, err := newSplitVote(n, t)
 				if err != nil {
-					return a, err
+					return stallTrial{}, err
 				}
 				res, err := s.RunWindows(adv, maxWindows)
 				if err != nil {
-					return a, err
+					return stallTrial{}, err
 				}
 				fd := res.FirstDecision
 				if fd < 0 {
 					fd = maxWindows // censored
 				}
-				a.fds.AddInt(fd)
-				a.quantiles.AddInt(fd)
-				a.gaveUp += adv.GaveUp
-				a.windows += adv.Windows
-				return a, nil
+				return stallTrial{fd, adv.GaveUp, adv.Windows}, nil
 			},
-			func(into, from *stallAcc) *stallAcc {
-				into.fds.Merge(&from.fds)
-				into.quantiles.Merge(from.quantiles)
-				into.gaveUp += from.gaveUp
-				into.windows += from.windows
-				return into
+			func(_ int, r stallTrial) error {
+				fds.AddInt(r.fd)
+				quantiles.AddInt(r.fd)
+				gaveUp += r.gaveUp
+				windows += r.windows
+				return nil
 			})
 		if err != nil {
 			return nil, err
 		}
-		point := StallPoint{N: n, T: t, Trials: acc.fds.Count()}
-		if acc.windows > 0 {
-			point.GaveUpFraction = float64(acc.gaveUp) / float64(acc.windows)
+		point := StallPoint{N: n, T: t, Trials: fds.Count()}
+		if windows > 0 {
+			point.GaveUpFraction = float64(gaveUp) / float64(windows)
 		}
-		point.Summary = stats.FromStream(&acc.fds, acc.quantiles)
+		point.Summary = stats.FromStream(&fds, quantiles)
 		out = append(out, point)
 	}
 	return out, nil
@@ -279,31 +278,29 @@ func SurvivalCurve(n, t int, ws []int, trials int) ([]float64, error) {
 			maxW = w
 		}
 	}
-	hist, err := parallel.Reduce(trials,
-		func() *stream.Hist { return stream.NewHist(maxW + 2) },
-		func(h *stream.Hist, trial int) (*stream.Hist, error) {
+	hist := stream.NewHist(maxW + 2)
+	err := parallel.Stream(trials, 0,
+		func(trial int) (int, error) {
 			s, err := newCoreSystem(n, t, uint64(trial+1))
 			if err != nil {
-				return h, err
+				return 0, err
 			}
 			adv, err := newSplitVote(n, t)
 			if err != nil {
-				return h, err
+				return 0, err
 			}
 			res, err := s.RunWindows(adv, maxW)
 			if err != nil {
-				return h, err
+				return 0, err
 			}
-			fd := res.FirstDecision
-			if fd < 0 {
-				fd = maxW + 1
+			if res.FirstDecision < 0 {
+				return maxW + 1, nil
 			}
-			h.Add(fd)
-			return h, nil
+			return res.FirstDecision, nil
 		},
-		func(into, from *stream.Hist) *stream.Hist {
-			into.Merge(from)
-			return into
+		func(_ int, fd int) error {
+			hist.Add(fd)
+			return nil
 		})
 	if err != nil {
 		return nil, err

@@ -167,16 +167,11 @@ type Z1SeparationResult struct {
 func MeasureZ1Separation(n, t, prefixes, maxPrefixLen int, zt ZkTester) (Z1SeparationResult, error) {
 	// Each prefix's membership test replays thousands of independent
 	// continuations — ideal fan-out work for the trial pool. Membership
-	// points fold into block-local set pairs merged in prefix order, so the
-	// sampled sets match the serial loop without holding per-prefix samples.
-	type setPair struct {
-		z0, z1 *talagrand.ExplicitSet
-	}
-	acc, err := parallel.Reduce(prefixes,
-		func() setPair {
-			return setPair{z0: talagrand.NewExplicitSet(), z1: talagrand.NewExplicitSet()}
-		},
-		func(a setPair, p int) (setPair, error) {
+	// samples fold into the two sets in prefix order, so the sampled sets
+	// are the serial loop's without holding per-prefix samples.
+	z0, z1 := talagrand.NewExplicitSet(), talagrand.NewExplicitSet()
+	err := parallel.Stream(prefixes, 0,
+		func(p int) (membership, error) {
 			sch := Schedule{N: n, T: t, SysSeed: uint64(p + 1)}
 			// Drive the prefix toward decisions with full-delivery windows of
 			// varying length so both decided and undecided configurations are
@@ -187,40 +182,30 @@ func MeasureZ1Separation(n, t, prefixes, maxPrefixLen int, zt ZkTester) (Z1Separ
 			}
 			s, err := sch.Replay()
 			if err != nil {
-				return a, err
+				return membership{}, err
 			}
-			point, err := ProjectConfiguration(s)
-			if err != nil {
-				return a, err
+			var m membership
+			if m.point, err = ProjectConfiguration(s); err != nil {
+				return membership{}, err
 			}
-			in0, err := zt.InZk(sch, 1, 0)
-			if err != nil {
-				return a, err
+			for v := range m.in {
+				if m.in[v], err = zt.InZk(sch, 1, sim.Bit(v)); err != nil {
+					return membership{}, err
+				}
 			}
-			in1, err := zt.InZk(sch, 1, 1)
-			if err != nil {
-				return a, err
-			}
-			if in0 {
-				a.z0.Add(point)
-			}
-			if in1 {
-				a.z1.Add(point)
-			}
-			return a, nil
+			return m, nil
 		},
-		func(into, from setPair) setPair {
-			into.z0.AddSet(from.z0)
-			into.z1.AddSet(from.z1)
-			return into
+		func(_ int, m membership) error {
+			m.addTo(z0, z1)
+			return nil
 		})
 	if err != nil {
 		return Z1SeparationResult{}, err
 	}
 	res := Z1SeparationResult{
 		N: n, T: t,
-		Z0Size: acc.z0.Len(), Z1Size: acc.z1.Len(),
-		Distance: talagrand.SetDistance(acc.z0, acc.z1),
+		Z0Size: z0.Len(), Z1Size: z1.Len(),
+		Distance: talagrand.SetDistance(z0, z1),
 	}
 	res.Holds = res.Distance < 0 || res.Distance > t
 	return res, nil

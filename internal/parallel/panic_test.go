@@ -55,27 +55,6 @@ func TestStreamEmitPanicBecomesError(t *testing.T) {
 	}
 }
 
-// TestReducePanicFailsBlock: a panicking fold index fails the reduction
-// with a *PanicError at that index and no partial accumulator.
-func TestReducePanicFailsBlock(t *testing.T) {
-	sum, err := Reduce(100,
-		func() int { return 0 },
-		func(acc, i int) (int, error) {
-			if i == 37 {
-				panic("fold boom")
-			}
-			return acc + i, nil
-		},
-		func(a, b int) int { return a + b })
-	var pe *PanicError
-	if !errors.As(err, &pe) || pe.Index != 37 {
-		t.Fatalf("err = %v, want *PanicError at index 37", err)
-	}
-	if sum != 0 {
-		t.Fatalf("partial accumulator leaked: %d", sum)
-	}
-}
-
 // TestPanicErrorUnwrap: a panic whose value already is an error stays
 // matchable with errors.Is through the wrapper.
 func TestPanicErrorUnwrap(t *testing.T) {

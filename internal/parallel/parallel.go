@@ -1,5 +1,6 @@
-// Package parallel provides the deterministic worker pool the experiment
-// and lower-bound drivers fan their independent seeded trials across.
+// Package parallel provides the deterministic worker pool every driver —
+// the sweep, the search, the experiments and the lower-bound samplers —
+// fans its independent seeded trials across.
 //
 // Every trial in this repository is a pure function of its index (the index
 // picks the seed, and each trial builds its own sim.System — Systems are
@@ -9,11 +10,13 @@
 // lowest-index failing trial — exactly the error a serial loop would have
 // hit first.
 //
-// Both primitives keep memory bounded: Stream delivers results to a
-// consumer in strictly increasing index order through a fixed-size reorder
-// window, and Reduce folds results into per-block accumulators merged in
-// index order, so a sweep's footprint is the accumulator, not the result
-// set (DESIGN.md §4).
+// Stream is the one fan-out primitive: trial bodies run on the pool, and
+// their results reach a single consumer in strictly increasing index order
+// through a fixed-size reorder window. The consumer — a sink, or a plain
+// closure folding into local accumulators — therefore sees exactly what the
+// serial loop would have handed it, so the aggregate is the serial loop's
+// with nothing to merge, and a battery's footprint is its accumulators, not
+// its result set (DESIGN.md §4).
 package parallel
 
 import (
@@ -21,7 +24,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // PanicError is a panic recovered from a worker body, converted into an
@@ -53,9 +55,9 @@ func (e *PanicError) Unwrap() error {
 }
 
 // guard wraps fn so a panic inside fn(i) is returned as a *PanicError
-// instead of unwinding the worker goroutine. Every pool entry point (Stream,
-// Reduce — serial fallbacks included, so the error surface does not
-// depend on GOMAXPROCS) runs its work function through this wrapper.
+// instead of unwinding the worker goroutine. Stream runs its work function
+// through this wrapper on the serial fallback too, so the error surface does
+// not depend on GOMAXPROCS.
 func guard[T any](fn func(int) (T, error)) func(int) (T, error) {
 	return func(i int) (v T, err error) {
 		defer func() {
@@ -206,121 +208,4 @@ func guardEmit[T any](emit func(i int, v T) error) func(i int, v T) error {
 		}()
 		return emit(i, v)
 	}
-}
-
-// reduceMaxBlocks is the fixed upper bound on Reduce's block count. It
-// depends only on the input size — never on GOMAXPROCS — so the block
-// partition, and therefore the merge tree and its floating-point rounding,
-// is identical on every machine.
-const reduceMaxBlocks = 64
-
-// Reduce runs fn(acc, i) for every i in [0, n), folding into per-block
-// accumulators that are merged in block index order, and returns the merged
-// accumulator — the bounded-memory form of collect-then-fold for trial loops
-// whose aggregate is an online accumulator (stream.Summary and friends)
-// rather than a result slice. Memory is O(blocks), independent of n.
-//
-// The index range is split into at most reduceMaxBlocks contiguous blocks —
-// a pure function of n, never of the worker count — each folded serially in
-// index order by one worker, then merged left to right. With the
-// order-deterministic Merge operations of internal/stream the reduction is
-// therefore byte-identical run to run and machine to machine, and matches
-// the serial loop exactly for every integer-exact statistic (counts, sums,
-// min/max, integer-sample means); see the stream package doc for the
-// floating-point contract of the variance term.
-//
-// newAcc must return a fresh accumulator; fold folds observation i into acc
-// and returns it; merge appends from's observations after into's and
-// returns the result. fold errors surface as in Stream: the lowest failing
-// index wins, and no partial accumulator is returned.
-func Reduce[A any](n int, newAcc func() A, fold func(acc A, i int) (A, error), merge func(into, from A) A) (A, error) {
-	if n == 0 {
-		return newAcc(), nil
-	}
-	blocks := n
-	if blocks > reduceMaxBlocks {
-		blocks = reduceMaxBlocks
-	}
-	// Guard the fold: a panic folding observation i fails its block with a
-	// *PanicError at i (the accumulator-threading signature needs a bespoke
-	// wrapper rather than guard).
-	rawFold := fold
-	fold = func(acc A, i int) (out A, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				var zero A
-				out, err = zero, &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		return rawFold(acc, i)
-	}
-	accs := make([]A, blocks)
-	blockErrs := make([]error, blocks)
-	errIndexes := make([]int, blocks)
-	runBlock := func(b int) {
-		lo, hi := b*n/blocks, (b+1)*n/blocks
-		acc := newAcc()
-		for i := lo; i < hi; i++ {
-			var err error
-			acc, err = fold(acc, i)
-			if err != nil {
-				blockErrs[b], errIndexes[b] = err, i
-				return
-			}
-		}
-		accs[b] = acc
-	}
-
-	workers := runtime.GOMAXPROCS(0)
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers <= 1 {
-		for b := 0; b < blocks; b++ {
-			runBlock(b)
-			if blockErrs[b] != nil {
-				break
-			}
-		}
-	} else {
-		var (
-			next   atomic.Int64
-			failed atomic.Bool
-			wg     sync.WaitGroup
-		)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for !failed.Load() {
-					b := int(next.Add(1)) - 1
-					if b >= blocks {
-						return
-					}
-					runBlock(b)
-					if blockErrs[b] != nil {
-						failed.Store(true)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	var firstErr error
-	errIndex := n
-	for b := 0; b < blocks; b++ {
-		if blockErrs[b] != nil && errIndexes[b] < errIndex {
-			errIndex, firstErr = errIndexes[b], blockErrs[b]
-		}
-	}
-	if firstErr != nil {
-		return newAcc(), firstErr
-	}
-	out := accs[0]
-	for b := 1; b < blocks; b++ {
-		out = merge(out, accs[b])
-	}
-	return out, nil
 }

@@ -113,64 +113,3 @@ func TestStreamEmitErrorStops(t *testing.T) {
 		t.Fatalf("emit called %d times, want 11", count)
 	}
 }
-
-// TestReduceMatchesSerialFold: with merge-compatible accumulators the
-// parallel reduction equals the serial fold exactly for integer sums, and
-// is identical run to run.
-func TestReduceMatchesSerialFold(t *testing.T) {
-	type acc struct {
-		n   int
-		sum int
-	}
-	newAcc := func() *acc { return &acc{} }
-	fold := func(a *acc, i int) (*acc, error) {
-		a.n++
-		a.sum += i * i
-		return a, nil
-	}
-	merge := func(into, from *acc) *acc {
-		into.n += from.n
-		into.sum += from.sum
-		return into
-	}
-	want := 0
-	for i := 0; i < 10_000; i++ {
-		want += i * i
-	}
-	for trial := 0; trial < 10; trial++ {
-		got, err := Reduce(10_000, newAcc, fold, merge)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.n != 10_000 || got.sum != want {
-			t.Fatalf("reduce = %+v, want sum %d", got, want)
-		}
-	}
-	// Small n (fewer indices than blocks) still covers everything once.
-	got, err := Reduce(3, newAcc, fold, merge)
-	if err != nil || got.n != 3 || got.sum != 0+1+4 {
-		t.Fatalf("small reduce = %+v, %v", got, err)
-	}
-	empty, err := Reduce(0, newAcc, fold, merge)
-	if err != nil || empty.n != 0 {
-		t.Fatalf("empty reduce = %+v, %v", empty, err)
-	}
-}
-
-// TestReduceReturnsLowestIndexError mirrors Map's error semantics.
-func TestReduceReturnsLowestIndexError(t *testing.T) {
-	sentinel := errors.New("boom")
-	for trial := 0; trial < 20; trial++ {
-		_, err := Reduce(256, func() int { return 0 },
-			func(a, i int) (int, error) {
-				if i == 33 || i == 200 {
-					return 0, fmt.Errorf("%w at %d", sentinel, i)
-				}
-				return a + 1, nil
-			},
-			func(into, from int) int { return into + from })
-		if !errors.Is(err, sentinel) || err.Error() != "boom at 33" {
-			t.Fatalf("err = %v, want the lowest-index failure", err)
-		}
-	}
-}

@@ -21,10 +21,6 @@ func init() {
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.FullDelivery{}, nil
 		},
-		Recycle: func(adv sim.WindowAdversary, _ Params) bool {
-			_, ok := adv.(adversary.FullDelivery) // stateless
-			return ok
-		},
 	})
 
 	mustRegisterAdversary(Adversary{
@@ -37,7 +33,6 @@ func init() {
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			return adversary.NewRandomWindows(p.Seed, 0, 0), nil
 		},
-		Recycle: recycleRandomWindows,
 	})
 
 	mustRegisterAdversary(Adversary{
@@ -65,7 +60,6 @@ func init() {
 			}
 			return adversary.NewRandomWindows(p.Seed, prob, budget), nil
 		},
-		Recycle: recycleRandomWindows,
 	})
 
 	mustRegisterAdversary(Adversary{
@@ -77,13 +71,6 @@ func init() {
 		},
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.NewResetStorm(), nil
-		},
-		Recycle: func(adv sim.WindowAdversary, _ Params) bool {
-			a, ok := adv.(*adversary.ResetStorm)
-			if ok {
-				a.RecycleTrial()
-			}
-			return ok
 		},
 	})
 
@@ -108,13 +95,6 @@ func init() {
 				silent = append(silent, sim.ProcID(id))
 			}
 			return adversary.NewFixedSilence(p.N, p.T, silent)
-		},
-		Recycle: func(adv sim.WindowAdversary, _ Params) bool {
-			// The silent set is a function of the cell's (n, t) and the offset
-			// knob, all of which the engine pool keys on, so a pooled instance
-			// is already correct.
-			_, ok := adv.(adversary.FixedSilence)
-			return ok
 		},
 	})
 
@@ -141,13 +121,6 @@ func init() {
 			}
 			return adversary.NewSplitVote(alg.ClassifyVote, cap), nil
 		},
-		Recycle: func(adv sim.WindowAdversary, _ Params) bool {
-			a, ok := adv.(*adversary.SplitVote)
-			if ok {
-				a.RecycleTrial()
-			}
-			return ok
-		},
 	})
 }
 
@@ -160,16 +133,4 @@ func knob(p Params, i, def int) int {
 		return p.AdvKnobs[i]
 	}
 	return def
-}
-
-// recycleRandomWindows rewinds pooled chaos-adversary state: reseeding the
-// stream reproduces a fresh NewRandomWindows construction (the reset
-// probability and budget are functions of the cell and its knob vector,
-// which the pool keys on).
-func recycleRandomWindows(adv sim.WindowAdversary, p Params) bool {
-	a, ok := adv.(*adversary.RandomWindows)
-	if ok {
-		a.RecycleTrial(p.Seed)
-	}
-	return ok
 }

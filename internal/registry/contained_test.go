@@ -23,13 +23,13 @@ func (a *badAfter) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 // package) never sees it.
 func withTestAdversary(t *testing.T, a *Adversary) {
 	t.Helper()
-	mu.Lock()
-	adversaryByKey[a.Name] = a
-	mu.Unlock()
+	adversaries.mu.Lock()
+	adversaries.byName[a.Name] = a
+	adversaries.mu.Unlock()
 	t.Cleanup(func() {
-		mu.Lock()
-		delete(adversaryByKey, a.Name)
-		mu.Unlock()
+		adversaries.mu.Lock()
+		delete(adversaries.byName, a.Name)
+		adversaries.mu.Unlock()
 	})
 }
 

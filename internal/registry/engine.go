@@ -16,11 +16,31 @@ import (
 // exactly the paper's notion of re-running the same n-processor
 // configuration — so instead of constructing a new sim.System, adversary,
 // and scheduler per trial, the engine keeps finished instances in a
-// per-scenario pool and rewinds them with the Recycle hooks (sim.System.
-// Recycle, sim.Recycler, Adversary.Recycle, Scheduler.Recycle). Recycling
-// restores the exact just-constructed state, so pooled trials are
+// per-scenario pool and rewinds them: the system through sim.System.Recycle
+// (and each processor's sim.Recycler), the adversary and scheduler state
+// through the RecycleTrial method their own types carry (trialRecycler).
+// Recycling restores the exact just-constructed state, so pooled trials are
 // byte-identical to fresh ones (property-tested in recycle_test.go); the
 // payoff is that steady-state trial execution allocates (near) nothing.
+
+// trialRecycler is the optional interface of plan state — a window
+// adversary or a delivery scheduler — that can rewind itself in place to
+// the state its descriptor's New would produce for a trial seeded seed in
+// the same cell. Stateless and scratch-only types implement it as a no-op,
+// so pooled trials of every built-in build nothing.
+type trialRecycler interface {
+	RecycleTrial(seed uint64)
+}
+
+// rewind rewinds pooled plan state for the next trial when its type knows
+// how, and reports whether it did; the caller builds fresh state otherwise.
+func rewind(state any, seed uint64) bool {
+	r, ok := state.(trialRecycler)
+	if ok {
+		r.RecycleTrial(seed)
+	}
+	return ok
+}
 
 // engineKey identifies one poolable scenario shape. Everything a pooled
 // instance bakes in at construction time must appear here: the three
@@ -209,9 +229,8 @@ func newTrialEngine(key engineKey, p Params) (*TrialEngine, error) {
 }
 
 // prepare rewinds a pooled engine for a trial at p. The system recycles in
-// place; adversary and scheduler state recycles through the descriptor
-// hooks, falling back to fresh construction (and re-composition) when a
-// hook is missing or declines.
+// place; adversary and scheduler state rewinds itself (rewind), and state
+// that cannot is built fresh and the plan re-composed.
 func (e *TrialEngine) prepare(p Params) error {
 	if err := e.alg.Validate(p); err != nil {
 		return err
@@ -227,26 +246,22 @@ func (e *TrialEngine) prepare(p Params) error {
 	// at a different worker count; apply it per acquisition. The common case
 	// (unchanged count) keeps the existing worker pool hot.
 	applyShardParams(e.sys, e.alg, p)
-	recompose := false
-	if e.advD.Recycle == nil || !e.advD.Recycle(e.adv, p) {
-		adv, err := e.advD.New(e.alg, p)
-		if err != nil {
+	advKept, schKept := rewind(e.adv, p.Seed), rewind(e.sch, p.Seed)
+	if advKept && schKept {
+		return nil
+	}
+	var err error
+	if !advKept {
+		if e.adv, err = e.advD.New(e.alg, p); err != nil {
 			return err
 		}
-		e.adv = adv
-		recompose = true
 	}
-	if e.schD.Recycle == nil || !e.schD.Recycle(e.sch, p) {
-		sch, err := e.schD.New(p)
-		if err != nil {
+	if !schKept {
+		if e.sch, err = e.schD.New(p); err != nil {
 			return err
 		}
-		e.sch = sch
-		recompose = true
 	}
-	if recompose {
-		e.plan = sched.Compose(e.adv, e.sch)
-	}
+	e.plan = sched.Compose(e.adv, e.sch)
 	return nil
 }
 

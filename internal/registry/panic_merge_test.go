@@ -64,10 +64,10 @@ func TestMergePanicContract(t *testing.T) {
 	if err != nil || !clean.AllDecided || clean.FirstDecision < 1 {
 		t.Fatalf("reference run: %+v, %v; want a decision after window 0", clean, err)
 	}
-	alg := *algorithmByKey["benor"]
+	alg := *algorithms.byName["benor"]
 	alg.Name = "test-panicky"
 	alg.Factory = func(p Params) (func(sim.ProcID, sim.Bit) sim.Process, error) {
-		inner, err := algorithmByKey["benor"].Factory(p)
+		inner, err := algorithms.byName["benor"].Factory(p)
 		if err != nil {
 			return nil, err
 		}
@@ -79,13 +79,13 @@ func TestMergePanicContract(t *testing.T) {
 			return w
 		}, nil
 	}
-	mu.Lock()
-	algorithmByKey[alg.Name] = &alg
-	mu.Unlock()
+	algorithms.mu.Lock()
+	algorithms.byName[alg.Name] = &alg
+	algorithms.mu.Unlock()
 	t.Cleanup(func() {
-		mu.Lock()
-		delete(algorithmByKey, alg.Name)
-		mu.Unlock()
+		algorithms.mu.Lock()
+		delete(algorithms.byName, alg.Name)
+		algorithms.mu.Unlock()
 	})
 
 	type observed struct {

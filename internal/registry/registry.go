@@ -222,15 +222,15 @@ type Adversary struct {
 	// must never return a shared instance: several adversaries carry
 	// mutable per-execution state (rotation cursors, rng streams, give-up
 	// counters) and trials run concurrently.
+	//
+	// The pooled trial engine keeps an instance across the trials of one
+	// cell — same algorithm, (n, t) and knob vector, all of which the pool
+	// keys on — when its type has a RecycleTrial(seed uint64) method that
+	// rewinds it, allocations kept, to the state New would produce for that
+	// seed (see trialRecycler); an instance without the method is rebuilt
+	// with New every trial, so the method is a pure optimization and never
+	// a correctness requirement.
 	New func(alg *Algorithm, p Params) (sim.WindowAdversary, error)
-	// Recycle rewinds adv — previously returned by New for the same
-	// algorithm and (n, t) cell and the same knob vector (the engine pool
-	// keys on Params.AdvKnobs) — to the state New would produce for p,
-	// reusing its allocations, and reports whether it did. A nil hook (or a
-	// false return, e.g. on an unexpected concrete type) makes the pooled
-	// trial engine construct fresh state with New instead, so Recycle is a
-	// pure optimization and never a correctness requirement.
-	Recycle func(adv sim.WindowAdversary, p Params) bool
 }
 
 // KnobDefaults returns the declared knobs' default values (nil when the
@@ -267,128 +267,128 @@ func (a *Adversary) ValidateKnobs(p Params) error {
 	return nil
 }
 
+// table is the registration list of one kind of descriptor — algorithms,
+// adversaries or schedulers: entries in registration order, their names,
+// and a by-name index. kind names the table in error texts.
+type table[T any] struct {
+	kind    string
+	mu      sync.RWMutex
+	entries []*T
+	names   []string
+	byName  map[string]*T
+}
+
+func newTable[T any](kind string) *table[T] {
+	return &table[T]{kind: kind, byName: map[string]*T{}}
+}
+
 var (
-	mu             sync.RWMutex
-	algorithms     []*Algorithm
-	algorithmByKey = map[string]*Algorithm{}
-	adversaries    []*Adversary
-	adversaryByKey = map[string]*Adversary{}
+	algorithms  = newTable[Algorithm]("algorithm")
+	adversaries = newTable[Adversary]("adversary")
+	schedulers  = newTable[Scheduler]("scheduler")
 )
+
+// incomplete is the error for a descriptor registered without its name or
+// a mandatory hook.
+func (t *table[T]) incomplete(name string) error {
+	return fmt.Errorf("registry: %s descriptor %q incomplete", t.kind, name)
+}
+
+// add appends d under name, which must be new.
+func (t *table[T]) add(name string, d T) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, dup := t.byName[name]; dup {
+		return fmt.Errorf("registry: duplicate %s %q", t.kind, name)
+	}
+	entry := &d
+	t.entries = append(t.entries, entry)
+	t.names = append(t.names, name)
+	t.byName[name] = entry
+	return nil
+}
+
+// must panics on a failed registration; it is only reached from init with
+// built-in descriptors, so a failure is a programming error.
+func (t *table[T]) must(name string, err error) {
+	if err != nil {
+		panic(fmt.Sprintf("registry: registering built-in %s %q: %v", t.kind, name, err))
+	}
+}
+
+// all returns the descriptors in registration order. The slice is a copy;
+// the descriptors are shared and must not be mutated.
+func (t *table[T]) all() []*T {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append([]*T(nil), t.entries...)
+}
+
+// allNames returns the registered names in registration order.
+func (t *table[T]) allNames() []string {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return append([]string(nil), t.names...)
+}
+
+// lookup resolves a name.
+func (t *table[T]) lookup(name string) (*T, error) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	d, ok := t.byName[name]
+	if !ok {
+		return nil, fmt.Errorf("registry: unknown %s %q", t.kind, name)
+	}
+	return d, nil
+}
 
 // RegisterAlgorithm adds an algorithm descriptor. Names must be unique;
 // Validate and Factory are mandatory; SplitVoteCap and ClassifyVote must be
 // set together.
 func RegisterAlgorithm(a Algorithm) error {
 	if a.Name == "" || a.Validate == nil || a.Factory == nil {
-		return fmt.Errorf("registry: algorithm descriptor %q incomplete", a.Name)
+		return algorithms.incomplete(a.Name)
 	}
 	if (a.ClassifyVote == nil) != (a.SplitVoteCap == nil) {
 		return fmt.Errorf("registry: algorithm %q must set ClassifyVote and SplitVoteCap together", a.Name)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := algorithmByKey[a.Name]; dup {
-		return fmt.Errorf("registry: duplicate algorithm %q", a.Name)
-	}
-	entry := &a
-	algorithms = append(algorithms, entry)
-	algorithmByKey[a.Name] = entry
-	return nil
+	return algorithms.add(a.Name, a)
 }
 
 // RegisterAdversary adds an adversary descriptor. Names must be unique;
 // Compatible and New are mandatory.
 func RegisterAdversary(a Adversary) error {
 	if a.Name == "" || a.Compatible == nil || a.New == nil {
-		return fmt.Errorf("registry: adversary descriptor %q incomplete", a.Name)
+		return adversaries.incomplete(a.Name)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := adversaryByKey[a.Name]; dup {
-		return fmt.Errorf("registry: duplicate adversary %q", a.Name)
-	}
-	entry := &a
-	adversaries = append(adversaries, entry)
-	adversaryByKey[a.Name] = entry
-	return nil
+	return adversaries.add(a.Name, a)
 }
 
-// mustRegisterAlgorithm panics on registration failure; it is only called
-// from init with built-in descriptors, so a failure is a programming error.
-func mustRegisterAlgorithm(a Algorithm) {
-	if err := RegisterAlgorithm(a); err != nil {
-		panic(fmt.Sprintf("registry: registering built-in algorithm %q: %v", a.Name, err))
-	}
-}
-
-// mustRegisterAdversary panics on registration failure; it is only called
-// from init with built-in descriptors, so a failure is a programming error.
-func mustRegisterAdversary(a Adversary) {
-	if err := RegisterAdversary(a); err != nil {
-		panic(fmt.Sprintf("registry: registering built-in adversary %q: %v", a.Name, err))
-	}
-}
+func mustRegisterAlgorithm(a Algorithm) { algorithms.must(a.Name, RegisterAlgorithm(a)) }
+func mustRegisterAdversary(a Adversary) { adversaries.must(a.Name, RegisterAdversary(a)) }
 
 // Algorithms returns the registered algorithm descriptors in registration
 // order. The returned slice is a copy; the descriptors are shared and must
 // not be mutated.
-func Algorithms() []*Algorithm {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]*Algorithm(nil), algorithms...)
-}
+func Algorithms() []*Algorithm { return algorithms.all() }
 
 // Adversaries returns the registered adversary descriptors in registration
 // order.
-func Adversaries() []*Adversary {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]*Adversary(nil), adversaries...)
-}
+func Adversaries() []*Adversary { return adversaries.all() }
 
 // AlgorithmNames returns the registered algorithm names in registration
 // order.
-func AlgorithmNames() []string {
-	algs := Algorithms()
-	names := make([]string, len(algs))
-	for i, a := range algs {
-		names[i] = a.Name
-	}
-	return names
-}
+func AlgorithmNames() []string { return algorithms.allNames() }
 
 // AdversaryNames returns the registered adversary names in registration
 // order.
-func AdversaryNames() []string {
-	advs := Adversaries()
-	names := make([]string, len(advs))
-	for i, a := range advs {
-		names[i] = a.Name
-	}
-	return names
-}
+func AdversaryNames() []string { return adversaries.allNames() }
 
 // LookupAlgorithm resolves a name.
-func LookupAlgorithm(name string) (*Algorithm, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	a, ok := algorithmByKey[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown algorithm %q", name)
-	}
-	return a, nil
-}
+func LookupAlgorithm(name string) (*Algorithm, error) { return algorithms.lookup(name) }
 
 // LookupAdversary resolves a name.
-func LookupAdversary(name string) (*Adversary, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	a, ok := adversaryByKey[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown adversary %q", name)
-	}
-	return a, nil
-}
+func LookupAdversary(name string) (*Adversary, error) { return adversaries.lookup(name) }
 
 // NewSystem validates p against the named algorithm and constructs a
 // simulation.

@@ -1,8 +1,6 @@
 package registry
 
 import (
-	"fmt"
-
 	"asyncagree/internal/sched"
 	"asyncagree/internal/sim"
 )
@@ -30,75 +28,34 @@ type Scheduler struct {
 	// New returns FRESH scheduler state for one trial. Implementations
 	// must never return a shared instance: schedulers carry mutable
 	// per-execution state (rotation cursors, rng streams, reusable
-	// scratch) and trials run concurrently.
+	// scratch) and trials run concurrently. The pooled trial engine reuses
+	// an instance whose type has RecycleTrial(seed uint64) and rebuilds any
+	// other with New, exactly as for Adversary.New.
 	New func(p Params) (sched.Scheduler, error)
-	// Recycle rewinds s — previously returned by New for the same (n, t)
-	// cell — to the state New would produce for p and reports whether it
-	// did. A nil hook (or a false return) makes the pooled trial engine
-	// construct fresh state with New instead; see Adversary.Recycle.
-	Recycle func(s sched.Scheduler, p Params) bool
 }
-
-var (
-	schedulers     []*Scheduler
-	schedulerByKey = map[string]*Scheduler{}
-)
 
 // RegisterScheduler adds a scheduler descriptor. Names must be unique;
 // Compatible and New are mandatory.
 func RegisterScheduler(s Scheduler) error {
 	if s.Name == "" || s.Compatible == nil || s.New == nil {
-		return fmt.Errorf("registry: scheduler descriptor %q incomplete", s.Name)
+		return schedulers.incomplete(s.Name)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := schedulerByKey[s.Name]; dup {
-		return fmt.Errorf("registry: duplicate scheduler %q", s.Name)
-	}
-	entry := &s
-	schedulers = append(schedulers, entry)
-	schedulerByKey[s.Name] = entry
-	return nil
+	return schedulers.add(s.Name, s)
 }
 
-// mustRegisterScheduler panics on registration failure; it is only called
-// from init with built-in descriptors, so a failure is a programming error.
-func mustRegisterScheduler(s Scheduler) {
-	if err := RegisterScheduler(s); err != nil {
-		panic(fmt.Sprintf("registry: registering built-in scheduler %q: %v", s.Name, err))
-	}
-}
+func mustRegisterScheduler(s Scheduler) { schedulers.must(s.Name, RegisterScheduler(s)) }
 
 // Schedulers returns the registered scheduler descriptors in registration
 // order. The returned slice is a copy; the descriptors are shared and must
 // not be mutated.
-func Schedulers() []*Scheduler {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]*Scheduler(nil), schedulers...)
-}
+func Schedulers() []*Scheduler { return schedulers.all() }
 
 // SchedulerNames returns the registered scheduler names in registration
 // order.
-func SchedulerNames() []string {
-	scheds := Schedulers()
-	names := make([]string, len(scheds))
-	for i, s := range scheds {
-		names[i] = s.Name
-	}
-	return names
-}
+func SchedulerNames() []string { return schedulers.allNames() }
 
 // LookupScheduler resolves a name.
-func LookupScheduler(name string) (*Scheduler, error) {
-	mu.RLock()
-	defer mu.RUnlock()
-	s, ok := schedulerByKey[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown scheduler %q", name)
-	}
-	return s, nil
-}
+func LookupScheduler(name string) (*Scheduler, error) { return schedulers.lookup(name) }
 
 // NewScheduler constructs fresh per-trial state for the named scheduler.
 func NewScheduler(name string, p Params) (sched.Scheduler, error) {
@@ -184,10 +141,6 @@ func init() {
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.AdversaryDriven{}, nil
 		},
-		Recycle: func(s sched.Scheduler, _ Params) bool {
-			_, ok := s.(sched.AdversaryDriven) // stateless
-			return ok
-		},
 	})
 
 	// "full" pairs only with adversaries that plan no sender sets, whose
@@ -204,10 +157,6 @@ func init() {
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.FullDelivery{}, nil
 		},
-		Recycle: func(s sched.Scheduler, _ Params) bool {
-			_, ok := s.(sched.FullDelivery) // stateless
-			return ok
-		},
 	})
 
 	mustRegisterScheduler(Scheduler{
@@ -217,10 +166,6 @@ func init() {
 		Compatible:  silencingCompatible,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAscendingMinimal(), nil
-		},
-		Recycle: func(s sched.Scheduler, _ Params) bool {
-			_, ok := s.(*sched.AscendingMinimal) // carries only reusable scratch
-			return ok
 		},
 	})
 
@@ -232,13 +177,6 @@ func init() {
 		New: func(p Params) (sched.Scheduler, error) {
 			return sched.NewSeededRandom(p.Seed), nil
 		},
-		Recycle: func(s sched.Scheduler, p Params) bool {
-			r, ok := s.(*sched.SeededRandom)
-			if ok {
-				r.RecycleTrial(p.Seed)
-			}
-			return ok
-		},
 	})
 
 	mustRegisterScheduler(Scheduler{
@@ -249,13 +187,6 @@ func init() {
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewLaggard(0, 0), nil
 		},
-		Recycle: func(s sched.Scheduler, _ Params) bool {
-			l, ok := s.(*sched.Laggard)
-			if ok {
-				l.RecycleTrial()
-			}
-			return ok
-		},
 	})
 
 	mustRegisterScheduler(Scheduler{
@@ -265,13 +196,6 @@ func init() {
 		Compatible:  silencingCompatible,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAlternate(), nil
-		},
-		Recycle: func(s sched.Scheduler, _ Params) bool {
-			a, ok := s.(*sched.Alternate)
-			if ok {
-				a.RecycleTrial()
-			}
-			return ok
 		},
 	})
 }

@@ -60,36 +60,11 @@ func (p Policy) attempts() int {
 	return p.Attempts
 }
 
-// sleep waits for d through the configured sleeper.
-func (p Policy) sleep(d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	if p.Sleep != nil {
-		p.Sleep(d)
-		return
-	}
-	time.Sleep(d)
-}
-
 // Do runs op up to Attempts times, sleeping Backoff(i) between tries, and
 // returns nil on the first success. On exhaustion it returns the last error
-// wrapped with the attempt count.
+// wrapped with the attempt count. It is DoCtx without cancellation.
 func (p Policy) Do(op func() error) error {
-	var err error
-	n := p.attempts()
-	for i := 1; i <= n; i++ {
-		if err = op(); err == nil {
-			return nil
-		}
-		if i < n {
-			p.sleep(p.Backoff(i))
-		}
-	}
-	if n > 1 {
-		return fmt.Errorf("retry: %d attempts exhausted: %w", n, err)
-	}
-	return err
+	return p.DoCtx(context.Background(), op)
 }
 
 // DoCtx is Do with cooperative cancellation: a done ctx is honored before
@@ -97,8 +72,8 @@ func (p Policy) Do(op func() error) error {
 // for draining servers and canceled load runs — during a backoff sleep,
 // which is interrupted immediately instead of running to completion. On
 // cancellation the context error is returned, wrapped with the last attempt
-// error when at least one attempt ran. The backoff schedule itself is
-// unchanged from Do: cancellation truncates it, never reshapes it.
+// error when at least one attempt ran. Cancellation truncates the backoff
+// schedule, never reshapes it.
 func (p Policy) DoCtx(ctx context.Context, op func() error) error {
 	if cerr := ctx.Err(); cerr != nil {
 		return fmt.Errorf("retry: canceled before first attempt: %w", cerr)

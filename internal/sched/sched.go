@@ -121,6 +121,9 @@ type AdversaryDriven struct{}
 
 var _ Scheduler = AdversaryDriven{}
 
+// RecycleTrial is a no-op: the scheduler is stateless.
+func (AdversaryDriven) RecycleTrial(uint64) {}
+
 // PlanSenders implements Scheduler. It is never reached through Compose
 // (which short-circuits to the adversary); called directly it returns nil,
 // i.e. full delivery.
@@ -132,6 +135,9 @@ func (AdversaryDriven) PlanSenders(*sim.System, []sim.Message) [][]sim.ProcID {
 type FullDelivery struct{}
 
 var _ Scheduler = FullDelivery{}
+
+// RecycleTrial is a no-op: the scheduler is stateless.
+func (FullDelivery) RecycleTrial(uint64) {}
 
 // PlanSenders implements Scheduler; nil means all senders, allocation-free.
 func (FullDelivery) PlanSenders(*sim.System, []sim.Message) [][]sim.ProcID {
@@ -179,6 +185,9 @@ var _ Scheduler = (*AscendingMinimal)(nil)
 
 // NewAscendingMinimal returns a fresh ascending-minimal scheduler.
 func NewAscendingMinimal() *AscendingMinimal { return &AscendingMinimal{} }
+
+// RecycleTrial is a no-op: the only state is scratch every window refills.
+func (a *AscendingMinimal) RecycleTrial(uint64) {}
 
 // PlanSenders implements Scheduler.
 func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.ProcID {
@@ -261,8 +270,9 @@ var _ Scheduler = (*Laggard)(nil)
 func NewLaggard(k, epoch int) *Laggard { return &Laggard{K: k, Epoch: epoch} }
 
 // RecycleTrial rewinds the rotation state (window counter and cursor) to the
-// fresh-construction state; K and Epoch persist.
-func (l *Laggard) RecycleTrial() {
+// fresh-construction state; K and Epoch persist. The rotation draws no
+// randomness, so the seed is unused.
+func (l *Laggard) RecycleTrial(uint64) {
 	l.window = 0
 	l.cursor = 0
 }
@@ -338,8 +348,8 @@ var _ Scheduler = (*Alternate)(nil)
 func NewAlternate() *Alternate { return &Alternate{} }
 
 // RecycleTrial rewinds the window parity to the fresh-construction state
-// (the next window is a full-delivery one).
-func (a *Alternate) RecycleTrial() { a.window = 0 }
+// (the next window is a full-delivery one); the seed is unused.
+func (a *Alternate) RecycleTrial(uint64) { a.window = 0 }
 
 // PlanSenders implements Scheduler.
 func (a *Alternate) PlanSenders(s *sim.System, batch []sim.Message) [][]sim.ProcID {

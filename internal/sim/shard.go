@@ -12,17 +12,16 @@ import "fmt"
 // walks the whole System as one range [0, n) inline on the caller: no
 // goroutine, no pool, no recover. k >= 2 walks the fixed shard partition
 // through a persistent worker pool (shardpool.go). Observable behavior is
-// byte-identical either way, by the discipline of parallel.Reduce: the
-// partition is a pure function of n alone (never GOMAXPROCS or the worker
-// count), each range writes only its own scratch plus per-processor state no
-// other range touches, and range outputs — steps, decisions, violations,
-// buffered trace events, sent messages — merge in ascending range order.
+// byte-identical either way, by one discipline: the partition is a pure
+// function of n alone (never GOMAXPROCS or the worker count), each range
+// writes only its own scratch plus per-processor state no other range
+// touches, and range outputs — steps, decisions, violations, buffered trace
+// events, sent messages — merge in ascending range order.
 
-// shardMaxShards bounds the shard count the way reduceMaxBlocks bounds
-// parallel.Reduce: enough shards that work-stealing balances uneven
-// receivers, few enough that per-shard scratch stays cheap, and — because
-// the partition depends only on n — identical results at every worker
-// count.
+// shardMaxShards bounds the shard count: enough shards that work-stealing
+// balances uneven receivers, few enough that per-shard scratch stays cheap,
+// and — because the partition depends only on n — identical results at
+// every worker count.
 const shardMaxShards = 64
 
 // shardCountFor returns the number of receiver shards for n processors: a

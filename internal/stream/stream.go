@@ -1,30 +1,20 @@
-// Package stream provides the mergeable online accumulators of the
-// result pipeline: bounded-memory reductions over trial measurements that
-// replace buffering complete result sets (see DESIGN.md §4).
+// Package stream provides the online accumulators of the result pipeline:
+// bounded-memory reductions over trial measurements that replace buffering
+// complete result sets (see DESIGN.md §4).
 //
-// Every accumulator supports two operations with a shared determinism
-// contract:
-//
-//   - Add folds one observation in;
-//   - Merge folds a whole accumulator in, as if its observations had been
-//     appended after the receiver's.
-//
-// Merge is order-deterministic: the result is a pure function of the two
-// accumulator states, never of timing, so a parallel reduction that merges
-// per-block accumulators in index order reproduces the same bytes run after
-// run and machine after machine. Count, Sum, Min, and Max are exact under
-// any merge tree; so is Mean whenever the observations are integer-valued
-// (every windows/rounds/chain-depth measurement in this repository), because
-// Mean is computed as an exact integer-representable Sum over Count. The
-// Welford variance term is exact when the merged-in accumulator holds a
-// single observation — Merge then performs bit-for-bit the sequential Add
-// update — and agrees with sequential accumulation to floating-point
-// rounding otherwise. Reservoir quantiles are exact while the total
-// observation count fits the capacity and a deterministic sketch beyond it.
+// Every accumulator has one mutating operation, Add, which folds one
+// observation in, and its state is a pure function of the observation
+// sequence. Trial batteries fan out on parallel.Stream, whose consumer sees
+// results in trial order on one goroutine, so the sequence — and with it
+// every statistic — is the serial loop's on any machine. Count, Sum, Min,
+// Max are exact; so is Mean whenever the observations are integer-valued
+// (every windows/rounds/chain-depth measurement in this repository),
+// because Mean is computed as an exact integer-representable Sum over
+// Count. Reservoir quantiles are exact while the observation count fits the
+// capacity and a deterministic sketch beyond it.
 package stream
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -52,9 +42,7 @@ func (s *Summary) Add(x float64) {
 			s.max = x
 		}
 	}
-	// Welford update written against the exact sum-based mean, so that
-	// Merge with a single-observation accumulator reproduces this update
-	// bit for bit (see Merge).
+	// Welford update written against the exact sum-based mean.
 	delta := x - s.Mean()
 	s.m2 += delta * delta * float64(s.count) / float64(s.count+1)
 	s.sum += x
@@ -63,32 +51,6 @@ func (s *Summary) Add(x float64) {
 
 // AddInt folds one integer observation in.
 func (s *Summary) AddInt(x int) { s.Add(float64(x)) }
-
-// Merge folds o in, as if o's observations had been appended after the
-// receiver's. Merging is order-deterministic (a pure function of the two
-// states); count, sum, min, and max combine exactly, and the variance term
-// combines by the Chan et al. parallel formula — bit-identical to a
-// sequential Add when o holds one observation, within floating-point
-// rounding of the sequential order otherwise.
-func (s *Summary) Merge(o *Summary) {
-	if o.count == 0 {
-		return
-	}
-	if s.count == 0 {
-		*s = *o
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	delta := o.Mean() - s.Mean()
-	s.m2 += o.m2 + delta*delta*float64(s.count)*float64(o.count)/float64(s.count+o.count)
-	s.sum += o.sum
-	s.count += o.count
-}
 
 // Count returns the number of observations.
 func (s *Summary) Count() int { return s.count }
@@ -139,11 +101,10 @@ func (s *Summary) Max() float64 {
 // Reservoir is a fixed-capacity deterministic quantile sketch. While the
 // observation count is at most the capacity it retains every value and its
 // quantiles are exact (identical to sorting the full sample); beyond the
-// capacity it decimates deterministically — the Add path keeps every
-// stride-th observation, doubling the stride each time the buffer fills,
-// and the Merge overflow path keeps evenly spaced order statistics — so
-// memory stays O(capacity) for any stream length and the sketch remains a
-// pure function of the observation sequence.
+// capacity it decimates deterministically — it keeps every stride-th
+// observation, doubling the stride each time the buffer fills — so memory
+// stays O(capacity) for any stream length and the sketch remains a pure
+// function of the observation sequence.
 type Reservoir struct {
 	cap     int
 	stride  int
@@ -191,40 +152,6 @@ func (r *Reservoir) Add(x float64) {
 // AddInt folds one integer observation in.
 func (r *Reservoir) AddInt(x int) { r.Add(float64(x)) }
 
-// Merge folds o in, as if o's observations had been appended after the
-// receiver's. While the combined retained samples fit the capacity the
-// merge is a concatenation (exact); on overflow the combined samples are
-// sorted and decimated to evenly spaced order statistics. Either way the
-// result is a pure function of the two sketch states.
-func (r *Reservoir) Merge(o *Reservoir) {
-	r.seen += o.seen
-	if len(r.samples)+len(o.samples) <= r.cap && r.stride == 1 && o.stride == 1 {
-		r.samples = append(r.samples, o.samples...)
-		return
-	}
-	combined := make([]float64, 0, len(r.samples)+len(o.samples))
-	combined = append(combined, r.samples...)
-	combined = append(combined, o.samples...)
-	sort.Float64s(combined)
-	if len(combined) > r.cap {
-		kept := r.samples[:0]
-		for i := 0; i < r.cap; i++ {
-			// Evenly spaced order statistics, endpoints included.
-			pos := 0
-			if r.cap > 1 {
-				pos = i * (len(combined) - 1) / (r.cap - 1)
-			}
-			kept = append(kept, combined[pos])
-		}
-		r.samples = kept
-	} else {
-		r.samples = append(r.samples[:0], combined...)
-	}
-	if r.stride < o.stride {
-		r.stride = o.stride
-	}
-}
-
 // Count returns the number of observations folded in (not the retained
 // sample count).
 func (r *Reservoir) Count() int { return r.seen }
@@ -261,7 +188,6 @@ func (r *Reservoir) Quantile(q float64) float64 {
 // Hist is a bounded integer histogram for decision-round (and other small
 // non-negative count) distributions: buckets 0..Buckets()-1 plus one
 // overflow bucket, so memory is O(buckets) regardless of stream length.
-// All counts are integers, so Merge is exact under any merge tree.
 type Hist struct {
 	counts   []int64
 	overflow int64
@@ -289,18 +215,6 @@ func (h *Hist) Add(v int) {
 	default:
 		h.counts[v]++
 	}
-}
-
-// Merge folds o in; both histograms must have the same bucket count.
-func (h *Hist) Merge(o *Hist) {
-	if len(o.counts) != len(h.counts) {
-		panic(fmt.Sprintf("stream: merging histograms with different bucket counts (%d vs %d)", len(h.counts), len(o.counts)))
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.overflow += o.overflow
-	h.total += o.total
 }
 
 // Buckets returns the number of unit-width buckets (excluding overflow).

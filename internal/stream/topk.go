@@ -20,14 +20,11 @@ func (a TopItem) less(b TopItem) bool {
 	return a.ID < b.ID
 }
 
-// TopK keeps the k best (score, ID) items seen, under the package's
-// determinism contract: because the ranking is a total order (score
-// descending, ID ascending) and Add/Merge retain exactly the k smallest
-// elements under it, the retained items are a pure function of the multiset
-// of observations — never of insertion order or merge tree. A parallel
-// reduction that merges per-block accumulators therefore reproduces the
-// sequential Add loop exactly. The zero value (or k <= 0) keeps a single
-// best item.
+// TopK keeps the k best (score, ID) items seen. Because the ranking is a
+// total order (score descending, ID ascending) and Add retains exactly the k
+// smallest elements under it, the retained items are a pure function of the
+// multiset of observations, never of insertion order. The zero value (or
+// k <= 0) keeps a single best item.
 type TopK struct {
 	k     int
 	items []TopItem
@@ -67,17 +64,6 @@ func (t *TopK) insert(it TopItem) {
 	t.items[i] = it
 	if len(t.items) > t.bound() {
 		t.items = t.items[:t.bound()]
-	}
-}
-
-// Merge folds o in, as if o's observations had been appended after the
-// receiver's. o is unchanged.
-func (t *TopK) Merge(o *TopK) {
-	if o == nil {
-		return
-	}
-	for _, it := range o.items {
-		t.insert(it)
 	}
 }
 

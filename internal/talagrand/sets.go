@@ -44,16 +44,6 @@ func (e *ExplicitSet) Add(p Point) {
 	e.points = append(e.points, append(Point(nil), p...))
 }
 
-// AddSet inserts every point of o in o's insertion order — the merge
-// operation of the streaming decision-set reducers. Deterministic: the
-// result depends only on the two sets' contents and order, and membership
-// queries are order-independent anyway.
-func (e *ExplicitSet) AddSet(o *ExplicitSet) {
-	for _, p := range o.points {
-		e.Add(p)
-	}
-}
-
 // Len returns the number of points.
 func (e *ExplicitSet) Len() int { return len(e.points) }
 
