@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"asyncagree/internal/benor"
 	"asyncagree/internal/core"
 	"asyncagree/internal/rng"
 	"asyncagree/internal/sim"
@@ -86,27 +87,43 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Wi
 // System's own batch or a hand-built one, under any sender-set shape, must
 // reproduce the inline message run on the own batch — its first error,
 // RunResult and final configuration, and (where the path materializes
-// messages at all) its event feed. The seeds are the word-boundary sizes of
-// columnar_equiv_test.go and the uneven-shard sizes of shard_test.go.
+// messages at all) its event feed. The algorithm is an input like the rest
+// (even: core at t < n/6, odd: Ben-Or at t < n/2), so both clients of the
+// columnar scan are held to their own per-message Deliver. The seeds are the
+// word-boundary sizes of columnar_equiv_test.go and the uneven-shard sizes of
+// shard_test.go for core, then the word-boundary sizes again for Ben-Or.
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape))
+			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0))
 		}
 	}
-	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw uint8) {
+	for i, n := range []int{63, 64, 65, 127, 128} {
+		for shape := 0; shape < shapeCount; shape++ {
+			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1))
+		}
+	}
+	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw uint8) {
 		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
-		ft := int(tRaw) % ((n + 5) / 6)
-		th, err := core.DefaultThresholds(n, ft)
-		if err != nil {
-			t.Skip(err)
+		var ft int
+		var factory func(sim.ProcID, sim.Bit) sim.Process
+		if algRaw%2 == 0 {
+			ft = int(tRaw) % ((n + 5) / 6)
+			th, err := core.DefaultThresholds(n, ft)
+			if err != nil {
+				t.Skip(err)
+			}
+			factory = core.NewFactory(n, ft, th)
+		} else {
+			ft = int(tRaw) % ((n + 1) / 2) // 2*ft < n
+			factory = benor.NewFactory(n, ft)
 		}
 		workers := []int{1, 2, 4}[int(workersRaw)%3]
 		shape := int(shapeRaw) % shapeCount
 
 		run := func(workers int, columnar, disown bool) (events []string, res sim.RunResult, snap []string, err error) {
 			s, err := sim.New(sim.Config{
-				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: core.NewFactory(n, ft, th),
+				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: factory,
 			})
 			if err != nil {
 				t.Fatal(err)
