@@ -62,9 +62,10 @@ func (a *ResetStorm) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.W
 // reads message contents, but the columns carry exactly the information it
 // needs. The Val-based classification below assumes the stock convention
 // Classify encodes for the columnar algorithms (a record is value-bearing
-// iff its column value is a bit, i.e. below sim.ValNeutral) — true for
-// core.ClassifyVote and benor.ClassifyVote, the only classifiers the
-// registry pairs with columnar algorithms.
+// iff its column value is a bit, i.e. below sim.ValNeutral) — true for the
+// ClassifyVote closures over core.ExtractVote and benor.ExtractVote in
+// registry/algorithms.go, the only classifiers the registry pairs with
+// columnar algorithms.
 func (*SplitVote) PlansColumnar() bool { return true }
 
 // PlanDeliveryColumnar implements sim.ColumnarPlanner. A sender's vote is

@@ -42,7 +42,8 @@ type VoteInfo struct {
 // consumes it before the next window).
 type SplitVote struct {
 	// Classify extracts the balanced bit from a message (algorithm-specific;
-	// core.ClassifyVote and benor.ClassifyVote are the stock extractors).
+	// the stock extractors are the ClassifyVote closures over
+	// core.ExtractVote and benor.ExtractVote in registry/algorithms.go).
 	Classify func(sim.Message) VoteInfo
 	// Cap is the maximum same-value vote count any receiver may see. For
 	// the core algorithm use T3-1; for Ben-Or use floor(n/2).

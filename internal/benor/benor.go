@@ -88,89 +88,21 @@ type Proc struct {
 	phase Phase
 	x     sim.Bit
 
-	// got[r] tallies round r's reports and proposals in per-value sender
-	// bitsets (words words each). Tallies are recycled through pool, so the
-	// steady-state round loop performs no per-round allocation (the seed
-	// implementation built three nested maps per round).
-	got   map[int]*roundTally
-	pool  []*roundTally
-	words int
+	// votes records the first message per (round, phase, sender), keyed
+	// sim.VoteKey(round, phase): bits, and '?' for unvalued proposals (whose
+	// senders count towards the wait but towards neither value).
+	votes sim.Ledger
 
 	resetCounter int
 
-	// pending holds this window's queued broadcasts as plain records; Send
-	// materializes them into pooled message boxes only on the legacy path,
-	// while SendColumnar publishes them as columns. (round, phase) keys
-	// strictly ascend within a window — the sim.VotePublisher contract.
-	pending []Msg
-	outbox  []sim.Message
-
-	// msgPool recycles the heap-boxed *Msg payloads of past broadcasts; the
-	// System hands a completed window's batch payloads back through
-	// ReclaimPayload (window mode only — in step mode the pool stays empty
-	// and every broadcast boxes a fresh Msg).
-	msgPool []*Msg
+	// queue holds the broadcasts. (round, phase) keys strictly ascend within
+	// a window — the sim.VotePublisher contract.
+	queue sim.BroadcastQueue[Msg]
 }
 
-// quesMark is the props plane index of '?' (unvalued) proposals. It equals
-// sim.ValNeutral, so a column's Val doubles as the plane index.
-const quesMark = 2
-
-// roundTally records one round's first message per (phase, sender):
-// reports[v]/props[v] are per-value sender bitsets (props[quesMark] holds
-// the '?' proposals), nReports/nProps count the distinct senders recorded,
-// and repCount/propCount the per-value totals the phase thresholds are
-// checked against (proposal counts tally valued proposals only).
-type roundTally struct {
-	reports             [2][]uint64
-	props               [3][]uint64
-	nReports, nProps    int
-	repCount, propCount [2]int
-}
-
-func (rt *roundTally) clear() {
-	for v := range rt.reports {
-		clear(rt.reports[v])
-	}
-	for v := range rt.props {
-		clear(rt.props[v])
-	}
-	rt.nReports, rt.nProps = 0, 0
-	rt.repCount = [2]int{}
-	rt.propCount = [2]int{}
-}
-
-// reportedWord returns the senders already recorded for the round's reports
-// in word w; proppedWord the same for its proposals.
-func (rt *roundTally) reportedWord(w int) uint64 { return rt.reports[0][w] | rt.reports[1][w] }
-func (rt *roundTally) proppedWord(w int) uint64 {
-	return rt.props[0][w] | rt.props[1][w] | rt.props[2][w]
-}
-
-// takeRound fetches a cleared tally from the pool (or allocates one over a
-// single backing array).
-func (p *Proc) takeRound() *roundTally {
-	if n := len(p.pool); n > 0 {
-		rt := p.pool[n-1]
-		p.pool = p.pool[:n-1]
-		return rt
-	}
-	backing := make([]uint64, 5*p.words)
-	rt := &roundTally{}
-	for v := 0; v < 2; v++ {
-		rt.reports[v] = backing[v*p.words : (v+1)*p.words]
-	}
-	for v := 0; v < 3; v++ {
-		rt.props[v] = backing[(2+v)*p.words : (3+v)*p.words]
-	}
-	return rt
-}
-
-// releaseRound clears a tally and returns it to the pool.
-func (p *Proc) releaseRound(rt *roundTally) {
-	rt.clear()
-	p.pool = append(p.pool, rt)
-}
+// key is the ledger key of the current wait: round, then phase — exactly
+// the order the staleness rule compares in.
+func (p *Proc) key() int { return sim.VoteKey(p.round, uint8(p.phase)) }
 
 var _ sim.Process = (*Proc)(nil)
 
@@ -187,8 +119,7 @@ func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
 		round: 1,
 		phase: PhaseReport,
 		x:     input,
-		got:   make(map[int]*roundTally),
-		words: (n + 63) / 64,
+		votes: sim.NewLedger(n, 3),
 	}
 	p.queueBroadcast(Msg{R: 1, P: PhaseReport, V: input, Valued: true})
 	return p, nil
@@ -223,58 +154,15 @@ func (p *Proc) Round() (int, Phase) { return p.round, p.phase }
 // Value returns the current estimate x.
 func (p *Proc) Value() sim.Bit { return p.x }
 
-// queueBroadcast queues m to all n processors. The record stays a plain
-// Msg until the window's send: only the legacy Send path boxes it (all n
-// copies sharing one pooled *Msg box — the seed implementation boxed the
-// payload once per copy, the sweep engine's single largest allocation
-// source), while the columnar path never materializes copies at all.
-func (p *Proc) queueBroadcast(m Msg) {
-	p.pending = append(p.pending, m)
-}
-
-// takeMsg fetches a payload box from the pool (or allocates one).
-func (p *Proc) takeMsg() *Msg {
-	if n := len(p.msgPool); n > 0 {
-		m := p.msgPool[n-1]
-		p.msgPool = p.msgPool[:n-1]
-		return m
-	}
-	return new(Msg)
-}
+// queueBroadcast queues m to all n processors.
+func (p *Proc) queueBroadcast(m Msg) { p.queue.Queue(m) }
 
 // ReclaimPayload implements sim.PayloadReclaimer: the System returns the
 // payload boxes of a completed window's batch, one call per box.
-func (p *Proc) ReclaimPayload(payload any) {
-	if m, ok := payload.(*Msg); ok {
-		p.msgPool = append(p.msgPool, m)
-	}
-}
+func (p *Proc) ReclaimPayload(payload any) { p.queue.Reclaim(payload) }
 
-// reclaimOutbox discards queued-but-unsent broadcasts. Pending records are
-// unboxed, and p.outbox is always empty between Send calls (Send truncates
-// it before returning), so this is a pure truncation.
-func (p *Proc) reclaimOutbox() {
-	p.pending = p.pending[:0]
-}
-
-// Send implements sim.Process: it materializes the pending broadcasts into
-// pooled message boxes. The returned slice is valid only until the next
-// Deliver/Reset (the outbox capacity is recycled), per the sim.Process
-// contract.
-func (p *Proc) Send() []sim.Message {
-	out := p.outbox[:0]
-	for i := range p.pending {
-		box := p.takeMsg()
-		*box = p.pending[i]
-		var payload any = box
-		for q := 0; q < p.n; q++ {
-			out = append(out, sim.Message{From: p.id, To: sim.ProcID(q), Payload: payload})
-		}
-	}
-	p.pending = p.pending[:0]
-	p.outbox = out[:0]
-	return out
-}
+// Send implements sim.Process.
+func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
@@ -285,75 +173,44 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	case Msg:
 		msg = pl
 	default:
-		return
-	}
-	if msg.R < p.round || (msg.R == p.round && msg.P < p.phase) {
-		return // stale
+		return // foreign or corrupted payload: ignore
 	}
 	if msg.P != PhaseReport && msg.P != PhaseProposal {
 		return
 	}
-	if m.From < 0 || int(m.From) >= p.n {
-		return // unauthenticated sender; cannot occur through sim
+	key := sim.VoteKey(msg.R, uint8(msg.P))
+	if key < p.key() {
+		return // stale
 	}
-	tally := p.got[msg.R]
-	if tally == nil {
-		tally = p.takeRound()
-		p.got[msg.R] = tally
+	// Reports carry V unconditionally (Valued is set by honest senders; an
+	// unvalued report still tallies its V field). At most one message per
+	// (sender, round, phase) counts; a V that is no bit is corrupted, and an
+	// unauthenticated sender cannot occur through sim.
+	if p.votes.Add(key, msg.V, msg.Valued || msg.P == PhaseReport, m.From) {
+		p.drain(r)
 	}
-	w, bit := int(m.From)>>6, uint64(1)<<(uint(m.From)&63)
-	if msg.P == PhaseReport {
-		if tally.reportedWord(w)&bit != 0 {
-			return // at most one report per (sender, round)
-		}
-		// Reports carry V unconditionally (Valued is set by honest senders;
-		// an unvalued report still tallies its V field, as before).
-		tally.reports[msg.V][w] |= bit
-		tally.nReports++
-		tally.repCount[msg.V]++
-	} else {
-		if tally.proppedWord(w)&bit != 0 {
-			return // at most one proposal per (sender, round)
-		}
-		if msg.Valued {
-			tally.props[msg.V][w] |= bit
-			tally.propCount[msg.V]++
-		} else {
-			tally.props[quesMark][w] |= bit
-		}
-		tally.nProps++
-	}
-	p.drain(r)
 }
 
 // drain runs phase evaluations to a fixpoint: the wait threshold is n-t
 // messages for the current (round, phase), and completing one phase may
 // unlock the next from buffered messages.
 func (p *Proc) drain(r sim.RandSource) {
-	for {
-		cur := p.got[p.round]
-		if cur == nil {
-			return
-		}
+	for p.votes.Seen(p.key()) >= p.n-p.t {
+		count := p.votes.Counts(p.key())
 		if p.phase == PhaseReport {
-			if cur.nReports < p.n-p.t {
-				return
-			}
-			p.evalReport(cur)
+			p.evalReport(count)
 		} else {
-			if cur.nProps < p.n-p.t {
-				return
-			}
-			p.evalProposal(cur, r)
+			p.evalProposal(count, r)
 		}
+		p.votes.DropBelow(p.key())
 	}
 }
 
-// evalReport executes the end of phase 1.
-func (p *Proc) evalReport(tally *roundTally) {
+// evalReport executes the end of phase 1 on the per-bit report counts.
+func (p *Proc) evalReport(count [2]int) {
 	prop := Msg{R: p.round, P: PhaseProposal}
 	for v := sim.Bit(0); v <= 1; v++ {
-		if 2*tally.repCount[v] > p.n {
+		if 2*count[v] > p.n {
 			prop.V, prop.Valued = v, true
 		}
 	}
@@ -361,9 +218,9 @@ func (p *Proc) evalReport(tally *roundTally) {
 	p.queueBroadcast(prop)
 }
 
-// evalProposal executes the end of phase 2.
-func (p *Proc) evalProposal(tally *roundTally, r sim.RandSource) {
-	count := tally.propCount
+// evalProposal executes the end of phase 2 on the per-bit counts of the
+// valued proposals.
+func (p *Proc) evalProposal(count [2]int, r sim.RandSource) {
 	switch {
 	case count[0] > 0 && count[1] > 0:
 		// Impossible under the protocol (two majorities would intersect);
@@ -386,46 +243,24 @@ func (p *Proc) evalProposal(tally *roundTally, r sim.RandSource) {
 	default:
 		p.x = sim.Bit(r.Bit())
 	}
-	p.releaseRound(tally)
-	delete(p.got, p.round)
 	p.round++
 	p.phase = PhaseReport
-	p.dropStale()
 	p.queueBroadcast(Msg{R: p.round, P: PhaseReport, V: p.x, Valued: true})
 }
 
-// dropStale releases buffered tallies for rounds below the current one
-// (rounds skipped over can otherwise linger forever).
-func (p *Proc) dropStale() {
-	for r, rt := range p.got {
-		if r < p.round {
-			p.releaseRound(rt)
-			delete(p.got, r)
-		}
-	}
-}
-
-// releaseAllRounds returns every buffered tally to the pool.
-func (p *Proc) releaseAllRounds() {
-	for r, rt := range p.got {
-		p.releaseRound(rt)
-		delete(p.got, r)
-	}
-}
-
 // Recycle implements sim.Recycler: it rewinds the processor to the state
-// New would produce for the given input, keeping the pooled tallies, payload
-// boxes, outbox capacity, and round map so a recycled trial allocates
-// nothing here.
+// New would produce for the given input, keeping the ledger's pooled tallies
+// and the queue's boxes and capacity so a recycled trial allocates nothing
+// here.
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
 	p.out, p.decided = 0, false
 	p.round = 1
 	p.phase = PhaseReport
 	p.x = input
-	p.releaseAllRounds()
+	p.votes.Clear()
 	p.resetCounter = 0
-	p.reclaimOutbox()
+	p.queue.Discard()
 	p.queueBroadcast(Msg{R: 1, P: PhaseReport, V: input, Valued: true})
 }
 
@@ -438,8 +273,8 @@ func (p *Proc) Reset() {
 	p.round = 1
 	p.phase = PhaseReport
 	p.x = p.input
-	p.releaseAllRounds()
-	p.reclaimOutbox()
+	p.votes.Clear()
+	p.queue.Discard()
 	p.queueBroadcast(Msg{R: 1, P: PhaseReport, V: p.x, Valued: true})
 }
 

@@ -251,3 +251,95 @@ func TestResetRestartsProtocol(t *testing.T) {
 		t.Fatalf("after reset round=%d phase=%d", r, ph)
 	}
 }
+
+// fakeRand is a deterministic RandSource for unit tests.
+type fakeRand struct{}
+
+func (fakeRand) Bit() uint8     { return 0 }
+func (fakeRand) Intn(n int) int { return 0 }
+func (fakeRand) Uint64() uint64 { return 0 }
+
+// TestIgnoresForeignAndStaleMessages is core's test of the same name on
+// Ben-Or's two waits: every row is delivered while the wait lacks exactly one
+// sender — the row's own — so a row that were tallied would complete it.
+func TestIgnoresForeignAndStaleMessages(t *testing.T) {
+	const n, tt = 9, 2 // waits for n-t = 7 senders
+	p, err := New(0, n, tt, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := fakeRand{}
+	valued := func(round int, ph Phase, v sim.Bit) Msg { return Msg{R: round, P: ph, V: v, Valued: true} }
+	type rows = []struct {
+		name string
+		from sim.ProcID
+		pl   any
+	}
+	ignored := func(stage string, rows rows) {
+		t.Helper()
+		round, phase := p.Round()
+		for _, row := range rows {
+			p.Deliver(sim.Message{From: row.from, Payload: row.pl}, r)
+			if rd, ph := p.Round(); rd != round || ph != phase {
+				t.Fatalf("%s: %s moved the wait to (%d, %d)", stage, row.name, rd, ph)
+			}
+		}
+	}
+
+	// Phase 1: six reports (four 1s, two 0s), sender 6 still missing.
+	for q := 0; q < 6; q++ {
+		v := sim.One
+		if q >= 4 {
+			v = sim.Zero
+		}
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: valued(1, PhaseReport, v)}, r)
+	}
+	ignored("report wait", rows{
+		{"a foreign payload", 6, "garbage"},
+		{"a stale round", 6, valued(0, PhaseReport, 1)},
+		{"an unknown phase", 6, valued(1, 0, 1)},
+		{"an unknown phase", 6, valued(1, 3, 1)},
+		{"an out-of-range sender", -1, valued(1, PhaseReport, 1)},
+		{"an out-of-range sender", n, valued(1, PhaseReport, 1)},
+		{"an out-of-range value", 6, valued(1, PhaseReport, 2)},
+		{"an out-of-range value", 6, &Msg{R: 1, P: PhaseReport, V: 255, Valued: true}},
+		{"a duplicate", 0, valued(1, PhaseReport, 1)},
+	})
+	// The documented quirk: an unvalued report still tallies its V, here the
+	// fifth 1 of nine — the strict majority that makes the proposal valued.
+	p.Deliver(sim.Message{From: 6, Payload: Msg{R: 1, P: PhaseReport, V: 1}}, r)
+	if rd, ph := p.Round(); rd != 1 || ph != PhaseProposal {
+		t.Fatalf("after the seventh report the wait is (%d, %d), want (1, %d)", rd, ph, PhaseProposal)
+	}
+	sent := p.Send()
+	if _, ph, v, ok := ExtractVote(sent[len(sent)-1]); !ok || ph != PhaseProposal || v != 1 {
+		t.Fatalf("proposal = (phase %d, value %d, valued %v), want a valued 1", ph, v, ok)
+	}
+
+	// Phase 2: six valued proposals, sender 6 still missing.
+	for q := 0; q < 6; q++ {
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: valued(1, PhaseProposal, 1)}, r)
+	}
+	ignored("proposal wait", rows{
+		{"a stale phase", 6, valued(1, PhaseReport, 1)},
+		{"a stale round", 6, valued(0, PhaseProposal, 1)},
+		{"an unknown phase", 6, valued(1, 3, 1)},
+		{"an out-of-range sender", n, valued(1, PhaseProposal, 1)},
+		{"an out-of-range value", 6, valued(1, PhaseProposal, 2)},
+		{"an out-of-range value in a buffered round", 6, valued(2, PhaseReport, 2)},
+	})
+	p.Deliver(sim.Message{From: 6, Payload: Msg{R: 1, P: PhaseProposal, V: 7}}, r) // '?': V is not read
+	if rd, ph := p.Round(); rd != 2 || ph != PhaseReport {
+		t.Fatalf("after the seventh proposal the wait is (%d, %d), want (2, %d)", rd, ph, PhaseReport)
+	}
+	if v, ok := p.Output(); !ok || v != 1 {
+		t.Fatalf("output = (%d, %v), want (1, true): six valued proposals decide", v, ok)
+	}
+	// The buffered round-2 report of sender 6 was dropped, not tallied.
+	for q := 0; q < 6; q++ {
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: valued(2, PhaseReport, 1)}, r)
+	}
+	if rd, ph := p.Round(); rd != 2 || ph != PhaseReport {
+		t.Fatalf("six round-2 reports moved the wait to (%d, %d)", rd, ph)
+	}
+}

@@ -1,174 +1,38 @@
 package benor
 
-import (
-	"math"
-	"math/bits"
+import "asyncagree/internal/sim"
 
-	"asyncagree/internal/sim"
-)
-
-// Ben-Or's port onto the columnar vote-tally kernel (sim/columnar.go).
-// The structure mirrors internal/core/columnar.go — see the long comment
-// there for why a word-by-word scan with bit-exact threshold crossings is
-// required for byte-identical results. Ben-Or's differences:
-//
-//   - Records are keyed by (round, phase) packed as round<<2 | phase, the
-//     order the staleness rule compares in and the order columns sort in
-//     (phase fits in two bits).
-//   - Two tally planes per round: reports (values 0/1) and proposals
-//     (values 0/1/'?'), with separate n-t wait thresholds.
-//   - No resynchronization mode, and no carried-over pending evaluation:
-//     the drain loop runs to a fixpoint after every applied message, so at
-//     rest the current phase is always strictly below its threshold.
+// Ben-Or's port onto the columnar vote-tally kernel: the whole receive side
+// is the kernel's ledger scan (sim/ledger.go) waiting for n-t records of the
+// current (round, phase). There is no resynchronization mode and no
+// carried-over pending evaluation: the drain loop runs to a fixpoint after
+// every applied message, so at rest the current phase is always strictly
+// below its threshold.
 
 var _ sim.VoteBroadcaster = (*Proc)(nil)
 var _ sim.TallyReceiver = (*Proc)(nil)
 
 // SendColumnar implements sim.VoteBroadcaster. A '?' proposal publishes
-// sim.ValNeutral; reports from honest senders are always valued. Pending
+// sim.ValNeutral; reports from honest senders are always valued. Queued
 // (round, phase) keys strictly ascend, satisfying the publish contract.
 func (p *Proc) SendColumnar(pub sim.VotePublisher) {
-	for i := range p.pending {
-		m := &p.pending[i]
-		val := uint8(sim.ValNeutral)
+	for _, m := range p.queue.Pending() {
+		val := sim.ValNeutral
 		if m.Valued {
 			val = uint8(m.V)
 		}
 		pub.Publish(m.R, uint8(m.P), val)
 	}
-	p.pending = p.pending[:0]
+	p.queue.Discard()
 }
 
-// remMask returns the still-undelivered sender mask of a packed-key column
-// given the in-word frontier (see core/columnar.go).
-func remMask(fb, fk, key int) uint64 {
-	if key <= fk {
-		return sim.MaskFrom(fb + 1)
-	}
-	return sim.MaskFrom(fb)
-}
-
-// packedKey orders records the way delivery observes them: by round, then
-// phase — exactly the staleness comparison in Deliver.
-func packedKey(round int, phase Phase) int { return round<<2 | int(phase) }
-
-// DeliverTally implements sim.TallyReceiver.
+// DeliverTally implements sim.TallyReceiver: each crossing the scan reports
+// is a phase-completing message, after which drain moves the wait on.
 func (p *Proc) DeliverTally(t *sim.WindowTally, r sim.RandSource) {
-	cols := t.Columns()
-	if len(cols) == 0 {
-		return
-	}
-	words := t.Words()
-	for w := 0; w < words; w++ {
-		allow := t.AllowWord(w)
-		if allow == 0 {
-			continue
-		}
-		fb, fk := 0, math.MinInt
-		for !p.scanWord(cols, w, allow, &fb, &fk, r) {
-		}
-	}
-}
-
-// scanWord processes (part of) one sender word: it either finds the next
-// phase-completing message — applies the exact delivery prefix, drains
-// evaluations, returns false so the caller re-enters with the updated
-// (round, phase) — or proves the current phase cannot complete in this
-// word, bulk-applies the remainder, and returns true.
-func (p *Proc) scanWord(cols []sim.VoteColumn, w int, allow uint64, fb, fk *int, r sim.RandSource) bool {
-	needed := p.n - p.t
-	var voted uint64
-	if cur := p.got[p.round]; cur != nil {
-		if p.phase == PhaseReport {
-			needed -= cur.nReports
-			voted = cur.reportedWord(w)
-		} else {
-			needed -= cur.nProps
-			voted = cur.proppedWord(w)
-		}
-	}
-	// needed >= 1 always: drain runs to a fixpoint after every applied
-	// message, so a complete current phase never rests.
-	curKey := packedKey(p.round, p.phase)
-	var newAll uint64
-	remCur := remMask(*fb, *fk, curKey)
-	for ci := range cols {
-		c := &cols[ci]
-		if c.Round == p.round && Phase(c.Class) == p.phase {
-			newAll |= c.Word(w) & allow & remCur &^ voted
-		}
-	}
-	if bits.OnesCount64(newAll) < needed {
-		// The current phase cannot complete in this word: apply every
-		// remaining non-stale record in bulk (tallying is commutative under
-		// the dedup mask, and no evaluation fires in between).
-		for ci := range cols {
-			c := &cols[ci]
-			k := packedKey(c.Round, Phase(c.Class))
-			if k < curKey {
-				continue // stale: dropped exactly like the per-message path
-			}
-			p.applyBits(c, w, c.Word(w)&allow&remMask(*fb, *fk, k))
-		}
-		return true
-	}
-	// The needed-th new current-phase message (ascending sender order)
-	// completes the phase. Deliver everything strictly before it plus the
-	// crossing message itself: current-key bits <= b, higher-key bits < b
-	// (the crossing sender's higher-key records follow it).
-	b := sim.NthSetBit(newAll, needed)
-	through := ^sim.MaskFrom(b + 1)
-	below := ^sim.MaskFrom(b)
-	for ci := range cols {
-		c := &cols[ci]
-		k := packedKey(c.Round, Phase(c.Class))
-		if k < curKey {
-			continue
-		}
-		cut := below
-		if k == curKey {
-			cut = through
-		}
-		p.applyBits(c, w, c.Word(w)&allow&remMask(*fb, *fk, k)&cut)
-	}
-	*fb, *fk = b, curKey
-	p.drain(r)
-	return false
-}
-
-// applyBits tallies a whole word's worth of one column's records, deduping
-// against already-recorded senders. Lazy tally creation matches the legacy
-// path (a duplicate presupposes an existing tally). Honest publishers only
-// emit report values 0/1 and proposal values 0/1/ValNeutral, so Val is a
-// valid plane index.
-func (p *Proc) applyBits(c *sim.VoteColumn, w int, mask uint64) {
-	if mask == 0 {
-		return
-	}
-	rt := p.got[c.Round]
-	if rt == nil {
-		rt = p.takeRound()
-		p.got[c.Round] = rt
-	}
-	if Phase(c.Class) == PhaseReport {
-		mask &^= rt.reportedWord(w)
-		if mask == 0 {
-			return
-		}
-		rt.reports[c.Val][w] |= mask
-		n := bits.OnesCount64(mask)
-		rt.nReports += n
-		rt.repCount[c.Val] += n
-	} else {
-		mask &^= rt.proppedWord(w)
-		if mask == 0 {
-			return
-		}
-		rt.props[c.Val][w] |= mask
-		n := bits.OnesCount64(mask)
-		rt.nProps += n
-		if c.Val < quesMark {
-			rt.propCount[c.Val] += n
+	for w := 0; w < t.Words(); w++ {
+		word := t.Word(w)
+		for p.votes.ScanWord(word, p.key(), p.n-p.t-p.votes.Seen(p.key())) {
+			p.drain(r)
 		}
 	}
 }

@@ -2,281 +2,106 @@ package core
 
 import (
 	"math"
-	"math/bits"
 
 	"asyncagree/internal/sim"
 )
 
 // This file is the core algorithm's port onto the columnar vote-tally
-// kernel (sim/columnar.go): SendColumnar publishes the pending broadcasts
-// as (round, value) columns, and DeliverTally replays the window's
-// per-message delivery as a word-by-word bitset scan that is byte-identical
-// to n-t individual Deliver calls — same tallies, same threshold-crossing
-// points, same rng draws, same final state.
-//
-// Why a scan and not a plain popcount: the legacy path evaluates a round at
-// the exact message that brings its tally to T1, and the coin flip (or
-// adoption) at that point consumes randomness before any later message of
-// the window is tallied — later messages may then be stale (the round
-// advanced past them) or feed the next round. A whole-window popcount
-// would tally them first and diverge. The scan therefore walks sender
-// words in ascending order (delivery order is ascending sender, and within
-// a sender ascending record order = ascending round), bulk-applying votes
-// between threshold crossings — sound because tallying is commutative and
-// evaluation only ever fires on the current round's tally — and handling
-// each crossing bit-exactly.
-//
-// The frontier (fb, fk) tracks progress inside the current word after a
-// crossing: senders below bit fb are fully delivered, and sender fb is
-// delivered through round fk (its higher-round records come after the
-// crossing record it just delivered). The remaining mask of a column with
-// round k is therefore MaskFrom(fb+1) for k <= fk and MaskFrom(fb)
-// otherwise.
+// kernel: SendColumnar publishes the queued broadcasts as (round, value)
+// columns, and DeliverTally replays the window's per-message delivery word
+// by word on the kernel's ledger scan (sim/ledger.go, which says why a scan
+// and not a popcount), byte-identical to n-t individual Deliver calls.
+// Normal operation is the kernel's ScanWord waiting for T1 votes of the
+// current round; what is core's own is the post-reset resynchronization,
+// whose wait is over every round at once, and the pending evaluation an
+// adoption can leave behind (anyRoundWord).
 
 var _ sim.VoteBroadcaster = (*Proc)(nil)
 var _ sim.TallyReceiver = (*Proc)(nil)
 
-// SendColumnar implements sim.VoteBroadcaster: it publishes the pending
+// SendColumnar implements sim.VoteBroadcaster: it publishes the queued
 // broadcasts (class 0, value-bearing) instead of materializing Messages.
-// Pending rounds strictly ascend, satisfying the publish-order contract.
+// Queued rounds strictly ascend, satisfying the publish-order contract.
 func (p *Proc) SendColumnar(pub sim.VotePublisher) {
-	for i := range p.pending {
-		pub.Publish(p.pending[i].R, 0, uint8(p.pending[i].X))
+	for _, v := range p.queue.Pending() {
+		pub.Publish(v.R, 0, uint8(v.X))
 	}
-	p.pending = p.pending[:0]
-}
-
-// remMask returns the still-undelivered sender mask of a round-key column
-// given the in-word frontier.
-func remMask(fb, fk, key int) uint64 {
-	if key <= fk {
-		return sim.MaskFrom(fb + 1)
-	}
-	return sim.MaskFrom(fb)
+	p.queue.Discard()
 }
 
 // DeliverTally implements sim.TallyReceiver.
 func (p *Proc) DeliverTally(t *sim.WindowTally, r sim.RandSource) {
-	cols := t.Columns()
-	if len(cols) == 0 {
-		return
-	}
-	words := t.Words()
-	for w := 0; w < words; w++ {
-		allow := t.AllowWord(w)
-		if allow == 0 {
-			continue
-		}
-		fb, fk := 0, math.MinInt
-		for {
-			var done bool
-			if p.syncing {
-				done = p.syncWord(cols, w, allow, &fb, &fk, r)
-			} else {
-				done = p.normalWord(cols, w, allow, &fb, &fk, r)
-			}
-			if done {
-				break
-			}
+	for w := 0; w < t.Words(); w++ {
+		word := t.Word(w)
+		for p.scanWord(word, r) {
 		}
 	}
 }
 
-// normalWord processes (part of) one sender word in normal operation. It
-// either finds the next evaluation event — applies the exact delivery
-// prefix, runs the legacy cascade, returns false so the caller re-enters
-// with the updated round/mode — or proves no event fires in this word,
-// bulk-applies the remainder, and returns true.
-func (p *Proc) normalWord(cols []sim.VoteColumn, w int, allow uint64, fb, fk *int, r sim.RandSource) bool {
-	needed := p.th.T1
-	var votedCur uint64
-	if cur := p.got[p.round]; cur != nil {
-		needed -= cur.seen
-		votedCur = cur.bits[0][w] | cur.bits[1][w]
-	}
-	if needed <= 0 {
-		return p.pendingEvalWord(cols, w, allow, fb, fk, r)
-	}
-	var newAll uint64
-	remCur := remMask(*fb, *fk, p.round)
-	for ci := range cols {
-		c := &cols[ci]
-		if c.Round == p.round {
-			newAll |= c.Word(w) & allow & remCur &^ votedCur
+// scanWord processes (part of) one sender word. It either finds the next
+// evaluation event — applies the exact delivery prefix, evaluates, returns
+// true so the caller re-enters with the updated round/mode — or proves no
+// event fires in this word, applies the remainder, and returns false.
+func (p *Proc) scanWord(word *sim.WordScan, r sim.RandSource) bool {
+	cur := voteKey(p.round)
+	if needed := p.th.T1 - p.votes.Seen(cur); !p.syncing && needed > 0 {
+		if !p.votes.ScanWord(word, cur, needed) {
+			return false
 		}
-	}
-	if bits.OnesCount64(newAll) < needed {
-		// No crossing in this word: every remaining non-stale vote can be
-		// applied in bulk — no evaluation fires in between, and tallying is
-		// commutative under the dedup mask. Stale rounds are dropped exactly
-		// like the per-message path.
-		for ci := range cols {
-			c := &cols[ci]
-			if c.Round < p.round {
-				continue
-			}
-			p.applyBits(c.Round, c.Val, w, c.Word(w)&allow&remMask(*fb, *fk, c.Round))
-		}
+		p.cascade(r)
 		return true
 	}
-	// The needed-th new current-round vote (ascending sender order) is the
-	// crossing message. Deliver everything strictly before it plus the
-	// crossing vote itself: current-round bits <= b, and other (higher)
-	// rounds' bits < b — the crossing sender's higher-round records follow
-	// its current-round record, so they are not yet delivered.
-	b := sim.NthSetBit(newAll, needed)
-	curRound := p.round
-	through := ^sim.MaskFrom(b + 1)
-	below := ^sim.MaskFrom(b)
-	for ci := range cols {
-		c := &cols[ci]
-		if c.Round < curRound {
-			continue
-		}
-		cut := below
-		if c.Round == curRound {
-			cut = through
-		}
-		p.applyBits(c.Round, c.Val, w, c.Word(w)&allow&remMask(*fb, *fk, c.Round)&cut)
-	}
-	*fb, *fk = b, curRound
-	p.cascade(r)
-	return false
+	return p.anyRoundWord(word, cur, r)
 }
 
-// pendingEvalWord handles the carried-over complete current round a sync
-// adoption leaves behind (the legacy syncing branch evaluates once and
-// returns without cascading): the next applied — non-stale, non-duplicate,
-// allowed — vote of any round fires the cascade, so find the earliest one
-// in delivery order ((bit, round) lexicographic), apply just it, cascade,
-// and resume the normal scan behind it.
-func (p *Proc) pendingEvalWord(cols []sim.VoteColumn, w int, allow uint64, fb, fk *int, r sim.RandSource) bool {
-	bestBit, bestKey := 64, 0
-	var bestVal uint8
-	for ci := range cols {
-		c := &cols[ci]
-		if c.Round < p.round {
-			continue
-		}
-		m := c.Word(w) & allow & remMask(*fb, *fk, c.Round) &^ p.votedWord(c.Round, w)
-		if m == 0 {
-			continue
-		}
-		b := bits.TrailingZeros64(m)
-		if b < bestBit || (b == bestBit && c.Round < bestKey) {
-			bestBit, bestKey, bestVal = b, c.Round, c.Val
-		}
-	}
-	if bestBit >= 64 {
-		return true // nothing applicable anywhere in this word
-	}
-	p.applyBits(bestKey, bestVal, w, uint64(1)<<uint(bestBit))
-	*fb, *fk = bestBit, bestKey
-	p.cascade(r)
-	return false
-}
-
-// syncWord processes (part of) one sender word in the post-reset
-// resynchronization state: no staleness, and the event is the first
-// message (in delivery order) that brings any round's tally to T1 — the
-// adoption point. Ties at one sender bit resolve to the smallest round,
+// anyRoundWord is scanWord in the two states whose event can come from any
+// round, not the current one alone:
+//
+//   - resynchronizing after a reset: no staleness, and the event is the
+//     first message that brings any round's tally to T1, the adoption point;
+//   - the current round complete but unevaluated, which is how an adoption
+//     leaves a complete buffered next round (the syncing branch of Deliver
+//     evaluates once and returns without cascading): the next applied vote
+//     of any non-stale round fires the cascade.
+//
+// Either way the event is the earliest in delivery order, (bit, key)
+// lexicographic: ties at one sender bit resolve to the smallest round,
 // matching the sender's ascending record order.
-func (p *Proc) syncWord(cols []sim.VoteColumn, w int, allow uint64, fb, fk *int, r sim.RandSource) bool {
+func (p *Proc) anyRoundWord(word *sim.WordScan, cur int, r sim.RandSource) bool {
+	minKey := cur
+	if p.syncing {
+		minKey = math.MinInt
+	}
 	bestBit, bestKey := 64, 0
-	for ci := 0; ci < len(cols); {
-		round := cols[ci].Round
-		var m uint64
-		for ; ci < len(cols) && cols[ci].Round == round; ci++ {
-			m |= cols[ci].Word(w)
-		}
-		m &= allow & remMask(*fb, *fk, round) &^ p.votedWord(round, w)
-		if m == 0 {
+	for ci, cols := 0, word.Columns(); ci < len(cols); ci++ {
+		key := cols[ci].Key()
+		if key < minKey || (ci > 0 && cols[ci-1].Key() == key) {
 			continue
 		}
-		needed := p.th.T1
-		if rv := p.got[round]; rv != nil {
-			needed -= rv.seen
+		needed := 1
+		if p.syncing {
+			needed = p.th.T1 - p.votes.Seen(key)
 		}
-		if bits.OnesCount64(m) < needed {
-			continue
-		}
-		b := sim.NthSetBit(m, needed)
-		if b < bestBit || (b == bestBit && round < bestKey) {
-			bestBit, bestKey = b, round
+		if b := p.votes.Crossing(word, key, needed); b < bestBit {
+			bestBit, bestKey = b, key
 		}
 	}
-	if bestBit >= 64 {
-		// No round completes in this word: tally everything.
-		for ci := range cols {
-			c := &cols[ci]
-			p.applyBits(c.Round, c.Val, w, c.Word(w)&allow&remMask(*fb, *fk, c.Round))
-		}
+	// No other key can have its event at an earlier-or-equal position — it
+	// would have won the selection above — so the prefix through the event
+	// holds no other event. (Before a pending evaluation's event it holds
+	// nothing but duplicates: the prefix is that one vote.) With no event in
+	// the word, bit 64 applies all of it.
+	p.votes.ApplyThrough(word, bestBit, bestKey, minKey)
+	if bestBit == 64 {
+		return false
+	}
+	if !p.syncing {
+		p.cascade(r)
 		return true
 	}
-	// Deliver the prefix through the adopting message: rounds <= bestKey of
-	// sender bestBit precede it, higher rounds follow. No other round can
-	// complete at an earlier-or-equal position — it would have won the
-	// candidate selection above.
-	through := ^sim.MaskFrom(bestBit + 1)
-	below := ^sim.MaskFrom(bestBit)
-	for ci := range cols {
-		c := &cols[ci]
-		cut := below
-		if c.Round <= bestKey {
-			cut = through
-		}
-		p.applyBits(c.Round, c.Val, w, c.Word(w)&allow&remMask(*fb, *fk, c.Round)&cut)
-	}
-	// Adopt exactly like the legacy syncing branch: evaluate once, no
-	// cascade — a complete buffered next round stays pending until the next
-	// applied vote (pendingEvalWord).
-	p.round = bestKey
+	// Adopt exactly like Deliver: evaluate once, no cascade.
+	p.round = bestKey >> 2 // the round of voteKey
 	p.syncing = false
 	p.evaluate(r)
-	*fb, *fk = bestBit, bestKey
-	return false
-}
-
-// votedWord returns the already-voted sender mask of a round's tally.
-func (p *Proc) votedWord(round, w int) uint64 {
-	if rv := p.got[round]; rv != nil {
-		return rv.bits[0][w] | rv.bits[1][w]
-	}
-	return 0
-}
-
-// applyBits tallies a whole word's worth of one column's votes, deduping
-// against already-recorded senders. Lazy tally creation matches the legacy
-// path: an entry exists iff at least one non-stale vote for the round was
-// delivered (a duplicate presupposes an existing entry, so creating before
-// the dedup mask is the same behavior).
-func (p *Proc) applyBits(round int, val uint8, w int, mask uint64) {
-	if mask == 0 {
-		return
-	}
-	rv := p.got[round]
-	if rv == nil {
-		rv = p.takeRound()
-		p.got[round] = rv
-	}
-	mask &^= rv.bits[0][w] | rv.bits[1][w]
-	if mask == 0 {
-		return
-	}
-	rv.bits[val][w] |= mask
-	c := bits.OnesCount64(mask)
-	rv.seen += c
-	rv.count[val] += c
-}
-
-// cascade is the legacy post-tally evaluation loop: evaluate while the
-// current round's tally is complete.
-func (p *Proc) cascade(r sim.RandSource) {
-	for !p.syncing {
-		cur := p.got[p.round]
-		if cur == nil || cur.seen < p.th.T1 {
-			return
-		}
-		p.evaluate(r)
-	}
+	return true
 }

@@ -99,9 +99,7 @@ func ExtractVote(m sim.Message) (round int, value sim.Bit, ok bool) {
 type Proc struct {
 	id   sim.ProcID
 	n, t int
-	// words is the sender-bitset width (n+63)/64 shared by every tally.
-	words int
-	th    Thresholds
+	th   Thresholds
 
 	input sim.Bit
 
@@ -115,77 +113,25 @@ type Proc struct {
 	syncing bool
 	x       sim.Bit
 
-	// got[r] tallies the votes received for round r. Each round's threshold
-	// evaluation happens exactly when the T1-th distinct sender for the
-	// current round arrives. Tallies are recycled through pool so the
-	// steady-state window loop performs no per-round allocation.
-	got  map[int]*roundVotes
-	pool []*roundVotes
+	// votes tallies the votes received per round (key voteKey(r)): bits
+	// only. Each round's threshold evaluation happens exactly when the T1-th
+	// distinct sender for the current round arrives.
+	votes sim.Ledger
 
 	// resetCounter implements the paper's reset-detection bookkeeping: it
 	// survives resets and increments on each one.
 	resetCounter int
 
-	// pending queues broadcast records cheaply (one Vote per queueBroadcast
-	// call); Send materializes them into outbox Messages lazily, and the
-	// columnar SendColumnar publishes them as columns instead, so queueing
-	// costs O(1) either way. Within a window, pending entries strictly
-	// ascend in round (evaluate queues exactly one record per round advance
-	// and Reset truncates before re-queueing), the publish-order invariant
-	// sim.VotePublisher requires.
-	pending []Vote
-	outbox  []sim.Message
-
-	// votePool recycles the heap-boxed *Vote payloads of past broadcasts.
-	// The System hands a window's batch payloads back through ReclaimPayload
-	// once the window completes (window mode only; in step mode the pool
-	// simply stays empty and every broadcast boxes a fresh Vote), so the
-	// steady-state window loop allocates no vote boxes.
-	votePool []*Vote
+	// queue holds the broadcasts, one Vote per round advance. Within a
+	// window its records strictly ascend in round (evaluate queues exactly
+	// one per advance and Reset discards before re-queueing), the
+	// publish-order invariant sim.VotePublisher requires.
+	queue sim.BroadcastQueue[Vote]
 }
 
-// roundVotes tallies one round's votes as per-value sender bitsets: bit q
-// of bits[v] is set iff sender q's round vote carried v; seen counts the
-// distinct senders recorded and count the per-value totals the step-3
-// thresholds are checked against. The bitset representation serves both
-// delivery paths: the per-message Deliver sets one bit at a time, and the
-// columnar DeliverTally (columnar.go) ORs whole words, so the two produce
-// identical state by construction.
-type roundVotes struct {
-	bits  [2][]uint64
-	seen  int
-	count [2]int
-}
-
-func (rv *roundVotes) clear() {
-	clear(rv.bits[0])
-	clear(rv.bits[1])
-	rv.seen = 0
-	rv.count = [2]int{}
-}
-
-// voted reports whether sender q's vote is already recorded.
-func (rv *roundVotes) voted(q sim.ProcID) bool {
-	bit := uint64(1) << (uint(q) & 63)
-	return (rv.bits[0][int(q)>>6]|rv.bits[1][int(q)>>6])&bit != 0
-}
-
-// takeRound fetches a cleared tally from the pool (or allocates one).
-func (p *Proc) takeRound() *roundVotes {
-	if n := len(p.pool); n > 0 {
-		rv := p.pool[n-1]
-		p.pool = p.pool[:n-1]
-		return rv
-	}
-	backing := make([]uint64, 2*p.words)
-	return &roundVotes{bits: [2][]uint64{backing[:p.words], backing[p.words:]}}
-}
-
-// releaseRound clears a tally and returns it to the pool.
-func (p *Proc) releaseRound(rv *roundVotes) {
-	rv.clear()
-	p.pool = append(p.pool, rv)
-}
+// voteKey is the ledger key of round r's votes (the protocol has one record
+// class).
+func voteKey(r int) int { return sim.VoteKey(r, 0) }
 
 var _ sim.Process = (*Proc)(nil)
 
@@ -199,12 +145,11 @@ func New(id sim.ProcID, n, t int, th Thresholds, input sim.Bit) (*Proc, error) {
 		id:    id,
 		n:     n,
 		t:     t,
-		words: (n + 63) / 64,
 		th:    th,
 		input: input,
 		round: 1,
 		x:     input,
-		got:   make(map[int]*roundVotes),
+		votes: sim.NewLedger(n, 2),
 	}
 	p.queueBroadcast()
 	return p, nil
@@ -246,52 +191,17 @@ func (p *Proc) Value() sim.Bit { return p.x }
 // Resets returns the reset counter.
 func (p *Proc) Resets() int { return p.resetCounter }
 
-// queueBroadcast queues (round, x) to all n processors as one pending
-// record; the n Message copies (sharing one pooled *Vote box, so the window
-// hot loop allocates no payload) materialize lazily in Send, and never
-// materialize at all on the columnar path.
-func (p *Proc) queueBroadcast() {
-	p.pending = append(p.pending, Vote{R: p.round, X: p.x})
-}
-
-// takeVote fetches a payload box from the pool (or allocates one).
-func (p *Proc) takeVote() *Vote {
-	if n := len(p.votePool); n > 0 {
-		v := p.votePool[n-1]
-		p.votePool = p.votePool[:n-1]
-		return v
-	}
-	return new(Vote)
-}
+// queueBroadcast queues (round, x) to all n processors.
+func (p *Proc) queueBroadcast() { p.queue.Queue(Vote{R: p.round, X: p.x}) }
 
 // ReclaimPayload implements sim.PayloadReclaimer: the System returns the
 // payload boxes of a completed window's batch, one call per box.
-func (p *Proc) ReclaimPayload(payload any) {
-	if v, ok := payload.(*Vote); ok {
-		p.votePool = append(p.votePool, v)
-	}
-}
+func (p *Proc) ReclaimPayload(payload any) { p.queue.Reclaim(payload) }
 
-// Send implements sim.Process: it materializes and flushes the pending
-// broadcasts. A reset processor has nothing pending until it
-// resynchronizes, implementing "a newly reset processor refrains from
-// sending messages until it resumes normal operation". The returned slice
-// is valid only until the next Deliver/Reset (the outbox capacity is
-// recycled), per the sim.Process contract.
-func (p *Proc) Send() []sim.Message {
-	out := p.outbox[:0]
-	for i := range p.pending {
-		box := p.takeVote()
-		box.R, box.X = p.pending[i].R, p.pending[i].X
-		var payload any = box
-		for q := 0; q < p.n; q++ {
-			out = append(out, sim.Message{From: p.id, To: sim.ProcID(q), Payload: payload})
-		}
-	}
-	p.pending = p.pending[:0]
-	p.outbox = out[:0]
-	return out
-}
+// Send implements sim.Process. A reset processor has nothing queued until
+// it resynchronizes, implementing "a newly reset processor refrains from
+// sending messages until it resumes normal operation".
+func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
@@ -307,39 +217,28 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	if !p.syncing && v.R < p.round {
 		return // stale round, irrelevant
 	}
-	if m.From < 0 || int(m.From) >= p.n {
-		return // unauthenticated sender; cannot occur through sim
+	if !p.votes.Add(voteKey(v.R), v.X, true, m.From) {
+		// At most one vote per (sender, round); a value that is no bit is
+		// corrupted, and an unauthenticated sender cannot occur through sim.
+		return
 	}
-	byRound := p.got[v.R]
-	if byRound == nil {
-		byRound = p.takeRound()
-		p.got[v.R] = byRound
-	}
-	if byRound.voted(m.From) {
-		return // at most one vote per (sender, round)
-	}
-	byRound.bits[v.X][int(m.From)>>6] |= uint64(1) << (uint(m.From) & 63)
-	byRound.seen++
-	byRound.count[v.X]++
-
 	if p.syncing {
 		// Post-reset: wait for T1 messages sharing a common round value,
 		// adopt it, and re-enter at step 3.
-		if byRound.seen >= p.th.T1 {
+		if p.votes.Seen(voteKey(v.R)) >= p.th.T1 {
 			p.round = v.R
 			p.syncing = false
 			p.evaluate(r)
 		}
 		return
 	}
-	// Normal operation: evaluate the moment the current round completes.
-	// Advancing may complete the next round from already-buffered votes, so
-	// cascade.
-	for !p.syncing {
-		cur := p.got[p.round]
-		if cur == nil || cur.seen < p.th.T1 {
-			return
-		}
+	p.cascade(r)
+}
+
+// cascade evaluates the moment the current round completes. Advancing may
+// complete the next round from already-buffered votes, so it loops.
+func (p *Proc) cascade(r sim.RandSource) {
+	for p.votes.Seen(voteKey(p.round)) >= p.th.T1 {
 		p.evaluate(r)
 	}
 }
@@ -347,7 +246,7 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 // evaluate performs step 3 and step 4 for the current round, which has
 // gathered at least T1 votes.
 func (p *Proc) evaluate(r sim.RandSource) {
-	count := p.got[p.round].count
+	count := p.votes.Counts(voteKey(p.round))
 	// step 3: decide at T2, adopt at T3, otherwise flip the local coin.
 	for v := sim.Bit(0); v <= 1; v++ {
 		if count[v] >= p.th.T2 && !p.decided {
@@ -364,47 +263,25 @@ func (p *Proc) evaluate(r sim.RandSource) {
 		p.x = sim.Bit(r.Bit())
 	}
 	// step 4: advance and broadcast; discard old-round bookkeeping.
-	p.releaseRound(p.got[p.round])
-	delete(p.got, p.round)
 	p.round++
 	p.queueBroadcast()
-	p.dropStale()
-}
-
-// dropStale discards buffered votes for rounds below the current one.
-func (p *Proc) dropStale() {
-	for r, rv := range p.got {
-		if r < p.round {
-			p.releaseRound(rv)
-			delete(p.got, r)
-		}
-	}
+	p.votes.DropBelow(voteKey(p.round))
 }
 
 // Recycle implements sim.Recycler: it rewinds the processor to the state
-// New would produce for the given input, keeping the pooled round tallies,
-// vote boxes, outbox capacity, and round map so a recycled trial allocates
-// nothing here.
+// New would produce for the given input, keeping the ledger's pooled tallies
+// and the queue's boxes and capacity so a recycled trial allocates nothing
+// here.
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
 	p.out, p.decided = 0, false
 	p.round = 1
 	p.syncing = false
 	p.x = input
-	for r, rv := range p.got {
-		p.releaseRound(rv)
-		delete(p.got, r)
-	}
+	p.votes.Clear()
 	p.resetCounter = 0
-	p.reclaimOutbox()
+	p.queue.Discard()
 	p.queueBroadcast()
-}
-
-// reclaimOutbox discards queued-but-unsent broadcasts. Pending records are
-// plain values (boxes are only taken at Send time), so discarding is a
-// truncation.
-func (p *Proc) reclaimOutbox() {
-	p.pending = p.pending[:0]
 }
 
 // Reset implements sim.Process: it erases everything except the input bit,
@@ -414,11 +291,8 @@ func (p *Proc) Reset() {
 	p.round = 0
 	p.syncing = true
 	p.x = p.input // placeholder; x is re-derived at step 3 on rejoin
-	for r, rv := range p.got {
-		p.releaseRound(rv)
-		delete(p.got, r)
-	}
-	p.reclaimOutbox()
+	p.votes.Clear()
+	p.queue.Discard()
 }
 
 // Snapshot implements sim.Process. The encoding is

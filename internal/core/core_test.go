@@ -408,6 +408,22 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 	if rd, _ := p.Round(); rd != 1 {
 		t.Fatalf("duplicates advanced the round to %d", rd)
 	}
+	// A corrupted value and senders that do not exist are ignored, not
+	// tallied: T1-1 more honest votes are then exactly what round 1 lacks.
+	for q := 2; q < th.T1; q++ {
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: Vote{R: 1, X: 1}}, r)
+	}
+	p.Deliver(sim.Message{From: 11, Payload: Vote{R: 1, X: 2}}, r)
+	p.Deliver(sim.Message{From: 11, Payload: &Vote{R: 1, X: 255}}, r)
+	p.Deliver(sim.Message{From: -1, Payload: Vote{R: 1, X: 1}}, r)
+	p.Deliver(sim.Message{From: 12, Payload: Vote{R: 1, X: 1}}, r)
+	if rd, _ := p.Round(); rd != 1 {
+		t.Fatalf("corrupted votes advanced the round to %d", rd)
+	}
+	p.Deliver(sim.Message{From: 11, Payload: Vote{R: 1, X: 1}}, r)
+	if rd, _ := p.Round(); rd != 2 {
+		t.Fatalf("round = %d after the T1-th distinct vote, want 2", rd)
+	}
 }
 
 // fakeRand is a deterministic RandSource for unit tests.

@@ -28,21 +28,9 @@ import "math/bits"
 // published Val < ValNeutral carries the bit Val ∈ {0, 1}, while Val >=
 // ValNeutral marks a valueless record (Ben-Or's '?' proposal). Adversaries
 // classifying votes by column (the split-vote strategy) skip neutral
-// columns, matching the legacy ClassifyVote ok=false contract.
+// columns, matching the ok=false contract of the message path's classifiers
+// (the ClassifyVote closures of registry/algorithms.go).
 const ValNeutral uint8 = 2
-
-// MaskFrom returns the word mask selecting bit positions >= b, for b in
-// [0, 64] (MaskFrom(64) is 0: Go defines over-wide shifts as zero).
-func MaskFrom(b int) uint64 { return ^uint64(0) << uint(b) }
-
-// NthSetBit returns the position of the k-th (1-based) set bit of x. The
-// caller guarantees x has at least k set bits.
-func NthSetBit(x uint64, k int) int {
-	for ; k > 1; k-- {
-		x &= x - 1 // clear lowest set bit
-	}
-	return bits.TrailingZeros64(x)
-}
 
 // VoteColumn is one published (Round, Class, Val) column: bit q of the
 // bitset is set iff processor q broadcast that record this window. Columns
@@ -160,21 +148,11 @@ type VotePublisher struct {
 
 // Publish records one broadcast-to-all record for this window. Within a
 // window a sender must publish at most one record per (round, class), in
-// ascending (round, class) order — the invariant the tally scan's
-// column-order-equals-delivery-order reasoning rests on. The pending-record
+// ascending (round, class) order — the invariant the ledger scan's
+// column-order-equals-delivery-order reasoning rests on. The broadcast
 // queues of core and benor satisfy it by construction.
 func (p VotePublisher) Publish(round int, class, val uint8) {
 	p.cs.publish(p.from, round, class, val)
-}
-
-// Tally is the aggregated view of one (round, class) group under a
-// receiver's allow row: the paper's "count the votes" primitive.
-type Tally struct {
-	Round int
-	Class uint8
-	// Zeros/Ones count value-bearing records carrying that bit; Unvalued
-	// counts neutral records; Total is their sum.
-	Zeros, Ones, Unvalued, Total int
 }
 
 // WindowTally is the per-receiver delivery view handed to
@@ -185,6 +163,7 @@ type WindowTally struct {
 	cs       *ColumnSet
 	allowAll bool
 	allow    []uint64
+	word     WordScan
 }
 
 // Words returns the bitset width in 64-bit words.
@@ -203,37 +182,11 @@ func (t *WindowTally) AllowWord(w int) uint64 {
 	return t.allow[w]
 }
 
-// Tally aggregates the (round, class) group under the allow mask with one
-// popcount per column word.
-func (t *WindowTally) Tally(round int, class uint8) Tally {
-	res := Tally{Round: round, Class: class}
-	w := t.cs.words
-	for ci := range t.cs.cols {
-		c := &t.cs.cols[ci]
-		if c.Round != round || c.Class != class {
-			continue
-		}
-		n := 0
-		for i := 0; i < w; i++ {
-			n += bits.OnesCount64(c.bits[i] & t.AllowWord(i))
-		}
-		switch c.Val {
-		case 0:
-			res.Zeros += n
-		case 1:
-			res.Ones += n
-		default:
-			res.Unvalued += n
-		}
-		res.Total += n
-	}
-	return res
-}
-
 // VoteBroadcaster is the opt-in sending hook of the columnar kernel: a
 // process that can publish its queued broadcast as columns instead of
 // materializing Messages. SendColumnar consumes the same queued records
-// Send would, so a process alternates freely between the two paths.
+// Send would, so a process alternates freely between the two paths; a
+// BroadcastQueue holds them for both.
 type VoteBroadcaster interface {
 	Process
 	SendColumnar(pub VotePublisher)
@@ -244,7 +197,9 @@ type VoteBroadcaster interface {
 // columns. Implementations must consume randomness and mutate state exactly
 // as the equivalent message-at-a-time delivery order would (ascending
 // sender, per-sender record order) — the byte-identity contract the
-// property tests in internal/registry assert.
+// property tests in internal/registry assert. A process that tallies into a
+// Ledger meets it by walking the sender words with Ledger.ScanWord, whose
+// single-bit counterpart Ledger.Add is what its Deliver calls.
 type TallyReceiver interface {
 	DeliverTally(t *WindowTally, r RandSource)
 }

@@ -5,43 +5,6 @@ import (
 	"testing"
 )
 
-func TestMaskFrom(t *testing.T) {
-	cases := []struct {
-		b    int
-		want uint64
-	}{
-		{0, ^uint64(0)},
-		{1, ^uint64(1)},
-		{63, uint64(1) << 63},
-		{64, 0},
-	}
-	for _, c := range cases {
-		if got := MaskFrom(c.b); got != c.want {
-			t.Errorf("MaskFrom(%d) = %#x, want %#x", c.b, got, c.want)
-		}
-	}
-}
-
-func TestNthSetBit(t *testing.T) {
-	cases := []struct {
-		x    uint64
-		k    int
-		want int
-	}{
-		{1, 1, 0},
-		{0b1011, 1, 0},
-		{0b1011, 2, 1},
-		{0b1011, 3, 3},
-		{^uint64(0), 64, 63},
-		{uint64(1)<<63 | 1, 2, 63},
-	}
-	for _, c := range cases {
-		if got := NthSetBit(c.x, c.k); got != c.want {
-			t.Errorf("NthSetBit(%#x, %d) = %d, want %d", c.x, c.k, got, c.want)
-		}
-	}
-}
-
 // TestColumnSetPublish pins the sorted find-or-insert: columns come out
 // ordered by (Round, Class, Val) regardless of publish order, re-publishing
 // an existing key reuses its column, and the senders union tracks every
@@ -100,59 +63,6 @@ func TestColumnSetPublish(t *testing.T) {
 	for _, q := range []ProcID{0, 3, 5, 64, 70} {
 		if cs.SenderWord(int(q)>>6)&(uint64(1)<<(uint(q)&63)) == 0 {
 			t.Fatalf("senders union missing %d", q)
-		}
-	}
-}
-
-// TestWindowTallyCounts is the bitset-tally battery at word-boundary sizes:
-// for n = 63, 64, 65, 127, 128 the popcount aggregation must agree with a
-// per-sender brute-force count, under both an all-senders mask and a
-// restricted allow row that straddles word boundaries.
-func TestWindowTallyCounts(t *testing.T) {
-	for _, n := range []int{63, 64, 65, 127, 128} {
-		words := (n + 63) / 64
-		var cs ColumnSet
-		cs.reset(words)
-		// Sender q publishes (round 1, class 1, val q%3): values 0, 1, and
-		// neutral all populated, every sender position exercised.
-		for q := 0; q < n; q++ {
-			val := uint8(q % 3)
-			cs.publish(ProcID(q), 1, 1, val)
-		}
-		allow := make([]uint64, words)
-		admitted := func(q int) bool { return q%5 != 0 && q != n-1 }
-		for q := 0; q < n; q++ {
-			if admitted(q) {
-				allow[q>>6] |= uint64(1) << (uint(q) & 63)
-			}
-		}
-		for _, tc := range []struct {
-			name     string
-			allowAll bool
-		}{{"all", true}, {"masked", false}} {
-			wt := WindowTally{cs: &cs, allowAll: tc.allowAll, allow: allow}
-			got := wt.Tally(1, 1)
-			want := Tally{Round: 1, Class: 1}
-			for q := 0; q < n; q++ {
-				if !tc.allowAll && !admitted(q) {
-					continue
-				}
-				switch q % 3 {
-				case 0:
-					want.Zeros++
-				case 1:
-					want.Ones++
-				default:
-					want.Unvalued++
-				}
-				want.Total++
-			}
-			if got != want {
-				t.Errorf("n=%d %s: Tally = %+v, want %+v", n, tc.name, got, want)
-			}
-			if empty := wt.Tally(2, 1); empty.Total != 0 {
-				t.Errorf("n=%d %s: absent group tallied %+v", n, tc.name, empty)
-			}
 		}
 	}
 }
