@@ -264,7 +264,7 @@ func BenchmarkTalagrandMC(b *testing.B) {
 // BenchmarkBufferOps measures raw message buffer Add/Take throughput.
 func BenchmarkBufferOps(b *testing.B) {
 	b.ReportAllocs()
-	buf := sim.NewBufferFor(2)
+	buf := sim.NewBuffer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := buf.Add(sim.Message{From: 0, To: 1})

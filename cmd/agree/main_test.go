@@ -1,6 +1,11 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"asyncagree"
+)
 
 func TestRunCoreSplitVote(t *testing.T) {
 	err := run([]string{
@@ -55,6 +60,26 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Fatalf("args %v accepted", args)
+		}
+	}
+}
+
+// TestSafetyVerdict: a violation is exit 1 naming the algorithm only where
+// the descriptor says safety is certain; for committee it is a result.
+func TestSafetyVerdict(t *testing.T) {
+	safe := asyncagree.RunResult{Agreement: true, Validity: true}
+	for _, res := range []asyncagree.RunResult{{Validity: true}, {Agreement: true}, {}} {
+		err := safetyVerdict("core", res)
+		if err == nil || !strings.Contains(err.Error(), "core") {
+			t.Fatalf("core with %+v: err = %v, want a violation naming core", res, err)
+		}
+		if err := safetyVerdict("committee", res); err != nil {
+			t.Fatalf("committee with %+v: err = %v, want nil (a measured outcome)", res, err)
+		}
+	}
+	for _, alg := range []string{"core", "committee"} {
+		if err := safetyVerdict(alg, safe); err != nil {
+			t.Fatalf("%s safe run: err = %v", alg, err)
 		}
 	}
 }

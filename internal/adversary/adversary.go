@@ -223,56 +223,6 @@ func (a *ResetStorm) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 	return sim.Window{Resets: a.resets}
 }
 
-// TargetDecided resets (up to its budget) the processors that look closest
-// to deciding — here, any processor whose snapshot changed to a decided
-// output is untouchable (outputs survive resets), so it targets the
-// processors with the most advanced round instead. It composes reset
-// pressure with another delivery strategy.
-type TargetDecided struct {
-	// Inner plans the delivery pattern; resets are overridden.
-	Inner sim.WindowAdversary
-	// RoundOf extracts a progress measure from a processor, e.g.
-	// core-specific round numbers. Nil disables targeting.
-	RoundOf func(sim.Process) (int, bool)
-}
-
-var _ sim.WindowAdversary = (*TargetDecided)(nil)
-
-// PlanDelivery implements sim.WindowAdversary.
-func (a *TargetDecided) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
-	return a.target(s, a.Inner.PlanDelivery(s, batch))
-}
-
-// target overrides w's resets with the most advanced processors (shared by
-// the message and columnar planning paths).
-func (a *TargetDecided) target(s *sim.System, w sim.Window) sim.Window {
-	if a.RoundOf == nil {
-		return w
-	}
-	type cand struct {
-		p     sim.ProcID
-		round int
-	}
-	var cands []cand
-	for i := 0; i < s.N(); i++ {
-		if r, ok := a.RoundOf(s.Proc(sim.ProcID(i))); ok {
-			cands = append(cands, cand{p: sim.ProcID(i), round: r})
-		}
-	}
-	// Select the t most advanced processors (insertion sort by descending
-	// round; n is small in experiments).
-	for i := 1; i < len(cands); i++ {
-		for j := i; j > 0 && cands[j-1].round < cands[j].round; j-- {
-			cands[j-1], cands[j] = cands[j], cands[j-1]
-		}
-	}
-	w.Resets = w.Resets[:0]
-	for i := 0; i < len(cands) && i < s.T(); i++ {
-		w.Resets = append(w.Resets, cands[i].p)
-	}
-	return w
-}
-
 // CrashSchedule composes crash injection with an inner window adversary for
 // the Section 5 crash model: the listed processors are crashed just before
 // the window with the matching index is planned.

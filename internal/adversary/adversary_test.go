@@ -245,23 +245,3 @@ func TestStarveOneWithholdsVictim(t *testing.T) {
 		}
 	}
 }
-
-func TestTargetDecidedResetsMostAdvanced(t *testing.T) {
-	s := newVoteSystem(t, 6, 2, 3)
-	rounds := map[sim.ProcID]int{0: 5, 1: 9, 2: 1, 3: 9, 4: 2, 5: 3}
-	adv := &TargetDecided{
-		Inner: FullDelivery{},
-		RoundOf: func(p sim.Process) (int, bool) {
-			return rounds[p.ID()], true
-		},
-	}
-	if err := s.ApplyWindowWith(adv); err != nil {
-		t.Fatal(err)
-	}
-	if s.ResetCount(1) != 1 || s.ResetCount(3) != 1 {
-		t.Fatalf("most advanced processors not reset: counts %d %d", s.ResetCount(1), s.ResetCount(3))
-	}
-	if s.ResetCount(2) != 0 {
-		t.Fatal("least advanced processor was reset")
-	}
-}

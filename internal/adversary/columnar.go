@@ -22,7 +22,6 @@ var (
 	_ sim.ColumnarPlanner = (*RandomWindows)(nil)
 	_ sim.ColumnarPlanner = (*ResetStorm)(nil)
 	_ sim.ColumnarPlanner = (*SplitVote)(nil)
-	_ sim.ColumnarPlanner = (*TargetDecided)(nil)
 	_ sim.ColumnarPlanner = (*CrashSchedule)(nil)
 )
 
@@ -93,19 +92,6 @@ func (a *SplitVote) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 		}
 	}
 	return a.planFromVotes(n, t)
-}
-
-// PlansColumnar implements sim.ColumnarPlanner by probing the inner
-// adversary.
-func (a *TargetDecided) PlansColumnar() bool {
-	cp, ok := a.Inner.(sim.ColumnarPlanner)
-	return ok && cp.PlansColumnar()
-}
-
-// PlanDeliveryColumnar implements sim.ColumnarPlanner: the inner columnar
-// plan with the same reset targeting applied over it.
-func (a *TargetDecided) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim.Window {
-	return a.target(s, a.Inner.(sim.ColumnarPlanner).PlanDeliveryColumnar(s, cols))
 }
 
 // PlansColumnar implements sim.ColumnarPlanner by probing the inner

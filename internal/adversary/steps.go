@@ -7,9 +7,13 @@ import "asyncagree/internal/sim"
 // point, and repeats. Every sent message to a live processor is eventually
 // delivered, satisfying the liveness constraint of the crash model.
 type Lockstep struct {
+	// Allow, if set, filters deliveries: a buffered message it rejects is
+	// skipped in this cycle, stays buffered and is offered again in the
+	// next. Schedulers that withhold messages are a Lockstep with a filter.
+	Allow func(sim.Message) bool
+
 	sendNext int
 	inSend   bool
-	started  bool
 	deliverQ []int64
 }
 
@@ -18,6 +22,16 @@ var _ sim.StepAdversary = (*Lockstep)(nil)
 // NewLockstep returns a fair scheduler starting with a sending phase.
 func NewLockstep() *Lockstep {
 	return &Lockstep{inSend: true}
+}
+
+// NewStarveOne returns a Lockstep that never delivers messages from one
+// victim sender (legal in the crash model only if the victim is also crashed
+// or if the execution is finite; tests use it to probe wait-threshold
+// robustness).
+func NewStarveOne(victim sim.ProcID) *Lockstep {
+	a := NewLockstep()
+	a.Allow = func(m sim.Message) bool { return m.From != victim }
+	return a
 }
 
 // NextStep implements sim.StepAdversary.
@@ -39,44 +53,11 @@ func (a *Lockstep) NextStep(s *sim.System) (sim.Step, bool) {
 		for len(a.deliverQ) > 0 {
 			id := a.deliverQ[0]
 			a.deliverQ = a.deliverQ[1:]
-			if _, ok := s.Buffer().Get(id); ok {
+			if m, ok := s.Buffer().Get(id); ok && (a.Allow == nil || a.Allow(m)) {
 				return sim.Step{Kind: sim.StepDeliver, MsgID: id}, true
 			}
 		}
 		a.inSend = true
 		a.sendNext = 0
-	}
-}
-
-// StarveOne is a step-mode scheduler that behaves like Lockstep but never
-// delivers messages from one victim sender (legal in the crash model only
-// if the victim is also crashed or if the execution is finite; tests use it
-// to probe wait-threshold robustness).
-type StarveOne struct {
-	inner  *Lockstep
-	victim sim.ProcID
-}
-
-var _ sim.StepAdversary = (*StarveOne)(nil)
-
-// NewStarveOne returns a scheduler that withholds all messages sent by
-// victim.
-func NewStarveOne(victim sim.ProcID) *StarveOne {
-	return &StarveOne{inner: NewLockstep(), victim: victim}
-}
-
-// NextStep implements sim.StepAdversary.
-func (a *StarveOne) NextStep(s *sim.System) (sim.Step, bool) {
-	for {
-		step, ok := a.inner.NextStep(s)
-		if !ok {
-			return step, false
-		}
-		if step.Kind == sim.StepDeliver {
-			if m, live := s.Buffer().Get(step.MsgID); live && m.From == a.victim {
-				continue // withhold
-			}
-		}
-		return step, true
 	}
 }

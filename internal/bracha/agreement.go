@@ -89,9 +89,6 @@ func (a *Agreement) Round() (round, step int) { return a.round, a.step }
 // Value returns the current estimate.
 func (a *Agreement) Value() sim.Bit { return a.x }
 
-// Members returns the member list (shared backing; read-only).
-func (a *Agreement) Members() []sim.ProcID { return a.members }
-
 // Flush drains queued outgoing messages.
 func (a *Agreement) Flush() []sim.Message { return a.engine.Flush() }
 

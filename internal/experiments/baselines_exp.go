@@ -32,7 +32,7 @@ func runE8(scale Scale) (Result, error) {
 		t := n / 4
 		var chains stream.Summary
 		quantiles := stream.NewReservoir(0)
-		err := parallel.Stream(trials, 0,
+		err := parallel.Stream(trials,
 			func(trial int) (int, error) {
 				p := registry.Params{N: n, T: t, Seed: uint64(trial + 1), Inputs: registry.SplitInputs(n)}
 				res, err := registry.RunPooledTrial("benor", "splitvote", "adversary", p, maxW)
@@ -158,7 +158,7 @@ func runE10(scale Scale) (Result, error) {
 			}
 			// Inputs are unanimous 1, so validity already pins the decision.
 			var o tally
-			err := parallel.Stream(trials, 0,
+			err := parallel.Stream(trials,
 				func(trial int) (sim.RunResult, error) { return run(alg, attack, uint64(trial+1)) },
 				o.fold)
 			if err != nil {
@@ -209,7 +209,7 @@ func runE11(scale Scale) (Result, error) {
 		{"dueling", []sim.ProcID{0, 1}, true},
 	} {
 		var all tally
-		err := parallel.Stream(trials, 0,
+		err := parallel.Stream(trials,
 			func(trial int) (sim.RunResult, error) {
 				s, err := registry.NewSystem("paxos", registry.Params{
 					N: n, T: 2, Seed: uint64(trial + 1), Inputs: registry.SplitInputs(n),

@@ -34,7 +34,7 @@ func runE1(scale Scale) (Result, error) {
 		for _, advName := range []string{"full", "random", "storm", "splitvote"} {
 			var all tally
 			agreeViol, validViol := 0, 0
-			err := parallel.Stream(trials, 0,
+			err := parallel.Stream(trials,
 				func(trial int) (sim.RunResult, error) {
 					seed := uint64(trial + 1)
 					p := registry.Params{N: n, T: t, Seed: seed, Inputs: patternInputs(n, seed)}
@@ -133,7 +133,7 @@ func runE9(scale Scale) (Result, error) {
 	for _, cfg := range configs {
 		for _, v := range []sim.Bit{0, 1} {
 			var all tally
-			err := parallel.Stream(trials, 0,
+			err := parallel.Stream(trials,
 				func(trial int) (sim.RunResult, error) {
 					p := registry.Params{
 						N: cfg.n, T: cfg.t, Seed: uint64(trial + 1),
@@ -181,7 +181,7 @@ func runE12(scale Scale) (Result, error) {
 			return Result{}, err
 		}
 		conflicts, observed := 0, 0
-		err = parallel.Stream(trials, 0,
+		err = parallel.Stream(trials,
 			func(trial int) ([2]int, error) {
 				c, w, err := countConflictWindows(n, t, th, uint64(trial+1), windows)
 				return [2]int{c, w}, err

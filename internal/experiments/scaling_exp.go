@@ -89,7 +89,7 @@ func runE15(scale Scale) (Result, error) {
 	// battery fans one row's trials across the pool and tallies the
 	// reference results in trial order.
 	battery := func(trials int, run func(seed uint64) (leg, error)) (all tally, mismatch bool, err error) {
-		err = parallel.Stream(trials, 0,
+		err = parallel.Stream(trials,
 			func(trial int) (leg, error) { return run(uint64(trial + 1)) },
 			func(_ int, l leg) error {
 				all.add(l.res)

@@ -54,7 +54,7 @@ func runE14(scale Scale) (Result, error) {
 			}
 			for _, pattern := range []string{"ones", "split"} {
 				var all tally
-				err := parallel.Stream(trials, 0,
+				err := parallel.Stream(trials,
 					func(trial int) (sim.RunResult, error) {
 						seed := uint64(trial + 1)
 						inputs, err := registry.Inputs(pattern, cfg.n, seed)

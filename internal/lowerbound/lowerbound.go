@@ -86,7 +86,7 @@ func DecisionSets(n, t, trials, maxWindows int) (z0, z1 *talagrand.ExplicitSet, 
 	// trial-index order, so the sampled sets are the serial loop's without
 	// ever holding the per-trial sample list.
 	z0, z1 = talagrand.NewExplicitSet(), talagrand.NewExplicitSet()
-	err = parallel.Stream(trials*3, 0,
+	err = parallel.Stream(trials*3,
 		func(trial int) (membership, error) {
 			seed := uint64(trial/3 + 1)
 			advPick := trial % 3
@@ -214,7 +214,7 @@ func StallSeries(ns []int, tFrac float64, trials, maxWindows int) ([]StallPoint,
 		var fds stream.Summary
 		quantiles := stream.NewReservoir(0)
 		gaveUp, windows := 0, 0
-		err := parallel.Stream(trials, 0,
+		err := parallel.Stream(trials,
 			func(trial int) (stallTrial, error) {
 				s, err := newCoreSystem(n, t, uint64(trial+1))
 				if err != nil {
@@ -279,7 +279,7 @@ func SurvivalCurve(n, t int, ws []int, trials int) ([]float64, error) {
 		}
 	}
 	hist := stream.NewHist(maxW + 2)
-	err := parallel.Stream(trials, 0,
+	err := parallel.Stream(trials,
 		func(trial int) (int, error) {
 			s, err := newCoreSystem(n, t, uint64(trial+1))
 			if err != nil {

@@ -170,7 +170,7 @@ func MeasureZ1Separation(n, t, prefixes, maxPrefixLen int, zt ZkTester) (Z1Separ
 	// samples fold into the two sets in prefix order, so the sampled sets
 	// are the serial loop's without holding per-prefix samples.
 	z0, z1 := talagrand.NewExplicitSet(), talagrand.NewExplicitSet()
-	err := parallel.Stream(prefixes, 0,
+	err := parallel.Stream(prefixes,
 		func(p int) (membership, error) {
 			sch := Schedule{N: n, T: t, SysSeed: uint64(p + 1)}
 			// Drive the prefix toward decisions with full-delivery windows of

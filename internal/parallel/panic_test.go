@@ -10,7 +10,7 @@ import (
 // is still the exact serial prefix.
 func TestStreamPanicPrefixIntact(t *testing.T) {
 	var got []int
-	err := Stream(64, 4,
+	err := Stream(64,
 		func(i int) (int, error) {
 			if i == 10 {
 				panic("stream boom")
@@ -41,7 +41,7 @@ func TestStreamPanicPrefixIntact(t *testing.T) {
 // TestStreamEmitPanicBecomesError: a panic inside the emission callback is
 // contained like an emit error.
 func TestStreamEmitPanicBecomesError(t *testing.T) {
-	err := Stream(8, 2,
+	err := Stream(8,
 		func(i int) (int, error) { return i, nil },
 		func(i, v int) error {
 			if i == 3 {
@@ -59,7 +59,7 @@ func TestStreamEmitPanicBecomesError(t *testing.T) {
 // matchable with errors.Is through the wrapper.
 func TestPanicErrorUnwrap(t *testing.T) {
 	sentinel := errors.New("invariant violated")
-	err := Stream(1, 0,
+	err := Stream(1,
 		func(i int) (int, error) { panic(sentinel) },
 		func(int, int) error { return nil })
 	if !errors.Is(err, sentinel) {

@@ -73,11 +73,10 @@ func guard[T any](fn func(int) (T, error)) func(int) (T, error) {
 // Stream runs fn(i) for every i in [0, n) across up to GOMAXPROCS workers
 // and delivers every result to emit in strictly increasing index order —
 // for consumers (aggregators, sinks) that must observe results in serial
-// order without holding them all. At most
-// window results are in flight at once (0 selects a default scaled to the
-// worker count): workers stall rather than run further ahead of the
-// emission frontier, so peak buffered memory is O(window), independent of
-// n. emit is never called concurrently.
+// order without holding them all. A reorder window scaled to the worker
+// count bounds the results in flight: workers stall rather than run further
+// ahead of the emission frontier, so peak buffered memory is O(workers),
+// independent of n. emit is never called concurrently.
 //
 // On failure — whether a trial's error or emit's — Stream stops claiming
 // new indices, lets in-flight trials finish, and returns the error of the
@@ -86,7 +85,12 @@ func guard[T any](fn func(int) (T, error)) func(int) (T, error) {
 // everything emitted before a failure is the exact prefix a serial loop
 // would have produced — the property checkpoint-based sweep resume relies
 // on.
-func Stream[T any](n, window int, fn func(i int) (T, error), emit func(i int, v T) error) error {
+func Stream[T any](n int, fn func(i int) (T, error), emit func(i int, v T) error) error {
+	return stream(n, max(4*runtime.GOMAXPROCS(0), 16), fn, emit)
+}
+
+// stream is Stream with at most window results in flight.
+func stream[T any](n, window int, fn func(i int) (T, error), emit func(i int, v T) error) error {
 	if n == 0 {
 		return nil
 	}
@@ -107,12 +111,6 @@ func Stream[T any](n, window int, fn func(i int) (T, error), emit func(i int, v 
 			}
 		}
 		return nil
-	}
-	if window <= 0 {
-		window = 4 * workers
-		if window < 16 {
-			window = 16
-		}
 	}
 
 	type slot[U any] struct {

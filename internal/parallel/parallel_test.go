@@ -12,7 +12,7 @@ import (
 func TestStreamEmitsInIndexOrder(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		var emitted []int
-		err := Stream(500, 0, func(i int) (int, error) {
+		err := Stream(500, func(i int) (int, error) {
 			return i * 3, nil
 		}, func(i, v int) error {
 			if v != i*3 {
@@ -43,7 +43,7 @@ func TestStreamBoundedWindow(t *testing.T) {
 	}
 	const window = 4
 	block := make(chan struct{})
-	err := Stream(64, window, func(i int) (int, error) {
+	err := stream(64, window, func(i int) (int, error) {
 		if i == 0 {
 			<-block // stall the frontier; claims beyond the window must wait
 		}
@@ -71,7 +71,7 @@ func TestStreamErrorKeepsPrefix(t *testing.T) {
 	sentinel := errors.New("boom")
 	for trial := 0; trial < 20; trial++ {
 		var emitted []int
-		err := Stream(64, 8, func(i int) (int, error) {
+		err := Stream(64, func(i int) (int, error) {
 			if i == 19 || i == 40 {
 				return 0, fmt.Errorf("%w at %d", sentinel, i)
 			}
@@ -98,7 +98,7 @@ func TestStreamErrorKeepsPrefix(t *testing.T) {
 func TestStreamEmitErrorStops(t *testing.T) {
 	sentinel := errors.New("sink full")
 	count := 0
-	err := Stream(100, 4, func(i int) (int, error) { return i, nil },
+	err := Stream(100, func(i int) (int, error) { return i, nil },
 		func(i, v int) error {
 			count++
 			if i == 10 {

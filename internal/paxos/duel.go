@@ -1,6 +1,9 @@
 package paxos
 
-import "asyncagree/internal/sim"
+import (
+	"asyncagree/internal/adversary"
+	"asyncagree/internal/sim"
+)
 
 // DuelScheduler is the classic dueling-proposers adversarial schedule, made
 // precise with full information: every non-Accept message is delivered
@@ -13,29 +16,23 @@ import "asyncagree/internal/sim"
 // schedule satisfies the crash-model liveness constraint; it is pure
 // scheduling, no faults at all — exactly the FLP-style worst case Paxos
 // does not terminate under.
+//
+// The round-robin walk is adversary.Lockstep; this type adds only its
+// delivery filter and the early release of doomed Accepts.
 type DuelScheduler struct {
-	inner    lockstepLike
+	walk *adversary.Lockstep
+	// sys is the system of the NextStep call in progress, for the filter.
+	sys      *sim.System
 	deferred map[int64]bool
 }
 
 var _ sim.StepAdversary = (*DuelScheduler)(nil)
 
-// lockstepLike is a minimal internal re-implementation of round-robin
-// send-then-deliver scheduling with a delivery filter (duplicating
-// adversary.Lockstep here avoids an import cycle: the adversary package
-// must stay algorithm-agnostic).
-type lockstepLike struct {
-	sendNext int
-	inSend   bool
-	deliverQ []int64
-}
-
 // NewDuelScheduler returns a dueling scheduler.
 func NewDuelScheduler() *DuelScheduler {
-	return &DuelScheduler{
-		inner:    lockstepLike{inSend: true},
-		deferred: make(map[int64]bool),
-	}
+	d := &DuelScheduler{walk: adversary.NewLockstep(), deferred: make(map[int64]bool)}
+	d.walk.Allow = d.allow
+	return d
 }
 
 // NextStep implements sim.StepAdversary.
@@ -47,18 +44,28 @@ func (d *DuelScheduler) NextStep(s *sim.System) (sim.Step, bool) {
 			delete(d.deferred, id)
 			continue
 		}
-		if acc, isAcc := m.Payload.(*Msg); isAcc && acc.Kind == MsgAccept && d.doomed(s, acc.B) {
+		if !d.withholds(s, m) {
 			delete(d.deferred, id)
 			return sim.Step{Kind: sim.StepDeliver, MsgID: id}, true
 		}
 	}
-	return d.inner.next(s, func(m sim.Message) bool {
-		if acc, isAcc := m.Payload.(*Msg); isAcc && acc.Kind == MsgAccept && !d.doomed(s, acc.B) {
-			d.deferred[m.ID] = true
-			return false // withhold until the ballot is doomed
-		}
-		return true
-	})
+	d.sys = s
+	return d.walk.NextStep(s)
+}
+
+// allow is the walk's delivery filter: it remembers what it withholds.
+func (d *DuelScheduler) allow(m sim.Message) bool {
+	if d.withholds(d.sys, m) {
+		d.deferred[m.ID] = true
+		return false
+	}
+	return true
+}
+
+// withholds reports whether m is an Accept whose ballot is not yet doomed.
+func (d *DuelScheduler) withholds(s *sim.System, m sim.Message) bool {
+	acc, isAcc := m.Payload.(*Msg)
+	return isAcc && acc.Kind == MsgAccept && !d.doomed(s, acc.B)
 }
 
 // doomed reports whether a majority of acceptors have promised a ballot
@@ -72,37 +79,4 @@ func (d *DuelScheduler) doomed(s *sim.System, b int) bool {
 		}
 	}
 	return above >= s.N()/2+1
-}
-
-// next is the filtered round-robin step generator.
-func (l *lockstepLike) next(s *sim.System, allow func(sim.Message) bool) (sim.Step, bool) {
-	n := s.N()
-	for {
-		if l.inSend {
-			for l.sendNext < n && s.Crashed(sim.ProcID(l.sendNext)) {
-				l.sendNext++
-			}
-			if l.sendNext < n {
-				p := l.sendNext
-				l.sendNext++
-				return sim.Step{Kind: sim.StepSend, Proc: sim.ProcID(p)}, true
-			}
-			l.inSend = false
-			l.deliverQ = s.Buffer().IDs()
-		}
-		for len(l.deliverQ) > 0 {
-			id := l.deliverQ[0]
-			l.deliverQ = l.deliverQ[1:]
-			m, ok := s.Buffer().Get(id)
-			if !ok {
-				continue
-			}
-			if !allow(m) {
-				continue
-			}
-			return sim.Step{Kind: sim.StepDeliver, MsgID: id}, true
-		}
-		l.inSend = true
-		l.sendNext = 0
-	}
 }

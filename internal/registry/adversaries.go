@@ -38,7 +38,6 @@ func init() {
 	mustRegisterAdversary(Adversary{
 		Name:         "random",
 		Description:  "chaos + resets: random (n-t)-subset deliveries and up to t random resets per window",
-		Resets:       true,
 		PlansSenders: true,
 		Knobs: []Knob{
 			{Name: "resetpct", Description: "per-window reset probability, in percent", Min: 0, Max: 100, Default: 50},
@@ -65,7 +64,6 @@ func init() {
 	mustRegisterAdversary(Adversary{
 		Name:        "storm",
 		Description: "reset storm: erase the memory of a rotating set of t processors every window",
-		Resets:      true,
 		Compatible: func(alg *Algorithm, p Params) bool {
 			return windowCapable(alg, p) && alg.ResetTolerant
 		},

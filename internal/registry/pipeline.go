@@ -170,7 +170,7 @@ func (p *Pipeline[R]) Run(n int, key func(i int) string, execute func(i int) R, 
 		return nil
 	}
 	if !p.Serial {
-		return parallel.Stream(n, 0, fn, emit)
+		return parallel.Stream(n, fn, emit)
 	}
 	for j := 0; j < n; j++ {
 		rec, err := fn(j)

@@ -204,8 +204,6 @@ type Adversary struct {
 	// adversary has no tunable surface (the search space degenerates to its
 	// single registered construction).
 	Knobs []Knob
-	// Resets reports whether the adversary performs resetting steps.
-	Resets bool
 	// PlansSenders reports that the adversary's strategy lives in its
 	// choice of per-receiver sender sets (fixed silence, split-vote, the
 	// chaos subsets). A non-adversary-driven scheduler would override and

@@ -43,24 +43,6 @@ func TestBufferGetDoesNotRemove(t *testing.T) {
 	}
 }
 
-func TestBufferPendingForOrder(t *testing.T) {
-	b := NewBuffer()
-	b.Add(Message{From: 0, To: 2})
-	b.Add(Message{From: 1, To: 1})
-	b.Add(Message{From: 2, To: 2})
-	pending := b.PendingFor(2)
-	if len(pending) != 2 || pending[0].From != 0 || pending[1].From != 2 {
-		t.Fatalf("PendingFor = %+v", pending)
-	}
-	oldest, ok := b.OldestFor(2)
-	if !ok || oldest.From != 0 {
-		t.Fatalf("OldestFor = %+v, %v", oldest, ok)
-	}
-	if _, ok := b.OldestFor(9); ok {
-		t.Fatal("OldestFor empty recipient succeeded")
-	}
-}
-
 func TestBufferDropWhere(t *testing.T) {
 	b := NewBuffer()
 	for i := 0; i < 10; i++ {
@@ -93,7 +75,7 @@ func TestBufferIDsSorted(t *testing.T) {
 
 func TestBufferCompaction(t *testing.T) {
 	// Heavy add/take churn must not leak storage: the ring tracks the live
-	// ID span (one message here) and the arena recycles slots.
+	// ID span (one message here).
 	b := NewBuffer()
 	for i := 0; i < 10000; i++ {
 		m := b.Add(Message{From: 0, To: 1})
@@ -110,16 +92,13 @@ func TestBufferCompaction(t *testing.T) {
 	if len(b.ring) > 1000 {
 		t.Fatalf("ring leaked: %d entries for empty buffer", len(b.ring))
 	}
-	if len(b.arena) > 16 {
-		t.Fatalf("arena leaked: %d slots for lockstep add/take churn", len(b.arena))
-	}
 }
 
 func TestBufferAddTakeAllocFree(t *testing.T) {
-	// The arena + free list + ring make a steady-state Add/Take cycle
-	// allocation-free (the original map-backed buffer churned on every Add).
-	b := NewBufferFor(4)
-	for i := 0; i < 128; i++ { // warm up ring and arena
+	// The ring makes a steady-state Add/Take cycle allocation-free (the
+	// original map-backed buffer churned on every Add).
+	b := NewBuffer()
+	for i := 0; i < 128; i++ { // warm up the ring
 		m := b.Add(Message{From: 0, To: 1})
 		b.Take(m.ID)
 	}
@@ -135,24 +114,30 @@ func TestBufferAddTakeAllocFree(t *testing.T) {
 }
 
 func TestBufferWindowCycleAllocFree(t *testing.T) {
-	// A full window-shaped cycle — n*n Adds, then PendingFor-ordered Takes —
-	// must also be allocation-free once warm.
+	// A full window-shaped cycle — n*n Adds, then receiver-major Takes, the
+	// order window delivery consumes a sender-major batch in — must also be
+	// allocation-free once warm.
 	const n = 8
-	b := NewBufferFor(n)
+	b := NewBuffer()
+	ids := make([]int64, 0, n*n)
 	cycle := func() {
+		ids = ids[:0]
 		for from := 0; from < n; from++ {
 			for to := 0; to < n; to++ {
-				b.Add(Message{From: ProcID(from), To: ProcID(to)})
+				ids = append(ids, b.Add(Message{From: ProcID(from), To: ProcID(to)}).ID)
 			}
 		}
 		for to := 0; to < n; to++ {
-			for {
-				m, ok := b.OldestFor(ProcID(to))
-				if !ok {
-					break
+			for from := 0; from < n; from++ {
+				id := ids[from*n+to]
+				if m, ok := b.Get(id); !ok || m.To != ProcID(to) {
+					t.Fatalf("Get(%d) = %+v, %v", id, m, ok)
 				}
-				b.Take(m.ID)
+				b.Take(id)
 			}
+		}
+		if b.Len() != 0 {
+			t.Fatalf("Len = %d after the cycle", b.Len())
 		}
 	}
 	cycle() // warm up

@@ -54,12 +54,6 @@ type VoteColumn struct {
 // Word returns word w of the column's sender bitset.
 func (c *VoteColumn) Word(w int) uint64 { return c.bits[w] }
 
-// SetWord overwrites word w of the column's sender bitset. This is the
-// corruption hook: a columnar adversary that flips or suppresses votes
-// mutates the columns after PlanDeliveryColumnar receives them and before
-// tallying, the columnar analogue of rewriting batch payloads.
-func (c *VoteColumn) SetWord(w int, v uint64) { c.bits[w] = v }
-
 // ColumnSet holds one window's published columns plus the union of
 // publishing senders. It is reusable scratch owned by a System: reset
 // recycles the column bitsets through a free list, so the steady-state
@@ -223,9 +217,6 @@ type ColumnarPlanner interface {
 // SetShardWorkers, the setting is a pure performance knob — output is
 // byte-identical either way — and survives Recycle.
 func (s *System) SetColumnar(on bool) { s.colOff = !on }
-
-// Columnar reports whether the columnar kernel is enabled.
-func (s *System) Columnar() bool { return !s.colOff }
 
 // columnarPlanner decides whether the next window may take the columnar
 // path, returning the capable planner when so. The capability of the

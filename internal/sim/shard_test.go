@@ -233,7 +233,7 @@ func TestShardedHandBuiltBatchFallsBack(t *testing.T) {
 // sweep, the ID sequence keeps counting (unlike Reset), and old IDs are
 // gone while new Adds land past the drained span.
 func TestBufferDrainAll(t *testing.T) {
-	b := NewBufferFor(4)
+	b := NewBuffer()
 	var ids []int64
 	for i := 0; i < 10; i++ {
 		m := b.Add(Message{From: ProcID(i % 4), To: ProcID((i + 1) % 4)})
@@ -255,7 +255,8 @@ func TestBufferDrainAll(t *testing.T) {
 	if m.ID != ids[len(ids)-1]+1 {
 		t.Fatalf("post-drain ID = %d, want monotone %d", m.ID, ids[len(ids)-1]+1)
 	}
-	if got := b.PendingFor(1); len(got) != 1 || got[0].ID != m.ID {
-		t.Fatalf("recipient queue broken after DrainAll: %v", got)
+	ids = b.IDs()
+	if got, ok := b.Get(m.ID); !ok || got != m || len(ids) != 1 || ids[0] != m.ID {
+		t.Fatalf("buffer broken after DrainAll: Get = %v, %v; IDs %v", got, ok, ids)
 	}
 }

@@ -195,7 +195,7 @@ func New(cfg Config) (*System, error) {
 		inputs:        append([]Bit(nil), cfg.Inputs...),
 		crashed:       make([]bool, cfg.N),
 		corrupt:       make([]bool, cfg.N),
-		buffer:        NewBufferFor(cfg.N),
+		buffer:        NewBuffer(),
 		resetCounts:   make([]int, cfg.N),
 		chainDepth:    make([]int, cfg.N),
 		decidedVal:    make([]Bit, cfg.N),
@@ -232,7 +232,7 @@ func (s *System) Reseed(seed uint64) {
 
 // Recycle rewinds the System to the state New would produce for the same
 // (n, t) shape with the given seed and inputs, without freeing anything: the
-// buffer arena, scratch buffers, per-processor randomness sources, and
+// buffer's ring, scratch buffers, per-processor randomness sources, and
 // decision bookkeeping are all rewound in place, so a recycled steady-state
 // trial allocates (near) nothing. Processes implementing Recycler are
 // rewound through that hook; others (and any replaced by Corrupt) are

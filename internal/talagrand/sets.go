@@ -127,8 +127,3 @@ func HammingWeightAtLeast(k int) Set {
 func WeightBallAtMost(k, d int) Set {
 	return HammingWeightAtMost(k + d)
 }
-
-// WeightBallAtLeast returns B(HammingWeightAtLeast(k), d) = {sum >= k-d}.
-func WeightBallAtLeast(k, d int) Set {
-	return HammingWeightAtLeast(k - d)
-}
