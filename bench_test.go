@@ -162,12 +162,13 @@ func BenchmarkSplitVoteWindow(b *testing.B) {
 }
 
 // planSink keeps subsetPlanner's result live.
-var planSink [][]ProcID
+var planSink sim.Window
 
 // subsetPlanner returns one planning call of the seeded scheduler at size n:
-// an independent random (n-t)-subset per receiver, n rng.SubsetInto draws —
-// the planning kernel of the chaos cells. Planning never touches the System
-// beyond its shape; the row scratch has grown on return.
+// an independent random (n-t)-subset per receiver, n rng.SubsetBits draws
+// into the System's sender rows — the planning kernel of the chaos cells.
+// Planning touches nothing else of the System; the sampler's scratch has
+// grown on return.
 func subsetPlanner(tb testing.TB, n int) func() {
 	tb.Helper()
 	cfg := coreConfig(n)

@@ -123,17 +123,19 @@ func (a FixedSilence) silenced(p sim.ProcID) bool {
 // independent random (n-t)-subset to each receiver and resets a random
 // subset of up to t processors with probability ResetProb each window.
 //
-// Planning reuses per-instance scratch (the sender rows, subset draws, and
-// reset list), so the returned Window is valid only until the next
-// PlanDelivery call; the System consumes it before then.
+// The sender sets are drawn straight into the System's sender rows (n
+// different sets a window, nothing to share); the reset draw keeps the list
+// form, it needs the processors one by one. Planning reuses per-instance
+// scratch and the System's rows, so the returned Window is valid only until
+// the next PlanDelivery call; the System consumes it before then.
 type RandomWindows struct {
 	rng       *rng.Source
 	resetProb float64
 	maxResets int
 
-	idx    []int // index scratch for allocation-free subset draws
-	rows   [][]sim.ProcID
-	resets []sim.ProcID
+	scratch rng.SubsetScratch
+	idx     []int // index scratch for the allocation-free reset draw
+	resets  []sim.ProcID
 }
 
 var _ sim.WindowAdversary = (*RandomWindows)(nil)
@@ -155,24 +157,18 @@ func (a *RandomWindows) RecycleTrial(seed uint64) {
 // PlanDelivery implements sim.WindowAdversary.
 func (a *RandomWindows) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
-	if cap(a.rows) < n {
-		a.rows = make([][]sim.ProcID, n)
+	if cap(a.idx) < n {
 		a.idx = make([]int, n)
 	}
-	a.rows = a.rows[:n]
-	for i := range a.rows {
-		if t == 0 {
-			a.rows[i] = nil // nil = all senders
-			continue
+	var w sim.Window // t = 0: all senders, and no draw
+	if t > 0 {
+		rows, words := s.SenderRows(), s.RowWords()
+		for i := 0; i < n; i++ {
+			k := n - a.rng.Intn(t+1) // |S_i| uniform in [n-t, n]
+			a.rng.SubsetBits(rows[i*words:(i+1)*words], n, k, &a.scratch)
 		}
-		k := n - a.rng.Intn(t+1) // |S_i| uniform in [n-t, n]
-		set := a.rows[i][:0]
-		for _, v := range a.rng.SubsetInto(a.idx[:n], k) {
-			set = append(set, sim.ProcID(v))
-		}
-		a.rows[i] = set
+		w.SenderRows = rows
 	}
-	w := sim.Window{Senders: a.rows}
 	budget := a.maxResets
 	if budget > t {
 		budget = t

@@ -37,13 +37,17 @@ func (s *Source) Reseed(seed uint64) {
 // golden is the splitmix64 increment (odd, derived from the golden ratio).
 const golden = 0x9e3779b97f4a7c15
 
-// Uint64 returns the next 64 uniformly distributed bits.
-func (s *Source) Uint64() uint64 {
-	s.state += golden
-	z := s.state
+// mix is splitmix64's output finalizer, a bijection on 64-bit words.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 uniformly distributed bits.
+func (s *Source) Uint64() uint64 {
+	s.state += golden
+	return mix(s.state)
 }
 
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0,
@@ -96,10 +100,7 @@ func (s *Source) Fork(label uint64) *Source {
 func (s *Source) ForkInto(dst *Source, label uint64) {
 	// Mix the label through one splitmix64 round so that adjacent labels
 	// yield unrelated streams.
-	z := s.Uint64() + label*golden
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	dst.state = z ^ (z >> 31)
+	dst.state = mix(s.Uint64() + label*golden)
 }
 
 // Perm returns a uniformly random permutation of [0, n) using Fisher-Yates.
@@ -141,9 +142,12 @@ func (s *Source) Subset(n, k int) []int {
 // planning call is part of every seeded record (the per-window schedulers
 // and chaos adversaries draw one subset per receiver per window). Cheaper
 // samplers (a partial shuffle, Floyd's algorithm) draw differently and
-// would change every recorded execution, so only the ordering of the chosen
-// prefix is optimized. Every window caller passes k = n-t, most of n, so
-// that ordering is an O(n) membership-bitset pass rather than a sort.
+// would change every recorded execution, so what is optimized is the work
+// around the draws. Here that is the ordering of the chosen prefix: every
+// window caller passes k = n-t, most of n, so it is an O(n)
+// membership-bitset pass rather than a sort. A caller that wants the set
+// and not the list (a window's sender row) uses SubsetBits, which skips the
+// ordering and all but n-k of the swaps on the same draws.
 func (s *Source) SubsetInto(dst []int, k int) []int {
 	if k < 0 || k > len(dst) {
 		panic(fmt.Sprintf("rng: SubsetInto called with k = %d out of range [0, %d]", k, len(dst)))
@@ -153,26 +157,113 @@ func (s *Source) SubsetInto(dst []int, k int) []int {
 	return dst[:k]
 }
 
+// SubsetScratch is SubsetBits's working permutation, reusable across calls
+// and sizes. The zero value is ready; one scratch serves one goroutine.
+type SubsetScratch struct {
+	// perm is the identity permutation between calls: SubsetBits undoes its
+	// few swaps before it returns, so no call pays to rebuild it.
+	perm []int
+}
+
+// SubsetBits is the set-valued sibling of SubsetInto: it writes the subset
+// SubsetInto(dst[:n], k) would return as the bitset row (bit v of row is set
+// iff v is chosen; len(row) must be (n+63)/64 and bits at n and above come
+// out clear) and leaves the stream exactly where SubsetInto would, having
+// made the same n-1 draws in the same order under the same rejection rule.
+// It panics if k > n, k < 0 or the row has the wrong length.
+//
+// Fisher-Yates fixes positions n-1 down to k in its first n-k steps, and
+// its remaining draws only permute the chosen prefix among itself. So the
+// set is known after n-k swaps: those n-k values are cleared from an
+// all-ones row, and the other k-1 draws are consumed and dropped. No list
+// is built, ordered or read back.
+func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
+	if k < 0 || k > n {
+		panic(fmt.Sprintf("rng: SubsetBits called with k = %d out of range [0, %d]", k, n))
+	}
+	if len(row) != (n+63)/64 {
+		panic(fmt.Sprintf("rng: SubsetBits called with a %d-word row for n = %d", len(row), n))
+	}
+	if len(sc.perm) != n {
+		sc.perm = make([]int, n)
+		for i := range sc.perm {
+			sc.perm[i] = i
+		}
+	}
+	perm := sc.perm
+	keep := k
+	if k == 0 {
+		keep = n // the empty set: no swap tells anything, every draw is dropped
+		clear(row)
+	} else {
+		for w := range row {
+			row[w] = ^uint64(0)
+		}
+		if n&63 != 0 {
+			row[len(row)-1] = 1<<(uint(n)&63) - 1
+		}
+	}
+	// Step i moves perm[j] to position i for good and nothing reads position
+	// i again, so the bit is cleared now and the slot keeps j for the undo.
+	for i := n - 1; i >= keep; i-- {
+		j := s.Intn(i + 1)
+		v := perm[j]
+		row[v>>6] &^= 1 << (uint(v) & 63)
+		perm[j] = perm[i]
+		perm[i] = j
+	}
+	// Ascending, every slot read here still holds its own step's j: a step
+	// only ever wrote values to positions below its own.
+	for i := keep; i < n; i++ {
+		j := perm[i]
+		perm[j] = j
+		perm[i] = i
+	}
+	// The draws that would shuffle the prefix, bounds keep down to 2: Intn's
+	// loop with the result dropped, so only the low product word is needed.
+	state := s.state
+	for bound := uint64(keep); bound >= 2; bound-- {
+		for {
+			state += golden
+			if lo := mix(state) * bound; lo >= bound || lo >= (-bound)%bound {
+				break
+			}
+		}
+	}
+	s.state = state
+}
+
 // subsetScratchWords sizes sortPrefix's stack bitset: it covers n up to
 // 4096, every size the simulator runs (E15 tops out there).
 const subsetScratchWords = 64
 
 // sortPrefix rewrites p[:k] ascending, where p is a permutation of
 // [0, len(p)): it marks the chosen values in a stack bitset and reads the
-// bitset back in order, O(n) with no comparisons and no allocation. Beyond
-// the scratch it falls back to a comparison sort.
+// bitset back in order, O(n) with no comparisons and no allocation. The
+// compiler zeroes a stack array whole wherever it is declared, so n <= 64
+// gets a one-word bitset of its own rather than paying for 4096. Beyond the
+// scratch it falls back to a comparison sort.
 func sortPrefix(p []int, k int) {
-	n := len(p)
-	if n > subsetScratchWords*64 {
+	switch n := len(p); {
+	case n <= 64:
+		var member [1]uint64
+		sortPrefixVia(p, k, member[:])
+	case n <= subsetScratchWords*64:
+		var member [subsetScratchWords]uint64
+		sortPrefixVia(p, k, member[:(n+63)/64])
+	default:
 		slices.Sort(p[:k])
-		return
 	}
-	var member [subsetScratchWords]uint64
+}
+
+// sortPrefixVia is sortPrefix through the zeroed bitset member, which covers
+// [0, len(p)).
+func sortPrefixVia(p []int, k int, member []uint64) {
 	for _, v := range p[:k] {
 		member[v>>6] |= 1 << (uint(v) & 63)
 	}
 	i := 0
-	for w, word := range member[:(n+63)/64] {
+	for w, word := range member {
 		for ; word != 0; word &= word - 1 {
 			p[i] = w<<6 | bits.TrailingZeros64(word)
 			i++

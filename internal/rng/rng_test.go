@@ -197,6 +197,125 @@ func TestSubsetIntoMatchesReference(t *testing.T) {
 	}
 }
 
+// rowOf is the bitset row of the sorted list sub over [0, n).
+func rowOf(sub []int, n int) []uint64 {
+	row := make([]uint64, (n+63)/64)
+	for _, v := range sub {
+		row[v>>6] |= 1 << (uint(v) & 63)
+	}
+	return row
+}
+
+// TestSubsetBitsMatchesSubsetInto holds the set-valued sampler to the list
+// one from equal states: the same set, and the same next output, so a
+// planner may swap one for the other without moving a seeded record. Sizes
+// straddle the row's word boundaries and SubsetInto's scratch; k covers both
+// ends, the window planners' n-t (t = n/8, the chaos grid's) and the sizes
+// where all or none of the draws are swaps. One scratch serves every size,
+// dirty from earlier rounds.
+func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
+	var sc SubsetScratch
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 4096, 4097} {
+		for _, k := range []int{0, 1, n - n/8, n - 1, n} {
+			seed := uint64(n)*31 + uint64(k)
+			list, set := New(seed), New(seed)
+			dst, row := make([]int, n), make([]uint64, (n+63)/64)
+			for round := 0; round < 3; round++ {
+				want := rowOf(list.SubsetInto(dst, k), n)
+				set.SubsetBits(row, n, k, &sc)
+				if !slices.Equal(row, want) {
+					t.Fatalf("SubsetBits(n=%d, k=%d) round %d = %x, want %x", n, k, round, row, want)
+				}
+				if a, b := set.Uint64(), list.Uint64(); a != b {
+					t.Fatalf("SubsetBits(n=%d, k=%d) round %d: next output %#x, SubsetInto's %#x", n, k, round, a, b)
+				}
+			}
+			if allocs := testing.AllocsPerRun(10, func() { set.SubsetBits(row, n, k, &sc) }); allocs != 0 {
+				t.Fatalf("SubsetBits(n=%d, k=%d) allocates %.1f per call, want 0", n, k, allocs)
+			}
+		}
+	}
+	for _, bad := range []func(){
+		func() { New(1).SubsetBits(make([]uint64, 1), 4, 5, &sc) },
+		func() { New(1).SubsetBits(make([]uint64, 1), 4, -1, &sc) },
+		func() { New(1).SubsetBits(make([]uint64, 2), 64, 60, &sc) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("SubsetBits accepted a k out of range or a row of the wrong length")
+				}
+			}()
+			bad()
+		}()
+	}
+}
+
+// unmix inverts mix: each xorshift is undone by folding the shifted word
+// back in until the shift runs off the end, each multiply by the constant's
+// inverse modulo 2^64 (Newton's iteration doubles the correct low bits).
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := s; i < 64; i += s {
+			x = y ^ (x >> s)
+		}
+		return x
+	}
+	inverse := func(m uint64) uint64 {
+		inv := m
+		for i := 0; i < 6; i++ {
+			inv *= 2 - m*inv
+		}
+		return inv
+	}
+	z = unshift(z, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// TestSubsetBitsRejectsWhereIntnDoes forces a Lemire rejection inside the
+// draws SubsetBits consumes without using. An output of 0 is rejected at
+// bound 3 (its low product word, 0, is below 2^64 mod 3 = 1) and nowhere
+// else in this call, so a source whose sixth output is 0 makes n = 8, k = 6
+// (bounds 8, 7 swapped; 6, 5, 4, 3, 2 consumed) draw one extra word. The
+// two samplers must still agree on the set and on where the stream stands.
+func TestSubsetBitsRejectsWhereIntnDoes(t *testing.T) {
+	if x := uint64(0x0123456789abcdef); mix(unmix(x)) != x || unmix(mix(x)) != x {
+		t.Fatal("unmix does not invert mix")
+	}
+	const n, k = 8, 6
+	step := uint64(golden) // a variable: the products below wrap, as the stream does
+	start := unmix(0) - 6*step
+	probe := New(start)
+	for i := 0; i < 5; i++ {
+		probe.Uint64()
+	}
+	if probe.Uint64() != 0 {
+		t.Fatal("the sixth output is not 0")
+	}
+	plain := New(start)
+	for bound := n; bound >= 2; bound-- {
+		plain.Intn(bound)
+	}
+	if plain.state != start+n*step {
+		t.Fatalf("Intn over bounds %d..2 left the source at %#x, want %#x: %d words, one of them rejected",
+			n, plain.state, start+n*step, n)
+	}
+	var sc SubsetScratch
+	list, set := New(start), New(start)
+	row := make([]uint64, 1)
+	want := rowOf(list.SubsetInto(make([]int, n), k), n)
+	set.SubsetBits(row, n, k, &sc)
+	if !slices.Equal(row, want) {
+		t.Fatalf("SubsetBits = %x, want %x", row, want)
+	}
+	if *set != *list || set.state != start+n*step {
+		t.Fatalf("SubsetBits left the source at %#x, SubsetInto at %#x, want %#x",
+			set.state, list.state, start+n*step)
+	}
+}
+
 func TestSubsetProperties(t *testing.T) {
 	s := New(13)
 	check := func(n, k uint8) bool {

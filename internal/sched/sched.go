@@ -46,22 +46,26 @@ import (
 // Scheduler chooses, for one acceptable window, which senders' just-sent
 // messages each receiver admits.
 type Scheduler interface {
-	// PlanSenders returns the per-receiver sender sets in
-	// sim.Window.Senders form: element i lists the senders whose just-sent
-	// messages processor i receives this window; a nil element (or a nil
-	// result) means "all senders". Every non-nil element must contain
-	// ≥ n−t distinct in-range senders (Definition 1). Sets may include
-	// crashed senders — they simply contributed nothing to the batch,
-	// matching the crash-model reuse of windows (Definition 19).
+	// PlanSenders returns the window's sender sets as a sim.Window carrying
+	// them in exactly one of its two forms, or in neither for "all senders".
+	// Senders, the listed form: element i lists the senders whose just-sent
+	// messages processor i receives this window, a nil element meaning all
+	// of them. SenderRows, the bitset form: the scheduler fills the rows
+	// s.SenderRows() lends it, one set per receiver, and returns that
+	// slice. Every set must hold ≥ n−t distinct in-range senders
+	// (Definition 1); sets may include crashed senders — they simply
+	// contributed nothing to the batch, matching the crash-model reuse of
+	// windows (Definition 19). Resets are not a scheduler's to plan: Compose
+	// ignores the field and keeps the adversary's.
 	//
-	// The returned slices are scratch owned by the scheduler and are valid
-	// only until the next PlanSenders call.
+	// Listed sets are scratch owned by the scheduler, rows scratch owned by
+	// the System; either is valid only until the next PlanSenders call.
 	//
 	// batch may be nil: the columnar fast path (sim/columnar.go) never
 	// materializes the window's messages. Every built-in scheduler ignores
 	// the batch; a custom scheduler that reads it must tolerate nil (and
 	// will simply see no messages on columnar windows).
-	PlanSenders(s *sim.System, batch []sim.Message) [][]sim.ProcID
+	PlanSenders(s *sim.System, batch []sim.Message) sim.Window
 }
 
 // Compose wraps adv so that the window's delivery discipline comes from sch
@@ -89,8 +93,17 @@ var _ sim.WindowAdversary = (*scheduled)(nil)
 
 // PlanDelivery implements sim.WindowAdversary.
 func (c *scheduled) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
-	w := c.adv.PlanDelivery(s, batch)
-	w.Senders = c.sch.PlanSenders(s, batch)
+	return c.splice(c.adv.PlanDelivery(s, batch), s, batch)
+}
+
+// splice overwrites both forms of the adversary's sender sets with the
+// scheduler's plan: the two may plan in different forms (a row adversary
+// under a list scheduler), and a window carrying both is illegal. The
+// adversary plans first, so where both fill the System's rows the
+// scheduler's are the ones left in them.
+func (c *scheduled) splice(w sim.Window, s *sim.System, batch []sim.Message) sim.Window {
+	plan := c.sch.PlanSenders(s, batch)
+	w.Senders, w.SenderRows = plan.Senders, plan.SenderRows
 	return w
 }
 
@@ -108,9 +121,7 @@ func (c *scheduled) PlansColumnar() bool {
 // columnar plan with the scheduler's sender sets spliced over it, exactly
 // like PlanDelivery.
 func (c *scheduled) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim.Window {
-	w := c.adv.(sim.ColumnarPlanner).PlanDeliveryColumnar(s, cols)
-	w.Senders = c.sch.PlanSenders(s, nil)
-	return w
+	return c.splice(c.adv.(sim.ColumnarPlanner).PlanDeliveryColumnar(s, cols), s, nil)
 }
 
 // AdversaryDriven keeps the adversary's own sender sets: Compose
@@ -125,10 +136,10 @@ var _ Scheduler = AdversaryDriven{}
 func (AdversaryDriven) RecycleTrial(uint64) {}
 
 // PlanSenders implements Scheduler. It is never reached through Compose
-// (which short-circuits to the adversary); called directly it returns nil,
-// i.e. full delivery.
-func (AdversaryDriven) PlanSenders(*sim.System, []sim.Message) [][]sim.ProcID {
-	return nil
+// (which short-circuits to the adversary); called directly it returns the
+// empty plan, i.e. full delivery.
+func (AdversaryDriven) PlanSenders(*sim.System, []sim.Message) sim.Window {
+	return sim.Window{}
 }
 
 // FullDelivery admits every sender for every receiver.
@@ -139,14 +150,17 @@ var _ Scheduler = FullDelivery{}
 // RecycleTrial is a no-op: the scheduler is stateless.
 func (FullDelivery) RecycleTrial(uint64) {}
 
-// PlanSenders implements Scheduler; nil means all senders, allocation-free.
-func (FullDelivery) PlanSenders(*sim.System, []sim.Message) [][]sim.ProcID {
-	return nil
+// PlanSenders implements Scheduler; the empty plan means all senders,
+// allocation-free.
+func (FullDelivery) PlanSenders(*sim.System, []sim.Message) sim.Window {
+	return sim.Window{}
 }
 
 // uniformScratch holds the reusable row-sharing scratch used by schedulers
 // that show the same sender set to every receiver: rows is the n-element
-// Senders slice whose entries all alias set.
+// Senders slice whose entries all alias set. These schedulers stay on the
+// listed form: the System recognizes the shared slice and validates it once
+// per window, which a row per receiver would not beat.
 type uniformScratch struct {
 	set  []sim.ProcID
 	rows [][]sim.ProcID
@@ -163,13 +177,13 @@ func (u *uniformScratch) uniform(n int) []sim.ProcID {
 	return u.set[:0]
 }
 
-// share points every receiver's row at set and returns the Senders slice.
-func (u *uniformScratch) share(set []sim.ProcID) [][]sim.ProcID {
+// share points every receiver's row at set and returns the listed plan.
+func (u *uniformScratch) share(set []sim.ProcID) sim.Window {
 	u.set = set
 	for i := range u.rows {
 		u.rows[i] = set
 	}
-	return u.rows
+	return sim.Window{Senders: u.rows}
 }
 
 // AscendingMinimal admits exactly the n−t lowest sender IDs for every
@@ -190,7 +204,7 @@ func NewAscendingMinimal() *AscendingMinimal { return &AscendingMinimal{} }
 func (a *AscendingMinimal) RecycleTrial(uint64) {}
 
 // PlanSenders implements Scheduler.
-func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.ProcID {
+func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
 	set := a.scratch.uniform(n)
 	for p := 0; p < n-t; p++ {
@@ -204,9 +218,8 @@ func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.P
 // replay the exact same delivery schedule. Construct via NewSeededRandom;
 // instances carry rng state and must not be shared across trials.
 type SeededRandom struct {
-	rng  *rng.Source
-	idx  []int // index scratch for allocation-free subset draws
-	rows [][]sim.ProcID
+	rng     *rng.Source
+	scratch rng.SubsetScratch
 }
 
 var _ Scheduler = (*SeededRandom)(nil)
@@ -223,26 +236,19 @@ func (r *SeededRandom) RecycleTrial(seed uint64) {
 	r.rng.Reseed(seed)
 }
 
-// PlanSenders implements Scheduler.
-func (r *SeededRandom) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.ProcID {
+// PlanSenders implements Scheduler. The sets are drawn straight into the
+// System's sender rows: n different sets a window, nothing shared, so a list
+// would only be built to be scanned back into the same bits.
+func (r *SeededRandom) PlanSenders(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
-	if cap(r.rows) < n {
-		r.rows = make([][]sim.ProcID, n)
-		r.idx = make([]int, n)
+	if t == 0 {
+		return sim.Window{} // all senders, and no draw
 	}
-	r.rows = r.rows[:n]
-	for i := range r.rows {
-		if t == 0 {
-			r.rows[i] = nil // nil = all senders
-			continue
-		}
-		set := r.rows[i][:0]
-		for _, v := range r.rng.SubsetInto(r.idx[:n], n-t) {
-			set = append(set, sim.ProcID(v))
-		}
-		r.rows[i] = set
+	rows, words := s.SenderRows(), s.RowWords()
+	for i := 0; i < n; i++ {
+		r.rng.SubsetBits(rows[i*words:(i+1)*words], n, n-t, &r.scratch)
 	}
-	return r.rows
+	return sim.Window{SenderRows: rows}
 }
 
 // Laggard persistently starves a rotating subset: for Epoch consecutive
@@ -296,7 +302,7 @@ func (l *Laggard) epochLen() int {
 }
 
 // PlanSenders implements Scheduler.
-func (l *Laggard) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.ProcID {
+func (l *Laggard) PlanSenders(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
 	k := l.starvedCount(t)
 	epoch := l.epochLen()
@@ -305,7 +311,7 @@ func (l *Laggard) PlanSenders(s *sim.System, _ []sim.Message) [][]sim.ProcID {
 	}
 	l.window++
 	if k == 0 {
-		return nil // t = 0 leaves nothing to starve
+		return sim.Window{} // t = 0 leaves nothing to starve
 	}
 	// Admit everyone outside the current laggard ring segment
 	// [cursor, cursor+k).
@@ -352,11 +358,11 @@ func NewAlternate() *Alternate { return &Alternate{} }
 func (a *Alternate) RecycleTrial(uint64) { a.window = 0 }
 
 // PlanSenders implements Scheduler.
-func (a *Alternate) PlanSenders(s *sim.System, batch []sim.Message) [][]sim.ProcID {
+func (a *Alternate) PlanSenders(s *sim.System, batch []sim.Message) sim.Window {
 	odd := a.window%2 == 1
 	a.window++
 	if !odd {
-		return nil
+		return sim.Window{}
 	}
 	return a.min.PlanSenders(s, batch)
 }

@@ -3,8 +3,10 @@ package sched
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"asyncagree/internal/adversary"
 	"asyncagree/internal/core"
 	"asyncagree/internal/sim"
 )
@@ -44,56 +46,87 @@ func builders(seed uint64) map[string]func() Scheduler {
 	}
 }
 
-// snapshotPlan deep-copies a plan (plans are scheduler-owned scratch).
-func snapshotPlan(plan [][]sim.ProcID) [][]sim.ProcID {
-	if plan == nil {
-		return nil
-	}
-	out := make([][]sim.ProcID, len(plan))
-	for i, row := range plan {
-		if row != nil {
-			out[i] = append([]sim.ProcID(nil), row...)
+// snapshotPlan deep-copies a plan, in whichever form it is (listed sets are
+// scheduler-owned scratch, rows the System's).
+func snapshotPlan(plan sim.Window) sim.Window {
+	out := sim.Window{SenderRows: slices.Clone(plan.SenderRows)}
+	if plan.Senders != nil {
+		out.Senders = make([][]sim.ProcID, len(plan.Senders))
+		for i, row := range plan.Senders {
+			out.Senders[i] = slices.Clone(row)
 		}
 	}
 	return out
 }
 
+// checkedPlan is a WindowAdversary that plans through plan and hands every
+// window to check before the System sees it.
+type checkedPlan struct {
+	plan  func(s *sim.System, batch []sim.Message) sim.Window
+	check func(s *sim.System, w sim.Window)
+}
+
+func (c checkedPlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
+	w := c.plan(s, batch)
+	c.check(s, w)
+	return w
+}
+
 // TestSchedulersEmitAcceptableWindows is the Definition 1 property test:
 // every strategy, at every (n, t) shape of the default sweep grid, plans
-// only legal windows — each receiver admits >= n-t distinct in-range
-// senders — across enough windows to cross laggard epochs and alternate
-// parity, and the windows it plans are accepted by the simulator.
+// only legal windows — one form at most, each receiver admitting >= n-t
+// in-range senders — across enough windows to cross laggard epochs and
+// alternate parity, and the windows it plans are accepted by the simulator.
+// The two row planners are also composed with each other and with a list
+// scheduler: the spliced window must carry the scheduler's form alone.
 func TestSchedulersEmitAcceptableWindows(t *testing.T) {
 	sizes := [][2]int{{12, 1}, {18, 2}, {24, 3}, {27, 3}, {13, 2}, {7, 1}}
+	plans := map[string]func() func(*sim.System, []sim.Message) sim.Window{}
 	for name, build := range builders(7) {
+		plans[name] = func() func(*sim.System, []sim.Message) sim.Window { return build().PlanSenders }
+	}
+	for _, name := range []string{"laggard", "seeded"} {
+		build := builders(7)[name]
+		plans["random+"+name] = func() func(*sim.System, []sim.Message) sim.Window {
+			return Compose(adversary.NewRandomWindows(9, 0.5, 2), build()).PlanDelivery
+		}
+	}
+	for name, build := range plans {
 		for _, nt := range sizes {
 			n, tt := nt[0], nt[1]
 			t.Run(fmt.Sprintf("%s/%d:%d", name, n, tt), func(t *testing.T) {
 				s := newCoreSystem(t, n, tt, 1)
-				sch := build()
-				for w := 0; w < 40; w++ {
-					batch := s.WindowSend()
-					plan := sch.PlanSenders(s, batch)
-					if plan != nil && len(plan) != n {
-						t.Fatalf("window %d: %d rows for n=%d", w, len(plan), n)
+				adv := checkedPlan{plan: build(), check: func(s *sim.System, w sim.Window) {
+					at := s.Windows()
+					switch {
+					case w.Senders != nil && w.SenderRows != nil:
+						t.Fatalf("window %d carries both plan forms", at)
+					case w.Senders != nil && len(w.Senders) != n:
+						t.Fatalf("window %d: %d listed sets for n=%d", at, len(w.Senders), n)
+					case w.SenderRows != nil && len(w.SenderRows) != n*s.RowWords():
+						t.Fatalf("window %d: %d row words for n=%d", at, len(w.SenderRows), n)
 					}
-					for i, row := range plan {
-						if row == nil {
-							continue
-						}
-						distinct := map[sim.ProcID]bool{}
-						for _, p := range row {
-							if p < 0 || int(p) >= n {
-								t.Fatalf("window %d receiver %d: sender %d out of range", w, i, p)
+					for i := 0; i < n; i++ {
+						if w.Senders != nil {
+							for _, p := range w.Senders[i] {
+								if p < 0 || int(p) >= n {
+									t.Fatalf("window %d receiver %d: sender %d out of range", at, i, p)
+								}
 							}
-							distinct[p] = true
 						}
-						if len(distinct) < n-tt {
-							t.Fatalf("window %d receiver %d: %d distinct senders < n-t=%d",
-								w, i, len(distinct), n-tt)
+						admitted := 0
+						for p := 0; p < n; p++ {
+							if w.Admits(n, sim.ProcID(i), sim.ProcID(p)) {
+								admitted++
+							}
+						}
+						if admitted < n-tt {
+							t.Fatalf("window %d receiver %d: %d distinct senders < n-t=%d", at, i, admitted, n-tt)
 						}
 					}
-					if err := s.WindowDeliver(batch, plan); err != nil {
+				}}
+				for w := 0; w < 40; w++ {
+					if err := s.ApplyWindowWith(adv); err != nil {
 						t.Fatalf("window %d rejected: %v", w, err)
 					}
 				}
@@ -106,15 +139,15 @@ func TestSchedulersEmitAcceptableWindows(t *testing.T) {
 // replay the exact same delivery schedule, and different seeds diverge.
 func TestSeededRandomReproducible(t *testing.T) {
 	const n, tt, windows = 18, 2, 25
-	plansFor := func(seed uint64) [][][]sim.ProcID {
+	plansFor := func(seed uint64) []sim.Window {
 		s := newCoreSystem(t, n, tt, 1)
 		sch := NewSeededRandom(seed)
-		var plans [][][]sim.ProcID
+		var plans []sim.Window
+		adv := checkedPlan{plan: sch.PlanSenders, check: func(_ *sim.System, w sim.Window) {
+			plans = append(plans, snapshotPlan(w))
+		}}
 		for w := 0; w < windows; w++ {
-			batch := s.WindowSend()
-			plan := sch.PlanSenders(s, batch)
-			plans = append(plans, snapshotPlan(plan))
-			if err := s.WindowDeliver(batch, plan); err != nil {
+			if err := s.ApplyWindowWith(adv); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -142,7 +175,7 @@ func TestLaggardRotates(t *testing.T) {
 			starved[p] = true
 		}
 		batch := s.WindowSend()
-		plan := sch.PlanSenders(s, batch)
+		plan := sch.PlanSenders(s, batch).Senders
 		admitted := map[sim.ProcID]bool{}
 		for _, p := range plan[0] {
 			admitted[p] = true

@@ -266,7 +266,7 @@ func (s *System) ColumnarPlanned(adv WindowAdversary) bool {
 func (s *System) applyWindowColumnar(cp ColumnarPlanner) error {
 	s.columnarSend()
 	w := cp.PlanDeliveryColumnar(s, &s.colSet)
-	if err := s.columnarDeliver(w.Senders); err != nil {
+	if err := s.columnarDeliver(w); err != nil {
 		return err
 	}
 	if err := s.WindowResets(w.Resets); err != nil {
@@ -373,9 +373,9 @@ func (s *System) columnarCount(row []uint64) (msgs int64, depth int) {
 // sender sets into the allow bitset, then tally every receiver range against
 // the columns, through the same ranges and the same merge as the message
 // path. OnEvent is nil here, so the merge carries no events.
-func (s *System) columnarDeliver(senders [][]ProcID) error {
+func (s *System) columnarDeliver(w Window) error {
 	rs := s.ranges(true)
-	if err := s.validateSenders(rs, senders); err != nil {
+	if err := s.validateSenders(rs, w); err != nil {
 		return err
 	}
 	// The all-senders tally is shared by every allowAll receiver; the ranges

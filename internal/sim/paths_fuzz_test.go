@@ -20,13 +20,24 @@ const (
 	shapeCount
 )
 
+// Plan forms shapePlan submits its sender sets in; the numbering is part of
+// the corpus.
+const (
+	formLists       = iota // Window.Senders
+	formOwnRows            // Window.SenderRows, filled in place in the System's own rows
+	formForeignRows        // Window.SenderRows in a slice of the planner's, copied in
+	formCount
+)
+
 // shapePlan plans windows from its own seeded stream alone — never from the
 // batch or the columns — so the same seed plans the same windows on every
-// path: sender sets of the chosen shape plus up to t resets. With disown set
-// it turns each just-sent batch into a hand-built one, as orderProbe does.
+// path: sender sets of the chosen shape, submitted in the chosen form, plus
+// up to t resets. With disown set it turns each just-sent batch into a
+// hand-built one, as orderProbe does.
 type shapePlan struct {
 	r      *rng.Source
 	shape  int
+	form   int
 	disown bool
 	perm   []int
 }
@@ -65,7 +76,38 @@ func (p *shapePlan) plan(s *sim.System) sim.Window {
 		}
 	}
 	w.Resets = p.subset(n, p.r.Intn(t+1))
+	if p.form != formLists && w.Senders != nil {
+		p.asRows(s, &w)
+	}
 	return w
+}
+
+// asRows rewrites w's listed sets as rows: a nil set is the all-senders row,
+// a sender past n a stray bit in the last word's tail. A sender no row has a
+// bit for (n itself, at a multiple of 64) leaves the window listed: only a
+// list can say it.
+func (p *shapePlan) asRows(s *sim.System, w *sim.Window) {
+	n, words := s.N(), s.RowWords()
+	rows := s.SenderRows()
+	if p.form == formForeignRows {
+		rows = make([]uint64, len(rows))
+	}
+	for i, set := range w.Senders {
+		row := rows[i*words : (i+1)*words]
+		clear(row)
+		if set == nil {
+			for q := 0; q < n; q++ {
+				row[q>>6] |= 1 << (uint(q) & 63)
+			}
+		}
+		for _, q := range set {
+			if int(q) >= words*64 {
+				return
+			}
+			row[q>>6] |= 1 << (uint(q) & 63)
+		}
+	}
+	w.Senders, w.SenderRows = nil, rows
 }
 
 func (p *shapePlan) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
@@ -84,26 +126,37 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Wi
 
 // FuzzWindowPaths is the differential check over every route through a
 // window: any worker count, the message or the columnar representation, the
-// System's own batch or a hand-built one, under any sender-set shape, must
-// reproduce the inline message run on the own batch — its first error,
-// RunResult and final configuration, and (where the path materializes
-// messages at all) its event feed. The algorithm is an input like the rest
+// System's own batch or a hand-built one, under any sender-set shape in any
+// plan form, must reproduce the inline message run on the own batch under
+// listed sets — its first error, RunResult and final configuration, and
+// (where the path materializes messages at all) its event feed. The algorithm is an input like the rest
 // (even: core at t < n/6, odd: Ben-Or at t < n/2), so both clients of the
 // columnar scan are held to their own per-message Deliver. The seeds are the
 // word-boundary sizes of columnar_equiv_test.go and the uneven-shard sizes of
-// shard_test.go for core, then the word-boundary sizes again for Ben-Or.
+// shard_test.go for core, then the word-boundary sizes again for Ben-Or, all
+// listed; then both row forms under every shape that has sets to submit, at
+// the word-boundary sizes for both algorithms.
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0))
+			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(formLists))
 		}
 	}
 	for i, n := range []int{63, 64, 65, 127, 128} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1))
+			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1), uint8(formLists))
 		}
 	}
-	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw uint8) {
+	for i, n := range []int{63, 64, 65, 127, 128} {
+		for shape := shapeShared; shape < shapeCount; shape++ {
+			for form := formOwnRows; form < formCount; form++ {
+				k := shape + form + i
+				f.Add(uint8(n), uint8(n/6-1), uint64(71+i), uint8(k), k%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(form))
+				f.Add(uint8(n), uint8(n/3), uint64(91+i), uint8(k), k%2 == 1, shape%2 == 0, uint8(shape), uint8(1), uint8(form))
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw, formRaw uint8) {
 		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
 		var ft int
 		var factory func(sim.ProcID, sim.Bit) sim.Process
@@ -120,8 +173,9 @@ func FuzzWindowPaths(f *testing.F) {
 		}
 		workers := []int{1, 2, 4}[int(workersRaw)%3]
 		shape := int(shapeRaw) % shapeCount
+		form := int(formRaw) % formCount
 
-		run := func(workers int, columnar, disown bool) (events []string, res sim.RunResult, snap []string, err error) {
+		run := func(workers int, columnar, disown bool, form int) (events []string, res sim.RunResult, snap []string, err error) {
 			s, err := sim.New(sim.Config{
 				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: factory,
 			})
@@ -131,7 +185,7 @@ func FuzzWindowPaths(f *testing.F) {
 			s.SetShardWorkers(workers)
 			s.SetParallelSend(true)
 			s.SetColumnar(columnar)
-			adv := &shapePlan{r: rng.New(seed), shape: shape, disown: disown}
+			adv := &shapePlan{r: rng.New(seed), shape: shape, form: form, disown: disown}
 			if columnar != s.ColumnarPlanned(adv) {
 				t.Fatalf("columnar path planned = %v, want %v", !columnar, columnar)
 			}
@@ -147,8 +201,8 @@ func FuzzWindowPaths(f *testing.F) {
 			s.SetShardWorkers(1) // stop the pool
 			return events, res, s.ConfigurationSnapshot(), err
 		}
-		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false)
-		events, res, snap, err := run(workers, columnar, disown)
+		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false, formLists)
+		events, res, snap, err := run(workers, columnar, disown, form)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("first error %v, the inline message run had %v", err, wantErr)
 		}

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // This file implements the window core: one body per phase of an acceptable
 // window — validate the sender sets, deliver messages, tally columns
@@ -208,27 +211,37 @@ func (s *System) mergeRanges(rs []windowShard, sent *[]Message) {
 	}
 }
 
-// validateSenders validates every sender set into the allow bitset before
-// anything is delivered: an illegal window must leave the configuration
-// untouched. Each range reports its first error; the first in ascending
-// range order is the one a single scan would have hit.
-func (s *System) validateSenders(rs []windowShard, senders [][]ProcID) error {
-	if senders == nil {
+// validateSenders validates the window's sender sets, in whichever form it
+// carries them, into the allow bitset before anything is delivered: an
+// illegal window must leave the configuration untouched. Each range reports
+// its first error; the first in ascending range order is the one a single
+// scan would have hit.
+func (s *System) validateSenders(rs []windowShard, w Window) error {
+	switch {
+	case w.Senders != nil && w.SenderRows != nil:
+		return fmt.Errorf("%w: sender sets given both as lists and as rows", ErrBadWindow)
+	case w.SenderRows != nil:
+		if len(w.SenderRows) != len(s.allowBits) {
+			return fmt.Errorf("%w: got %d sender row words for n=%d, want %d",
+				ErrBadWindow, len(w.SenderRows), s.n, len(s.allowBits))
+		}
+	case w.Senders != nil:
+		if len(w.Senders) != s.n {
+			return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(w.Senders), s.n)
+		}
+	default:
 		for i := range s.allowAll {
 			s.allowAll[i] = true
 		}
 		return nil
 	}
-	if len(senders) != s.n {
-		return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(senders), s.n)
-	}
-	s.phaseSenders = senders
+	s.phaseSenders, s.phaseRows = w.Senders, w.SenderRows
 	if len(rs) == 1 {
 		s.validateRange(&rs[0])
 	} else {
 		s.shardPool.run(s, phaseValidate, len(rs))
 	}
-	s.phaseSenders = nil
+	s.phaseSenders, s.phaseRows = nil, nil
 	for i := range rs {
 		if rs[i].panicked {
 			panic(rs[i].panicVal)
@@ -240,14 +253,61 @@ func (s *System) validateSenders(rs []windowShard, senders [][]ProcID) error {
 	return nil
 }
 
-// validateRange turns the sender sets of the range's receivers into their
-// rows of the allow bitset; a nil set means all senders. Writes touch only
-// this range's receivers. Adversaries commonly hand many receivers the same
-// backing slice (the scheduler scratch-sharing pattern), so a set whose
-// identity matches the previously validated one copies that row instead of
-// re-scanning; a shared invalid set still errors at its first user, with
-// that user's index.
+// validateRange validates the sender sets of the range's receivers into
+// their rows of the allow bitset. Writes touch only this range's receivers.
 func (s *System) validateRange(sh *windowShard) {
+	if s.phaseRows != nil {
+		s.validateRows(sh)
+	} else {
+		s.validateLists(sh)
+	}
+}
+
+// validateRows checks a row plan, one pass per receiver: no bit at n or
+// above (reported as the sender it names, as a listed one would be), then at
+// least n-t bits. The System's own rows are checked where the planner filled
+// them; foreign ones are copied in first. A row is never "all senders" by
+// omission, so allowAll is off throughout.
+func (s *System) validateRows(sh *windowShard) {
+	rows, words := s.phaseRows, s.allowWords
+	own := &rows[0] == &s.allowBits[0]
+	var tail uint64 // the last word's bits at n and above
+	if s.n&63 != 0 {
+		tail = ^uint64(0) << (uint(s.n) & 63)
+	}
+	for i := sh.lo; i < sh.hi; i++ {
+		s.allowAll[i] = false
+		row := s.allowedRow(i)
+		if !own {
+			copy(row, rows[i*words:(i+1)*words])
+		}
+		if stray := row[words-1] & tail; stray != 0 {
+			sh.err = s.checkProc(ProcID((words-1)<<6 | bits.TrailingZeros64(stray)))
+			return
+		}
+		count := 0
+		for _, word := range row {
+			count += bits.OnesCount64(word)
+		}
+		if count < s.n-s.t {
+			sh.err = s.tooFewSenders(i, count)
+			return
+		}
+	}
+}
+
+// tooFewSenders is the error for receiver i admitting only distinct senders.
+func (s *System) tooFewSenders(i, distinct int) error {
+	return fmt.Errorf("%w: sender set for processor %d has %d distinct senders < n-t=%d",
+		ErrBadWindow, i, distinct, s.n-s.t)
+}
+
+// validateLists turns listed sender sets into rows; a nil set means all
+// senders. Adversaries commonly hand many receivers the same backing slice
+// (the scheduler scratch-sharing pattern), so a set whose identity matches
+// the previously validated one copies that row instead of re-scanning; a
+// shared invalid set still errors at its first user, with that user's index.
+func (s *System) validateLists(sh *windowShard) {
 	senders := s.phaseSenders
 	var lastSet *ProcID
 	lastLen, lastRow := -1, -1
@@ -276,8 +336,7 @@ func (s *System) validateRange(sh *windowShard) {
 			}
 		}
 		if distinct < s.n-s.t {
-			sh.err = fmt.Errorf("%w: sender set for processor %d has %d distinct senders < n-t=%d",
-				ErrBadWindow, i, distinct, s.n-s.t)
+			sh.err = s.tooFewSenders(i, distinct)
 			return
 		}
 		lastSet, lastLen, lastRow = &set[0], len(set), i

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,6 +242,70 @@ func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 	batch := s.WindowSend()
 	if err := s.WindowDeliver(batch, make([][]ProcID, 3)); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("err = %v, want ErrBadWindow", err)
+	}
+}
+
+// TestRowPlanRejectsIllegalRows is the row form's share of the
+// illegal-window cases above: each is refused with the error its listed twin
+// gets, before anything is delivered, from the System's own rows and from a
+// slice that has to be copied in alike. A legal row plan then goes through.
+func TestRowPlanRejectsIllegalRows(t *testing.T) {
+	const n, tt = 70, 8 // two words a row, the second with a 58-bit tail
+	cases := []struct {
+		name string
+		mut  func(w *Window, words int)
+		want error
+	}{
+		{"one sender short", func(w *Window, words int) {
+			w.SenderRows[3*words] &^= 1<<(tt+1) - 1 // receiver 3 loses senders 0..t
+		}, ErrBadWindow},
+		{"bit past n in the last word", func(w *Window, words int) {
+			w.SenderRows[n*words-1] |= 1 << (n & 63) // receiver n-1 admits "sender n"
+		}, ErrNoSuchProc},
+		{"wrong slice length", func(w *Window, words int) {
+			w.SenderRows = w.SenderRows[:len(w.SenderRows)-1]
+		}, ErrBadWindow},
+		{"both forms", func(w *Window, words int) {
+			w.Senders = make([][]ProcID, n)
+		}, ErrBadWindow},
+	}
+	for _, tc := range cases {
+		for _, foreign := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/foreign=%v", tc.name, foreign), func(t *testing.T) {
+				s := newTestSystem(t, n, tt, "split", 0)
+				batch := s.WindowSend()
+				fill := func() Window {
+					rows := s.SenderRows()
+					if foreign {
+						rows = make([]uint64, len(rows))
+					}
+					clear(rows) // what the rows held before is the planner's to overwrite
+					for i := 0; i < n; i++ {
+						for q := 0; q < n; q++ {
+							rows[i*s.RowWords()+q>>6] |= 1 << (q & 63)
+						}
+					}
+					return Window{SenderRows: rows}
+				}
+				w := fill()
+				tc.mut(&w, s.RowWords())
+				steps, buffered, snap := s.Steps(), s.Buffer().Len(), s.ConfigurationSnapshot()
+				if err := s.deliverWindow(batch, w); !errors.Is(err, tc.want) {
+					t.Fatalf("err = %v, want %v", err, tc.want)
+				}
+				if s.Windows() != 0 || s.Steps() != steps || s.Buffer().Len() != buffered ||
+					!slices.Equal(s.ConfigurationSnapshot(), snap) {
+					t.Fatalf("a rejected row plan moved the System: windows %d, steps %d (was %d), buffered %d (was %d)",
+						s.Windows(), s.Steps(), steps, s.Buffer().Len(), buffered)
+				}
+				if err := s.deliverWindow(batch, fill()); err != nil {
+					t.Fatal(err)
+				}
+				if got := len(s.Proc(3).(*echoProc).delivered); got != n || s.Buffer().Len() != 0 {
+					t.Fatalf("legal row plan: processor 3 received %d of %d, %d still buffered", got, n, s.Buffer().Len())
+				}
+			})
+		}
 	}
 }
 

@@ -126,7 +126,8 @@ type System struct {
 	// (bucketByReceiver, or sortByReceiver for a hand-built batch); allowBits
 	// is a receiver-major bitset of permitted senders (allowWords words per
 	// receiver) with allowAll flagging receivers whose sender set is nil
-	// ("all senders").
+	// ("all senders"). A planner may fill allowBits itself (SenderRows): it is
+	// scratch between a window's send and its validation.
 	batchScratch []Message
 	orderIdx     []int32 // batch indices bucketed by receiver
 	orderOff     []int32 // orderIdx bucket offsets, len n+1
@@ -142,8 +143,8 @@ type System struct {
 	// pool and per-shard scratch are built on the first such phase and — like
 	// the rest of the scratch — deliberately survive Recycle, so a pooled
 	// trial engine keeps its worker goroutines hot across thousands of
-	// trials. phaseSenders and phaseBatch are the running phase's inputs, nil
-	// outside it.
+	// trials. phaseSenders or phaseRows (the window's one plan form) and
+	// phaseBatch are the running phase's inputs, nil outside it.
 	whole        [1]windowShard
 	shardWorkers int
 	parallelSend bool
@@ -151,6 +152,7 @@ type System struct {
 	shardCleanup runtime.Cleanup
 	shards       []windowShard
 	phaseSenders [][]ProcID
+	phaseRows    []uint64
 	phaseBatch   []Message
 
 	// Columnar kernel state (columnar.go). colOff disables the fast path
@@ -284,6 +286,15 @@ func (s *System) Windows() int { return s.windows }
 
 // Steps returns the number of fine-grained steps executed.
 func (s *System) Steps() int64 { return s.steps }
+
+// SenderRows returns the System's own sender rows for a planner to fill in
+// place and hand back as Window.SenderRows: N() rows of RowWords() words,
+// receiver-major. Planning runs between a window's send and its validation,
+// when nothing else reads them; what they held before is unspecified.
+func (s *System) SenderRows() []uint64 { return s.allowBits }
+
+// RowWords returns the width of one sender row in 64-bit words, (N()+63)/64.
+func (s *System) RowWords() int { return s.allowWords }
 
 // Buffer exposes the message buffer (adversaries have full information).
 func (s *System) Buffer() *Buffer { return s.buffer }

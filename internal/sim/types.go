@@ -33,7 +33,10 @@
 //     the longest message chain, tracked by per-message depth counters.
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ProcID identifies a processor; valid values are 0..n-1.
 type ProcID int
@@ -183,15 +186,41 @@ type Step struct {
 
 // Window describes one acceptable window (Definition 1): after all n
 // processors take sending steps, each processor i receives the just-sent
-// messages from the senders in Senders[i] (each of size >= n-t), and then
-// the processors in Resets (at most t of them) are reset.
+// messages from its sender set (each of size >= n-t), and then the
+// processors in Resets (at most t of them) are reset.
+//
+// The sender sets come in one of two forms. Senders lists them, the form of
+// hand-built windows and of planners that show every receiver one shared
+// set. SenderRows is the form the System delivers from, for planners that
+// think in sets and draw a different one per receiver. A window carries at
+// most one form (neither: all senders for everyone); one with both is
+// rejected as ErrBadWindow, never resolved by precedence.
 type Window struct {
 	// Senders[i] lists the senders whose just-sent messages processor i
 	// receives, ascending. A nil entry means "all n senders"; a nil Senders
 	// slice means all n senders for every receiver (full delivery).
 	Senders [][]ProcID
+	// SenderRows is the receiver-major bitset of the same sets: n rows of
+	// System.RowWords() words, bit q of row i set iff processor i receives
+	// from sender q, bits at n and above clear. A planner that fills the
+	// System's own rows (System.SenderRows) is validated where they lie;
+	// any other slice is copied in.
+	SenderRows []uint64
 	// Resets lists the processors reset at the end of the window.
 	Resets []ProcID
+}
+
+// Admits reports whether, under this window of an n-processor system,
+// receiver gets sender's just-sent messages, whichever form the plan is in.
+func (w Window) Admits(n int, receiver, sender ProcID) bool {
+	if w.SenderRows != nil {
+		words := (n + 63) / 64
+		return w.SenderRows[int(receiver)*words+int(sender)>>6]&(1<<(uint(sender)&63)) != 0
+	}
+	if w.Senders == nil || w.Senders[receiver] == nil {
+		return true
+	}
+	return slices.Contains(w.Senders[receiver], sender)
 }
 
 // UniformWindow returns a Window delivering from the same sender set s to

@@ -45,9 +45,14 @@ func (s *System) allowedRow(i int) []uint64 {
 // That is its only difference: validation, the range body, the merge and the
 // drain are the same.
 func (s *System) WindowDeliver(batch []Message, senders [][]ProcID) error {
+	return s.deliverWindow(batch, Window{Senders: senders})
+}
+
+// deliverWindow is WindowDeliver under the sender sets of w, in either form.
+func (s *System) deliverWindow(batch []Message, w Window) error {
 	own := s.ownBatch(batch)
 	rs := s.ranges(own)
-	if err := s.validateSenders(rs, senders); err != nil {
+	if err := s.validateSenders(rs, w); err != nil {
 		return err
 	}
 	if len(batch) == 0 {
@@ -211,7 +216,7 @@ func (s *System) WindowResets(resets []ProcID) error {
 // ApplyWindow runs one full acceptable window described by w.
 func (s *System) ApplyWindow(w Window) error {
 	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, w.Senders); err != nil {
+	if err := s.deliverWindow(batch, w); err != nil {
 		return err
 	}
 	if err := s.WindowResets(w.Resets); err != nil {
@@ -252,7 +257,7 @@ func (s *System) ApplyWindowWith(adv WindowAdversary) error {
 	}
 	batch := s.WindowSend()
 	w := adv.PlanDelivery(s, batch)
-	if err := s.WindowDeliver(batch, w.Senders); err != nil {
+	if err := s.deliverWindow(batch, w); err != nil {
 		return err
 	}
 	if err := s.WindowResets(w.Resets); err != nil {
