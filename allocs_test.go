@@ -96,6 +96,56 @@ func mallocsPerRun(runs int, f func()) float64 {
 	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }
 
+// bytesPerRun is mallocsPerRun for bytes, with nothing warmed but the
+// process: the mean heap bytes f allocates, GOMAXPROCS pinned as there.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	f() // package-level tables, not the trial's
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestColdTrialBytes pins what one trial allocates on a pool miss — a fresh
+// System, processes and adversary, run to decision — for the two message-
+// heavy algorithms at the default sweep's 27:3, split inputs under full
+// delivery. That is what a sweep pays for every trial whose engine pool the
+// GC emptied, which is most of them. Each message is stored once, in the
+// buffer's ring, and RBC instances live in pooled blocks; a per-window copy
+// of the batch, or a map per instance, goes through the ceiling. Measured
+// 6.95 MB (Bracha) and 18.16 MB (committee); 18.71 MB and 30.71 MB when
+// every message was stored three times and instances were mapped by tag.
+func TestColdTrialBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the trial's")
+	}
+	for _, c := range []struct {
+		alg     Algorithm
+		ceiling float64 // bytes
+	}{
+		{AlgorithmBracha, 7.0e6},
+		{AlgorithmCommittee, 18.2e6},
+	} {
+		t.Run(string(c.alg), func(t *testing.T) {
+			cfg := Config{Algorithm: c.alg, N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}
+			bytes := bytesPerRun(3, func() {
+				res, err := Run(cfg, FullDelivery(), 20000)
+				if err != nil || !res.AllDecided {
+					t.Fatalf("trial: %+v, %v", res, err)
+				}
+			})
+			t.Logf("%.2f MB per cold trial", bytes/1e6)
+			if bytes > c.ceiling {
+				t.Fatalf("a cold %s 27:3 trial allocates %.2f MB, ceiling %.2f MB", c.alg, bytes/1e6, c.ceiling/1e6)
+			}
+		})
+	}
+}
+
 // TestSweepAllocCeilings pins what a whole sweep allocates — expansion,
 // trial fan-out across the worker pool, the record pipeline, aggregation —
 // with warm engine pools: a fixed few dozen for the sixteen-trial grid (56

@@ -157,8 +157,8 @@ func (a *Agreement) broadcastStep() {
 // valBoxes interns the four possible Val payloads as pre-boxed interface
 // values, so queuing a broadcast never re-boxes one. Interface equality
 // compares dynamic type and value, so interned boxes compare equal to
-// hand-built Val payloads (Byzantine strategies, tests) in the threshold
-// maps.
+// hand-built Val payloads (Byzantine strategies, tests) in the RBC engine's
+// per-value sender lists.
 var valBoxes = [2][2]any{
 	{Val{V: 0, D: false}, Val{V: 0, D: true}},
 	{Val{V: 1, D: false}, Val{V: 1, D: true}},

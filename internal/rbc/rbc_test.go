@@ -75,6 +75,37 @@ func TestNewEngineValidation(t *testing.T) {
 	}
 }
 
+// TestNewScopedEngineValidation: a member list is a set of processors. A
+// duplicate would inflate n and every threshold with it, a negative ID names
+// no processor (and no bitset position), and self must be in the group.
+func TestNewScopedEngineValidation(t *testing.T) {
+	ids := func(q ...sim.ProcID) []sim.ProcID { return q }
+	cases := []struct {
+		name    string
+		self    sim.ProcID
+		members []sim.ProcID
+		t       int
+		wantErr bool
+	}{
+		{"sorted", 3, ids(1, 3, 70, 200), 1, false},
+		{"unsorted", 70, ids(200, 3, 70, 1), 1, false},
+		{"duplicate", 3, ids(1, 3, 3, 70), 1, true},
+		{"duplicate padding n past 3t", 3, ids(1, 3, 70, 70), 1, true},
+		{"negative", 3, ids(-1, 1, 3, 70), 1, true},
+		{"self outside", 2, ids(1, 3, 70, 200), 1, true},
+		{"n <= 3t", 1, ids(1, 3, 70), 1, true},
+	}
+	for _, c := range cases {
+		e, err := NewScopedEngine(c.self, c.members, c.t)
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: NewScopedEngine(%d, %v, %d) err = %v, wantErr %v", c.name, c.self, c.members, c.t, err, c.wantErr)
+		}
+		if err == nil && e.EchoThreshold() != (len(c.members)+c.t+2)/2 {
+			t.Errorf("%s: echo threshold %d for %d members", c.name, e.EchoThreshold(), len(c.members))
+		}
+	}
+}
+
 func TestHonestBroadcastAcceptedByAll(t *testing.T) {
 	h := newHarness(t, 4, 1)
 	h.engines[0].Broadcast("tag", "hello")

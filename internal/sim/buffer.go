@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // Buffer is the message buffer of the model: the multiset of sent but not
 // yet delivered messages. The adversary chooses delivery order, so the
 // buffer supports lookup and removal by ID and whole-buffer scans in ID
@@ -11,7 +13,9 @@ package sim
 // cell whose message is gone. Add is one store, Get and Take one index and an
 // ID compare, and a steady-state Add/Take cycle allocates nothing. The front
 // advances as the oldest messages are consumed; window mode drains the
-// buffer every window, so the span stays one window wide.
+// buffer every window, so the span stays one window wide. The ring is also
+// where a window's batch lives: WindowSend moves the span to the ring's start
+// (linearize) and returns the cells its sends filled (tail).
 //
 // Tradeoff: memory and whole-buffer scans (Pending, IDs, DropWhere) are
 // O(ID span), not O(live messages), and a cell is a whole Message (48 B): a
@@ -47,6 +51,32 @@ func (b *Buffer) cell(id int64) *Message {
 	return nil
 }
 
+// span returns the number of cells in the live ID span [idBase, nextID].
+func (b *Buffer) span() int { return int(b.nextID - b.idBase + 1) }
+
+// linearize moves the live span to the ring's start (head 0), so the Adds
+// that follow fill ring[span():] in ID order: grow keeps that layout, and no
+// Add wraps while the span fits. An empty buffer only rewinds its front; a
+// span left behind by step mode is rotated into place.
+func (b *Buffer) linearize() {
+	if b.head == 0 {
+		return
+	}
+	if b.live > 0 {
+		slices.Reverse(b.ring[:b.head])
+		slices.Reverse(b.ring[b.head:])
+		slices.Reverse(b.ring)
+	}
+	b.head = 0
+}
+
+// tail returns the last k cells of the live span of a linear ring (head 0):
+// the messages of the last k Adds, by ID, in place.
+func (b *Buffer) tail(k int) []Message {
+	end := b.span()
+	return b.ring[end-k : end : end]
+}
+
 // grow resizes the ring to a power of two holding span cells and moves the
 // live span to its start.
 func (b *Buffer) grow(span int) {
@@ -65,7 +95,7 @@ func (b *Buffer) grow(span int) {
 func (b *Buffer) Add(m Message) Message {
 	b.nextID++
 	m.ID = b.nextID
-	span := int(b.nextID - b.idBase + 1)
+	span := b.span()
 	if span > len(b.ring) {
 		b.grow(span)
 	}
@@ -104,7 +134,7 @@ func (b *Buffer) Get(id int64) (Message, bool) {
 // clearSpan zeroes the live span, releasing its payload references to the
 // GC, and leaves the ring empty with its front at cell 0.
 func (b *Buffer) clearSpan() {
-	span := int(b.nextID - b.idBase + 1)
+	span := b.span()
 	k := min(span, len(b.ring)-b.head) // cells before the ring's end
 	clear(b.ring[b.head : b.head+k])
 	clear(b.ring[:span-k])

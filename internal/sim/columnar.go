@@ -381,7 +381,7 @@ func (s *System) columnarDeliver(w Window) error {
 	// The all-senders tally is shared by every allowAll receiver; the ranges
 	// only read it.
 	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
-	s.runPhase(phaseTally, rs, nil)
+	s.runPhase(phaseTally, rs)
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"asyncagree/internal/benor"
+	"asyncagree/internal/bracha"
 	"asyncagree/internal/core"
 	"asyncagree/internal/rng"
 	"asyncagree/internal/sim"
@@ -129,13 +130,18 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Wi
 // System's own batch or a hand-built one, under any sender-set shape in any
 // plan form, must reproduce the inline message run on the own batch under
 // listed sets — its first error, RunResult and final configuration, and
-// (where the path materializes messages at all) its event feed. The algorithm is an input like the rest
-// (even: core at t < n/6, odd: Ben-Or at t < n/2), so both clients of the
-// columnar scan are held to their own per-message Deliver. The seeds are the
+// (where the path materializes messages at all) its event feed. The
+// algorithm is an input like the rest (algRaw mod 3: 0 core at t < n/6, 1
+// Ben-Or at t < n/2, 2 Bracha at t < n/3 and n <= 31), so both clients of the
+// columnar scan are held to their own per-message Deliver, and Bracha's n²
+// copies per broadcast, stored straight into the ring by the inline walk and
+// merged from shard scratch at 2 and 4 workers, are held to each other; Bracha
+// has no columns, so it always runs on messages. The seeds are the
 // word-boundary sizes of columnar_equiv_test.go and the uneven-shard sizes of
 // shard_test.go for core, then the word-boundary sizes again for Ben-Or, all
 // listed; then both row forms under every shape that has sets to submit, at
-// the word-boundary sizes for both algorithms.
+// the word-boundary sizes for both algorithms; then Bracha at 13:4, 18:2 and
+// 27:3 under every shape.
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
@@ -156,20 +162,31 @@ func FuzzWindowPaths(f *testing.F) {
 			}
 		}
 	}
+	for i, nt := range [][2]int{{13, 4}, {18, 2}, {27, 3}} {
+		for shape := 0; shape < shapeCount; shape++ {
+			f.Add(uint8(nt[0]), uint8(nt[1]), uint64(121+i), uint8(shape+i), false, (shape+i)%2 == 1, uint8(shape), uint8(2), uint8((shape+i)%formCount))
+		}
+	}
 	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw, formRaw uint8) {
 		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
 		var ft int
 		var factory func(sim.ProcID, sim.Bit) sim.Process
-		if algRaw%2 == 0 {
+		switch algRaw % 3 {
+		case 0:
 			ft = int(tRaw) % ((n + 5) / 6)
 			th, err := core.DefaultThresholds(n, ft)
 			if err != nil {
 				t.Skip(err)
 			}
 			factory = core.NewFactory(n, ft, th)
-		} else {
+		case 1:
 			ft = int(tRaw) % ((n + 1) / 2) // 2*ft < n
 			factory = benor.NewFactory(n, ft)
+		case 2:
+			n = max(int(nRaw)%32, 7)       // n^3 messages a window: 7..31
+			ft = int(tRaw) % ((n + 2) / 3) // 3*ft < n
+			factory = bracha.NewFactory(n, ft)
+			columnar = false
 		}
 		workers := []int{1, 2, 4}[int(workersRaw)%3]
 		shape := int(shapeRaw) % shapeCount

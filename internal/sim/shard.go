@@ -41,12 +41,12 @@ func shardCountFor(n int) int {
 type windowShard struct {
 	lo, hi int // receiver (delivery) or sender (send) range [lo, hi)
 
-	steps     int64    // local step count, summed into System.steps
-	err       error    // first validation error (ascending receiver order)
-	violation error    // first write-once violation (ascending receiver order)
-	decided   []ProcID // processors that newly decided in this range
-	events    []Event  // buffered trace events, in emission order
-	sendMsgs  []Message
+	steps     int64       // local step count, summed into System.steps
+	err       error       // first validation error (ascending receiver order)
+	violation error       // first write-once violation (ascending receiver order)
+	decided   []ProcID    // processors that newly decided in this range
+	events    []Event     // buffered trace events, in emission order
+	sendMsgs  []Message   // a shard's sent messages (the inline range stores its own)
 	tally     WindowTally // phaseTally scratch (columnar.go)
 
 	panicked bool // a pool-run body panicked; panicVal re-raised at merge
@@ -160,32 +160,30 @@ func (s *System) shardRun(phase shardPhase, i int) {
 // A single range is walked by the caller with no recover, so a panicking
 // process unwinds with its own stack; the deferred merge still records what
 // preceded the panic, as it does for the pool.
-func (s *System) runPhase(phase shardPhase, rs []windowShard, sent *[]Message) {
+func (s *System) runPhase(phase shardPhase, rs []windowShard) {
 	if len(rs) == 1 {
-		defer s.mergeRanges(rs, sent)
+		defer s.mergeRanges(rs)
 		s.phaseBody(phase, &rs[0])
 		return
 	}
 	s.shardPool.run(s, phase, len(rs))
-	s.mergeRanges(rs, sent)
+	s.mergeRanges(rs)
 }
 
 // mergeRanges folds range scratch into the System in ascending range order,
-// so the concatenated outputs equal one walk over [0, n) byte for byte. Sent
-// messages get their buffer IDs here and are appended to *sent. A range that
-// panicked stops the merge: what it and the ranges before it did up to the
-// panic is recorded, and the decisions later ranges booked are withdrawn, so
-// the System's accounts read as after a single walk that stopped there. (The
+// so the concatenated outputs equal one walk over [0, n) byte for byte. The
+// messages a shard sent enter the buffer here. A range that panicked stops
+// the merge: what it and the ranges before it did up to the panic is
+// recorded, and the decisions later ranges booked are withdrawn, so the
+// System's accounts read as after a single walk that stopped there. (The
 // later ranges' processes did run; the engine is abandoned either way.)
-func (s *System) mergeRanges(rs []windowShard, sent *[]Message) {
+func (s *System) mergeRanges(rs []windowShard) {
 	decided := false
 	for i := range rs {
 		sh := &rs[i]
 		s.steps += sh.steps
 		for j := range sh.sendMsgs {
-			stored := s.buffer.Add(sh.sendMsgs[j])
-			*sent = append(*sent, stored)
-			s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
+			s.store(sh.sendMsgs[j])
 		}
 		decided = decided || len(sh.decided) > 0
 		if sh.violation != nil && s.violation == nil {
@@ -373,8 +371,8 @@ func (s *System) deliverRange(sh *windowShard) {
 					continue
 				}
 			}
-			if stored, ok := s.buffer.Get(m.ID); ok {
-				s.deliverMsg(sh, stored)
+			if stored := s.buffer.cell(m.ID); stored != nil {
+				s.deliverMsg(sh, *stored)
 			}
 		}
 	}
@@ -421,12 +419,15 @@ func (s *System) recordOutputs(sh *windowShard, id ProcID) {
 	}
 }
 
-// sendRange runs the sending steps of the range's live senders, collecting
-// the accepted messages into range scratch; the merge moves them into the
-// buffer, so IDs, batch order and EvSend events do not depend on who walked
-// which range. chainDepth is read-only during the send phase (only delivery
-// mutates it), and each sender reads just its own entry.
+// sendRange runs the sending steps of the range's live senders. The range
+// the caller walks inline (whole) stores each accepted message straight into
+// the buffer; a shard collects them into range scratch for the merge, which
+// stores them in range order. Either way IDs, batch order and EvSend events
+// are those of one walk over the senders in ascending order. chainDepth is
+// read-only during the send phase (only delivery mutates it), and each sender
+// reads just its own entry.
 func (s *System) sendRange(sh *windowShard) {
+	direct := sh == &s.whole[0]
 	for i := sh.lo; i < sh.hi; i++ {
 		if s.crashed[i] {
 			continue
@@ -443,7 +444,19 @@ func (s *System) sendRange(sh *windowShard) {
 				continue // a crashed processor never receives anything
 			}
 			m.Depth = depth
-			sh.sendMsgs = append(sh.sendMsgs, m)
+			if direct {
+				s.store(m)
+			} else {
+				sh.sendMsgs = append(sh.sendMsgs, m)
+			}
 		}
+	}
+}
+
+// store buffers one sent message under a fresh ID and emits its EvSend.
+func (s *System) store(m Message) {
+	stored := s.buffer.Add(m)
+	if s.OnEvent != nil {
+		s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
 	}
 }

@@ -237,6 +237,65 @@ func TestWindowDeliverHandBuiltOddEntries(t *testing.T) {
 	}
 }
 
+// TestWindowSendOverStepResidue opens a window on a buffer step mode left
+// mid-ring: its front far from cell 0 and two messages still live, so the
+// window's sends would wrap the ring had WindowSend not moved the span to the
+// start first. The batch must still be the contiguous run of fresh IDs behind
+// the residue, recognized as the System's own; the window delivers exactly
+// it, and the residue stays buffered, untouched, for step mode to finish.
+func TestWindowSendOverStepResidue(t *testing.T) {
+	const n = 4
+	s := newTestSystem(t, n, 1, "split", 0)
+	stepRound := func(keep int) { // everyone sends; all but the last keep messages are delivered
+		for p := 0; p < n; p++ {
+			if _, err := s.StepSend(ProcID(p)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ids := s.Buffer().IDs()
+		for _, id := range ids[:len(ids)-keep] {
+			if err := s.StepDeliver(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for range 3 {
+		stepRound(0)
+	}
+	stepRound(2)
+	residue := s.Buffer().Pending()
+	if b := s.Buffer(); len(residue) != 2 || b.head+b.span()+n*n <= len(b.ring) {
+		t.Fatalf("vacuous: %d messages left, front at cell %d of %d", len(residue), b.head, len(b.ring))
+	}
+	steps := s.Steps()
+	batch := s.WindowSend()
+	if len(batch) != n*n || !s.ownBatch(batch) {
+		t.Fatalf("batch of %d messages (own %v), want the %d just sent", len(batch), s.ownBatch(batch), n*n)
+	}
+	for i, m := range batch {
+		if want := residue[1].ID + 1 + int64(i); m.ID != want || m.From != ProcID(i/n) || m.To != ProcID(i%n) {
+			t.Fatalf("batch[%d] = %d %d>%d, want ID %d from %d to %d", i, m.ID, m.From, m.To, want, i/n, i%n)
+		}
+	}
+	if err := s.WindowDeliver(batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Steps() - steps; got != n+n*n {
+		t.Fatalf("the window took %d steps, want %d sends and %d deliveries", got, n, n*n)
+	}
+	if got := s.Buffer().Pending(); !slices.Equal(got, residue) {
+		t.Fatalf("residue after the window %v, want %v", got, residue)
+	}
+	for _, m := range residue {
+		if err := s.StepDeliver(m.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Buffer().Len() != 0 {
+		t.Fatalf("%d messages left", s.Buffer().Len())
+	}
+}
+
 func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
 	batch := s.WindowSend()

@@ -17,12 +17,16 @@ func (s *System) StepSend(id ProcID) ([]Message, error) {
 	if s.crashed[id] {
 		return nil, fmt.Errorf("%w: processor %d", ErrCrashed, id)
 	}
-	// The one-sender case of the window core; the fresh slice is the
-	// caller's to retain.
+	// The one-sender case of the window core; the fresh slice of what it
+	// stored is the caller's to retain.
 	rs := s.ranges(false)
 	rs[0].lo, rs[0].hi = int(id), int(id)+1
+	first := s.buffer.nextID + 1
+	s.runPhase(phaseSend, rs)
 	var sent []Message
-	s.runPhase(phaseSend, rs, &sent)
+	for mid := first; mid <= s.buffer.nextID; mid++ {
+		sent = append(sent, *s.buffer.cell(mid))
+	}
 	return sent, nil
 }
 

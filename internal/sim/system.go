@@ -121,20 +121,21 @@ type System struct {
 	violation error
 
 	// Scratch state for the allocation-free window pipeline (window.go).
-	// batchScratch backs the slice returned by WindowSend; orderIdx/orderOff/
-	// orderPos hold the delivering batch's receiver-major order
+	// batch is the slice WindowSend returned, the ring cells its sends filled
+	// (ownBatch compares against it); orderIdx/orderOff/orderPos hold the
+	// delivering batch's receiver-major order
 	// (bucketByReceiver, or sortByReceiver for a hand-built batch); allowBits
 	// is a receiver-major bitset of permitted senders (allowWords words per
 	// receiver) with allowAll flagging receivers whose sender set is nil
 	// ("all senders"). A planner may fill allowBits itself (SenderRows): it is
 	// scratch between a window's send and its validation.
-	batchScratch []Message
-	orderIdx     []int32 // batch indices bucketed by receiver
-	orderOff     []int32 // orderIdx bucket offsets, len n+1
-	orderPos     []int32 // bucket fill cursors, len n
-	allowWords   int
-	allowBits    []uint64
-	allowAll     []bool
+	batch      []Message
+	orderIdx   []int32 // batch indices bucketed by receiver
+	orderOff   []int32 // orderIdx bucket offsets, len n+1
+	orderPos   []int32 // bucket fill cursors, len n
+	allowWords int
+	allowBits  []uint64
+	allowAll   []bool
 
 	// Window core state (shard.go, shardpool.go). whole is the scratch of the
 	// one range [0, n) the caller walks inline; shardWorkers >= 2 swaps in
@@ -353,7 +354,7 @@ func (s *System) emit(ev Event) {
 func (s *System) deliver(m Message) {
 	rs := s.ranges(false)
 	s.deliverMsg(&rs[0], m)
-	s.mergeRanges(rs, nil)
+	s.mergeRanges(rs)
 }
 
 // reset executes the resetting steps of procs, in order.
@@ -369,5 +370,5 @@ func (s *System) reset(procs ...ProcID) {
 		}
 		s.recordOutputs(sh, id) // output must survive a reset
 	}
-	s.mergeRanges(rs, nil)
+	s.mergeRanges(rs)
 }

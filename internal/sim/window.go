@@ -9,17 +9,25 @@ import (
 // WindowSend executes the sending steps that open an acceptable window: all
 // non-crashed processors take a sending step. It returns the just-sent batch.
 //
-// The returned slice is scratch owned by the System and is overwritten by
-// the next WindowSend; adversaries may read it while planning the window but
-// must not retain it across windows.
+// Each message is stored once, in the buffer's ring, and the batch is the
+// span of ring cells the sends filled: the ring is first made linear (its live
+// span moved to cell 0, a no-op after a drained window), so the new messages
+// sit contiguously in ID order behind whatever was buffered before. The slice
+// is therefore the buffer itself, not a copy: taking a message out of the
+// buffer while planning (Buffer.Take) zeroes its batch entry, the window's
+// drain zeroes the rest, and the next WindowSend refills the cells.
+// Adversaries may read the batch while planning the window but must not
+// retain it past the window.
 //
 // In the strongly adaptive model of Sections 2-4 there are no crashes, so
 // all n processors send; the crash-model reuse of windows in Section 5
 // (Definition 19) simply has crashed processors contribute nothing.
 func (s *System) WindowSend() []Message {
-	s.batchScratch = s.batchScratch[:0]
-	s.runPhase(phaseSend, s.ranges(s.parallelSend), &s.batchScratch)
-	return s.batchScratch
+	s.buffer.linearize()
+	before := s.buffer.nextID
+	s.runPhase(phaseSend, s.ranges(s.parallelSend))
+	s.batch = s.buffer.tail(int(s.buffer.nextID - before))
+	return s.batch
 }
 
 // allowedRow returns receiver i's sender bitset row.
@@ -64,22 +72,22 @@ func (s *System) deliverWindow(batch []Message, w Window) error {
 		s.sortByReceiver(batch)
 	}
 	s.phaseBatch = batch
-	s.runPhase(phaseDeliver, rs, nil)
+	s.runPhase(phaseDeliver, rs)
 	s.phaseBatch = nil
+	s.reclaimBatch(batch) // before the drain, which zeroes the own batch's cells
 	s.drainWindow(batch, own)
-	s.reclaimBatch(batch)
 	return nil
 }
 
 // ownBatch reports whether batch is the System's own just-sent WindowSend
-// batch, recognized by slice identity. That batch carries the invariants
-// bucketByReceiver and concurrent ranges lean on: every entry is the verbatim
-// stored copy of a buffered message, To is in range, and the order is
+// batch, recognized by slice identity with the ring span WindowSend returned.
+// That batch carries the invariants bucketByReceiver and concurrent ranges
+// lean on: every entry is the buffered message itself or, if a planner took
+// it, a zero cell no receiver is delivered; To is in range; and the order is
 // sender-major with globally ascending IDs. An empty batch (every sender
 // crashed) is never "own": it has nothing to order.
 func (s *System) ownBatch(batch []Message) bool {
-	return len(batch) > 0 && len(batch) == len(s.batchScratch) &&
-		&batch[0] == &s.batchScratch[0]
+	return len(batch) > 0 && len(batch) == len(s.batch) && &batch[0] == &s.batch[0]
 }
 
 // bucketByReceiver computes, into orderOff/orderIdx, the batch indices
@@ -163,7 +171,9 @@ func (s *System) drainWindow(batch []Message, own bool) {
 
 // reclaimBatch hands the completed window's payloads back to senders that
 // pool them (PayloadReclaimer). Every batch message is dead at this point —
-// delivered or dropped — so its payload box can be reused. The batch is
+// delivered or about to be dropped — so its payload box can be reused. An
+// entry with ID 0 is a cell a planner emptied (or was never buffered): its
+// message went elsewhere, so nothing is reclaimed for it. The batch is
 // sender-major and all copies of one broadcast share one payload, so
 // deduplicating consecutive equal payloads reclaims each box exactly once.
 // The dedup compare runs before the (pricier) interface assertion: lastFrom
@@ -175,7 +185,7 @@ func (s *System) reclaimBatch(batch []Message) {
 	lastFrom := ProcID(-1)
 	for i := range batch {
 		m := &batch[i]
-		if m.From == lastFrom && m.Payload == last {
+		if m.ID == 0 || (m.From == lastFrom && m.Payload == last) {
 			continue
 		}
 		if m.From < 0 || int(m.From) >= s.n {
