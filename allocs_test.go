@@ -2,6 +2,7 @@ package asyncagree
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asyncagree/internal/registry"
@@ -82,8 +83,12 @@ func TestSubsetPlanAllocFree(t *testing.T) {
 // the one the sweep ceilings must cover; the count grows with the worker
 // count (43, 56, 58-64, 62-73 per sixteen-trial sweep at 1, 2, 4, 8), so it
 // is pinned to the 2-vCPU reference box's to mean the same on every machine.
+// The collector is held off from warm-up to the last run: a collection empties
+// every sync.Pool, so one landing mid-measurement would rebuild the engines
+// whose warm reuse the ceilings pin.
 func mallocsPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for i := 0; i < 8; i++ { // every worker has met every cell's engine pool
 		f()
 	}

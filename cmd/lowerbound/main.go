@@ -54,7 +54,7 @@ func run(args []string) error {
 		}
 		table := stats.NewTable("n", "t", "mean-windows", "median", "p90", "max", "beaten-frac")
 		for _, p := range series {
-			table.AddRow(p.N, p.T, p.Summary.Mean, p.Summary.Median, p.Summary.P90, p.Summary.Max, p.GaveUpFraction)
+			table.AddRow(p.N, p.T, p.Summary.Mean(), p.Quantiles.Quantile(0.5), p.Quantiles.Quantile(0.9), p.Summary.Max(), p.GaveUpFraction)
 		}
 		fmt.Println(table.String())
 		if fit, ok := lowerbound.FitGrowth(series); ok {

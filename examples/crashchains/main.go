@@ -16,6 +16,7 @@ import (
 
 	"asyncagree"
 	"asyncagree/internal/stats"
+	"asyncagree/internal/stream"
 )
 
 func main() {
@@ -26,7 +27,8 @@ func main() {
 	var xs, ys []float64
 	for _, n := range []int{9, 13, 17, 21} {
 		t := n / 4
-		var chains []int
+		var chains stream.Summary
+		quantiles := stream.NewReservoir(0)
 		for seed := uint64(1); seed <= 12; seed++ {
 			cfg := asyncagree.Config{
 				Algorithm: asyncagree.AlgorithmBenOr,
@@ -51,12 +53,12 @@ func main() {
 			if !res.Agreement || !res.Validity {
 				log.Fatal("safety violated — impossible for honest Ben-Or")
 			}
-			chains = append(chains, res.MaxChainDepth)
+			chains.AddInt(res.MaxChainDepth)
+			quantiles.AddInt(res.MaxChainDepth)
 		}
-		sum := stats.SummarizeInts(chains)
-		fmt.Printf("%-4d %-3d %-12.1f %-8.1f %.0f\n", n, t, sum.Mean, sum.Median, sum.Max)
+		fmt.Printf("%-4d %-3d %-12.1f %-8.1f %.0f\n", n, t, chains.Mean(), quantiles.Quantile(0.5), chains.Max())
 		xs = append(xs, float64(n))
-		ys = append(ys, sum.Mean)
+		ys = append(ys, chains.Mean())
 	}
 
 	if fit, ok := stats.FitExponential(xs, ys); ok {

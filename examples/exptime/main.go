@@ -45,7 +45,7 @@ func main() {
 	fmt.Println("n    t   mean-windows   median   max")
 	for _, p := range series {
 		fmt.Printf("%-4d %-3d %-14.1f %-8.1f %.0f\n",
-			p.N, p.T, p.Summary.Mean, p.Summary.Median, p.Summary.Max)
+			p.N, p.T, p.Summary.Mean(), p.Quantiles.Quantile(0.5), p.Summary.Max())
 	}
 	if fit, ok := lowerbound.FitGrowth(series); ok {
 		fmt.Printf("\nexponential fit: mean ~ %.3g * exp(%.4f * n)   (R^2 = %.3f)\n", fit.C, fit.Alpha, fit.R2)

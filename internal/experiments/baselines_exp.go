@@ -52,10 +52,9 @@ func runE8(scale Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		sum := stats.FromStream(&chains, quantiles)
-		table.AddRow(n, t, trials, sum.Mean, sum.Median, sum.Max)
+		table.AddRow(n, t, trials, chains.Mean(), quantiles.Quantile(0.5), chains.Max())
 		xs = append(xs, float64(n))
-		ys = append(ys, sum.Mean)
+		ys = append(ys, chains.Mean())
 	}
 	fit, ok := stats.FitExponential(xs, ys)
 	notes := []string{"Ben-Or is forgetful and fully communicative (Definitions 15, 16), so Theorem 17 applies"}

@@ -26,7 +26,7 @@ func runE2(scale Scale) (Result, error) {
 	}
 	table := stats.NewTable("n", "t", "trials", "mean-windows", "median", "p90", "max", "adversary-beaten-frac")
 	for _, p := range series {
-		table.AddRow(p.N, p.T, p.Trials, p.Summary.Mean, p.Summary.Median, p.Summary.P90, p.Summary.Max, p.GaveUpFraction)
+		table.AddRow(p.N, p.T, p.Trials, p.Summary.Mean(), p.Quantiles.Quantile(0.5), p.Quantiles.Quantile(0.9), p.Summary.Max(), p.GaveUpFraction)
 	}
 	fit, ok := lowerbound.FitGrowth(series)
 	notes := []string{}
@@ -34,7 +34,7 @@ func runE2(scale Scale) (Result, error) {
 	if ok {
 		notes = append(notes, fmt.Sprintf("fit: mean-windows ~ %.3g * exp(%.4f * n), R^2 = %.3f", fit.C, fit.Alpha, fit.R2))
 	}
-	grows := len(series) >= 2 && series[0].Summary.Mean < series[len(series)-1].Summary.Mean
+	grows := len(series) >= 2 && series[0].Summary.Mean() < series[len(series)-1].Summary.Mean()
 	pass = pass && grows
 	notes = append(notes, verdict(pass, "mean stall grows exponentially in n (positive fitted exponent)"))
 	return Result{

@@ -74,7 +74,7 @@ func runE14(scale Scale) (Result, error) {
 				decided, maxFirst := all.decided, all.maxFirst
 				mean := all.windows.Mean()
 				// A discipline with zero decided trials has no meaningful
-				// mean (SummarizeInts yields 0, which would win "fastest");
+				// mean (an empty stream.Summary yields 0, which would win "fastest");
 				// leave it out of the curve note — the table row and the
 				// failed verdict already record it.
 				if pattern == "split" && decided > 0 {

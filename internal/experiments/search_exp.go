@@ -68,7 +68,7 @@ func runE16(scale Scale) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		replay := series[0].Summary.Mean
+		replay := series[0].Summary.Mean()
 		best, ok := rep.Best(size)
 		if !ok {
 			return Result{}, fmt.Errorf("E16: no frontier entry for size %s", size)

@@ -193,9 +193,10 @@ type StallPoint struct {
 	// GaveUpFraction is the fraction of windows in which the adversary was
 	// beaten (had to deliver everything).
 	GaveUpFraction float64
-	// Summary summarizes the per-trial windows-to-first-decision values
-	// (censored at maxWindows), reduced online.
-	Summary stats.Summary
+	// Summary and Quantiles reduce the per-trial windows-to-first-decision
+	// values (censored at maxWindows) online.
+	Summary   stream.Summary
+	Quantiles *stream.Reservoir
 }
 
 // StallSeries measures windows-to-first-decision under the split-vote
@@ -244,11 +245,10 @@ func StallSeries(ns []int, tFrac float64, trials, maxWindows int) ([]StallPoint,
 		if err != nil {
 			return nil, err
 		}
-		point := StallPoint{N: n, T: t, Trials: fds.Count()}
+		point := StallPoint{N: n, T: t, Trials: fds.Count(), Summary: fds, Quantiles: quantiles}
 		if windows > 0 {
 			point.GaveUpFraction = float64(gaveUp) / float64(windows)
 		}
-		point.Summary = stats.FromStream(&fds, quantiles)
 		out = append(out, point)
 	}
 	return out, nil
@@ -260,7 +260,7 @@ func FitGrowth(series []StallPoint) (stats.ExpFit, bool) {
 	var xs, ys []float64
 	for _, p := range series {
 		xs = append(xs, float64(p.N))
-		ys = append(ys, p.Summary.Mean)
+		ys = append(ys, p.Summary.Mean())
 	}
 	return stats.FitExponential(xs, ys)
 }

@@ -5,7 +5,7 @@ import (
 
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/sim"
-	"asyncagree/internal/stats"
+	"asyncagree/internal/stream"
 	"asyncagree/internal/talagrand"
 )
 
@@ -106,8 +106,8 @@ func TestStallSeriesGrows(t *testing.T) {
 		t.Fatalf("series length %d", len(series))
 	}
 	// The mean stall must grow with n (the exponential-slowness shape).
-	if !(series[0].Summary.Mean < series[2].Summary.Mean) {
-		t.Fatalf("stall does not grow: %v vs %v", series[0].Summary.Mean, series[2].Summary.Mean)
+	if !(series[0].Summary.Mean() < series[2].Summary.Mean()) {
+		t.Fatalf("stall does not grow: %v vs %v", series[0].Summary.Mean(), series[2].Summary.Mean())
 	}
 	// The adversary should almost never be beaten per window at n=24.
 	if series[2].GaveUpFraction > 0.2 {
@@ -141,10 +141,9 @@ func TestSurvivalCurveMonotone(t *testing.T) {
 	}
 }
 
-// TestStallSeriesMatchesBatchSummaries is the streaming port's
-// byte-identity guarantee: the online StallSeries summaries equal the
-// historical collect-then-SummarizeInts path, field for field, for every
-// rendered statistic.
+// TestStallSeriesMatchesBatchSummaries is the parallel reduction's
+// byte-identity guarantee: StallSeries' summaries equal a serial loop's,
+// accumulator for accumulator, for every rendered statistic.
 func TestStallSeriesMatchesBatchSummaries(t *testing.T) {
 	const trials, maxW = 12, 200000
 	ns := []int{8, 16}
@@ -157,8 +156,9 @@ func TestStallSeriesMatchesBatchSummaries(t *testing.T) {
 		if tt < 1 {
 			tt = 1
 		}
-		// The reference: a serial collect-then-summarize loop.
-		var fds []int
+		// The reference: a serial loop.
+		var fds stream.Summary
+		quantiles := stream.NewReservoir(0)
 		gaveUp, windows := 0, 0
 		for trial := 0; trial < trials; trial++ {
 			s, err := newCoreSystem(n, tt, uint64(trial+1))
@@ -177,13 +177,18 @@ func TestStallSeriesMatchesBatchSummaries(t *testing.T) {
 			if fd < 0 {
 				fd = maxW
 			}
-			fds = append(fds, fd)
+			fds.AddInt(fd)
+			quantiles.AddInt(fd)
 			gaveUp += adv.GaveUp
 			windows += adv.Windows
 		}
-		want := stats.SummarizeInts(fds)
-		if series[i].Summary != want {
-			t.Fatalf("n=%d: streaming summary %+v != batch %+v", n, series[i].Summary, want)
+		if series[i].Summary != fds {
+			t.Fatalf("n=%d: summary %+v != serial %+v", n, series[i].Summary, fds)
+		}
+		for _, q := range []float64{0.5, 0.9} {
+			if got, want := series[i].Quantiles.Quantile(q), quantiles.Quantile(q); got != want {
+				t.Fatalf("n=%d: quantile(%v) %v != serial %v", n, q, got, want)
+			}
 		}
 		if series[i].Trials != trials {
 			t.Fatalf("n=%d: trials %d", n, series[i].Trials)

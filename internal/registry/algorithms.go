@@ -17,7 +17,8 @@ import (
 // checks, the promoted survivors must be numerous enough that the final
 // committee's internal Bracha instance is feasible (survivors > 3*GroupT);
 // below that — n < 27 with the defaults — every processor wedges on an
-// infeasible final agreement and the run can never decide.
+// infeasible final agreement and the run can never decide. Last, t must
+// satisfy sim.New's 0 <= t < n.
 func validateCommittee(p Params) error {
 	params := committee.DefaultParams(p.N)
 	if err := params.Validate(); err != nil {
@@ -30,6 +31,9 @@ func validateCommittee(p Params) error {
 	if survivors := numGroups * params.SurvivorsPerGroup; survivors <= 3*params.GroupT {
 		return fmt.Errorf("registry: committee with n=%d promotes only %d survivors, need > %d for a feasible final committee",
 			p.N, survivors, 3*params.GroupT)
+	}
+	if p.T < 0 || p.T >= p.N {
+		return fmt.Errorf("registry: committee needs 0 <= t < n, got n=%d t=%d", p.N, p.T)
 	}
 	return nil
 }
@@ -59,12 +63,7 @@ func init() {
 		ResetTolerant:   true,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
-		// core.Proc touches only its own counters/value on Deliver and reads
-		// only its own state on Send (shared vote payloads are interned and
-		// immutable), so both window phases shard safely.
-		ParallelDelivery: true,
-		ParallelSend:     true,
-		ColumnarVotes:    true,
+		ColumnarVotes:   true,
 		Validate: func(p Params) error {
 			_, err := resolveCoreThresholds(p)
 			return err
@@ -97,11 +96,7 @@ func init() {
 		Modes:           ModeWindow | ModeStep,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
-		// benor.Proc: per-processor tallies mutated only by the owning
-		// receiver; Send reads own round state and pooled boxes it owns.
-		ParallelDelivery: true,
-		ParallelSend:     true,
-		ColumnarVotes:    true,
+		ColumnarVotes:   true,
 		Validate: func(p Params) error {
 			if p.T < 0 || 2*p.T >= p.N {
 				return fmt.Errorf("registry: benor needs t < n/2, got n=%d t=%d", p.N, p.T)
@@ -126,10 +121,6 @@ func init() {
 		Modes:           ModeWindow,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
-		// bracha.Proc: shared *rbc.Msg payload boxes are read-only after
-		// send (PR 6 contract); all per-instance sets/maps are receiver-own.
-		ParallelDelivery: true,
-		ParallelSend:     true,
 		Validate: func(p Params) error {
 			if p.T < 0 || p.N <= 3*p.T {
 				return fmt.Errorf("registry: bracha needs n > 3t, got n=%d t=%d", p.N, p.T)
@@ -146,11 +137,7 @@ func init() {
 		Description:       "Kapron et al.-style committee election (fast, non-adaptive faults only, non-zero error probability)",
 		Modes:             ModeWindow,
 		NeedsFullDelivery: true,
-		// committee.Proc: group/committee bookkeeping is all per-processor;
-		// broadcast payloads are value types copied into the buffer.
-		ParallelDelivery: true,
-		ParallelSend:     true,
-		Validate:         validateCommittee,
+		Validate:          validateCommittee,
 		Factory: func(p Params) (func(sim.ProcID, sim.Bit) sim.Process, error) {
 			return committee.NewFactory(committee.DefaultParams(p.N)), nil
 		},
@@ -162,14 +149,9 @@ func init() {
 		Modes:                 ModeWindow | ModeStep,
 		SafetyCertain:         true,
 		BenignTerminationOnly: true,
-		// paxos.Proc: acceptor and proposer state live on the owning
-		// processor; pooled message boxes are written only by their sender
-		// inside its own Send and read-only in flight.
-		ParallelDelivery: true,
-		ParallelSend:     true,
 		Validate: func(p Params) error {
-			if p.N <= 0 {
-				return fmt.Errorf("registry: paxos needs n > 0, got n=%d", p.N)
+			if p.T < 0 || p.T >= p.N {
+				return fmt.Errorf("registry: paxos needs 0 <= t < n, got n=%d t=%d", p.N, p.T)
 			}
 			for _, prop := range p.Proposers {
 				if prop < 0 || int(prop) >= p.N {

@@ -20,8 +20,9 @@ import (
 // (and each processor's sim.Recycler), the adversary and scheduler state
 // through the RecycleTrial method their own types carry (trialRecycler).
 // Recycling restores the exact just-constructed state, so pooled trials are
-// byte-identical to fresh ones (property-tested in recycle_test.go); the
-// payoff is that steady-state trial execution allocates (near) nothing.
+// byte-identical to fresh ones (TestRecycledTrialMatchesFresh holds every
+// registered algorithm to it); the payoff is that steady-state trial execution
+// allocates (near) nothing.
 
 // trialRecycler is the optional interface of plan state — a window
 // adversary or a delivery scheduler — that can rewind itself in place to

@@ -89,12 +89,10 @@ type Params struct {
 	Proposers []sim.ProcID
 	// ShardWorkers is how many goroutines walk each window's processor
 	// ranges (sim.SetShardWorkers): <= 1 walks them inline on the caller;
-	// k >= 2 runs window delivery (and sending, where the algorithm declares
-	// it safe) across k goroutines. Observable behavior is byte-identical at
-	// every setting, so this is a performance knob, not an execution
-	// parameter — it is deliberately excluded from sweep grid signatures and
-	// engine pool keys. Applied only when the algorithm's ParallelDelivery
-	// flag is set.
+	// k >= 2 runs window sending and delivery across k goroutines.
+	// Observable behavior is byte-identical at every setting, so this is a
+	// performance knob, not an execution parameter — it is deliberately
+	// excluded from sweep grid signatures and engine pool keys.
 	ShardWorkers int
 	// DisableColumnar turns off the columnar vote-tally fast path
 	// (sim/columnar.go) for algorithms that declare ColumnarVotes; the zero
@@ -144,15 +142,6 @@ type Algorithm struct {
 	// internal Bracha instance); the sweep matrix pairs these algorithms
 	// only with loss-free adversaries.
 	NeedsFullDelivery bool
-	// ParallelDelivery declares that the algorithm's Deliver touches only
-	// the receiving processor's own state (plus read-only shared payloads),
-	// so distinct receivers may be delivered to concurrently and pool
-	// workers (Params.ShardWorkers) may walk the window's receiver ranges.
-	ParallelDelivery bool
-	// ParallelSend declares the same independence for Send: no mutable
-	// state shared across senders, so the per-sender collection loop may
-	// shard too. Only consulted when ParallelDelivery is set.
-	ParallelSend bool
 	// ColumnarVotes declares that every processor implements
 	// sim.VoteBroadcaster and sim.TallyReceiver, so the columnar vote-tally
 	// fast path may engage (subject to Params.DisableColumnar and the
@@ -414,17 +403,11 @@ func NewSystem(alg string, p Params) (*sim.System, error) {
 }
 
 // applyShardParams configures the window core's worker count and the
-// columnar fast path on sys from the descriptor's concurrency-safety declarations
-// and the requested knobs. Safe to call on every pooled-engine
-// acquisition: sim.System keeps its worker pool when the count is
-// unchanged.
+// columnar fast path on sys from the requested knobs and the descriptor's
+// ColumnarVotes. Safe to call on every pooled-engine acquisition: sim.System
+// keeps its worker pool when the count is unchanged.
 func applyShardParams(sys *sim.System, a *Algorithm, p Params) {
-	workers := 1
-	if a.ParallelDelivery && p.ShardWorkers > 1 {
-		workers = p.ShardWorkers
-	}
-	sys.SetShardWorkers(workers)
-	sys.SetParallelSend(a.ParallelSend)
+	sys.SetShardWorkers(p.ShardWorkers)
 	sys.SetColumnar(a.ColumnarVotes && !p.DisableColumnar)
 }
 

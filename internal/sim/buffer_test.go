@@ -169,3 +169,35 @@ func TestBufferPendingMatchesLenProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBufferDrainAll pins DrainAll's contract: the buffer empties in one
+// sweep, the ID sequence keeps counting (unlike Reset), and old IDs are
+// gone while new Adds land past the drained span.
+func TestBufferDrainAll(t *testing.T) {
+	b := NewBuffer()
+	var ids []int64
+	for i := 0; i < 10; i++ {
+		m := b.Add(Message{From: ProcID(i % 4), To: ProcID((i + 1) % 4)})
+		ids = append(ids, m.ID)
+	}
+	if _, ok := b.Take(ids[3]); !ok {
+		t.Fatal("take failed")
+	}
+	b.DrainAll()
+	if b.Len() != 0 {
+		t.Fatalf("Len = %d after DrainAll, want 0", b.Len())
+	}
+	for _, id := range ids {
+		if _, ok := b.Get(id); ok {
+			t.Fatalf("message %d survived DrainAll", id)
+		}
+	}
+	m := b.Add(Message{From: 0, To: 1})
+	if m.ID != ids[len(ids)-1]+1 {
+		t.Fatalf("post-drain ID = %d, want monotone %d", m.ID, ids[len(ids)-1]+1)
+	}
+	ids = b.IDs()
+	if got, ok := b.Get(m.ID); !ok || got != m || len(ids) != 1 || ids[0] != m.ID {
+		t.Fatalf("buffer broken after DrainAll: Get = %v, %v; IDs %v", got, ok, ids)
+	}
+}

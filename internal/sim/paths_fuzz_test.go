@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"asyncagree/internal/adversary"
 	"asyncagree/internal/benor"
 	"asyncagree/internal/bracha"
 	"asyncagree/internal/core"
@@ -18,6 +19,7 @@ const (
 	shapeShared             // one (n-t)-subset slice handed to every receiver
 	shapePerReceiver        // a fresh subset per receiver, some rows nil
 	shapeIllegal            // per-receiver, with one illegal set in one window
+	shapeSplitVote          // adversary.SplitVote's plan, from the batch or the columns
 	shapeCount
 )
 
@@ -33,10 +35,13 @@ const (
 // shapePlan plans windows from its own seeded stream alone — never from the
 // batch or the columns — so the same seed plans the same windows on every
 // path: sender sets of the chosen shape, submitted in the chosen form, plus
-// up to t resets. With disown set it turns each just-sent batch into a
-// hand-built one, as orderProbe does.
+// up to t resets. The split-vote shape is the exception: it hands planning to
+// split, which reads the batch on the message path and the columns on the
+// columnar path and must plan the same windows from either. With disown set
+// it turns each just-sent batch into a hand-built one, as orderProbe does.
 type shapePlan struct {
 	r      *rng.Source
+	split  *adversary.SplitVote
 	shape  int
 	form   int
 	disown bool
@@ -77,17 +82,17 @@ func (p *shapePlan) plan(s *sim.System) sim.Window {
 		}
 	}
 	w.Resets = p.subset(n, p.r.Intn(t+1))
-	if p.form != formLists && w.Senders != nil {
-		p.asRows(s, &w)
-	}
 	return w
 }
 
-// asRows rewrites w's listed sets as rows: a nil set is the all-senders row,
-// a sender past n a stray bit in the last word's tail. A sender no row has a
-// bit for (n itself, at a multiple of 64) leaves the window listed: only a
-// list can say it.
-func (p *shapePlan) asRows(s *sim.System, w *sim.Window) {
+// submit puts w's listed sets in the chosen form. As rows, a nil set is the
+// all-senders row, a sender past n a stray bit in the last word's tail. A
+// sender no row has a bit for (n itself, at a multiple of 64) leaves the
+// window listed: only a list can say it.
+func (p *shapePlan) submit(s *sim.System, w sim.Window) sim.Window {
+	if p.form == formLists || w.Senders == nil {
+		return w
+	}
 	n, words := s.N(), s.RowWords()
 	rows := s.SenderRows()
 	if p.form == formForeignRows {
@@ -103,16 +108,22 @@ func (p *shapePlan) asRows(s *sim.System, w *sim.Window) {
 		}
 		for _, q := range set {
 			if int(q) >= words*64 {
-				return
+				return w
 			}
 			row[q>>6] |= 1 << (uint(q) & 63)
 		}
 	}
-	w.Senders, w.SenderRows = nil, rows
+	return sim.Window{SenderRows: rows, Resets: w.Resets}
 }
 
-func (p *shapePlan) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
-	w := p.plan(s)
+func (p *shapePlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
+	var w sim.Window
+	if p.shape == shapeSplitVote {
+		w = p.split.PlanDelivery(s, batch)
+	} else {
+		w = p.plan(s)
+	}
+	w = p.submit(s, w)
 	if p.disown {
 		s.DisownBatch()
 	}
@@ -121,8 +132,11 @@ func (p *shapePlan) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 
 func (p *shapePlan) PlansColumnar() bool { return true }
 
-func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Window {
-	return p.plan(s)
+func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim.Window {
+	if p.shape == shapeSplitVote {
+		return p.submit(s, p.split.PlanDeliveryColumnar(s, cols))
+	}
+	return p.submit(s, p.plan(s))
 }
 
 // FuzzWindowPaths is the differential check over every route through a
@@ -136,12 +150,16 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, _ *sim.ColumnSet) sim.Wi
 // columnar scan are held to their own per-message Deliver, and Bracha's n²
 // copies per broadcast, stored straight into the ring by the inline walk and
 // merged from shard scratch at 2 and 4 workers, are held to each other; Bracha
-// has no columns, so it always runs on messages. The seeds are the
-// word-boundary sizes of columnar_equiv_test.go and the uneven-shard sizes of
-// shard_test.go for core, then the word-boundary sizes again for Ben-Or, all
-// listed; then both row forms under every shape that has sets to submit, at
-// the word-boundary sizes for both algorithms; then Bracha at 13:4, 18:2 and
-// 27:3 under every shape.
+// has no columns, so it always runs on messages. The split-vote shape plans
+// with adversary.SplitVote over the algorithm's classifier, from the batch on
+// the message path and from the columns on the columnar one, so the columnar
+// classification is held to the batch's too. The seeds are the word-boundary
+// sizes 63, 64, 65, 127 and 128 (the bitset scan's word loop, cross-word
+// frontiers and partial last words) and the uneven-shard sizes 70 and 96 for
+// core, then the word-boundary sizes again for Ben-Or, all listed; then both
+// row forms under every shape that has sets to submit, at the word-boundary
+// sizes for both algorithms; then Bracha at 13:4, 18:2 and 27:3 under every
+// shape. Every seed loop runs over every shape, the split-vote one included.
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
@@ -171,6 +189,7 @@ func FuzzWindowPaths(f *testing.F) {
 		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
 		var ft int
 		var factory func(sim.ProcID, sim.Bit) sim.Process
+		classify, voteCap := coreClassify, 0 // Bracha's traffic carries no votes core's classifier sees
 		switch algRaw % 3 {
 		case 0:
 			ft = int(tRaw) % ((n + 5) / 6)
@@ -179,9 +198,11 @@ func FuzzWindowPaths(f *testing.F) {
 				t.Skip(err)
 			}
 			factory = core.NewFactory(n, ft, th)
+			voteCap = th.T3 - 1
 		case 1:
 			ft = int(tRaw) % ((n + 1) / 2) // 2*ft < n
 			factory = benor.NewFactory(n, ft)
+			classify, voteCap = benorClassify, n/2
 		case 2:
 			n = max(int(nRaw)%32, 7)       // n^3 messages a window: 7..31
 			ft = int(tRaw) % ((n + 2) / 3) // 3*ft < n
@@ -200,9 +221,9 @@ func FuzzWindowPaths(f *testing.F) {
 				t.Fatal(err)
 			}
 			s.SetShardWorkers(workers)
-			s.SetParallelSend(true)
 			s.SetColumnar(columnar)
-			adv := &shapePlan{r: rng.New(seed), shape: shape, form: form, disown: disown}
+			adv := &shapePlan{r: rng.New(seed), split: adversary.NewSplitVote(classify, voteCap),
+				shape: shape, form: form, disown: disown}
 			if columnar != s.ColumnarPlanned(adv) {
 				t.Fatalf("columnar path planned = %v, want %v", !columnar, columnar)
 			}
@@ -233,4 +254,28 @@ func FuzzWindowPaths(f *testing.F) {
 			t.Fatalf("event feeds diverged (%d events, want %d)", len(events), len(wantEvents))
 		}
 	})
+}
+
+func splitInputs(n int) []sim.Bit {
+	in := make([]sim.Bit, n)
+	for i := range in {
+		in[i] = sim.Bit(i % 2)
+	}
+	return in
+}
+
+// coreClassify and benorClassify are the registry descriptors' vote
+// classifiers, which this package cannot import.
+func coreClassify(m sim.Message) adversary.VoteInfo {
+	if _, v, ok := core.ExtractVote(m); ok {
+		return adversary.VoteInfo{HasValue: true, Value: v}
+	}
+	return adversary.VoteInfo{}
+}
+
+func benorClassify(m sim.Message) adversary.VoteInfo {
+	if _, _, v, ok := benor.ExtractVote(m); ok {
+		return adversary.VoteInfo{HasValue: true, Value: v}
+	}
+	return adversary.VoteInfo{}
 }

@@ -54,12 +54,12 @@ type windowShard struct {
 }
 
 // SetShardWorkers sets how many goroutines walk the window's ranges. k <= 1
-// walks them inline on the caller; k >= 2 runs window validation,
-// per-receiver delivery or tallying, and — when enabled via SetParallelSend —
-// the sending steps across k goroutines (k-1 pool workers plus the caller).
-// Observable behavior is byte-identical at every setting; only wall-clock
-// changes. The setting survives Recycle, so a pooled trial engine configures
-// it once per acquisition.
+// walks them inline on the caller; k >= 2 runs window validation, the sending
+// steps and per-receiver delivery or tallying across k goroutines (k-1 pool
+// workers plus the caller), which is why Process's Send and Deliver may touch
+// only their own processor's state. Observable behavior is byte-identical at
+// every setting; only wall-clock changes. The setting survives Recycle, so a
+// pooled trial engine configures it once per acquisition.
 func (s *System) SetShardWorkers(k int) {
 	if k < 1 {
 		k = 1
@@ -74,21 +74,6 @@ func (s *System) SetShardWorkers(k int) {
 		s.shardPool = nil
 	}
 }
-
-// ShardWorkers returns the configured worker count (1 = inline).
-func (s *System) ShardWorkers() int {
-	if s.shardWorkers < 1 {
-		return 1
-	}
-	return s.shardWorkers
-}
-
-// SetParallelSend declares whether the algorithm's Send is safe to invoke
-// on distinct processors concurrently (no shared mutable state), letting
-// the pool walk WindowSend's sender ranges too. Without workers it changes
-// nothing. The registry sets this from the algorithm descriptor's
-// ParallelSend flag.
-func (s *System) SetParallelSend(on bool) { s.parallelSend = on }
 
 // ranges rewinds and returns the range scratch the coming phases write: the
 // whole System as one range, or, when the caller's bodies may run

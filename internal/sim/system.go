@@ -140,15 +140,14 @@ type System struct {
 	// Window core state (shard.go, shardpool.go). whole is the scratch of the
 	// one range [0, n) the caller walks inline; shardWorkers >= 2 swaps in
 	// shards, walked by shardPool, for every phase whose bodies may run
-	// concurrently (parallelSend says whether the algorithm's Send may). The
-	// pool and per-shard scratch are built on the first such phase and — like
-	// the rest of the scratch — deliberately survive Recycle, so a pooled
-	// trial engine keeps its worker goroutines hot across thousands of
-	// trials. phaseSenders or phaseRows (the window's one plan form) and
-	// phaseBatch are the running phase's inputs, nil outside it.
+	// concurrently. The pool and per-shard scratch are built on the first
+	// such phase and — like the rest of the scratch — deliberately survive
+	// Recycle, so a pooled trial engine keeps its worker goroutines hot
+	// across thousands of trials. phaseSenders or phaseRows (the window's
+	// one plan form) and phaseBatch are the running phase's inputs, nil
+	// outside it.
 	whole        [1]windowShard
 	shardWorkers int
-	parallelSend bool
 	shardPool    *shardPool
 	shardCleanup runtime.Cleanup
 	shards       []windowShard

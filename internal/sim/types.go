@@ -75,6 +75,11 @@ type Message struct {
 // construction) queue outgoing messages, Send flushes them. This makes a
 // sending step automatically "a complete response to prior events" and
 // idempotent, as the model requires.
+//
+// Send and Deliver may touch only their own processor's state (payloads
+// shared across processors are read-only once sent): with worker goroutines
+// (SetShardWorkers) the System calls them on distinct processors
+// concurrently.
 type Process interface {
 	// ID returns the processor identity.
 	ID() ProcID

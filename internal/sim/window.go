@@ -25,7 +25,7 @@ import (
 func (s *System) WindowSend() []Message {
 	s.buffer.linearize()
 	before := s.buffer.nextID
-	s.runPhase(phaseSend, s.ranges(s.parallelSend))
+	s.runPhase(phaseSend, s.ranges(true))
 	s.batch = s.buffer.tail(int(s.buffer.nextID - before))
 	return s.batch
 }

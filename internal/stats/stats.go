@@ -1,8 +1,7 @@
 // Package stats provides the small statistical toolkit used by the
-// experiment harness and the sweep engine:
+// experiment harness and the sweep engine (sample summaries live in package
+// stream, which reduces them online):
 //
-//   - Summarize/SummarizeInts/Quantile: per-batch summaries (mean, median,
-//     min/max, quantiles) of trial measurements;
 //   - FitExponential: least-squares fits of y ~ C·exp(αx), the shape the
 //     Theorem 5/17 running-time experiments (E2, E7, E8) test against the
 //     paper's exponential lower bounds;
@@ -16,98 +15,8 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-
-	"asyncagree/internal/stream"
 )
-
-// Summary describes a sample of float64 observations.
-type Summary struct {
-	Count  int
-	Mean   float64
-	Std    float64
-	Min    float64
-	Max    float64
-	Median float64
-	P90    float64
-}
-
-// Summarize computes a Summary. An empty sample yields a zero Summary.
-//
-// Mean and Std accumulate online (stream.Summary) in input order: the mean
-// is an exact sum-over-count and the variance uses Welford's update rather
-// than the catastrophically cancelling sumSq/n − mean² formula, so samples
-// with a large common offset (e.g. x + 1e9) keep their full precision.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{}
-	}
-	var acc stream.Summary
-	for _, x := range xs {
-		acc.Add(x)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	return Summary{
-		Count:  acc.Count(),
-		Mean:   acc.Mean(),
-		Std:    acc.Std(),
-		Min:    sorted[0],
-		Max:    sorted[len(sorted)-1],
-		Median: Quantile(sorted, 0.5),
-		P90:    Quantile(sorted, 0.9),
-	}
-}
-
-// FromStream assembles a Summary from the streaming accumulators of one
-// sample: the online Summary for count/mean/std/min/max and the quantile
-// sketch for median/P90. It is the bridge the streaming trial reducers use
-// to keep rendering the same tables as the batch path; with the sample
-// within the sketch capacity and integer-valued observations every field is
-// identical to Summarize over the collected slice.
-func FromStream(acc *stream.Summary, quantiles *stream.Reservoir) Summary {
-	return Summary{
-		Count:  acc.Count(),
-		Mean:   acc.Mean(),
-		Std:    acc.Std(),
-		Min:    acc.Min(),
-		Max:    acc.Max(),
-		Median: quantiles.Quantile(0.5),
-		P90:    quantiles.Quantile(0.9),
-	}
-}
-
-// SummarizeInts converts and summarizes integer observations.
-func SummarizeInts(xs []int) Summary {
-	fs := make([]float64, len(xs))
-	for i, x := range xs {
-		fs[i] = float64(x)
-	}
-	return Summarize(fs)
-}
-
-// Quantile returns the q-quantile (0 <= q <= 1) of an ascending-sorted
-// sample using linear interpolation.
-func Quantile(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
 
 // ExpFit is the result of fitting y ~ C * exp(alpha * x).
 type ExpFit struct {

@@ -4,68 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{1, 2, 3, 4, 5})
-	if s.Count != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Median != 3 {
-		t.Fatalf("%+v", s)
-	}
-	if math.Abs(s.Std-math.Sqrt(2)) > 1e-12 {
-		t.Fatalf("Std = %v", s.Std)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	if s := Summarize(nil); s.Count != 0 {
-		t.Fatalf("%+v", s)
-	}
-}
-
-func TestSummarizeInts(t *testing.T) {
-	s := SummarizeInts([]int{10, 20})
-	if s.Mean != 15 || s.Count != 2 {
-		t.Fatalf("%+v", s)
-	}
-}
-
-// TestSummarizeOffsetVariance is the Welford regression test: the naive
-// sumSq/n − mean² formula loses every significant digit of the variance
-// when the sample rides a large common offset (here x + 1e9 with unit-scale
-// spread — sumSq ≈ 1e18 swamps float64's 15–16 digits), historically
-// reporting Std 0 or garbage. Welford's update subtracts the running mean
-// before squaring, so the offset cancels exactly.
-func TestSummarizeOffsetVariance(t *testing.T) {
-	base := []float64{1, 2, 3, 4, 5}
-	want := Summarize(base).Std // sqrt(2), well-conditioned either way
-	const offset = 1e9
-	shifted := make([]float64, len(base))
-	for i, x := range base {
-		shifted[i] = x + offset
-	}
-	s := Summarize(shifted)
-	if math.Abs(s.Std-want) > 1e-6 {
-		t.Fatalf("Std of offset sample = %v, want %v (catastrophic cancellation)", s.Std, want)
-	}
-	if s.Mean != offset+3 {
-		t.Fatalf("Mean = %v", s.Mean)
-	}
-}
-
-func TestQuantile(t *testing.T) {
-	sorted := []float64{0, 10, 20, 30, 40}
-	cases := []struct {
-		q, want float64
-	}{
-		{0, 0}, {1, 40}, {0.5, 20}, {0.25, 10}, {0.125, 5},
-	}
-	for _, c := range cases {
-		if got := Quantile(sorted, c.q); math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("Quantile(%v) = %v, want %v", c.q, got, c.want)
-		}
-	}
-}
 
 func TestFitExponentialRecoversParameters(t *testing.T) {
 	// y = 2 * exp(0.3 x), exactly.
@@ -102,42 +41,6 @@ func TestFitExponentialTooFewPoints(t *testing.T) {
 	}
 	if _, ok := FitExponential([]float64{1, 1}, []float64{2, 3}); ok {
 		t.Fatal("fit with degenerate x succeeded")
-	}
-}
-
-func TestQuantileMonotoneProperty(t *testing.T) {
-	check := func(raw []float64, q1, q2 float64) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		sorted := append([]float64(nil), raw...)
-		for i := range sorted {
-			sorted[i] = math.Mod(math.Abs(sorted[i]), 1000)
-			if math.IsNaN(sorted[i]) {
-				sorted[i] = 0
-			}
-		}
-		sortFloats(sorted)
-		a := math.Mod(math.Abs(q1), 1)
-		b := math.Mod(math.Abs(q2), 1)
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		if a > b {
-			a, b = b, a
-		}
-		return Quantile(sorted, a) <= Quantile(sorted, b)+1e-9
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func sortFloats(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
-			xs[j-1], xs[j] = xs[j], xs[j-1]
-		}
 	}
 }
 

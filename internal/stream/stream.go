@@ -19,9 +19,8 @@ import (
 	"sort"
 )
 
-// Summary is an online min/max/count/mean/variance accumulator: the
-// streaming counterpart of stats.Summarize. The zero value is ready to use
-// and describes an empty sample.
+// Summary is an online min/max/count/mean/variance accumulator. The zero
+// value is ready to use and describes an empty sample.
 type Summary struct {
 	count    int
 	sum      float64
@@ -59,8 +58,8 @@ func (s *Summary) Count() int { return s.count }
 func (s *Summary) Sum() float64 { return s.sum }
 
 // Mean returns the sample mean (0 for an empty sample). It is computed as
-// Sum/Count, so it is exact — and identical to the batch stats.Summarize
-// mean — whenever the observations are integer-valued.
+// Sum/Count, so it is exact — and identical to a batch sum over count —
+// whenever the observations are integer-valued.
 func (s *Summary) Mean() float64 {
 	if s.count == 0 {
 		return 0
@@ -68,8 +67,8 @@ func (s *Summary) Mean() float64 {
 	return s.sum / float64(s.count)
 }
 
-// Std returns the population standard deviation (0 for an empty sample),
-// matching stats.Summarize's /n convention.
+// Std returns the population standard deviation (the /n convention; 0 for
+// an empty sample).
 func (s *Summary) Std() float64 {
 	if s.count == 0 {
 		return 0
@@ -81,8 +80,7 @@ func (s *Summary) Std() float64 {
 	return math.Sqrt(v)
 }
 
-// Min returns the smallest observation (0 for an empty sample, matching the
-// zero stats.Summary).
+// Min returns the smallest observation (0 for an empty sample).
 func (s *Summary) Min() float64 {
 	if s.count == 0 {
 		return 0
@@ -160,7 +158,7 @@ func (r *Reservoir) Count() int { return r.seen }
 func (r *Reservoir) Retained() int { return len(r.samples) }
 
 // Quantile returns the q-quantile (0 <= q <= 1) of the retained samples by
-// the same linear interpolation as stats.Quantile — exact while the
+// linear interpolation between the closest ranks — exact while the
 // observation count is within capacity, a sketch estimate beyond. An empty
 // sketch yields 0.
 func (r *Reservoir) Quantile(q float64) float64 {
