@@ -66,6 +66,9 @@ func run(args []string) error {
 	if *shardW < 1 {
 		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
 	}
+	if *maxWindows < 0 {
+		return fmt.Errorf("max-windows must be >= 0, got %d", *maxWindows)
+	}
 	cfg := asyncagree.Config{
 		Algorithm: asyncagree.Algorithm(*alg),
 		N:         *n, T: *t,

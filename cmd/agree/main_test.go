@@ -56,6 +56,7 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		{"-adversary", "nope"},
 		{"-sched", "nope"},
 		{"-alg", "core", "-n", "12", "-t", "3"}, // t >= n/6
+		{"-max-windows", "-5"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {

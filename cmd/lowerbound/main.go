@@ -41,6 +41,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *maxW < 0 {
+		return fmt.Errorf("max-windows must be >= 0, got %d", *maxW)
+	}
 
 	switch *mode {
 	case "stall":

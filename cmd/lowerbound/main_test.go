@@ -38,3 +38,16 @@ func TestRunUnknownMode(t *testing.T) {
 		t.Fatal("unknown mode accepted")
 	}
 }
+
+// TestRunRejectsNegativeBudget: a negative window budget is refused, as in
+// cmd/sweep and cmd/search, instead of printing a table of -1 windows; 0
+// stays legal.
+func TestRunRejectsNegativeBudget(t *testing.T) {
+	err := run([]string{"-mode", "stall", "-ns", "8", "-trials", "1", "-max-windows", "-1"})
+	if err == nil || err.Error() != "max-windows must be >= 0, got -1" {
+		t.Fatalf("err = %v, want the negative budget refused", err)
+	}
+	if err := run([]string{"-mode", "stall", "-ns", "8", "-trials", "1", "-max-windows", "0"}); err != nil {
+		t.Fatalf("a zero budget: %v", err)
+	}
+}

@@ -3,11 +3,11 @@ package benor
 import "asyncagree/internal/sim"
 
 // Ben-Or's port onto the columnar vote-tally kernel: the whole receive side
-// is the kernel's ledger scan (sim/ledger.go) waiting for n-t records of the
-// current (round, phase). There is no resynchronization mode and no
-// carried-over pending evaluation: the drain loop runs to a fixpoint after
-// every applied message, so at rest the current phase is always strictly
-// below its threshold.
+// is the kernel's window scan (sim/ledger.go) waiting for n-t records of the
+// current (round, phase), from one crossing to the next. There is no
+// resynchronization mode and no carried-over pending evaluation: the drain
+// loop runs to a fixpoint after every applied message, so at rest the
+// current phase is always strictly below its threshold.
 
 var _ sim.VoteBroadcaster = (*Proc)(nil)
 var _ sim.TallyReceiver = (*Proc)(nil)
@@ -27,12 +27,10 @@ func (p *Proc) SendColumnar(pub sim.VotePublisher) {
 }
 
 // DeliverTally implements sim.TallyReceiver: each crossing the scan reports
-// is a phase-completing message, after which drain moves the wait on.
+// is a phase-completing message, after which drain moves the wait on and
+// the scan resumes behind it.
 func (p *Proc) DeliverTally(t *sim.WindowTally, r sim.RandSource) {
-	for w := 0; w < t.Words(); w++ {
-		word := t.Word(w)
-		for p.votes.ScanWord(word, p.key(), p.n-p.t-p.votes.Seen(p.key())) {
-			p.drain(r)
-		}
+	for c := t.Cursor(); p.votes.Scan(c, p.key(), p.n-p.t-p.votes.Seen(p.key())); {
+		p.drain(r)
 	}
 }

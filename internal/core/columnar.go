@@ -8,13 +8,14 @@ import (
 
 // This file is the core algorithm's port onto the columnar vote-tally
 // kernel: SendColumnar publishes the queued broadcasts as (round, value)
-// columns, and DeliverTally replays the window's per-message delivery word
-// by word on the kernel's ledger scan (sim/ledger.go, which says why a scan
-// and not a popcount), byte-identical to n-t individual Deliver calls.
-// Normal operation is the kernel's ScanWord waiting for T1 votes of the
-// current round; what is core's own is the post-reset resynchronization,
-// whose wait is over every round at once, and the pending evaluation an
-// adoption can leave behind (anyRoundWord).
+// columns, and DeliverTally replays the window's per-message delivery on the
+// kernel's window scan (sim/ledger.go, which says why a scan and not a
+// popcount), byte-identical to n-t individual Deliver calls. One cursor runs
+// through the window. Normal operation is the kernel's Scan waiting for T1
+// votes of the current round, from one crossing to the next; what is core's
+// own is the post-reset resynchronization, whose wait is over every round at
+// once, and the pending evaluation an adoption can leave behind
+// (anyRoundWord), both walked one word of the cursor at a time.
 
 var _ sim.VoteBroadcaster = (*Proc)(nil)
 var _ sim.TallyReceiver = (*Proc)(nil)
@@ -29,33 +30,27 @@ func (p *Proc) SendColumnar(pub sim.VotePublisher) {
 	p.queue.Discard()
 }
 
-// DeliverTally implements sim.TallyReceiver.
+// DeliverTally implements sim.TallyReceiver. In the normal wait Scan runs
+// ahead to the next crossing, where the cascade evaluates, or to the
+// window's end; in the other two states anyRoundWord takes the cursor's
+// word, and the cursor moves on once the word holds no event.
 func (p *Proc) DeliverTally(t *sim.WindowTally, r sim.RandSource) {
-	for w := 0; w < t.Words(); w++ {
-		word := t.Word(w)
-		for p.scanWord(word, r) {
+	c := t.Cursor()
+	for {
+		cur := voteKey(p.round)
+		if needed := p.th.T1 - p.votes.Seen(cur); !p.syncing && needed > 0 {
+			if !p.votes.Scan(c, cur, needed) {
+				return
+			}
+			p.cascade(r)
+		} else if !p.anyRoundWord(c, cur, r) && !c.Next() {
+			return
 		}
 	}
 }
 
-// scanWord processes (part of) one sender word. It either finds the next
-// evaluation event — applies the exact delivery prefix, evaluates, returns
-// true so the caller re-enters with the updated round/mode — or proves no
-// event fires in this word, applies the remainder, and returns false.
-func (p *Proc) scanWord(word *sim.WordScan, r sim.RandSource) bool {
-	cur := voteKey(p.round)
-	if needed := p.th.T1 - p.votes.Seen(cur); !p.syncing && needed > 0 {
-		if !p.votes.ScanWord(word, cur, needed) {
-			return false
-		}
-		p.cascade(r)
-		return true
-	}
-	return p.anyRoundWord(word, cur, r)
-}
-
-// anyRoundWord is scanWord in the two states whose event can come from any
-// round, not the current one alone:
+// anyRoundWord processes (the rest of) the cursor's word in the two states
+// whose event can come from any round, not the current one alone:
 //
 //   - resynchronizing after a reset: no staleness, and the event is the
 //     first message that brings any round's tally to T1, the adoption point;
@@ -66,14 +61,16 @@ func (p *Proc) scanWord(word *sim.WordScan, r sim.RandSource) bool {
 //
 // Either way the event is the earliest in delivery order, (bit, key)
 // lexicographic: ties at one sender bit resolve to the smallest round,
-// matching the sender's ascending record order.
-func (p *Proc) anyRoundWord(word *sim.WordScan, cur int, r sim.RandSource) bool {
+// matching the sender's ascending record order. It applies the exact
+// delivery prefix through the event and evaluates, returning true, or, with
+// no event in the word, applies the rest of the word and returns false.
+func (p *Proc) anyRoundWord(c *sim.Cursor, cur int, r sim.RandSource) bool {
 	minKey := cur
 	if p.syncing {
 		minKey = math.MinInt
 	}
 	bestBit, bestKey := 64, 0
-	for ci, cols := 0, word.Columns(); ci < len(cols); ci++ {
+	for ci, cols := 0, c.Columns(); ci < len(cols); ci++ {
 		key := cols[ci].Key()
 		if key < minKey || (ci > 0 && cols[ci-1].Key() == key) {
 			continue
@@ -82,7 +79,7 @@ func (p *Proc) anyRoundWord(word *sim.WordScan, cur int, r sim.RandSource) bool 
 		if p.syncing {
 			needed = p.th.T1 - p.votes.Seen(key)
 		}
-		if b := p.votes.Crossing(word, key, needed); b < bestBit {
+		if b := p.votes.Crossing(c, key, needed); b < bestBit {
 			bestBit, bestKey = b, key
 		}
 	}
@@ -91,7 +88,7 @@ func (p *Proc) anyRoundWord(word *sim.WordScan, cur int, r sim.RandSource) bool 
 	// holds no other event. (Before a pending evaluation's event it holds
 	// nothing but duplicates: the prefix is that one vote.) With no event in
 	// the word, bit 64 applies all of it.
-	p.votes.ApplyThrough(word, bestBit, bestKey, minKey)
+	p.votes.ApplyThrough(c, bestBit, bestKey, minKey)
 	if bestBit == 64 {
 		return false
 	}

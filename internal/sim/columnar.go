@@ -10,8 +10,8 @@ import "math/bits"
 // value) pair) publish their window's broadcast as (round, class, value)
 // sender-bitset columns instead of materializing n boxed payload copies;
 // each receiver's delivery then reduces to popcount(allowRow & column) per
-// column plus a word-exact scan that reproduces the message path's threshold
-// crossings bit for bit. See DESIGN.md §2.
+// column plus a window scan (ledger.go) that reproduces the message path's
+// threshold crossings bit for bit. See DESIGN.md §2.
 //
 // The path is byte-identical to the message-at-a-time pipeline in RunResult,
 // ConfigurationSnapshot, and rng consumption, and engages only when every
@@ -151,29 +151,13 @@ func (p VotePublisher) Publish(round int, class, val uint8) {
 
 // WindowTally is the per-receiver delivery view handed to
 // TallyReceiver.DeliverTally: the window's columns masked by the receiver's
-// allowed-sender row. It is System-owned (or shard-owned) scratch, valid
-// only for the duration of the DeliverTally call.
+// allowed-sender row, read through the one Cursor it hands out (ledger.go).
+// It is System-owned (or shard-owned) scratch, valid only for the duration
+// of the DeliverTally call.
 type WindowTally struct {
-	cs       *ColumnSet
-	allowAll bool
-	allow    []uint64
-	word     WordScan
-}
-
-// Words returns the bitset width in 64-bit words.
-func (t *WindowTally) Words() int { return t.cs.words }
-
-// Columns returns the window's columns, sorted by (Round, Class, Val).
-func (t *WindowTally) Columns() []VoteColumn { return t.cs.cols }
-
-// AllowWord returns word w of the receiver's allowed-sender mask. When the
-// sender set is "all", the mask is all-ones (column bits beyond n-1 are
-// never set, so the overshoot is harmless).
-func (t *WindowTally) AllowWord(w int) uint64 {
-	if t.allowAll {
-		return ^uint64(0)
-	}
-	return t.allow[w]
+	cs    *ColumnSet
+	allow []uint64 // nil: every sender
+	cur   Cursor
 }
 
 // VoteBroadcaster is the opt-in sending hook of the columnar kernel: a
@@ -192,8 +176,9 @@ type VoteBroadcaster interface {
 // as the equivalent message-at-a-time delivery order would (ascending
 // sender, per-sender record order) — the byte-identity contract the
 // property tests in internal/registry assert. A process that tallies into a
-// Ledger meets it by walking the sender words with Ledger.ScanWord, whose
-// single-bit counterpart Ledger.Add is what its Deliver calls.
+// Ledger meets it by driving the tally's Cursor through the window with
+// Ledger.Scan, whose single-bit counterpart Ledger.Add is what its Deliver
+// calls.
 type TallyReceiver interface {
 	DeliverTally(t *WindowTally, r RandSource)
 }
@@ -400,11 +385,11 @@ func (s *System) tallyRange(sh *windowShard) {
 		var depth int
 		if s.allowAll[i] {
 			msgs, depth = s.colFullMsgs, s.colFullDepth
-			wt.allowAll, wt.allow = true, nil
+			wt.allow = nil
 		} else {
 			row := s.allowedRow(i)
 			msgs, depth = s.columnarCount(row)
-			wt.allowAll, wt.allow = false, row
+			wt.allow = row
 		}
 		if msgs == 0 {
 			continue

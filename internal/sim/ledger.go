@@ -7,23 +7,24 @@ import (
 )
 
 // This file is the receive half of the columnar kernel: the vote ledger a
-// threshold protocol tallies into, and the word scan that replays a window's
-// per-message delivery on it. The per-message Deliver of core and benor calls
-// the ledger's single-bit Add; their DeliverTally walks the sender words with
-// ScanWord, which must be byte-identical to the equivalent Deliver calls —
-// same tallies, same threshold-crossing points, same rng draws, same final
-// state.
+// threshold protocol tallies into, and the window scan that replays a
+// window's per-message delivery on it. The per-message Deliver of core and
+// benor calls the ledger's single-bit Add; their DeliverTally drives one
+// Cursor through the window with Scan, which must be byte-identical to the
+// equivalent Deliver calls — same tallies, same threshold-crossing points,
+// same rng draws, same final state.
 //
 // Why a scan and not a plain popcount: the message path evaluates a wait the
 // exact message that brings its tally to the threshold, and the coin flip
 // (or adoption) at that point consumes randomness before any later message of
 // the window is tallied — later messages may then be stale (the protocol
 // advanced past them) or feed the next wait. A whole-window popcount would
-// tally them first and diverge. The scan therefore walks sender words in
-// ascending order (delivery order is ascending sender, and within a sender
-// ascending record order = ascending key), bulk-applying records between
-// threshold crossings — sound because tallying is commutative and evaluation
-// only ever fires on the current key's tally — and handling each crossing
+// tally them first and diverge. Delivery order is ascending sender, and
+// within a sender ascending record order = ascending key, so the scan finds
+// the word holding the next crossing from the waited-for key's columns
+// alone, one popcount per sender word; applies every word before it in bulk,
+// column by column — sound because tallying is commutative and evaluation
+// only ever fires on the current key's tally — and handles the crossing word
 // bit-exactly.
 
 // VoteKey packs (round, class) into the ledger's one ordered key: the order
@@ -56,6 +57,20 @@ type voteTally struct {
 	count [2]int
 }
 
+// add records the senders of mask (bits of sender word w) as having sent a
+// record carrying val, skipping those already recorded, and returns how
+// many were new.
+func (t *voteTally) add(val uint8, w int, mask uint64) int {
+	mask &^= t.voted[w]
+	t.voted[w] |= mask
+	c := bits.OnesCount64(mask)
+	t.seen += c
+	if val < ValNeutral {
+		t.count[val] += c
+	}
+	return c
+}
+
 // Ledger holds a processor's live tallies in key order and recycles them
 // through a free list, so the steady-state window loop allocates nothing
 // here. A tally exists iff at least one admissible record of its key was
@@ -65,8 +80,8 @@ type Ledger struct {
 	vals     uint8
 	live     []*voteTally // ascending key
 	free     []*voteTally
-	// last caches the most recent successful lookup: a scan asks for its
-	// current key several times per sender word.
+	// last caches the most recent successful lookup: the current key's
+	// tally is asked for many times per window.
 	last *voteTally
 }
 
@@ -107,6 +122,25 @@ func (l *Ledger) lookup(key int) *voteTally {
 	return l.last
 }
 
+// acquire returns key's tally, inserting an empty one in key order (from
+// the free list when it has one) when there is none. The caller adds at
+// least one record to it.
+func (l *Ledger) acquire(key int) *voteTally {
+	if t := l.tally(key); t != nil {
+		return t
+	}
+	var t *voteTally
+	if k := len(l.free); k > 0 {
+		t, l.free = l.free[k-1], l.free[:k-1]
+	} else {
+		t = &voteTally{voted: make([]uint64, l.words)}
+	}
+	t.key = key
+	i, _ := l.search(key)
+	l.live = slices.Insert(l.live, i, t)
+	return t
+}
+
 // addWord records the senders of mask (bits of sender word w, not empty) as
 // having sent a key record carrying val, skipping those already recorded
 // for the key, and returns how many were new. A value the ledger does not
@@ -115,25 +149,7 @@ func (l *Ledger) addWord(key int, val uint8, w int, mask uint64) int {
 	if val >= l.vals {
 		return 0
 	}
-	t := l.tally(key)
-	if t == nil {
-		if k := len(l.free); k > 0 {
-			t, l.free = l.free[k-1], l.free[:k-1]
-		} else {
-			t = &voteTally{voted: make([]uint64, l.words)}
-		}
-		t.key = key
-		i, _ := l.search(key)
-		l.live = slices.Insert(l.live, i, t)
-	}
-	mask &^= t.voted[w]
-	t.voted[w] |= mask
-	c := bits.OnesCount64(mask)
-	t.seen += c
-	if val < ValNeutral {
-		t.count[val] += c
-	}
-	return c
+	return l.acquire(key).add(val, w, mask)
 }
 
 // Add is the per-message form: it records one delivered key record from
@@ -186,72 +202,117 @@ func (l *Ledger) DropBelow(key int) {
 // Clear releases every tally.
 func (l *Ledger) Clear() { l.DropBelow(math.MaxInt) }
 
-// WordScan is one sender word of a window on its way into a receiver's
-// ledger: the window's columns, the receiver's allow mask for the word, and
-// the frontier — the scan's progress inside the word after a crossing.
-// Senders below bit are fully delivered, and sender bit is delivered through
-// key (its higher-key records come after the crossing record it just
+// Cursor is one receiver's progress through a window on its way into its
+// ledger: the window's columns, the receiver's allow row, the sender word w
+// the scan has reached, and the frontier inside that word. Words before w
+// are fully delivered and words after it not at all; in word w, senders
+// below bit are fully delivered, and sender bit is delivered through key
+// (its higher-key records come after the crossing record it just
 // delivered).
-type WordScan struct {
+type Cursor struct {
 	cols     []VoteColumn
-	w        int
-	allow    uint64
+	allow    []uint64 // nil: every sender
+	words, w int
 	bit, key int
 }
 
-// Word returns the scan of sender word w, nothing of it delivered yet. It
-// is the tally's own scratch: valid until the next Word call.
-func (t *WindowTally) Word(w int) *WordScan {
-	s := &t.word
-	s.cols, s.w, s.allow = t.cs.cols, w, t.AllowWord(w)
-	s.bit, s.key = 0, math.MinInt
-	return s
+// Cursor returns the receiver's cursor at the start of the window, nothing
+// delivered yet. It is the tally's own scratch: valid until the next Cursor
+// call.
+func (t *WindowTally) Cursor() *Cursor {
+	t.cur = Cursor{cols: t.cs.cols, allow: t.allow, words: t.cs.words, key: math.MinInt}
+	return &t.cur
+}
+
+// Next moves the cursor to the start of the next sender word, the caller
+// having delivered the rest of the current one, and reports whether there
+// is one.
+func (c *Cursor) Next() bool {
+	c.w = min(c.w+1, c.words)
+	c.bit, c.key = 0, math.MinInt
+	return c.w < c.words
 }
 
 // Columns returns the window's columns, sorted by key.
-func (s *WordScan) Columns() []VoteColumn { return s.cols }
+func (c *Cursor) Columns() []VoteColumn { return c.cols }
 
-// rem returns the allowed senders whose key record is still undelivered.
-func (s *WordScan) rem(key int) uint64 {
-	if key <= s.key {
-		return s.allow & maskFrom(s.bit+1)
+// keyColumns returns the index range of key's columns, which sort together
+// after every column of a lower key.
+func (c *Cursor) keyColumns(key int) (lo, hi int) {
+	for lo < len(c.cols) && c.cols[lo].Key() < key {
+		lo++
 	}
-	return s.allow & maskFrom(s.bit)
+	hi = lo
+	for hi < len(c.cols) && c.cols[hi].Key() == key {
+		hi++
+	}
+	return lo, hi
 }
 
-// Crossing returns the sender bit of the word whose key record is the
-// needed-th new one — allowed, behind the frontier, not yet recorded — in
-// delivery order, or 64 when the word holds fewer than needed (>= 1).
-func (l *Ledger) Crossing(s *WordScan, key, needed int) int {
-	var fresh uint64
-	for ci := range s.cols {
-		if c := &s.cols[ci]; c.Key() == key && c.Val < l.vals {
-			fresh |= c.bits[s.w]
+// undelivered returns the allowed senders of word w whose key record the
+// cursor has not delivered: those behind the frontier in the cursor's word,
+// all of them in a later word. A nil allow row is all-ones (column bits
+// beyond n-1 are never set, so the overshoot is harmless).
+func (c *Cursor) undelivered(key, w int) uint64 {
+	m := ^uint64(0)
+	if c.allow != nil {
+		m = c.allow[w]
+	}
+	switch {
+	case w != c.w:
+		return m
+	case key <= c.key:
+		return m & maskFrom(c.bit+1)
+	default:
+		return m & maskFrom(c.bit)
+	}
+}
+
+// fresh returns the senders of word w whose key record is new: carried with
+// an admitted value by one of key's columns cols[lo:hi], undelivered, and
+// not recorded in t, key's tally (nil when there is none).
+func (l *Ledger) fresh(c *Cursor, lo, hi int, t *voteTally, key, w int) uint64 {
+	var m uint64
+	for ci := lo; ci < hi; ci++ {
+		if col := &c.cols[ci]; col.Val < l.vals {
+			m |= col.bits[w]
 		}
 	}
-	fresh &= s.rem(key)
-	if t := l.tally(key); t != nil {
-		fresh &^= t.voted[s.w]
+	if m == 0 {
+		return 0
 	}
+	m &= c.undelivered(key, w)
+	if t != nil {
+		m &^= t.voted[w]
+	}
+	return m
+}
+
+// Crossing returns the sender bit of the cursor's word whose key record is
+// the needed-th new one in delivery order, or 64 when the word holds fewer
+// than needed (>= 1).
+func (l *Ledger) Crossing(c *Cursor, key, needed int) int {
+	lo, hi := c.keyColumns(key)
+	fresh := l.fresh(c, lo, hi, l.tally(key), key, c.w)
 	if bits.OnesCount64(fresh) < needed {
 		return 64
 	}
 	return nthSetBit(fresh, needed)
 }
 
-// ApplyThrough adds the exact delivery prefix of the word that ends with
-// sender bit's key record — every undelivered record of the senders below
-// bit, and sender bit's own records up to key; its higher-key records
+// ApplyThrough adds the exact delivery prefix of the cursor's word that ends
+// with sender bit's key record — every undelivered record of the senders
+// below bit, and sender bit's own records up to key; its higher-key records
 // follow the crossing record, so they stay undelivered — skipping keys below
 // minKey, and moves the frontier there. Bit 64 is past the word's last
 // sender: everything undelivered is added, which is sound only when no
 // evaluation can fire on the way (tallying is commutative under the dedupe).
-func (l *Ledger) ApplyThrough(s *WordScan, bit, key, minKey int) {
+func (l *Ledger) ApplyThrough(c *Cursor, bit, key, minKey int) {
 	below := ^maskFrom(bit)
 	through := ^maskFrom(bit + 1)
-	for ci := range s.cols {
-		c := &s.cols[ci]
-		k := c.Key()
+	for ci := range c.cols {
+		col := &c.cols[ci]
+		k := col.Key()
 		if k < minKey {
 			continue
 		}
@@ -259,22 +320,63 @@ func (l *Ledger) ApplyThrough(s *WordScan, bit, key, minKey int) {
 		if k <= key {
 			cut = through
 		}
-		if m := c.bits[s.w] & s.rem(k) & cut; m != 0 {
-			l.addWord(k, c.Val, s.w, m)
+		if m := col.bits[c.w] & c.undelivered(k, c.w) & cut; m != 0 {
+			l.addWord(k, col.Val, c.w, m)
 		}
 	}
-	s.bit, s.key = bit, key
+	c.bit, c.key = bit, key
 }
 
-// ScanWord delivers (the rest of) a sender word to a protocol waiting for
-// needed more senders of curKey, records below curKey being stale. Either
-// the wait cannot complete in this word — every remaining non-stale record
-// is applied in bulk and ScanWord returns false: the word is done — or the
-// needed-th new curKey sender is the crossing message: exactly the records
-// delivered up to and including it are applied and ScanWord returns true, for
-// the caller to evaluate and re-enter with its new key.
-func (l *Ledger) ScanWord(s *WordScan, curKey, needed int) bool {
-	bit := l.Crossing(s, curKey, needed)
-	l.ApplyThrough(s, bit, curKey, curKey)
-	return bit < 64
+// Scan delivers the rest of the window, from the cursor on, to a protocol
+// waiting for needed (>= 1) more senders of curKey, records below curKey
+// being stale. It popcounts each word's new curKey senders until the
+// needed-th falls inside one, the crossing word; applies every word before
+// that one whole — no evaluation can fire there — column by column; and
+// applies the crossing word exactly, through the crossing sender, leaving
+// the cursor there and returning true, for the caller to evaluate and scan
+// on with its new wait. When no word holds the crossing, everything left is
+// applied, the cursor ends past the last word and Scan returns false.
+func (l *Ledger) Scan(c *Cursor, curKey, needed int) bool {
+	lo, hi := c.keyColumns(curKey)
+	t := l.tally(curKey)
+	w, fresh := c.w, uint64(0)
+	for ; w < c.words; w++ {
+		fresh = l.fresh(c, lo, hi, t, curKey, w)
+		k := bits.OnesCount64(fresh)
+		if k >= needed {
+			break
+		}
+		needed -= k
+	}
+	if w > c.w {
+		l.applyWords(c, lo, w)
+		c.w, c.bit, c.key = w, 0, math.MinInt
+	}
+	if w == c.words {
+		return false
+	}
+	l.ApplyThrough(c, nthSetBit(fresh, needed), curKey, curKey)
+	return true
+}
+
+// applyWords adds every undelivered admissible record of the columns from lo
+// on (the stale ones sort before it) in words c.w through end-1, column by
+// column, resolving each column's tally once.
+func (l *Ledger) applyWords(c *Cursor, lo, end int) {
+	for ci := lo; ci < len(c.cols); ci++ {
+		col := &c.cols[ci]
+		if col.Val >= l.vals {
+			continue
+		}
+		k := col.Key()
+		var t *voteTally
+		for w := c.w; w < end; w++ {
+			if m := col.bits[w] & c.undelivered(k, w); m != 0 {
+				if t == nil {
+					t = l.acquire(k)
+				}
+				t.add(col.Val, w, m)
+			}
+		}
+	}
 }

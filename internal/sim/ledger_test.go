@@ -56,15 +56,16 @@ func (l *Ledger) dump() string {
 	return b.String()
 }
 
-// TestScanWordMatchesBitWalk is the kernel-level differential test of the
-// crossing scan: over random columns, allow rows, start states and waits,
-// walking the words with ScanWord must leave the ledger in the state — and
-// report the crossings at the senders — of the reference walk that adds one
-// (sender, record) bit at a time in delivery order. Each crossing moves the
-// wait to a later key with a fresh needed count, as an evaluation would.
-func TestScanWordMatchesBitWalk(t *testing.T) {
-	var sawBit0, sawBit63, sawTwoInWord, sawNeeded1 bool
-	for _, n := range []int{7, 63, 64, 65, 130} {
+// TestWindowScanMatchesBitWalk is the kernel-level differential test of the
+// window scan: over random columns, allow rows, start states and waits,
+// driving a whole window through one cursor with Scan must leave the ledger
+// in the state — and report the crossings at the senders — of the reference
+// walk that adds one (sender, record) bit at a time in delivery order. Each
+// crossing moves the wait to a later key with a fresh needed count, as an
+// evaluation would.
+func TestWindowScanMatchesBitWalk(t *testing.T) {
+	var sawBit0, sawBit63, sawTwoInWord, sawNeeded1, sawBulk2, sawLastWord, sawNone bool
+	for _, n := range []int{7, 63, 64, 65, 130, 200, 1024} {
 		for seed := int64(0); seed < 400; seed++ {
 			rnd := rand.New(rand.NewSource(seed*131 + int64(n)))
 			words := (n + 63) / 64
@@ -85,10 +86,14 @@ func TestScanWordMatchesBitWalk(t *testing.T) {
 				}
 			}
 			cols := cs.Columns()
-			allow := make([]uint64, words)
-			for q := 0; q < n; q++ {
-				if rnd.Intn(8) != 0 {
-					allow[q>>6] |= uint64(1) << (uint(q) & 63)
+			// The allow row: every sender (nil) one time in four.
+			var allow []uint64
+			if rnd.Intn(4) != 0 {
+				allow = make([]uint64, words)
+				for q := 0; q < n; q++ {
+					if rnd.Intn(8) != 0 {
+						allow[q>>6] |= uint64(1) << (uint(q) & 63)
+					}
 				}
 			}
 			// Start state: both ledgers have met the same earlier records.
@@ -125,25 +130,30 @@ func TestScanWordMatchesBitWalk(t *testing.T) {
 
 			key, needed := startKey, waits[len(waits)-1].needed
 			sawNeeded1 = sawNeeded1 || needed == 1
-			for w := 0; w < words; w++ {
-				word := WordScan{cols: cols, w: w, allow: allow[w], key: math.MinInt}
-				inWord, target := 0, scan.Seen(key)+needed
-				for scan.ScanWord(&word, key, target-scan.Seen(key)) {
-					got = append(got, crossing{w<<6 | word.bit, key, scan.dump()})
-					sawBit0 = sawBit0 || word.bit == 0
-					sawBit63 = sawBit63 || word.bit == 63
-					inWord++
-					key, needed = next(&scan, key, len(got))
-					target = scan.Seen(key) + needed
+			c := &Cursor{cols: cols, allow: allow, words: words, key: math.MinInt}
+			inWord := 0
+			for from := c.w; scan.Scan(c, key, needed); from = c.w {
+				got = append(got, crossing{c.w<<6 | c.bit, key, scan.dump()})
+				sawBit0 = sawBit0 || c.bit == 0
+				sawBit63 = sawBit63 || c.bit == 63
+				sawBulk2 = sawBulk2 || c.w-from >= 2
+				sawLastWord = sawLastWord || (words > 1 && c.w == words-1)
+				if c.w != from {
+					inWord = 0
 				}
+				inWord++
 				sawTwoInWord = sawTwoInWord || inWord >= 2
-				needed = target - scan.Seen(key)
+				key, needed = next(&scan, key, len(got))
+			}
+			sawNone = sawNone || len(got) == 0
+			if c.w != words || c.Next() {
+				t.Fatalf("n=%d seed=%d: the scan ended with the cursor at word %d of %d", n, seed, c.w, words)
 			}
 
 			key, needed = startKey, waits[len(waits)-1].needed
 			for q := 0; q < n; q++ {
 				w, bit := q>>6, uint64(1)<<(uint(q)&63)
-				if allow[w]&bit == 0 {
+				if allow != nil && allow[w]&bit == 0 {
 					continue
 				}
 				for ci := range cols {
@@ -168,9 +178,9 @@ func TestScanWordMatchesBitWalk(t *testing.T) {
 			}
 		}
 	}
-	if !sawBit0 || !sawBit63 || !sawTwoInWord || !sawNeeded1 {
-		t.Fatalf("cases not reached: crossing at bit 0 %v, at bit 63 %v, two in one word %v, needed == 1 %v",
-			sawBit0, sawBit63, sawTwoInWord, sawNeeded1)
+	if !sawBit0 || !sawBit63 || !sawTwoInWord || !sawNeeded1 || !sawBulk2 || !sawLastWord || !sawNone {
+		t.Fatalf("cases not reached: crossing at bit 0 %v, at bit 63 %v, two in one word %v, needed == 1 %v, after two or more bulk words %v, in the last word %v; a window without one %v",
+			sawBit0, sawBit63, sawTwoInWord, sawNeeded1, sawBulk2, sawLastWord, sawNone)
 	}
 }
 
@@ -197,7 +207,7 @@ func TestLedgerDropsInadmissibleRecords(t *testing.T) {
 	cs.reset(1)
 	cs.publish(3, 1, 0, ValNeutral)
 	cs.publish(4, 1, 0, 7)
-	all := func() *WordScan { return &WordScan{cols: cs.Columns(), allow: ^uint64(0), key: math.MinInt} }
+	all := func() *Cursor { return &Cursor{cols: cs.Columns(), words: 1, key: math.MinInt} }
 	if bit := bitsOnly.Crossing(all(), VoteKey(1, 0), 1); bit != 64 {
 		t.Errorf("an inadmissible record crossed at bit %d", bit)
 	}

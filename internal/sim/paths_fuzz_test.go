@@ -159,7 +159,10 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 // core, then the word-boundary sizes again for Ben-Or, all listed; then both
 // row forms under every shape that has sets to submit, at the word-boundary
 // sizes for both algorithms; then Bracha at 13:4, 18:2 and 27:3 under every
-// shape. Every seed loop runs over every shape, the split-vote one included.
+// shape. Those seed loops run over every shape, the split-vote one included.
+// The last seeds put core and Ben-Or at 192:31 (three sender words) on the
+// columnar path under full delivery and per-receiver sets, so a wait
+// crosses in the third word after two words applied in bulk.
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
@@ -183,6 +186,11 @@ func FuzzWindowPaths(f *testing.F) {
 	for i, nt := range [][2]int{{13, 4}, {18, 2}, {27, 3}} {
 		for shape := 0; shape < shapeCount; shape++ {
 			f.Add(uint8(nt[0]), uint8(nt[1]), uint64(121+i), uint8(shape+i), false, (shape+i)%2 == 1, uint8(shape), uint8(2), uint8((shape+i)%formCount))
+		}
+	}
+	for i, alg := range []uint8{0, 1} {
+		for _, shape := range []int{shapeNil, shapePerReceiver} {
+			f.Add(uint8(192), uint8(31), uint64(151+i), uint8(shape+i), true, false, uint8(shape), alg, uint8(formLists))
 		}
 	}
 	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw, formRaw uint8) {
