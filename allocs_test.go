@@ -39,8 +39,8 @@ func TestApplyWindowAllocs(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := coreConfig(mode.n)
-			cfg.DisableColumnar = mode.message
 			s := mustNew(t, cfg)
+			s.SetColumnar(!mode.message)
 			adv := FullDelivery()
 			if mode.adv != nil {
 				var err error

@@ -161,11 +161,6 @@ type Config struct {
 	// output is byte-identical at every setting; this only changes
 	// wall-clock at large N.
 	ShardWorkers int
-	// DisableColumnar opts out of the columnar vote-tally fast path for
-	// algorithms that support it (core and Ben-Or). Like ShardWorkers this
-	// is a pure performance knob: execution output is byte-identical either
-	// way. The zero value keeps the fast path on.
-	DisableColumnar bool
 }
 
 // params converts the facade config to registry construction parameters.
@@ -173,7 +168,7 @@ func (cfg Config) params() registry.Params {
 	return registry.Params{
 		N: cfg.N, T: cfg.T, Inputs: cfg.Inputs, Seed: cfg.Seed,
 		CoreThresholds: cfg.CoreThresholds, Proposers: cfg.Proposers,
-		ShardWorkers: cfg.ShardWorkers, DisableColumnar: cfg.DisableColumnar,
+		ShardWorkers: cfg.ShardWorkers,
 	}
 }
 

@@ -96,15 +96,17 @@ func benchWindows(b *testing.B, s *System, adv WindowAdversary, warm int) {
 }
 
 // benchWindowThroughput is benchWindows under full delivery: the simulator's
-// hot loop. It fails loudly if cfg asks for the columnar kernel and the gate
-// does not engage (a silent fall-back to the message path would otherwise
-// show up only as a mysterious slowdown). Each window carries n² messages (n
-// broadcasters × n receivers); msgs/op keeps O(n²)-inherent growth
-// distinguishable from kernel overhead.
-func benchWindowThroughput(cfg Config) func(b *testing.B) {
+// hot loop, on the columnar kernel or, with columnar false, on the message
+// path. It fails loudly if the columnar gate does not engage when asked for
+// (a silent fall-back to the message path would otherwise show up only as a
+// mysterious slowdown). Each window carries n² messages (n broadcasters × n
+// receivers); msgs/op keeps O(n²)-inherent growth distinguishable from
+// kernel overhead.
+func benchWindowThroughput(cfg Config, columnar bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		s, adv := mustNew(b, cfg), FullDelivery()
-		if !cfg.DisableColumnar && !s.ColumnarPlanned(adv) {
+		s.SetColumnar(columnar)
+		if columnar && !s.ColumnarPlanned(adv) {
 			b.Fatal("columnar gate did not engage; the case would silently measure the message path")
 		}
 		benchWindows(b, s, adv, 2)
@@ -117,7 +119,7 @@ func benchWindowThroughput(cfg Config) func(b *testing.B) {
 // vote-tally kernel; it fails if the columnar gate does not engage.
 func BenchmarkWindowThroughput(b *testing.B) {
 	for _, n := range []int{12, 24, 48, 256, 1024} {
-		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n)))
+		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), true))
 	}
 }
 
@@ -126,9 +128,7 @@ func BenchmarkWindowThroughput(b *testing.B) {
 // now that the default path is columnar.
 func BenchmarkWindowThroughputMessage(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		cfg := coreConfig(n)
-		cfg.DisableColumnar = true
-		b.Run(sizeLabel(n), benchWindowThroughput(cfg))
+		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), false))
 	}
 }
 
@@ -141,7 +141,7 @@ func BenchmarkWindowThroughputSharded(b *testing.B) {
 		for _, w := range []int{2, 4} {
 			cfg := coreConfig(n)
 			cfg.ShardWorkers = w
-			b.Run(sizeLabel(n)+"/w="+strconv.Itoa(w), benchWindowThroughput(cfg))
+			b.Run(sizeLabel(n)+"/w="+strconv.Itoa(w), benchWindowThroughput(cfg, true))
 		}
 	}
 }

@@ -46,7 +46,6 @@ func run(args []string) error {
 		seed       = fs.Uint64("seed", 1, "random seed (same seed + same flags = same execution)")
 		maxWindows = fs.Int("max-windows", 100000, "window budget")
 		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines walking each window's processor ranges (1 = inline on the caller; output is identical at any setting)")
-		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (output is identical either way)")
 		trace      = fs.Bool("trace", false, "print every simulator event")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")
 	)
@@ -72,10 +71,9 @@ func run(args []string) error {
 	cfg := asyncagree.Config{
 		Algorithm: asyncagree.Algorithm(*alg),
 		N:         *n, T: *t,
-		Inputs:          in,
-		Seed:            *seed,
-		ShardWorkers:    *shardW,
-		DisableColumnar: !*columnar,
+		Inputs:       in,
+		Seed:         *seed,
+		ShardWorkers: *shardW,
 	}
 	sys, err := asyncagree.New(cfg)
 	if err != nil {

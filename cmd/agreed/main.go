@@ -70,16 +70,31 @@ func run(args []string, stdout io.Writer) int {
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
 		quarAfter    = fs.Int("quarantine-after", 3, "quarantine a scenario after this many consecutive faults (<0 disables)")
 		shardWorkers = fs.Int("shard-workers", 0, "intra-trial parallelism: goroutines walking each window's processor ranges (0 or 1 = inline on the caller; results are identical at any setting)")
-		columnar     = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (results identical either way)")
 		injectPanics = fs.String("inject-panics", "", "chaos: explicit request indices whose trials panic (e.g. 0,5,9-12)")
 		maxWindows   = fs.Int("max-windows", 20000, "default per-trial window budget")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *shardWorkers < 0 {
-		fmt.Fprintf(os.Stderr, "agreed: shard-workers must be >= 0, got %d\n", *shardWorkers)
-		return 2
+	// The service swaps a non-positive count, depth, budget or deadline for
+	// its default, and a negative drain budget would end a drain at once:
+	// reject negatives here rather than serve on values nobody asked for.
+	for _, f := range []struct {
+		name string
+		val  any
+		neg  bool
+	}{
+		{"workers", *workers, *workers < 0},
+		{"queue", *queue, *queue < 0},
+		{"deadline", *deadline, *deadline < 0},
+		{"drain-timeout", *drainTimeout, *drainTimeout < 0},
+		{"shard-workers", *shardWorkers, *shardWorkers < 0},
+		{"max-windows", *maxWindows, *maxWindows < 0},
+	} {
+		if f.neg {
+			fmt.Fprintf(os.Stderr, "agreed: %s must be >= 0, got %v\n", f.name, f.val)
+			return 2
+		}
 	}
 
 	var inject *faultinject.TrialSet
@@ -105,7 +120,6 @@ func run(args []string, stdout io.Writer) int {
 		DefaultMaxWindows: *maxWindows,
 		QuarantineAfter:   *quarAfter,
 		ShardWorkers:      *shardWorkers,
-		DisableColumnar:   !*columnar,
 		JournalPath:       *journalPath,
 		InjectPanics:      inject,
 	})

@@ -25,8 +25,17 @@ func TestBadFlags(t *testing.T) {
 	if code := run([]string{"-no-such-flag"}, &out); code != 2 {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
 	}
-	if code := run([]string{"-shard-workers", "-1"}, &out); code != 2 {
-		t.Fatalf("negative shard-workers: exit %d, want 2", code)
+	for _, args := range [][]string{
+		{"-shard-workers", "-1"},
+		{"-max-windows", "-5"},
+		{"-workers", "-2"},
+		{"-queue", "-3"},
+		{"-deadline", "-1s"},
+		{"-drain-timeout", "-1s"},
+	} {
+		if code := run(args, &out); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
 	}
 }
 

@@ -72,7 +72,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		inputs     = fs.String("inputs", "", "comma-separated input patterns (empty = default grid)")
 		trials     = fs.Int("trials", 0, "trials per cell, seeded 1..trials (0 = default grid)")
 		maxWindows = fs.Int("max-windows", 0, "per-trial window budget (0 = default)")
-		columnar   = fs.Bool("columnar", true, "columnar vote-tally fast path for algorithms that support it (records are identical either way)")
 		deadline   = fs.Duration("deadline", 0, "per-trial wall-clock budget; exceeding it records the trial as non-terminating (0 = off)")
 		quarAfter  = fs.Int("quarantine-after", 0, "quarantine a cell after N consecutive faulted trials (0 = default 3, negative = never)")
 		// -out -checkpoint -resume -progress -interrupt-after -retry
@@ -95,8 +94,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		Inputs:       resumable.SplitList(*inputs),
 		MaxWindows:   *maxWindows,
 		ShardWorkers: shared.ShardWorkers,
-
-		DisableColumnar: !*columnar,
 	}
 	var err error
 	if m.Sizes, err = resumable.ParseSizes(*sizes); err != nil {

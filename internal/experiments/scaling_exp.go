@@ -68,19 +68,30 @@ func runE15(scale Scale) (Result, error) {
 		if err != nil {
 			return leg{}, err
 		}
-		p := registry.Params{N: n, T: t, Seed: seed, Inputs: inputs,
-			ShardWorkers: 1, DisableColumnar: true}
-		serial, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
+		p := registry.Params{N: n, T: t, Seed: seed, Inputs: inputs, ShardWorkers: 1}
+		// run is registry.RunPooledTrial with the engine switched to the
+		// message path for the reference leg; the next acquisition of the
+		// engine switches it back.
+		run := func(messages bool) (sim.RunResult, error) {
+			e, err := registry.AcquireTrial(alg, adv, "adversary", p)
+			if err != nil {
+				return sim.RunResult{}, err
+			}
+			e.System().SetColumnar(!messages)
+			res, err := e.Run(maxW)
+			e.Release()
+			return res, err
+		}
+		serial, err := run(true)
 		if err != nil {
 			return leg{}, err
 		}
-		p.DisableColumnar = false
-		columnar, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
+		columnar, err := run(false)
 		if err != nil {
 			return leg{}, err
 		}
 		p.ShardWorkers = e15ShardWorkers
-		sharded, err := registry.RunPooledTrial(alg, adv, "adversary", p, maxW)
+		sharded, err := run(false)
 		if err != nil {
 			return leg{}, err
 		}

@@ -7,17 +7,11 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// windowCapable is the baseline compatibility check shared by every window
-// adversary: the algorithm must support window mode.
-func windowCapable(alg *Algorithm, _ Params) bool {
-	return alg.Modes.Has(ModeWindow)
-}
-
 func init() {
 	mustRegisterAdversary(Adversary{
 		Name:        "full",
 		Description: "benign adversary: deliver everything, reset nobody",
-		Compatible:  windowCapable,
+		Compatible:  func(*Algorithm, Params) bool { return true },
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.FullDelivery{}, nil
 		},
@@ -27,8 +21,8 @@ func init() {
 		Name:         "subsets",
 		Description:  "chaos scheduling: independent random (n-t)-subset deliveries, no resets",
 		PlansSenders: true,
-		Compatible: func(alg *Algorithm, p Params) bool {
-			return windowCapable(alg, p) && !alg.NeedsFullDelivery
+		Compatible: func(alg *Algorithm, _ Params) bool {
+			return !alg.NeedsFullDelivery
 		},
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			return adversary.NewRandomWindows(p.Seed, 0, 0), nil
@@ -43,8 +37,8 @@ func init() {
 			{Name: "resetpct", Description: "per-window reset probability, in percent", Min: 0, Max: 100, Default: 50},
 			{Name: "maxresets", Description: "reset budget per window (always capped at the cell's t)", Min: 0, Max: 8, Default: 8},
 		},
-		Compatible: func(alg *Algorithm, p Params) bool {
-			return windowCapable(alg, p) && alg.ResetTolerant
+		Compatible: func(alg *Algorithm, _ Params) bool {
+			return alg.ResetTolerant
 		},
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			// A nil knob vector is the exact historical construction; the
@@ -64,8 +58,8 @@ func init() {
 	mustRegisterAdversary(Adversary{
 		Name:        "storm",
 		Description: "reset storm: erase the memory of a rotating set of t processors every window",
-		Compatible: func(alg *Algorithm, p Params) bool {
-			return windowCapable(alg, p) && alg.ResetTolerant
+		Compatible: func(alg *Algorithm, _ Params) bool {
+			return alg.ResetTolerant
 		},
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.NewResetStorm(), nil
@@ -79,8 +73,8 @@ func init() {
 		Knobs: []Knob{
 			{Name: "offset", Description: "first silenced processor; the silent set is offset..offset+t-1 (mod n)", Min: 0, Max: 63, Default: 0},
 		},
-		Compatible: func(alg *Algorithm, p Params) bool {
-			return windowCapable(alg, p) && alg.SilenceTolerant
+		Compatible: func(alg *Algorithm, _ Params) bool {
+			return alg.SilenceTolerant
 		},
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			off := knob(p, 0, 0)
@@ -103,8 +97,8 @@ func init() {
 		Knobs: []Knob{
 			{Name: "capdelta", Description: "offset on the per-receiver vote cap (0 = the construction's cap, e.g. T3-1 for core)", Min: -6, Max: 2, Default: 0},
 		},
-		Compatible: func(alg *Algorithm, p Params) bool {
-			return windowCapable(alg, p) && alg.SupportsSplitVote()
+		Compatible: func(alg *Algorithm, _ Params) bool {
+			return alg.SupportsSplitVote()
 		},
 		New: func(alg *Algorithm, p Params) (sim.WindowAdversary, error) {
 			if !alg.SupportsSplitVote() {

@@ -59,11 +59,9 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:            "core",
 		Description:     "the paper's Section 3 reset-tolerant threshold protocol (Theorem 4, t < n/6)",
-		Modes:           ModeWindow | ModeStep,
 		ResetTolerant:   true,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
-		ColumnarVotes:   true,
 		Validate: func(p Params) error {
 			_, err := resolveCoreThresholds(p)
 			return err
@@ -93,10 +91,8 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:            "benor",
 		Description:     "Ben-Or 1983 randomized agreement (crash model, t < n/2)",
-		Modes:           ModeWindow | ModeStep,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
-		ColumnarVotes:   true,
 		Validate: func(p Params) error {
 			if p.T < 0 || 2*p.T >= p.N {
 				return fmt.Errorf("registry: benor needs t < n/2, got n=%d t=%d", p.N, p.T)
@@ -118,7 +114,6 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:            "bracha",
 		Description:     "Bracha 1984 over reliable broadcast (Byzantine, t < n/3)",
-		Modes:           ModeWindow,
 		SilenceTolerant: true,
 		SafetyCertain:   true,
 		Validate: func(p Params) error {
@@ -135,7 +130,6 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:              "committee",
 		Description:       "Kapron et al.-style committee election (fast, non-adaptive faults only, non-zero error probability)",
-		Modes:             ModeWindow,
 		NeedsFullDelivery: true,
 		Validate:          validateCommittee,
 		Factory: func(p Params) (func(sim.ProcID, sim.Bit) sim.Process, error) {
@@ -146,7 +140,6 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:                  "paxos",
 		Description:           "single-decree Paxos (deterministic; terminates only under benign scheduling)",
-		Modes:                 ModeWindow | ModeStep,
 		SafetyCertain:         true,
 		BenignTerminationOnly: true,
 		Validate: func(p Params) error {

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"asyncagree/internal/adversary"
 	"asyncagree/internal/sim"
 )
 
@@ -22,13 +23,17 @@ type trialRun struct {
 	err    error
 }
 
-// leg is one way of executing a trial. The reference is the zero leg's
-// one-worker message path on a fresh engine; a message-path leg is traced, a
-// columnar leg is not (tracing would disable the columnar path).
+// leg is one way of executing a trial. The usual reference is the traced
+// one-worker message path on a fresh engine, reference below. A message-path
+// leg is traced unless untraced is set; a columnar leg never is (tracing
+// would disable the columnar path).
 type leg struct {
-	columnar, recycled bool
-	workers            int
+	columnar, recycled, untraced bool
+	workers                      int
 }
+
+// reference is the leg every other leg of the battery is held to.
+var reference = leg{workers: 1}
 
 // TestConformance holds every registered algorithm to the contracts its
 // descriptor declares, so a new algorithm costs a registry entry and no test.
@@ -52,8 +57,8 @@ func TestConformance(t *testing.T) {
 			}
 		}
 	}
-	battery(t, false, func(t *testing.T, alg *Algorithm, ts trialSpec, p Params) {
-		run := runLeg(t, ts, p, leg{workers: 1})
+	battery(t, Algorithms(), func(t *testing.T, alg *Algorithm, ts trialSpec, p Params) {
+		run := runLeg(t, ts, p, reference)
 		if run.err != nil {
 			t.Fatalf("trial failed: %v", run.err)
 		}
@@ -72,8 +77,8 @@ func TestConformance(t *testing.T) {
 // a warm-up trial on another seed and input pattern, so Recycle must rewind
 // real state.
 func TestRecycledTrialMatchesFresh(t *testing.T) {
-	battery(t, false, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
-		matchReference(t, ts, p, leg{recycled: true, workers: 1})
+	battery(t, Algorithms(), func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+		matchReference(t, ts, p, reference, leg{recycled: true, workers: 1})
 	})
 }
 
@@ -82,24 +87,71 @@ func TestRecycledTrialMatchesFresh(t *testing.T) {
 // configuration. Under -race this doubles as the data-race proof of
 // sim.Process's concurrency contract.
 func TestShardedTrialMatchesSerial(t *testing.T) {
-	battery(t, false, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
-		matchReference(t, ts, p, leg{workers: 2}, leg{recycled: true, workers: 2},
+	battery(t, Algorithms(), func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+		matchReference(t, ts, p, reference, leg{workers: 2}, leg{recycled: true, workers: 2},
 			leg{workers: 4}, leg{recycled: true, workers: 4})
 	})
 }
 
-// TestColumnarTrialMatchesMessage: where the descriptor declares
-// ColumnarVotes, the columnar path, fresh and recycled at one, two and four
-// workers, reproduces the reference's summary and final configuration.
+// TestColumnarTrialMatchesMessage: for every algorithm whose processes take
+// the columnar path (columnarAlgorithms), the columnar path, fresh and
+// recycled at one, two and four workers, reproduces the reference's summary
+// and final configuration. Two larger grids follow, held to the untraced
+// message path at one and four workers (tracing at n = 200 is too slow): 48:6
+// under the row-planning adversaries and schedulers on split and unanimous
+// inputs, and 130:16 and 200:24, where a receiver's senders span three and
+// four 64-bit words, so threshold crossings fall after words the ledger scan
+// applied whole and core's post-reset walk crosses words.
 func TestColumnarTrialMatchesMessage(t *testing.T) {
-	battery(t, true, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
-		var legs []leg
-		for _, workers := range []int{1, 2, 4} {
-			legs = append(legs, leg{columnar: true, workers: workers},
-				leg{columnar: true, recycled: true, workers: workers})
-		}
-		matchReference(t, ts, p, legs...)
+	algs := columnarAlgorithms(t)
+	if len(algs) == 0 {
+		t.Fatal("no algorithm takes the columnar path; the test would be vacuous")
+	}
+	var legs []leg
+	for _, workers := range []int{1, 2, 4} {
+		legs = append(legs, leg{columnar: true, workers: workers},
+			leg{columnar: true, recycled: true, workers: workers})
+	}
+	battery(t, algs, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+		matchReference(t, ts, p, reference, legs...)
 	})
+
+	var names []string
+	for _, alg := range algs {
+		names = append(names, alg.Name)
+	}
+	for _, m := range []Matrix{
+		{Adversaries: []string{"full", "splitvote", "subsets", "random"},
+			Schedulers: []string{"adversary", "seeded"}, Sizes: []Size{{N: 48, T: 6}},
+			Inputs: []string{"split", "ones"}, MaxWindows: 2000},
+		{Adversaries: []string{"full", "splitvote", "storm"},
+			Schedulers: []string{"adversary", "laggard"}, Sizes: []Size{{N: 130, T: 16}, {N: 200, T: 24}},
+			Inputs: []string{"split"}, MaxWindows: 200},
+	} {
+		m.Algorithms, m.Seeds = names, []uint64{1}
+		grid(t, m, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+			matchReference(t, ts, p, leg{untraced: true, workers: 1},
+				leg{columnar: true, workers: 1}, leg{columnar: true, workers: 4})
+		})
+	}
+}
+
+// columnarAlgorithms returns the algorithms whose processes take the columnar
+// path: a fresh System of each, at its conformance shape, reports
+// ColumnarPlanned under full delivery.
+func columnarAlgorithms(t *testing.T) []*Algorithm {
+	var algs []*Algorithm
+	for _, alg := range Algorithms() {
+		shape := conformanceShape(t, alg)
+		sys, err := NewSystem(alg.Name, Params{N: shape.N, T: shape.T, Inputs: SplitInputs(shape.N), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sys.ColumnarPlanned(adversary.FullDelivery{}) {
+			algs = append(algs, alg)
+		}
+	}
+	return algs
 }
 
 // conformanceShape is the first conformance shape alg's Validate accepts.
@@ -114,42 +166,55 @@ func conformanceShape(t *testing.T, alg *Algorithm) Size {
 	return conformanceShapes[i]
 }
 
-// battery runs check, in parallel subtests, on every trial of the conformance
-// grid, restricted to ColumnarVotes algorithms when columnarOnly is set.
-func battery(t *testing.T, columnarOnly bool, check func(*testing.T, *Algorithm, trialSpec, Params)) {
-	for _, alg := range Algorithms() {
-		if columnarOnly && !alg.ColumnarVotes {
-			continue
-		}
-		shape := conformanceShape(t, alg)
-		m := Matrix{Algorithms: []string{alg.Name}, Sizes: []Size{shape},
-			Inputs: []string{"split"}, Seeds: []uint64{3}, MaxWindows: 400}
-		specs, err := m.allSpecs()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(specs) == 0 {
-			t.Fatalf("%s: no compatible adversary and scheduler at %s", alg.Name, shape)
-		}
-		for _, ts := range specs {
-			t.Run(fmt.Sprintf("%s_%s_%s_%s", ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Size), func(t *testing.T) {
-				t.Parallel()
-				inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				check(t, alg, ts, Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed})
-			})
-		}
+// battery runs check on every trial of the conformance grid of algs: each
+// algorithm at its conformance shape, on split inputs, seed 3 and a
+// 400-window budget.
+func battery(t *testing.T, algs []*Algorithm, check func(*testing.T, *Algorithm, trialSpec, Params)) {
+	for _, alg := range algs {
+		grid(t, Matrix{Algorithms: []string{alg.Name}, Sizes: []Size{conformanceShape(t, alg)},
+			Inputs: []string{"split"}, Seeds: []uint64{3}, MaxWindows: 400}, check)
 	}
 }
 
-// matchReference runs ts's reference and asserts each leg reproduces it.
-func matchReference(t *testing.T, ts trialSpec, p Params, legs ...leg) {
+// grid runs check, in parallel subtests, on every trial of m. A subtest is
+// named algorithm_adversary_scheduler_size, with _input added for inputs
+// other than split.
+func grid(t *testing.T, m Matrix, check func(*testing.T, *Algorithm, trialSpec, Params)) {
+	specs, err := m.allSpecs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(specs) == 0 {
+		t.Fatalf("no compatible trial in %v at %v", m.Algorithms, m.Sizes)
+	}
+	for _, ts := range specs {
+		alg, err := LookupAlgorithm(ts.Algorithm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("%s_%s_%s_%s", ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Size)
+		if ts.Input != "split" {
+			name += "_" + ts.Input
+		}
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, alg, ts, Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed})
+		})
+	}
+}
+
+// matchReference runs ts as ref and asserts each leg reproduces it: the
+// summary and final configuration always, the event feed where both are
+// traced.
+func matchReference(t *testing.T, ts trialSpec, p Params, ref leg, legs ...leg) {
 	t.Helper()
-	ref := runLeg(t, ts, p, leg{workers: 1})
-	if ref.err != nil {
-		t.Fatalf("reference run failed: %v", ref.err)
+	want := runLeg(t, ts, p, ref)
+	if want.err != nil {
+		t.Fatalf("reference run failed: %v", want.err)
 	}
 	for _, l := range legs {
 		got := runLeg(t, ts, p, l)
@@ -157,24 +222,29 @@ func matchReference(t *testing.T, ts trialSpec, p Params, legs ...leg) {
 		if got.err != nil {
 			t.Fatalf("%s: run failed: %v", label, got.err)
 		}
-		if got.res != ref.res {
-			t.Fatalf("%s: results diverged:\ngot       %+v\nreference %+v", label, got.res, ref.res)
+		if got.res != want.res {
+			t.Fatalf("%s: results diverged:\ngot       %+v\nreference %+v", label, got.res, want.res)
 		}
-		if i := firstDiff(got.snap, ref.snap); i >= 0 {
-			t.Fatalf("%s: configurations diverge at processor %d of %d", label, i, len(ref.snap))
+		if i := firstDiff(got.snap, want.snap); i >= 0 {
+			t.Fatalf("%s: configurations diverge at processor %d of %d", label, i, len(want.snap))
 		}
-		if i := firstDiff(got.events, ref.events); !l.columnar && i >= 0 {
+		if i := firstDiff(got.events, want.events); l.traced() && ref.traced() && i >= 0 {
 			t.Fatalf("%s: event feeds diverge at event %d (%d events, reference %d)",
-				label, i, len(got.events), len(ref.events))
+				label, i, len(got.events), len(want.events))
 		}
 	}
 }
 
+// traced reports whether leg l records its event feed.
+func (l leg) traced() bool { return !l.columnar && !l.untraced }
+
 // runLeg executes ts under p as leg l. A columnar leg must engage the
-// columnar path, or its comparison would be vacuous.
+// columnar path, or its comparison would be vacuous; a recycled engine's
+// warm-up trial runs on messages, so on a recycled columnar leg that check
+// also proves prepare switched the columnar path back on.
 func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 	t.Helper()
-	p.ShardWorkers, p.DisableColumnar = l.workers, !l.columnar
+	p.ShardWorkers = l.workers
 	var sys *sim.System
 	var plan sim.WindowAdversary
 	var err error
@@ -189,6 +259,7 @@ func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 		if err != nil {
 			t.Fatal(err)
 		}
+		e.sys.SetColumnar(false)
 		if _, err := e.Run(150); err != nil {
 			t.Fatalf("warm-up trial: %v", err)
 		}
@@ -206,12 +277,15 @@ func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 	}
 	var run trialRun
 	if !l.columnar {
+		sys.SetColumnar(false)
+	} else if !sys.ColumnarPlanned(plan) {
+		t.Fatal("columnar path not planned; the comparison would be vacuous")
+	}
+	if l.traced() {
 		sys.OnEvent = func(ev sim.Event) {
 			run.events = append(run.events, fmt.Sprintf("%d w%d p%d %d>%d#%d d%d %v v%d",
 				ev.Kind, ev.Window, ev.Proc, ev.Msg.From, ev.Msg.To, ev.Msg.ID, ev.Msg.Depth, ev.Msg.Payload, ev.Value))
 		}
-	} else if !sys.ColumnarPlanned(plan) {
-		t.Fatal("columnar path not planned; the comparison would be vacuous")
 	}
 	res, err := sys.RunWindows(plan, ts.maxWindows)
 	sys.OnEvent = nil
@@ -231,25 +305,4 @@ func firstDiff(a, b []string) int {
 		return min(len(a), len(b))
 	}
 	return -1
-}
-
-// TestColumnarKnobExcludedFromIdentity pins the performance-knob contract:
-// DisableColumnar changes neither the sweep grid signature nor the engine
-// pool key, so checkpoints and pooled engines are shared across settings.
-func TestColumnarKnobExcludedFromIdentity(t *testing.T) {
-	m := Matrix{Algorithms: []string{"core"}, Sizes: []Size{{N: 12, T: 1}},
-		Inputs: []string{"split"}, Seeds: []uint64{1}}
-	on := m.GridSignature()
-	m.DisableColumnar = true
-	off := m.GridSignature()
-	if on != off {
-		t.Fatalf("GridSignature depends on DisableColumnar:\non  %q\noff %q", on, off)
-	}
-
-	p := Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 1}
-	pOff := p
-	pOff.DisableColumnar = true
-	if extraKey(p) != extraKey(pOff) {
-		t.Fatalf("engine pool extraKey depends on DisableColumnar")
-	}
 }

@@ -244,9 +244,10 @@ func (e *TrialEngine) prepare(p Params) error {
 	}
 	// ShardWorkers is a performance knob outside the engine pool key (output
 	// is byte-identical at any setting), so a pooled engine may be re-acquired
-	// at a different worker count; apply it per acquisition. The common case
-	// (unchanged count) keeps the existing worker pool hot.
-	applyShardParams(e.sys, e.alg, p)
+	// at a different worker count; apply it per acquisition, and undo any
+	// SetColumnar(false) the last holder left. The common case (unchanged
+	// count) keeps the existing worker pool hot.
+	applyShardParams(e.sys, p)
 	advKept, schKept := rewind(e.adv, p.Seed), rewind(e.sch, p.Seed)
 	if advKept && schKept {
 		return nil

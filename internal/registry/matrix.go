@@ -58,12 +58,6 @@ type Matrix struct {
 	// deliberately excluded from GridSignature, and a sweep checkpointed at
 	// one worker count may resume at another.
 	ShardWorkers int
-	// DisableColumnar turns off the columnar vote-tally fast path for every
-	// trial (see Params.DisableColumnar). Like ShardWorkers it is a
-	// performance knob, not a grid axis: per-trial output is byte-identical
-	// either way, it is excluded from GridSignature, and a sweep
-	// checkpointed at one setting may resume at another.
-	DisableColumnar bool
 }
 
 // DefaultMatrix returns the default sweep grid: every registered algorithm
@@ -145,10 +139,9 @@ func (s *Sweep) Healthy() bool {
 type trialSpec struct {
 	cell int // index into the expanded cell list
 	Cell
-	seed            uint64
-	maxWindows      int
-	shardWorkers    int
-	disableColumnar bool
+	seed         uint64
+	maxWindows   int
+	shardWorkers int
 }
 
 // key renders the trial's stable identity. It delegates to
@@ -264,7 +257,7 @@ func (m Matrix) expand() (cells []Cell, resolved Matrix, sweep *Sweep, err error
 						}
 						continue
 					}
-					if !sch.WindowRunnable(alg, adv, p) {
+					if !sch.Compatible(alg, adv, p) {
 						sweep.Incompatible++
 						continue
 					}
@@ -287,7 +280,7 @@ func (m Matrix) specAt(cells []Cell, i int) trialSpec {
 	return trialSpec{
 		cell: i / s, Cell: cells[i/s],
 		seed: m.Seeds[i%s], maxWindows: m.MaxWindows,
-		shardWorkers: m.ShardWorkers, disableColumnar: m.DisableColumnar,
+		shardWorkers: m.ShardWorkers,
 	}
 }
 
@@ -472,8 +465,7 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 			}
 		}
 		out := RunContained(ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Input,
-			Params{N: ts.Size.N, T: ts.Size.T, Seed: ts.seed,
-				ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar},
+			Params{N: ts.Size.N, T: ts.Size.T, Seed: ts.seed, ShardWorkers: ts.shardWorkers},
 			ts.maxWindows, expired, nil)
 		rec := newTrialRecord(i, ts, out.Result)
 		rec.FaultKind, rec.Fault = out.Kind, out.Fault

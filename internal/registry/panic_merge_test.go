@@ -101,6 +101,7 @@ func TestMergePanicContract(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer e.Poison()
+		e.sys.SetColumnar(columnar)
 		if !columnar {
 			e.sys.OnEvent = func(ev sim.Event) {
 				o.events = append(o.events, fmt.Sprintf("%d w%d p%d %d>%d#%d v%d",
@@ -132,7 +133,7 @@ func TestMergePanicContract(t *testing.T) {
 		for _, workers := range []int{1, 2, 4} {
 			name := fmt.Sprintf("columnar=%v/workers=%d", columnar, workers)
 			p := p
-			p.ShardWorkers, p.DisableColumnar = workers, !columnar
+			p.ShardWorkers = workers
 			got := observe(p, columnar)
 			if workers == 1 {
 				ref = got

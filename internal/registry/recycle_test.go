@@ -31,7 +31,7 @@ func runTrialFresh(ts trialSpec) (sim.RunResult, error) {
 		return sim.RunResult{}, err
 	}
 	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers, DisableColumnar: ts.disableColumnar}
+		ShardWorkers: ts.shardWorkers}
 	sys, err := NewSystem(ts.Algorithm, p)
 	if err != nil {
 		return sim.RunResult{}, err

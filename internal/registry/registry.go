@@ -5,11 +5,10 @@
 // Every agreement protocol (the paper's Section 3 core algorithm and the
 // Ben-Or / Bracha / committee / Paxos baselines) is described once by an
 // Algorithm descriptor: parameter validation, a sim.Process factory, the
-// vote classifier the split-vote adversary needs, and the execution modes
-// and fault models it supports. Every full-information adversary is
-// described once by an Adversary descriptor: a constructor returning fresh
-// per-trial state and a compatibility predicate against algorithm
-// descriptors. Every delivery scheduler (internal/sched) is described once
+// vote classifier the split-vote adversary needs, and the fault models it
+// supports. Every full-information adversary is described once by an
+// Adversary descriptor: a constructor returning fresh per-trial state and a
+// compatibility predicate against algorithm descriptors. Every delivery scheduler (internal/sched) is described once
 // by a Scheduler descriptor (schedulers.go): a fresh-state constructor and
 // a compatibility predicate against the (algorithm, adversary) pairing it
 // would be spliced into. The asyncagree facade, internal/experiments,
@@ -27,47 +26,12 @@ package registry
 import (
 	"fmt"
 	"io"
-	"strings"
 	"sync"
 
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/core"
 	"asyncagree/internal/sim"
 )
-
-// Mode is a bitmask of execution modes an algorithm meaningfully supports.
-type Mode uint8
-
-const (
-	// ModeWindow is acceptable-window mode (System.RunWindows,
-	// Definition 1 of the paper).
-	ModeWindow Mode = 1 << iota
-	// ModeStep is raw fine-grained step mode (System.RunSteps, the
-	// Section 5 crash model).
-	ModeStep
-)
-
-// Has reports whether m includes q.
-func (m Mode) Has(q Mode) bool { return m&q != 0 }
-
-// String implements fmt.Stringer. A zero Mode renders as "none"; unknown
-// bits render as an explicit Mode(0x..) part instead of disappearing.
-func (m Mode) String() string {
-	if m == 0 {
-		return "none"
-	}
-	var parts []string
-	if m.Has(ModeWindow) {
-		parts = append(parts, "window")
-	}
-	if m.Has(ModeStep) {
-		parts = append(parts, "step")
-	}
-	if rest := m &^ (ModeWindow | ModeStep); rest != 0 {
-		parts = append(parts, fmt.Sprintf("Mode(%#x)", uint8(rest)))
-	}
-	return strings.Join(parts, "|")
-}
 
 // Params carries the per-trial construction parameters shared by every
 // algorithm and adversary in the registry. Algorithm-specific knobs
@@ -94,13 +58,6 @@ type Params struct {
 	// performance knob, not an execution parameter — it is deliberately
 	// excluded from sweep grid signatures and engine pool keys.
 	ShardWorkers int
-	// DisableColumnar turns off the columnar vote-tally fast path
-	// (sim/columnar.go) for algorithms that declare ColumnarVotes; the zero
-	// value leaves it on. Like ShardWorkers, observable behavior is
-	// byte-identical either way, so this is a performance knob, not an
-	// execution parameter — it is deliberately excluded from sweep grid
-	// signatures and engine pool keys.
-	DisableColumnar bool
 	// AdvKnobs supplies values for the adversary's declared tuning knobs
 	// (Adversary.Knobs), positionally. A nil slice leaves every knob at the
 	// exact historical construction the descriptor registers — the behavior
@@ -117,8 +74,6 @@ type Algorithm struct {
 	Name string
 	// Description is a one-line human summary for CLI listings.
 	Description string
-	// Modes lists the execution modes the algorithm meaningfully supports.
-	Modes Mode
 	// ResetTolerant reports whether the algorithm's guarantees survive the
 	// paper's resetting adversary (only the Section 3 core algorithm).
 	ResetTolerant bool
@@ -142,11 +97,6 @@ type Algorithm struct {
 	// internal Bracha instance); the sweep matrix pairs these algorithms
 	// only with loss-free adversaries.
 	NeedsFullDelivery bool
-	// ColumnarVotes declares that every processor implements
-	// sim.VoteBroadcaster and sim.TallyReceiver, so the columnar vote-tally
-	// fast path may engage (subject to Params.DisableColumnar and the
-	// sim-level gate).
-	ColumnarVotes bool
 	// Validate checks p without building anything.
 	Validate func(p Params) error
 	// Factory returns the per-processor sim.Process constructor. It may
@@ -398,17 +348,19 @@ func NewSystem(alg string, p Params) (*sim.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	applyShardParams(sys, a, p)
+	applyShardParams(sys, p)
 	return sys, nil
 }
 
-// applyShardParams configures the window core's worker count and the
-// columnar fast path on sys from the requested knobs and the descriptor's
-// ColumnarVotes. Safe to call on every pooled-engine acquisition: sim.System
-// keeps its worker pool when the count is unchanged.
-func applyShardParams(sys *sim.System, a *Algorithm, p Params) {
+// applyShardParams sets the window core's worker count on sys and turns the
+// columnar path back on, so a caller that switched an engine to messages
+// (sim.System.SetColumnar, a reference switch) cannot pass that on to the
+// next trial; whether the columnar path then runs is the process types'
+// call. Safe to call on every pooled-engine acquisition: sim.System keeps
+// its worker pool when the count is unchanged.
+func applyShardParams(sys *sim.System, p Params) {
 	sys.SetShardWorkers(p.ShardWorkers)
-	sys.SetColumnar(a.ColumnarVotes && !p.DisableColumnar)
+	sys.SetColumnar(true)
 }
 
 // NewAdversary constructs fresh per-trial adversary state for the named
@@ -437,7 +389,7 @@ func NewAdversary(adv, alg string, p Params) (sim.WindowAdversary, error) {
 func WriteInventory(w io.Writer) {
 	fmt.Fprintln(w, "algorithms:")
 	for _, a := range Algorithms() {
-		fmt.Fprintf(w, "  %-10s %s (modes: %s)\n", a.Name, a.Description, a.Modes)
+		fmt.Fprintf(w, "  %-10s %s\n", a.Name, a.Description)
 	}
 	fmt.Fprintln(w, "adversaries:")
 	for _, a := range Adversaries() {
@@ -449,7 +401,7 @@ func WriteInventory(w io.Writer) {
 	}
 	fmt.Fprintln(w, "schedulers:")
 	for _, s := range Schedulers() {
-		fmt.Fprintf(w, "  %-10s %s (modes: %s)\n", s.Name, s.Description, s.Modes)
+		fmt.Fprintf(w, "  %-10s %s\n", s.Name, s.Description)
 	}
 	fmt.Fprintln(w, "input patterns:")
 	for _, p := range InputPatterns() {

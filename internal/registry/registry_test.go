@@ -42,7 +42,7 @@ func TestInventoryComplete(t *testing.T) {
 		}
 	}
 	for _, a := range Algorithms() {
-		if a.Description == "" || !a.Modes.Has(ModeWindow) {
+		if a.Description == "" {
 			t.Fatalf("algorithm %q under-described", a.Name)
 		}
 	}
@@ -52,35 +52,9 @@ func TestInventoryComplete(t *testing.T) {
 		}
 	}
 	for _, s := range Schedulers() {
-		if s.Description == "" || !s.Modes.Has(ModeWindow) {
+		if s.Description == "" {
 			t.Fatalf("scheduler %q under-described", s.Name)
 		}
-	}
-}
-
-// TestModeString is the Mode/String table test: every combination renders a
-// useful name — in particular the zero Mode is "none", never empty — and
-// unknown bits surface explicitly instead of disappearing.
-func TestModeString(t *testing.T) {
-	cases := []struct {
-		m    Mode
-		want string
-	}{
-		{0, "none"},
-		{ModeWindow, "window"},
-		{ModeStep, "step"},
-		{ModeWindow | ModeStep, "window|step"},
-		{1 << 5, "Mode(0x20)"},
-		{ModeWindow | 1<<5, "window|Mode(0x20)"},
-		{ModeWindow | ModeStep | 1<<7, "window|step|Mode(0x80)"},
-	}
-	for _, c := range cases {
-		if got := c.m.String(); got != c.want {
-			t.Errorf("Mode(%d).String() = %q, want %q", c.m, got, c.want)
-		}
-	}
-	if !(ModeWindow | ModeStep).Has(ModeStep) || Mode(0).Has(ModeWindow) {
-		t.Fatal("Mode.Has broken")
 	}
 }
 
@@ -195,37 +169,6 @@ func TestSchedulerStateIsFresh(t *testing.T) {
 		if s1 == s2 {
 			t.Fatalf("%s: NewScheduler returned a shared instance", name)
 		}
-	}
-}
-
-// TestSchedulerWindowRunnable pins the Modes gate: the sweep matrix runs
-// window-mode trials, so a scheduler without ModeWindow support is never
-// expanded no matter what its own predicate says.
-func TestSchedulerWindowRunnable(t *testing.T) {
-	alg, err := LookupAlgorithm("core")
-	if err != nil {
-		t.Fatal(err)
-	}
-	adv, err := LookupAdversary("full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := Params{N: 12, T: 1}
-	stepOnly := &Scheduler{
-		Name:       "step-only",
-		Modes:      ModeStep,
-		Compatible: func(*Algorithm, *Adversary, Params) bool { return true },
-		New:        func(Params) (sched.Scheduler, error) { return sched.FullDelivery{}, nil },
-	}
-	if stepOnly.WindowRunnable(alg, adv, p) {
-		t.Fatal("step-only scheduler reported window-runnable")
-	}
-	windowed, err := LookupScheduler("full")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !windowed.WindowRunnable(alg, adv, p) {
-		t.Fatal("full scheduler not window-runnable against core/full")
 	}
 }
 

@@ -13,12 +13,6 @@ type Scheduler struct {
 	Name string
 	// Description is a one-line human summary for CLI listings.
 	Description string
-	// Modes lists the execution modes the scheduler meaningfully supports.
-	// Every built-in supports ModeWindow; only the adversary-driven
-	// scheduler is meaningful in ModeStep, where step adversaries control
-	// delivery directly. The sweep matrix runs window-mode trials and only
-	// expands ModeWindow schedulers (see WindowRunnable).
-	Modes Mode
 	// Compatible reports whether the sweep matrix should expand this
 	// scheduler spliced into the (alg, adv) pairing. Schedulers that
 	// override sender sets must reject adversaries whose strategy lives in
@@ -82,14 +76,6 @@ func NewScheduledAdversary(advName, schedName, algName string, p Params) (sim.Wi
 	return sched.Compose(adv, sch), nil
 }
 
-// WindowRunnable reports whether the sweep matrix can splice the scheduler
-// into window-mode trials of the (alg, adv) pairing: the matrix executes
-// window mode, so a scheduler without ModeWindow support is incompatible
-// with every pairing regardless of its own predicate.
-func (s *Scheduler) WindowRunnable(alg *Algorithm, adv *Adversary, p Params) bool {
-	return s.Modes.Has(ModeWindow) && s.Compatible(alg, adv, p)
-}
-
 // SchedulerCompatible reports whether the sweep matrix would splice the
 // named scheduler into the named (algorithm, adversary) pairing at p.
 func SchedulerCompatible(schedName, advName, algName string, p Params) (bool, error) {
@@ -105,7 +91,7 @@ func SchedulerCompatible(schedName, advName, algName string, p Params) (bool, er
 	if err != nil {
 		return false, err
 	}
-	return s.WindowRunnable(a, ad, p), nil
+	return s.Compatible(a, ad, p), nil
 }
 
 // overridesSenders is the baseline compatibility check shared by every
@@ -136,7 +122,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "adversary",
 		Description: "delivery chosen by the adversary's own window plan (the pre-scheduler default)",
-		Modes:       ModeWindow | ModeStep,
 		Compatible:  func(*Algorithm, *Adversary, Params) bool { return true },
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.AdversaryDriven{}, nil
@@ -152,7 +137,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "full",
 		Description: "deliver every message to every receiver",
-		Modes:       ModeWindow,
 		Compatible:  overridesSenders,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.FullDelivery{}, nil
@@ -162,7 +146,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "ascmin",
 		Description: "exactly the n-t lowest senders for every receiver (persistent top-t starvation)",
-		Modes:       ModeWindow,
 		Compatible:  silencingCompatible,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAscendingMinimal(), nil
@@ -172,7 +155,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "seeded",
 		Description: "independent random (n-t)-subset per receiver per window, deterministic per trial seed",
-		Modes:       ModeWindow,
 		Compatible:  lossyCompatible,
 		New: func(p Params) (sched.Scheduler, error) {
 			return sched.NewSeededRandom(p.Seed), nil
@@ -182,7 +164,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "laggard",
 		Description: "starve a rotating t-subset for an epoch of windows, then rotate (bounded unfairness)",
-		Modes:       ModeWindow,
 		Compatible:  lossyCompatible,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewLaggard(0, 0), nil
@@ -192,7 +173,6 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "alternate",
 		Description: "full delivery on even windows, ascending-minimal on odd ones",
-		Modes:       ModeWindow,
 		Compatible:  silencingCompatible,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAlternate(), nil

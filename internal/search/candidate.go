@@ -70,7 +70,7 @@ func pairings(alg *registry.Algorithm, size registry.Size, advNames, schedNames 
 			if err != nil {
 				return nil, err
 			}
-			if !sch.WindowRunnable(alg, adv, p) {
+			if !sch.Compatible(alg, adv, p) {
 				continue
 			}
 			out = append(out, pairing{adv: adv, sched: sch})

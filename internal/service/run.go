@@ -189,8 +189,7 @@ func (s *Server) execute(ctx context.Context, sc Scenario, seed uint64, onEvent 
 		return windows%registry.DeadlineCheckInterval == 0 && ctx.Err() != nil
 	}
 	out := registry.RunContained(sc.Algorithm, sc.Adversary, sc.Scheduler, sc.Input,
-		registry.Params{N: sc.N, T: sc.T, Seed: seed, AdvKnobs: sc.Knobs,
-			ShardWorkers: s.cfg.ShardWorkers, DisableColumnar: s.cfg.DisableColumnar},
+		registry.Params{N: sc.N, T: sc.T, Seed: seed, AdvKnobs: sc.Knobs, ShardWorkers: s.cfg.ShardWorkers},
 		sc.MaxWindows, expired, onEvent)
 
 	switch out.Kind {

@@ -69,10 +69,6 @@ type Config struct {
 	// ranges in every served trial (a pure performance knob — results are
 	// byte-identical at any setting); <= 1 walks them inline on the caller.
 	ShardWorkers int
-	// DisableColumnar opts every served trial out of the columnar
-	// vote-tally fast path (another pure performance knob — results are
-	// byte-identical either way). The zero value keeps it on.
-	DisableColumnar bool
 	// JournalPath persists named instances to an append-only journal at
 	// this path; empty keeps them in memory only.
 	JournalPath string

@@ -196,25 +196,23 @@ type ColumnarPlanner interface {
 	PlanDeliveryColumnar(s *System, cols *ColumnSet) Window
 }
 
-// SetColumnar enables or disables the columnar kernel. It is enabled by
-// default (the zero System runs columnar whenever the guards allow);
-// disabling forces every window onto the message-at-a-time path. Like
-// SetShardWorkers, the setting is a pure performance knob — output is
-// byte-identical either way — and survives Recycle.
+// SetColumnar is the reference switch for the columnar kernel, not a user
+// knob: which path runs is decided by the process types and the planner
+// (columnarPlanner), and the zero System runs columnar wherever they allow.
+// SetColumnar(false) forces every window onto the message-at-a-time path,
+// so tests and the scaling experiment can hold the columnar path to it;
+// output is byte-identical either way. The setting survives Recycle.
 func (s *System) SetColumnar(on bool) { s.colOff = !on }
 
 // columnarPlanner decides whether the next window may take the columnar
 // path, returning the capable planner when so. The capability of the
-// process set is cached: it is only consulted while no processor is
-// corrupted, and Recycle rebuilds corrupted processors through the
-// construction factory, so the process types — and hence the answer —
+// process set is cached, and checked before the planner, so a message-path
+// algorithm's window pays one compare for it: it is only consulted while no
+// processor is corrupted, and Recycle rebuilds corrupted processors through
+// the construction factory, so the process types — and hence the answer —
 // never change while the guard passes.
 func (s *System) columnarPlanner(adv WindowAdversary) (ColumnarPlanner, bool) {
 	if s.colOff || s.OnEvent != nil || s.totalCorrupt > 0 {
-		return nil, false
-	}
-	cp, ok := adv.(ColumnarPlanner)
-	if !ok || !cp.PlansColumnar() {
 		return nil, false
 	}
 	if s.colCap == 0 {
@@ -231,6 +229,10 @@ func (s *System) columnarPlanner(adv WindowAdversary) (ColumnarPlanner, bool) {
 		}
 	}
 	if s.colCap < 0 {
+		return nil, false
+	}
+	cp, ok := adv.(ColumnarPlanner)
+	if !ok || !cp.PlansColumnar() {
 		return nil, false
 	}
 	return cp, true
