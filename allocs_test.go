@@ -303,11 +303,12 @@ func TestShardedApplyWindowAllocFree(t *testing.T) {
 	}
 	const n = 48
 	cfg := Config{Algorithm: AlgorithmCore, N: n, T: n / 8,
-		Inputs: SplitInputs(n), Seed: 1, ShardWorkers: 4}
+		Inputs: SplitInputs(n), Seed: 1}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.SetShardWorkers(4)
 	adv := FullDelivery()
 	for i := 0; i < 32; i++ { // warm up pool, shard scratch, and order buffers
 		if err := s.ApplyWindowWith(adv); err != nil {

@@ -155,12 +155,6 @@ type Config struct {
 	CoreThresholds *Thresholds
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []ProcID
-	// ShardWorkers is how many goroutines walk each window's processor
-	// ranges: delivery (and sending, where the algorithm declares it safe)
-	// runs across this many. <= 1 walks them inline on the caller. Execution
-	// output is byte-identical at every setting; this only changes
-	// wall-clock at large N.
-	ShardWorkers int
 }
 
 // params converts the facade config to registry construction parameters.
@@ -168,7 +162,6 @@ func (cfg Config) params() registry.Params {
 	return registry.Params{
 		N: cfg.N, T: cfg.T, Inputs: cfg.Inputs, Seed: cfg.Seed,
 		CoreThresholds: cfg.CoreThresholds, Proposers: cfg.Proposers,
-		ShardWorkers: cfg.ShardWorkers,
 	}
 }
 

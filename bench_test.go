@@ -102,10 +102,11 @@ func benchWindows(b *testing.B, s *System, adv WindowAdversary, warm int) {
 // mysterious slowdown). Each window carries n² messages (n broadcasters × n
 // receivers); msgs/op keeps O(n²)-inherent growth distinguishable from
 // kernel overhead.
-func benchWindowThroughput(cfg Config, columnar bool) func(b *testing.B) {
+func benchWindowThroughput(cfg Config, columnar bool, workers int) func(b *testing.B) {
 	return func(b *testing.B) {
 		s, adv := mustNew(b, cfg), FullDelivery()
 		s.SetColumnar(columnar)
+		s.SetShardWorkers(workers)
 		if columnar && !s.ColumnarPlanned(adv) {
 			b.Fatal("columnar gate did not engage; the case would silently measure the message path")
 		}
@@ -119,7 +120,7 @@ func benchWindowThroughput(cfg Config, columnar bool) func(b *testing.B) {
 // vote-tally kernel; it fails if the columnar gate does not engage.
 func BenchmarkWindowThroughput(b *testing.B) {
 	for _, n := range []int{12, 24, 48, 256, 1024} {
-		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), true))
+		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), true, 1))
 	}
 }
 
@@ -128,7 +129,7 @@ func BenchmarkWindowThroughput(b *testing.B) {
 // now that the default path is columnar.
 func BenchmarkWindowThroughputMessage(b *testing.B) {
 	for _, n := range []int{256, 1024} {
-		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), false))
+		b.Run(sizeLabel(n), benchWindowThroughput(coreConfig(n), false, 1))
 	}
 }
 
@@ -139,9 +140,7 @@ func BenchmarkWindowThroughputMessage(b *testing.B) {
 func BenchmarkWindowThroughputSharded(b *testing.B) {
 	for _, n := range []int{256, 1024} {
 		for _, w := range []int{2, 4} {
-			cfg := coreConfig(n)
-			cfg.ShardWorkers = w
-			b.Run(sizeLabel(n)+"/w="+strconv.Itoa(w), benchWindowThroughput(cfg, true))
+			b.Run(sizeLabel(n)+"/w="+strconv.Itoa(w), benchWindowThroughput(coreConfig(n), true, w))
 		}
 	}
 }

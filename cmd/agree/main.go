@@ -45,7 +45,6 @@ func run(args []string) error {
 		schedName  = fs.String("sched", "adversary", "delivery scheduler: "+strings.Join(asyncagree.Schedulers(), " | "))
 		seed       = fs.Uint64("seed", 1, "random seed (same seed + same flags = same execution)")
 		maxWindows = fs.Int("max-windows", 100000, "window budget")
-		shardW     = fs.Int("shard-workers", 1, "intra-trial parallelism: goroutines walking each window's processor ranges (1 = inline on the caller; output is identical at any setting)")
 		trace      = fs.Bool("trace", false, "print every simulator event")
 		list       = fs.Bool("list", false, "print the registered algorithms, adversaries, schedulers, and input patterns")
 	)
@@ -62,18 +61,14 @@ func run(args []string) error {
 		return err
 	}
 
-	if *shardW < 1 {
-		return fmt.Errorf("shard-workers must be >= 1, got %d", *shardW)
-	}
 	if *maxWindows < 0 {
 		return fmt.Errorf("max-windows must be >= 0, got %d", *maxWindows)
 	}
 	cfg := asyncagree.Config{
 		Algorithm: asyncagree.Algorithm(*alg),
 		N:         *n, T: *t,
-		Inputs:       in,
-		Seed:         *seed,
-		ShardWorkers: *shardW,
+		Inputs: in,
+		Seed:   *seed,
 	}
 	sys, err := asyncagree.New(cfg)
 	if err != nil {

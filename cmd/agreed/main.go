@@ -69,7 +69,6 @@ func run(args []string, stdout io.Writer) int {
 		deadline     = fs.Duration("deadline", 30*time.Second, "per-request execution deadline")
 		drainTimeout = fs.Duration("drain-timeout", 15*time.Second, "graceful-drain budget after SIGTERM/SIGINT")
 		quarAfter    = fs.Int("quarantine-after", 3, "quarantine a scenario after this many consecutive faults (<0 disables)")
-		shardWorkers = fs.Int("shard-workers", 0, "intra-trial parallelism: goroutines walking each window's processor ranges (0 or 1 = inline on the caller; results are identical at any setting)")
 		injectPanics = fs.String("inject-panics", "", "chaos: explicit request indices whose trials panic (e.g. 0,5,9-12)")
 		maxWindows   = fs.Int("max-windows", 20000, "default per-trial window budget")
 	)
@@ -88,7 +87,6 @@ func run(args []string, stdout io.Writer) int {
 		{"queue", *queue, *queue < 0},
 		{"deadline", *deadline, *deadline < 0},
 		{"drain-timeout", *drainTimeout, *drainTimeout < 0},
-		{"shard-workers", *shardWorkers, *shardWorkers < 0},
 		{"max-windows", *maxWindows, *maxWindows < 0},
 	} {
 		if f.neg {
@@ -119,7 +117,6 @@ func run(args []string, stdout io.Writer) int {
 		RequestTimeout:    *deadline,
 		DefaultMaxWindows: *maxWindows,
 		QuarantineAfter:   *quarAfter,
-		ShardWorkers:      *shardWorkers,
 		JournalPath:       *journalPath,
 		InjectPanics:      inject,
 	})

@@ -26,7 +26,6 @@ func TestBadFlags(t *testing.T) {
 		t.Fatalf("unknown flag: exit %d, want 2", code)
 	}
 	for _, args := range [][]string{
-		{"-shard-workers", "-1"},
 		{"-max-windows", "-5"},
 		{"-workers", "-2"},
 		{"-queue", "-3"},

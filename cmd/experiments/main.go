@@ -8,14 +8,12 @@
 //	experiments                 # run all experiments at quick scale
 //	experiments -scale full     # the EXPERIMENTS.md configuration (slow)
 //	experiments -id E2          # run one experiment
-//	experiments -parallel 4     # run up to 4 experiments concurrently
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"asyncagree/internal/experiments"
@@ -33,7 +31,6 @@ func run(args []string) error {
 	var (
 		id        = fs.String("id", "", "run only this experiment (e.g. E2); empty = all")
 		scaleName = fs.String("scale", "quick", "quick | full")
-		parallel  = fs.Int("parallel", 1, "experiments to run concurrently")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -56,47 +53,22 @@ func run(args []string) error {
 		exps = experiments.All()
 	}
 
-	type outcome struct {
-		exp     experiments.Experiment
-		res     experiments.Result
-		err     error
-		elapsed time.Duration
-	}
-	outcomes := make([]outcome, len(exps))
-
-	workers := *parallel
-	if workers < 1 {
-		workers = 1
-	}
-	sem := make(chan struct{}, workers)
-	var wg sync.WaitGroup
-	for i, e := range exps {
-		wg.Add(1)
-		go func(i int, e experiments.Experiment) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			start := time.Now()
-			res, err := e.Run(scale)
-			outcomes[i] = outcome{exp: e, res: res, err: err, elapsed: time.Since(start)}
-		}(i, e)
-	}
-	wg.Wait()
-
 	failed := 0
-	for _, o := range outcomes {
-		fmt.Printf("== %s: %s (%.1fs)\n\n", o.exp.ID, o.exp.Title, o.elapsed.Seconds())
-		if o.err != nil {
-			fmt.Printf("ERROR: %v\n\n", o.err)
+	for _, e := range exps {
+		start := time.Now()
+		res, err := e.Run(scale)
+		fmt.Printf("== %s: %s (%.1fs)\n\n", e.ID, e.Title, time.Since(start).Seconds())
+		if err != nil {
+			fmt.Printf("ERROR: %v\n\n", err)
 			failed++
 			continue
 		}
-		fmt.Println(o.res.Table.String())
-		for _, n := range o.res.Notes {
+		fmt.Println(res.Table.String())
+		for _, n := range res.Notes {
 			fmt.Println("  " + n)
 		}
 		fmt.Println()
-		if !o.res.Pass {
+		if !res.Pass {
 			failed++
 		}
 	}

@@ -44,6 +44,9 @@ func run(args []string) error {
 	if *maxW < 0 {
 		return fmt.Errorf("max-windows must be >= 0, got %d", *maxW)
 	}
+	if *trials < 1 {
+		return fmt.Errorf("trials must be >= 1, got %d", *trials)
+	}
 
 	switch *mode {
 	case "stall":

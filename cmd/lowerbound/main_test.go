@@ -39,13 +39,23 @@ func TestRunUnknownMode(t *testing.T) {
 	}
 }
 
-// TestRunRejectsNegativeBudget: a negative window budget is refused, as in
+// TestRunRejectsBadBudgets: a negative window budget is refused, as in
 // cmd/sweep and cmd/search, instead of printing a table of -1 windows; 0
-// stays legal.
-func TestRunRejectsNegativeBudget(t *testing.T) {
-	err := run([]string{"-mode", "stall", "-ns", "8", "-trials", "1", "-max-windows", "-1"})
-	if err == nil || err.Error() != "max-windows must be >= 0, got -1" {
-		t.Fatalf("err = %v, want the negative budget refused", err)
+// stays legal. Fewer than one trial is refused in every mode, instead of a
+// table of zeros or a separation verdict drawn from empty decision sets.
+func TestRunRejectsBadBudgets(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-mode", "stall", "-ns", "8", "-trials", "1", "-max-windows", "-1"}, "max-windows must be >= 0, got -1"},
+		{[]string{"-mode", "stall", "-ns", "8", "-trials", "0"}, "trials must be >= 1, got 0"},
+		{[]string{"-mode", "survival", "-n", "8", "-t", "1", "-trials", "-2"}, "trials must be >= 1, got -2"},
+		{[]string{"-mode", "separation", "-n", "12", "-t", "1", "-trials", "0"}, "trials must be >= 1, got 0"},
+	} {
+		if err := run(c.args); err == nil || err.Error() != c.want {
+			t.Fatalf("%v: err = %v, want %q", c.args, err, c.want)
+		}
 	}
 	if err := run([]string{"-mode", "stall", "-ns", "8", "-trials", "1", "-max-windows", "0"}); err != nil {
 		t.Fatalf("a zero budget: %v", err)

@@ -8,13 +8,13 @@
 // decision (censored at -max-windows).
 //
 // The search is deterministic end to end: the same flags and -seed produce
-// byte-identical output, serial (-serial) or parallel, at any
-// -shard-workers setting. With -out the per-evaluation records stream as
-// JSONL and a checkpoint file (default <out>.ckpt, -checkpoint overrides,
-// "off" disables) records every completed evaluation; an interrupted
-// search — Ctrl-C flushes cleanly and prints this hint — rerun with
-// -resume replays the checkpointed prefix without re-running a trial and
-// finishes with output byte-identical to an uninterrupted run.
+// byte-identical output, serial (-serial) or parallel. With -out the
+// per-evaluation records stream as JSONL and a checkpoint file (default
+// <out>.ckpt, -checkpoint overrides, "off" disables) records every
+// completed evaluation; an interrupted search — Ctrl-C flushes cleanly and
+// prints this hint — rerun with -resume replays the checkpointed prefix
+// without re-running a trial and finishes with output byte-identical to an
+// uninterrupted run.
 //
 // Faulted evaluations (panics, injected stalls) become records instead of
 // crashes and never enter the frontier; sink writes retry with
@@ -70,7 +70,7 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		gens       = fs.Int("gens", 0, "evolutionary generations (0 = default 3, negative = none)")
 		pop        = fs.Int("pop", 0, "candidates per generation (0 = default 8)")
 		// -out -checkpoint -resume -progress -interrupt-after -retry
-		// -retry-backoff -inject-* -serial -shard-workers -v -list
+		// -retry-backoff -inject-* -serial -v -list
 		shared = resumable.Register(fs, "search", "evaluation",
 			"stream per-evaluation JSONL records here")
 	)
@@ -110,7 +110,6 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		Refinements:        *refine,
 		Generations:        *gens,
 		Population:         *pop,
-		ShardWorkers:       shared.ShardWorkers,
 	}
 	var err error
 	if o.Sizes, err = resumable.ParseSizes(*sizes); err != nil {

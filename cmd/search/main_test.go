@@ -71,7 +71,6 @@ func TestSearchRejectsBadFlags(t *testing.T) {
 		{"-sizes", "a:b"},
 		{"-trials", "-1"},
 		{"-budget", "-1"},
-		{"-shard-workers", "0"},
 		{"-resume"}, // no -out/-checkpoint to resume from
 	}
 	for _, args := range cases {

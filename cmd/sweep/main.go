@@ -75,7 +75,7 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		deadline   = fs.Duration("deadline", 0, "per-trial wall-clock budget; exceeding it records the trial as non-terminating (0 = off)")
 		quarAfter  = fs.Int("quarantine-after", 0, "quarantine a cell after N consecutive faulted trials (0 = default 3, negative = never)")
 		// -out -checkpoint -resume -progress -interrupt-after -retry
-		// -retry-backoff -inject-* -serial -shard-workers -v -list
+		// -retry-backoff -inject-* -serial -v -list
 		shared = resumable.Register(fs, "sweep", "trial",
 			"stream per-trial records here (.csv = CSV, anything else = JSONL)")
 	)
@@ -88,12 +88,11 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 	}
 
 	m := registry.Matrix{
-		Algorithms:   resumable.SplitList(*algs),
-		Adversaries:  resumable.SplitList(*advs),
-		Schedulers:   resumable.SplitList(*scheds),
-		Inputs:       resumable.SplitList(*inputs),
-		MaxWindows:   *maxWindows,
-		ShardWorkers: shared.ShardWorkers,
+		Algorithms:  resumable.SplitList(*algs),
+		Adversaries: resumable.SplitList(*advs),
+		Schedulers:  resumable.SplitList(*scheds),
+		Inputs:      resumable.SplitList(*inputs),
+		MaxWindows:  *maxWindows,
 	}
 	var err error
 	if m.Sizes, err = resumable.ParseSizes(*sizes); err != nil {

@@ -12,8 +12,8 @@ import (
 // e15ShardWorkers is the worker count the sharded leg of every E15 trial
 // runs at. It is a constant, not runtime.GOMAXPROCS, so the experiment
 // exercises the window core's worker pool on every machine (including single-CPU
-// CI) and its table is machine-independent; ShardWorkers is a pure
-// performance knob, so records cannot move with it either way.
+// CI) and its table is machine-independent; output is byte-identical at
+// every worker count, so records cannot move with it either way.
 const e15ShardWorkers = 4
 
 // runE15 traces the simulator's scaling curves as n grows into the

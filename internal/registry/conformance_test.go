@@ -85,11 +85,25 @@ func TestRecycledTrialMatchesFresh(t *testing.T) {
 // TestShardedTrialMatchesSerial: fresh and recycled engines at two and four
 // workers reproduce the reference's every event, summary and final
 // configuration. Under -race this doubles as the data-race proof of
-// sim.Process's concurrency contract.
+// sim.Process's concurrency contract. A larger grid follows for the
+// message-path algorithms Paxos and Bracha, held to the untraced message
+// path at one worker by fresh and recycled engines at four: 48:6 under the
+// row-planning adversaries and schedulers on split and unanimous inputs.
+// Core and Ben-Or have their four-worker legs at 48:6 and above in
+// TestColumnarTrialMatchesMessage.
 func TestShardedTrialMatchesSerial(t *testing.T) {
 	battery(t, Algorithms(), func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
 		matchReference(t, ts, p, reference, leg{workers: 2}, leg{recycled: true, workers: 2},
 			leg{workers: 4}, leg{recycled: true, workers: 4})
+	})
+
+	m := Matrix{Algorithms: []string{"paxos", "bracha"},
+		Adversaries: []string{"full", "splitvote", "subsets", "random"},
+		Schedulers:  []string{"adversary", "seeded"}, Sizes: []Size{{N: 48, T: 6}},
+		Inputs: []string{"split", "ones"}, Seeds: []uint64{1}, MaxWindows: 2000}
+	grid(t, m, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+		matchReference(t, ts, p, leg{untraced: true, workers: 1},
+			leg{untraced: true, workers: 4}, leg{untraced: true, recycled: true, workers: 4})
 	})
 }
 

@@ -242,7 +242,7 @@ func (e *TrialEngine) prepare(p Params) error {
 	if err := e.sys.Recycle(p.Seed, p.Inputs); err != nil {
 		return err
 	}
-	// ShardWorkers is a performance knob outside the engine pool key (output
+	// ShardWorkers is a reference switch outside the engine pool key (output
 	// is byte-identical at any setting), so a pooled engine may be re-acquired
 	// at a different worker count; apply it per acquisition, and undo any
 	// SetColumnar(false) the last holder left. The common case (unchanged

@@ -51,13 +51,6 @@ type Matrix struct {
 	Seeds []uint64
 	// MaxWindows is the per-trial window budget; 0 = DefaultMatrix().MaxWindows.
 	MaxWindows int
-	// ShardWorkers is how many goroutines walk each window's processor
-	// ranges in every trial (see Params.ShardWorkers); <= 1 walks them
-	// inline on the caller. Per-trial output is byte-identical at any
-	// setting, so it is a performance knob, not a grid axis: it is
-	// deliberately excluded from GridSignature, and a sweep checkpointed at
-	// one worker count may resume at another.
-	ShardWorkers int
 }
 
 // DefaultMatrix returns the default sweep grid: every registered algorithm
@@ -139,9 +132,8 @@ func (s *Sweep) Healthy() bool {
 type trialSpec struct {
 	cell int // index into the expanded cell list
 	Cell
-	seed         uint64
-	maxWindows   int
-	shardWorkers int
+	seed       uint64
+	maxWindows int
 }
 
 // key renders the trial's stable identity. It delegates to
@@ -280,7 +272,6 @@ func (m Matrix) specAt(cells []Cell, i int) trialSpec {
 	return trialSpec{
 		cell: i / s, Cell: cells[i/s],
 		seed: m.Seeds[i%s], maxWindows: m.MaxWindows,
-		shardWorkers: m.ShardWorkers,
 	}
 }
 
@@ -465,7 +456,7 @@ func (m Matrix) RunWith(opts RunOptions) (*Sweep, error) {
 			}
 		}
 		out := RunContained(ts.Algorithm, ts.Adversary, ts.Scheduler, ts.Input,
-			Params{N: ts.Size.N, T: ts.Size.T, Seed: ts.seed, ShardWorkers: ts.shardWorkers},
+			Params{N: ts.Size.N, T: ts.Size.T, Seed: ts.seed},
 			ts.maxWindows, expired, nil)
 		rec := newTrialRecord(i, ts, out.Result)
 		rec.FaultKind, rec.Fault = out.Kind, out.Fault

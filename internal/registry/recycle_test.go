@@ -30,8 +30,7 @@ func runTrialFresh(ts trialSpec) (sim.RunResult, error) {
 	if err != nil {
 		return sim.RunResult{}, err
 	}
-	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed,
-		ShardWorkers: ts.shardWorkers}
+	p := Params{N: ts.Size.N, T: ts.Size.T, Inputs: inputs, Seed: ts.seed}
 	sys, err := NewSystem(ts.Algorithm, p)
 	if err != nil {
 		return sim.RunResult{}, err

@@ -52,11 +52,11 @@ type Params struct {
 	// Proposers optionally selects the Paxos proposers (default {0}).
 	Proposers []sim.ProcID
 	// ShardWorkers is how many goroutines walk each window's processor
-	// ranges (sim.SetShardWorkers): <= 1 walks them inline on the caller;
-	// k >= 2 runs window sending and delivery across k goroutines.
-	// Observable behavior is byte-identical at every setting, so this is a
-	// performance knob, not an execution parameter — it is deliberately
-	// excluded from sweep grid signatures and engine pool keys.
+	// ranges (sim.SetShardWorkers); <= 1 walks them inline on the caller.
+	// It is the reference and measurement switch that tests, the scaling
+	// experiment and the benchmark use, not a user option: no command sets
+	// it. Output is byte-identical at every setting, so it is excluded from
+	// engine pool keys.
 	ShardWorkers int
 	// AdvKnobs supplies values for the adversary's declared tuning knobs
 	// (Adversary.Knobs), positionally. A nil slice leaves every knob at the

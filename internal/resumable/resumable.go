@@ -108,12 +108,10 @@ type Flags struct {
 
 	// Out is -out: the record export path ("" = none).
 	Out string
-	// Serial is -serial, ShardWorkers is -shard-workers, Verbose is -v,
-	// List is -list.
-	Serial       bool
-	ShardWorkers int
-	Verbose      bool
-	List         bool
+	// Serial is -serial, Verbose is -v, List is -list.
+	Serial  bool
+	Verbose bool
+	List    bool
 
 	checkpoint                 string
 	resume, progress           bool
@@ -143,7 +141,6 @@ func Register(fs *flag.FlagSet, cmd, unit, outHelp string) *Flags {
 	fs.StringVar(&f.injectOut, "inject-out-failures", "", "fault injection: -out write-failure schedule (\"N\", \"NxK\", \"N+\", comma-composed)")
 	fs.StringVar(&f.injectCkpt, "inject-ckpt-failures", "", "fault injection: checkpoint write-failure schedule (same syntax)")
 	fs.BoolVar(&f.Serial, "serial", false, "run "+unit+"s on a serial loop instead of the worker pool")
-	fs.IntVar(&f.ShardWorkers, "shard-workers", 1, "intra-trial parallelism: goroutines walking each window's processor ranges (1 = inline on the caller; records are identical at any setting)")
 	fs.BoolVar(&f.Verbose, "v", false, "also print skipped sizes")
 	fs.BoolVar(&f.List, "list", false, "print the registered algorithms, adversaries (with knobs), schedulers, and input patterns")
 	return f
@@ -178,8 +175,6 @@ type Session[R any] struct {
 func Open[R any](f *Flags, sig string, index func(R) int,
 	outSink func(w io.Writer, appending bool) registry.Sink[R], interrupted func() bool) (*Session[R], error) {
 	switch {
-	case f.ShardWorkers < 1:
-		return nil, fmt.Errorf("shard-workers must be >= 1, got %d", f.ShardWorkers)
 	case f.interruptAfter < 0:
 		return nil, fmt.Errorf("interrupt-after must be >= 0, got %d", f.interruptAfter)
 	case f.retry < 1:

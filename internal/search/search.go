@@ -84,9 +84,6 @@ type Options struct {
 	// batches of Population candidates each (defaults 3 and 8).
 	Generations int
 	Population  int
-	// ShardWorkers sets per-trial intra-trial parallelism (see
-	// registry.Params.ShardWorkers); byte-identical output at any setting.
-	ShardWorkers int
 }
 
 // resolve fills defaults, returning the fully explicit options every
@@ -457,7 +454,7 @@ func (d *driver) evaluate(rec EvalRecord) EvalRecord {
 		}
 		out := registry.RunContained(d.o.Algorithm, rec.Adversary, rec.Scheduler, d.o.Input,
 			registry.Params{N: rec.N, T: rec.T, Seed: uint64(trial),
-				AdvKnobs: knobsOrNil(rec.Knobs), ShardWorkers: d.o.ShardWorkers},
+				AdvKnobs: knobsOrNil(rec.Knobs)},
 			d.o.MaxWindows, expired, nil)
 		if out.Kind != "" {
 			rec.FaultKind, rec.Fault = out.Kind, out.Fault

@@ -48,8 +48,8 @@ func (sc *Scenario) normalize(cfg Config) {
 	if sc.MaxWindows <= 0 {
 		sc.MaxWindows = cfg.DefaultMaxWindows
 	}
-	if sc.MaxWindows > cfg.MaxWindowsCap {
-		sc.MaxWindows = cfg.MaxWindowsCap
+	if sc.MaxWindows > maxWindowsCap {
+		sc.MaxWindows = maxWindowsCap
 	}
 }
 
@@ -58,6 +58,9 @@ func (sc *Scenario) normalize(cfg Config) {
 // allow bitset alone is n²/8 bytes, allocated before the first deadline poll
 // can fire, so the bound has to be on the way in.
 const maxN = 4096
+
+// maxWindowsCap caps any request-supplied window budget.
+const maxWindowsCap = 1 << 20
 
 // validate rejects a scenario the registries cannot serve; the error text is
 // the 400 body.
@@ -189,7 +192,7 @@ func (s *Server) execute(ctx context.Context, sc Scenario, seed uint64, onEvent 
 		return windows%registry.DeadlineCheckInterval == 0 && ctx.Err() != nil
 	}
 	out := registry.RunContained(sc.Algorithm, sc.Adversary, sc.Scheduler, sc.Input,
-		registry.Params{N: sc.N, T: sc.T, Seed: seed, AdvKnobs: sc.Knobs, ShardWorkers: s.cfg.ShardWorkers},
+		registry.Params{N: sc.N, T: sc.T, Seed: seed, AdvKnobs: sc.Knobs},
 		sc.MaxWindows, expired, onEvent)
 
 	switch out.Kind {

@@ -60,15 +60,9 @@ type Config struct {
 	// DefaultMaxWindows is the per-trial window budget when the scenario
 	// does not set one (default 20000, matching the sweep grid).
 	DefaultMaxWindows int
-	// MaxWindowsCap caps any request-supplied window budget (default 1e6).
-	MaxWindowsCap int
 	// QuarantineAfter quarantines a scenario after this many consecutive
 	// faulted requests (default 3; negative disables quarantine).
 	QuarantineAfter int
-	// ShardWorkers is how many goroutines walk each window's processor
-	// ranges in every served trial (a pure performance knob — results are
-	// byte-identical at any setting); <= 1 walks them inline on the caller.
-	ShardWorkers int
 	// JournalPath persists named instances to an append-only journal at
 	// this path; empty keeps them in memory only.
 	JournalPath string
@@ -91,9 +85,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultMaxWindows <= 0 {
 		c.DefaultMaxWindows = 20000
-	}
-	if c.MaxWindowsCap <= 0 {
-		c.MaxWindowsCap = 1 << 20
 	}
 	if c.QuarantineAfter == 0 {
 		c.QuarantineAfter = registry.DefaultQuarantineAfter

@@ -527,3 +527,21 @@ func TestScenarioKeyShape(t *testing.T) {
 		t.Fatalf("key = %q, want %q", got, want)
 	}
 }
+
+// TestScenarioNormalize: normalize fills an unset window budget with the
+// server default and clamps one above maxWindowsCap to the cap.
+func TestScenarioNormalize(t *testing.T) {
+	cfg := Config{}.withDefaults()
+	for _, c := range []struct{ in, want int }{
+		{0, cfg.DefaultMaxWindows},
+		{500, 500},
+		{maxWindowsCap, maxWindowsCap},
+		{maxWindowsCap + 1, maxWindowsCap},
+	} {
+		sc := Scenario{Algorithm: "core", N: 12, MaxWindows: c.in}
+		sc.normalize(cfg)
+		if sc.MaxWindows != c.want {
+			t.Fatalf("max_windows %d normalizes to %d, want %d", c.in, sc.MaxWindows, c.want)
+		}
+	}
+}

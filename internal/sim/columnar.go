@@ -256,11 +256,7 @@ func (s *System) applyWindowColumnar(cp ColumnarPlanner) error {
 	if err := s.columnarDeliver(w); err != nil {
 		return err
 	}
-	if err := s.WindowResets(w.Resets); err != nil {
-		return err
-	}
-	s.windows++
-	return s.violation
+	return s.closeWindow(w.Resets)
 }
 
 // columnarSend runs the window's sending steps through SendColumnar and

@@ -53,13 +53,16 @@ type windowShard struct {
 	panicVal any
 }
 
-// SetShardWorkers sets how many goroutines walk the window's ranges. k <= 1
-// walks them inline on the caller; k >= 2 runs window validation, the sending
-// steps and per-receiver delivery or tallying across k goroutines (k-1 pool
-// workers plus the caller), which is why Process's Send and Deliver may touch
-// only their own processor's state. Observable behavior is byte-identical at
-// every setting; only wall-clock changes. The setting survives Recycle, so a
-// pooled trial engine configures it once per acquisition.
+// SetShardWorkers sets how many goroutines walk the window's ranges. It is
+// the reference and measurement switch that tests, the scaling experiment
+// and the benchmark use, not a user knob: no command sets it. k <= 1 walks
+// the ranges inline on the caller; k >= 2 runs window validation, the
+// sending steps and per-receiver delivery or tallying across k goroutines
+// (k-1 pool workers plus the caller), which is why Process's Send and Deliver
+// may touch only their own processor's state. Observable behavior is
+// byte-identical at every setting; only wall-clock changes. The setting
+// survives Recycle, so a pooled trial engine configures it once per
+// acquisition.
 func (s *System) SetShardWorkers(k int) {
 	if k < 1 {
 		k = 1

@@ -566,15 +566,19 @@ func (p *rogueProc) Deliver(m Message, r RandSource) {
 }
 
 func TestWriteOnceViolationDetected(t *testing.T) {
-	s, err := New(Config{
-		N: 2, T: 0, Seed: 1, Inputs: make([]Bit, 2),
-		NewProcess: func(id ProcID, input Bit) Process {
-			return &flipFlopProc{echoProc: echoProc{id: id, n: 2, input: input, dirty: true}}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
+	newFlipFlop := func() *System {
+		s, err := New(Config{
+			N: 2, T: 0, Seed: 1, Inputs: make([]Bit, 2),
+			NewProcess: func(id ProcID, input Bit) Process {
+				return &flipFlopProc{echoProc: echoProc{id: id, n: 2, input: input, dirty: true}}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
 	}
+	s := newFlipFlop()
 	for w := 0; w < 3 && s.Violation() == nil; w++ {
 		batch := s.WindowSend()
 		if err := s.WindowDeliver(batch, make([][]ProcID, 2)); err != nil {
@@ -583,6 +587,19 @@ func TestWriteOnceViolationDetected(t *testing.T) {
 	}
 	if !errors.Is(s.Violation(), ErrOutputRewritten) {
 		t.Fatalf("violation = %v, want ErrOutputRewritten", s.Violation())
+	}
+
+	// ApplyWindow, like ApplyWindowWith, returns the violation from the
+	// window that detects it on.
+	s = newFlipFlop()
+	for w := 0; w < 3; w++ {
+		err := s.ApplyWindow(Window{})
+		if err != s.Violation() {
+			t.Fatalf("window %d: ApplyWindow = %v, violation = %v", w, err, s.Violation())
+		}
+	}
+	if !errors.Is(s.Violation(), ErrOutputRewritten) {
+		t.Fatalf("ApplyWindow: violation = %v, want ErrOutputRewritten", s.Violation())
 	}
 }
 

@@ -229,12 +229,19 @@ func (s *System) ApplyWindow(w Window) error {
 	if err := s.deliverWindow(batch, w); err != nil {
 		return err
 	}
-	if err := s.WindowResets(w.Resets); err != nil {
+	return s.closeWindow(w.Resets)
+}
+
+// closeWindow is the tail every window path shares: the resetting steps,
+// the window count and its trace event, then the first safety violation
+// detected so far, so no path can step past one.
+func (s *System) closeWindow(resets []ProcID) error {
+	if err := s.WindowResets(resets); err != nil {
 		return err
 	}
 	s.windows++
 	s.emit(Event{Kind: EvWindow})
-	return nil
+	return s.violation
 }
 
 // RunResult summarizes an execution.
@@ -270,12 +277,7 @@ func (s *System) ApplyWindowWith(adv WindowAdversary) error {
 	if err := s.deliverWindow(batch, w); err != nil {
 		return err
 	}
-	if err := s.WindowResets(w.Resets); err != nil {
-		return err
-	}
-	s.windows++
-	s.emit(Event{Kind: EvWindow})
-	return s.violation
+	return s.closeWindow(w.Resets)
 }
 
 // RunWindows executes acceptable windows planned by adv until every live,
