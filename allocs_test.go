@@ -21,8 +21,10 @@ import (
 // window; PR 1 cut that to ~n; this pins zero — on the columnar vote-tally
 // kernel (the default for core; n = 1024 keeps a multi-word sender bitset
 // covered), on the legacy message-at-a-time path, on the latter also under
-// fixed silence, whose plan (one shared sender list, one row slice) used to
-// be rebuilt per window, and under the split-vote adversary's planning.
+// fixed silence, whose sender list used to be rebuilt per window, and under
+// the split-vote adversary's planning. The two uniform planners at n = 1024
+// (fixed silence of t senders, and the laggard scheduler over full delivery)
+// hold System.UniformWindow's fill of sixteen-word rows to zero as well.
 func TestApplyWindowAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -36,6 +38,19 @@ func TestApplyWindowAllocs(t *testing.T) {
 		{name: "message-silence", n: 24, message: true,
 			adv: func(cfg Config) (WindowAdversary, error) { return Silence(cfg, 0, 1, 2) }},
 		{name: "splitvote", n: 24, adv: SplitVoteAdversary},
+		{name: "silence-1024", n: 1024,
+			adv: func(cfg Config) (WindowAdversary, error) {
+				silent := make([]ProcID, cfg.T)
+				for i := range silent {
+					silent[i] = ProcID(i)
+				}
+				return Silence(cfg, silent...)
+			}},
+		{name: "laggard-1024", n: 1024,
+			adv: func(cfg Config) (WindowAdversary, error) {
+				sch, err := NewScheduler("laggard", cfg)
+				return Schedule(FullDelivery(), sch), err
+			}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := coreConfig(mode.n)

@@ -56,7 +56,8 @@ type (
 	RunResult = sim.RunResult
 	// Message is a point-to-point protocol message.
 	Message = sim.Message
-	// Window describes one acceptable window (Definition 1 of the paper).
+	// Window describes one acceptable window (Definition 1 of the paper):
+	// the sender rows each receiver admits (nil: everyone) and the resets.
 	Window = sim.Window
 	// WindowAdversary plans acceptable windows with full information.
 	WindowAdversary = sim.WindowAdversary

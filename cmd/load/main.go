@@ -20,7 +20,8 @@
 // reach in time) and lands in internal/stream summaries
 // (mean/min/max) and a deterministic reservoir (p50/p90/p99). The exit
 // status enforces budgets: non-zero when the error rate exceeds
-// -max-error-rate or the p99 exceeds -max-p99.
+// -max-error-rate, or when -max-p99 is set and the p99 exceeds it or no
+// request came back ok to measure one.
 //
 // With -instance NAME the generator instead creates (idempotently) the
 // named instance and drives POST /instances/NAME/run, exercising the
@@ -186,6 +187,26 @@ func run(args []string, stdout io.Writer) int {
 	}
 	if *concurrency < 1 {
 		fmt.Fprintln(os.Stderr, "load: -concurrency must be at least 1")
+		return 2
+	}
+	if *duration <= 0 {
+		fmt.Fprintln(os.Stderr, "load: -duration must be positive")
+		return 2
+	}
+	if *attempts < 1 {
+		fmt.Fprintln(os.Stderr, "load: -retry-attempts must be at least 1")
+		return 2
+	}
+	if *retryBase < 0 {
+		fmt.Fprintln(os.Stderr, "load: -retry-base must not be negative")
+		return 2
+	}
+	if *maxP99 < 0 {
+		fmt.Fprintln(os.Stderr, "load: -max-p99 must not be negative")
+		return 2
+	}
+	if !(*maxErrRate >= 0 && *maxErrRate <= 1) { // NaN fails both
+		fmt.Fprintln(os.Stderr, "load: -max-error-rate must be in [0, 1]")
 		return 2
 	}
 
@@ -372,7 +393,11 @@ func report(stdout io.Writer, ta *tally, due, sent, skipped int, maxErrRate floa
 		fmt.Fprintf(os.Stderr, "load: error rate %.4f exceeds budget %.4f\n", errRate, maxErrRate)
 		code = 1
 	}
-	if maxP99 > 0 && p99 > maxP99 {
+	switch {
+	case maxP99 > 0 && ta.ok == 0:
+		fmt.Fprintln(os.Stderr, "load: no ok responses to judge p99")
+		code = 1
+	case maxP99 > 0 && p99 > maxP99:
 		fmt.Fprintf(os.Stderr, "load: p99 %v exceeds budget %v\n", p99, maxP99)
 		code = 1
 	}

@@ -95,6 +95,23 @@ func TestLoadErrorBudgetViolation(t *testing.T) {
 	}
 }
 
+// TestLoadP99BudgetWithoutOkResponses: a p99 budget with no ok response to
+// measure cannot pass, even under an error budget the faults fit in.
+func TestLoadP99BudgetWithoutOkResponses(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusInternalServerError)
+	}))
+	defer hs.Close()
+	var out bytes.Buffer
+	code := run([]string{
+		"-addr", strings.TrimPrefix(hs.URL, "http://"),
+		"-rps", "100", "-duration", "100ms", "-max-p99", "10ms",
+	}, &out)
+	if code != 1 || !strings.Contains(out.String(), " 0 ok,") {
+		t.Fatalf("exit %d with no ok responses to judge p99, want 1:\n%s", code, out.String())
+	}
+}
+
 // TestLoadRetriesShedding: a server that sheds the first attempts then
 // recovers is absorbed by retry — the request still counts as ok.
 func TestLoadRetriesShedding(t *testing.T) {
@@ -168,6 +185,14 @@ func TestLoadBadFlags(t *testing.T) {
 		{"-rps", "0"},
 		{"-concurrency", "0"},
 		{"-concurrency", "-1"},
+		{"-duration", "0s"},
+		{"-duration", "-1s", "-max-error-rate", "0"},
+		{"-retry-attempts", "0"},
+		{"-retry-base", "-1ms"},
+		{"-max-p99", "-1ms"},
+		{"-max-error-rate", "NaN"},
+		{"-max-error-rate", "-0.5"},
+		{"-max-error-rate", "1.5"},
 	} {
 		if code := run(args, &out); code != 2 {
 			t.Fatalf("%v: exit %d, want 2", args, code)

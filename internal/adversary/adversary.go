@@ -39,7 +39,7 @@ func (FullDelivery) RecycleTrial(uint64) {}
 
 // PlanDelivery implements sim.WindowAdversary.
 func (FullDelivery) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
-	return sim.Window{} // nil Senders = deliver everything, allocation-free
+	return sim.Window{} // no sender rows = deliver everything, allocation-free
 }
 
 // FixedSilence always excludes the same set of up to t senders from every
@@ -52,10 +52,10 @@ type FixedSilence struct {
 	// Silent lists the processors whose messages are never delivered.
 	Silent []sim.ProcID
 
-	// rows is the window's Senders, every row the same n-|Silent| senders,
-	// built once by NewFixedSilence and only ever read; a literal
-	// FixedSilence{Silent: ...} has none and builds them per window.
-	rows [][]sim.ProcID
+	// senders lists the n-|Silent| unsilenced processors, ascending, built
+	// once by NewFixedSilence and only ever read; a literal
+	// FixedSilence{Silent: ...} has none and builds it per window.
+	senders []sim.ProcID
 }
 
 var _ sim.WindowAdversary = FixedSilence{}
@@ -66,7 +66,7 @@ func (FixedSilence) RecycleTrial(uint64) {}
 
 // NewFixedSilence validates the silent set against the system shape: at most
 // t distinct processors, every ID in [0, n). The returned adversary carries
-// its (read-only) sender rows for n, so planning a window allocates nothing;
+// its (read-only) sender list for n, so planning a window allocates nothing;
 // it is stateless and safe to reuse across trials.
 func NewFixedSilence(n, t int, silent []sim.ProcID) (FixedSilence, error) {
 	if len(silent) > t {
@@ -83,29 +83,30 @@ func NewFixedSilence(n, t int, silent []sim.ProcID) (FixedSilence, error) {
 		seen[p] = true
 	}
 	a := FixedSilence{Silent: silent}
-	a.rows = a.senderRows(n)
+	a.senders = a.unsilenced(n)
 	return a, nil
 }
 
-// PlanDelivery implements sim.WindowAdversary.
+// PlanDelivery implements sim.WindowAdversary: every receiver admits the
+// unsilenced senders.
 func (a FixedSilence) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
-	rows := a.rows
-	if len(rows) != s.N() {
-		rows = a.senderRows(s.N())
+	senders := a.senders
+	if senders == nil || len(senders)+len(a.Silent) != s.N() {
+		senders = a.unsilenced(s.N())
 	}
-	return sim.Window{Senders: rows}
+	return s.UniformWindow(senders, nil)
 }
 
-// senderRows builds the Senders of every window for n processors: each
-// receiver admits the same ascending list of unsilenced senders.
-func (a FixedSilence) senderRows(n int) [][]sim.ProcID {
+// unsilenced lists, ascending, the processors of 0..n-1 outside the silent
+// set.
+func (a FixedSilence) unsilenced(n int) []sim.ProcID {
 	senders := make([]sim.ProcID, 0, n)
 	for i := 0; i < n; i++ {
 		if !a.silenced(sim.ProcID(i)) {
 			senders = append(senders, sim.ProcID(i))
 		}
 	}
-	return sim.UniformWindow(n, senders, nil).Senders
+	return senders
 }
 
 // silenced reports whether p is in the silent set (linear scan: the set has
@@ -215,7 +216,8 @@ func (a *ResetStorm) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 		a.resets = append(a.resets, sim.ProcID((a.next+k)%n))
 	}
 	a.next = (a.next + t) % n
-	// Nil Senders means full delivery — the storm's strategy is resets only.
+	// No sender rows means full delivery — the storm's strategy is resets
+	// only.
 	return sim.Window{Resets: a.resets}
 }
 

@@ -73,7 +73,7 @@ func (*SplitVote) PlansColumnar() bool { return true }
 // because each sender's records are published in ascending key order.
 func (a *SplitVote) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim.Window {
 	a.Windows++
-	n, t := s.N(), s.T()
+	n := s.N()
 	a.ensureScratch(n)
 	words := cols.Words()
 	for _, c := range cols.Columns() {
@@ -91,7 +91,7 @@ func (a *SplitVote) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 			}
 		}
 	}
-	return a.planFromVotes(n, t)
+	return a.planFromVotes(s)
 }
 
 // PlansColumnar implements sim.ColumnarPlanner by probing the inner

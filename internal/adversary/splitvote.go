@@ -36,10 +36,11 @@ type VoteInfo struct {
 // the exponential expected running time reproduced by experiment E2.
 //
 // Planning is allocation-free in steady state: the per-sender vote tallies,
-// exclusion marks, and the shared sender set all live in scratch reused
-// across windows. The returned Window is valid only until the next
-// PlanDelivery call, matching the sim.WindowAdversary usage (the System
-// consumes it before the next window).
+// exclusion marks, and the shared sender list live in scratch reused across
+// windows, and the plan is the System's own rows (System.UniformWindow). The
+// returned Window is valid only until the next PlanDelivery call, matching
+// the sim.WindowAdversary usage (the System consumes it before the next
+// window).
 type SplitVote struct {
 	// Classify extracts the balanced bit from a message (algorithm-specific;
 	// the stock extractors are the ClassifyVote closures over
@@ -57,11 +58,10 @@ type SplitVote struct {
 
 	// Reusable planning scratch: votes[q] is sender q's classified bit this
 	// window (-1 = none), excluded marks the senders hidden this window, and
-	// every rows entry aliases set (all receivers see the same sender set).
+	// set lists the rest, the one sender set every receiver sees.
 	votes    []int8
 	excluded []bool
 	set      []sim.ProcID
-	rows     [][]sim.ProcID
 }
 
 var _ sim.WindowAdversary = (*SplitVote)(nil)
@@ -85,7 +85,7 @@ func (a *SplitVote) RecycleTrial(uint64) {
 // PlanDelivery implements sim.WindowAdversary.
 func (a *SplitVote) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
 	a.Windows++
-	n, t := s.N(), s.T()
+	n := s.N()
 	a.ensureScratch(n)
 
 	// A sender's vote this window is the classified value of its messages
@@ -99,7 +99,7 @@ func (a *SplitVote) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window 
 			a.votes[m.From] = int8(info.Value)
 		}
 	}
-	return a.planFromVotes(n, t)
+	return a.planFromVotes(s)
 }
 
 // ensureScratch sizes the planning scratch for n senders and clears the
@@ -109,11 +109,9 @@ func (a *SplitVote) ensureScratch(n int) {
 		a.votes = make([]int8, n)
 		a.excluded = make([]bool, n)
 		a.set = make([]sim.ProcID, 0, n)
-		a.rows = make([][]sim.ProcID, n)
 	}
 	a.votes = a.votes[:n]
 	a.excluded = a.excluded[:n]
-	a.rows = a.rows[:n]
 	for i := 0; i < n; i++ {
 		a.votes[i] = -1
 		a.excluded[i] = false
@@ -122,7 +120,8 @@ func (a *SplitVote) ensureScratch(n int) {
 
 // planFromVotes turns the classified per-sender votes into the window plan
 // (shared by the message and columnar planning paths).
-func (a *SplitVote) planFromVotes(n, t int) sim.Window {
+func (a *SplitVote) planFromVotes(s *sim.System) sim.Window {
+	n, t := s.N(), s.T()
 	var count [2]int
 	for p := 0; p < n; p++ {
 		if v := a.votes[p]; v >= 0 {
@@ -165,8 +164,5 @@ func (a *SplitVote) planFromVotes(n, t int) sim.Window {
 		}
 	}
 	a.set = set
-	for i := range a.rows {
-		a.rows[i] = set
-	}
-	return sim.Window{Senders: a.rows}
+	return s.UniformWindow(set, nil)
 }

@@ -57,7 +57,7 @@ func (sch Schedule) Replay() (*sim.System, error) {
 	}
 	for i, w := range sch.Windows {
 		s.Reseed(w.Seed)
-		if err := s.ApplyWindow(sim.UniformWindow(sch.N, w.Senders, w.Resets)); err != nil {
+		if err := s.ApplyWindow(s.UniformWindow(w.Senders, w.Resets)); err != nil {
 			return nil, fmt.Errorf("replay window %d: %w", i, err)
 		}
 	}

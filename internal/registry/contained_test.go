@@ -8,14 +8,14 @@ import (
 )
 
 // badAfter plans full delivery for the first legal windows, then one sender
-// set for the whole system — an illegal window.
+// row word for the whole system — an illegal window.
 type badAfter struct{ legal int }
 
 func (a *badAfter) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 	if s.Windows() < a.legal {
 		return sim.Window{}
 	}
-	return sim.Window{Senders: make([][]sim.ProcID, 1)}
+	return sim.Window{SenderRows: make([]uint64, 1)}
 }
 
 // withTestAdversary makes a descriptor resolvable by name for one test
@@ -71,7 +71,7 @@ func TestRunContained(t *testing.T) {
 			kind:    FaultDeadline, windows: 3, delta: ledger{1, 1, 0}},
 		{name: "illegal window", alg: "core", adv: "test-illegal", t: 1,
 			kind: FaultError, windows: 2,
-			faultFirst: "sim: window violates acceptable-window constraints: got 1 sender sets for n=12", delta: ledger{1, 1, 0}},
+			faultFirst: "sim: window violates acceptable-window constraints: got 1 sender row words for n=12, want 12", delta: ledger{1, 1, 0}},
 		{name: "acquire error: unknown adversary", alg: "core", adv: "no-such", t: 1,
 			kind: FaultError, faultFirst: `registry: unknown adversary "no-such"`},
 		{name: "acquire error: rejected size", alg: "core", adv: "full", t: 3,

@@ -9,12 +9,13 @@ import (
 )
 
 // TestDocComments is the docs lint the CI workflow runs by name: every
-// exported identifier in internal/sched and internal/registry — package
-// clauses, top-level types, funcs, consts, vars, struct fields, and
-// interface methods — must carry a doc comment, so `go doc` reads as a
-// guided tour of the scenario inventory.
+// exported identifier in internal/sched, internal/registry, internal/sim and
+// internal/adversary — package clauses, top-level types, funcs, consts,
+// vars, struct fields, and interface methods — must carry a doc comment, so
+// `go doc` reads as a guided tour of the scenario inventory and of the
+// planner contract it rests on.
 func TestDocComments(t *testing.T) {
-	for _, dir := range []string{".", "../registry"} {
+	for _, dir := range []string{".", "../registry", "../sim", "../adversary"} {
 		fset := token.NewFileSet()
 		pkgs, err := parser.ParseDir(fset, dir, nil, parser.ParseComments)
 		if err != nil {

@@ -5,8 +5,9 @@
 // adversary admits into each acceptable window (Definition 1), yet the
 // adversaries in internal/adversary bundle that choice together with resets
 // and crash injection. A Scheduler isolates the delivery axis: given the
-// window's just-sent batch and the full crash/fault state, it produces the
-// per-receiver sender sets that sim.System.WindowDeliver admits. Everything
+// window's just-sent batch and the full crash/fault state, it fills the
+// System's sender rows (sim.Window.SenderRows), one set per receiver, that
+// the window's delivery admits. Everything
 // else an adversary does — resets, crashes, corruption — stays with the
 // adversary; Compose splices the two together into one sim.WindowAdversary.
 //
@@ -46,20 +47,18 @@ import (
 // Scheduler chooses, for one acceptable window, which senders' just-sent
 // messages each receiver admits.
 type Scheduler interface {
-	// PlanSenders returns the window's sender sets as a sim.Window carrying
-	// them in exactly one of its two forms, or in neither for "all senders".
-	// Senders, the listed form: element i lists the senders whose just-sent
-	// messages processor i receives this window, a nil element meaning all
-	// of them. SenderRows, the bitset form: the scheduler fills the rows
-	// s.SenderRows() lends it, one set per receiver, and returns that
-	// slice. Every set must hold ≥ n−t distinct in-range senders
+	// PlanSenders returns the window's sender sets as sim.Window.SenderRows,
+	// or as no rows for "all senders". A scheduler fills the rows
+	// s.SenderRows() lends it, one set per receiver, and returns that slice;
+	// one that shows every receiver the same set returns
+	// s.UniformWindow(set, nil). Every set must hold ≥ n−t distinct senders
 	// (Definition 1); sets may include crashed senders — they simply
 	// contributed nothing to the batch, matching the crash-model reuse of
 	// windows (Definition 19). Resets are not a scheduler's to plan: Compose
 	// ignores the field and keeps the adversary's.
 	//
-	// Listed sets are scratch owned by the scheduler, rows scratch owned by
-	// the System; either is valid only until the next PlanSenders call.
+	// The rows are the System's scratch, valid only until the next
+	// PlanSenders call.
 	//
 	// batch may be nil: the columnar fast path (sim/columnar.go) never
 	// materializes the window's messages. Every built-in scheduler ignores
@@ -96,14 +95,11 @@ func (c *scheduled) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window 
 	return c.splice(c.adv.PlanDelivery(s, batch), s, batch)
 }
 
-// splice overwrites both forms of the adversary's sender sets with the
-// scheduler's plan: the two may plan in different forms (a row adversary
-// under a list scheduler), and a window carrying both is illegal. The
+// splice overwrites the adversary's sender rows with the scheduler's. The
 // adversary plans first, so where both fill the System's rows the
 // scheduler's are the ones left in them.
 func (c *scheduled) splice(w sim.Window, s *sim.System, batch []sim.Message) sim.Window {
-	plan := c.sch.PlanSenders(s, batch)
-	w.Senders, w.SenderRows = plan.Senders, plan.SenderRows
+	w.SenderRows = c.sch.PlanSenders(s, batch).SenderRows
 	return w
 }
 
@@ -156,43 +152,13 @@ func (FullDelivery) PlanSenders(*sim.System, []sim.Message) sim.Window {
 	return sim.Window{}
 }
 
-// uniformScratch holds the reusable row-sharing scratch used by schedulers
-// that show the same sender set to every receiver: rows is the n-element
-// Senders slice whose entries all alias set. These schedulers stay on the
-// listed form: the System recognizes the shared slice and validates it once
-// per window, which a row per receiver would not beat.
-type uniformScratch struct {
-	set  []sim.ProcID
-	rows [][]sim.ProcID
-}
-
-// uniform sizes the scratch for n receivers and returns the shared set
-// resliced to length 0, ready to be filled.
-func (u *uniformScratch) uniform(n int) []sim.ProcID {
-	if cap(u.rows) < n {
-		u.rows = make([][]sim.ProcID, n)
-		u.set = make([]sim.ProcID, 0, n)
-	}
-	u.rows = u.rows[:n]
-	return u.set[:0]
-}
-
-// share points every receiver's row at set and returns the listed plan.
-func (u *uniformScratch) share(set []sim.ProcID) sim.Window {
-	u.set = set
-	for i := range u.rows {
-		u.rows[i] = set
-	}
-	return sim.Window{Senders: u.rows}
-}
-
 // AscendingMinimal admits exactly the n−t lowest sender IDs for every
 // receiver: the minimal ascending-order discipline Definition 1 permits. It
 // is equivalent to permanently silencing the top t processors, so pair it
 // only with silence-tolerant algorithms. Construct via NewAscendingMinimal;
 // instances carry reusable scratch and must not be shared across trials.
 type AscendingMinimal struct {
-	scratch uniformScratch
+	set []sim.ProcID // the window's sender list, reused
 }
 
 var _ Scheduler = (*AscendingMinimal)(nil)
@@ -206,11 +172,11 @@ func (a *AscendingMinimal) RecycleTrial(uint64) {}
 // PlanSenders implements Scheduler.
 func (a *AscendingMinimal) PlanSenders(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
-	set := a.scratch.uniform(n)
+	a.set = a.set[:0]
 	for p := 0; p < n-t; p++ {
-		set = append(set, sim.ProcID(p))
+		a.set = append(a.set, sim.ProcID(p))
 	}
-	return a.scratch.share(set)
+	return s.UniformWindow(a.set, nil)
 }
 
 // SeededRandom admits an independent uniformly random (n−t)-subset per
@@ -264,9 +230,9 @@ type Laggard struct {
 	// Epoch is the number of windows between rotations; 0 means 8.
 	Epoch int
 
-	window  int
-	cursor  int
-	scratch uniformScratch
+	window int
+	cursor int
+	set    []sim.ProcID // the window's sender list, reused
 }
 
 var _ Scheduler = (*Laggard)(nil)
@@ -315,15 +281,15 @@ func (l *Laggard) PlanSenders(s *sim.System, _ []sim.Message) sim.Window {
 	}
 	// Admit everyone outside the current laggard ring segment
 	// [cursor, cursor+k).
-	set := l.scratch.uniform(n)
+	l.set = l.set[:0]
 	for p := 0; p < n; p++ {
 		d := (p - l.cursor + n) % n
 		if d < k {
 			continue
 		}
-		set = append(set, sim.ProcID(p))
+		l.set = append(l.set, sim.ProcID(p))
 	}
-	return l.scratch.share(set)
+	return s.UniformWindow(l.set, nil)
 }
 
 // Starved returns the processors the scheduler is currently starving, in

@@ -46,17 +46,9 @@ func builders(seed uint64) map[string]func() Scheduler {
 	}
 }
 
-// snapshotPlan deep-copies a plan, in whichever form it is (listed sets are
-// scheduler-owned scratch, rows the System's).
+// snapshotPlan deep-copies a plan (its rows are the System's scratch).
 func snapshotPlan(plan sim.Window) sim.Window {
-	out := sim.Window{SenderRows: slices.Clone(plan.SenderRows)}
-	if plan.Senders != nil {
-		out.Senders = make([][]sim.ProcID, len(plan.Senders))
-		for i, row := range plan.Senders {
-			out.Senders[i] = slices.Clone(row)
-		}
-	}
-	return out
+	return sim.Window{SenderRows: slices.Clone(plan.SenderRows)}
 }
 
 // checkedPlan is a WindowAdversary that plans through plan and hands every
@@ -74,11 +66,11 @@ func (c checkedPlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window
 
 // TestSchedulersEmitAcceptableWindows is the Definition 1 property test:
 // every strategy, at every (n, t) shape of the default sweep grid, plans
-// only legal windows — one form at most, each receiver admitting >= n-t
-// in-range senders — across enough windows to cross laggard epochs and
-// alternate parity, and the windows it plans are accepted by the simulator.
-// The two row planners are also composed with each other and with a list
-// scheduler: the spliced window must carry the scheduler's form alone.
+// only legal windows — n rows or none, each receiver admitting >= n-t
+// senders — across enough windows to cross laggard epochs and alternate
+// parity, and the windows it plans are accepted by the simulator. The
+// per-receiver row adversary is also composed with a uniform and a
+// per-receiver scheduler: the spliced window must hold the scheduler's rows.
 func TestSchedulersEmitAcceptableWindows(t *testing.T) {
 	sizes := [][2]int{{12, 1}, {18, 2}, {24, 3}, {27, 3}, {13, 2}, {7, 1}}
 	plans := map[string]func() func(*sim.System, []sim.Message) sim.Window{}
@@ -98,22 +90,10 @@ func TestSchedulersEmitAcceptableWindows(t *testing.T) {
 				s := newCoreSystem(t, n, tt, 1)
 				adv := checkedPlan{plan: build(), check: func(s *sim.System, w sim.Window) {
 					at := s.Windows()
-					switch {
-					case w.Senders != nil && w.SenderRows != nil:
-						t.Fatalf("window %d carries both plan forms", at)
-					case w.Senders != nil && len(w.Senders) != n:
-						t.Fatalf("window %d: %d listed sets for n=%d", at, len(w.Senders), n)
-					case w.SenderRows != nil && len(w.SenderRows) != n*s.RowWords():
+					if w.SenderRows != nil && len(w.SenderRows) != n*s.RowWords() {
 						t.Fatalf("window %d: %d row words for n=%d", at, len(w.SenderRows), n)
 					}
 					for i := 0; i < n; i++ {
-						if w.Senders != nil {
-							for _, p := range w.Senders[i] {
-								if p < 0 || int(p) >= n {
-									t.Fatalf("window %d receiver %d: sender %d out of range", at, i, p)
-								}
-							}
-						}
 						admitted := 0
 						for p := 0; p < n; p++ {
 							if w.Admits(n, sim.ProcID(i), sim.ProcID(p)) {
@@ -175,20 +155,24 @@ func TestLaggardRotates(t *testing.T) {
 			starved[p] = true
 		}
 		batch := s.WindowSend()
-		plan := sch.PlanSenders(s, batch).Senders
-		admitted := map[sim.ProcID]bool{}
-		for _, p := range plan[0] {
-			admitted[p] = true
-		}
-		if len(plan[0]) != n-tt {
-			t.Fatalf("window %d admits %d senders, want n-k=%d", w, len(plan[0]), n-tt)
+		plan := sch.PlanSenders(s, batch)
+		for i := 0; i < n; i++ {
+			admitted := 0
+			for p := 0; p < n; p++ {
+				if plan.Admits(n, sim.ProcID(i), sim.ProcID(p)) {
+					admitted++
+				}
+			}
+			if admitted != n-tt {
+				t.Fatalf("window %d receiver %d admits %d senders, want n-k=%d", w, i, admitted, n-tt)
+			}
 		}
 		for _, p := range sch.Starved(n, tt) {
-			if admitted[p] {
+			if plan.Admits(n, 0, p) {
 				t.Fatalf("window %d: starved processor %d was admitted", w, p)
 			}
 		}
-		if err := s.WindowDeliver(batch, plan); err != nil {
+		if err := s.WindowDeliver(batch, plan.SenderRows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,8 +213,10 @@ func TestComposeKeepsResets(t *testing.T) {
 	if len(w.Resets) != 1 || w.Resets[0] != 3 {
 		t.Fatalf("resets = %v, want the adversary's [3]", w.Resets)
 	}
-	if w.Senders == nil || len(w.Senders[0]) != 11 {
-		t.Fatalf("senders = %v, want the scheduler's n-t ascending set", w.Senders)
+	for p := 0; p < 12; p++ {
+		if w.Admits(12, 5, sim.ProcID(p)) != (p < 11) {
+			t.Fatalf("receiver 5 admits sender %d: %v, want the scheduler's n-t lowest", p, !(p < 11))
+		}
 	}
 }
 

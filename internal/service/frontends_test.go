@@ -12,12 +12,12 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// illegalPlan plans one sender set for the whole system: an illegal window
-// on the first poll.
+// illegalPlan plans one sender row word for the whole system: an illegal
+// window on the first poll.
 type illegalPlan struct{}
 
 func (illegalPlan) PlanDelivery(*sim.System, []sim.Message) sim.Window {
-	return sim.Window{Senders: make([][]sim.ProcID, 1)}
+	return sim.Window{SenderRows: make([]uint64, 1)}
 }
 
 // memSink retains every record a front end streams.

@@ -39,10 +39,10 @@ const ValNeutral uint8 = 2
 // column order equal per-sender record order for every consumer that scans
 // columns front to back.
 type VoteColumn struct {
-	// Round is the algorithm round the record belongs to; Class
-	// distinguishes record kinds within a round (core votes publish 0;
-	// Ben-Or publishes its Phase). (Round, Class) ascends per sender.
+	// Round is the algorithm round the record belongs to.
 	Round int
+	// Class distinguishes record kinds within a round (core votes publish
+	// 0; Ben-Or publishes its Phase). (Round, Class) ascends per sender.
 	Class uint8
 	// Val is the carried value: a bit for Val < ValNeutral, neutral
 	// otherwise.
@@ -167,6 +167,8 @@ type WindowTally struct {
 // BroadcastQueue holds them for both.
 type VoteBroadcaster interface {
 	Process
+	// SendColumnar publishes the records Send would have returned through
+	// pub, and clears them from the queue as Send does.
 	SendColumnar(pub VotePublisher)
 }
 
@@ -180,6 +182,9 @@ type VoteBroadcaster interface {
 // Ledger.Scan, whose single-bit counterpart Ledger.Add is what its Deliver
 // calls.
 type TallyReceiver interface {
+	// DeliverTally receives the window's records the receiver's row admits,
+	// read through t's Cursor, drawing from r exactly as the per-message
+	// Deliver calls would.
 	DeliverTally(t *WindowTally, r RandSource)
 }
 
@@ -192,7 +197,12 @@ type TallyReceiver interface {
 // path and must not depend on it.
 type ColumnarPlanner interface {
 	WindowAdversary
+	// PlansColumnar reports whether the instance can plan the next window
+	// from the columns alone.
 	PlansColumnar() bool
+	// PlanDeliveryColumnar is PlanDelivery with the window's published
+	// columns in the batch's stead; it must return the plan PlanDelivery
+	// would.
 	PlanDeliveryColumnar(s *System, cols *ColumnSet) Window
 }
 
@@ -353,17 +363,19 @@ func (s *System) columnarCount(row []uint64) (msgs int64, depth int) {
 }
 
 // columnarDeliver is the delivery half of the columnar window: validate the
-// sender sets into the allow bitset, then tally every receiver range against
+// sender rows into the allow bitset, then tally every receiver range against
 // the columns, through the same ranges and the same merge as the message
 // path. OnEvent is nil here, so the merge carries no events.
 func (s *System) columnarDeliver(w Window) error {
 	rs := s.ranges(true)
-	if err := s.validateSenders(rs, w); err != nil {
+	if err := s.validateSenders(rs, w.SenderRows); err != nil {
 		return err
 	}
-	// The all-senders tally is shared by every allowAll receiver; the ranges
-	// only read it.
-	s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
+	if s.allowAll {
+		// The all-senders tally every receiver shares; the ranges only read
+		// it.
+		s.colFullMsgs, s.colFullDepth = s.columnarCount(nil)
+	}
 	s.runPhase(phaseTally, rs)
 	return nil
 }
@@ -381,7 +393,7 @@ func (s *System) tallyRange(sh *windowShard) {
 		}
 		var msgs int64
 		var depth int
-		if s.allowAll[i] {
+		if s.allowAll {
 			msgs, depth = s.colFullMsgs, s.colFullDepth
 			wt.allow = nil
 		} else {

@@ -15,26 +15,25 @@ import (
 
 // Sender-set shapes shapePlan draws; the numbering is part of the corpus.
 const (
-	shapeNil         = iota // nil Senders: full delivery
-	shapeShared             // one (n-t)-subset slice handed to every receiver
-	shapePerReceiver        // a fresh subset per receiver, some rows nil
-	shapeIllegal            // per-receiver, with one illegal set in one window
+	shapeNil         = iota // no rows: full delivery
+	shapeShared             // one (n-t)-subset for every receiver (System.UniformWindow)
+	shapePerReceiver        // a fresh subset per receiver, some rows all-ones
+	shapeIllegal            // per-receiver, with one illegal row in one window
 	shapeSplitVote          // adversary.SplitVote's plan, from the batch or the columns
 	shapeCount
 )
 
-// Plan forms shapePlan submits its sender sets in; the numbering is part of
+// Plan forms shapePlan submits its sender rows in; the numbering is part of
 // the corpus.
 const (
-	formLists       = iota // Window.Senders
-	formOwnRows            // Window.SenderRows, filled in place in the System's own rows
-	formForeignRows        // Window.SenderRows in a slice of the planner's, copied in
+	formOwnRows     = iota // filled in place in the System's own rows
+	formForeignRows        // a copy in a slice of the planner's, copied in
 	formCount
 )
 
 // shapePlan plans windows from its own seeded stream alone — never from the
 // batch or the columns — so the same seed plans the same windows on every
-// path: sender sets of the chosen shape, submitted in the chosen form, plus
+// path: sender rows of the chosen shape, submitted in the chosen form, plus
 // up to t resets. The split-vote shape is the exception: it hands planning to
 // split, which reads the batch on the message path and the columns on the
 // columnar path and must plan the same windows from either. With disown set
@@ -59,25 +58,41 @@ func (p *shapePlan) subset(n, k int) []sim.ProcID {
 	return out
 }
 
+// fillRow sets row to the senders of set, or to all n senders for a nil set.
+func fillRow(row []uint64, n int, set []sim.ProcID) {
+	clear(row)
+	if set == nil {
+		for q := 0; q < n; q++ {
+			row[q>>6] |= 1 << (uint(q) & 63)
+		}
+	}
+	for _, q := range set {
+		row[q>>6] |= 1 << (uint(q) & 63)
+	}
+}
+
 func (p *shapePlan) plan(s *sim.System) sim.Window {
-	n, t := s.N(), s.T()
+	n, t, words := s.N(), s.T(), s.RowWords()
 	var w sim.Window
 	switch p.shape {
 	case shapeShared:
-		w = sim.UniformWindow(n, p.subset(n, n-t), nil)
+		w = s.UniformWindow(p.subset(n, n-t), nil)
 	case shapePerReceiver, shapeIllegal:
-		w.Senders = make([][]sim.ProcID, n)
-		for i := range w.Senders {
-			if k := n - p.r.Intn(t+2); k < n { // k == n leaves the row nil
-				w.Senders[i] = p.subset(n, max(k, n-t))
+		w.SenderRows = s.SenderRows()
+		row := func(i int) []uint64 { return w.SenderRows[i*words : (i+1)*words] }
+		for i := 0; i < n; i++ {
+			var set []sim.ProcID // k == n admits everyone
+			if k := n - p.r.Intn(t+2); k < n {
+				set = p.subset(n, max(k, n-t))
 			}
+			fillRow(row(i), n, set)
 		}
 		if p.shape == shapeIllegal && s.Windows() == 2 {
-			i := p.r.Intn(n)
-			if t > 0 && p.r.Bit() == 0 {
-				w.Senders[i] = p.subset(n, n-t-1) // one sender short
+			r := row(p.r.Intn(n))
+			if n&63 == 0 || (t > 0 && p.r.Bit() == 0) {
+				fillRow(r, n, p.subset(n, n-t-1)) // one sender short
 			} else {
-				w.Senders[i] = append(p.subset(n, n-t), sim.ProcID(n)) // no such sender
+				r[words-1] |= 1 << (uint(n) & 63) // a stray tail bit: no such sender
 			}
 		}
 	}
@@ -85,35 +100,13 @@ func (p *shapePlan) plan(s *sim.System) sim.Window {
 	return w
 }
 
-// submit puts w's listed sets in the chosen form. As rows, a nil set is the
-// all-senders row, a sender past n a stray bit in the last word's tail. A
-// sender no row has a bit for (n itself, at a multiple of 64) leaves the
-// window listed: only a list can say it.
-func (p *shapePlan) submit(s *sim.System, w sim.Window) sim.Window {
-	if p.form == formLists || w.Senders == nil {
-		return w
+// submit hands w's rows over in the chosen form: where the planner filled
+// them, or as a copy the System has to copy in.
+func (p *shapePlan) submit(w sim.Window) sim.Window {
+	if p.form == formForeignRows && w.SenderRows != nil {
+		w.SenderRows = slices.Clone(w.SenderRows)
 	}
-	n, words := s.N(), s.RowWords()
-	rows := s.SenderRows()
-	if p.form == formForeignRows {
-		rows = make([]uint64, len(rows))
-	}
-	for i, set := range w.Senders {
-		row := rows[i*words : (i+1)*words]
-		clear(row)
-		if set == nil {
-			for q := 0; q < n; q++ {
-				row[q>>6] |= 1 << (uint(q) & 63)
-			}
-		}
-		for _, q := range set {
-			if int(q) >= words*64 {
-				return w
-			}
-			row[q>>6] |= 1 << (uint(q) & 63)
-		}
-	}
-	return sim.Window{SenderRows: rows, Resets: w.Resets}
+	return w
 }
 
 func (p *shapePlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
@@ -123,7 +116,7 @@ func (p *shapePlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window 
 	} else {
 		w = p.plan(s)
 	}
-	w = p.submit(s, w)
+	w = p.submit(w)
 	if p.disown {
 		s.DisownBatch()
 	}
@@ -134,17 +127,18 @@ func (p *shapePlan) PlansColumnar() bool { return true }
 
 func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim.Window {
 	if p.shape == shapeSplitVote {
-		return p.submit(s, p.split.PlanDeliveryColumnar(s, cols))
+		return p.submit(p.split.PlanDeliveryColumnar(s, cols))
 	}
-	return p.submit(s, p.plan(s))
+	return p.submit(p.plan(s))
 }
 
 // FuzzWindowPaths is the differential check over every route through a
 // window: any worker count, the message or the columnar representation, the
 // System's own batch or a hand-built one, under any sender-set shape in any
 // plan form, must reproduce the inline message run on the own batch under
-// listed sets — its first error, RunResult and final configuration, and
-// (where the path materializes messages at all) its event feed. The
+// the System's own rows — its first error, RunResult and final
+// configuration, and (where the path materializes messages at all) its event
+// feed. The
 // algorithm is an input like the rest (algRaw mod 3: 0 core at t < n/6, 1
 // Ben-Or at t < n/2, 2 Bracha at t < n/3 and n <= 31), so both clients of the
 // columnar scan are held to their own per-message Deliver, and Bracha's n²
@@ -156,8 +150,8 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 // classification is held to the batch's too. The seeds are the word-boundary
 // sizes 63, 64, 65, 127 and 128 (the bitset scan's word loop, cross-word
 // frontiers and partial last words) and the uneven-shard sizes 70 and 96 for
-// core, then the word-boundary sizes again for Ben-Or, all listed; then both
-// row forms under every shape that has sets to submit, at the word-boundary
+// core, then the word-boundary sizes again for Ben-Or, all on own rows; then
+// both forms under every shape that has rows to submit, at the word-boundary
 // sizes for both algorithms; then Bracha at 13:4, 18:2 and 27:3 under every
 // shape. Those seed loops run over every shape, the split-vote one included.
 // The last seeds put core and Ben-Or at 192:31 (three sender words) on the
@@ -166,12 +160,12 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(formLists))
+			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(formOwnRows))
 		}
 	}
 	for i, n := range []int{63, 64, 65, 127, 128} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1), uint8(formLists))
+			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1), uint8(formOwnRows))
 		}
 	}
 	for i, n := range []int{63, 64, 65, 127, 128} {
@@ -190,7 +184,7 @@ func FuzzWindowPaths(f *testing.F) {
 	}
 	for i, alg := range []uint8{0, 1} {
 		for _, shape := range []int{shapeNil, shapePerReceiver} {
-			f.Add(uint8(192), uint8(31), uint64(151+i), uint8(shape+i), true, false, uint8(shape), alg, uint8(formLists))
+			f.Add(uint8(192), uint8(31), uint64(151+i), uint8(shape+i), true, false, uint8(shape), alg, uint8(formOwnRows))
 		}
 	}
 	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw, formRaw uint8) {
@@ -247,7 +241,7 @@ func FuzzWindowPaths(f *testing.F) {
 			s.SetShardWorkers(1) // stop the pool
 			return events, res, s.ConfigurationSnapshot(), err
 		}
-		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false, formLists)
+		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false, formOwnRows)
 		events, res, snap, err := run(workers, columnar, disown, form)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("first error %v, the inline message run had %v", err, wantErr)

@@ -6,7 +6,7 @@ import (
 )
 
 // This file implements the window core: one body per phase of an acceptable
-// window — validate the sender sets, deliver messages, tally columns
+// window — validate the sender rows, deliver messages, tally columns
 // (columnar.go), run sending steps — each written over a range [lo, hi) of
 // processors, plus the one merge that folds range scratch back into the
 // System. See DESIGN.md §2.
@@ -119,7 +119,7 @@ func (s *System) ranges(concurrent bool) []windowShard {
 func (s *System) phaseBody(phase shardPhase, sh *windowShard) {
 	switch phase {
 	case phaseValidate:
-		s.validateRange(sh)
+		s.validateRows(sh)
 	case phaseDeliver:
 		s.deliverRange(sh)
 	case phaseSend:
@@ -197,37 +197,27 @@ func (s *System) mergeRanges(rs []windowShard) {
 	}
 }
 
-// validateSenders validates the window's sender sets, in whichever form it
-// carries them, into the allow bitset before anything is delivered: an
-// illegal window must leave the configuration untouched. Each range reports
+// validateSenders validates the window's sender rows into the allow bitset
+// before anything is delivered: an illegal window must leave the
+// configuration untouched. nil rows set allowAll instead. Each range reports
 // its first error; the first in ascending range order is the one a single
 // scan would have hit.
-func (s *System) validateSenders(rs []windowShard, w Window) error {
-	switch {
-	case w.Senders != nil && w.SenderRows != nil:
-		return fmt.Errorf("%w: sender sets given both as lists and as rows", ErrBadWindow)
-	case w.SenderRows != nil:
-		if len(w.SenderRows) != len(s.allowBits) {
-			return fmt.Errorf("%w: got %d sender row words for n=%d, want %d",
-				ErrBadWindow, len(w.SenderRows), s.n, len(s.allowBits))
-		}
-	case w.Senders != nil:
-		if len(w.Senders) != s.n {
-			return fmt.Errorf("%w: got %d sender sets for n=%d", ErrBadWindow, len(w.Senders), s.n)
-		}
-	default:
-		for i := range s.allowAll {
-			s.allowAll[i] = true
-		}
+func (s *System) validateSenders(rs []windowShard, rows []uint64) error {
+	s.allowAll = rows == nil
+	if s.allowAll {
 		return nil
 	}
-	s.phaseSenders, s.phaseRows = w.Senders, w.SenderRows
+	if len(rows) != len(s.allowBits) {
+		return fmt.Errorf("%w: got %d sender row words for n=%d, want %d",
+			ErrBadWindow, len(rows), s.n, len(s.allowBits))
+	}
+	s.phaseRows = rows
 	if len(rs) == 1 {
-		s.validateRange(&rs[0])
+		s.validateRows(&rs[0])
 	} else {
 		s.shardPool.run(s, phaseValidate, len(rs))
 	}
-	s.phaseSenders, s.phaseRows = nil, nil
+	s.phaseRows = nil
 	for i := range rs {
 		if rs[i].panicked {
 			panic(rs[i].panicVal)
@@ -239,21 +229,11 @@ func (s *System) validateSenders(rs []windowShard, w Window) error {
 	return nil
 }
 
-// validateRange validates the sender sets of the range's receivers into
-// their rows of the allow bitset. Writes touch only this range's receivers.
-func (s *System) validateRange(sh *windowShard) {
-	if s.phaseRows != nil {
-		s.validateRows(sh)
-	} else {
-		s.validateLists(sh)
-	}
-}
-
-// validateRows checks a row plan, one pass per receiver: no bit at n or
-// above (reported as the sender it names, as a listed one would be), then at
-// least n-t bits. The System's own rows are checked where the planner filled
-// them; foreign ones are copied in first. A row is never "all senders" by
-// omission, so allowAll is off throughout.
+// validateRows checks the range's receivers' rows, one pass per receiver: no
+// bit at n or above (reported as ErrNoSuchProc for the sender it names), then
+// at least n-t bits, that is distinct senders. The System's own rows are
+// checked where the planner filled them; foreign ones are copied in first.
+// Writes touch only this range's receivers.
 func (s *System) validateRows(sh *windowShard) {
 	rows, words := s.phaseRows, s.allowWords
 	own := &rows[0] == &s.allowBits[0]
@@ -262,7 +242,6 @@ func (s *System) validateRows(sh *windowShard) {
 		tail = ^uint64(0) << (uint(s.n) & 63)
 	}
 	for i := sh.lo; i < sh.hi; i++ {
-		s.allowAll[i] = false
 		row := s.allowedRow(i)
 		if !own {
 			copy(row, rows[i*words:(i+1)*words])
@@ -276,56 +255,10 @@ func (s *System) validateRows(sh *windowShard) {
 			count += bits.OnesCount64(word)
 		}
 		if count < s.n-s.t {
-			sh.err = s.tooFewSenders(i, count)
+			sh.err = fmt.Errorf("%w: sender set for processor %d has %d distinct senders < n-t=%d",
+				ErrBadWindow, i, count, s.n-s.t)
 			return
 		}
-	}
-}
-
-// tooFewSenders is the error for receiver i admitting only distinct senders.
-func (s *System) tooFewSenders(i, distinct int) error {
-	return fmt.Errorf("%w: sender set for processor %d has %d distinct senders < n-t=%d",
-		ErrBadWindow, i, distinct, s.n-s.t)
-}
-
-// validateLists turns listed sender sets into rows; a nil set means all
-// senders. Adversaries commonly hand many receivers the same backing slice
-// (the scheduler scratch-sharing pattern), so a set whose identity matches
-// the previously validated one copies that row instead of re-scanning; a
-// shared invalid set still errors at its first user, with that user's index.
-func (s *System) validateLists(sh *windowShard) {
-	senders := s.phaseSenders
-	var lastSet *ProcID
-	lastLen, lastRow := -1, -1
-	for i := sh.lo; i < sh.hi; i++ {
-		set := senders[i]
-		s.allowAll[i] = set == nil
-		if set == nil {
-			continue
-		}
-		row := s.allowedRow(i)
-		if lastRow >= 0 && len(set) == lastLen && &set[0] == lastSet {
-			copy(row, s.allowedRow(lastRow))
-			continue
-		}
-		clear(row)
-		distinct := 0
-		for _, p := range set {
-			if err := s.checkProc(p); err != nil {
-				sh.err = err
-				return
-			}
-			w, bit := int(p)>>6, uint64(1)<<(uint(p)&63)
-			if row[w]&bit == 0 {
-				row[w] |= bit
-				distinct++
-			}
-		}
-		if distinct < s.n-s.t {
-			sh.err = s.tooFewSenders(i, distinct)
-			return
-		}
-		lastSet, lastLen, lastRow = &set[0], len(set), i
 	}
 }
 
@@ -343,14 +276,13 @@ func (s *System) deliverRange(sh *windowShard) {
 		if s.crashed[r] {
 			continue
 		}
-		allowAll := s.allowAll[r]
 		var row []uint64
-		if !allowAll {
+		if !s.allowAll {
 			row = s.allowedRow(r)
 		}
 		for _, j := range idx[off[r]:off[r+1]] {
 			m := &batch[j]
-			if !allowAll {
+			if row != nil {
 				from := int(m.From)
 				if from < 0 || from >= s.n {
 					continue

@@ -117,7 +117,7 @@ func TestWindowSendDeliverAll(t *testing.T) {
 	if len(batch) != 16 {
 		t.Fatalf("batch size = %d, want 16", len(batch))
 	}
-	if err := s.WindowDeliver(batch, make([][]ProcID, 4)); err != nil {
+	if err := s.WindowDeliver(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -131,85 +131,25 @@ func TestWindowSendDeliverAll(t *testing.T) {
 	}
 }
 
-func TestWindowDeliverRespectsSenderSets(t *testing.T) {
-	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
-	// Exclude sender 0 for every receiver.
-	senders := make([][]ProcID, 4)
-	for i := range senders {
-		senders[i] = []ProcID{1, 2, 3}
-	}
-	if err := s.WindowDeliver(batch, senders); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		ep := s.Proc(ProcID(i)).(*echoProc)
-		for _, m := range ep.delivered {
-			if m.From == 0 {
-				t.Fatalf("processor %d received message from excluded sender 0", i)
-			}
-		}
-		if len(ep.delivered) != 3 {
-			t.Fatalf("processor %d received %d, want 3", i, len(ep.delivered))
-		}
-	}
-	// The undelivered messages from sender 0 must be dropped, not lingering.
-	if s.Buffer().Len() != 0 {
-		t.Fatalf("undelivered window messages linger: %d", s.Buffer().Len())
-	}
-}
-
 func TestWindowDeliverRejectsSmallSenderSet(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
 	batch := s.WindowSend()
-	senders := make([][]ProcID, 4)
-	senders[2] = []ProcID{1, 3} // size 2 < n-t = 3
-	err := s.WindowDeliver(batch, senders)
+	rows := s.SenderRows()
+	for i := 0; i < 4; i++ {
+		rows[i*s.RowWords()] = 0b1111
+	}
+	rows[2*s.RowWords()] = 1<<1 | 1<<3 // senders {1, 3}: size 2 < n-t = 3
+	err := s.WindowDeliver(batch, rows)
 	if !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("err = %v, want ErrBadWindow", err)
 	}
 }
 
-func TestWindowDeliverRejectsDuplicatePaddedSenderSet(t *testing.T) {
-	// Regression: duplicate ProcIDs used to inflate len(set) past the n-t
-	// check while the effective sender set stayed smaller, letting an
-	// adversary deliver from fewer than n-t distinct senders (a Definition 1
-	// violation). The check must count distinct senders.
+func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
 	batch := s.WindowSend()
-	senders := make([][]ProcID, 4)
-	senders[2] = []ProcID{1, 3, 3} // len 3 >= n-t, but only 2 distinct < 3
-	err := s.WindowDeliver(batch, senders)
-	if !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("padded duplicate sender set accepted: err = %v, want ErrBadWindow", err)
-	}
-}
-
-func TestWindowDeliverAcceptsDuplicateLargeEnoughSet(t *testing.T) {
-	// Duplicates are harmless when the distinct count still meets n-t.
-	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
-	senders := make([][]ProcID, 4)
-	senders[2] = []ProcID{1, 2, 3, 3, 1}
-	if err := s.WindowDeliver(batch, senders); err != nil {
-		t.Fatal(err)
-	}
-	ep := s.Proc(2).(*echoProc)
-	if len(ep.delivered) != 3 {
-		t.Fatalf("processor 2 received %d messages, want 3 (one per distinct allowed sender)", len(ep.delivered))
-	}
-}
-
-func TestWindowDeliverNilSendersMeansFullDelivery(t *testing.T) {
-	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if got := len(s.Proc(ProcID(i)).(*echoProc).delivered); got != 4 {
-			t.Fatalf("processor %d received %d messages, want 4", i, got)
-		}
+	if err := s.WindowDeliver(batch, make([]uint64, 3*s.RowWords())); !errors.Is(err, ErrBadWindow) {
+		t.Fatalf("err = %v, want ErrBadWindow", err)
 	}
 }
 
@@ -296,76 +236,137 @@ func TestWindowSendOverStepResidue(t *testing.T) {
 	}
 }
 
-func TestWindowDeliverRejectsWrongCount(t *testing.T) {
-	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, make([][]ProcID, 3)); !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("err = %v, want ErrBadWindow", err)
-	}
-}
-
-// TestRowPlanRejectsIllegalRows is the row form's share of the
-// illegal-window cases above: each is refused with the error its listed twin
-// gets, before anything is delivered, from the System's own rows and from a
-// slice that has to be copied in alike. A legal row plan then goes through.
+// TestRowPlanRejectsIllegalRows is the one table over sender-row plans,
+// legal and illegal, on an n = 70, t = 8 System (two words a row, the second
+// with a 58-bit tail). Each plan is submitted in the System's own rows and in
+// a foreign slice that has to be copied in. An illegal plan is refused with
+// its error before anything is delivered, leaving the window count, steps,
+// buffer and configuration as they were, and the System then takes a
+// full-delivery window as usual; a legal one delivers every receiver exactly
+// one message from each sender its row admits, and drops the rest.
 func TestRowPlanRejectsIllegalRows(t *testing.T) {
-	const n, tt = 70, 8 // two words a row, the second with a 58-bit tail
+	const n, tt = 70, 8
+	full := func(s *System) []uint64 {
+		rows := s.SenderRows()
+		clear(rows) // what the rows held before is the planner's to overwrite
+		for i := 0; i < n; i++ {
+			for q := 0; q < n; q++ {
+				rows[i*s.RowWords()+q>>6] |= 1 << (q & 63)
+			}
+		}
+		return rows
+	}
+	ascending := func(k int) []ProcID {
+		set := make([]ProcID, k)
+		for i := range set {
+			set[i] = ProcID(i)
+		}
+		return set
+	}
 	cases := []struct {
-		name string
-		mut  func(w *Window, words int)
-		want error
+		name   string
+		plan   func(s *System) Window
+		admits func(receiver, sender int) bool // a legal plan's sets
+		resets []ProcID                        // the resets the plan carries
+		want   error                           // an illegal plan's refusal
 	}{
-		{"one sender short", func(w *Window, words int) {
-			w.SenderRows[3*words] &^= 1<<(tt+1) - 1 // receiver 3 loses senders 0..t
-		}, ErrBadWindow},
-		{"bit past n in the last word", func(w *Window, words int) {
-			w.SenderRows[n*words-1] |= 1 << (n & 63) // receiver n-1 admits "sender n"
-		}, ErrNoSuchProc},
-		{"wrong slice length", func(w *Window, words int) {
-			w.SenderRows = w.SenderRows[:len(w.SenderRows)-1]
-		}, ErrBadWindow},
-		{"both forms", func(w *Window, words int) {
-			w.Senders = make([][]ProcID, n)
-		}, ErrBadWindow},
+		{name: "per-receiver subset", plan: func(s *System) Window {
+			rows := full(s)
+			for i := 0; i < n; i++ { // receiver i loses senders i..i+t-1
+				for k := 0; k < tt; k++ {
+					q := (i + k) % n
+					rows[i*s.RowWords()+q>>6] &^= 1 << (q & 63)
+				}
+			}
+			return Window{SenderRows: rows}
+		}, admits: func(i, q int) bool { return (q-i+n)%n >= tt }},
+		{name: "nil rows", plan: func(*System) Window { return Window{} },
+			admits: func(int, int) bool { return true }},
+		{name: "one sender short", plan: func(s *System) Window {
+			rows := full(s)
+			rows[3*s.RowWords()] &^= 1<<(tt+1) - 1 // receiver 3 loses senders 0..t
+			return Window{SenderRows: rows}
+		}, want: ErrBadWindow},
+		{name: "bit past n in the last word", plan: func(s *System) Window {
+			rows := full(s)
+			rows[n*s.RowWords()-1] |= 1 << (n & 63) // receiver n-1 admits "sender n"
+			return Window{SenderRows: rows}
+		}, want: ErrNoSuchProc},
+		{name: "wrong slice length", plan: func(s *System) Window {
+			rows := full(s)
+			return Window{SenderRows: rows[:len(rows)-1]}
+		}, want: ErrBadWindow},
+		{name: "uniform, duplicates collapse below n-t", plan: func(s *System) Window {
+			return s.UniformWindow(append(ascending(n-tt-1), 0), []ProcID{1}) // n-t entries, n-t-1 distinct
+		}, resets: []ProcID{1}, want: ErrBadWindow},
+		{name: "uniform, duplicates collapse to n-t", plan: func(s *System) Window {
+			return s.UniformWindow(append(ascending(n-tt), 5, 0, 5), []ProcID{1})
+		}, resets: []ProcID{1}, admits: func(_, q int) bool { return q < n-tt }},
 	}
 	for _, tc := range cases {
 		for _, foreign := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/foreign=%v", tc.name, foreign), func(t *testing.T) {
 				s := newTestSystem(t, n, tt, "split", 0)
 				batch := s.WindowSend()
-				fill := func() Window {
-					rows := s.SenderRows()
-					if foreign {
-						rows = make([]uint64, len(rows))
-					}
-					clear(rows) // what the rows held before is the planner's to overwrite
-					for i := 0; i < n; i++ {
-						for q := 0; q < n; q++ {
-							rows[i*s.RowWords()+q>>6] |= 1 << (q & 63)
-						}
-					}
-					return Window{SenderRows: rows}
+				w := tc.plan(s)
+				if foreign && w.SenderRows != nil {
+					w.SenderRows = slices.Clone(w.SenderRows)
 				}
-				w := fill()
-				tc.mut(&w, s.RowWords())
+				if !slices.Equal(w.Resets, tc.resets) {
+					t.Fatalf("plan resets %v, want %v", w.Resets, tc.resets)
+				}
 				steps, buffered, snap := s.Steps(), s.Buffer().Len(), s.ConfigurationSnapshot()
-				if err := s.deliverWindow(batch, w); !errors.Is(err, tc.want) {
-					t.Fatalf("err = %v, want %v", err, tc.want)
+				err := s.WindowDeliver(batch, w.SenderRows)
+				if tc.want != nil {
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("err = %v, want %v", err, tc.want)
+					}
+					if s.Windows() != 0 || s.Steps() != steps || s.Buffer().Len() != buffered ||
+						!slices.Equal(s.ConfigurationSnapshot(), snap) {
+						t.Fatalf("a rejected plan moved the System: windows %d, steps %d (was %d), buffered %d (was %d)",
+							s.Windows(), s.Steps(), steps, s.Buffer().Len(), buffered)
+					}
+					if err := s.WindowDeliver(batch, nil); err != nil {
+						t.Fatal(err)
+					}
+					if got := len(s.Proc(3).(*echoProc).delivered); got != n || s.Buffer().Len() != 0 {
+						t.Fatalf("full delivery after the refusal: processor 3 received %d of %d, %d still buffered", got, n, s.Buffer().Len())
+					}
+					return
 				}
-				if s.Windows() != 0 || s.Steps() != steps || s.Buffer().Len() != buffered ||
-					!slices.Equal(s.ConfigurationSnapshot(), snap) {
-					t.Fatalf("a rejected row plan moved the System: windows %d, steps %d (was %d), buffered %d (was %d)",
-						s.Windows(), s.Steps(), steps, s.Buffer().Len(), buffered)
-				}
-				if err := s.deliverWindow(batch, fill()); err != nil {
+				if err != nil {
 					t.Fatal(err)
 				}
-				if got := len(s.Proc(3).(*echoProc).delivered); got != n || s.Buffer().Len() != 0 {
-					t.Fatalf("legal row plan: processor 3 received %d of %d, %d still buffered", got, n, s.Buffer().Len())
+				for i := 0; i < n; i++ {
+					got := make([]int, n)
+					for _, m := range s.Proc(ProcID(i)).(*echoProc).delivered {
+						got[m.From]++
+					}
+					for q, c := range got {
+						want := 0
+						if tc.admits(i, q) {
+							want = 1
+						}
+						if c != want {
+							t.Fatalf("receiver %d got %d messages from sender %d, want %d", i, c, q, want)
+						}
+					}
+				}
+				if s.Buffer().Len() != 0 {
+					t.Fatalf("undelivered window messages linger: %d", s.Buffer().Len())
 				}
 			})
 		}
 	}
+	t.Run("uniform, sender past n", func(t *testing.T) {
+		s := newTestSystem(t, n, tt, "split", 0)
+		defer func() {
+			if r := recover(); !strings.Contains(fmt.Sprint(r), "sender 70 outside [0, 70)") {
+				t.Fatalf("recovered %v, want a panic naming the sender and n", r)
+			}
+		}()
+		s.UniformWindow([]ProcID{0, n}, nil)
+	})
 }
 
 func TestWindowResetsBudget(t *testing.T) {
@@ -524,7 +525,7 @@ func TestAgreementValidityAccounting(t *testing.T) {
 	// split inputs yield an agreement violation (on purpose).
 	s := newTestSystem(t, 4, 1, "split", 1)
 	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, make([][]ProcID, 4)); err != nil {
+	if err := s.WindowDeliver(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.AgreementOK() {
@@ -550,7 +551,7 @@ func TestValidityViolationDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, make([][]ProcID, 2)); err != nil {
+	if err := s.WindowDeliver(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.ValidityOK() {
@@ -581,7 +582,7 @@ func TestWriteOnceViolationDetected(t *testing.T) {
 	s := newFlipFlop()
 	for w := 0; w < 3 && s.Violation() == nil; w++ {
 		batch := s.WindowSend()
-		if err := s.WindowDeliver(batch, make([][]ProcID, 2)); err != nil {
+		if err := s.WindowDeliver(batch, nil); err != nil {
 			break
 		}
 	}
@@ -617,7 +618,7 @@ func (p *flipFlopProc) Deliver(m Message, r RandSource) {
 func TestOutputSurvivesReset(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "ones", 1)
 	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, make([][]ProcID, 4)); err != nil {
+	if err := s.WindowDeliver(batch, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WindowResets([]ProcID{0}); err != nil {
@@ -648,21 +649,6 @@ func TestCorruptBudget(t *testing.T) {
 	}
 }
 
-func TestUniformWindow(t *testing.T) {
-	w := UniformWindow(3, []ProcID{0, 2}, []ProcID{1})
-	if len(w.Senders) != 3 {
-		t.Fatalf("senders len = %d", len(w.Senders))
-	}
-	for i, s := range w.Senders {
-		if len(s) != 2 || s[0] != 0 || s[1] != 2 {
-			t.Fatalf("senders[%d] = %v", i, s)
-		}
-	}
-	if len(w.Resets) != 1 || w.Resets[0] != 1 {
-		t.Fatalf("resets = %v", w.Resets)
-	}
-}
-
 func TestConfigurationSnapshot(t *testing.T) {
 	s := newTestSystem(t, 3, 0, "split", 0)
 	snap := s.ConfigurationSnapshot()
@@ -680,7 +666,7 @@ func TestEventsEmitted(t *testing.T) {
 	s := newTestSystem(t, 2, 0, "ones", 1)
 	var kinds []EventKind
 	s.OnEvent = func(ev Event) { kinds = append(kinds, ev.Kind) }
-	if err := s.ApplyWindow(sim_windowAll(2)); err != nil {
+	if err := s.ApplyWindow(Window{}); err != nil {
 		t.Fatal(err)
 	}
 	var sends, delivers, decides, windows int
@@ -699,10 +685,6 @@ func TestEventsEmitted(t *testing.T) {
 	if sends != 4 || delivers != 4 || decides != 2 || windows != 1 {
 		t.Fatalf("events: sends=%d delivers=%d decides=%d windows=%d", sends, delivers, decides, windows)
 	}
-}
-
-func sim_windowAll(n int) Window {
-	return Window{Senders: make([][]ProcID, n)}
 }
 
 // Property: for any window shape within constraints, each receiver gets at
@@ -731,7 +713,7 @@ func TestDeliveryPerSenderProperty(t *testing.T) {
 			}
 		}
 		batch := s.WindowSend()
-		if err := s.WindowDeliver(batch, UniformWindow(n, senders, nil).Senders); err != nil {
+		if err := s.WindowDeliver(batch, s.UniformWindow(senders, nil).SenderRows); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -44,12 +44,17 @@ type Config struct {
 // information: it is invoked after all sending steps of the window, with the
 // just-sent batch in hand, and returns the sender sets and resets.
 type WindowAdversary interface {
+	// PlanDelivery returns the window's plan: its sender rows (none for
+	// full delivery) and its resets. batch is the just-sent batch, valid
+	// only until the window completes.
 	PlanDelivery(s *System, batch []Message) Window
 }
 
 // StepAdversary drives step mode: it returns the next fine-grained step, or
 // ok=false to end the execution.
 type StepAdversary interface {
+	// NextStep returns the step to execute next, or ok = false to end the
+	// execution.
 	NextStep(s *System) (step Step, ok bool)
 }
 
@@ -69,11 +74,17 @@ const (
 // Event is a single trace event, emitted through Config-free observation via
 // System.OnEvent.
 type Event struct {
-	Kind   EventKind
+	// Kind is what happened.
+	Kind EventKind
+	// Window is the number of acceptable windows completed before it.
 	Window int
-	Proc   ProcID
-	Msg    Message
-	Value  Bit
+	// Proc is the processor that acted: the sender, receiver, reset,
+	// crashed or deciding processor.
+	Proc ProcID
+	// Msg is the message sent or delivered (EvSend, EvDeliver).
+	Msg Message
+	// Value is the decided bit (EvDecide).
+	Value Bit
 }
 
 // System holds the full configuration of the n processors plus the message
@@ -126,16 +137,17 @@ type System struct {
 	// delivering batch's receiver-major order
 	// (bucketByReceiver, or sortByReceiver for a hand-built batch); allowBits
 	// is a receiver-major bitset of permitted senders (allowWords words per
-	// receiver) with allowAll flagging receivers whose sender set is nil
-	// ("all senders"). A planner may fill allowBits itself (SenderRows): it is
-	// scratch between a window's send and its validation.
+	// receiver), and allowAll is set while the validated window carries no
+	// rows: every receiver hears every sender. A planner may fill allowBits
+	// itself (SenderRows, UniformWindow): it is scratch until the window's
+	// validation.
 	batch      []Message
 	orderIdx   []int32 // batch indices bucketed by receiver
 	orderOff   []int32 // orderIdx bucket offsets, len n+1
 	orderPos   []int32 // bucket fill cursors, len n
 	allowWords int
 	allowBits  []uint64
-	allowAll   []bool
+	allowAll   bool
 
 	// Window core state (shard.go, shardpool.go). whole is the scratch of the
 	// one range [0, n) the caller walks inline; shardWorkers >= 2 swaps in
@@ -143,15 +155,13 @@ type System struct {
 	// concurrently. The pool and per-shard scratch are built on the first
 	// such phase and — like the rest of the scratch — deliberately survive
 	// Recycle, so a pooled trial engine keeps its worker goroutines hot
-	// across thousands of trials. phaseSenders or phaseRows (the window's
-	// one plan form) and phaseBatch are the running phase's inputs, nil
-	// outside it.
+	// across thousands of trials. phaseRows and phaseBatch are the running
+	// phase's inputs, nil outside it.
 	whole        [1]windowShard
 	shardWorkers int
 	shardPool    *shardPool
 	shardCleanup runtime.Cleanup
 	shards       []windowShard
-	phaseSenders [][]ProcID
 	phaseRows    []uint64
 	phaseBatch   []Message
 
@@ -162,7 +172,8 @@ type System struct {
 	// Recycle rebuilds corrupted processors through the same factory, so
 	// process types never change under the guard). colSet/colDepth* are
 	// reusable window scratch; colFullMsgs/colFullDepth cache the all-senders
-	// tally shared by allowAll receivers, computed before the tally phase.
+	// tally every receiver of an allowAll window shares, computed before the
+	// tally phase.
 	// Like the core's scratch, all of it deliberately survives Recycle.
 	colOff       bool
 	colCap       int8
@@ -207,7 +218,6 @@ func New(cfg Config) (*System, error) {
 		allowWords:    (cfg.N + 63) / 64,
 	}
 	s.allowBits = make([]uint64, cfg.N*s.allowWords)
-	s.allowAll = make([]bool, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		s.rngs[i] = root.Fork(uint64(i))
 		s.procs[i] = cfg.NewProcess(ProcID(i), cfg.Inputs[i])
@@ -295,6 +305,37 @@ func (s *System) SenderRows() []uint64 { return s.allowBits }
 
 // RowWords returns the width of one sender row in 64-bit words, (N()+63)/64.
 func (s *System) RowWords() int { return s.allowWords }
+
+// UniformWindow returns a Window delivering from the same sender set to
+// every receiver, with the given resets: the R, S, S, ..., S shape used
+// throughout Section 4 of the paper. The set is written into the System's
+// own rows (SenderRows), row 0 from the list and then copied to the others,
+// so the Window is valid only until they are next filled; the sends that
+// open a window leave them alone, so it may be planned before or after
+// them. Duplicate entries collapse in the bitset, so validation counts
+// distinct senders. A nil senders is the row-free Window: every receiver
+// hears every sender. A sender outside [0, N()) is a caller bug and panics,
+// naming it and n: every caller builds its set from 0..n-1, and a contained
+// trial (registry.RunContained) records the panic as FaultPanic and abandons
+// the engine.
+func (s *System) UniformWindow(senders, resets []ProcID) Window {
+	if senders == nil {
+		return Window{Resets: resets}
+	}
+	rows, words := s.allowBits, s.allowWords
+	row := rows[:words]
+	clear(row)
+	for _, p := range senders {
+		if p < 0 || int(p) >= s.n {
+			panic(fmt.Sprintf("sim: UniformWindow: sender %d outside [0, %d)", p, s.n))
+		}
+		row[int(p)>>6] |= 1 << (uint(p) & 63)
+	}
+	for filled := words; filled < len(rows); filled *= 2 {
+		copy(rows[filled:], rows[:filled])
+	}
+	return Window{SenderRows: rows, Resets: resets}
+}
 
 // Buffer exposes the message buffer (adversaries have full information).
 func (s *System) Buffer() *Buffer { return s.buffer }

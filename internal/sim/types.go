@@ -33,10 +33,7 @@
 //     the longest message chain, tracked by per-message depth counters.
 package sim
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // ProcID identifies a processor; valid values are 0..n-1.
 type ProcID int
@@ -118,6 +115,7 @@ type Process interface {
 // System.Recycle uses this hook; processes that do not implement it are
 // rebuilt through the system's process factory instead.
 type Recycler interface {
+	// Recycle rewinds the process to a fresh construction with input.
 	Recycle(input Bit)
 }
 
@@ -135,6 +133,7 @@ type Recycler interface {
 // does not own. Step mode never reclaims; a pooling process then simply
 // allocates fresh boxes, which is always safe.
 type PayloadReclaimer interface {
+	// ReclaimPayload takes back a dead batch payload for reuse.
 	ReclaimPayload(payload any)
 }
 
@@ -182,6 +181,7 @@ func (k StepKind) String() string {
 
 // Step is one fine-grained step chosen by a step-mode adversary.
 type Step struct {
+	// Kind is the step type.
 	Kind StepKind
 	// Proc is the acting processor for send/reset/crash steps.
 	Proc ProcID
@@ -193,48 +193,24 @@ type Step struct {
 // processors take sending steps, each processor i receives the just-sent
 // messages from its sender set (each of size >= n-t), and then the
 // processors in Resets (at most t of them) are reset.
-//
-// The sender sets come in one of two forms. Senders lists them, the form of
-// hand-built windows and of planners that show every receiver one shared
-// set. SenderRows is the form the System delivers from, for planners that
-// think in sets and draw a different one per receiver. A window carries at
-// most one form (neither: all senders for everyone); one with both is
-// rejected as ErrBadWindow, never resolved by precedence.
 type Window struct {
-	// Senders[i] lists the senders whose just-sent messages processor i
-	// receives, ascending. A nil entry means "all n senders"; a nil Senders
-	// slice means all n senders for every receiver (full delivery).
-	Senders [][]ProcID
-	// SenderRows is the receiver-major bitset of the same sets: n rows of
+	// SenderRows is the receiver-major bitset of the sender sets: n rows of
 	// System.RowWords() words, bit q of row i set iff processor i receives
-	// from sender q, bits at n and above clear. A planner that fills the
-	// System's own rows (System.SenderRows) is validated where they lie;
-	// any other slice is copied in.
+	// from sender q, bits at n and above clear. nil means every receiver
+	// hears every sender (full delivery). A planner that fills the System's
+	// own rows (System.SenderRows, System.UniformWindow) is validated where
+	// they lie; any other slice is copied in.
 	SenderRows []uint64
 	// Resets lists the processors reset at the end of the window.
 	Resets []ProcID
 }
 
 // Admits reports whether, under this window of an n-processor system,
-// receiver gets sender's just-sent messages, whichever form the plan is in.
+// receiver gets sender's just-sent messages.
 func (w Window) Admits(n int, receiver, sender ProcID) bool {
-	if w.SenderRows != nil {
-		words := (n + 63) / 64
-		return w.SenderRows[int(receiver)*words+int(sender)>>6]&(1<<(uint(sender)&63)) != 0
-	}
-	if w.Senders == nil || w.Senders[receiver] == nil {
+	if w.SenderRows == nil {
 		return true
 	}
-	return slices.Contains(w.Senders[receiver], sender)
-}
-
-// UniformWindow returns a Window delivering from the same sender set s to
-// every one of the n processors — the R, S, S, ..., S shape used throughout
-// Section 4 of the paper.
-func UniformWindow(n int, senders []ProcID, resets []ProcID) Window {
-	ss := make([][]ProcID, n)
-	for i := range ss {
-		ss[i] = senders
-	}
-	return Window{Senders: ss, Resets: resets}
+	words := (n + 63) / 64
+	return w.SenderRows[int(receiver)*words+int(sender)>>6]&(1<<(uint(sender)&63)) != 0
 }

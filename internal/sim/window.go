@@ -37,12 +37,10 @@ func (s *System) allowedRow(i int) []uint64 {
 
 // WindowDeliver executes the receiving steps of a window: each processor i
 // receives, in ascending sender order, the batch messages addressed to it
-// whose sender is in senders[i]. Every sender set must contain >= n-t
-// distinct senders (duplicate entries are ignored, so a padded set cannot
-// smuggle an effective set below Definition 1's bound). A nil senders slice,
-// like a nil per-receiver set, means "all senders". Batch messages not
-// delivered are dropped (within the window model, a message not delivered in
-// its window is never delivered).
+// whose sender is in its sender row, rows laid out as Window.SenderRows. Every
+// row must hold >= n-t senders; nil rows mean every receiver hears every
+// sender. Batch messages not delivered are dropped (within the window model,
+// a message not delivered in its window is never delivered).
 //
 // Delivery order is (receiver, sender, ID). For the System's own just-sent
 // batch (ownBatch) — every window of every sweep — that order comes from
@@ -52,15 +50,10 @@ func (s *System) allowedRow(i int) []uint64 {
 // in), so it is comparison-sorted and walked as one range by the caller.
 // That is its only difference: validation, the range body, the merge and the
 // drain are the same.
-func (s *System) WindowDeliver(batch []Message, senders [][]ProcID) error {
-	return s.deliverWindow(batch, Window{Senders: senders})
-}
-
-// deliverWindow is WindowDeliver under the sender sets of w, in either form.
-func (s *System) deliverWindow(batch []Message, w Window) error {
+func (s *System) WindowDeliver(batch []Message, rows []uint64) error {
 	own := s.ownBatch(batch)
 	rs := s.ranges(own)
-	if err := s.validateSenders(rs, w); err != nil {
+	if err := s.validateSenders(rs, rows); err != nil {
 		return err
 	}
 	if len(batch) == 0 {
@@ -226,7 +219,7 @@ func (s *System) WindowResets(resets []ProcID) error {
 // ApplyWindow runs one full acceptable window described by w.
 func (s *System) ApplyWindow(w Window) error {
 	batch := s.WindowSend()
-	if err := s.deliverWindow(batch, w); err != nil {
+	if err := s.WindowDeliver(batch, w.SenderRows); err != nil {
 		return err
 	}
 	return s.closeWindow(w.Resets)
@@ -274,7 +267,7 @@ func (s *System) ApplyWindowWith(adv WindowAdversary) error {
 	}
 	batch := s.WindowSend()
 	w := adv.PlanDelivery(s, batch)
-	if err := s.deliverWindow(batch, w); err != nil {
+	if err := s.WindowDeliver(batch, w.SenderRows); err != nil {
 		return err
 	}
 	return s.closeWindow(w.Resets)
