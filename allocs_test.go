@@ -24,7 +24,10 @@ import (
 // fixed silence, whose sender list used to be rebuilt per window, and under
 // the split-vote adversary's planning. The two uniform planners at n = 1024
 // (fixed silence of t senders, and the laggard scheduler over full delivery)
-// hold System.UniformWindow's fill of sixteen-word rows to zero as well.
+// hold System.UniformWindow's fill of sixteen-word rows to zero as well, and
+// the random-subset planners at the chaos grid's n = 128 (the seeded
+// scheduler, the subsets adversary) their per-receiver rng.SubsetBits draws
+// with the rejection table the warm-up built.
 func TestApplyWindowAllocs(t *testing.T) {
 	for _, mode := range []struct {
 		name    string
@@ -51,6 +54,13 @@ func TestApplyWindowAllocs(t *testing.T) {
 				sch, err := NewScheduler("laggard", cfg)
 				return Schedule(FullDelivery(), sch), err
 			}},
+		{name: "seeded-128", n: 128,
+			adv: func(cfg Config) (WindowAdversary, error) {
+				sch, err := NewScheduler("seeded", cfg)
+				return Schedule(FullDelivery(), sch), err
+			}},
+		{name: "subsets-128", n: 128,
+			adv: func(cfg Config) (WindowAdversary, error) { return NewAdversary("subsets", cfg) }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := coreConfig(mode.n)

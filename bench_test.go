@@ -182,16 +182,20 @@ func subsetPlanner(tb testing.TB, n int) func() {
 }
 
 // BenchmarkSubsetPlanWindow measures the seeded scheduler's per-window
-// planning cost.
+// planning cost: at the chaos grid's n = 128, and at n = 1024, the largest
+// prefix the rejection tables cover (subsetPlanner's first call builds the
+// table, before the timer starts).
 func BenchmarkSubsetPlanWindow(b *testing.B) {
-	b.Run(sizeLabel(128), func(b *testing.B) {
-		b.ReportAllocs()
-		plan := subsetPlanner(b, 128)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			plan()
-		}
-	})
+	for _, n := range []int{128, 1024} {
+		b.Run(sizeLabel(n), func(b *testing.B) {
+			b.ReportAllocs()
+			plan := subsetPlanner(b, n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				plan()
+			}
+		})
+	}
 }
 
 // brachaConfig is the Bracha window case: t = (n-1)/3, split inputs.

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Source is a deterministic pseudo-random source. The zero value is a valid
@@ -35,13 +36,45 @@ func (s *Source) Reseed(seed uint64) {
 }
 
 // golden is the splitmix64 increment (odd, derived from the golden ratio).
-const golden = 0x9e3779b97f4a7c15
+// goldenInv is its inverse modulo 2^64: the state after i outputs from seed
+// is seed + i·golden, so state·goldenInv is the state's global draw index,
+// consecutive for consecutive draws and the same whatever the seed.
+const (
+	golden    = 0x9e3779b97f4a7c15
+	goldenInv = 0xf1de83e19937733d
+)
 
 // mix is splitmix64's output finalizer, a bijection on 64-bit words.
 func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// unmix inverts mix: each xorshift is undone by folding the shifted word
+// back in until the shift runs off the end, each multiply by the constant's
+// inverse modulo 2^64.
+func unmix(z uint64) uint64 {
+	unshift := func(y uint64, s uint) uint64 {
+		x := y
+		for i := s; i < 64; i += s {
+			x = y ^ (x >> s)
+		}
+		return x
+	}
+	z = unshift(z, 31) * inverse(0x94d049bb133111eb)
+	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
+	return unshift(z, 30)
+}
+
+// inverse returns the inverse of the odd m modulo 2^64 (Newton's iteration
+// doubles the correct low bits each step).
+func inverse(m uint64) uint64 {
+	inv := m
+	for i := 0; i < 6; i++ {
+		inv *= 2 - m*inv
+	}
+	return inv
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
@@ -142,41 +175,59 @@ func (s *Source) Subset(n, k int) []int {
 // planning call is part of every seeded record (the per-window schedulers
 // and chaos adversaries draw one subset per receiver per window). Cheaper
 // samplers (a partial shuffle, Floyd's algorithm) draw differently and
-// would change every recorded execution, so what is optimized is the work
-// around the draws. Here that is the ordering of the chosen prefix: every
-// window caller passes k = n-t, most of n, so it is an O(n)
-// membership-bitset pass rather than a sort. A caller that wants the set
-// and not the list (a window's sender row) uses SubsetBits, which skips the
-// ordering and all but n-k of the swaps on the same draws.
+// would change every recorded execution. But the pass fixes positions n-1
+// down to k in its first n-k steps, and its other draws only permute the
+// chosen prefix among itself: so only those n-k swaps are made, the source
+// is moved past the other draws (skip, usually in one step), and the
+// prefix is put in order, an O(n) membership-bitset pass rather than a sort
+// since every window caller passes k = n-t, most of n. A caller that wants
+// the set and not the list (a window's sender row) uses SubsetBits, which
+// also skips the ordering.
 func (s *Source) SubsetInto(dst []int, k int) []int {
 	if k < 0 || k > len(dst) {
 		panic(fmt.Sprintf("rng: SubsetInto called with k = %d out of range [0, %d]", k, len(dst)))
 	}
-	s.PermInto(dst)
+	for i := range dst {
+		dst[i] = i
+	}
+	keep := k
+	if k == 0 {
+		keep = len(dst) // the empty set: no swap tells anything, every draw is skipped
+	}
+	for i := len(dst) - 1; i >= keep; i-- {
+		j := s.Intn(i + 1)
+		dst[i], dst[j] = dst[j], dst[i]
+	}
+	s.skip(keep, rejectTables.get(rejectClass(keep)))
 	sortPrefix(dst, k)
 	return dst[:k]
 }
 
-// SubsetScratch is SubsetBits's working permutation, reusable across calls
-// and sizes. The zero value is ready; one scratch serves one goroutine.
+// SubsetScratch is SubsetBits's working permutation and the rejection table
+// it last used, reusable across calls and sizes. The zero value is ready;
+// one scratch serves one goroutine.
 type SubsetScratch struct {
 	// perm is the identity permutation between calls: SubsetBits undoes its
 	// few swaps before it returns, so no call pays to rebuild it.
 	perm []int
+	// rejects is the rejection table of size class class (0: none), the
+	// one the last call's prefix needed.
+	rejects []uint64
+	class   int
 }
 
 // SubsetBits is the set-valued sibling of SubsetInto: it writes the subset
 // SubsetInto(dst[:n], k) would return as the bitset row (bit v of row is set
 // iff v is chosen; len(row) must be (n+63)/64 and bits at n and above come
-// out clear) and leaves the stream exactly where SubsetInto would, having
-// made the same n-1 draws in the same order under the same rejection rule.
-// It panics if k > n, k < 0 or the row has the wrong length.
+// out clear) and leaves the stream exactly where SubsetInto would, past the
+// same n-1 draws under the same rejection rule. It panics if k > n, k < 0
+// or the row has the wrong length.
 //
 // Fisher-Yates fixes positions n-1 down to k in its first n-k steps, and
 // its remaining draws only permute the chosen prefix among itself. So the
 // set is known after n-k swaps: those n-k values are cleared from an
-// all-ones row, and the other k-1 draws are consumed and dropped. No list
-// is built, ordered or read back.
+// all-ones row, and the source skips the other draws. No list is built,
+// ordered or read back.
 func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("rng: SubsetBits called with k = %d out of range [0, %d]", k, n))
@@ -193,7 +244,7 @@ func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
 	perm := sc.perm
 	keep := k
 	if k == 0 {
-		keep = n // the empty set: no swap tells anything, every draw is dropped
+		keep = n // the empty set: no swap tells anything, every draw is skipped
 		clear(row)
 	} else {
 		for w := range row {
@@ -219,8 +270,34 @@ func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
 		perm[j] = j
 		perm[i] = i
 	}
-	// The draws that would shuffle the prefix, bounds keep down to 2: Intn's
-	// loop with the result dropped, so only the low product word is needed.
+	if c := rejectClass(keep); c != sc.class {
+		sc.rejects, sc.class = rejectTables.get(c), c
+	}
+	s.skip(keep, sc.rejects)
+}
+
+// skip moves the source past the draws Intn(keep), Intn(keep-1), ...,
+// Intn(2) would make, results unused: the draws that would only shuffle a
+// Fisher-Yates prefix whose set is already known. table is the rejection
+// table of rejectClass(keep). Without a rejection those are keep-1
+// consecutive outputs, so when table lists none of their global indices
+// the source jumps them in one add; otherwise (and without a table) it
+// makes them one by one under Intn's rule, which is exact. It reports
+// whether it jumped.
+func (s *Source) skip(keep int, table []uint64) bool {
+	if table != nil {
+		first := (s.state + golden) * goldenInv
+		i, _ := slices.BinarySearch(table, first)
+		if i == len(table) {
+			i = 0 // the indices wrap: the next listed one is the smallest
+		}
+		if table[i]-first >= uint64(keep-1) {
+			s.state += uint64(keep-1) * golden
+			return true
+		}
+	}
+	// Intn's loop with the result dropped, so only the low product word is
+	// needed.
 	state := s.state
 	for bound := uint64(keep); bound >= 2; bound-- {
 		for {
@@ -231,6 +308,70 @@ func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
 		}
 	}
 	s.state = state
+	return false
+}
+
+// maxRejectClass caps the rejection tables at bounds up to 2^10 = 1024,
+// 154,549 indices (1.2 MB); a longer prefix makes its draws one by one.
+const maxRejectClass = 10
+
+// rejectClass is the size class whose table covers the bounds keep down to
+// 2: the least c with keep <= 2^c, or 0 (no table) when keep <= 2, which
+// never rejects, or keep is past the cap.
+func rejectClass(keep int) int {
+	if keep <= 2 || keep > 1<<maxRejectClass {
+		return 0
+	}
+	return bits.Len(uint(keep - 1))
+}
+
+// rejectTables is the process-wide set of rejection tables, each built on
+// the first draw that needs it and read-only after.
+var rejectTables rejectTableSet
+
+// rejectTableSet holds one rejection table per size class c, the sorted
+// global draw indices (see goldenInv) of every output Intn rejects at some
+// bound up to 2^c. A state's index does not depend on the seed, so neither
+// does the table.
+type rejectTableSet [maxRejectClass + 1]struct {
+	once  sync.Once
+	table []uint64
+}
+
+// get returns class c's table, building it on first use; class 0 has none.
+func (ts *rejectTableSet) get(c int) []uint64 {
+	if c == 0 {
+		return nil
+	}
+	e := &ts[c]
+	e.once.Do(func() { e.table = buildRejects(1 << c) })
+	return e.table
+}
+
+// buildRejects lists the global draw index of every output Intn rejects at
+// some bound in [3, maxBound], sorted and without duplicates. Intn rejects v
+// at bound b iff v·b mod 2^64 < 2^64 mod b, which only a power of two never
+// has (2^64 mod b = 0). The low word v·b mod 2^64 is below b for at most one
+// v per high word q < b, the least v with v·b >= q·2^64.
+func buildRejects(maxBound uint64) []uint64 {
+	var table []uint64
+	for b := uint64(3); b <= maxBound; b++ {
+		if b&(b-1) == 0 {
+			continue
+		}
+		thresh := -b % b
+		for q := uint64(0); q < b; q++ {
+			v, rem := bits.Div64(q, 0, b)
+			if rem != 0 {
+				v++
+			}
+			if v*b < thresh {
+				table = append(table, unmix(v)*goldenInv)
+			}
+		}
+	}
+	slices.Sort(table)
+	return slices.Compact(table)
 }
 
 // subsetScratchWords sizes sortPrefix's stack bitset: it covers n up to

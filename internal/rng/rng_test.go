@@ -1,7 +1,9 @@
 package rng
 
 import (
+	"math/bits"
 	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -209,13 +211,14 @@ func rowOf(sub []int, n int) []uint64 {
 // TestSubsetBitsMatchesSubsetInto holds the set-valued sampler to the list
 // one from equal states: the same set, and the same next output, so a
 // planner may swap one for the other without moving a seeded record. Sizes
-// straddle the row's word boundaries and SubsetInto's scratch; k covers both
+// straddle the row's word boundaries, SubsetInto's scratch and the
+// rejection tables' cap (a prefix of 1024 has a table, 1025 not); k covers both
 // ends, the window planners' n-t (t = n/8, the chaos grid's) and the sizes
 // where all or none of the draws are swaps. One scratch serves every size,
 // dirty from earlier rounds.
 func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
 	var sc SubsetScratch
-	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 4096, 4097} {
+	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 1025, 4096, 4097} {
 		for _, k := range []int{0, 1, n - n/8, n - 1, n} {
 			seed := uint64(n)*31 + uint64(k)
 			list, set := New(seed), New(seed)
@@ -249,29 +252,6 @@ func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
 			bad()
 		}()
 	}
-}
-
-// unmix inverts mix: each xorshift is undone by folding the shifted word
-// back in until the shift runs off the end, each multiply by the constant's
-// inverse modulo 2^64 (Newton's iteration doubles the correct low bits).
-func unmix(z uint64) uint64 {
-	unshift := func(y uint64, s uint) uint64 {
-		x := y
-		for i := s; i < 64; i += s {
-			x = y ^ (x >> s)
-		}
-		return x
-	}
-	inverse := func(m uint64) uint64 {
-		inv := m
-		for i := 0; i < 6; i++ {
-			inv *= 2 - m*inv
-		}
-		return inv
-	}
-	z = unshift(z, 31) * inverse(0x94d049bb133111eb)
-	z = unshift(z, 27) * inverse(0xbf58476d1ce4e5b9)
-	return unshift(z, 30)
 }
 
 // TestSubsetBitsRejectsWhereIntnDoes forces a Lemire rejection inside the
@@ -313,6 +293,148 @@ func TestSubsetBitsRejectsWhereIntnDoes(t *testing.T) {
 	if *set != *list || set.state != start+n*step {
 		t.Fatalf("SubsetBits left the source at %#x, SubsetInto at %#x, want %#x",
 			set.state, list.state, start+n*step)
+	}
+}
+
+// rejectsAt reports whether Intn rejects the output v at bound b.
+func rejectsAt(v, b uint64) bool {
+	return v*b < -b%b
+}
+
+// plantFor returns an output that Intn rejects at bound b and at no other
+// bound up to maxBound, so that in a table covering maxBound only b's
+// entries can route it to the exact loop. When b has none it returns 0,
+// which every bound that rejects at all rejects: bounds dividing 2^64-1
+// (3, 5, 15, 17, 51, 85 here) reject nothing else, and every output 14,
+// 80, 98 and 112 reject is rejected by another bound of their class too,
+// so dropping such a bound's entries leaves the table as it was.
+func plantFor(b, maxBound uint64, pick *Source) uint64 {
+	var candidates []uint64
+	for q := uint64(1); q < b; q++ {
+		v, rem := bits.Div64(q, 0, b)
+		if rem != 0 {
+			v++
+		}
+		if rejectsAt(v, b) {
+			candidates = append(candidates, v)
+		}
+	}
+next:
+	for _, i := range pick.Perm(len(candidates)) {
+		for other := uint64(3); other <= maxBound; other++ {
+			if other != b && rejectsAt(candidates[i], other) {
+				continue next
+			}
+		}
+		return candidates[i]
+	}
+	return 0
+}
+
+// TestSubsetSkipRoutesEveryRejection plants, for every bound 3..130 that
+// can reject, an output rejected at that bound only at a random offset
+// among the draws the samplers skip, and holds SubsetBits and SubsetInto
+// to PermInto + sort on the set and on the final state: the skip must see
+// the rejection and make the draws one by one. The prefix length keep is
+// drawn from the bound's own size class (b <= keep <= 2^c < 2b), whose
+// table lists no multiple of b, so that each bound 3..130 with an output
+// no other bound in its class rejects has one planted: dropping that
+// bound's entries from the table fails this test. Every table entry must
+// decode to an output rejected at some bound the table covers.
+func TestSubsetSkipRoutesEveryRejection(t *testing.T) {
+	pick := New(34)
+	var sc SubsetScratch
+	for b := uint64(3); b <= 130; b++ {
+		if b&(b-1) == 0 {
+			continue
+		}
+		top := uint64(1) << bits.Len64(b-1)
+		v := plantFor(b, top, pick)
+		keep := int(b) + pick.Intn(int(top-b)+1) // bound b draws at offset keep-b of the skipped block
+		n := keep + pick.Intn(9)
+		// The swaps make n-keep draws, the skipped block keep-b before b's.
+		start := unmix(v) - uint64(n-int(b)+1)*golden
+		ref := New(start)
+		perm := make([]int, n)
+		ref.PermInto(perm)
+		slices.Sort(perm[:keep])
+		if ref.state != start+uint64(n)*golden {
+			t.Fatalf("bound %d: PermInto(%d) made %d draws, want %d: the planted output was not rejected",
+				b, n, (ref.state-start)*goldenInv, n)
+		}
+		list, set := New(start), New(start)
+		got := list.SubsetInto(make([]int, n), keep)
+		row := make([]uint64, (n+63)/64)
+		set.SubsetBits(row, n, keep, &sc)
+		if !slices.Equal(got, perm[:keep]) || !slices.Equal(row, rowOf(perm[:keep], n)) {
+			t.Fatalf("bound %d (n=%d, k=%d): SubsetInto = %v, SubsetBits = %x, want %v", b, n, keep, got, row, perm[:keep])
+		}
+		if *list != *ref || *set != *ref {
+			t.Fatalf("bound %d (n=%d, k=%d): SubsetInto left the source at %#x, SubsetBits at %#x, want %#x",
+				b, n, keep, list.state, set.state, ref.state)
+		}
+	}
+	const c = 8
+	for _, idx := range rejectTables.get(c) {
+		out := mix(idx * golden)
+		listed := false
+		for b := uint64(3); b <= 1<<c && !listed; b++ {
+			listed = rejectsAt(out, b)
+		}
+		if !listed {
+			t.Fatalf("class %d lists index %#x, whose output %#x no bound up to %d rejects", c, idx, out, 1<<c)
+		}
+	}
+}
+
+// TestSubsetSkipTakenOnChaosShape holds the skip to its fast path on the
+// chaos grid's shape (n = 128, k = n-t = 112): across 10,000 consecutive
+// calls, no skipped block may need the exact loop, so a table that lists
+// too much cannot hide behind the fallback's exactness.
+func TestSubsetSkipTakenOnChaosShape(t *testing.T) {
+	const n, k = 128, 112
+	var sc SubsetScratch
+	src, row := New(1), make([]uint64, 2)
+	table := rejectTables.get(rejectClass(k))
+	for call := 0; call < 10000; call++ {
+		probe := *src
+		for b := n; b > k; b-- {
+			probe.Intn(b)
+		}
+		if !probe.skip(k, table) {
+			t.Fatalf("call %d: the skip fell back to the exact loop", call)
+		}
+		src.SubsetBits(row, n, k, &sc)
+		if *src != probe {
+			t.Fatalf("call %d: SubsetBits left the source at %#x, the skip at %#x", call, src.state, probe.state)
+		}
+	}
+}
+
+// TestRejectTablesFirstTouch builds one class from many goroutines at once
+// (run it under -race): every caller gets the one table, equal to the
+// process-wide one, and samplers on their own sources may touch the
+// process-wide tables at the same time.
+func TestRejectTablesFirstTouch(t *testing.T) {
+	const c, callers = 7, 8
+	var fresh rejectTableSet
+	got := make([][]uint64, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = fresh.get(c)
+			var sc SubsetScratch
+			New(uint64(i)).SubsetBits(make([]uint64, 2), 100+i, 90+i, &sc)
+		}()
+	}
+	wg.Wait()
+	want := rejectTables.get(c)
+	for i, table := range got {
+		if len(table) == 0 || &table[0] != &got[0][0] || !slices.Equal(table, want) {
+			t.Fatalf("caller %d got a table of %d entries, not the one shared table of %d", i, len(table), len(want))
+		}
 	}
 }
 
