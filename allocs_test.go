@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"asyncagree/internal/adversary"
 	"asyncagree/internal/registry"
 )
 
@@ -98,6 +99,25 @@ func TestSubsetPlanAllocFree(t *testing.T) {
 	const n = 128
 	if allocs := testing.AllocsPerRun(100, subsetPlanner(t, n)); allocs > 0 {
 		t.Fatalf("seeded PlanSenders allocates %.1f per call at n=%d, want 0", allocs, n)
+	}
+}
+
+// TestRandomResetPlanAllocFree pins the random adversary's planning call with
+// a reset draw every window (reset probability 1) — n per-receiver subsets,
+// then the reset subset drawn into its row and read back as a list — at zero
+// allocations once its scratch has grown.
+func TestRandomResetPlanAllocFree(t *testing.T) {
+	const n = 128
+	cfg := coreConfig(n)
+	s := mustNew(t, cfg)
+	adv := adversary.NewRandomWindows(1, 1, cfg.T)
+	plan := func() { planSink = adv.PlanDelivery(s, nil) }
+	plan()
+	if len(planSink.Resets) == 0 {
+		t.Fatal("vacuous: the plan drew no resets")
+	}
+	if allocs := testing.AllocsPerRun(100, plan); allocs > 0 {
+		t.Fatalf("random PlanDelivery with resets allocates %.1f per call at n=%d, want 0", allocs, n)
 	}
 }
 

@@ -21,6 +21,7 @@ package adversary
 
 import (
 	"fmt"
+	"math/bits"
 
 	"asyncagree/internal/rng"
 	"asyncagree/internal/sim"
@@ -125,18 +126,19 @@ func (a FixedSilence) silenced(p sim.ProcID) bool {
 // subset of up to t processors with probability ResetProb each window.
 //
 // The sender sets are drawn straight into the System's sender rows (n
-// different sets a window, nothing to share); the reset draw keeps the list
-// form, it needs the processors one by one. Planning reuses per-instance
-// scratch and the System's rows, so the returned Window is valid only until
-// the next PlanDelivery call; the System consumes it before then.
+// different sets a window, nothing to share); the reset draw goes into a
+// one-row scratch of its own and is read back as the ascending list of the
+// processors it names. Planning reuses per-instance scratch and the System's
+// rows, so the returned Window is valid only until the next PlanDelivery
+// call; the System consumes it before then.
 type RandomWindows struct {
 	rng       *rng.Source
 	resetProb float64
 	maxResets int
 
-	scratch rng.SubsetScratch
-	idx     []int // index scratch for the allocation-free reset draw
-	resets  []sim.ProcID
+	scratch  rng.SubsetScratch
+	resetRow []uint64 // the reset draw's row
+	resets   []sim.ProcID
 }
 
 var _ sim.WindowAdversary = (*RandomWindows)(nil)
@@ -158,9 +160,6 @@ func (a *RandomWindows) RecycleTrial(seed uint64) {
 // PlanDelivery implements sim.WindowAdversary.
 func (a *RandomWindows) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window {
 	n, t := s.N(), s.T()
-	if cap(a.idx) < n {
-		a.idx = make([]int, n)
-	}
 	var w sim.Window // t = 0: all senders, and no draw
 	if t > 0 {
 		rows, words := s.SenderRows(), s.RowWords()
@@ -177,8 +176,14 @@ func (a *RandomWindows) PlanDelivery(s *sim.System, _ []sim.Message) sim.Window 
 	a.resets = a.resets[:0]
 	if budget > 0 && a.rng.Float64() < a.resetProb {
 		k := 1 + a.rng.Intn(budget)
-		for _, v := range a.rng.SubsetInto(a.idx[:n], k) {
-			a.resets = append(a.resets, sim.ProcID(v))
+		if len(a.resetRow) != s.RowWords() {
+			a.resetRow = make([]uint64, s.RowWords())
+		}
+		a.rng.SubsetBits(a.resetRow, n, k, &a.scratch)
+		for wi, word := range a.resetRow {
+			for ; word != 0; word &= word - 1 {
+				a.resets = append(a.resets, sim.ProcID(wi<<6|bits.TrailingZeros64(word)))
+			}
 		}
 		w.Resets = a.resets
 	}

@@ -38,6 +38,7 @@ import (
 	"strconv"
 
 	"asyncagree/internal/bracha"
+	"asyncagree/internal/rng"
 	"asyncagree/internal/sim"
 )
 
@@ -124,18 +125,12 @@ func electSurvivors(group []sim.ProcID, seed uint64, k int) []sim.ProcID {
 		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 		return out
 	}
-	// splitmix64 walk seeded by the agreed seed; Fisher-Yates prefix.
-	state := seed ^ 0x9e3779b97f4a7c15
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	// A splitmix64 walk seeded by the agreed seed; Fisher-Yates prefix.
+	var src rng.Source
+	src.Reseed(seed ^ 0x9e3779b97f4a7c15)
 	pool := append([]sim.ProcID(nil), group...)
 	for i := 0; i < k; i++ {
-		j := i + int(next()%uint64(len(pool)-i))
+		j := i + int(src.Uint64()%uint64(len(pool)-i))
 		pool[i], pool[j] = pool[j], pool[i]
 	}
 	out := pool[:k]

@@ -1,6 +1,7 @@
 package committee
 
 import (
+	"slices"
 	"testing"
 
 	"asyncagree/internal/adversary"
@@ -75,8 +76,8 @@ func TestElectSurvivorsDeterministic(t *testing.T) {
 	group := []sim.ProcID{3, 5, 8, 9, 12, 14, 17, 20, 26}
 	a := electSurvivors(group, 42, 3)
 	b := electSurvivors(group, 42, 3)
-	if len(a) != 3 {
-		t.Fatalf("elected %d, want 3", len(a))
+	if want := []sim.ProcID{5, 9, 12}; !slices.Equal(a, want) {
+		t.Fatalf("elected %v, want %v", a, want)
 	}
 	for i := range a {
 		if a[i] != b[i] {

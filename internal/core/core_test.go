@@ -206,8 +206,8 @@ func TestResetRejoin(t *testing.T) {
 	// the reset processor genuinely has to rejoin the protocol.
 	s := newSystem(t, 12, 1, splitInputs(12), 3)
 	// Window 0: full delivery then reset processor 5.
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WindowResets([]sim.ProcID{5}); err != nil {
@@ -261,8 +261,8 @@ func TestResetErasesMemoryButKeepsContract(t *testing.T) {
 
 func TestDecidedOutputSurvivesReset(t *testing.T) {
 	s := newSystem(t, 12, 1, unanimousInputs(12, 1), 9)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	p0 := s.Proc(0).(*Proc)

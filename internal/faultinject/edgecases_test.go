@@ -39,6 +39,7 @@ func TestParseTrialSetEdgeCases(t *testing.T) {
 			wantErr: `faultinject: bad seeded set "rand:0@5": count must be a positive integer`},
 		{name: "seeded negative count", spec: "rand:-2@5",
 			wantErr: `faultinject: bad seeded set "rand:-2@5": count must be a positive integer`},
+		{name: "seeded three at seed 42", spec: "rand:3@42", want: []int{275413, 817960, 934247}},
 		{name: "seeded missing seed", spec: "rand:3",
 			wantErr: `faultinject: bad seeded set "rand:3" (want rand:K@seed)`},
 		{name: "max-int single trial", spec: maxInt, want: []int{1<<63 - 1}},

@@ -21,6 +21,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"asyncagree/internal/rng"
 )
 
 // Plan describes one run's injected faults. The zero value (and nil)
@@ -158,8 +160,8 @@ func (s *TrialSet) Indices() []int {
 func (s *TrialSet) empty() bool { return s == nil || len(s.explicit) == 0 && s.randK == 0 }
 
 // materialize resolves a seeded selection: a partial Fisher-Yates shuffle
-// of [0, total) driven by splitmix64, so the chosen set is a pure function
-// of (seed, k, total).
+// of [0, total) driven by an rng.Source seeded with the set's seed, so the
+// chosen set is a pure function of (seed, k, total).
 func (s *TrialSet) materialize(total int) {
 	if s == nil || s.randK == 0 || s.explicit != nil {
 		return
@@ -172,17 +174,11 @@ func (s *TrialSet) materialize(total int) {
 	for i := range idx {
 		idx[i] = i
 	}
-	state := s.randSeed
-	next := func() uint64 {
-		state += 0x9e3779b97f4a7c15
-		z := state
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		return z ^ (z >> 31)
-	}
+	var src rng.Source
+	src.Reseed(s.randSeed)
 	s.explicit = make(map[int]bool, k)
 	for i := 0; i < k; i++ {
-		j := i + int(next()%uint64(total-i))
+		j := i + int(src.Uint64()%uint64(total-i))
 		idx[i], idx[j] = idx[j], idx[i]
 		s.explicit[idx[i]] = true
 	}

@@ -157,52 +157,6 @@ func (s *Source) PermInto(p []int) {
 	}
 }
 
-// Subset returns a uniformly random k-element subset of [0, n), sorted
-// ascending. It panics if k > n or k < 0.
-func (s *Source) Subset(n, k int) []int {
-	return s.SubsetInto(make([]int, n), k)
-}
-
-// SubsetInto returns a uniformly random k-element subset of [0, len(dst)),
-// sorted ascending, in dst[:k] — the allocation-free counterpart of Subset
-// for callers that own an n-length scratch slice (contents need not be
-// initialized; dst[k:] is left unspecified). It draws exactly the same
-// values from the stream as Subset(len(dst), k). It panics if k > len(dst)
-// or k < 0.
-//
-// The draw sequence is frozen: it is PermInto's full Fisher-Yates pass,
-// len(dst)-1 draws whatever k is, because the stream position after a
-// planning call is part of every seeded record (the per-window schedulers
-// and chaos adversaries draw one subset per receiver per window). Cheaper
-// samplers (a partial shuffle, Floyd's algorithm) draw differently and
-// would change every recorded execution. But the pass fixes positions n-1
-// down to k in its first n-k steps, and its other draws only permute the
-// chosen prefix among itself: so only those n-k swaps are made, the source
-// is moved past the other draws (skip, usually in one step), and the
-// prefix is put in order, an O(n) membership-bitset pass rather than a sort
-// since every window caller passes k = n-t, most of n. A caller that wants
-// the set and not the list (a window's sender row) uses SubsetBits, which
-// also skips the ordering.
-func (s *Source) SubsetInto(dst []int, k int) []int {
-	if k < 0 || k > len(dst) {
-		panic(fmt.Sprintf("rng: SubsetInto called with k = %d out of range [0, %d]", k, len(dst)))
-	}
-	for i := range dst {
-		dst[i] = i
-	}
-	keep := k
-	if k == 0 {
-		keep = len(dst) // the empty set: no swap tells anything, every draw is skipped
-	}
-	for i := len(dst) - 1; i >= keep; i-- {
-		j := s.Intn(i + 1)
-		dst[i], dst[j] = dst[j], dst[i]
-	}
-	s.skip(keep, rejectTables.get(rejectClass(keep)))
-	sortPrefix(dst, k)
-	return dst[:k]
-}
-
 // SubsetScratch is SubsetBits's working permutation and the rejection table
 // it last used, reusable across calls and sizes. The zero value is ready;
 // one scratch serves one goroutine.
@@ -216,18 +170,25 @@ type SubsetScratch struct {
 	class   int
 }
 
-// SubsetBits is the set-valued sibling of SubsetInto: it writes the subset
-// SubsetInto(dst[:n], k) would return as the bitset row (bit v of row is set
-// iff v is chosen; len(row) must be (n+63)/64 and bits at n and above come
-// out clear) and leaves the stream exactly where SubsetInto would, past the
-// same n-1 draws under the same rejection rule. It panics if k > n, k < 0
-// or the row has the wrong length.
+// SubsetBits writes a uniformly random k-element subset of [0, n) as the
+// bitset row (bit v of row is set iff v is chosen; len(row) must be
+// (n+63)/64 and bits at n and above come out clear). The subset and the
+// stream position afterwards are those of PermInto on an n-slice followed by
+// taking its first k entries. It panics if k > n, k < 0 or the row has the
+// wrong length.
 //
-// Fisher-Yates fixes positions n-1 down to k in its first n-k steps, and
-// its remaining draws only permute the chosen prefix among itself. So the
-// set is known after n-k swaps: those n-k values are cleared from an
-// all-ones row, and the source skips the other draws. No list is built,
-// ordered or read back.
+// The draw sequence is frozen: it is PermInto's full Fisher-Yates pass, n-1
+// draws whatever k is, because the stream position after a planning call is
+// part of every seeded record (the per-window schedulers and chaos
+// adversaries draw one subset per receiver per window). Cheaper samplers (a
+// partial shuffle, Floyd's algorithm) draw differently and would change
+// every recorded execution. But the pass fixes positions n-1 down to k in
+// its first n-k steps, and its remaining draws only permute the chosen
+// prefix among itself. So the set is known after n-k swaps: those n-k values
+// are cleared from an all-ones row, and the source skips the other draws
+// (skip, usually in one step). No list is built, ordered or read back; a
+// caller that needs the members one by one reads the row's set bits, which
+// come out ascending.
 func (s *Source) SubsetBits(row []uint64, n, k int, sc *SubsetScratch) {
 	if k < 0 || k > n {
 		panic(fmt.Sprintf("rng: SubsetBits called with k = %d out of range [0, %d]", k, n))
@@ -372,42 +333,4 @@ func buildRejects(maxBound uint64) []uint64 {
 	}
 	slices.Sort(table)
 	return slices.Compact(table)
-}
-
-// subsetScratchWords sizes sortPrefix's stack bitset: it covers n up to
-// 4096, every size the simulator runs (E15 tops out there).
-const subsetScratchWords = 64
-
-// sortPrefix rewrites p[:k] ascending, where p is a permutation of
-// [0, len(p)): it marks the chosen values in a stack bitset and reads the
-// bitset back in order, O(n) with no comparisons and no allocation. The
-// compiler zeroes a stack array whole wherever it is declared, so n <= 64
-// gets a one-word bitset of its own rather than paying for 4096. Beyond the
-// scratch it falls back to a comparison sort.
-func sortPrefix(p []int, k int) {
-	switch n := len(p); {
-	case n <= 64:
-		var member [1]uint64
-		sortPrefixVia(p, k, member[:])
-	case n <= subsetScratchWords*64:
-		var member [subsetScratchWords]uint64
-		sortPrefixVia(p, k, member[:(n+63)/64])
-	default:
-		slices.Sort(p[:k])
-	}
-}
-
-// sortPrefixVia is sortPrefix through the zeroed bitset member, which covers
-// [0, len(p)).
-func sortPrefixVia(p []int, k int, member []uint64) {
-	for _, v := range p[:k] {
-		member[v>>6] |= 1 << (uint(v) & 63)
-	}
-	i := 0
-	for w, word := range member {
-		for ; word != 0; word &= word - 1 {
-			p[i] = w<<6 | bits.TrailingZeros64(word)
-			i++
-		}
-	}
 }

@@ -136,70 +136,7 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 }
 
-// TestSubsetIntoMatchesSubset pins the stream-identity contract: the
-// allocation-free scratch variants draw exactly the same values as their
-// allocating counterparts, so swapping one for the other never changes an
-// execution.
-func TestSubsetIntoMatchesSubset(t *testing.T) {
-	a, b := New(99), New(99)
-	scratch := make([]int, 32)
-	for _, nk := range [][2]int{{10, 3}, {10, 10}, {1, 0}, {32, 30}, {7, 1}} {
-		n, k := nk[0], nk[1]
-		want := a.Subset(n, k)
-		got := b.SubsetInto(scratch[:n], k)
-		if len(got) != len(want) {
-			t.Fatalf("SubsetInto(%d, %d) length %d, want %d", n, k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("SubsetInto(%d, %d) = %v, want %v", n, k, got, want)
-			}
-		}
-	}
-	if testing.AllocsPerRun(100, func() { New(5).SubsetInto(scratch[:16], 12) }) > 1 {
-		t.Fatal("SubsetInto allocates beyond its Source")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SubsetInto with k > len(dst) did not panic")
-		}
-	}()
-	New(1).SubsetInto(scratch[:4], 5)
-}
-
-// TestSubsetIntoMatchesReference is the differential check of SubsetInto's
-// linear-time ordering pass against the definition it replaces — a full
-// PermInto shuffle, then a comparison sort of the chosen prefix — across the
-// bitset's word boundaries and both sides of its fixed scratch (n > 4096
-// takes the fallback). Equal output AND equal source state afterwards: the
-// stream position is part of every seeded record, so the draw sequence must
-// not move.
-func TestSubsetIntoMatchesReference(t *testing.T) {
-	for _, n := range []int{1, 2, 63, 64, 65, 127, 128, 129, 1024, 4096, 4097} {
-		for _, k := range []int{0, 1, n - n/8, n} {
-			got, want := New(uint64(n)*31+uint64(k)), New(uint64(n)*31+uint64(k))
-			dst, ref := make([]int, n), make([]int, n)
-			for round := 0; round < 3; round++ { // dst is dirty from the second round on
-				sub := got.SubsetInto(dst, k)
-				want.PermInto(ref)
-				slices.Sort(ref[:k])
-				if !slices.Equal(sub, ref[:k]) {
-					t.Fatalf("SubsetInto(n=%d, k=%d) round %d = %v, want %v", n, k, round, sub, ref[:k])
-				}
-				if *got != *want {
-					t.Fatalf("SubsetInto(n=%d, k=%d) round %d left the source at %#x, PermInto at %#x",
-						n, k, round, got.state, want.state)
-				}
-			}
-			src := New(7)
-			if allocs := testing.AllocsPerRun(10, func() { src.SubsetInto(dst, k) }); allocs != 0 {
-				t.Fatalf("SubsetInto(n=%d, k=%d) allocates %.1f per call, want 0", n, k, allocs)
-			}
-		}
-	}
-}
-
-// rowOf is the bitset row of the sorted list sub over [0, n).
+// rowOf is the bitset row of the list sub over [0, n).
 func rowOf(sub []int, n int) []uint64 {
 	row := make([]uint64, (n+63)/64)
 	for _, v := range sub {
@@ -208,32 +145,35 @@ func rowOf(sub []int, n int) []uint64 {
 	return row
 }
 
-// TestSubsetBitsMatchesSubsetInto holds the set-valued sampler to the list
-// one from equal states: the same set, and the same next output, so a
-// planner may swap one for the other without moving a seeded record. Sizes
-// straddle the row's word boundaries, SubsetInto's scratch and the
-// rejection tables' cap (a prefix of 1024 has a table, 1025 not); k covers both
-// ends, the window planners' n-t (t = n/8, the chaos grid's) and the sizes
-// where all or none of the draws are swaps. One scratch serves every size,
-// dirty from earlier rounds.
-func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
+// TestSubsetBitsMatchesReference is the differential check of SubsetBits
+// against the definition it replaces: a full PermInto shuffle, then the set
+// of the first k entries. Equal set AND equal source state afterwards: the
+// stream position is part of every seeded record, so the draw sequence must
+// not move. Sizes straddle the row's word boundaries and the rejection
+// tables' cap (a prefix of 1024 has a table, 1025 not); k covers both ends,
+// the window planners' n-t (t = n/8, the chaos grid's) and the sizes where
+// all or none of the draws are swaps. One scratch serves every size, dirty
+// from earlier rounds.
+func TestSubsetBitsMatchesReference(t *testing.T) {
 	var sc SubsetScratch
 	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 1025, 4096, 4097} {
 		for _, k := range []int{0, 1, n - n/8, n - 1, n} {
 			seed := uint64(n)*31 + uint64(k)
-			list, set := New(seed), New(seed)
-			dst, row := make([]int, n), make([]uint64, (n+63)/64)
+			got, want := New(seed), New(seed)
+			row, ref := make([]uint64, (n+63)/64), make([]int, n)
 			for round := 0; round < 3; round++ {
-				want := rowOf(list.SubsetInto(dst, k), n)
-				set.SubsetBits(row, n, k, &sc)
-				if !slices.Equal(row, want) {
-					t.Fatalf("SubsetBits(n=%d, k=%d) round %d = %x, want %x", n, k, round, row, want)
+				got.SubsetBits(row, n, k, &sc)
+				want.PermInto(ref)
+				slices.Sort(ref[:k])
+				if !slices.Equal(row, rowOf(ref[:k], n)) {
+					t.Fatalf("SubsetBits(n=%d, k=%d) round %d = %x, want %v", n, k, round, row, ref[:k])
 				}
-				if a, b := set.Uint64(), list.Uint64(); a != b {
-					t.Fatalf("SubsetBits(n=%d, k=%d) round %d: next output %#x, SubsetInto's %#x", n, k, round, a, b)
+				if *got != *want {
+					t.Fatalf("SubsetBits(n=%d, k=%d) round %d left the source at %#x, PermInto at %#x",
+						n, k, round, got.state, want.state)
 				}
 			}
-			if allocs := testing.AllocsPerRun(10, func() { set.SubsetBits(row, n, k, &sc) }); allocs != 0 {
+			if allocs := testing.AllocsPerRun(10, func() { got.SubsetBits(row, n, k, &sc) }); allocs != 0 {
 				t.Fatalf("SubsetBits(n=%d, k=%d) allocates %.1f per call, want 0", n, k, allocs)
 			}
 		}
@@ -258,8 +198,9 @@ func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
 // draws SubsetBits consumes without using. An output of 0 is rejected at
 // bound 3 (its low product word, 0, is below 2^64 mod 3 = 1) and nowhere
 // else in this call, so a source whose sixth output is 0 makes n = 8, k = 6
-// (bounds 8, 7 swapped; 6, 5, 4, 3, 2 consumed) draw one extra word. The
-// two samplers must still agree on the set and on where the stream stands.
+// (bounds 8, 7 swapped; 6, 5, 4, 3, 2 consumed) draw one extra word.
+// SubsetBits and PermInto must still agree on the set and on where the
+// stream stands.
 func TestSubsetBitsRejectsWhereIntnDoes(t *testing.T) {
 	if x := uint64(0x0123456789abcdef); mix(unmix(x)) != x || unmix(mix(x)) != x {
 		t.Fatal("unmix does not invert mix")
@@ -274,25 +215,21 @@ func TestSubsetBitsRejectsWhereIntnDoes(t *testing.T) {
 	if probe.Uint64() != 0 {
 		t.Fatal("the sixth output is not 0")
 	}
-	plain := New(start)
-	for bound := n; bound >= 2; bound-- {
-		plain.Intn(bound)
-	}
-	if plain.state != start+n*step {
-		t.Fatalf("Intn over bounds %d..2 left the source at %#x, want %#x: %d words, one of them rejected",
-			n, plain.state, start+n*step, n)
+	ref, set := New(start), New(start)
+	perm := make([]int, n)
+	ref.PermInto(perm)
+	if ref.state != start+n*step {
+		t.Fatalf("PermInto(%d) left the source at %#x, want %#x: %d words, one of them rejected",
+			n, ref.state, start+n*step, n)
 	}
 	var sc SubsetScratch
-	list, set := New(start), New(start)
 	row := make([]uint64, 1)
-	want := rowOf(list.SubsetInto(make([]int, n), k), n)
 	set.SubsetBits(row, n, k, &sc)
-	if !slices.Equal(row, want) {
+	if want := rowOf(perm[:k], n); !slices.Equal(row, want) {
 		t.Fatalf("SubsetBits = %x, want %x", row, want)
 	}
-	if *set != *list || set.state != start+n*step {
-		t.Fatalf("SubsetBits left the source at %#x, SubsetInto at %#x, want %#x",
-			set.state, list.state, start+n*step)
+	if *set != *ref {
+		t.Fatalf("SubsetBits left the source at %#x, PermInto at %#x", set.state, ref.state)
 	}
 }
 
@@ -333,8 +270,8 @@ next:
 
 // TestSubsetSkipRoutesEveryRejection plants, for every bound 3..130 that
 // can reject, an output rejected at that bound only at a random offset
-// among the draws the samplers skip, and holds SubsetBits and SubsetInto
-// to PermInto + sort on the set and on the final state: the skip must see
+// among the draws the sampler skips, and holds SubsetBits to PermInto on
+// the set and on the final state: the skip must see
 // the rejection and make the draws one by one. The prefix length keep is
 // drawn from the bound's own size class (b <= keep <= 2^c < 2b), whose
 // table lists no multiple of b, so that each bound 3..130 with an output
@@ -357,21 +294,19 @@ func TestSubsetSkipRoutesEveryRejection(t *testing.T) {
 		ref := New(start)
 		perm := make([]int, n)
 		ref.PermInto(perm)
-		slices.Sort(perm[:keep])
 		if ref.state != start+uint64(n)*golden {
 			t.Fatalf("bound %d: PermInto(%d) made %d draws, want %d: the planted output was not rejected",
 				b, n, (ref.state-start)*goldenInv, n)
 		}
-		list, set := New(start), New(start)
-		got := list.SubsetInto(make([]int, n), keep)
+		set := New(start)
 		row := make([]uint64, (n+63)/64)
 		set.SubsetBits(row, n, keep, &sc)
-		if !slices.Equal(got, perm[:keep]) || !slices.Equal(row, rowOf(perm[:keep], n)) {
-			t.Fatalf("bound %d (n=%d, k=%d): SubsetInto = %v, SubsetBits = %x, want %v", b, n, keep, got, row, perm[:keep])
+		if want := rowOf(perm[:keep], n); !slices.Equal(row, want) {
+			t.Fatalf("bound %d (n=%d, k=%d): SubsetBits = %x, want %x", b, n, keep, row, want)
 		}
-		if *list != *ref || *set != *ref {
-			t.Fatalf("bound %d (n=%d, k=%d): SubsetInto left the source at %#x, SubsetBits at %#x, want %#x",
-				b, n, keep, list.state, set.state, ref.state)
+		if *set != *ref {
+			t.Fatalf("bound %d (n=%d, k=%d): SubsetBits left the source at %#x, PermInto at %#x",
+				b, n, keep, set.state, ref.state)
 		}
 	}
 	const c = 8
@@ -440,22 +375,13 @@ func TestRejectTablesFirstTouch(t *testing.T) {
 
 func TestSubsetProperties(t *testing.T) {
 	s := New(13)
+	var sc SubsetScratch
 	check := func(n, k uint8) bool {
 		nn := int(n%20) + 1
 		kk := int(k) % (nn + 1)
-		sub := s.Subset(nn, kk)
-		if len(sub) != kk {
-			return false
-		}
-		for i, v := range sub {
-			if v < 0 || v >= nn {
-				return false
-			}
-			if i > 0 && sub[i-1] >= v {
-				return false // must be sorted strictly ascending
-			}
-		}
-		return true
+		row := make([]uint64, 1)
+		s.SubsetBits(row, nn, kk, &sc)
+		return bits.OnesCount64(row[0]) == kk && row[0]>>uint(nn) == 0
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -465,17 +391,15 @@ func TestSubsetProperties(t *testing.T) {
 func TestSubsetCoverage(t *testing.T) {
 	// Every element should appear in some subset over many draws.
 	s := New(17)
+	var sc SubsetScratch
 	const n, k = 10, 3
-	seen := make([]bool, n)
+	var seen, row [1]uint64
 	for i := 0; i < 1000; i++ {
-		for _, v := range s.Subset(n, k) {
-			seen[v] = true
-		}
+		s.SubsetBits(row[:], n, k, &sc)
+		seen[0] |= row[0]
 	}
-	for v, ok := range seen {
-		if !ok {
-			t.Fatalf("element %d never selected by Subset", v)
-		}
+	if seen[0] != 1<<n-1 {
+		t.Fatalf("elements %b never selected by SubsetBits", ^seen[0]&(1<<n-1))
 	}
 }
 

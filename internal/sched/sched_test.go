@@ -172,7 +172,7 @@ func TestLaggardRotates(t *testing.T) {
 				t.Fatalf("window %d: starved processor %d was admitted", w, p)
 			}
 		}
-		if err := s.WindowDeliver(batch, plan.SenderRows); err != nil {
+		if err := s.WindowDeliver(plan.SenderRows); err != nil {
 			t.Fatal(err)
 		}
 	}

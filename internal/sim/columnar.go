@@ -20,9 +20,9 @@ import "math/bits"
 // so EvSend/EvDeliver traces require the message path), no processor is
 // Byzantine-corrupted, every process implements both VoteBroadcaster and
 // TallyReceiver, and the adversary implements ColumnarPlanner and currently
-// plans without reading the batch. Everything else — hand-built windows
-// through ApplyWindow/WindowDeliver, non-columnar algorithms, traced runs —
-// takes the message path.
+// plans without reading the batch. Everything else — windows through
+// ApplyWindow or WindowSend/WindowDeliver, non-columnar algorithms, traced
+// runs — takes the message path.
 
 // ValNeutral is the smallest neutral (non-value-bearing) column value: a
 // published Val < ValNeutral carries the bit Val ∈ {0, 1}, while Val >=
@@ -367,7 +367,7 @@ func (s *System) columnarCount(row []uint64) (msgs int64, depth int) {
 // the columns, through the same ranges and the same merge as the message
 // path. OnEvent is nil here, so the merge carries no events.
 func (s *System) columnarDeliver(w Window) error {
-	rs := s.ranges(true)
+	rs := s.ranges()
 	if err := s.validateSenders(rs, w.SenderRows); err != nil {
 		return err
 	}

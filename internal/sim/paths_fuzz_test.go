@@ -36,25 +36,27 @@ const (
 // path: sender rows of the chosen shape, submitted in the chosen form, plus
 // up to t resets. The split-vote shape is the exception: it hands planning to
 // split, which reads the batch on the message path and the columns on the
-// columnar path and must plan the same windows from either. With disown set
-// it turns each just-sent batch into a hand-built one, as orderProbe does.
+// columnar path and must plan the same windows from either.
 type shapePlan struct {
-	r      *rng.Source
-	split  *adversary.SplitVote
-	shape  int
-	form   int
-	disown bool
-	perm   []int
+	r     *rng.Source
+	split *adversary.SplitVote
+	shape int
+	form  int
+	perm  []int
 }
 
+// subset draws a uniform k-subset of the n processors by the reference
+// definition, a full PermInto shuffle's first k entries, in ascending order.
 func (p *shapePlan) subset(n, k int) []sim.ProcID {
 	if len(p.perm) != n {
 		p.perm = make([]int, n)
 	}
+	p.r.PermInto(p.perm)
 	out := make([]sim.ProcID, 0, k)
-	for _, q := range p.r.SubsetInto(p.perm, k) {
+	for _, q := range p.perm[:k] {
 		out = append(out, sim.ProcID(q))
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -116,11 +118,7 @@ func (p *shapePlan) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window 
 	} else {
 		w = p.plan(s)
 	}
-	w = p.submit(w)
-	if p.disown {
-		s.DisownBatch()
-	}
-	return w
+	return p.submit(w)
 }
 
 func (p *shapePlan) PlansColumnar() bool { return true }
@@ -133,12 +131,12 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 }
 
 // FuzzWindowPaths is the differential check over every route through a
-// window: any worker count, the message or the columnar representation, the
-// System's own batch or a hand-built one, under any sender-set shape in any
-// plan form, must reproduce the inline message run on the own batch under
-// the System's own rows — its first error, RunResult and final
-// configuration, and (where the path materializes messages at all) its event
-// feed. The
+// window: any worker count, the message or the columnar representation,
+// under any sender-set shape in any plan form, must reproduce the inline
+// message run under the System's own rows — its first error, RunResult and
+// final configuration, and (where the path materializes messages at all) its
+// event feed. That reference run is itself held to orderOracle's comparison
+// sort window by window, so every input checks the counting sort too. The
 // algorithm is an input like the rest (algRaw mod 3: 0 core at t < n/6, 1
 // Ben-Or at t < n/2, 2 Bracha at t < n/3 and n <= 31), so both clients of the
 // columnar scan are held to their own per-message Deliver, and Bracha's n²
@@ -160,34 +158,34 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 func FuzzWindowPaths(f *testing.F) {
 	for i, n := range []int{63, 64, 65, 127, 128, 70, 96} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(formOwnRows))
+			f.Add(uint8(n), uint8(n/6-1), uint64(11+i), uint8(shape+i), (shape+i)%2 == 0, uint8(shape), uint8(0), uint8(formOwnRows))
 		}
 	}
 	for i, n := range []int{63, 64, 65, 127, 128} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, shape%2 == 1, uint8(shape), uint8(1), uint8(formOwnRows))
+			f.Add(uint8(n), uint8(n/3), uint64(41+i), uint8(shape+i), (shape+i)%2 == 0, uint8(shape), uint8(1), uint8(formOwnRows))
 		}
 	}
 	for i, n := range []int{63, 64, 65, 127, 128} {
 		for shape := shapeShared; shape < shapeCount; shape++ {
 			for form := formOwnRows; form < formCount; form++ {
 				k := shape + form + i
-				f.Add(uint8(n), uint8(n/6-1), uint64(71+i), uint8(k), k%2 == 0, shape%2 == 1, uint8(shape), uint8(0), uint8(form))
-				f.Add(uint8(n), uint8(n/3), uint64(91+i), uint8(k), k%2 == 1, shape%2 == 0, uint8(shape), uint8(1), uint8(form))
+				f.Add(uint8(n), uint8(n/6-1), uint64(71+i), uint8(k), k%2 == 0, uint8(shape), uint8(0), uint8(form))
+				f.Add(uint8(n), uint8(n/3), uint64(91+i), uint8(k), k%2 == 1, uint8(shape), uint8(1), uint8(form))
 			}
 		}
 	}
 	for i, nt := range [][2]int{{13, 4}, {18, 2}, {27, 3}} {
 		for shape := 0; shape < shapeCount; shape++ {
-			f.Add(uint8(nt[0]), uint8(nt[1]), uint64(121+i), uint8(shape+i), false, (shape+i)%2 == 1, uint8(shape), uint8(2), uint8((shape+i)%formCount))
+			f.Add(uint8(nt[0]), uint8(nt[1]), uint64(121+i), uint8(shape+i), false, uint8(shape), uint8(2), uint8((shape+i)%formCount))
 		}
 	}
 	for i, alg := range []uint8{0, 1} {
 		for _, shape := range []int{shapeNil, shapePerReceiver} {
-			f.Add(uint8(192), uint8(31), uint64(151+i), uint8(shape+i), true, false, uint8(shape), alg, uint8(formOwnRows))
+			f.Add(uint8(192), uint8(31), uint64(151+i), uint8(shape+i), true, uint8(shape), alg, uint8(formOwnRows))
 		}
 	}
-	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar, disown bool, shapeRaw, algRaw, formRaw uint8) {
+	f.Fuzz(func(t *testing.T, nRaw, tRaw uint8, seed uint64, workersRaw uint8, columnar bool, shapeRaw, algRaw, formRaw uint8) {
 		n := max(int(nRaw)%193, 7) // 7..192, the seeds' sizes unchanged
 		var ft int
 		var factory func(sim.ProcID, sim.Bit) sim.Process
@@ -215,7 +213,7 @@ func FuzzWindowPaths(f *testing.F) {
 		shape := int(shapeRaw) % shapeCount
 		form := int(formRaw) % formCount
 
-		run := func(workers int, columnar, disown bool, form int) (events []string, res sim.RunResult, snap []string, err error) {
+		run := func(workers int, columnar bool, form int, oracle bool) (events []string, res sim.RunResult, snap []string, err error) {
 			s, err := sim.New(sim.Config{
 				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: factory,
 			})
@@ -224,10 +222,15 @@ func FuzzWindowPaths(f *testing.F) {
 			}
 			s.SetShardWorkers(workers)
 			s.SetColumnar(columnar)
-			adv := &shapePlan{r: rng.New(seed), split: adversary.NewSplitVote(classify, voteCap),
-				shape: shape, form: form, disown: disown}
+			var adv sim.WindowAdversary = &shapePlan{r: rng.New(seed), split: adversary.NewSplitVote(classify, voteCap),
+				shape: shape, form: form}
 			if columnar != s.ColumnarPlanned(adv) {
 				t.Fatalf("columnar path planned = %v, want %v", !columnar, columnar)
+			}
+			observe := func(sim.Event) {}
+			if oracle {
+				o := &orderOracle{inner: adv, t: t}
+				adv, observe = o, o.observe
 			}
 			if !columnar {
 				// An observer forces the message path, so only that one has a
@@ -235,14 +238,15 @@ func FuzzWindowPaths(f *testing.F) {
 				s.OnEvent = func(ev sim.Event) {
 					events = append(events, fmt.Sprintf("%d w%d p%d %d>%d#%d d%d v%d",
 						ev.Kind, ev.Window, ev.Proc, ev.Msg.From, ev.Msg.To, ev.Msg.ID, ev.Msg.Depth, ev.Value))
+					observe(ev)
 				}
 			}
 			res, err = s.RunWindows(adv, 6)
 			s.SetShardWorkers(1) // stop the pool
 			return events, res, s.ConfigurationSnapshot(), err
 		}
-		wantEvents, wantRes, wantSnap, wantErr := run(1, false, false, formOwnRows)
-		events, res, snap, err := run(workers, columnar, disown, form)
+		wantEvents, wantRes, wantSnap, wantErr := run(1, false, formOwnRows, true)
+		events, res, snap, err := run(workers, columnar, form, false)
 		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
 			t.Fatalf("first error %v, the inline message run had %v", err, wantErr)
 		}

@@ -78,29 +78,40 @@ func (s *System) SetShardWorkers(k int) {
 	}
 }
 
-// ranges rewinds and returns the range scratch the coming phases write: the
-// whole System as one range, or, when the caller's bodies may run
-// concurrently and workers are configured, the shard partition. The pool and
-// the per-shard scratch are built on the first such call, so a System that
-// never asks for workers pays for neither.
-func (s *System) ranges(concurrent bool) []windowShard {
+// ranges rewinds and returns the range scratch a window's phases write: the
+// shard partition when workers are configured, else the one inline range.
+// The pool and the per-shard scratch are built on the first such call, so a
+// System that never asks for workers pays for neither.
+func (s *System) ranges() []windowShard {
+	if s.shardWorkers <= 1 {
+		return s.inline()
+	}
+	if s.shardPool == nil {
+		s.shardPool = newShardPool(s.shardWorkers - 1)
+		s.shardCleanup = s.shardPool.installCleanup(s)
+	}
+	if len(s.shards) == 0 {
+		c := shardCountFor(s.n)
+		s.shards = make([]windowShard, c)
+		for b := range s.shards {
+			s.shards[b].lo = b * s.n / c
+			s.shards[b].hi = (b + 1) * s.n / c
+		}
+	}
+	return rewind(s.shards)
+}
+
+// inline rewinds and returns the one range [0, n) the caller walks itself:
+// step mode's single steps and the resetting steps use it at every worker
+// count.
+func (s *System) inline() []windowShard {
 	rs := s.whole[:]
 	rs[0].lo, rs[0].hi = 0, s.n
-	if concurrent && s.shardWorkers > 1 {
-		if s.shardPool == nil {
-			s.shardPool = newShardPool(s.shardWorkers - 1)
-			s.shardCleanup = s.shardPool.installCleanup(s)
-		}
-		if len(s.shards) == 0 {
-			c := shardCountFor(s.n)
-			s.shards = make([]windowShard, c)
-			for b := range s.shards {
-				s.shards[b].lo = b * s.n / c
-				s.shards[b].hi = (b + 1) * s.n / c
-			}
-		}
-		rs = s.shards
-	}
+	return rewind(rs)
+}
+
+// rewind clears the range scratch of rs for a new phase.
+func rewind(rs []windowShard) []windowShard {
 	for i := range rs {
 		sh := &rs[i]
 		sh.steps = 0
@@ -266,9 +277,8 @@ func (s *System) validateRows(sh *windowShard) {
 // the (receiver, sender, ID) order orderIdx/orderOff hold. All writes are
 // range-local or per-receiver (chainDepth, decided*, the process, its rng);
 // the buffer is only read, so concurrent ranges never conflict. The stored
-// copy is what gets delivered: a message an adversary consumed while
-// planning (legal, if eccentric), or a hand-built entry that was never
-// buffered, is skipped.
+// copy is what gets delivered: a message an adversary took or dropped while
+// planning (legal, if eccentric) is skipped.
 func (s *System) deliverRange(sh *windowShard) {
 	batch := s.phaseBatch
 	idx, off := s.orderIdx, s.orderOff
@@ -282,14 +292,8 @@ func (s *System) deliverRange(sh *windowShard) {
 		}
 		for _, j := range idx[off[r]:off[r+1]] {
 			m := &batch[j]
-			if row != nil {
-				from := int(m.From)
-				if from < 0 || from >= s.n {
-					continue
-				}
-				if row[from>>6]&(uint64(1)<<(uint(from)&63)) == 0 {
-					continue
-				}
+			if row != nil && row[m.From>>6]&(uint64(1)<<(uint(m.From)&63)) == 0 {
+				continue
 			}
 			if stored := s.buffer.cell(m.ID); stored != nil {
 				s.deliverMsg(sh, *stored)

@@ -117,7 +117,7 @@ func TestWindowSendDeliverAll(t *testing.T) {
 	if len(batch) != 16 {
 		t.Fatalf("batch size = %d, want 16", len(batch))
 	}
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -129,17 +129,30 @@ func TestWindowSendDeliverAll(t *testing.T) {
 	if s.Buffer().Len() != 0 {
 		t.Fatalf("buffer not drained: %d left", s.Buffer().Len())
 	}
+	// The batch is spent: without a new WindowSend the next window is empty.
+	steps := s.Steps()
+	if err := s.WindowDeliver(nil); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if got := len(s.Proc(ProcID(i)).(*echoProc).delivered); got != 4 {
+			t.Fatalf("a second delivery gave processor %d %d messages in all, want 4", i, got)
+		}
+	}
+	if s.Steps() != steps {
+		t.Fatalf("a second delivery took %d steps, want 0", s.Steps()-steps)
+	}
 }
 
 func TestWindowDeliverRejectsSmallSenderSet(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
+	s.WindowSend()
 	rows := s.SenderRows()
 	for i := 0; i < 4; i++ {
 		rows[i*s.RowWords()] = 0b1111
 	}
 	rows[2*s.RowWords()] = 1<<1 | 1<<3 // senders {1, 3}: size 2 < n-t = 3
-	err := s.WindowDeliver(batch, rows)
+	err := s.WindowDeliver(rows)
 	if !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("err = %v, want ErrBadWindow", err)
 	}
@@ -147,33 +160,9 @@ func TestWindowDeliverRejectsSmallSenderSet(t *testing.T) {
 
 func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, make([]uint64, 3*s.RowWords())); !errors.Is(err, ErrBadWindow) {
+	s.WindowSend()
+	if err := s.WindowDeliver(make([]uint64, 3*s.RowWords())); !errors.Is(err, ErrBadWindow) {
 		t.Fatalf("err = %v, want ErrBadWindow", err)
-	}
-}
-
-// TestWindowDeliverHandBuiltOddEntries pins what a hand-built batch may hold
-// beyond verbatim copies: an entry listed twice is delivered once, and one
-// that names no buffered message (here under a foreign sender too) is a
-// no-op, at any worker count.
-func TestWindowDeliverHandBuiltOddEntries(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		s := newTestSystem(t, 4, 1, "split", 0)
-		s.SetShardWorkers(workers)
-		batch := append([]Message(nil), s.WindowSend()...)
-		batch = append(batch, batch[5], Message{ID: 999, From: 17, To: 2})
-		if err := s.WindowDeliver(batch, nil); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			if got := len(s.Proc(ProcID(i)).(*echoProc).delivered); got != 4 {
-				t.Fatalf("workers=%d: processor %d received %d messages, want 4", workers, i, got)
-			}
-		}
-		if s.Buffer().Len() != 0 || s.Steps() != 4+16 {
-			t.Fatalf("workers=%d: %d messages left buffered after %d steps, want 0 after 20", workers, s.Buffer().Len(), s.Steps())
-		}
 	}
 }
 
@@ -209,15 +198,15 @@ func TestWindowSendOverStepResidue(t *testing.T) {
 	}
 	steps := s.Steps()
 	batch := s.WindowSend()
-	if len(batch) != n*n || !s.ownBatch(batch) {
-		t.Fatalf("batch of %d messages (own %v), want the %d just sent", len(batch), s.ownBatch(batch), n*n)
+	if len(batch) != n*n {
+		t.Fatalf("batch of %d messages, want the %d just sent", len(batch), n*n)
 	}
 	for i, m := range batch {
 		if want := residue[1].ID + 1 + int64(i); m.ID != want || m.From != ProcID(i/n) || m.To != ProcID(i%n) {
 			t.Fatalf("batch[%d] = %d %d>%d, want ID %d from %d to %d", i, m.ID, m.From, m.To, want, i/n, i%n)
 		}
 	}
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Steps() - steps; got != n+n*n {
@@ -307,7 +296,7 @@ func TestRowPlanRejectsIllegalRows(t *testing.T) {
 		for _, foreign := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/foreign=%v", tc.name, foreign), func(t *testing.T) {
 				s := newTestSystem(t, n, tt, "split", 0)
-				batch := s.WindowSend()
+				s.WindowSend()
 				w := tc.plan(s)
 				if foreign && w.SenderRows != nil {
 					w.SenderRows = slices.Clone(w.SenderRows)
@@ -316,7 +305,7 @@ func TestRowPlanRejectsIllegalRows(t *testing.T) {
 					t.Fatalf("plan resets %v, want %v", w.Resets, tc.resets)
 				}
 				steps, buffered, snap := s.Steps(), s.Buffer().Len(), s.ConfigurationSnapshot()
-				err := s.WindowDeliver(batch, w.SenderRows)
+				err := s.WindowDeliver(w.SenderRows)
 				if tc.want != nil {
 					if !errors.Is(err, tc.want) {
 						t.Fatalf("err = %v, want %v", err, tc.want)
@@ -326,7 +315,7 @@ func TestRowPlanRejectsIllegalRows(t *testing.T) {
 						t.Fatalf("a rejected plan moved the System: windows %d, steps %d (was %d), buffered %d (was %d)",
 							s.Windows(), s.Steps(), steps, s.Buffer().Len(), buffered)
 					}
-					if err := s.WindowDeliver(batch, nil); err != nil {
+					if err := s.WindowDeliver(nil); err != nil {
 						t.Fatal(err)
 					}
 					if got := len(s.Proc(3).(*echoProc).delivered); got != n || s.Buffer().Len() != 0 {
@@ -524,8 +513,8 @@ func TestAgreementValidityAccounting(t *testing.T) {
 	// decideAt=1: each processor decides its own input after 1 delivery, so
 	// split inputs yield an agreement violation (on purpose).
 	s := newTestSystem(t, 4, 1, "split", 1)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.AgreementOK() {
@@ -550,8 +539,8 @@ func TestValidityViolationDetected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	if s.ValidityOK() {
@@ -581,8 +570,8 @@ func TestWriteOnceViolationDetected(t *testing.T) {
 	}
 	s := newFlipFlop()
 	for w := 0; w < 3 && s.Violation() == nil; w++ {
-		batch := s.WindowSend()
-		if err := s.WindowDeliver(batch, nil); err != nil {
+		s.WindowSend()
+		if err := s.WindowDeliver(nil); err != nil {
 			break
 		}
 	}
@@ -617,8 +606,8 @@ func (p *flipFlopProc) Deliver(m Message, r RandSource) {
 
 func TestOutputSurvivesReset(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "ones", 1)
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, nil); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.WindowResets([]ProcID{0}); err != nil {
@@ -712,8 +701,8 @@ func TestDeliveryPerSenderProperty(t *testing.T) {
 				senders = append(senders, ProcID(i))
 			}
 		}
-		batch := s.WindowSend()
-		if err := s.WindowDeliver(batch, s.UniformWindow(senders, nil).SenderRows); err != nil {
+		s.WindowSend()
+		if err := s.WindowDeliver(s.UniformWindow(senders, nil).SenderRows); err != nil {
 			return false
 		}
 		for i := 0; i < n; i++ {

@@ -19,7 +19,7 @@ func (s *System) StepSend(id ProcID) ([]Message, error) {
 	}
 	// The one-sender case of the window core; the fresh slice of what it
 	// stored is the caller's to retain.
-	rs := s.ranges(false)
+	rs := s.inline()
 	rs[0].lo, rs[0].hi = int(id), int(id)+1
 	first := s.buffer.nextID + 1
 	s.runPhase(phaseSend, rs)

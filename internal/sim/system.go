@@ -132,10 +132,9 @@ type System struct {
 	violation error
 
 	// Scratch state for the allocation-free window pipeline (window.go).
-	// batch is the slice WindowSend returned, the ring cells its sends filled
-	// (ownBatch compares against it); orderIdx/orderOff/orderPos hold the
-	// delivering batch's receiver-major order
-	// (bucketByReceiver, or sortByReceiver for a hand-built batch); allowBits
+	// batch is the slice WindowSend returned, the ring cells its sends filled,
+	// which WindowDeliver delivers and then clears; orderIdx/orderOff/orderPos
+	// hold its receiver-major order (bucketByReceiver); allowBits
 	// is a receiver-major bitset of permitted senders (allowWords words per
 	// receiver), and allowAll is set while the validated window carries no
 	// rows: every receiver hears every sender. A planner may fill allowBits
@@ -256,6 +255,7 @@ func (s *System) Recycle(seed uint64, inputs []Bit) error {
 	}
 	copy(s.inputs, inputs)
 	s.buffer.Reset()
+	s.batch = nil // an open window's batch is gone with the buffer
 	var root rng.Source
 	root.Reseed(seed)
 	for i := 0; i < s.n; i++ {
@@ -392,14 +392,14 @@ func (s *System) emit(ev Event) {
 // deliver executes a receiving step for message m (already removed from the
 // buffer) outside a window: step mode's one-message case of the window core.
 func (s *System) deliver(m Message) {
-	rs := s.ranges(false)
+	rs := s.inline()
 	s.deliverMsg(&rs[0], m)
 	s.mergeRanges(rs)
 }
 
 // reset executes the resetting steps of procs, in order.
 func (s *System) reset(procs ...ProcID) {
-	rs := s.ranges(false)
+	rs := s.inline()
 	sh := &rs[0]
 	for _, id := range procs {
 		sh.steps++

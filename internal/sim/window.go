@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"cmp"
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // WindowSend executes the sending steps that open an acceptable window: all
 // non-crashed processors take a sending step. It returns the just-sent batch.
@@ -25,7 +21,7 @@ import (
 func (s *System) WindowSend() []Message {
 	s.buffer.linearize()
 	before := s.buffer.nextID
-	s.runPhase(phaseSend, s.ranges(true))
+	s.runPhase(phaseSend, s.ranges())
 	s.batch = s.buffer.tail(int(s.buffer.nextID - before))
 	return s.batch
 }
@@ -35,59 +31,42 @@ func (s *System) allowedRow(i int) []uint64 {
 	return s.allowBits[i*s.allowWords : (i+1)*s.allowWords]
 }
 
-// WindowDeliver executes the receiving steps of a window: each processor i
-// receives, in ascending sender order, the batch messages addressed to it
-// whose sender is in its sender row, rows laid out as Window.SenderRows. Every
-// row must hold >= n-t senders; nil rows mean every receiver hears every
-// sender. Batch messages not delivered are dropped (within the window model,
-// a message not delivered in its window is never delivered).
+// WindowDeliver executes the receiving steps of the window the preceding
+// WindowSend opened: each processor i receives, in ascending sender order,
+// the batch messages addressed to it whose sender is in its sender row, rows
+// laid out as Window.SenderRows. Every row must hold >= n-t senders; nil
+// rows mean every receiver hears every sender. Batch messages not delivered
+// are dropped (within the window model, a message not delivered in its
+// window is never delivered), and the batch is spent: a second call without
+// a new WindowSend validates its rows and delivers nothing.
 //
-// Delivery order is (receiver, sender, ID). For the System's own just-sent
-// batch (ownBatch) — every window of every sweep — that order comes from
-// bucketByReceiver's O(batch) counting sort. A hand-built batch carries none
-// of the invariants the counting sort leans on, nor the one that lets ranges
-// run concurrently (every stored copy is addressed to the bucket it sits
-// in), so it is comparison-sorted and walked as one range by the caller.
-// That is its only difference: validation, the range body, the merge and the
-// drain are the same.
-func (s *System) WindowDeliver(batch []Message, rows []uint64) error {
-	own := s.ownBatch(batch)
-	rs := s.ranges(own)
+// Delivery order is (receiver, sender, ID), which bucketByReceiver's
+// O(batch) counting sort produces from the batch's own order.
+func (s *System) WindowDeliver(rows []uint64) error {
+	rs := s.ranges()
 	if err := s.validateSenders(rs, rows); err != nil {
 		return err
 	}
+	batch := s.batch
 	if len(batch) == 0 {
 		return nil // nobody sent (all crashed, or silent): a legal window with nothing in it
 	}
-	if own {
-		s.bucketByReceiver(batch)
-	} else {
-		s.sortByReceiver(batch)
-	}
+	s.bucketByReceiver(batch)
 	s.phaseBatch = batch
 	s.runPhase(phaseDeliver, rs)
 	s.phaseBatch = nil
-	s.reclaimBatch(batch) // before the drain, which zeroes the own batch's cells
-	s.drainWindow(batch, own)
+	s.reclaimBatch(batch) // before the drain, which zeroes the batch's cells
+	s.drainWindow(batch)
+	s.batch = nil
 	return nil
-}
-
-// ownBatch reports whether batch is the System's own just-sent WindowSend
-// batch, recognized by slice identity with the ring span WindowSend returned.
-// That batch carries the invariants bucketByReceiver and concurrent ranges
-// lean on: every entry is the buffered message itself or, if a planner took
-// it, a zero cell no receiver is delivered; To is in range; and the order is
-// sender-major with globally ascending IDs. An empty batch (every sender
-// crashed) is never "own": it has nothing to order.
-func (s *System) ownBatch(batch []Message) bool {
-	return len(batch) > 0 && len(batch) == len(s.batch) && &batch[0] == &s.batch[0]
 }
 
 // bucketByReceiver computes, into orderOff/orderIdx, the batch indices
 // grouped by receiver in stable batch order: orderIdx[orderOff[r]:
-// orderOff[r+1]] are the batch positions addressed to receiver r. The own
-// batch is sender-major with ascending IDs, so this stable counting sort by
-// To reproduces the (To, From, ID) comparison sort exactly, in O(batch).
+// orderOff[r+1]] are the batch positions addressed to receiver r. The batch
+// is sender-major with ascending IDs and every To is in range (sendRange
+// drops the rest), so this stable counting sort by To yields the (To, From,
+// ID) order in O(batch).
 func (s *System) bucketByReceiver(batch []Message) {
 	idx, off := s.orderFor(batch)
 	for i := range batch {
@@ -102,32 +81,6 @@ func (s *System) bucketByReceiver(batch []Message) {
 		r := int(batch[i].To)
 		idx[pos[r]] = int32(i)
 		pos[r]++
-	}
-}
-
-// sortByReceiver is bucketByReceiver for a hand-built batch: the batch
-// indices comparison-sorted by (To, From, ID), the reference order
-// TestBucketedOrderMatchesComparisonSort holds the counting sort to. IDs are
-// unique, so the key is a total order and the result is independent of the
-// sorting algorithm; an entry listed twice is kept once, since a buffered
-// message is delivered at most once.
-func (s *System) sortByReceiver(batch []Message) {
-	idx, off := s.orderFor(batch)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		ma, mb := &batch[a], &batch[b]
-		return cmp.Or(cmp.Compare(ma.To, mb.To), cmp.Compare(ma.From, mb.From), cmp.Compare(ma.ID, mb.ID))
-	})
-	idx = slices.CompactFunc(idx, func(a, b int32) bool {
-		return batch[a].ID == batch[b].ID && batch[a].To == batch[b].To && batch[a].From == batch[b].From
-	})
-	for _, j := range idx {
-		off[int(batch[j].To)+1]++
-	}
-	for r := 0; r < s.n; r++ {
-		off[r+1] += off[r]
 	}
 }
 
@@ -146,13 +99,13 @@ func (s *System) orderFor(batch []Message) (idx, off []int32) {
 }
 
 // drainWindow removes the completed window's batch from the buffer. The
-// common case — the buffer holds exactly the System's own batch, a dense ID
-// span, which window mode guarantees — drains the whole buffer in one
-// sweep. Anything else (a hand-built batch, step-mode residue, messages an
-// adversary injected or consumed) takes the per-ID loop, which preserves
-// non-batch messages and shrugs at entries that are not buffered.
-func (s *System) drainWindow(batch []Message, own bool) {
-	if own && s.buffer.live == len(batch) &&
+// common case — the buffer holds exactly the batch, a dense ID span, which
+// window mode guarantees — drains the whole buffer in one sweep. Anything
+// else (step-mode residue, messages an adversary took or dropped while
+// planning) takes the per-ID loop, which preserves non-batch messages and
+// shrugs at entries that are no longer buffered.
+func (s *System) drainWindow(batch []Message) {
+	if s.buffer.live == len(batch) &&
 		batch[0].ID == s.buffer.idBase && batch[len(batch)-1].ID == s.buffer.nextID {
 		s.buffer.DrainAll()
 		return
@@ -180,10 +133,6 @@ func (s *System) reclaimBatch(batch []Message) {
 		m := &batch[i]
 		if m.ID == 0 || (m.From == lastFrom && m.Payload == last) {
 			continue
-		}
-		if m.From < 0 || int(m.From) >= s.n {
-			last, lastFrom = nil, -1
-			continue // hand-built batch with a foreign sender: nothing to reclaim
 		}
 		r, ok := s.procs[m.From].(PayloadReclaimer)
 		if !ok {
@@ -218,8 +167,8 @@ func (s *System) WindowResets(resets []ProcID) error {
 
 // ApplyWindow runs one full acceptable window described by w.
 func (s *System) ApplyWindow(w Window) error {
-	batch := s.WindowSend()
-	if err := s.WindowDeliver(batch, w.SenderRows); err != nil {
+	s.WindowSend()
+	if err := s.WindowDeliver(w.SenderRows); err != nil {
 		return err
 	}
 	return s.closeWindow(w.Resets)
@@ -267,7 +216,7 @@ func (s *System) ApplyWindowWith(adv WindowAdversary) error {
 	}
 	batch := s.WindowSend()
 	w := adv.PlanDelivery(s, batch)
-	if err := s.WindowDeliver(batch, w.SenderRows); err != nil {
+	if err := s.WindowDeliver(w.SenderRows); err != nil {
 		return err
 	}
 	return s.closeWindow(w.Resets)
