@@ -145,19 +145,25 @@ func rowOf(sub []int, n int) []uint64 {
 	return row
 }
 
-// TestSubsetBitsMatchesReference is the differential check of SubsetBits
-// against the definition it replaces: a full PermInto shuffle, then the set
-// of the first k entries. Equal set AND equal source state afterwards: the
-// stream position is part of every seeded record, so the draw sequence must
-// not move. Sizes straddle the row's word boundaries and the rejection
-// tables' cap (a prefix of 1024 has a table, 1025 not); k covers both ends,
-// the window planners' n-t (t = n/8, the chaos grid's) and the sizes where
-// all or none of the draws are swaps. One scratch serves every size, dirty
-// from earlier rounds.
-func TestSubsetBitsMatchesReference(t *testing.T) {
+// subsetSizes straddle the row's word boundaries and the rejection tables'
+// cap (a prefix of 1024 has a table, 1025 not); subsetPrefixes covers both
+// ends of k, the window planners' n-t (t = n/8, the chaos grid's) and the
+// sizes where all or none of the draws are swaps.
+var subsetSizes = []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 1025, 4096, 4097}
+
+func subsetPrefixes(n int) []int { return []int{0, 1, n - n/8, n - 1, n} }
+
+// TestSubsetIntoMatchesReference is the differential check of SubsetBits,
+// the one subset sampler (it took over the list sampler SubsetInto's
+// contract, and this check keeps that sampler's name), against the
+// definition both share: a full PermInto shuffle, then the set of the
+// first k entries. Equal set AND equal source state afterwards: the stream
+// position is part of every seeded record, so the draw sequence must not
+// move. One scratch serves every size, dirty from earlier rounds.
+func TestSubsetIntoMatchesReference(t *testing.T) {
 	var sc SubsetScratch
-	for _, n := range []int{1, 2, 3, 63, 64, 65, 127, 128, 129, 1024, 1025, 4096, 4097} {
-		for _, k := range []int{0, 1, n - n/8, n - 1, n} {
+	for _, n := range subsetSizes {
+		for _, k := range subsetPrefixes(n) {
 			seed := uint64(n)*31 + uint64(k)
 			got, want := New(seed), New(seed)
 			row, ref := make([]uint64, (n+63)/64), make([]int, n)
@@ -173,7 +179,22 @@ func TestSubsetBitsMatchesReference(t *testing.T) {
 						n, k, round, got.state, want.state)
 				}
 			}
-			if allocs := testing.AllocsPerRun(10, func() { got.SubsetBits(row, n, k, &sc) }); allocs != 0 {
+		}
+	}
+}
+
+// TestSubsetBitsMatchesSubsetInto holds SubsetBits to the call contract the
+// list sampler SubsetInto had, whose name the check keeps: no allocation
+// per call once the scratch is warm, on every size of the reference grid,
+// and a panic, not a short or long row, on a k out of range or a row of
+// the wrong length.
+func TestSubsetBitsMatchesSubsetInto(t *testing.T) {
+	var sc SubsetScratch
+	for _, n := range subsetSizes {
+		for _, k := range subsetPrefixes(n) {
+			src, row := New(uint64(n)*31+uint64(k)), make([]uint64, (n+63)/64)
+			src.SubsetBits(row, n, k, &sc)
+			if allocs := testing.AllocsPerRun(10, func() { src.SubsetBits(row, n, k, &sc) }); allocs != 0 {
 				t.Fatalf("SubsetBits(n=%d, k=%d) allocates %.1f per call, want 0", n, k, allocs)
 			}
 		}
