@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -268,32 +269,66 @@ func TestSilenceValidatedAtConstruction(t *testing.T) {
 	}
 }
 
+// TestCompatibilityMatrix pins the sweep's pairing set over the whole
+// algorithm × adversary × scheduler grid at 27:3: exactly the 40 triples
+// below are paired, every other triple is not, and the default sweep grid
+// expands to the cells, incompatible triples and skipped sizes that follow.
 func TestCompatibilityMatrix(t *testing.T) {
-	p := Params{N: 27, T: 3}
-	cases := []struct {
-		adv, alg string
-		want     bool
-	}{
-		{"full", "core", true},
-		{"full", "committee", true},
-		{"subsets", "committee", false}, // lossy scheduling wedges committee groups
-		{"subsets", "paxos", true},
-		{"random", "core", true},
-		{"random", "benor", false}, // resets undefined for non-reset-tolerant baselines
-		{"storm", "bracha", false},
-		{"silence", "benor", true},
-		{"silence", "paxos", false}, // can silence the only proposer
-		{"splitvote", "benor", true},
-		{"splitvote", "bracha", false},
-	}
-	for _, c := range cases {
-		got, err := Compatible(c.adv, c.alg, p)
+	paired := func(alg, adv, sched string) bool {
+		p := Params{N: 27, T: 3}
+		advOK, err := Compatible(adv, alg, p)
 		if err != nil {
-			t.Fatalf("Compatible(%s, %s): %v", c.adv, c.alg, err)
+			t.Fatal(err)
 		}
-		if got != c.want {
-			t.Fatalf("Compatible(%s, %s) = %v, want %v", c.adv, c.alg, got, c.want)
+		schedOK, err := SchedulerCompatible(sched, adv, alg, p)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return advOK && schedOK
+	}
+	all := []string{"adversary", "full", "ascmin", "seeded", "laggard", "alternate"}
+	own := []string{"adversary"}
+	want := map[string]map[string][]string{
+		"core":      {"full": all, "storm": all, "subsets": own, "random": own, "silence": own, "splitvote": own},
+		"benor":     {"full": all, "subsets": own, "silence": own, "splitvote": own},
+		"bracha":    {"full": all, "subsets": own, "silence": own},
+		"committee": {"full": {"adversary", "full"}},
+		"paxos":     {"full": {"adversary", "full", "seeded", "laggard"}, "subsets": own},
+	}
+	count := 0
+	for _, alg := range []string{"core", "benor", "bracha", "committee", "paxos"} {
+		for _, adv := range []string{"full", "subsets", "random", "storm", "silence", "splitvote"} {
+			for _, sched := range all {
+				w := slices.Contains(want[alg][adv], sched)
+				if got := paired(alg, adv, sched); got != w {
+					t.Errorf("%s × %s × %s paired = %v, want %v", alg, adv, sched, got, w)
+				}
+				if w {
+					count++
+				}
+			}
+		}
+	}
+	if count != 40 {
+		t.Fatalf("the pinned table lists %d paired triples, want 40", count)
+	}
+
+	m := DefaultMatrix()
+	cells, resolved, sweep, err := m.expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trials := len(cells) * len(resolved.Seeds); len(cells) != 308 || trials != 924 {
+		t.Errorf("default grid: %d cells, %d trials, want 308 and 924", len(cells), trials)
+	}
+	if sweep.Incompatible != 253 || len(sweep.Skipped) != 3 {
+		t.Errorf("default grid: %d incompatible, %d skipped, want 253 and 3", sweep.Incompatible, len(sweep.Skipped))
+	}
+	const sig = "algs=core,benor,bracha,committee,paxos advs=full,subsets,random,storm,silence,splitvote " +
+		"scheds=adversary,full,ascmin,seeded,laggard,alternate sizes=12:1,18:2,24:3,27:3 inputs=split,ones " +
+		"seeds=1,2,3 max-windows=20000"
+	if got := m.GridSignature(); got != sig {
+		t.Errorf("GridSignature = %q, want %q", got, sig)
 	}
 }
 
