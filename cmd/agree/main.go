@@ -82,20 +82,17 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	// Explicit single runs may construct pairings the sweep matrix skips
-	// (a sender-overriding scheduler nullifying the split-vote adversary's
-	// whole strategy, a lossy discipline against an algorithm that needs
-	// full delivery) — allowed for experimentation, but say so rather than
-	// letting the output header imply the standard claims cover the run.
-	ok, err := registry.SchedulerCompatible(*schedName, *advName, *alg,
-		registry.Params{N: *n, T: *t})
+	// Explicit single runs may construct triples the sweep matrix skips —
+	// allowed for experimentation, but say so rather than letting the
+	// output header imply the standard claims cover the run.
+	promise, why, err := registry.Pair(*alg, *advName, *schedName)
 	if err != nil {
 		return err
 	}
-	if !ok {
+	if promise == registry.Unpaired {
 		fmt.Fprintf(os.Stderr,
-			"agree: note: the sweep matrix would skip scheduler %q with adversary %q and algorithm %q (adversary- or algorithm-trait mismatch); running anyway\n",
-			*schedName, *advName, *alg)
+			"agree: note: the sweep matrix would skip algorithm %q with adversary %q and scheduler %q (%s); running anyway\n",
+			*alg, *advName, *schedName, why)
 	}
 	adv = asyncagree.Schedule(adv, sch)
 

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -47,6 +49,50 @@ func TestRunLaggardScheduler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRunPairingNote: a triple the sweep matrix skips runs with a note on
+// stderr naming it; a paired triple runs without one.
+func TestRunPairingNote(t *testing.T) {
+	cases := []struct {
+		alg, adv, sched string
+		note            bool
+	}{
+		{"benor", "storm", "adversary", true}, // benor declares no resets
+		{"core", "storm", "adversary", false},
+		{"paxos", "full", "ascmin", true}, // paxos declares no starvation
+	}
+	for _, c := range cases {
+		stderr := stderrOf(t, "-alg", c.alg, "-n", "12", "-t", "1", "-inputs", "ones",
+			"-adversary", c.adv, "-sched", c.sched, "-max-windows", "50")
+		if got := strings.Contains(stderr, "note: the sweep matrix would skip"); got != c.note {
+			t.Errorf("%s × %s × %s: note printed = %v, want %v; stderr %q", c.alg, c.adv, c.sched, got, c.note, stderr)
+		}
+	}
+}
+
+// stderrOf runs agree with args, which must succeed, and returns what it
+// wrote to stderr.
+func stderrOf(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved := os.Stderr
+	os.Stderr = w
+	runErr := run(args)
+	os.Stderr = saved
+	w.Close()
+	out, err := io.ReadAll(r)
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runErr != nil {
+		t.Fatalf("args %v: %v", args, runErr)
+	}
+	return string(out)
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {

@@ -14,8 +14,8 @@
 // internal/sched Scheduler can be spliced over any adversary here
 // (sched.Compose), overriding its sender sets while the adversary keeps
 // planning resets and crashes. Adversaries whose strategy lives in the
-// sender sets themselves (FixedSilence, SplitVote, RandomWindows) are
-// marked PlansSenders in their registry descriptors so the sweep never
+// sender sets themselves (FixedSilence, SplitVote, RandomWindows) impose
+// the PlansRows class in their registry descriptors, so the sweep never
 // pairs them with an overriding scheduler.
 package adversary
 

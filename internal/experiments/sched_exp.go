@@ -44,12 +44,11 @@ func runE14(scale Scale) (Result, error) {
 	for _, cfg := range configs {
 		splitMeans := map[string]float64{}
 		for _, sched := range registry.SchedulerNames() {
-			ok, err := registry.SchedulerCompatible(sched, "full", cfg.name,
-				registry.Params{N: cfg.n, T: cfg.t})
+			promise, _, err := registry.Pair(cfg.name, "full", sched)
 			if err != nil {
 				return Result{}, err
 			}
-			if !ok {
+			if promise == registry.Unpaired {
 				continue
 			}
 			for _, pattern := range []string{"ones", "split"} {

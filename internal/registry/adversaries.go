@@ -11,34 +11,27 @@ func init() {
 	mustRegisterAdversary(Adversary{
 		Name:        "full",
 		Description: "benign adversary: deliver everything, reset nobody",
-		Compatible:  func(*Algorithm, Params) bool { return true },
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.FullDelivery{}, nil
 		},
 	})
 
 	mustRegisterAdversary(Adversary{
-		Name:         "subsets",
-		Description:  "chaos scheduling: independent random (n-t)-subset deliveries, no resets",
-		PlansSenders: true,
-		Compatible: func(alg *Algorithm, _ Params) bool {
-			return !alg.NeedsFullDelivery
-		},
+		Name:        "subsets",
+		Description: "chaos scheduling: independent random (n-t)-subset deliveries, no resets",
+		Imposes:     Lossy | PlansRows,
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			return adversary.NewRandomWindows(p.Seed, 0, 0), nil
 		},
 	})
 
 	mustRegisterAdversary(Adversary{
-		Name:         "random",
-		Description:  "chaos + resets: random (n-t)-subset deliveries and up to t random resets per window",
-		PlansSenders: true,
+		Name:        "random",
+		Description: "chaos + resets: random (n-t)-subset deliveries and up to t random resets per window",
+		Imposes:     Lossy | Resetting | PlansRows,
 		Knobs: []Knob{
 			{Name: "resetpct", Description: "per-window reset probability, in percent", Min: 0, Max: 100, Default: 50},
 			{Name: "maxresets", Description: "reset budget per window (always capped at the cell's t)", Min: 0, Max: 8, Default: 8},
-		},
-		Compatible: func(alg *Algorithm, _ Params) bool {
-			return alg.ResetTolerant
 		},
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			// A nil knob vector is the exact historical construction; the
@@ -58,23 +51,18 @@ func init() {
 	mustRegisterAdversary(Adversary{
 		Name:        "storm",
 		Description: "reset storm: erase the memory of a rotating set of t processors every window",
-		Compatible: func(alg *Algorithm, _ Params) bool {
-			return alg.ResetTolerant
-		},
+		Imposes:     Resetting,
 		New: func(_ *Algorithm, _ Params) (sim.WindowAdversary, error) {
 			return adversary.NewResetStorm(), nil
 		},
 	})
 
 	mustRegisterAdversary(Adversary{
-		Name:         "silence",
-		Description:  "fixed silence: never deliver from the first t processors (Lemmas 11/13)",
-		PlansSenders: true,
+		Name:        "silence",
+		Description: "fixed silence: never deliver from the first t processors (Lemmas 11/13)",
+		Imposes:     Starving | PlansRows,
 		Knobs: []Knob{
 			{Name: "offset", Description: "first silenced processor; the silent set is offset..offset+t-1 (mod n)", Min: 0, Max: 63, Default: 0},
-		},
-		Compatible: func(alg *Algorithm, _ Params) bool {
-			return alg.SilenceTolerant
 		},
 		New: func(_ *Algorithm, p Params) (sim.WindowAdversary, error) {
 			off := knob(p, 0, 0)
@@ -91,17 +79,14 @@ func init() {
 	})
 
 	mustRegisterAdversary(Adversary{
-		Name:         "splitvote",
-		Description:  "Section 3 stalling strategy: show every processor an approximate split of the round's votes",
-		PlansSenders: true,
+		Name:        "splitvote",
+		Description: "Section 3 stalling strategy: show every processor an approximate split of the round's votes",
+		Imposes:     Lossy | PlansRows | ReadsVotes,
 		Knobs: []Knob{
 			{Name: "capdelta", Description: "offset on the per-receiver vote cap (0 = the construction's cap, e.g. T3-1 for core)", Min: -6, Max: 2, Default: 0},
 		},
-		Compatible: func(alg *Algorithm, _ Params) bool {
-			return alg.SupportsSplitVote()
-		},
 		New: func(alg *Algorithm, p Params) (sim.WindowAdversary, error) {
-			if !alg.SupportsSplitVote() {
+			if alg.ClassifyVote == nil {
 				return nil, fmt.Errorf("registry: split-vote adversary not defined for %q", alg.Name)
 			}
 			cap, err := alg.SplitVoteCap(p)

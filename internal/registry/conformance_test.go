@@ -45,7 +45,8 @@ var reference = leg{workers: 1}
 // Here Validate also rejects each of 0:0, n:-1 and n:n that sim.New rejects,
 // so a sweep skips such a size instead of faulting its trials, and each trial
 // keeps Agreement and Validity where the descriptor declares SafetyCertain,
-// and decides everywhere unless it declares BenignTerminationOnly.
+// and decides wherever Pair promises Decides: under every plan class the
+// algorithm's Runs table maps to Decides, and under full delivery.
 func TestConformance(t *testing.T) {
 	stub := func(sim.ProcID, sim.Bit) sim.Process { return nil }
 	for _, alg := range Algorithms() {
@@ -66,8 +67,12 @@ func TestConformance(t *testing.T) {
 		if alg.SafetyCertain && !(res.Agreement && res.Validity) {
 			t.Fatalf("SafetyCertain, but the trial broke safety: %+v", res)
 		}
-		if !alg.BenignTerminationOnly && !res.AllDecided {
-			t.Fatalf("not BenignTerminationOnly, but the trial left processors undecided: %+v", res)
+		promise, _, err := Pair(ts.Algorithm, ts.Adversary, ts.Scheduler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if promise == Decides && !res.AllDecided {
+			t.Fatalf("Pair promises Decides, but the trial left processors undecided: %+v", res)
 		}
 	})
 }

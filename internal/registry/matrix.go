@@ -220,12 +220,15 @@ func (m Matrix) expand() (cells []Cell, resolved Matrix, sweep *Sweep, err error
 			return nil, m, nil, err
 		}
 		for _, advName := range m.Adversaries {
-			adv, err := LookupAdversary(advName)
+			// An adversary-level rejection is the triple with the
+			// adversary's own scheduler: it holds for every scheduler, so
+			// it is counted once, not once per scheduler.
+			own, _, err := Pair(algName, advName, "adversary")
 			if err != nil {
 				return nil, m, nil, err
 			}
 			for _, schedName := range m.Schedulers {
-				sch, err := LookupScheduler(schedName)
+				promise, _, err := Pair(algName, advName, schedName)
 				if err != nil {
 					return nil, m, nil, err
 				}
@@ -240,16 +243,13 @@ func (m Matrix) expand() (cells []Cell, resolved Matrix, sweep *Sweep, err error
 						}
 						continue
 					}
-					if !adv.Compatible(alg, p) {
-						// An adversary-level rejection is independent of
-						// the scheduler: count the triple once, not once
-						// per scheduler.
+					if own == Unpaired {
 						if schedName == m.Schedulers[0] {
 							sweep.Incompatible++
 						}
 						continue
 					}
-					if !sch.Compatible(alg, adv, p) {
+					if promise == Unpaired {
 						sweep.Incompatible++
 						continue
 					}

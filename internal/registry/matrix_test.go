@@ -52,14 +52,15 @@ func TestCrossProductSmoke(t *testing.T) {
 		if c.Adversary == "full" && benignDelivery && c.Decided != c.Trials {
 			t.Errorf("cell %+v did not terminate under benign delivery", c)
 		}
-		// Unanimous inputs decide under every compatible adversary and
+		// Unanimous inputs decide under every paired adversary and
 		// scheduler (validity forces the unanimous value and the first
-		// message wave already carries >= n-t copies of it), except for
-		// algorithms whose termination is only guaranteed under benign
-		// scheduling.
-		if c.Input == "ones" && c.Adversary != "splitvote" &&
-			!(alg.BenignTerminationOnly && !(c.Adversary == "full" && benignDelivery)) &&
-			c.Decided == 0 {
+		// message wave already carries >= n-t copies of it), except where
+		// the algorithm's table promises only MayStall.
+		promise, _, err := Pair(c.Algorithm, c.Adversary, c.Scheduler)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.Input == "ones" && c.Adversary != "splitvote" && promise == Decides && c.Decided == 0 {
 			t.Errorf("cell %+v never decided unanimous inputs", c)
 		}
 	}
@@ -197,8 +198,8 @@ func TestMatrixSchedulerAxisExpansion(t *testing.T) {
 	}
 
 	// An adversary-level rejection is counted once per (alg, adv, size)
-	// triple, never once per scheduler: benor is not reset-tolerant, so
-	// benor×storm is one incompatible triple regardless of the six
+	// triple, never once per scheduler: benor does not declare Resetting,
+	// so benor×storm is one incompatible triple regardless of the six
 	// schedulers expanded.
 	m = Matrix{
 		Algorithms:  []string{"benor"},

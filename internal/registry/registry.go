@@ -5,16 +5,17 @@
 // Every agreement protocol (the paper's Section 3 core algorithm and the
 // Ben-Or / Bracha / committee / Paxos baselines) is described once by an
 // Algorithm descriptor: parameter validation, a sim.Process factory, the
-// vote classifier the split-vote adversary needs, and the fault models it
-// supports. Every full-information adversary is described once by an
-// Adversary descriptor: a constructor returning fresh per-trial state and a
-// compatibility predicate against algorithm descriptors. Every delivery scheduler (internal/sched) is described once
-// by a Scheduler descriptor (schedulers.go): a fresh-state constructor and
-// a compatibility predicate against the (algorithm, adversary) pairing it
-// would be spliced into. The asyncagree facade, internal/experiments,
-// cmd/agree and cmd/sweep are all wired on top of this package, so adding
-// an algorithm, adversary, or scheduler is one registry entry instead of
-// parallel switch statements.
+// vote classifier the split-vote adversary needs, and its pairing table —
+// the plan classes it runs under and, for each, whether it must decide.
+// Every full-information adversary is described once by an Adversary
+// descriptor, and every delivery scheduler (internal/sched) by a Scheduler
+// descriptor (schedulers.go): a constructor returning fresh per-trial state
+// and the plan classes its windows impose. Pair (pairing.go) is the one
+// check that reads the two sides, for the sweep matrix, the search,
+// cmd/agree and the experiments alike. The asyncagree facade,
+// internal/experiments, cmd/agree and cmd/sweep are all wired on top of this
+// package, so adding an algorithm, adversary, or scheduler is one registry
+// entry instead of parallel switch statements, and no test file.
 //
 // The sweep engine (matrix.go) expands algorithm × adversary × scheduler ×
 // size × input × seed grids into independent seeded trials and streams them
@@ -74,29 +75,16 @@ type Algorithm struct {
 	Name string
 	// Description is a one-line human summary for CLI listings.
 	Description string
-	// ResetTolerant reports whether the algorithm's guarantees survive the
-	// paper's resetting adversary (only the Section 3 core algorithm).
-	ResetTolerant bool
-	// SilenceTolerant reports whether the algorithm still terminates when
-	// the same t processors are silenced forever (core, Ben-Or, Bracha:
-	// yes; committee and Paxos: a fixed silent set can starve a group or
-	// the proposer).
-	SilenceTolerant bool
+	// Runs is the algorithm's pairing table: each fault class (Lossy,
+	// Starving, Resetting) it is paired under, mapped to Decides or
+	// MayStall. A class it does not list is one the sweep never pairs it
+	// with; an empty table means full delivery only (committee: one dropped
+	// echo wedges a group's internal Bracha instance). See Pair.
+	Runs map[Class]Promise
 	// SafetyCertain reports whether agreement+validity hold with
 	// probability 1 (false only for the committee algorithm, whose error
 	// probability is non-zero by design).
 	SafetyCertain bool
-	// BenignTerminationOnly reports that termination is guaranteed only
-	// under benign scheduling (Paxos: a lossy scheduler that drops the
-	// lone proposer's messages stalls progress forever, by design).
-	BenignTerminationOnly bool
-	// NeedsFullDelivery reports that the algorithm's claims assume every
-	// message is eventually delivered. Window mode drops each window's
-	// undelivered remainder, so lossy schedulers can stall such an
-	// algorithm forever (e.g. one dropped echo wedges a committee group's
-	// internal Bracha instance); the sweep matrix pairs these algorithms
-	// only with loss-free adversaries.
-	NeedsFullDelivery bool
 	// Validate checks p without building anything.
 	Validate func(p Params) error
 	// Factory returns the per-processor sim.Process constructor. It may
@@ -111,10 +99,6 @@ type Algorithm struct {
 	// Non-nil exactly when ClassifyVote is.
 	SplitVoteCap func(p Params) (int, error)
 }
-
-// SupportsSplitVote reports whether the split-vote stalling strategy is
-// defined for the algorithm.
-func (a *Algorithm) SupportsSplitVote() bool { return a.ClassifyVote != nil }
 
 // Knob declares one tunable integer parameter of an adversary: a named,
 // bounded axis of the adversary-optimization search space. The declared
@@ -143,18 +127,11 @@ type Adversary struct {
 	// adversary has no tunable surface (the search space degenerates to its
 	// single registered construction).
 	Knobs []Knob
-	// PlansSenders reports that the adversary's strategy lives in its
-	// choice of per-receiver sender sets (fixed silence, split-vote, the
-	// chaos subsets). A non-adversary-driven scheduler would override and
-	// nullify that choice, so the sweep matrix pairs such adversaries only
-	// with the "adversary" scheduler.
-	PlansSenders bool
-	// Compatible reports whether the paper's claims (safety invariants,
-	// meaningful termination behavior) cover running alg under this
-	// adversary. The sweep matrix only expands compatible pairs; explicit
-	// single runs (cmd/agree) may still construct incompatible-but-buildable
-	// pairings.
-	Compatible func(alg *Algorithm, p Params) bool
+	// Imposes is the set of plan classes the adversary's windows impose
+	// (see Pair). PlansRows marks an adversary whose strategy lives in its
+	// per-receiver sender rows (fixed silence, split-vote, the chaos
+	// subsets): a scheduler that replaces those rows would nullify it.
+	Imposes Class
 	// New returns FRESH adversary state for one trial. Implementations
 	// must never return a shared instance: several adversaries carry
 	// mutable per-execution state (rotation cursors, rng streams, give-up
@@ -281,7 +258,7 @@ func (t *table[T]) lookup(name string) (*T, error) {
 
 // RegisterAlgorithm adds an algorithm descriptor. Names must be unique;
 // Validate and Factory are mandatory; SplitVoteCap and ClassifyVote must be
-// set together.
+// set together; Runs may list fault classes only, one per entry.
 func RegisterAlgorithm(a Algorithm) error {
 	if a.Name == "" || a.Validate == nil || a.Factory == nil {
 		return algorithms.incomplete(a.Name)
@@ -289,13 +266,18 @@ func RegisterAlgorithm(a Algorithm) error {
 	if (a.ClassifyVote == nil) != (a.SplitVoteCap == nil) {
 		return fmt.Errorf("registry: algorithm %q must set ClassifyVote and SplitVoteCap together", a.Name)
 	}
+	for c := range a.Runs {
+		if c != Lossy && c != Starving && c != Resetting {
+			return fmt.Errorf("registry: algorithm %q lists class %#x in Runs, not one fault class", a.Name, uint8(c))
+		}
+	}
 	return algorithms.add(a.Name, a)
 }
 
 // RegisterAdversary adds an adversary descriptor. Names must be unique;
-// Compatible and New are mandatory.
+// New is mandatory.
 func RegisterAdversary(a Adversary) error {
-	if a.Name == "" || a.Compatible == nil || a.New == nil {
+	if a.Name == "" || a.New == nil {
 		return adversaries.incomplete(a.Name)
 	}
 	return adversaries.add(a.Name, a)
@@ -366,8 +348,8 @@ func applyShardParams(sys *sim.System, p Params) {
 // NewAdversary constructs fresh per-trial adversary state for the named
 // adversary tuned to the named algorithm. Construction fails only when the
 // pairing is impossible to build (e.g. split-vote against an algorithm with
-// no vote classifier); use Compatible for the softer "do the paper's claims
-// cover this pairing" predicate the sweep matrix filters on.
+// no vote classifier); use Pair for the softer "do the paper's claims
+// cover this pairing" check the sweep matrix filters on.
 func NewAdversary(adv, alg string, p Params) (sim.WindowAdversary, error) {
 	ad, err := LookupAdversary(adv)
 	if err != nil {
@@ -407,18 +389,4 @@ func WriteInventory(w io.Writer) {
 	for _, p := range InputPatterns() {
 		fmt.Fprintf(w, "  %-10s %s\n", p.Name, p.Description)
 	}
-}
-
-// Compatible reports whether the sweep matrix would pair the named
-// adversary with the named algorithm at p.
-func Compatible(adv, alg string, p Params) (bool, error) {
-	ad, err := LookupAdversary(adv)
-	if err != nil {
-		return false, err
-	}
-	a, err := LookupAlgorithm(alg)
-	if err != nil {
-		return false, err
-	}
-	return ad.Compatible(a, p), nil
 }

@@ -67,9 +67,8 @@ func TestRegisterRejectsIncomplete(t *testing.T) {
 		t.Fatal("incomplete scheduler accepted")
 	}
 	if err := RegisterScheduler(Scheduler{
-		Name:       "full", // duplicate
-		Compatible: func(*Algorithm, *Adversary, Params) bool { return true },
-		New:        func(Params) (sched.Scheduler, error) { return sched.FullDelivery{}, nil },
+		Name: "full", // duplicate
+		New:  func(Params) (sched.Scheduler, error) { return sched.FullDelivery{}, nil },
 	}); err == nil {
 		t.Fatal("duplicate scheduler accepted")
 	}
@@ -82,6 +81,14 @@ func TestRegisterRejectsIncomplete(t *testing.T) {
 	}
 	if err := RegisterAdversary(Adversary{Name: "broken"}); err == nil {
 		t.Fatal("incomplete adversary accepted")
+	}
+	if err := RegisterAlgorithm(Algorithm{
+		Name:     "rows", // a structural bit is not a fault class
+		Runs:     map[Class]Promise{PlansRows: Decides},
+		Validate: func(Params) error { return nil },
+		Factory:  func(Params) (func(sim.ProcID, sim.Bit) sim.Process, error) { return nil, nil },
+	}); err == nil {
+		t.Fatal("algorithm listing a structural bit in Runs accepted")
 	}
 }
 
@@ -173,13 +180,11 @@ func TestSchedulerStateIsFresh(t *testing.T) {
 	}
 }
 
-// TestSchedulerCompatibilityMatrix pins the scheduler axis filter: sender-
-// set-overriding schedulers reject adversaries whose strategy lives in
-// those sets, lossy schedulers reject full-delivery-dependent algorithms,
-// and persistently silencing schedulers additionally require silence
-// tolerance.
+// TestSchedulerCompatibilityMatrix pins the scheduler axis of Pair: a
+// scheduler that replaces the rows never pairs with an adversary that plans
+// them, and a lossy or starving scheduler pairs only with an algorithm
+// whose table lists that class.
 func TestSchedulerCompatibilityMatrix(t *testing.T) {
-	p := Params{N: 27, T: 3}
 	cases := []struct {
 		sched, adv, alg string
 		want            bool
@@ -204,12 +209,12 @@ func TestSchedulerCompatibilityMatrix(t *testing.T) {
 		{"laggard", "full", "committee", false}, //
 	}
 	for _, c := range cases {
-		got, err := SchedulerCompatible(c.sched, c.adv, c.alg, p)
+		promise, why, err := Pair(c.alg, c.adv, c.sched)
 		if err != nil {
-			t.Fatalf("SchedulerCompatible(%s, %s, %s): %v", c.sched, c.adv, c.alg, err)
+			t.Fatalf("Pair(%s, %s, %s): %v", c.alg, c.adv, c.sched, err)
 		}
-		if got != c.want {
-			t.Fatalf("SchedulerCompatible(%s, %s, %s) = %v, want %v", c.sched, c.adv, c.alg, got, c.want)
+		if got := promise != Unpaired; got != c.want {
+			t.Fatalf("Pair(%s, %s, %s) paired = %v (%s), want %v", c.alg, c.adv, c.sched, got, why, c.want)
 		}
 	}
 }
@@ -275,16 +280,11 @@ func TestSilenceValidatedAtConstruction(t *testing.T) {
 // expands to the cells, incompatible triples and skipped sizes that follow.
 func TestCompatibilityMatrix(t *testing.T) {
 	paired := func(alg, adv, sched string) bool {
-		p := Params{N: 27, T: 3}
-		advOK, err := Compatible(adv, alg, p)
+		promise, _, err := Pair(alg, adv, sched)
 		if err != nil {
 			t.Fatal(err)
 		}
-		schedOK, err := SchedulerCompatible(sched, adv, alg, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return advOK && schedOK
+		return promise != Unpaired
 	}
 	all := []string{"adversary", "full", "ascmin", "seeded", "laggard", "alternate"}
 	own := []string{"adversary"}

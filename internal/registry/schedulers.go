@@ -13,12 +13,10 @@ type Scheduler struct {
 	Name string
 	// Description is a one-line human summary for CLI listings.
 	Description string
-	// Compatible reports whether the sweep matrix should expand this
-	// scheduler spliced into the (alg, adv) pairing. Schedulers that
-	// override sender sets must reject adversaries whose strategy lives in
-	// those sets (Adversary.PlansSenders) and algorithms whose guarantees
-	// the discipline voids (e.g. lossy delivery against NeedsFullDelivery).
-	Compatible func(alg *Algorithm, adv *Adversary, p Params) bool
+	// Imposes is the set of plan classes the scheduler's delivery imposes
+	// (see Pair). PlansRows marks a scheduler that replaces the adversary's
+	// sender rows: every one but "adversary", which keeps them.
+	Imposes Class
 	// New returns FRESH scheduler state for one trial. Implementations
 	// must never return a shared instance: schedulers carry mutable
 	// per-execution state (rotation cursors, rng streams, reusable
@@ -29,9 +27,9 @@ type Scheduler struct {
 }
 
 // RegisterScheduler adds a scheduler descriptor. Names must be unique;
-// Compatible and New are mandatory.
+// New is mandatory.
 func RegisterScheduler(s Scheduler) error {
-	if s.Name == "" || s.Compatible == nil || s.New == nil {
+	if s.Name == "" || s.New == nil {
 		return schedulers.incomplete(s.Name)
 	}
 	return schedulers.add(s.Name, s)
@@ -76,59 +74,16 @@ func NewScheduledAdversary(advName, schedName, algName string, p Params) (sim.Wi
 	return sched.Compose(adv, sch), nil
 }
 
-// SchedulerCompatible reports whether the sweep matrix would splice the
-// named scheduler into the named (algorithm, adversary) pairing at p.
-func SchedulerCompatible(schedName, advName, algName string, p Params) (bool, error) {
-	s, err := LookupScheduler(schedName)
-	if err != nil {
-		return false, err
-	}
-	ad, err := LookupAdversary(advName)
-	if err != nil {
-		return false, err
-	}
-	a, err := LookupAlgorithm(algName)
-	if err != nil {
-		return false, err
-	}
-	return s.Compatible(a, ad, p), nil
-}
-
-// overridesSenders is the baseline compatibility check shared by every
-// scheduler that replaces the adversary's sender sets: the adversary's
-// strategy must not live in those sets.
-func overridesSenders(_ *Algorithm, adv *Adversary, _ Params) bool {
-	return !adv.PlansSenders
-}
-
-// lossyCompatible is the compatibility check for schedulers that may drop
-// messages: on top of overridesSenders, the algorithm must not assume every
-// message is eventually delivered (window mode drops each window's
-// undelivered remainder, so a lossy discipline can wedge such an algorithm
-// forever).
-func lossyCompatible(alg *Algorithm, adv *Adversary, p Params) bool {
-	return overridesSenders(alg, adv, p) && !alg.NeedsFullDelivery
-}
-
-// silencingCompatible is the compatibility check for schedulers that starve
-// a fixed sender set persistently: the algorithm must additionally tolerate
-// silenced processors (a persistent starvation can pin a committee group or
-// the lone Paxos proposer forever).
-func silencingCompatible(alg *Algorithm, adv *Adversary, p Params) bool {
-	return lossyCompatible(alg, adv, p) && alg.SilenceTolerant
-}
-
 func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "adversary",
 		Description: "delivery chosen by the adversary's own window plan (the pre-scheduler default)",
-		Compatible:  func(*Algorithm, *Adversary, Params) bool { return true },
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.AdversaryDriven{}, nil
 		},
 	})
 
-	// "full" pairs only with adversaries that plan no sender sets, whose
+	// "full" pairs only with adversaries that plan no sender rows, whose
 	// window plans are therefore already full delivery — its sweep cells
 	// deliberately mirror the "adversary" cells trial for trial. It stays
 	// in the matrix so the scheduler axis is self-contained, and in the
@@ -137,7 +92,7 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "full",
 		Description: "deliver every message to every receiver",
-		Compatible:  overridesSenders,
+		Imposes:     PlansRows,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.FullDelivery{}, nil
 		},
@@ -146,7 +101,7 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "ascmin",
 		Description: "exactly the n-t lowest senders for every receiver (persistent top-t starvation)",
-		Compatible:  silencingCompatible,
+		Imposes:     Starving | PlansRows,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAscendingMinimal(), nil
 		},
@@ -155,7 +110,7 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "seeded",
 		Description: "independent random (n-t)-subset per receiver per window, deterministic per trial seed",
-		Compatible:  lossyCompatible,
+		Imposes:     Lossy | PlansRows,
 		New: func(p Params) (sched.Scheduler, error) {
 			return sched.NewSeededRandom(p.Seed), nil
 		},
@@ -164,7 +119,7 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "laggard",
 		Description: "starve a rotating t-subset for an epoch of windows, then rotate (bounded unfairness)",
-		Compatible:  lossyCompatible,
+		Imposes:     Lossy | PlansRows,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewLaggard(0, 0), nil
 		},
@@ -173,7 +128,7 @@ func init() {
 	mustRegisterScheduler(Scheduler{
 		Name:        "alternate",
 		Description: "full delivery on even windows, ascending-minimal on odd ones",
-		Compatible:  silencingCompatible,
+		Imposes:     Starving | PlansRows,
 		New: func(Params) (sched.Scheduler, error) {
 			return sched.NewAlternate(), nil
 		},

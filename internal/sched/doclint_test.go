@@ -4,6 +4,11 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -97,6 +102,71 @@ func lintFields(t *testing.T, fset *token.FileSet, spec *ast.TypeSpec) {
 			if n.IsExported() {
 				t.Errorf("%s: exported field/method %s.%s has no doc comment",
 					fset.Position(n.Pos()), spec.Name.Name, n.Name)
+			}
+		}
+	}
+}
+
+// docFiles are the documents TestDocReferences checks, relative to the repo
+// root. benchmark/README.md is left out: the benchmark module is frozen
+// apart from benchmark-only changes.
+var docFiles = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md",
+	".claude/skills/verify/SKILL.md", ".github/workflows/ci.yml"}
+
+var (
+	// citedTest matches a cited test, fuzz target, benchmark or example.
+	citedTest = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark|Example)[A-Z0-9_]\w*`)
+	// definedTest matches the definition of one in a _test.go file.
+	definedTest = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark|Example)\w*)\(`)
+	// citedPath matches a cited repo path: one under a top-level directory,
+	// or a top-level document, not itself part of a longer path.
+	citedPath = regexp.MustCompile(`(?:^|[^\w/.-])((?:cmd|internal|examples|benchmark|\.github|\.claude)/[\w./-]*[\w/]|[A-Z][A-Z_]+\.(?:md|json))`)
+)
+
+// TestDocReferences is the reference lint the CI workflow runs beside
+// TestDocComments: every test, fuzz target, benchmark or example the docs
+// cite must be defined somewhere in the repo (a cited name may be a prefix,
+// as in "TestSubsetBits*"), and every repo path they cite must exist.
+func TestDocReferences(t *testing.T) {
+	root := filepath.Join("..", "..")
+	var defined []string
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && d.Name() == ".git" {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range definedTest.FindAllSubmatch(src, -1) {
+			defined = append(defined, string(m[1]))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range docFiles {
+		src, err := os.ReadFile(filepath.Join(root, doc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, name := range citedTest.FindAllString(line, -1) {
+				if !slices.ContainsFunc(defined, func(d string) bool { return strings.HasPrefix(d, name) }) {
+					t.Errorf("%s:%d: cites %s, which no _test.go file defines", doc, i+1, name)
+				}
+			}
+			for _, m := range citedPath.FindAllStringSubmatch(line, -1) {
+				if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+					t.Errorf("%s:%d: cites %s, which does not exist", doc, i+1, m[1])
+				}
 			}
 		}
 	}

@@ -44,36 +44,32 @@ func (c Candidate) Key() string {
 	return b.String()
 }
 
-// pairing is one compatible (adversary, scheduler) axis point of the
+// pairing is one paired (adversary, scheduler) axis point of the
 // candidate space, with the adversary's knob specs along for enumeration.
 type pairing struct {
 	adv   *registry.Adversary
-	sched *registry.Scheduler
+	sched string
 }
 
 // pairings enumerates the (adversary, scheduler) pairings the sweep matrix
-// would expand for the algorithm at size, restricted to the requested name
-// lists, in deterministic (adversary-major) order.
-func pairings(alg *registry.Algorithm, size registry.Size, advNames, schedNames []string) ([]pairing, error) {
-	p := registry.Params{N: size.N, T: size.T}
+// would expand for the algorithm, restricted to the requested name lists, in
+// deterministic (adversary-major) order.
+func pairings(alg string, advNames, schedNames []string) ([]pairing, error) {
 	var out []pairing
 	for _, advName := range advNames {
 		adv, err := registry.LookupAdversary(advName)
 		if err != nil {
 			return nil, err
 		}
-		if !adv.Compatible(alg, p) {
-			continue
-		}
 		for _, schedName := range schedNames {
-			sch, err := registry.LookupScheduler(schedName)
+			promise, _, err := registry.Pair(alg, advName, schedName)
 			if err != nil {
 				return nil, err
 			}
-			if !sch.Compatible(alg, adv, p) {
+			if promise == registry.Unpaired {
 				continue
 			}
-			out = append(out, pairing{adv: adv, sched: sch})
+			out = append(out, pairing{adv: adv, sched: schedName})
 		}
 	}
 	return out, nil
@@ -115,7 +111,7 @@ func gridCandidates(prs []pairing) []Candidate {
 	for _, pr := range prs {
 		knobs := pr.adv.Knobs
 		if len(knobs) == 0 {
-			out = append(out, Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched.Name})
+			out = append(out, Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched})
 			continue
 		}
 		values := make([][]int, len(knobs))
@@ -126,7 +122,7 @@ func gridCandidates(prs []pairing) []Candidate {
 		var rec func(i int)
 		rec = func(i int) {
 			if i == len(knobs) {
-				out = append(out, Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched.Name,
+				out = append(out, Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched,
 					Knobs: append([]int(nil), cur...)})
 				return
 			}
@@ -232,7 +228,7 @@ func mutate(src *rng.Source, prs []pairing, c Candidate) (Candidate, bool) {
 // exploration component of the evolutionary stage.
 func immigrant(src *rng.Source, prs []pairing) Candidate {
 	pr := prs[src.Intn(len(prs))]
-	c := Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched.Name}
+	c := Candidate{Adversary: pr.adv.Name, Scheduler: pr.sched}
 	if len(pr.adv.Knobs) > 0 {
 		c.Knobs = make([]int, len(pr.adv.Knobs))
 		for i, k := range pr.adv.Knobs {
@@ -259,7 +255,7 @@ func schedulersFor(prs []pairing, advName string) []string {
 	var out []string
 	for _, pr := range prs {
 		if pr.adv.Name == advName {
-			out = append(out, pr.sched.Name)
+			out = append(out, pr.sched)
 		}
 	}
 	return out

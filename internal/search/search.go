@@ -249,7 +249,7 @@ func Run(o Options, ro RunOptions) (*Report, error) {
 			d.report.Skipped = append(d.report.Skipped, fmt.Sprintf("%s %s: %v", o.Algorithm, size, verr))
 			continue
 		}
-		prs, err := pairings(alg, size, o.Adversaries, o.Schedulers)
+		prs, err := pairings(o.Algorithm, o.Adversaries, o.Schedulers)
 		if err != nil {
 			return nil, err
 		}

@@ -31,13 +31,12 @@ func (s *memSink[R]) Flush() error      { return nil }
 // POST /run — and asserts they classify it identically and leave the engine
 // ledger balanced: all three issue their receipt from registry.RunContained.
 func TestFrontEndsIssueTheSameReceipt(t *testing.T) {
-	always := func(*registry.Algorithm, registry.Params) bool { return true }
 	for _, a := range []registry.Adversary{
-		{Name: "xfe-illegal", Compatible: always,
+		{Name: "xfe-illegal",
 			New: func(*registry.Algorithm, registry.Params) (sim.WindowAdversary, error) {
 				return illegalPlan{}, nil
 			}},
-		{Name: "xfe-newpanic", Compatible: always,
+		{Name: "xfe-newpanic",
 			New: func(*registry.Algorithm, registry.Params) (sim.WindowAdversary, error) {
 				panic("constructor boom")
 			}},
