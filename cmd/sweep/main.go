@@ -9,7 +9,9 @@
 // All trials are independently seeded and fanned across a deterministic
 // worker pool: the table is byte-identical run-to-run and identical to a
 // serial sweep (-serial). Timing goes to stderr so stdout stays
-// deterministic.
+// deterministic, with the count of windows trials skipped as quiescent (run
+// to the budget without being planned: DESIGN.md §2); after -resume it
+// covers only the trials this run executed.
 //
 // Results stream: per-cell aggregates are reduced online and -out streams
 // one record per trial (JSONL, or CSV when the path ends in .csv), so
@@ -146,7 +148,7 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		}
 	}
 
-	start := time.Now()
+	start, skipped := time.Now(), registry.EngineStatsSnapshot().SkippedWindows
 	sweep, err := m.RunWith(opts)
 	if err != nil {
 		return sess.Failed(err, args)
@@ -173,7 +175,9 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 			fmt.Fprintf(out, "  sink dropped: %s\n", s)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d trials in %.2fs\n", sweep.TrialCount, time.Since(start).Seconds())
+	fmt.Fprintf(os.Stderr, "sweep: %d trials in %.2fs, %d of %d windows skipped as quiescent\n",
+		sweep.TrialCount, time.Since(start).Seconds(),
+		registry.EngineStatsSnapshot().SkippedWindows-skipped, sweep.Windows)
 
 	if v := sweep.SafetyViolations(); v > 0 {
 		return fmt.Errorf("%d agreement/validity violations in safety-certain algorithms (this is a bug, not an expected outcome)", v)

@@ -72,16 +72,48 @@ func TestConformance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if promise == Decides && !res.AllDecided {
-			t.Fatalf("Pair promises Decides, but the trial left processors undecided: %+v", res)
+			t.Fatalf("Pair promises Decides, but the trial left processors undecided (%s): %+v",
+				quiescence(t, ts, p), res)
 		}
 	})
+}
+
+// quiescence says why an undecided trial stopped: it reruns ts on a pooled
+// engine, which declares a plan that never resets, and reports the window at
+// which the run went quiescent: no processor sent, received or was reset
+// from then on, so it could never decide.
+func quiescence(t *testing.T, ts trialSpec, p Params) string {
+	t.Helper()
+	e, err := AcquireTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Release()
+	if _, err := e.Run(ts.maxWindows); err != nil {
+		return fmt.Sprintf("its engine rerun failed: %v", err)
+	}
+	if from, ok := e.System().Quiescent(); ok {
+		return fmt.Sprintf("quiescent from window %d of %d: nothing sent, received or reset after it", from, ts.maxWindows)
+	}
+	return fmt.Sprintf("still active at the %d-window budget", ts.maxWindows)
 }
 
 // TestRecycledTrialMatchesFresh: a recycled engine reproduces the reference's
 // every event, summary and final configuration. A recycled engine first runs
 // a warm-up trial on another seed and input pattern, so Recycle must rewind
 // real state.
+//
+// Its recycled legs are where the battery holds the quiescent skip (DESIGN.md
+// §2): a pooled engine declares a plan that never resets, while the fresh
+// reference never does and walks every window. The test fails if no leg
+// skipped a window, as its comparison would then not cover the skip.
 func TestRecycledTrialMatchesFresh(t *testing.T) {
+	skipped := EngineStatsSnapshot().SkippedWindows
+	t.Cleanup(func() { // after every parallel subtest
+		if EngineStatsSnapshot().SkippedWindows == skipped {
+			t.Error("no recycled leg skipped a quiescent window; the skip went untested")
+		}
+	})
 	battery(t, Algorithms(), func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
 		matchReference(t, ts, p, reference, leg{recycled: true, workers: 1})
 	})
@@ -260,7 +292,9 @@ func (l leg) traced() bool { return !l.columnar && !l.untraced }
 // runLeg executes ts under p as leg l. A columnar leg must engage the
 // columnar path, or its comparison would be vacuous; a recycled engine's
 // warm-up trial runs on messages, so on a recycled columnar leg that check
-// also proves prepare switched the columnar path back on.
+// also proves prepare switched the columnar path back on. The warm-up also
+// walks every window, undeclared, so a recycled leg that skips proves
+// prepare declared the plan again.
 func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 	t.Helper()
 	p.ShardWorkers = l.workers
@@ -279,6 +313,7 @@ func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 			t.Fatal(err)
 		}
 		e.sys.SetColumnar(false)
+		e.sys.SetNeverResets(false)
 		if _, err := e.Run(150); err != nil {
 			t.Fatalf("warm-up trial: %v", err)
 		}

@@ -126,6 +126,10 @@ type EngineStats struct {
 	// BlockedReleases counts Release calls refused because the engine was
 	// poisoned — each one is a caller bug the audit made harmless.
 	BlockedReleases int64
+	// SkippedWindows counts the windows trials skipped as quiescent
+	// (sim.System.RunWindowsUntil): counted in every record's windows, never
+	// planned or walked. Only engines declare the plans that allow it.
+	SkippedWindows int64
 }
 
 var engineStats struct {
@@ -140,6 +144,7 @@ func EngineStatsSnapshot() EngineStats {
 		Released:        engineStats.released.Load(),
 		Poisoned:        engineStats.poisoned.Load(),
 		BlockedReleases: engineStats.blockedReleases.Load(),
+		SkippedWindows:  sim.SkippedWindows(),
 	}
 }
 
@@ -222,11 +227,23 @@ func newTrialEngine(key engineKey, p Params) (*TrialEngine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &TrialEngine{
+	e := &TrialEngine{
 		key: key, alg: alg, advD: advD, schD: schD,
 		sys: sys, adv: adv, sch: sch,
 		plan: sched.Compose(adv, sch),
-	}, nil
+	}
+	e.declarePlan()
+	return e, nil
+}
+
+// declarePlan declares the engine's System never-resetting when neither the
+// adversary nor the scheduler imposes Resetting, so a trial that goes
+// quiescent ends at once (sim.System.SetNeverResets). The System checks the
+// declaration: a plan that resets, crashes or corrupts all the same fails
+// its trial. Only engines declare it; a System from NewSystem never does,
+// so a fresh run is the skip's reference.
+func (e *TrialEngine) declarePlan() {
+	e.sys.SetNeverResets((e.advD.Imposes|e.schD.Imposes)&Resetting == 0)
 }
 
 // prepare rewinds a pooled engine for a trial at p. The system recycles in
@@ -248,6 +265,7 @@ func (e *TrialEngine) prepare(p Params) error {
 	// SetColumnar(false) the last holder left. The common case (unchanged
 	// count) keeps the existing worker pool hot.
 	applyShardParams(e.sys, p)
+	e.declarePlan()
 	advKept, schKept := rewind(e.adv, p.Seed), rewind(e.sch, p.Seed)
 	if advKept && schKept {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -199,42 +200,59 @@ func TestQuarantineNeedsConsecutiveFaults(t *testing.T) {
 
 // TestInjectedStallBecomesDeadlineRecord: a stalled trial is stopped at the
 // injected window and recorded as a FaultDeadline outcome with the partial
-// window count — deterministically, no wall clock involved.
+// window count — deterministically, no wall clock involved. The second row
+// stalls a Paxos trial that goes quiescent within its first windows, inside
+// the windows the run skips: the watchdog must still stop it at its window.
 func TestInjectedStallBecomesDeadlineRecord(t *testing.T) {
-	m := sinkMatrix()
-	clean := &memorySink{}
-	if _, err := m.RunWith(RunOptions{Sinks: []ResultSink{clean}}); err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		m       Matrix
+		stallAt int
+		quiet   bool // the clean run skips from before stallAt
+	}{
+		{name: "first trial past window 1", m: sinkMatrix(), stallAt: 1},
+		{name: "paxos full laggard 12:1, quiescent", stallAt: 50, quiet: true,
+			m: Matrix{Algorithms: []string{"paxos"}, Adversaries: []string{"full"},
+				Schedulers: []string{"laggard"}, Sizes: []Size{{N: 12, T: 1}},
+				Inputs: []string{"split"}, Seeds: []uint64{1}, MaxWindows: 2000}},
 	}
-	// Stall a trial that demonstrably runs past window 1, at window 1: the
-	// injected stall must interrupt a trial that would have kept going.
-	target := -1
-	for i, rec := range clean.records {
-		if rec.Windows >= 2 {
-			target = i
-			break
-		}
-	}
-	if target < 0 {
-		t.Skip("no trial runs long enough to stall")
-	}
-	sink := &memorySink{}
-	sweep, err := m.RunWith(RunOptions{
-		Sinks:  []ResultSink{sink},
-		Inject: &faultinject.Plan{Stall: mustTrialSet(t, fmt.Sprint(target)), StallWindow: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := sink.records[target]
-	if rec.FaultKind != FaultDeadline || !strings.Contains(rec.Fault, "injected stall") {
-		t.Fatalf("record %d = %q / %q", target, rec.FaultKind, firstLine(rec.Fault))
-	}
-	if rec.Windows != 1 {
-		t.Fatalf("stalled after %d windows, want 1", rec.Windows)
-	}
-	if sweep.Faulted != 1 {
-		t.Fatalf("Faulted = %d", sweep.Faulted)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			clean := &memorySink{}
+			skipped := EngineStatsSnapshot().SkippedWindows
+			if _, err := tc.m.RunWith(RunOptions{Sinks: []ResultSink{clean}}); err != nil {
+				t.Fatal(err)
+			}
+			skipped = EngineStatsSnapshot().SkippedWindows - skipped
+			if tc.quiet && skipped < int64(tc.m.MaxWindows-tc.stallAt) {
+				t.Fatalf("the clean run skipped %d windows, want it quiescent before window %d of %d",
+					skipped, tc.stallAt, tc.m.MaxWindows)
+			}
+			// Stall a trial that demonstrably runs past the stall window: the
+			// injected stall must interrupt a trial that would have kept going.
+			target := slices.IndexFunc(clean.records, func(rec TrialRecord) bool { return rec.Windows > tc.stallAt })
+			if target < 0 {
+				t.Fatalf("no trial runs past window %d", tc.stallAt)
+			}
+			sink := &memorySink{}
+			sweep, err := tc.m.RunWith(RunOptions{
+				Sinks:  []ResultSink{sink},
+				Inject: &faultinject.Plan{Stall: mustTrialSet(t, fmt.Sprint(target)), StallWindow: tc.stallAt},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := sink.records[target]
+			if rec.FaultKind != FaultDeadline || !strings.Contains(rec.Fault, "injected stall") {
+				t.Fatalf("record %d = %q / %q", target, rec.FaultKind, firstLine(rec.Fault))
+			}
+			if rec.Windows != tc.stallAt {
+				t.Fatalf("stalled after %d windows, want %d", rec.Windows, tc.stallAt)
+			}
+			if sweep.Faulted != 1 {
+				t.Fatalf("Faulted = %d", sweep.Faulted)
+			}
+		})
 	}
 }
 

@@ -98,6 +98,9 @@ type Sweep struct {
 	Cells []CellResult
 	// TrialCount is the total number of trials executed.
 	TrialCount int
+	// Windows is the window count of the clean trials, resumed ones
+	// included: the sum of their records' windows.
+	Windows int
 	// Incompatible counts combinations skipped by a compatibility
 	// predicate: (algorithm, adversary, size) triples the adversary
 	// rejects, plus (algorithm, adversary, scheduler, size) quadruples the
@@ -356,6 +359,7 @@ func newCellAgg(sweep *Sweep, cells []Cell) *cellAgg {
 func (a *cellAgg) consume(cell int, res sim.RunResult) {
 	cr := &a.sweep.Cells[cell]
 	cr.Trials++
+	a.sweep.Windows += res.Windows
 	if res.AllDecided {
 		cr.Decided++
 		a.windowSums[cell] += res.Windows

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -22,6 +23,7 @@ type echoProc struct {
 	resets    int
 	dirty     bool
 	decideAt  int // decide after this many deliveries; 0 = never
+	quietAt   int // stop echoing after this many deliveries; 0 = never
 }
 
 func newEcho(n, decideAt int) func(ProcID, Bit) Process {
@@ -48,7 +50,9 @@ func (p *echoProc) Send() []Message {
 
 func (p *echoProc) Deliver(m Message, _ RandSource) {
 	p.delivered = append(p.delivered, m)
-	p.dirty = true
+	if p.quietAt == 0 || len(p.delivered) < p.quietAt {
+		p.dirty = true
+	}
 	if p.decideAt > 0 && len(p.delivered) >= p.decideAt && !p.decided {
 		p.out = p.input
 		p.decided = true
@@ -358,19 +362,127 @@ func TestRowPlanRejectsIllegalRows(t *testing.T) {
 	})
 }
 
+// TestWindowResetsBudget: a window's resets are at most t, and none on a
+// System declared never-resetting; a refused reset list resets nobody.
 func TestWindowResetsBudget(t *testing.T) {
+	cases := []struct {
+		name        string
+		neverResets bool
+		resets      []ProcID
+		want        error
+	}{
+		{name: "two resets with t=1", resets: []ProcID{0, 1}, want: ErrBadWindow},
+		{name: "one reset", resets: []ProcID{2}},
+		{name: "one reset, declared never-resetting", neverResets: true, resets: []ProcID{2}, want: ErrBadWindow},
+		{name: "no reset, declared never-resetting", neverResets: true, resets: []ProcID{}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := newTestSystem(t, 4, 1, "split", 0)
+			s.SetNeverResets(tc.neverResets)
+			if err := s.WindowResets(tc.resets); !errors.Is(err, tc.want) {
+				t.Fatalf("err = %v, want %v", err, tc.want)
+			}
+			for p := ProcID(0); p < 4; p++ {
+				want := 0
+				if tc.want == nil && slices.Contains(tc.resets, p) {
+					want = 1
+				}
+				if s.ResetCount(p) != want || s.Proc(p).(*echoProc).resets != want {
+					t.Fatalf("processor %d: reset count %d, process resets %d, want %d",
+						p, s.ResetCount(p), s.Proc(p).(*echoProc).resets, want)
+				}
+			}
+		})
+	}
+}
+
+// TestNeverResettingRefusesFaults: a System declared never-resetting refuses
+// a resetting step, a crash and a corruption, and moves nothing, so a plan
+// that faults all the same fails its run instead of being skipped past.
+func TestNeverResettingRefusesFaults(t *testing.T) {
 	s := newTestSystem(t, 4, 1, "split", 0)
-	if err := s.WindowResets([]ProcID{0, 1}); !errors.Is(err, ErrBadWindow) {
-		t.Fatalf("two resets with t=1: err = %v, want ErrBadWindow", err)
+	s.SetNeverResets(true)
+	for name, err := range map[string]error{
+		"StepReset": s.StepReset(1),
+		"StepCrash": s.StepCrash(0),
+		"Corrupt":   s.Corrupt(2, &echoProc{id: 2, n: 4}),
+	} {
+		if !errors.Is(err, ErrFaultBudget) {
+			t.Errorf("%s: err = %v, want ErrFaultBudget", name, err)
+		}
 	}
-	if err := s.WindowResets([]ProcID{2}); err != nil {
-		t.Fatal(err)
+	if s.ResetCount(1) != 0 || s.Crashed(0) || s.Corrupted(2) || s.Steps() != 0 {
+		t.Fatalf("a refused fault moved the System: resets %d, crashed %v, corrupted %v, steps %d",
+			s.ResetCount(1), s.Crashed(0), s.Corrupted(2), s.Steps())
 	}
-	if s.ResetCount(2) != 1 {
-		t.Fatalf("reset count = %d, want 1", s.ResetCount(2))
+}
+
+// fullPlan delivers every window in full and resets nobody.
+type fullPlan struct{}
+
+func (fullPlan) PlanDelivery(*System, []Message) Window { return Window{} }
+
+// TestQuiescentRunEndsExactly: a declared never-resetting run whose echo
+// processes fall silent after a few windows skips the rest of its budget,
+// and ends with the summary, Steps, final configuration and event feed of
+// the undeclared run, which walks every window; a watchdog armed inside the
+// skipped windows stops both at its window.
+func TestQuiescentRunEndsExactly(t *testing.T) {
+	const n, tt, budget = 8, 1, 200
+	type outcome struct {
+		res     RunResult
+		stalled bool
+		steps   int64
+		snap    []string
+		events  []Event
 	}
-	if s.Proc(2).(*echoProc).resets != 1 {
-		t.Fatal("process Reset not invoked")
+	run := func(t *testing.T, declared, traced bool, stallAt int) (outcome, *System) {
+		s, err := New(Config{N: n, T: tt, Seed: 1, Inputs: mkInputs(n, "split"),
+			NewProcess: func(id ProcID, input Bit) Process {
+				return &echoProc{id: id, n: n, input: input, dirty: true, quietAt: 2 * n}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetNeverResets(declared)
+		var o outcome
+		if traced {
+			s.OnEvent = func(ev Event) { o.events = append(o.events, ev) }
+		}
+		var expired func(int) bool
+		if stallAt > 0 {
+			expired = func(w int) bool { return w >= stallAt }
+		}
+		o.res, o.stalled, err = s.RunWindowsUntil(fullPlan{}, budget, expired)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o.steps, o.snap = s.Steps(), s.ConfigurationSnapshot()
+		return o, s
+	}
+	for _, traced := range []bool{false, true} {
+		for _, stallAt := range []int{0, 50} {
+			t.Run(fmt.Sprintf("traced=%v/stall=%d", traced, stallAt), func(t *testing.T) {
+				want, ref := run(t, false, traced, stallAt)
+				got, s := run(t, true, traced, stallAt)
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("declared run diverged from the walk:\ngot  %+v\nwant %+v", got, want)
+				}
+				end := budget
+				if stallAt > 0 {
+					end = stallAt
+				}
+				from, ok := s.Quiescent()
+				if !ok || from > 5 || got.res.Windows != end || got.stalled != (stallAt > 0) {
+					t.Fatalf("quiescent from %d (%v), windows %d, stalled %v: want a skip from window <= 5 to %d",
+						from, ok, got.res.Windows, got.stalled, end)
+				}
+				if _, ok := ref.Quiescent(); ok {
+					t.Fatal("the undeclared run skipped")
+				}
+			})
+		}
 	}
 }
 

@@ -57,12 +57,19 @@ func (s *System) StepReset(id ProcID) error {
 	if s.crashed[id] {
 		return fmt.Errorf("%w: processor %d", ErrCrashed, id)
 	}
+	if s.neverResets {
+		return errDeclared
+	}
 	s.reset(id)
 	if s.violation != nil {
 		return s.violation
 	}
 	return nil
 }
+
+// errDeclared is the refusal of a reset, crash or corruption on a System
+// declared never-resetting (SetNeverResets): its fault budget is zero.
+var errDeclared = fmt.Errorf("%w: the plan was declared never-resetting", ErrFaultBudget)
 
 // StepCrash permanently halts processor id. At most t crashes are allowed.
 func (s *System) StepCrash(id ProcID) error {
@@ -71,6 +78,9 @@ func (s *System) StepCrash(id ProcID) error {
 	}
 	if s.crashed[id] {
 		return nil // crashing a crashed processor is a no-op
+	}
+	if s.neverResets {
+		return errDeclared
 	}
 	if s.totalCrashes >= s.t {
 		return fmt.Errorf("%w: already %d crashes", ErrFaultBudget, s.totalCrashes)
@@ -95,6 +105,9 @@ func (s *System) Corrupt(id ProcID, evil Process) error {
 	}
 	if evil == nil {
 		return fmt.Errorf("sim: Corrupt(%d) with nil process", id)
+	}
+	if s.neverResets {
+		return errDeclared
 	}
 	if s.corrupt[id] {
 		s.procs[id] = evil

@@ -131,6 +131,12 @@ type System struct {
 
 	violation error
 
+	// neverResets is the declaration SetNeverResets makes; quietFrom is the
+	// window count at which a declared run went quiescent and skipped the
+	// rest of its budget, -1 until then (window.go).
+	neverResets bool
+	quietFrom   int
+
 	// Scratch state for the allocation-free window pipeline (window.go).
 	// batch is the slice WindowSend returned, the ring cells its sends filled,
 	// which WindowDeliver delivers and then clears; orderIdx/orderOff/orderPos
@@ -214,6 +220,7 @@ func New(cfg Config) (*System, error) {
 		decidedOK:     make([]bool, cfg.N),
 		decidedWindow: make([]int, cfg.N),
 		firstDecision: -1,
+		quietFrom:     -1,
 		allowWords:    (cfg.N + 63) / 64,
 	}
 	s.allowBits = make([]uint64, cfg.N*s.allowWords)
@@ -281,6 +288,7 @@ func (s *System) Recycle(seed uint64, inputs []Bit) error {
 	s.windows = 0
 	s.steps = 0
 	s.firstDecision = -1
+	s.quietFrom = -1
 	s.violation = nil
 	return nil
 }

@@ -87,7 +87,10 @@ type Process interface {
 	Output() (Bit, bool)
 	// Send returns the messages queued since the last Send, clearing the
 	// queue. A second call with no intervening Deliver/Reset returns an
-	// empty batch. Implementations may recycle the returned slice's backing
+	// empty batch and changes neither Output nor Snapshot, so a run in which
+	// nobody sent, received or was reset can end at once
+	// (System.RunWindowsUntil): timers, retries and coin flips belong in
+	// Deliver. Implementations may recycle the returned slice's backing
 	// array: it is valid only until the next Deliver/Reset, and callers
 	// (the System consumes it immediately) must not retain it.
 	Send() []Message

@@ -1,6 +1,9 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // WindowSend executes the sending steps that open an acceptable window: all
 // non-crashed processors take a sending step. It returns the just-sent batch.
@@ -144,8 +147,12 @@ func (s *System) reclaimBatch(batch []Message) {
 	}
 }
 
-// WindowResets executes the at most t resetting steps closing a window.
+// WindowResets executes the at most t resetting steps closing a window. On a
+// System declared never-resetting (SetNeverResets) the budget is zero.
 func (s *System) WindowResets(resets []ProcID) error {
+	if s.neverResets && len(resets) > 0 {
+		return fmt.Errorf("%w: resets %v on a plan declared never-resetting", ErrBadWindow, resets)
+	}
 	if len(resets) > s.t {
 		return fmt.Errorf("%w: %d resets > t=%d", ErrBadWindow, len(resets), s.t)
 	}
@@ -211,15 +218,32 @@ type RunResult struct {
 // columnarPlanner), the window instead runs the byte-identical bit-packed
 // fast path of columnar.go.
 func (s *System) ApplyWindowWith(adv WindowAdversary) error {
+	_, err := s.applyWindow(adv)
+	return err
+}
+
+// applyWindow is ApplyWindowWith reporting whether the window was quiescent:
+// on a System declared never-resetting, a message-path window whose only
+// steps were its n sending steps and which sent nothing, after which the
+// buffer is empty and no processor has ever crashed or been corrupted. No
+// process then took a receiving or resetting step, so by the Process
+// contract every next Send returns nothing again and no state moves: each
+// later window is this one. The columnar path never reports one.
+func (s *System) applyWindow(adv WindowAdversary) (quiet bool, err error) {
 	if cp, ok := s.columnarPlanner(adv); ok {
-		return s.applyWindowColumnar(cp)
+		return false, s.applyWindowColumnar(cp)
 	}
+	steps := s.steps
 	batch := s.WindowSend()
 	w := adv.PlanDelivery(s, batch)
 	if err := s.WindowDeliver(w.SenderRows); err != nil {
-		return err
+		return false, err
 	}
-	return s.closeWindow(w.Resets)
+	if err := s.closeWindow(w.Resets); err != nil {
+		return false, err
+	}
+	return s.neverResets && len(batch) == 0 && s.steps == steps+int64(s.n) &&
+		s.buffer.live == 0 && s.totalCrashes == 0 && s.totalCorrupt == 0, nil
 }
 
 // RunWindows executes acceptable windows planned by adv until every live,
@@ -239,17 +263,80 @@ func (s *System) RunWindows(adv WindowAdversary, maxWindows int) (RunResult, err
 // runaway trial becomes a recorded non-termination outcome instead of a
 // hung worker. A nil expired reproduces RunWindows exactly, and the nil
 // fast path costs the happy path nothing but one comparison per window.
+//
+// On a System declared never-resetting (SetNeverResets), a quiescent window
+// (applyWindow) ends the run: every window after it to the budget would be
+// the same n empty sending steps, so they are counted, not planned or
+// walked, and the summary, the final configuration, Steps and the event
+// feed are those of the full walk. With a nil expired and no OnEvent
+// observer the window count jumps to the budget. Otherwise the skipped
+// windows are walked as counts only: expired is still polled before each,
+// so a watchdog armed for window w stops the run at w, and each emits its
+// EvWindow. Skipped windows take no simulated work, so a wall-clock
+// deadline that had not elapsed at the quiescent window fires during the
+// skip only if it runs out within the few nanoseconds each costs.
 func (s *System) RunWindowsUntil(adv WindowAdversary, maxWindows int, expired func(windows int) bool) (res RunResult, stalled bool, err error) {
 	for s.windows < maxWindows && !s.AllDecided() {
 		if expired != nil && expired(s.windows) {
 			return s.Result(), true, s.violation
 		}
-		if err := s.ApplyWindowWith(adv); err != nil {
+		quiet, err := s.applyWindow(adv)
+		if err != nil {
 			return s.Result(), false, err
+		}
+		if quiet && s.skipQuiet(maxWindows, expired) {
+			return s.Result(), true, s.violation
 		}
 	}
 	return s.Result(), false, s.violation
 }
+
+// skipQuiet counts off the windows after a quiescent one, up to maxWindows,
+// as RunWindowsUntil describes, and reports whether expired stopped it.
+func (s *System) skipQuiet(maxWindows int, expired func(windows int) bool) (stalled bool) {
+	start := s.windows
+	if s.quietFrom < 0 {
+		s.quietFrom = start
+	}
+	if expired == nil && s.OnEvent == nil {
+		s.windows = maxWindows
+	}
+	for s.windows < maxWindows {
+		if expired != nil && expired(s.windows) {
+			stalled = true
+			break
+		}
+		s.windows++
+		s.emit(Event{Kind: EvWindow})
+	}
+	skipped := s.windows - start
+	s.steps += int64(skipped) * int64(s.n) // no crash: every processor took its sending step
+	skippedWindows.Add(int64(skipped))
+	return stalled
+}
+
+// Quiescent reports whether the run went quiescent and skipped the rest of
+// its budget (RunWindowsUntil), and from, the number of windows completed
+// when it did: Windows() - from of them were skipped. Recycle clears it.
+func (s *System) Quiescent() (from int, ok bool) { return s.quietFrom, s.quietFrom >= 0 }
+
+// SetNeverResets declares that no window of the runs to come resets,
+// crashes or corrupts a processor, which lets RunWindowsUntil end a run at
+// its budget once it goes quiescent. The declaration is checked, not
+// trusted: WindowResets then refuses any reset (ErrBadWindow), and
+// StepReset, StepCrash and Corrupt refuse outright (ErrFaultBudget), so a
+// plan that does fault fails its trial instead of skipping to wrong
+// records. The registry's trial engines declare it from their descriptors;
+// a System from New starts without it, and the setting survives Recycle.
+func (s *System) SetNeverResets(on bool) { s.neverResets = on }
+
+// skippedWindows counts, process-wide, the windows every System has skipped
+// as quiescent.
+var skippedWindows atomic.Int64
+
+// SkippedWindows returns how many windows, process-wide, runs have skipped as
+// quiescent (RunWindowsUntil). It is monotone: callers diff two readings.
+func SkippedWindows() int64 { return skippedWindows.Load() }
 
 // Result summarizes the current configuration.
 func (s *System) Result() RunResult {
