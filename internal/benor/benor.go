@@ -57,19 +57,10 @@ type Msg struct {
 // ExtractVote exposes report contents to algorithm-agnostic adversaries: it
 // returns the carried bit of a valued message and ok=false for '?' proposals
 // or foreign payloads. Reports and valued proposals are both bit-bearing.
-// It accepts both the pooled *Msg boxes the protocol sends and plain Msg
-// values (hand-built messages in tests and external drivers).
+// The payload is the pooled *Msg box the protocol sends.
 func ExtractVote(m sim.Message) (round int, phase Phase, value sim.Bit, ok bool) {
-	var p Msg
-	switch pl := m.Payload.(type) {
-	case *Msg:
-		p = *pl
-	case Msg:
-		p = pl
-	default:
-		return 0, 0, 0, false
-	}
-	if !p.Valued {
+	p, ok := m.Payload.(*Msg)
+	if !ok || !p.Valued {
 		return 0, 0, 0, false
 	}
 	return p.R, p.P, p.V, true
@@ -166,13 +157,8 @@ func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
-	var msg Msg
-	switch pl := m.Payload.(type) {
-	case *Msg:
-		msg = *pl
-	case Msg:
-		msg = pl
-	default:
+	msg, ok := m.Payload.(*Msg)
+	if !ok {
 		return // foreign or corrupted payload: ignore
 	}
 	if msg.P != PhaseReport && msg.P != PhaseProposal {

@@ -214,11 +214,11 @@ func TestProposalConflictImpossibleUnderHonesty(t *testing.T) {
 }
 
 func TestExtractVote(t *testing.T) {
-	r, ph, v, ok := ExtractVote(sim.Message{Payload: Msg{R: 4, P: PhaseReport, V: 1, Valued: true}})
+	r, ph, v, ok := ExtractVote(sim.Message{Payload: &Msg{R: 4, P: PhaseReport, V: 1, Valued: true}})
 	if !ok || r != 4 || ph != PhaseReport || v != 1 {
 		t.Fatalf("got (%d,%v,%d,%v)", r, ph, v, ok)
 	}
-	if _, _, _, ok := ExtractVote(sim.Message{Payload: Msg{R: 4, P: PhaseProposal, Valued: false}}); ok {
+	if _, _, _, ok := ExtractVote(sim.Message{Payload: &Msg{R: 4, P: PhaseProposal, Valued: false}}); ok {
 		t.Fatal("'?' proposal classified as valued")
 	}
 	if _, _, _, ok := ExtractVote(sim.Message{Payload: 42}); ok {
@@ -269,7 +269,7 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := fakeRand{}
-	valued := func(round int, ph Phase, v sim.Bit) Msg { return Msg{R: round, P: ph, V: v, Valued: true} }
+	valued := func(round int, ph Phase, v sim.Bit) *Msg { return &Msg{R: round, P: ph, V: v, Valued: true} }
 	type rows = []struct {
 		name string
 		from sim.ProcID
@@ -296,6 +296,7 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 	}
 	ignored("report wait", rows{
 		{"a foreign payload", 6, "garbage"},
+		{"a plain value, not the box the protocol sends", 6, *valued(1, PhaseReport, 1)},
 		{"a stale round", 6, valued(0, PhaseReport, 1)},
 		{"an unknown phase", 6, valued(1, 0, 1)},
 		{"an unknown phase", 6, valued(1, 3, 1)},
@@ -307,7 +308,7 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 	})
 	// The documented quirk: an unvalued report still tallies its V, here the
 	// fifth 1 of nine — the strict majority that makes the proposal valued.
-	p.Deliver(sim.Message{From: 6, Payload: Msg{R: 1, P: PhaseReport, V: 1}}, r)
+	p.Deliver(sim.Message{From: 6, Payload: &Msg{R: 1, P: PhaseReport, V: 1}}, r)
 	if rd, ph := p.Round(); rd != 1 || ph != PhaseProposal {
 		t.Fatalf("after the seventh report the wait is (%d, %d), want (1, %d)", rd, ph, PhaseProposal)
 	}
@@ -328,7 +329,7 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 		{"an out-of-range value", 6, valued(1, PhaseProposal, 2)},
 		{"an out-of-range value in a buffered round", 6, valued(2, PhaseReport, 2)},
 	})
-	p.Deliver(sim.Message{From: 6, Payload: Msg{R: 1, P: PhaseProposal, V: 7}}, r) // '?': V is not read
+	p.Deliver(sim.Message{From: 6, Payload: &Msg{R: 1, P: PhaseProposal, V: 7}}, r) // '?': V is not read
 	if rd, ph := p.Round(); rd != 2 || ph != PhaseReport {
 		t.Fatalf("after the seventh proposal the wait is (%d, %d), want (2, %d)", rd, ph, PhaseReport)
 	}

@@ -57,7 +57,7 @@ type roundTally struct {
 func NewAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, input sim.Bit) (*Agreement, error) {
 	ms := append([]sim.ProcID(nil), members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	engine, err := rbc.NewScopedEngine(self, ms, t)
+	engine, err := rbc.NewScopedEngine(self, ms, t, prefix)
 	if err != nil {
 		return nil, fmt.Errorf("bracha agreement %q: %w", prefix, err)
 	}
@@ -92,51 +92,33 @@ func (a *Agreement) Value() sim.Bit { return a.x }
 // Flush drains queued outgoing messages.
 func (a *Agreement) Flush() []sim.Message { return a.engine.Flush() }
 
-// Handles reports whether the message belongs to this instance (an RBC
-// message — pooled box or plain value — whose tag label is the instance
-// prefix; the round and step live in the tag's structured fields).
+// Handles reports whether the message belongs to this instance: an RBC
+// message whose tag label is the instance prefix (the round and step live in
+// the tag's structured fields).
 func (a *Agreement) Handles(m sim.Message) bool {
-	switch msg := m.Payload.(type) {
-	case *rbc.Msg:
-		return msg.T.Label == a.prefix
-	case rbc.Msg:
-		return msg.T.Label == a.prefix
-	default:
-		return false
-	}
+	msg, ok := m.Payload.(*rbc.Msg)
+	return ok && msg.T.Label == a.prefix
 }
 
 // Handle processes one incoming message and advances the state machine.
+// The engine accepts only tags of the instance prefix with a member sender.
+// A straggler for a completed round is dropped: its tally was already
+// released (releaseRound), and progress only ever reads the current round,
+// so counting the value would reopen a tally that nothing reads and nothing
+// releases.
 func (a *Agreement) Handle(m sim.Message, r sim.RandSource) {
-	for _, acc := range a.engine.Handle(m) {
+	if acc, ok := a.engine.Handle(m); ok {
 		round, step := acc.T.Round, acc.T.Step
-		if acc.T.Label != a.prefix || round < 1 || step < 1 || step > 3 {
-			continue
+		if val, isVal := acc.Value.(Val); isVal && round >= a.round && step >= 1 && step <= 3 {
+			a.accept(round, step, acc.T.Sender, val)
 		}
-		val, ok := acc.Value.(Val)
-		if !ok {
-			continue
-		}
-		if round < a.round {
-			// A straggler for a completed round: its tally was already
-			// released (releaseRound), and progress only ever reads the
-			// current round, so counting the value would reopen a tally that
-			// nothing reads and nothing releases.
-			continue
-		}
-		a.accept(round, step, acc.T.Sender, val)
 	}
 	a.progress(r)
 }
 
 // accept counts sender's accepted value for (round, step), once per sender.
-// A sender outside the member ID range is ignored: reliable broadcast only
-// echoes an INIT that arrived from the tag's own sender, so with at most t
-// Byzantine members no such broadcast is ever accepted.
+// sender is a member, so seen has its bit: the engine accepts nothing else.
 func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) {
-	if sender < 0 || int(sender) >= a.seenWords*64 {
-		return
-	}
 	rt := a.openTally(round)
 	w, bit := (step-1)*a.seenWords+int(sender)>>6, uint64(1)<<(uint(sender)&63)
 	if rt.seen[w]&bit != 0 {
@@ -151,7 +133,7 @@ func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) {
 }
 
 func (a *Agreement) broadcastStep() {
-	a.engine.BroadcastAt(a.prefix, a.round, a.step, valAny(a.x, a.mark && a.step == 3))
+	a.engine.Broadcast(a.round, a.step, valAny(a.x, a.mark && a.step == 3))
 }
 
 // valBoxes interns the four possible Val payloads as pre-boxed interface
@@ -304,10 +286,7 @@ func (a *Agreement) progress(r sim.RandSource) {
 			}
 			a.mark = false
 			a.releaseRound(a.round)
-			round := a.round
-			a.engine.Forget(func(tag rbc.Tag) bool {
-				return tag.Label == a.prefix && tag.Round <= round-1
-			})
+			a.engine.ForgetBefore(a.round)
 			a.round++
 			a.step = 1
 		}

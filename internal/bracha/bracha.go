@@ -49,6 +49,9 @@ type Val struct {
 	D bool
 }
 
+// procLabel is the reliable-broadcast label of a Proc's agreement.
+const procLabel = "ba"
+
 // Proc is one processor running Bracha agreement over the full network. It
 // implements sim.Process.
 type Proc struct {
@@ -73,7 +76,7 @@ func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
 	for i := range members {
 		members[i] = sim.ProcID(i)
 	}
-	ag, err := NewAgreement(id, members, t, "ba", input)
+	ag, err := NewAgreement(id, members, t, procLabel, input)
 	if err != nil {
 		return nil, err
 	}

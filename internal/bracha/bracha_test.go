@@ -62,7 +62,7 @@ func TestTagCoordinates(t *testing.T) {
 			t.Fatalf("agreement does not handle its own broadcast %+v", msg.T)
 		}
 	}
-	alien := sim.Message{Payload: rbc.Msg{T: rbc.Tag{Sender: 0, Label: "other", Round: 1, Step: 1}}}
+	alien := sim.Message{Payload: &rbc.Msg{T: rbc.Tag{Sender: 0, Label: "other", Round: 1, Step: 1}}}
 	if ag.Handles(alien) {
 		t.Fatal("agreement claimed a foreign prefix")
 	}
@@ -114,15 +114,27 @@ func TestToleratesSilentByzantine(t *testing.T) {
 
 func TestToleratesEquivocator(t *testing.T) {
 	// An equivocating Byzantine sender cannot break agreement: RBC
-	// consistency filters its split INITs.
+	// consistency filters its split INITs. The attack must reach the
+	// agreement: every honest processor echoes every one of the
+	// Equivocator's 50 × 3 tags to all 7 processors.
 	for seed := uint64(1); seed <= 3; seed++ {
 		s := newSystem(t, 7, 2, split(7), seed)
 		if err := s.Corrupt(0, NewEquivocator(0, 7, 50)); err != nil {
 			t.Fatal(err)
 		}
+		echoes := 0
+		s.OnEvent = func(ev sim.Event) {
+			if msg, ok := ev.Msg.Payload.(*rbc.Msg); ok && ev.Kind == sim.EvSend &&
+				ev.Msg.From != 0 && msg.Kind == rbc.KindEcho && msg.T.Sender == 0 {
+				echoes++
+			}
+		}
 		res, err := s.RunWindows(adversary.FullDelivery{}, 50000)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if want := 50 * 3 * 6 * 7; echoes != want {
+			t.Fatalf("seed %d: %d honest ECHOs of the Equivocator's tags, want %d", seed, echoes, want)
 		}
 		if !res.Agreement || !res.Validity {
 			t.Fatalf("seed %d: safety broken: %+v", seed, res)

@@ -1,8 +1,6 @@
 package bracha
 
 import (
-	"strconv"
-
 	"asyncagree/internal/rbc"
 	"asyncagree/internal/sim"
 )
@@ -46,8 +44,9 @@ func (s *Silent) Snapshot() string { return "byz-silent" }
 // Equivocator is a Byzantine processor that attacks reliable broadcast
 // directly: for each of the first Rounds rounds and each step it sends
 // INIT(0) to the lower half of the ring and INIT(1) to the upper half under
-// the same tag, then refuses to echo anything. RBC consistency must ensure
-// no two honest processors accept different values for any of its tags.
+// the same tag of a Proc's agreement, then refuses to echo anything. RBC
+// consistency must ensure no two honest processors accept different values
+// for any of its tags.
 type Equivocator struct {
 	id     sim.ProcID
 	n      int
@@ -81,17 +80,15 @@ func (e *Equivocator) Send() []sim.Message {
 	var out []sim.Message
 	for r := 1; r <= e.rounds; r++ {
 		for s := 1; s <= 3; s++ {
-			tag := rbc.Tag{Sender: e.id, Label: "r" + strconv.Itoa(r) + "s" + strconv.Itoa(s)}
+			tag := rbc.Tag{Sender: e.id, Label: procLabel, Round: r, Step: s}
+			lower := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: valAny(0, false)}
+			upper := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: valAny(1, false)}
 			for q := 0; q < e.n; q++ {
-				v := Val{V: sim.Bit(0)}
+				m := sim.Message{From: e.id, To: sim.ProcID(q), Payload: lower}
 				if q >= e.n/2 {
-					v = Val{V: sim.Bit(1)}
+					m.Payload = upper
 				}
-				out = append(out, sim.Message{
-					From:    e.id,
-					To:      sim.ProcID(q),
-					Payload: rbc.Msg{T: tag, Kind: rbc.KindInit, Value: v},
-				})
+				out = append(out, m)
 			}
 		}
 	}
@@ -136,25 +133,15 @@ func (f *FalseVoter) Output() (sim.Bit, bool) { return 0, false }
 func (f *FalseVoter) Send() []sim.Message {
 	msgs := f.inner.Send()
 	var last *rbc.Msg
-	for i, m := range msgs {
-		switch rm := m.Payload.(type) {
-		case *rbc.Msg:
-			if rm == last {
-				continue // another copy of an already-flipped broadcast
-			}
-			last = rm
-			if rm.Kind == rbc.KindInit && rm.T.Sender == f.inner.ID() {
-				if v, ok := rm.Value.(Val); ok {
-					rm.Value = valAny(1-v.V, v.D)
-				}
-			}
-		case rbc.Msg:
-			// Value payloads are per-copy; rewrite each one.
-			if rm.Kind == rbc.KindInit && rm.T.Sender == f.inner.ID() {
-				if v, ok := rm.Value.(Val); ok {
-					rm.Value = valAny(1-v.V, v.D)
-					msgs[i].Payload = rm
-				}
+	for _, m := range msgs {
+		rm, ok := m.Payload.(*rbc.Msg)
+		if !ok || rm == last {
+			continue // not a broadcast, or another copy of a flipped one
+		}
+		last = rm
+		if rm.Kind == rbc.KindInit && rm.T.Sender == f.inner.ID() {
+			if v, ok := rm.Value.(Val); ok {
+				rm.Value = valAny(1-v.V, v.D)
 			}
 		}
 	}

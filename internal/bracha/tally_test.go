@@ -36,7 +36,7 @@ type refAgreement struct {
 
 func newRefAgreement(t *testing.T, self sim.ProcID, members []sim.ProcID, tt int, prefix string, input sim.Bit) *refAgreement {
 	t.Helper()
-	engine, err := rbc.NewScopedEngine(self, members, tt)
+	engine, err := rbc.NewScopedEngine(self, members, tt, prefix)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,24 +58,20 @@ func (a *refAgreement) recycle(input sim.Bit) {
 }
 
 func (a *refAgreement) broadcastStep() {
-	a.engine.BroadcastAt(a.prefix, a.round, a.step, valAny(a.x, a.mark && a.step == 3))
+	a.engine.Broadcast(a.round, a.step, valAny(a.x, a.mark && a.step == 3))
 }
 
 func (a *refAgreement) handle(m sim.Message, r sim.RandSource) {
-	for _, acc := range a.engine.Handle(m) {
+	if acc, ok := a.engine.Handle(m); ok {
 		round, step := acc.T.Round, acc.T.Step
-		if acc.T.Label != a.prefix || round < 1 || step < 1 || step > 3 {
-			continue
-		}
-		val, ok := acc.Value.(Val)
-		if !ok {
-			continue
-		}
-		if round < a.round {
+		val, isVal := acc.Value.(Val)
+		switch {
+		case acc.T.Label != a.prefix || round < 1 || step < 1 || step > 3 || !isVal:
+		case round < a.round:
 			a.stragglers++
-			continue
+		default:
+			a.accept(round, step, acc.T.Sender, val)
 		}
-		a.accept(round, step, acc.T.Sender, val)
 	}
 	a.progress(r)
 }
@@ -168,10 +164,7 @@ func (a *refAgreement) progress(r sim.RandSource) {
 			}
 			a.mark = false
 			delete(a.acc, a.round)
-			round := a.round
-			a.engine.Forget(func(tag rbc.Tag) bool {
-				return tag.Label == a.prefix && tag.Round <= round-1
-			})
+			a.engine.ForgetBefore(a.round)
 			a.round++
 			a.step = 1
 		}
@@ -273,7 +266,7 @@ func (p *tallyPair) check(t *testing.T, what string) []sim.Message {
 		if out[i].To != refOut[i].To || m != r {
 			t.Fatalf("%s: queued message %d = to %d %+v, reference to %d %+v", what, i, out[i].To, m, refOut[i].To, r)
 		}
-		msgs[i] = sim.Message{From: out[i].From, To: out[i].To, Payload: m}
+		msgs[i] = sim.Message{From: out[i].From, To: out[i].To, Payload: &m}
 	}
 	return msgs
 }
@@ -302,7 +295,7 @@ func TestTallyCountersMatchRecount(t *testing.T) {
 			var pool []sim.Message
 			send := func(msgs []sim.Message) {
 				for _, m := range msgs {
-					if msg := m.Payload.(rbc.Msg); m.From >= 5 && msg.Kind == rbc.KindInit {
+					if msg := m.Payload.(*rbc.Msg); m.From >= 5 && msg.Kind == rbc.KindInit {
 						continue // the script below speaks for members 5 and 6
 					}
 					pool = append(pool, m)
@@ -329,7 +322,7 @@ func TestTallyCountersMatchRecount(t *testing.T) {
 					if equivocate && q%2 == 1 {
 						val.V = 1 - val.V
 					}
-					m := sim.Message{From: from, To: sim.ProcID(q), Payload: rbc.Msg{T: tag, Kind: rbc.KindInit, Value: val}}
+					m := sim.Message{From: from, To: sim.ProcID(q), Payload: &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: val}}
 					pool = append(pool, m, m)
 				}
 			}

@@ -80,15 +80,11 @@ type Vote struct {
 	X sim.Bit
 }
 
-// ExtractVote exposes the round/value content of a core message to
-// algorithm-agnostic adversaries (notably the split-vote adversary). It
-// accepts both the pooled *Vote boxes the protocol sends and plain Vote
-// values (hand-built messages in tests and external drivers).
+// ExtractVote exposes the round/value content of a core message — the
+// pooled *Vote box the protocol sends — to algorithm-agnostic adversaries
+// (notably the split-vote adversary).
 func ExtractVote(m sim.Message) (round int, value sim.Bit, ok bool) {
-	switch v := m.Payload.(type) {
-	case *Vote:
-		return v.R, v.X, true
-	case Vote:
+	if v, ok := m.Payload.(*Vote); ok {
 		return v.R, v.X, true
 	}
 	return 0, 0, false
@@ -205,13 +201,8 @@ func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
-	var v Vote
-	switch pl := m.Payload.(type) {
-	case *Vote:
-		v = *pl
-	case Vote:
-		v = pl
-	default:
+	v, ok := m.Payload.(*Vote)
+	if !ok {
 		return // foreign or corrupted payload: ignore
 	}
 	if !p.syncing && v.R < p.round {

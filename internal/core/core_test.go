@@ -397,13 +397,13 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 	}
 	r := fakeRand{}
 	p.Deliver(sim.Message{From: 1, Payload: "garbage"}, r)
-	p.Deliver(sim.Message{From: 1, Payload: Vote{R: 0, X: 1}}, r) // stale round
+	p.Deliver(sim.Message{From: 1, Payload: &Vote{R: 0, X: 1}}, r) // stale round
 	if rd, ok := p.Round(); !ok || rd != 1 {
 		t.Fatalf("round moved on garbage: %d %v", rd, ok)
 	}
 	// Duplicate votes from the same sender must count once.
 	for i := 0; i < th.T1+3; i++ {
-		p.Deliver(sim.Message{From: 1, Payload: Vote{R: 1, X: 1}}, r)
+		p.Deliver(sim.Message{From: 1, Payload: &Vote{R: 1, X: 1}}, r)
 	}
 	if rd, _ := p.Round(); rd != 1 {
 		t.Fatalf("duplicates advanced the round to %d", rd)
@@ -411,16 +411,17 @@ func TestIgnoresForeignAndStaleMessages(t *testing.T) {
 	// A corrupted value and senders that do not exist are ignored, not
 	// tallied: T1-1 more honest votes are then exactly what round 1 lacks.
 	for q := 2; q < th.T1; q++ {
-		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: Vote{R: 1, X: 1}}, r)
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: &Vote{R: 1, X: 1}}, r)
 	}
-	p.Deliver(sim.Message{From: 11, Payload: Vote{R: 1, X: 2}}, r)
+	p.Deliver(sim.Message{From: 11, Payload: &Vote{R: 1, X: 2}}, r)
 	p.Deliver(sim.Message{From: 11, Payload: &Vote{R: 1, X: 255}}, r)
-	p.Deliver(sim.Message{From: -1, Payload: Vote{R: 1, X: 1}}, r)
-	p.Deliver(sim.Message{From: 12, Payload: Vote{R: 1, X: 1}}, r)
+	p.Deliver(sim.Message{From: -1, Payload: &Vote{R: 1, X: 1}}, r)
+	p.Deliver(sim.Message{From: 12, Payload: &Vote{R: 1, X: 1}}, r)
+	p.Deliver(sim.Message{From: 11, Payload: Vote{R: 1, X: 1}}, r) // not the box the protocol sends
 	if rd, _ := p.Round(); rd != 1 {
 		t.Fatalf("corrupted votes advanced the round to %d", rd)
 	}
-	p.Deliver(sim.Message{From: 11, Payload: Vote{R: 1, X: 1}}, r)
+	p.Deliver(sim.Message{From: 11, Payload: &Vote{R: 1, X: 1}}, r)
 	if rd, _ := p.Round(); rd != 2 {
 		t.Fatalf("round = %d after the T1-th distinct vote, want 2", rd)
 	}
@@ -444,10 +445,10 @@ func TestCascadedRoundCompletion(t *testing.T) {
 	r := fakeRand{}
 	// Deliver T1 round-2 votes first (buffered), then T1 round-1 votes.
 	for q := 1; q <= th.T1; q++ {
-		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: Vote{R: 2, X: 0}}, r)
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: &Vote{R: 2, X: 0}}, r)
 	}
 	for q := 1; q <= th.T1; q++ {
-		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: Vote{R: 1, X: 0}}, r)
+		p.Deliver(sim.Message{From: sim.ProcID(q), Payload: &Vote{R: 1, X: 0}}, r)
 	}
 	if rd, _ := p.Round(); rd != 3 {
 		t.Fatalf("round = %d after cascade, want 3", rd)

@@ -20,14 +20,15 @@
 // consumes incoming messages and reports newly accepted broadcasts; Flush
 // drains the outgoing queue into the host's sending step.
 //
-// Honest traffic is counted without hashing. Members are a bitset over the
-// host's ID space, and a member's position (its rank among the members)
-// indexes everything else. The instances of the engine's own label live in
-// one block per (round, step), a slot per member position for the tag's
-// sender, found by a short scan of the live blocks behind a last-hit cache;
-// each instance keeps its echo and ready senders per value in a small list
-// compared with ==. Only tags a block cannot index — another label, or a
-// sender outside the members — fall back to a map.
+// An Engine serves the one label it is built with. Traffic is counted
+// without hashing. Members are a bitset over the host's ID space, and a
+// member's position (its rank among the members) indexes everything else.
+// The instances live in one block per (round, step), a slot per member
+// position for the tag's sender, found by a short scan of the live blocks
+// behind a last-hit cache; each instance keeps its echo and ready senders
+// per value in a small list compared with ==. A message with another label,
+// a tag sender outside the members, or a payload that is not a *Msg is
+// ignored: no honest member sends one.
 package rbc
 
 import (
@@ -38,12 +39,8 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// Tag identifies a broadcast instance: the designated sender, a
-// caller-chosen label, and optional structured (round, step) coordinates.
-// Protocols that advance through unboundedly many rounds put the round in
-// the integer fields and keep Label as a constant instance prefix — minting
-// a fresh label string per round ("r3s1") works too, but costs a string
-// allocation per round, and only the engine's own label is block-indexed.
+// Tag identifies a broadcast instance: the designated sender, the engine's
+// label, and the (round, step) within the protocol instance the label names.
 type Tag struct {
 	Sender      sim.ProcID
 	Label       string
@@ -76,8 +73,9 @@ func (k Kind) String() string {
 	}
 }
 
-// Msg is the wire payload of the reliable broadcast protocol. Value must be
-// a comparable type (per-value thresholds compare values with ==).
+// Msg is the wire payload of the reliable broadcast protocol, always sent
+// and received boxed as a *Msg. Value must be a comparable type (per-value
+// thresholds compare values with ==).
 type Msg struct {
 	T     Tag
 	Kind  Kind
@@ -90,41 +88,30 @@ type Accepted struct {
 	Value any
 }
 
-// Engine runs all reliable-broadcast instances for one host processor.
-//
-// An Engine may be scoped to a subset of the system's processors (see
+// Engine runs the reliable-broadcast instances of one label for one host
+// processor, among a member subset of the system's processors (see
 // NewScopedEngine): thresholds are relative to the member count and
 // broadcasts go only to members. Scoped engines are how committees run the
-// slow protocol internally in the Kapron-style algorithm.
+// slow protocol internally in the Kapron-style algorithm; a full-system
+// engine is one scoped to 0..n-1.
 type Engine struct {
-	self sim.ProcID
-	n, t int
+	self  sim.ProcID
+	n, t  int
+	label string
 
 	// members lists the participating processors in the order broadcasts
-	// address them; nil means the full system 0..n-1. member is the same set
-	// as a bitset over the host's ID space and rank[w] counts the members
-	// below word w, so a member's position — its rank, 0..n-1 — is one
-	// popcount away; ids maps a position back (nil when position == ID).
+	// address them. member is the same set as a bitset over the host's ID
+	// space and rank[w] counts the members below word w, so a member's
+	// position — its rank, 0..n-1 — is one popcount away.
 	members []sim.ProcID
 	member  []uint64
 	rank    []int32
-	ids     []sim.ProcID
-
-	// home is the label the blocks index: that of the first broadcast the
-	// engine makes while no instance is live (homed records that there was
-	// one). A host that broadcasts before it handles anything — Agreement
-	// starts with its round-1 broadcast — gets its own protocol's traffic
-	// block-indexed; an engine that never does runs on spare alone.
-	home  string
-	homed bool
 
 	// blocks are the live blocks, in no particular order; last is the block
 	// the previous lookup hit, and live counts the live instances in blocks.
-	// spare holds every instance no block can index, built on first use.
 	blocks []*block
 	last   *block
 	live   int
-	spare  map[Tag]*instance
 
 	outbox []sim.Message
 
@@ -132,22 +119,16 @@ type Engine struct {
 	words int
 
 	// Recycling pools (see sim.PayloadReclaimer and DESIGN.md §2a): msgPool
-	// holds the heap-boxed *Msg payloads of dead broadcasts, blockPool and
-	// instPool the blocks and spare instances released by Forget/Reset, each
-	// keeping its per-value sender sets. In step mode msgPool stays empty
-	// (nothing is reclaimed) and every broadcast boxes fresh, which is always
-	// safe.
+	// holds the heap-boxed *Msg payloads of dead broadcasts, blockPool the
+	// blocks released by ForgetBefore/Reset, each keeping its instances'
+	// per-value sender sets. In step mode msgPool stays empty (nothing is
+	// reclaimed) and every broadcast boxes fresh, which is always safe.
 	msgPool   []*Msg
 	blockPool []*block
-	instPool  []*instance
-
-	// acceptBuf backs Handle's zero-or-one-element result slice, so an
-	// acceptance does not allocate on the delivery hot path.
-	acceptBuf [1]Accepted
 }
 
-// block holds the home label's instances of one (round, step): insts[p] is
-// the instance whose tag sender sits at member position p.
+// block holds the instances of one (round, step): insts[p] is the instance
+// whose tag sender sits at member position p.
 type block struct {
 	round, step int
 	live        int // instances in use
@@ -158,7 +139,7 @@ type block struct {
 // who echoed and who readied it; released entries keep their bitsets
 // (cleared) in vals[len:cap] for reuse.
 type instance struct {
-	live      bool // a block slot in use
+	live      bool // the slot is in use
 	sentEcho  bool
 	sentReady bool
 	accepted  bool
@@ -173,27 +154,11 @@ type valueSets struct {
 	echoes, readys int
 }
 
-// NewEngine returns an Engine for host processor self in a system of n
-// processors tolerating t Byzantine faults. It returns an error unless
-// 0 <= t and n > 3t.
-func NewEngine(self sim.ProcID, n, t int) (*Engine, error) {
-	if t < 0 || n <= 3*t {
-		return nil, fmt.Errorf("rbc: need n > 3t, got n=%d t=%d", n, t)
-	}
-	e := &Engine{self: self, n: n, t: t, words: (n + 63) / 64}
-	e.member = make([]uint64, e.words)
-	for q := 0; q < n; q++ {
-		e.member[q>>6] |= 1 << (uint(q) & 63)
-	}
-	e.rankMembers()
-	return e, nil
-}
-
-// NewScopedEngine returns an Engine whose broadcast group is the given
-// member list (which must contain self), tolerating t Byzantine members.
-// It returns an error unless len(members) > 3t and the members are distinct,
-// non-negative IDs.
-func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int) (*Engine, error) {
+// NewScopedEngine returns an Engine for the broadcasts labelled label whose
+// broadcast group is the given member list (which must contain self),
+// tolerating t Byzantine members. It returns an error unless
+// len(members) > 3t and the members are distinct, non-negative IDs.
+func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int, label string) (*Engine, error) {
 	n := len(members)
 	if t < 0 || n <= 3*t {
 		return nil, fmt.Errorf("rbc: need |members| > 3t, got %d members, t=%d", n, t)
@@ -207,10 +172,10 @@ func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int) (*Engine, err
 		self:    self,
 		n:       n,
 		t:       t,
+		label:   label,
 		words:   (n + 63) / 64,
 		members: slices.Clone(members),
 		member:  make([]uint64, int(ids[n-1])/64+1),
-		ids:     ids,
 	}
 	for _, q := range ids {
 		w, bit := int(q)>>6, uint64(1)<<(uint(q)&63)
@@ -219,21 +184,16 @@ func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int) (*Engine, err
 		}
 		e.member[w] |= bit
 	}
-	e.rankMembers()
-	if e.pos(self) < 0 {
-		return nil, fmt.Errorf("rbc: self %d not in member list", self)
-	}
-	return e, nil
-}
-
-// rankMembers fills rank from the membership bitset.
-func (e *Engine) rankMembers() {
 	e.rank = make([]int32, len(e.member))
 	below := 0
 	for w, word := range e.member {
 		e.rank[w] = int32(below)
 		below += bits.OnesCount64(word)
 	}
+	if e.pos(self) < 0 {
+		return nil, fmt.Errorf("rbc: self %d not in member list", self)
+	}
+	return e, nil
 }
 
 // pos returns q's member position, or -1 if q is not a member.
@@ -249,14 +209,6 @@ func (e *Engine) pos(q sim.ProcID) int {
 	return int(e.rank[w]) + bits.OnesCount64(e.member[w]&(bit-1))
 }
 
-// memberAt returns the member at position p.
-func (e *Engine) memberAt(p int) sim.ProcID {
-	if e.ids == nil {
-		return sim.ProcID(p)
-	}
-	return e.ids[p]
-}
-
 // EchoThreshold returns the echo count required to send READY:
 // ceil((n+t+1)/2).
 func (e *Engine) EchoThreshold() int { return (e.n + e.t + 2) / 2 }
@@ -267,33 +219,22 @@ func (e *Engine) ReadyAmplify() int { return e.t + 1 }
 // AcceptThreshold returns the ready count required to accept.
 func (e *Engine) AcceptThreshold() int { return 2*e.t + 1 }
 
-// inst returns the instance of tag t, opening it if it is not live: a block
-// slot for the home label and a member sender, a spare instance otherwise.
+// inst returns the instance of tag t, opening its block slot if it is not
+// live, or nil when t is not the engine's to run: another label, or a tag
+// sender outside the members. An honest member echoes only an INIT from
+// the tag's own sender, and only members are heard, so no honest member
+// ever sends for such a tag.
 func (e *Engine) inst(t Tag) *instance {
-	if e.homed && t.Label == e.home {
-		if p := e.pos(t.Sender); p >= 0 {
-			b := e.block(t.Round, t.Step)
-			in := &b.insts[p]
-			if !in.live {
-				in.live = true
-				b.live++
-				e.live++
-			}
-			return in
-		}
+	p := e.pos(t.Sender)
+	if t.Label != e.label || p < 0 {
+		return nil
 	}
-	in := e.spare[t]
-	if in == nil {
-		if n := len(e.instPool); n > 0 {
-			in = e.instPool[n-1]
-			e.instPool = e.instPool[:n-1]
-		} else {
-			in = new(instance)
-		}
-		if e.spare == nil {
-			e.spare = make(map[Tag]*instance)
-		}
-		e.spare[t] = in
+	b := e.block(t.Round, t.Step)
+	in := &b.insts[p]
+	if !in.live {
+		in.live = true
+		b.live++
+		e.live++
 	}
 	return in
 }
@@ -323,15 +264,17 @@ func (e *Engine) block(round, step int) *block {
 	return b
 }
 
-// closeBlock releases the live block at blocks[i] and its remaining
-// instances to the pools.
+// closeBlock releases the live block at blocks[i], with its instances, to
+// the pool.
 func (e *Engine) closeBlock(i int) {
 	b := e.blocks[i]
 	for p := range b.insts {
 		if b.insts[p].live {
-			e.releaseSlot(b, &b.insts[p])
+			b.insts[p].clear()
 		}
 	}
+	e.live -= b.live
+	b.live = 0
 	last := len(e.blocks) - 1
 	e.blocks[i] = e.blocks[last]
 	e.blocks[last] = nil
@@ -340,13 +283,6 @@ func (e *Engine) closeBlock(i int) {
 		e.last = nil
 	}
 	e.blockPool = append(e.blockPool, b)
-}
-
-// releaseSlot frees one live instance of block b.
-func (e *Engine) releaseSlot(b *block, in *instance) {
-	in.clear()
-	b.live--
-	e.live--
 }
 
 // clear rewinds an instance to unused, keeping its value entries' bitsets.
@@ -398,17 +334,11 @@ func (vs *valueSets) mark(set, p, words int) bool {
 	return true
 }
 
-// Broadcast starts a reliable broadcast with this processor as the sender.
-func (e *Engine) Broadcast(label string, value any) {
-	e.sendAll(Msg{T: Tag{Sender: e.self, Label: label}, Kind: KindInit, Value: value})
-}
-
-// BroadcastAt starts a reliable broadcast tagged with structured protocol
-// coordinates (see Tag): label names the protocol instance, (round, step)
-// the position within it.
-func (e *Engine) BroadcastAt(label string, round, step int, value any) {
+// Broadcast starts a reliable broadcast of value with this processor as the
+// sender, at (round, step) of the engine's label.
+func (e *Engine) Broadcast(round, step int, value any) {
 	e.sendAll(Msg{
-		T:     Tag{Sender: e.self, Label: label, Round: round, Step: step},
+		T:     Tag{Sender: e.self, Label: e.label, Round: round, Step: step},
 		Kind:  KindInit,
 		Value: value,
 	})
@@ -417,23 +347,13 @@ func (e *Engine) BroadcastAt(label string, round, step int, value any) {
 // sendAll queues m to every member. All copies share one pooled *Msg box
 // (boxing the Msg value once per copy was the Bracha benchmark's single
 // largest allocation source); the host hands dead boxes back through
-// ReclaimPayload. An initial broadcast made while no instance is live fixes
-// the home label (see Engine).
+// ReclaimPayload.
 func (e *Engine) sendAll(m Msg) {
-	if !e.homed && m.Kind == KindInit && e.InstanceCount() == 0 {
-		e.home, e.homed = m.T.Label, true
-	}
 	box := e.takeMsg()
 	*box = m
 	var payload any = box
-	if e.members != nil {
-		for _, q := range e.members {
-			e.outbox = append(e.outbox, sim.Message{From: e.self, To: q, Payload: payload})
-		}
-		return
-	}
-	for q := 0; q < e.n; q++ {
-		e.outbox = append(e.outbox, sim.Message{From: e.self, To: sim.ProcID(q), Payload: payload})
+	for _, q := range e.members {
+		e.outbox = append(e.outbox, sim.Message{From: e.self, To: q, Payload: payload})
 	}
 }
 
@@ -488,42 +408,38 @@ func (e *Engine) Flush() []sim.Message {
 // dirty-tracking).
 func (e *Engine) PendingOut() bool { return len(e.outbox) > 0 }
 
-// Handle processes one incoming message and returns newly accepted
-// broadcasts (zero or one — the slice form simplifies hosts; the slice is
-// backed by a buffer reused on the next Handle call, so consume it before
-// handling another message). Non-RBC payloads, and traffic from outside the
-// members, are ignored. Both payload forms are accepted: the pooled *Msg
-// boxes engines send, and plain Msg values (hand-built Byzantine traffic,
-// tests); the contents are copied out immediately, so a box may be
+// Handle processes one incoming message and reports the broadcast it
+// completed, if any. Payloads other than *Msg, traffic from outside the
+// members, and tags that are not the engine's to run (see inst) are
+// ignored. The contents are copied out immediately, so a box may be
 // reclaimed and overwritten after the window that delivered it.
-func (e *Engine) Handle(m sim.Message) []Accepted {
-	var msg Msg
-	switch pm := m.Payload.(type) {
-	case *Msg:
-		msg = *pm
-	case Msg:
-		msg = pm
-	default:
-		return nil
+func (e *Engine) Handle(m sim.Message) (Accepted, bool) {
+	pm, ok := m.Payload.(*Msg)
+	if !ok {
+		return Accepted{}, false
 	}
+	msg := *pm
 	from := e.pos(m.From)
 	if from < 0 {
-		return nil // traffic from outside the scope does not count
+		return Accepted{}, false // traffic from outside the scope does not count
 	}
 	in := e.inst(msg.T)
+	if in == nil {
+		return Accepted{}, false
+	}
 	switch msg.Kind {
 	case KindInit:
 		// Only the tag's designated sender may INIT, and only the first
 		// INIT counts (a Byzantine sender gains nothing by re-initiating).
 		if m.From != msg.T.Sender || in.sentEcho {
-			return nil
+			return Accepted{}, false
 		}
 		in.sentEcho = true
 		e.sendAll(Msg{T: msg.T, Kind: KindEcho, Value: msg.Value})
 	case KindEcho:
 		vs := e.sets(in, msg.Value)
 		if !vs.mark(0, from, e.words) {
-			return nil
+			return Accepted{}, false
 		}
 		if vs.echoes >= e.EchoThreshold() && !in.sentReady {
 			in.sentReady = true
@@ -532,7 +448,7 @@ func (e *Engine) Handle(m sim.Message) []Accepted {
 	case KindReady:
 		vs := e.sets(in, msg.Value)
 		if !vs.mark(1, from, e.words) {
-			return nil
+			return Accepted{}, false
 		}
 		if vs.readys >= e.ReadyAmplify() && !in.sentReady {
 			in.sentReady = true
@@ -540,59 +456,36 @@ func (e *Engine) Handle(m sim.Message) []Accepted {
 		}
 		if vs.readys >= e.AcceptThreshold() && !in.accepted {
 			in.accepted = true
-			e.acceptBuf[0] = Accepted{T: msg.T, Value: msg.Value}
-			return e.acceptBuf[:]
+			return Accepted{T: msg.T, Value: msg.Value}, true
 		}
 	}
-	return nil
+	return Accepted{}, false
 }
 
 // Reset erases all instance state (for hosts subjected to resetting
-// failures and for trial recycling). Blocks, instances with their sender
-// sets, and the payload boxes of queued-but-unsent messages return to their
-// pools; the home label and the outbox capacity stay.
+// failures and for trial recycling). Blocks with their sender sets, and the
+// payload boxes of queued-but-unsent messages, return to their pools; the
+// outbox capacity stays.
 func (e *Engine) Reset() {
 	for len(e.blocks) > 0 {
 		e.closeBlock(len(e.blocks) - 1)
 	}
-	for t, in := range e.spare {
-		e.releaseSpare(t, in)
-	}
 	e.reclaimOutbox()
-}
-
-// releaseSpare unmaps a spare instance and pools it.
-func (e *Engine) releaseSpare(t Tag, in *instance) {
-	in.clear()
-	delete(e.spare, t)
-	e.instPool = append(e.instPool, in)
 }
 
 // InstanceCount returns the number of live broadcast instances (for memory
 // accounting in long executions).
-func (e *Engine) InstanceCount() int { return e.live + len(e.spare) }
+func (e *Engine) InstanceCount() int { return e.live }
 
-// Forget discards the instances whose tag matches drop, bounding memory in
-// long executions (hosts call it when a round's broadcasts can no longer
-// matter). A block whose every instance is dropped is released whole.
-func (e *Engine) Forget(drop func(Tag) bool) {
+// ForgetBefore discards every instance of a round below round, bounding
+// memory in long executions (hosts call it when those rounds' broadcasts
+// can no longer matter). Their blocks go back to the pool whole.
+func (e *Engine) ForgetBefore(round int) {
 	for i := 0; i < len(e.blocks); {
-		b := e.blocks[i]
-		for p := range b.insts {
-			in := &b.insts[p]
-			if in.live && drop(Tag{Sender: e.memberAt(p), Label: e.home, Round: b.round, Step: b.step}) {
-				e.releaseSlot(b, in)
-			}
-		}
-		if b.live == 0 {
+		if e.blocks[i].round < round {
 			e.closeBlock(i) // moves the last block into i
 			continue
 		}
 		i++
-	}
-	for t, in := range e.spare {
-		if drop(t) {
-			e.releaseSpare(t, in)
-		}
 	}
 }

@@ -7,6 +7,18 @@ import (
 	"asyncagree/internal/sim"
 )
 
+// label is the one label every harness engine serves.
+const label = "ba"
+
+// all returns the processor IDs 0..n-1.
+func all(n int) []sim.ProcID {
+	ids := make([]sim.ProcID, n)
+	for i := range ids {
+		ids[i] = sim.ProcID(i)
+	}
+	return ids
+}
+
 // harness wires k engines together directly (no sim.System needed at this
 // layer): messages are routed synchronously until quiescence.
 type harness struct {
@@ -25,7 +37,7 @@ func newHarness(t *testing.T, n, tt int) *harness {
 		accepted: make(map[sim.ProcID][]Accepted),
 	}
 	for i := 0; i < n; i++ {
-		e, err := NewEngine(sim.ProcID(i), n, tt)
+		e, err := NewScopedEngine(sim.ProcID(i), all(n), tt, label)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -48,30 +60,15 @@ func (h *harness) pump() {
 			if h.drop[[2]sim.ProcID{m.From, m.To}] {
 				continue
 			}
-			for _, a := range h.engines[m.To].Handle(m) {
-				h.accepted[m.To] = append(h.accepted[m.To], a)
-			}
+			h.handle(m)
 		}
 	}
 }
 
-func TestNewEngineValidation(t *testing.T) {
-	cases := []struct {
-		n, t    int
-		wantErr bool
-	}{
-		{4, 1, false},
-		{7, 2, false},
-		{3, 1, true}, // n <= 3t
-		{6, 2, true},
-		{1, 0, false},
-		{4, -1, true},
-	}
-	for _, c := range cases {
-		_, err := NewEngine(0, c.n, c.t)
-		if (err != nil) != c.wantErr {
-			t.Errorf("NewEngine(n=%d, t=%d) err = %v, wantErr %v", c.n, c.t, err, c.wantErr)
-		}
+// handle delivers m to its receiver and records what it accepted.
+func (h *harness) handle(m sim.Message) {
+	if a, ok := h.engines[m.To].Handle(m); ok {
+		h.accepted[m.To] = append(h.accepted[m.To], a)
 	}
 }
 
@@ -94,9 +91,16 @@ func TestNewScopedEngineValidation(t *testing.T) {
 		{"negative", 3, ids(-1, 1, 3, 70), 1, true},
 		{"self outside", 2, ids(1, 3, 70, 200), 1, true},
 		{"n <= 3t", 1, ids(1, 3, 70), 1, true},
+		// A full system 0..n-1.
+		{"4:1", 0, all(4), 1, false},
+		{"7:2", 0, all(7), 2, false},
+		{"3:1 (n <= 3t)", 0, all(3), 1, true},
+		{"6:2", 0, all(6), 2, true},
+		{"1:0", 0, all(1), 0, false},
+		{"4:-1", 0, all(4), -1, true},
 	}
 	for _, c := range cases {
-		e, err := NewScopedEngine(c.self, c.members, c.t)
+		e, err := NewScopedEngine(c.self, c.members, c.t, label)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: NewScopedEngine(%d, %v, %d) err = %v, wantErr %v", c.name, c.self, c.members, c.t, err, c.wantErr)
 		}
@@ -108,14 +112,14 @@ func TestNewScopedEngineValidation(t *testing.T) {
 
 func TestHonestBroadcastAcceptedByAll(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	h.engines[0].Broadcast("tag", "hello")
+	h.engines[0].Broadcast(1, 1, "hello")
 	h.pump()
 	for i := 0; i < 4; i++ {
 		acc := h.accepted[sim.ProcID(i)]
 		if len(acc) != 1 {
 			t.Fatalf("processor %d accepted %d broadcasts, want 1", i, len(acc))
 		}
-		if acc[0].Value != "hello" || acc[0].T.Sender != 0 || acc[0].T.Label != "tag" {
+		if acc[0].Value != "hello" || acc[0].T != (Tag{Sender: 0, Label: label, Round: 1, Step: 1}) {
 			t.Fatalf("processor %d accepted %+v", i, acc[0])
 		}
 	}
@@ -128,7 +132,7 @@ func TestAcceptDespiteSilentFaults(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		h.drop[[2]sim.ProcID{3, sim.ProcID(q)}] = true // 3 sends nothing
 	}
-	h.engines[0].Broadcast("tag", 42)
+	h.engines[0].Broadcast(1, 1, 42)
 	h.pump()
 	for i := 0; i < 3; i++ {
 		if len(h.accepted[sim.ProcID(i)]) != 1 {
@@ -142,17 +146,13 @@ func TestConsistencyUnderEquivocation(t *testing.T) {
 	// No two honest processors may accept different values.
 	for n, tt := 7, 2; n <= 13; n, tt = n+3, tt+1 {
 		h := newHarness(t, n, tt)
-		tag := Tag{Sender: 0, Label: "eq"}
+		tag := Tag{Sender: 0, Label: label}
 		for q := 1; q < n; q++ {
 			v := "a"
 			if q > n/2 {
 				v = "b"
 			}
-			for _, a := range h.engines[q].Handle(sim.Message{
-				From: 0, To: sim.ProcID(q), Payload: Msg{T: tag, Kind: KindInit, Value: v},
-			}) {
-				h.accepted[sim.ProcID(q)] = append(h.accepted[sim.ProcID(q)], a)
-			}
+			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: v}})
 		}
 		h.pump()
 		values := map[any]bool{}
@@ -171,15 +171,11 @@ func TestNoAcceptWithoutInit(t *testing.T) {
 	// t Byzantine processors alone cannot forge an acceptance: 2t+1 READYs
 	// are needed but only t processors will lie.
 	h := newHarness(t, 7, 2)
-	tag := Tag{Sender: 0, Label: "forged"}
+	tag := Tag{Sender: 0, Label: label}
 	// Byzantine 5 and 6 send READY("evil") to everyone; no INIT ever.
 	for _, byz := range []sim.ProcID{5, 6} {
 		for q := 0; q < 7; q++ {
-			for _, a := range h.engines[q].Handle(sim.Message{
-				From: byz, To: sim.ProcID(q), Payload: Msg{T: tag, Kind: KindReady, Value: "evil"},
-			}) {
-				h.accepted[sim.ProcID(q)] = append(h.accepted[sim.ProcID(q)], a)
-			}
+			h.handle(sim.Message{From: byz, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindReady, Value: "evil"}})
 		}
 	}
 	h.pump()
@@ -192,12 +188,12 @@ func TestNoAcceptWithoutInit(t *testing.T) {
 
 func TestDuplicateMessagesIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: "dup"}
+	tag := Tag{Sender: 1, Label: label}
 	e := h.engines[0]
 	// Deliver the same ECHO from the same sender many times: the count must
 	// not reach the threshold (3) from one echoing processor.
 	for i := 0; i < 10; i++ {
-		e.Handle(sim.Message{From: 2, To: 0, Payload: Msg{T: tag, Kind: KindEcho, Value: "v"}})
+		e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindEcho, Value: "v"}})
 	}
 	if e.PendingOut() {
 		t.Fatal("duplicate echoes triggered READY")
@@ -206,11 +202,11 @@ func TestDuplicateMessagesIgnored(t *testing.T) {
 
 func TestSecondInitIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: "x"}
+	tag := Tag{Sender: 1, Label: label}
 	e := h.engines[0]
-	e.Handle(sim.Message{From: 1, To: 0, Payload: Msg{T: tag, Kind: KindInit, Value: "first"}})
+	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "first"}})
 	e.Flush()
-	e.Handle(sim.Message{From: 1, To: 0, Payload: Msg{T: tag, Kind: KindInit, Value: "second"}})
+	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "second"}})
 	if e.PendingOut() {
 		t.Fatal("second INIT triggered a second ECHO")
 	}
@@ -218,9 +214,9 @@ func TestSecondInitIgnored(t *testing.T) {
 
 func TestInitFromWrongSenderIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: "x"}
+	tag := Tag{Sender: 1, Label: label}
 	e := h.engines[0]
-	e.Handle(sim.Message{From: 2, To: 0, Payload: Msg{T: tag, Kind: KindInit, Value: "forged"}})
+	e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "forged"}})
 	if e.PendingOut() {
 		t.Fatal("INIT from non-designated sender triggered ECHO")
 	}
@@ -230,10 +226,10 @@ func TestReadyAmplification(t *testing.T) {
 	// t+1 READYs make an engine send READY even without enough echoes
 	// (totality mechanism).
 	h := newHarness(t, 7, 2)
-	tag := Tag{Sender: 1, Label: "amp"}
+	tag := Tag{Sender: 1, Label: label}
 	e := h.engines[0]
 	for _, from := range []sim.ProcID{2, 3, 4} { // t+1 = 3
-		e.Handle(sim.Message{From: from, To: 0, Payload: Msg{T: tag, Kind: KindReady, Value: "v"}})
+		e.Handle(sim.Message{From: from, To: 0, Payload: &Msg{T: tag, Kind: KindReady, Value: "v"}})
 	}
 	out := e.Flush()
 	if len(out) != 7 {
@@ -247,24 +243,30 @@ func TestReadyAmplification(t *testing.T) {
 	}
 }
 
+// TestForget: ForgetBefore drops the instances of the rounds below its
+// argument and keeps the rest.
 func TestForget(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	h.engines[0].Broadcast("keep", 1)
-	h.engines[0].Broadcast("drop", 2)
+	h.engines[0].Broadcast(1, 3, 1)
+	h.engines[0].Broadcast(2, 1, 2)
 	h.pump()
 	e := h.engines[1]
 	before := e.InstanceCount()
 	if before == 0 {
 		t.Fatal("no instances created")
 	}
-	e.Forget(func(tag Tag) bool { return tag.Label == "drop" })
+	e.ForgetBefore(2)
 	if e.InstanceCount() != before-1 {
-		t.Fatalf("Forget removed %d instances, want 1", before-e.InstanceCount())
+		t.Fatalf("ForgetBefore removed %d instances, want 1", before-e.InstanceCount())
+	}
+	e.ForgetBefore(3)
+	if e.InstanceCount() != 0 {
+		t.Fatalf("ForgetBefore(3) kept %d instances", e.InstanceCount())
 	}
 }
 
 func TestThresholds(t *testing.T) {
-	e, err := NewEngine(0, 10, 3)
+	e, err := NewScopedEngine(0, all(10), 3, label)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +299,13 @@ func TestConsistencyProperty(t *testing.T) {
 		}
 		// Byzantine-style split INIT from processor 0 at an arbitrary cut.
 		cut := int(splitAt) % n
-		tag := Tag{Sender: 0, Label: "p"}
+		tag := Tag{Sender: 0, Label: label}
 		for q := 1; q < n; q++ {
 			v := "a"
 			if q > cut {
 				v = "b"
 			}
-			for _, a := range h.engines[q].Handle(sim.Message{
-				From: 0, To: sim.ProcID(q), Payload: Msg{T: tag, Kind: KindInit, Value: v},
-			}) {
-				h.accepted[sim.ProcID(q)] = append(h.accepted[sim.ProcID(q)], a)
-			}
+			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: v}})
 		}
 		h.pump()
 		values := map[any]bool{}
@@ -331,17 +329,13 @@ func TestTotalityProperty(t *testing.T) {
 	check := func(initMask uint8) bool {
 		const n, tt = 7, 2
 		h := newHarness(t, n, tt)
-		tag := Tag{Sender: 0, Label: "tot"}
+		tag := Tag{Sender: 0, Label: label}
 		// Sender 0 INITs only to an arbitrary subset, then goes silent.
 		for q := 1; q < n; q++ {
 			if initMask&(1<<q) == 0 {
 				continue
 			}
-			for _, a := range h.engines[q].Handle(sim.Message{
-				From: 0, To: sim.ProcID(q), Payload: Msg{T: tag, Kind: KindInit, Value: "v"},
-			}) {
-				h.accepted[sim.ProcID(q)] = append(h.accepted[sim.ProcID(q)], a)
-			}
+			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: "v"}})
 		}
 		h.pump()
 		anyAccepted, allAccepted := false, true

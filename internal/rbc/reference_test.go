@@ -2,7 +2,6 @@ package rbc
 
 import (
 	"fmt"
-	"slices"
 	"testing"
 
 	"asyncagree/internal/rng"
@@ -11,9 +10,10 @@ import (
 
 // mapEngine is the reliable-broadcast engine as it stood before instances
 // moved into per-(round, step) blocks: one map from Tag to instance, one map
-// from value to sender set per instance, and a membership map. It is kept
-// verbatim, renamed only, as the reference TestEngineMatchesMapReference
-// holds Engine to.
+// from value to sender set per instance, and a membership map. It is kept as
+// the reference TestEngineMatchesMapReference holds Engine to, renamed, and
+// given Engine's one label and its rule for what it runs: a *Msg payload
+// whose tag carries the label and a member sender.
 
 // mapEngine runs all reliable-broadcast instances for one host processor.
 //
@@ -22,11 +22,12 @@ import (
 // broadcasts go only to members. Scoped engines are how committees run the
 // slow protocol internally in the Kapron-style algorithm.
 type mapEngine struct {
-	self sim.ProcID
-	n, t int
+	self  sim.ProcID
+	n, t  int
+	label string
 
-	// members lists the participating processors, ascending; nil means the
-	// full system 0..n-1. isMember gates incoming traffic.
+	// members lists the participating processors, ascending. isMember gates
+	// incoming traffic and tag senders.
 	members  []sim.ProcID
 	isMember map[sim.ProcID]bool
 
@@ -84,24 +85,10 @@ type mapInstance struct {
 	readys map[any]*mapSenderSet
 }
 
-// newMapEngine returns a mapEngine for host processor self in a system of n
-// processors tolerating t Byzantine faults. It returns an error unless
-// 0 <= t and n > 3t.
-func newMapEngine(self sim.ProcID, n, t int) (*mapEngine, error) {
-	if t < 0 || n <= 3*t {
-		return nil, fmt.Errorf("rbc: need n > 3t, got n=%d t=%d", n, t)
-	}
-	return &mapEngine{
-		self: self, n: n, t: t,
-		setWords:  (n + 63) / 64,
-		instances: make(map[Tag]*mapInstance),
-	}, nil
-}
-
-// newScopedMapEngine returns a mapEngine whose broadcast group is the given
-// member list (which must contain self), tolerating t Byzantine members.
-// It returns an error unless len(members) > 3t.
-func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t int) (*mapEngine, error) {
+// newScopedMapEngine returns a mapEngine for label whose broadcast group is
+// the given member list (which must contain self), tolerating t Byzantine
+// members. It returns an error unless len(members) > 3t.
+func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t int, label string) (*mapEngine, error) {
 	n := len(members)
 	if t < 0 || n <= 3*t {
 		return nil, fmt.Errorf("rbc: need |members| > 3t, got %d members, t=%d", n, t)
@@ -121,6 +108,7 @@ func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t int) (*mapEngin
 		self:      self,
 		n:         n,
 		t:         t,
+		label:     label,
 		setWords:  (int(maxID) + 64) / 64,
 		members:   append([]sim.ProcID(nil), members...),
 		isMember:  isMember,
@@ -181,17 +169,11 @@ func (e *mapEngine) takeSet() *mapSenderSet {
 	return &mapSenderSet{bits: make([]uint64, e.setWords)}
 }
 
-// Broadcast starts a reliable broadcast with this processor as the sender.
-func (e *mapEngine) Broadcast(label string, value any) {
-	e.sendAll(Msg{T: Tag{Sender: e.self, Label: label}, Kind: KindInit, Value: value})
-}
-
-// BroadcastAt starts a reliable broadcast tagged with structured protocol
-// coordinates (see Tag): label names the protocol instance, (round, step)
-// the position within it.
-func (e *mapEngine) BroadcastAt(label string, round, step int, value any) {
+// Broadcast starts a reliable broadcast tagged with structured protocol
+// coordinates (see Tag) of the engine's label.
+func (e *mapEngine) Broadcast(round, step int, value any) {
 	e.sendAll(Msg{
-		T:     Tag{Sender: e.self, Label: label, Round: round, Step: step},
+		T:     Tag{Sender: e.self, Label: e.label, Round: round, Step: step},
 		Kind:  KindInit,
 		Value: value,
 	})
@@ -205,14 +187,8 @@ func (e *mapEngine) sendAll(m Msg) {
 	box := e.takeMsg()
 	*box = m
 	var payload any = box
-	if e.members != nil {
-		for _, q := range e.members {
-			e.outbox = append(e.outbox, sim.Message{From: e.self, To: q, Payload: payload})
-		}
-		return
-	}
-	for q := 0; q < e.n; q++ {
-		e.outbox = append(e.outbox, sim.Message{From: e.self, To: sim.ProcID(q), Payload: payload})
+	for _, q := range e.members {
+		e.outbox = append(e.outbox, sim.Message{From: e.self, To: q, Payload: payload})
 	}
 }
 
@@ -270,23 +246,21 @@ func (e *mapEngine) PendingOut() bool { return len(e.outbox) > 0 }
 // Handle processes one incoming message and returns newly accepted
 // broadcasts (zero or one — the slice form simplifies hosts; the slice is
 // backed by a buffer reused on the next Handle call, so consume it before
-// handling another message). Non-RBC
-// payloads are ignored. Both payload forms are accepted: the pooled *Msg
-// boxes engines send, and plain Msg values (hand-built Byzantine traffic,
-// tests); the contents are copied out immediately, so a box may be
-// reclaimed and overwritten after the window that delivered it.
+// handling another message). Payloads other than *Msg, and tags of another
+// label or a non-member sender, are ignored; the contents are copied out
+// immediately, so a box may be reclaimed and overwritten after the window
+// that delivered it.
 func (e *mapEngine) Handle(m sim.Message) []Accepted {
-	var msg Msg
-	switch pm := m.Payload.(type) {
-	case *Msg:
-		msg = *pm
-	case Msg:
-		msg = pm
-	default:
+	pm, ok := m.Payload.(*Msg)
+	if !ok {
 		return nil
 	}
-	if e.isMember != nil && !e.isMember[m.From] {
+	msg := *pm
+	if !e.isMember[m.From] {
 		return nil // traffic from outside the scope does not count
+	}
+	if msg.T.Label != e.label || !e.isMember[msg.T.Sender] {
+		return nil
 	}
 	in := e.inst(msg.T)
 	switch msg.Kind {
@@ -381,14 +355,14 @@ type refStream struct {
 	e       *Engine
 	ref     *mapEngine
 	members []sim.ProcID
-	outside []sim.ProcID // IDs of non-members (empty for an unscoped engine)
+	outside []sim.ProcID // IDs of non-members (empty for a full system)
 	hot     []Tag        // the tags most traffic is about, so thresholds cross
 	boxes   [2][]any     // flushed payloads not yet handed back, per engine
 }
 
 func (st *refStream) member() sim.ProcID { return st.members[st.r.Intn(len(st.members))] }
 
-// sender is a member, or now and then (scoped engines only) a non-member.
+// sender is a member, or now and then (subset groups only) a non-member.
 func (st *refStream) sender() sim.ProcID {
 	if len(st.outside) > 0 && st.r.Intn(10) == 0 {
 		return st.outside[st.r.Intn(len(st.outside))]
@@ -396,14 +370,14 @@ func (st *refStream) sender() sim.ProcID {
 	return st.member()
 }
 
-// tag draws a hot tag most of the time, otherwise any label (the home one,
-// a foreign one shaped like the Equivocator's, another), any sender (a
+// tag draws a hot tag most of the time, otherwise any label (the engines'
+// own, a foreign one shaped like a per-round label, another), any sender (a
 // non-member now and then) and a small (round, step).
 func (st *refStream) tag() Tag {
 	if st.r.Intn(5) > 0 {
 		return st.hot[st.r.Intn(len(st.hot))]
 	}
-	tag := Tag{Label: []string{"ba", "ba", "r3s1", "x"}[st.r.Intn(4)], Round: st.r.Intn(5), Step: 1 + st.r.Intn(3)}
+	tag := Tag{Label: []string{label, label, "r3s1", "x"}[st.r.Intn(4)], Round: st.r.Intn(5), Step: 1 + st.r.Intn(3)}
 	switch st.r.Intn(10) {
 	case 0:
 		tag.Sender = sim.ProcID(-1 - st.r.Intn(3))
@@ -435,11 +409,9 @@ func (st *refStream) handle(op int) {
 	switch k := st.r.Intn(20); {
 	case k < 3:
 		msg.Kind = KindInit
-		// The designated sender, unless it is no processor: the System
-		// authenticates From, so a full-system engine never hears from an ID
-		// outside [0, n) (the map engine counted such a sender, or crashed
-		// on it; Engine ignores it like any non-member).
-		if st.r.Intn(5) > 0 && (st.outside != nil || tag.Sender >= 0 && int(tag.Sender) < len(st.members)) {
+		// Mostly the designated sender, which may be no member at all:
+		// both engines ignore traffic from a non-member.
+		if st.r.Intn(5) > 0 {
 			from = tag.Sender
 		}
 	case k < 11:
@@ -454,9 +426,10 @@ func (st *refStream) handle(op int) {
 		box := msg
 		m.Payload = &box
 	}
-	got, want := st.e.Handle(m), st.ref.Handle(m)
-	if !slices.Equal(got, want) {
-		st.t.Fatalf("op %d: Handle(%+v) accepted %+v, the map engine %+v", op, msg, got, want)
+	got, ok := st.e.Handle(m)
+	want := st.ref.Handle(m)
+	if ok != (len(want) == 1) || ok && got != want[0] {
+		st.t.Fatalf("op %d: Handle(%+v) accepted %+v (%v), the map engine %+v", op, msg, got, ok, want)
 	}
 	st.compareOut(op)
 }
@@ -497,32 +470,23 @@ func (st *refStream) recycle() {
 	}
 }
 
-// forget drops by round (what Agreement does), by label, or by sender
-// parity, which splits a block.
+// forget drops the rounds below a small round, as Agreement does at the end
+// of each round; the map engine drops the same tags by predicate.
 func (st *refStream) forget() {
-	round, label := st.r.Intn(5), []string{"ba", "r3s1", "x"}[st.r.Intn(3)]
-	var drop func(Tag) bool
-	switch st.r.Intn(3) {
-	case 0:
-		drop = func(t Tag) bool { return t.Label == "ba" && t.Round <= round }
-	case 1:
-		drop = func(t Tag) bool { return t.Label == label }
-	default:
-		drop = func(t Tag) bool { return t.Sender%2 == 0 && t.Round == round }
-	}
-	st.e.Forget(drop)
-	st.ref.Forget(drop)
+	round := st.r.Intn(5)
+	st.e.ForgetBefore(round)
+	st.ref.Forget(func(t Tag) bool { return t.Round < round })
 }
 
 // TestEngineMatchesMapReference runs the block engine beside the map engine
-// it replaced on seeded streams for full and scoped groups (members spread
+// it replaced on seeded streams for full and subset groups (members spread
 // over several words, listed out of order): honest-shaped INIT/ECHO/READY
-// traffic on a few hot tags, foreign labels, senders and tag senders outside
-// the members, hand-built value boxes, repeated INITs and stragglers for
-// forgotten rounds, unknown kinds, broadcasts before and after the first
-// Handle, and Forget, Reset and payload hand-backs mid-stream. After every
-// Handle the accepts, the flushed messages and the live instance count must
-// match.
+// traffic on a few hot tags; foreign labels, senders and tag senders outside
+// the members, and plain Msg values, all of which both must ignore;
+// hand-built value boxes, repeated INITs and stragglers for forgotten
+// rounds, unknown kinds, broadcasts before and after the first Handle, and
+// ForgetBefore, Reset and payload hand-backs mid-stream. After every Handle
+// the accepts, the flushed messages and the live instance count must match.
 func TestEngineMatchesMapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
@@ -535,8 +499,8 @@ func TestEngineMatchesMapReference(t *testing.T) {
 				st.members = append(st.members, sim.ProcID(q))
 			}
 			self := st.member()
-			st.e, err = NewEngine(self, n, tt)
-			st.ref, refErr = newMapEngine(self, n, tt)
+			st.e, err = NewScopedEngine(self, st.members, tt, label)
+			st.ref, refErr = newScopedMapEngine(self, st.members, tt, label)
 		} else {
 			space := 8 + r.Intn(150)
 			ids := r.Perm(space)
@@ -549,28 +513,28 @@ func TestEngineMatchesMapReference(t *testing.T) {
 			}
 			self := st.member()
 			tt := r.Intn((n-1)/3 + 1)
-			st.e, err = NewScopedEngine(self, st.members, tt)
-			st.ref, refErr = newScopedMapEngine(self, st.members, tt)
+			st.e, err = NewScopedEngine(self, st.members, tt, label)
+			st.ref, refErr = newScopedMapEngine(self, st.members, tt, label)
 		}
 		if err != nil || refErr != nil {
 			t.Fatalf("seed %d: %v / %v", seed, err, refErr)
 		}
 		for range 6 {
-			st.hot = append(st.hot, Tag{Sender: st.member(), Label: "ba", Round: r.Intn(3), Step: 1 + r.Intn(3)})
+			st.hot = append(st.hot, Tag{Sender: st.member(), Label: label, Round: r.Intn(3), Step: 1 + r.Intn(3)})
 		}
 		if r.Bit() == 1 { // the host speaks first, as an Agreement does
 			v := st.value()
-			st.e.BroadcastAt("ba", 1, 1, v)
-			st.ref.BroadcastAt("ba", 1, 1, v)
+			st.e.Broadcast(1, 1, v)
+			st.ref.Broadcast(1, 1, v)
 		}
 		for op := 0; op < 3000; op++ {
 			switch k := r.Intn(100); {
 			case k < 85:
 				st.handle(op)
 			case k < 89:
-				label, round, v := []string{"ba", "x"}[r.Intn(2)], r.Intn(4), st.value()
-				st.e.BroadcastAt(label, round, 1, v)
-				st.ref.BroadcastAt(label, round, 1, v)
+				round, v := r.Intn(4), st.value()
+				st.e.Broadcast(round, 1, v)
+				st.ref.Broadcast(round, 1, v)
 			case k < 93:
 				st.compareOut(op)
 				st.recycle()

@@ -233,7 +233,7 @@ func TestSplitVoteConstruction(t *testing.T) {
 		t.Fatalf("core cap = %d, want %d", sv.Cap, want)
 	}
 	// The classifier is core's: a vote carries its value, anything else none.
-	if info := sv.Classify(sim.Message{Payload: core.Vote{R: 1, X: 1}}); !info.HasValue || info.Value != 1 {
+	if info := sv.Classify(sim.Message{Payload: &core.Vote{R: 1, X: 1}}); !info.HasValue || info.Value != 1 {
 		t.Fatalf("core vote classified as %+v", info)
 	}
 	if sv.Classify(sim.Message{Payload: "junk"}).HasValue {

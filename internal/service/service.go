@@ -277,8 +277,10 @@ func (s *Server) quarantineCheck(key string) (string, bool) {
 }
 
 // noteOutcome updates a scenario's fault streak after a request: a clean
-// result resets it, a fault advances it and quarantines the scenario at the
-// threshold. Client cancellations are not charged to the scenario.
+// result ends it, a fault advances it and quarantines the scenario at the
+// threshold. Client cancellations are not charged to the scenario. The
+// ledger holds only scenarios with a live streak or a quarantine, so a
+// long-running server does not grow an entry per scenario it ever served.
 func (s *Server) noteOutcome(key string, faultKind string) {
 	if faultKind == faultCanceled {
 		return
@@ -286,13 +288,15 @@ func (s *Server) noteOutcome(key string, faultKind string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	h := s.quar[key]
+	if faultKind == "" {
+		if h == nil || !h.quarantined {
+			delete(s.quar, key)
+		}
+		return
+	}
 	if h == nil {
 		h = &scenarioHealth{}
 		s.quar[key] = h
-	}
-	if faultKind == "" {
-		h.consec = 0
-		return
 	}
 	s.faulted.Add(1)
 	h.consec++

@@ -341,6 +341,46 @@ func TestCleanRunResetsFaultStreak(t *testing.T) {
 	}
 }
 
+// TestQuarantineLedgerKeepsOnlyFaults: clean scenarios leave no entry in the
+// quarantine ledger, and a clean run after a fault removes the entry its
+// fault opened, so serving many distinct scenarios does not grow it.
+func TestQuarantineLedgerKeepsOnlyFaults(t *testing.T) {
+	inject, err := faultinject.ParseTrialSet("4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := newTestServer(t, Config{Workers: 1, QuarantineAfter: 3, InjectPanics: inject})
+	ledger := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.quar)
+	}
+	for i, adv := range []string{"full", "storm", "random", "splitvote"} {
+		sc := fastScenario()
+		sc.Adversary = adv
+		if w := doJSON(t, s, "POST", "/run", RunRequest{Scenario: sc, Seed: uint64(i)}); w.Code != http.StatusOK {
+			t.Fatalf("clean %s run: status %d, body %s", adv, w.Code, w.Body.String())
+		}
+	}
+	if n := ledger(); n != 0 {
+		t.Fatalf("%d ledger entries after four clean scenarios, want 0", n)
+	}
+	faulting := fastScenario()
+	faulting.Adversary = "silence"
+	if w := doJSON(t, s, "POST", "/run", RunRequest{Scenario: faulting}); w.Code != http.StatusInternalServerError {
+		t.Fatalf("injected panic: status %d, want 500", w.Code)
+	}
+	if n := ledger(); n != 1 {
+		t.Fatalf("%d ledger entries after one fault, want 1", n)
+	}
+	if w := doJSON(t, s, "POST", "/run", RunRequest{Scenario: faulting, Seed: 1}); w.Code != http.StatusOK {
+		t.Fatalf("clean run after the fault: status %d, body %s", w.Code, w.Body.String())
+	}
+	if n := ledger(); n != 0 {
+		t.Fatalf("%d ledger entries after the streak ended, want 0", n)
+	}
+}
+
 // TestTraceStreamsNDJSON: ?trace=1 streams per-event NDJSON lines ending in
 // a result line that matches the untraced run.
 func TestTraceStreamsNDJSON(t *testing.T) {
