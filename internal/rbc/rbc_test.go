@@ -72,6 +72,31 @@ func (h *harness) handle(m sim.Message) {
 	}
 }
 
+// TestNewEngineValidation: an engine over the full system 0..n-1 needs
+// n > 3t and t >= 0.
+func TestNewEngineValidation(t *testing.T) {
+	cases := []struct {
+		n, t    int
+		wantErr bool
+	}{
+		{4, 1, false},
+		{7, 2, false},
+		{3, 1, true}, // n <= 3t
+		{6, 2, true},
+		{1, 0, false},
+		{4, -1, true},
+	}
+	for _, c := range cases {
+		e, err := NewScopedEngine(0, all(c.n), c.t, label)
+		if (err != nil) != c.wantErr {
+			t.Errorf("NewScopedEngine(0, 0..%d, t=%d) err = %v, wantErr %v", c.n-1, c.t, err, c.wantErr)
+		}
+		if err == nil && e.EchoThreshold() != (c.n+c.t+2)/2 {
+			t.Errorf("n=%d t=%d: echo threshold %d", c.n, c.t, e.EchoThreshold())
+		}
+	}
+}
+
 // TestNewScopedEngineValidation: a member list is a set of processors. A
 // duplicate would inflate n and every threshold with it, a negative ID names
 // no processor (and no bitset position), and self must be in the group.
@@ -91,13 +116,6 @@ func TestNewScopedEngineValidation(t *testing.T) {
 		{"negative", 3, ids(-1, 1, 3, 70), 1, true},
 		{"self outside", 2, ids(1, 3, 70, 200), 1, true},
 		{"n <= 3t", 1, ids(1, 3, 70), 1, true},
-		// A full system 0..n-1.
-		{"4:1", 0, all(4), 1, false},
-		{"7:2", 0, all(7), 2, false},
-		{"3:1 (n <= 3t)", 0, all(3), 1, true},
-		{"6:2", 0, all(6), 2, true},
-		{"1:0", 0, all(1), 0, false},
-		{"4:-1", 0, all(4), -1, true},
 	}
 	for _, c := range cases {
 		e, err := NewScopedEngine(c.self, c.members, c.t, label)
