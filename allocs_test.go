@@ -2,7 +2,6 @@ package asyncagree
 
 import (
 	"runtime"
-	"runtime/debug"
 	"testing"
 
 	"asyncagree/internal/adversary"
@@ -128,13 +127,9 @@ func TestRandomResetPlanAllocFree(t *testing.T) {
 // the one the sweep ceilings must cover; the count grows with the worker
 // count (43, 56, 58-64, 62-73 per sixteen-trial sweep at 1, 2, 4, 8), so it
 // is pinned to the 2-vCPU reference box's to mean the same on every machine.
-// The collector is held off from warm-up to the last run: a collection empties
-// every sync.Pool, so one landing mid-measurement would rebuild the engines
-// whose warm reuse the ceilings pin.
 func mallocsPerRun(runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	for i := 0; i < 8; i++ { // every worker has met every cell's engine pool
+	for i := 0; i < 8; i++ { // goroutines, the reorder window, the sinks
 		f()
 	}
 	var before, after runtime.MemStats
@@ -163,12 +158,14 @@ func bytesPerRun(runs int, f func()) float64 {
 // TestColdTrialBytes pins what one trial allocates on a pool miss — a fresh
 // System, processes and adversary, run to decision — for the two message-
 // heavy algorithms at the default sweep's 27:3, split inputs under full
-// delivery. That is what a sweep pays for every trial whose engine pool the
-// GC emptied, which is most of them. Each message is stored once, in the
-// buffer's ring, and RBC instances live in pooled blocks; a per-window copy
-// of the batch, or a map per instance, goes through the ceiling. Measured
-// 6.95 MB (Bracha) and 18.16 MB (committee); 18.71 MB and 30.71 MB when
-// every message was stored three times and instances were mapped by tag.
+// delivery. That is what a sweep pays for the first trial of each scenario.
+// Each message is stored once, in the buffer's ring, RBC instances live in
+// pooled blocks, and a committee processor's outbox keeps the array its
+// agreements' flushes grew; a per-window copy of the batch, a map per
+// instance, or an outbox regrown every window goes through the ceiling.
+// Measured 6.95 MB (Bracha) and 8.95 MB (committee); 18.71 MB and 30.71 MB
+// when every message was stored three times and instances were mapped by
+// tag, 18.13 MB for committee while its outbox was regrown.
 func TestColdTrialBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trial's")
@@ -178,7 +175,7 @@ func TestColdTrialBytes(t *testing.T) {
 		ceiling float64 // bytes
 	}{
 		{AlgorithmBracha, 7.0e6},
-		{AlgorithmCommittee, 18.2e6},
+		{AlgorithmCommittee, 9.0e6},
 	} {
 		t.Run(string(c.alg), func(t *testing.T) {
 			cfg := Config{Algorithm: c.alg, N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}
@@ -196,16 +193,49 @@ func TestColdTrialBytes(t *testing.T) {
 	}
 }
 
+// TestWarmTrialBytes pins what a recycled trial of the same two scenarios
+// allocates once its engine is warm: nothing for Bracha, whose RBC outboxes
+// and ring keep their arrays, and 3.95 MB measured for committee, whose
+// per-level agreements are still built afresh every trial. Committee was at
+// 14.79 MB while each processor's Send regrew its outbox every window.
+func TestWarmTrialBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations are not the trial's")
+	}
+	for _, c := range []struct {
+		alg     string
+		ceiling float64 // bytes
+	}{
+		{"bracha", 0.01e6},
+		{"committee", 4.0e6},
+	} {
+		t.Run(c.alg, func(t *testing.T) {
+			p := registry.Params{N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}
+			bytes := bytesPerRun(5, func() { // the first run warms the engine
+				res, err := registry.RunPooledTrial(c.alg, "full", "adversary", p, 20000)
+				if err != nil || !res.AllDecided {
+					t.Fatalf("trial: %+v, %v", res, err)
+				}
+			})
+			t.Logf("%.2f MB per warm trial", bytes/1e6)
+			if bytes > c.ceiling {
+				t.Fatalf("a warm %s 27:3 trial allocates %.2f MB, ceiling %.2f MB", c.alg, bytes/1e6, c.ceiling/1e6)
+			}
+		})
+	}
+}
+
 // TestSweepAllocCeilings pins what a whole sweep allocates — expansion,
 // trial fan-out across the worker pool, the record pipeline, aggregation —
-// with warm engine pools: a fixed few dozen for the sixteen-trial grid (56
+// with warm engine pools: a fixed few dozen for the sixteen-trial grid (55
 // measured), and about one per trial (the record's way through the pipeline)
-// for the 4096-trial cell (4134 measured). Buffering every TrialRecord, or
-// losing engine recycling, goes through either ceiling at once.
+// for the 4096-trial cell (4133 measured). Buffering every TrialRecord, or
+// losing engine recycling, goes through either ceiling at once. Warm means
+// an engine per worker for every cell, each grown by every trial of it: two
+// workers' trials of one cell overlap only now and then, and the first
+// overlap, or an engine's first long trial, inside the measured runs would
+// charge them an engine build (about 115 allocations) or a ledger's growth.
 func TestSweepAllocCeilings(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race builds randomize sync.Pool retention; the scenario pool cannot stay warm")
-	}
 	for _, c := range []struct {
 		name          string
 		m             Matrix
@@ -217,12 +247,46 @@ func TestSweepAllocCeilings(t *testing.T) {
 		{"cell-4096-trials", sweepMemoryMatrix(4096), 1, 4096, 5, 5156},
 	} {
 		t.Run(c.name, func(t *testing.T) {
+			warmEngines(t, c.m, 2) // mallocsPerRun's workers
 			allocs := mallocsPerRun(c.runs, func() { runSweep(t, c.m, c.cells, c.trials) })
 			t.Logf("%.1f allocs per sweep", allocs)
 			if allocs > c.ceiling {
 				t.Fatalf("a %d-trial sweep allocates %.1f, ceiling %.0f", c.trials, allocs, c.ceiling)
 			}
 		})
+	}
+}
+
+// warmEngines leaves k idle engines for every cell of m, the most its trials
+// can hold at once on k workers, each of which has run every trial of its
+// cell: an engine's processes keep what their longest trial grew, and a
+// sweep hands a cell's trials to its engines in no fixed order.
+func warmEngines(t *testing.T, m Matrix, k int) {
+	t.Helper()
+	sweep, err := m.RunWith(registry.RunOptions{Serial: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := make([]*registry.TrialEngine, k)
+	for _, c := range sweep.Cells {
+		for _, seed := range m.Seeds {
+			inputs, err := registry.Inputs(c.Input, c.Size.N, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := registry.Params{N: c.Size.N, T: c.Size.T, Inputs: inputs, Seed: seed}
+			for i := range held {
+				if held[i], err = registry.AcquireTrial(c.Algorithm, c.Adversary, c.Scheduler, p); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := held[i].Run(m.MaxWindows); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := k - 1; i >= 0; i-- { // the same k come back first
+				held[i].Release()
+			}
+		}
 	}
 }
 
@@ -259,9 +323,6 @@ func TestBrachaWindowAllocs(t *testing.T) {
 // pins the tentpole property that steady-state sweep execution reuses the
 // system, processes, payload boxes, and adversary state wholesale.
 func TestRecycledTrialAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race builds randomize sync.Pool retention; the scenario pool cannot stay warm")
-	}
 	p := registry.Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 7}
 	run := func() {
 		res, err := registry.RunPooledTrial("core", "full", "adversary", p, 500)
@@ -286,9 +347,6 @@ func TestRecycledTrialAllocFree(t *testing.T) {
 // stalling adversary: pooled tallies, payload boxes, and the adversary's
 // planning scratch hold per-trial allocations to (near) zero.
 func TestRecycledSplitVoteTrialAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race builds randomize sync.Pool retention; the scenario pool cannot stay warm")
-	}
 	p := registry.Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 5}
 	run := func() {
 		res, err := registry.RunPooledTrial("benor", "splitvote", "adversary", p, 2000)
@@ -315,9 +373,6 @@ func TestRecycledSplitVoteTrialAllocs(t *testing.T) {
 // the quorum maps clear in place. The pre-pool implementation spent 92
 // allocations / 7.6 KB per decision.
 func TestRecycledPaxosTrialAllocFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race builds randomize sync.Pool retention; the scenario pool cannot stay warm")
-	}
 	p := registry.Params{N: 5, T: 2, Inputs: SplitInputs(5), Seed: 7}
 	run := func() {
 		res, err := registry.RunPooledTrial("paxos", "full", "adversary", p, 1000)

@@ -148,7 +148,7 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 		}
 	}
 
-	start, skipped := time.Now(), registry.EngineStatsSnapshot().SkippedWindows
+	start, before := time.Now(), registry.EngineStatsSnapshot()
 	sweep, err := m.RunWith(opts)
 	if err != nil {
 		return sess.Failed(err, args)
@@ -175,9 +175,10 @@ func run(args []string, out io.Writer, interrupted func() bool) error {
 			fmt.Fprintf(out, "  sink dropped: %s\n", s)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "sweep: %d trials in %.2fs, %d of %d windows skipped as quiescent\n",
-		sweep.TrialCount, time.Since(start).Seconds(),
-		registry.EngineStatsSnapshot().SkippedWindows-skipped, sweep.Windows)
+	after := registry.EngineStatsSnapshot()
+	fmt.Fprintf(os.Stderr, "sweep: %d trials in %.2fs, %d engines built, %d of %d windows skipped as quiescent\n",
+		sweep.TrialCount, time.Since(start).Seconds(), after.Built-before.Built,
+		after.SkippedWindows-before.SkippedWindows, sweep.Windows)
 
 	if v := sweep.SafetyViolations(); v > 0 {
 		return fmt.Errorf("%d agreement/validity violations in safety-certain algorithms (this is a bug, not an expected outcome)", v)

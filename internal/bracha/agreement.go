@@ -106,23 +106,33 @@ func (a *Agreement) Handles(m sim.Message) bool {
 // released (releaseRound), and progress only ever reads the current round,
 // so counting the value would reopen a tally that nothing reads and nothing
 // releases.
+//
+// progress runs only after an accept that counted. It reads nothing but the
+// tallies and (round, step), and only accept changes the one while progress
+// itself moves the other, so every Handle ends with progress at its fixed
+// point (the current step's wait threshold unmet); the round-1 step-1 start
+// that NewAgreement, Reset and Recycle leave, with every tally empty, is one
+// too. From a fixed point a message that counts nothing leaves it there:
+// progress would return at once, drawing no coin and queuing no broadcast,
+// so skipping it changes neither the coin stream nor the outbox.
 func (a *Agreement) Handle(m sim.Message, r sim.RandSource) {
 	if acc, ok := a.engine.Handle(m); ok {
 		round, step := acc.T.Round, acc.T.Step
-		if val, isVal := acc.Value.(Val); isVal && round >= a.round && step >= 1 && step <= 3 {
-			a.accept(round, step, acc.T.Sender, val)
+		if val, isVal := acc.Value.(Val); isVal && round >= a.round && step >= 1 && step <= 3 &&
+			a.accept(round, step, acc.T.Sender, val) {
+			a.progress(r)
 		}
 	}
-	a.progress(r)
 }
 
-// accept counts sender's accepted value for (round, step), once per sender.
-// sender is a member, so seen has its bit: the engine accepts nothing else.
-func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) {
+// accept counts sender's accepted value for (round, step), once per sender,
+// and reports whether it counted. sender is a member, so seen has its bit:
+// the engine accepts nothing else.
+func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) bool {
 	rt := a.openTally(round)
 	w, bit := (step-1)*a.seenWords+int(sender)>>6, uint64(1)<<(uint(sender)&63)
 	if rt.seen[w]&bit != 0 {
-		return
+		return false
 	}
 	rt.seen[w] |= bit
 	d := 0
@@ -130,6 +140,7 @@ func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) {
 		d = 1
 	}
 	rt.cnt[step-1][val.V][d]++
+	return true
 }
 
 func (a *Agreement) broadcastStep() {

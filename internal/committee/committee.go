@@ -251,10 +251,10 @@ func (p *Proc) Level() int { return p.level }
 func (p *Proc) FinalCommittee() []sim.ProcID { return p.finalSet }
 
 // Send implements sim.Process. The returned slice is valid only until the
-// next Deliver/Reset, per the sim.Process contract.
+// next Deliver/Reset, per the sim.Process contract, so its array, grown by
+// the agreements' flushes, becomes the next outbox.
 func (p *Proc) Send() []sim.Message {
 	out := p.outbox
-	p.outbox = p.outbox[:0]
 	if p.run != nil {
 		for _, ag := range p.run.bits {
 			out = append(out, ag.Flush()...)
@@ -263,6 +263,7 @@ func (p *Proc) Send() []sim.Message {
 	if p.final != nil {
 		out = append(out, p.final.Flush()...)
 	}
+	p.outbox = out[:0]
 	return out
 }
 

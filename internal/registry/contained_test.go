@@ -124,9 +124,6 @@ func TestRunContained(t *testing.T) {
 	// Containment is free: next to TestRecycledTrialAllocFree's pin on
 	// RunPooledTrial, a clean warm trial through the barrier allocates
 	// nothing either (the caller supplies the inputs, as that test does).
-	if raceEnabled {
-		return // race builds randomize sync.Pool retention
-	}
 	run := func() { RunContained("core", "full", "adversary", "split", p, 500, nil, nil) }
 	for i := 0; i < 16; i++ {
 		run()

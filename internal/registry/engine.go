@@ -111,6 +111,13 @@ type TrialEngine struct {
 	// even a caller that mistakenly releases after recovering a panic cannot
 	// re-serve the corrupt instance.
 	poisoned bool
+
+	// free is its key's free list in the pool, set on its first Release.
+	// While idle it is linked into free and into the pool's
+	// least-recently-released list, charged charge bytes.
+	free            *idleList
+	sameKey, anyKey idleLinks
+	charge          int64
 }
 
 // EngineStats counts pooled-engine lifecycle events process-wide. The
@@ -119,6 +126,11 @@ type TrialEngine struct {
 type EngineStats struct {
 	// Acquired counts AcquireTrial successes (pool hits and fresh builds).
 	Acquired int64
+	// Built counts the fresh builds among them: the pool's misses.
+	Built int64
+	// Evicted counts idle engines the pool dropped to stay within its
+	// budget.
+	Evicted int64
 	// Released counts engines returned to their pool.
 	Released int64
 	// Poisoned counts engines explicitly marked unusable via Poison.
@@ -133,7 +145,7 @@ type EngineStats struct {
 }
 
 var engineStats struct {
-	acquired, released, poisoned, blockedReleases atomic.Int64
+	acquired, built, evicted, released, poisoned, blockedReleases atomic.Int64
 }
 
 // EngineStatsSnapshot returns the current process-wide pooled-engine
@@ -141,6 +153,8 @@ var engineStats struct {
 func EngineStatsSnapshot() EngineStats {
 	return EngineStats{
 		Acquired:        engineStats.acquired.Load(),
+		Built:           engineStats.built.Load(),
+		Evicted:         engineStats.evicted.Load(),
 		Released:        engineStats.released.Load(),
 		Poisoned:        engineStats.poisoned.Load(),
 		BlockedReleases: engineStats.blockedReleases.Load(),
@@ -148,42 +162,124 @@ func EngineStatsSnapshot() EngineStats {
 	}
 }
 
-// enginePools maps engineKey -> *sync.Pool of *TrialEngine. sync.Pool keeps
-// the retained memory bounded (idle engines are dropped across GC cycles)
-// while giving steady-state sweeps and benchmarks full reuse. A plain map
-// under RWMutex (rather than sync.Map) keeps the steady-state lookup free
-// of key boxing, so acquiring a pooled engine allocates nothing.
-var (
-	enginePoolMu sync.RWMutex
-	enginePools  = map[engineKey]*sync.Pool{}
-)
+// engineBudget caps the estimated bytes of the idle engines the pool keeps,
+// as sim.System.ScratchBytes charges them. It holds the default sweep's
+// working set at two workers — up to two engines for each of its 154
+// scenarios, 54 MB charged and about 110 MB live — more than twice over, so
+// a pass that cycles through the grid finds every scenario's engines where
+// the last pass left them instead of evicting each just before its turn.
+const engineBudget = 128 << 20
 
-func poolFor(key engineKey) *sync.Pool {
-	enginePoolMu.RLock()
-	p := enginePools[key]
-	enginePoolMu.RUnlock()
-	if p != nil {
-		return p
+// enginePool keeps released engines for the next trial of their scenario:
+// per-key LIFO free lists under one mutex, and one least-recently-released
+// list over every idle engine that evicts the oldest while the charged bytes
+// exceed the budget. Both lists are intrusive (idleLinks in TrialEngine); a
+// key's list, once made, stays in the map and its engines keep a pointer to
+// it, so a warm acquire hashes the key once, a release not at all, and
+// neither allocates. Unlike a sync.Pool, nothing but the budget drops an idle
+// engine: a garbage collection between two trials of a scenario keeps it.
+type enginePool struct {
+	mu      sync.Mutex
+	budget  int64
+	free    map[engineKey]*idleList
+	idle    idleList // every idle engine, by release order
+	charged int64    // sum of the idle engines' charge
+}
+
+// engines is the process-wide pool AcquireTrial and Release use.
+var engines = enginePool{budget: engineBudget, free: map[engineKey]*idleList{}}
+
+// idleLinks are an idle engine's neighbours in one idleList.
+type idleLinks struct{ newer, older *TrialEngine }
+
+// idleList is an intrusive doubly linked list of idle engines, newest first;
+// links selects which of an engine's two idleLinks it threads.
+type idleList struct{ newest, oldest *TrialEngine }
+
+func sameKey(e *TrialEngine) *idleLinks { return &e.sameKey }
+func anyKey(e *TrialEngine) *idleLinks  { return &e.anyKey }
+
+func (l *idleList) push(e *TrialEngine, links func(*TrialEngine) *idleLinks) {
+	*links(e) = idleLinks{older: l.newest}
+	if l.newest != nil {
+		links(l.newest).newer = e
+	} else {
+		l.oldest = e
 	}
-	enginePoolMu.Lock()
-	defer enginePoolMu.Unlock()
-	if p = enginePools[key]; p == nil {
-		p = &sync.Pool{}
-		enginePools[key] = p
+	l.newest = e
+}
+
+func (l *idleList) remove(e *TrialEngine, links func(*TrialEngine) *idleLinks) {
+	ln := links(e)
+	if ln.newer != nil {
+		links(ln.newer).older = ln.older
+	} else {
+		l.newest = ln.older
 	}
-	return p
+	if ln.older != nil {
+		links(ln.older).newer = ln.newer
+	} else {
+		l.oldest = ln.newer
+	}
+	*ln = idleLinks{}
+}
+
+// get pops the most recently released idle engine of key, or returns nil.
+func (p *enginePool) get(key engineKey) *TrialEngine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	l := p.free[key]
+	if l == nil || l.newest == nil {
+		return nil
+	}
+	e := l.newest
+	p.unlink(e)
+	return e
+}
+
+// put makes e idle, charged charge bytes, then evicts down to the budget.
+func (p *enginePool) put(e *TrialEngine, charge int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e.free == nil {
+		if e.free = p.free[e.key]; e.free == nil {
+			e.free = &idleList{}
+			p.free[e.key] = e.free
+		}
+	}
+	e.charge = charge
+	e.free.push(e, sameKey)
+	p.idle.push(e, anyKey)
+	p.charged += charge
+	p.evict()
+}
+
+// evict drops the least recently released idle engines while their charge
+// exceeds the budget: the one just released too, last, if it alone does.
+// The caller holds mu.
+func (p *enginePool) evict() {
+	for p.charged > p.budget {
+		p.unlink(p.idle.oldest)
+		engineStats.evicted.Add(1)
+	}
+}
+
+// unlink takes the idle engine e out of both lists.
+func (p *enginePool) unlink(e *TrialEngine) {
+	e.free.remove(e, sameKey)
+	p.idle.remove(e, anyKey)
+	p.charged -= e.charge
 }
 
 // AcquireTrial returns a trial engine for the named scenario, prepared for
-// one window-mode trial at p: a pooled instance rewound to just-constructed
-// state when one is available, a freshly constructed one otherwise. The two
-// are indistinguishable by execution (the recycled-equals-fresh contract).
-// Call Release when the trial is done.
+// one window-mode trial at p: the scenario's most recently released engine
+// rewound to just-constructed state when the pool holds one, a freshly
+// constructed one otherwise. The two are indistinguishable by execution (the
+// recycled-equals-fresh contract). Call Release when the trial is done.
 func AcquireTrial(algName, advName, schedName string, p Params) (*TrialEngine, error) {
 	key := engineKey{alg: algName, adv: advName, sched: schedName,
 		n: p.N, t: p.T, extra: extraKey(p)}
-	pool := poolFor(key)
-	if e, ok := pool.Get().(*TrialEngine); ok && e != nil {
+	if e := engines.get(key); e != nil {
 		if err := e.prepare(p); err != nil {
 			return nil, err
 		}
@@ -194,6 +290,7 @@ func AcquireTrial(algName, advName, schedName string, p Params) (*TrialEngine, e
 	if err != nil {
 		return nil, err
 	}
+	engineStats.built.Add(1)
 	engineStats.acquired.Add(1)
 	return e, nil
 }
@@ -324,7 +421,7 @@ func (e *TrialEngine) Release() {
 		return
 	}
 	engineStats.released.Add(1)
-	poolFor(e.key).Put(e)
+	engines.put(e, e.sys.ScratchBytes())
 }
 
 // Poison permanently marks the engine unusable: a subsequent Release is a

@@ -91,3 +91,104 @@ func TestRunPeakRetainedMemoryIndependentOfTrialCount(t *testing.T) {
 			small, big, slack)
 	}
 }
+
+// TestEnginesSurviveGC pins what the explicit engine pool is for: a
+// garbage collection between two runs of the same sweep keeps every engine
+// the first run released, so the second builds none. A sync.Pool per
+// scenario, emptied by every collection, rebuilt all 154 of the default
+// grid's scenarios here. The runs are serial, so the second asks for no more
+// engines of a scenario at once than the first did; the window budget is
+// short only to keep the test quick.
+func TestEnginesSurviveGC(t *testing.T) {
+	m := DefaultMatrix()
+	m.Seeds = []uint64{1}
+	m.MaxWindows = 10
+	run := func() int64 {
+		before := EngineStatsSnapshot()
+		if _, err := m.RunWith(RunOptions{Serial: true}); err != nil {
+			t.Fatal(err)
+		}
+		return EngineStatsSnapshot().Built - before.Built
+	}
+	run()
+	runtime.GC()
+	if built := run(); built != 0 {
+		t.Fatalf("the second run built %d engines after a GC, want 0", built)
+	}
+}
+
+// setBudget sets the pool's budget, evicting down to it, and returns the
+// budget it replaced.
+func (p *enginePool) setBudget(budget int64) int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	old := p.budget
+	p.budget = budget
+	p.evict()
+	return old
+}
+
+// charge returns the idle engines' charge and the budget.
+func (p *enginePool) charge() (charged, budget int64) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.charged, p.budget
+}
+
+// TestEnginePoolStaysWithinBudget runs a grid whose engines exceed a small
+// budget many times over and checks the bound three ways: the idle engines'
+// charge stays within the budget, the pool evicted the grid's engines, and
+// the live heap after a collection stays within heapMultiple budgets of
+// where it started. The charge (sim.System.ScratchBytes) counts the ring
+// and scratch but not the processes' own state, about half of a Bracha or
+// committee engine at 27:3, so the multiple allows twice that and slack for
+// GC jitter. The same grid under an unbounded budget must break the heap
+// bound, or the test shows nothing.
+func TestEnginePoolStaysWithinBudget(t *testing.T) {
+	const (
+		budget       = 4 << 20
+		heapMultiple = 4
+	)
+	m := Matrix{
+		Algorithms:  []string{"bracha", "committee"},
+		Adversaries: []string{"full"},
+		Schedulers:  []string{"adversary", "ascmin", "laggard", "alternate", "full", "seeded"},
+		Sizes:       []Size{{N: 27, T: 3}},
+		Inputs:      []string{"split"},
+		Seeds:       []uint64{1, 2},
+		MaxWindows:  2000,
+	}
+	defer engines.setBudget(engines.setBudget(0)) // drops what earlier tests left
+	engines.setBudget(budget)
+	measure := func() (heap int64, evicted int64) {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		base := ms.HeapAlloc
+		before := EngineStatsSnapshot()
+		if _, err := m.RunWith(RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		if c, b := engines.charge(); c > b {
+			t.Fatalf("idle engines charged %d B, budget %d B", c, b)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return int64(ms.HeapAlloc) - int64(base), EngineStatsSnapshot().Evicted - before.Evicted
+	}
+
+	heap, evicted := measure()
+	t.Logf("capped: %.1f MB live after GC, %d evicted", float64(heap)/1e6, evicted)
+	if evicted == 0 {
+		t.Fatal("vacuous: the grid's engines fit the budget, nothing was evicted")
+	}
+	if heap > heapMultiple*budget {
+		t.Fatalf("live heap grew %.1f MB over a pool budget of %.1f MB, bound %d×", float64(heap)/1e6, budget/1e6, heapMultiple)
+	}
+	engines.setBudget(1 << 40)
+	uncapped, _ := measure()
+	t.Logf("uncapped: %.1f MB more live after GC", float64(uncapped)/1e6)
+	if uncapped <= heapMultiple*budget {
+		t.Fatalf("vacuous: unbounded, the grid keeps only %.1f MB more live", float64(uncapped)/1e6)
+	}
+}

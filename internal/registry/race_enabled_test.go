@@ -4,6 +4,6 @@ package registry
 
 // raceEnabled reports whether this test binary was built with the race
 // detector. The peak-memory assertion skips there: the race runtime's
-// shadow memory and deliberate sync.Pool randomization make heap readings
-// unrepresentative of the production allocator.
+// shadow memory makes heap readings unrepresentative of the production
+// allocator.
 const raceEnabled = true

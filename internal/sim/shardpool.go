@@ -27,7 +27,7 @@ import (
 // scratch visible to the serial merge.
 //
 // Shutdown: SetShardWorkers stops a replaced pool explicitly; a System
-// dropped on the floor (e.g. evicted from a sync.Pool of trial engines) has
+// dropped on the floor (e.g. evicted from the pool of trial engines) has
 // its pool reaped by a runtime.AddCleanup hook that closes quit — the pool
 // clears its System pointer between phases, so idle workers pin only the
 // pool itself, never the System, and the cleanup can fire.

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"unsafe"
 
 	"asyncagree/internal/rng"
 )
@@ -291,6 +292,24 @@ func (s *System) Recycle(seed uint64, inputs []Bit) error {
 	s.quietFrom = -1
 	s.violation = nil
 	return nil
+}
+
+// ScratchBytes estimates the bytes the System keeps across Recycle, from
+// the capacities it already holds: the buffer's ring (cells × the size of a
+// Message), the sender rows, the delivery order scratch and the shards' send
+// buffers. It is a charge for a pool's budget, not a measurement: it leaves
+// out the processes' own state (RBC instance blocks and outboxes, tallies,
+// payload boxes), the columnar scratch, the adversary's and scheduler's
+// scratch, payload values the ring's cells point at, and the worker
+// goroutines of a sharded System.
+func (s *System) ScratchBytes() int64 {
+	const msgBytes = int64(unsafe.Sizeof(Message{}))
+	b := msgBytes*int64(cap(s.buffer.ring)) + 8*int64(cap(s.allowBits)) +
+		4*int64(cap(s.orderIdx)+cap(s.orderOff)+cap(s.orderPos))
+	for i := range s.shards {
+		b += msgBytes * int64(cap(s.shards[i].sendMsgs))
+	}
+	return b
 }
 
 // N returns the number of processors.

@@ -3,8 +3,7 @@
 package asyncagree
 
 // raceEnabled reports whether this test binary was built with the race
-// detector. Allocation-regression tests that depend on sync.Pool retention
-// skip under race: the runtime deliberately randomizes pool behavior there
-// (dropping items to widen race coverage), so pooled trials reconstruct
-// state and the zero-allocation steady state cannot hold.
+// detector. The byte ceilings skip there, since the race runtime's shadow
+// allocations are not the trial's, and so does the sharded window's
+// allocation pin, whose channel wakes the race runtime instruments.
 const raceEnabled = true
