@@ -159,13 +159,16 @@ func bytesPerRun(runs int, f func()) float64 {
 // System, processes and adversary, run to decision — for the two message-
 // heavy algorithms at the default sweep's 27:3, split inputs under full
 // delivery. That is what a sweep pays for the first trial of each scenario.
-// Each message is stored once, in the buffer's ring, RBC instances live in
-// pooled blocks, and a committee processor's outbox keeps the array its
-// agreements' flushes grew; a per-window copy of the batch, a map per
-// instance, or an outbox regrown every window goes through the ceiling.
-// Measured 6.95 MB (Bracha) and 8.95 MB (committee); 18.71 MB and 30.71 MB
-// when every message was stored three times and instances were mapped by
-// tag, 18.13 MB for committee while its outbox was regrown.
+// Each send is stored once, in the buffer's ring, a broadcast as one record
+// whose copies are made at delivery, RBC instances live in pooled blocks,
+// and a committee processor's outbox keeps the array its agreements'
+// flushes grew; a per-window copy of the batch, a cell per copy of a
+// broadcast, a map per instance, or an outbox regrown every window goes
+// through the ceiling. Measured 0.64 MB (Bracha) and 8.68 MB (committee,
+// whose group agreements still send a copy per member); 6.95 MB and 8.95 MB
+// while a broadcast was stored as n messages, 18.71 MB and 30.71 MB when
+// every message was stored three times and instances were mapped by tag,
+// 18.13 MB for committee while its outbox was regrown.
 func TestColdTrialBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trial's")
@@ -174,7 +177,7 @@ func TestColdTrialBytes(t *testing.T) {
 		alg     Algorithm
 		ceiling float64 // bytes
 	}{
-		{AlgorithmBracha, 7.0e6},
+		{AlgorithmBracha, 0.7e6},
 		{AlgorithmCommittee, 9.0e6},
 	} {
 		t.Run(string(c.alg), func(t *testing.T) {
@@ -195,9 +198,11 @@ func TestColdTrialBytes(t *testing.T) {
 
 // TestWarmTrialBytes pins what a recycled trial of the same two scenarios
 // allocates once its engine is warm: nothing for Bracha, whose RBC outboxes
-// and ring keep their arrays, and 3.95 MB measured for committee, whose
-// per-level agreements are still built afresh every trial. Committee was at
-// 14.79 MB while each processor's Send regrew its outbox every window.
+// and ring keep their arrays, and 0.12 MB measured for committee, whose
+// processors keep their per-level agreements and rewind them (its vote maps
+// and survivor lists are still built per trial). Committee was at 3.95 MB
+// while every trial built its agreements afresh, and at 14.79 MB while
+// each processor's Send regrew its outbox every window.
 func TestWarmTrialBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trial's")
@@ -207,7 +212,7 @@ func TestWarmTrialBytes(t *testing.T) {
 		ceiling float64 // bytes
 	}{
 		{"bracha", 0.01e6},
-		{"committee", 4.0e6},
+		{"committee", 0.15e6},
 	} {
 		t.Run(c.alg, func(t *testing.T) {
 			p := registry.Params{N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}

@@ -83,6 +83,11 @@ type (
 	SweepResult = registry.Sweep
 )
 
+// All is the broadcast address: a WindowAdversary's batch entry To All is
+// one broadcast record, standing for a copy to every processor alive at
+// the send (see sim.All).
+const All = sim.All
+
 // Trace event kinds, re-exported.
 const (
 	EvWindow  = sim.EvWindow

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"asyncagree/internal/sim"
 )
@@ -95,7 +96,16 @@ type Proc struct {
 // the order the staleness rule compares in.
 func (p *Proc) key() int { return sim.VoteKey(p.round, uint8(p.phase)) }
 
-var _ sim.Process = (*Proc)(nil)
+var (
+	_ sim.Process       = (*Proc)(nil)
+	_ sim.RetainedBytes = (*Proc)(nil)
+)
+
+// RetainedBytes implements sim.RetainedBytes: the processor, its vote
+// ledger and its broadcast queue.
+func (p *Proc) RetainedBytes() int64 {
+	return int64(unsafe.Sizeof(*p)) + p.votes.RetainedBytes() + p.queue.RetainedBytes()
+}
 
 // New constructs a Ben-Or processor. It returns an error unless 0 <= t < n/2.
 func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
@@ -153,7 +163,7 @@ func (p *Proc) queueBroadcast(m Msg) { p.queue.Queue(m) }
 func (p *Proc) ReclaimPayload(payload any) { p.queue.Reclaim(payload) }
 
 // Send implements sim.Process.
-func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
+func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {

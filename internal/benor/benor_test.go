@@ -244,8 +244,8 @@ func TestResetRestartsProtocol(t *testing.T) {
 	p.Send() // drain initial broadcast
 	p.Reset()
 	msgs := p.Send()
-	if len(msgs) != 9 {
-		t.Fatalf("after reset, re-broadcast %d messages, want 9", len(msgs))
+	if len(msgs) != 1 || msgs[0].To != sim.All {
+		t.Fatalf("after reset, sent %v, want one broadcast To sim.All", msgs)
 	}
 	if r, ph := p.Round(); r != 1 || ph != PhaseReport {
 		t.Fatalf("after reset round=%d phase=%d", r, ph)

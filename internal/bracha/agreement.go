@@ -3,6 +3,7 @@ package bracha
 import (
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"asyncagree/internal/rbc"
 	"asyncagree/internal/sim"
@@ -55,9 +56,22 @@ type roundTally struct {
 // tags namespaced under prefix. Call Start (or let the host do so) to queue
 // the first broadcast.
 func NewAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, input sim.Bit) (*Agreement, error) {
+	return newAgreement(self, members, t, prefix, input, false)
+}
+
+// newAgreement is NewAgreement with full marking an agreement among every
+// processor of the system (members 0..n-1), whose engine is built
+// full-system (rbc.NewEngine): each broadcast is one message To sim.All.
+func newAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, input sim.Bit, full bool) (*Agreement, error) {
 	ms := append([]sim.ProcID(nil), members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	engine, err := rbc.NewScopedEngine(self, ms, t, prefix)
+	var engine *rbc.Engine
+	var err error
+	if full {
+		engine, err = rbc.NewEngine(self, len(ms), t, prefix)
+	} else {
+		engine, err = rbc.NewScopedEngine(self, ms, t, prefix)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("bracha agreement %q: %w", prefix, err)
 	}
@@ -309,6 +323,16 @@ func (a *Agreement) decide(v sim.Bit) {
 	if !a.decided {
 		a.out, a.decided = v, true
 	}
+}
+
+// RetainedBytes estimates the bytes the agreement keeps across Recycle: its
+// round tallies, live and released, and its RBC engine.
+func (a *Agreement) RetainedBytes() int64 {
+	b := a.engine.RetainedBytes() + int64(unsafe.Sizeof(roundTally{}))*int64(cap(a.rounds))
+	for _, rt := range a.rounds[:cap(a.rounds)] {
+		b += 8 * int64(cap(rt.seen))
+	}
+	return b
 }
 
 // InstanceCount exposes the engine's live RBC instance count (memory

@@ -37,6 +37,7 @@ package bracha
 
 import (
 	"fmt"
+	"unsafe"
 
 	"asyncagree/internal/sim"
 )
@@ -68,7 +69,10 @@ type Proc struct {
 	resetCounter int
 }
 
-var _ sim.Process = (*Proc)(nil)
+var (
+	_ sim.Process       = (*Proc)(nil)
+	_ sim.RetainedBytes = (*Proc)(nil)
+)
 
 // New constructs a Bracha processor. It returns an error unless n > 3t.
 func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
@@ -76,7 +80,7 @@ func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
 	for i := range members {
 		members[i] = sim.ProcID(i)
 	}
-	ag, err := NewAgreement(id, members, t, procLabel, input)
+	ag, err := newAgreement(id, members, t, procLabel, input, true)
 	if err != nil {
 		return nil, err
 	}
@@ -140,6 +144,10 @@ func (p *Proc) Recycle(input sim.Bit) {
 	p.resetCounter = 0
 	p.ag.Recycle(input)
 }
+
+// RetainedBytes implements sim.RetainedBytes: the processor and its
+// agreement's tallies and RBC engine.
+func (p *Proc) RetainedBytes() int64 { return int64(unsafe.Sizeof(*p)) + p.ag.RetainedBytes() }
 
 // Reset implements sim.Process. Bracha is not reset-tolerant; like Ben-Or it
 // restarts from round 1 (used only to demonstrate the contrast with the core

@@ -219,6 +219,12 @@ func TestMemoryBounded(t *testing.T) {
 		if count := p.Agreement().InstanceCount(); count > 7*3*4 {
 			t.Fatalf("processor %d holds %d RBC instances; forgetting broken", i, count)
 		}
+		// Recycle rewinds the state and keeps the structures it grew.
+		retained := p.RetainedBytes()
+		p.Recycle(1)
+		if got := p.RetainedBytes(); got < retained {
+			t.Fatalf("processor %d retains %d B after Recycle, %d B before", i, got, retained)
+		}
 	}
 }
 

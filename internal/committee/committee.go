@@ -34,10 +34,13 @@ package committee
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
+	"unsafe"
 
 	"asyncagree/internal/bracha"
+	"asyncagree/internal/rbc"
 	"asyncagree/internal/rng"
 	"asyncagree/internal/sim"
 )
@@ -174,11 +177,21 @@ type Proc struct {
 	decided bool
 
 	started bool
-	// level is the next level whose groups have not yet all reported.
+	// level is the next level whose groups have not yet all reported;
+	// groups are its survivors' groups.
 	level     int
 	survivors []sim.ProcID
+	groups    [][]sim.ProcID
 
 	run *groupRun // my active group run at the current level, if any
+	// runs[level] is the group run this processor last built at that level,
+	// in this trial or an earlier one, and finalAg the last final-committee
+	// agreement, among finalMembers. Recycle keeps them; a level whose group
+	// (or final committee) has the same members rewinds them instead of
+	// building new agreements.
+	runs         []*groupRun
+	finalAg      *bracha.Agreement
+	finalMembers []sim.ProcID
 
 	// seedVotes[level][group][seed] = set of confirming members;
 	// acceptedSeed[level][group] = accepted seed (presence = accepted).
@@ -192,7 +205,12 @@ type Proc struct {
 	outbox []sim.Message
 }
 
-var _ sim.Process = (*Proc)(nil)
+var (
+	_ sim.Process          = (*Proc)(nil)
+	_ sim.Recycler         = (*Proc)(nil)
+	_ sim.PayloadReclaimer = (*Proc)(nil)
+	_ sim.RetainedBytes    = (*Proc)(nil)
+)
 
 // New constructs a committee processor.
 func New(id sim.ProcID, params Params, input sim.Bit) (*Proc, error) {
@@ -208,15 +226,14 @@ func New(id sim.ProcID, params Params, input sim.Bit) (*Proc, error) {
 		params:       params,
 		input:        input,
 		survivors:    survivors,
+		groups:       params.Groups(survivors),
 		seedVotes:    make(map[int]map[int]map[uint64]map[sim.ProcID]bool),
 		acceptedSeed: make(map[int]map[int]uint64),
 		decideVotes:  make(map[sim.Bit]map[sim.ProcID]bool),
 	}
 	// Bootstrap: everyone says hello so that the first receiving step (the
 	// only step that may sample randomness) can draw seed contributions.
-	for q := 0; q < params.N; q++ {
-		p.outbox = append(p.outbox, sim.Message{From: id, To: sim.ProcID(q), Payload: helloMsg{}})
-	}
+	p.outbox = append(p.outbox, sim.Message{From: id, To: sim.All, Payload: helloMsg{}})
 	return p, nil
 }
 
@@ -298,18 +315,29 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 }
 
 // startLevel begins the current level: either starts my group's seed
-// agreements or, at the final threshold, the final committee agreement.
+// agreements or, at the final threshold, the final committee agreement. A
+// group run kept from an earlier trial at this level, for the same group,
+// is rewound with the same coin draws a new one would take.
 func (p *Proc) startLevel(r sim.RandSource) {
 	if len(p.survivors) <= p.params.FinalSize {
 		p.startFinal()
 		return
 	}
-	groups := p.params.Groups(p.survivors)
-	for gIdx, members := range groups {
+	for gIdx, members := range p.groups {
 		if !contains(members, p.id) {
 			continue
 		}
-		run := &groupRun{level: p.level, group: gIdx, members: members}
+		if p.level < len(p.runs) {
+			if run := p.runs[p.level]; run != nil && run.group == gIdx && slices.Equal(run.members, members) {
+				for _, ag := range run.bits {
+					ag.Recycle(sim.Bit(r.Bit()))
+				}
+				run.published = false
+				p.run = run
+				return
+			}
+		}
+		run := &groupRun{level: p.level, group: gIdx, members: slices.Clone(members)}
 		for b := 0; b < p.params.SeedBits; b++ {
 			prefix := "L" + strconv.Itoa(p.level) + "G" + strconv.Itoa(gIdx) + "b" + strconv.Itoa(b)
 			ag, err := bracha.NewAgreement(p.id, members, p.params.GroupT, prefix, sim.Bit(r.Bit()))
@@ -323,6 +351,10 @@ func (p *Proc) startLevel(r sim.RandSource) {
 			ag.Start()
 			run.bits = append(run.bits, ag)
 		}
+		for len(p.runs) <= p.level { // no run at a level this processor sat out
+			p.runs = append(p.runs, nil)
+		}
+		p.runs[p.level] = run
 		p.run = run
 		return
 	}
@@ -344,12 +376,10 @@ func (p *Proc) checkSeedAgreed(r sim.RandSource) {
 		seed |= uint64(v) << uint(b)
 	}
 	run.published = true
-	for q := 0; q < p.params.N; q++ {
-		p.outbox = append(p.outbox, sim.Message{
-			From: p.id, To: sim.ProcID(q),
-			Payload: survMsg{Level: run.level, Group: run.group, Seed: seed},
-		})
-	}
+	p.outbox = append(p.outbox, sim.Message{
+		From: p.id, To: sim.All,
+		Payload: survMsg{Level: run.level, Group: run.group, Seed: seed},
+	})
 	// My own confirmation counts immediately.
 	p.recordSeedVote(p.id, survMsg{Level: run.level, Group: run.group, Seed: seed}, r)
 }
@@ -390,7 +420,7 @@ func (p *Proc) recordSeedVote(from sim.ProcID, msg survMsg, r sim.RandSource) {
 // evaluateSeeds accepts any current-level group seed confirmed by a strict
 // majority of that group's members, then advances the level if complete.
 func (p *Proc) evaluateSeeds(r sim.RandSource) {
-	groups := p.params.Groups(p.survivors)
+	groups := p.groups
 	accepted := p.acceptedSeed[p.level]
 	if accepted == nil {
 		accepted = make(map[int]uint64)
@@ -422,7 +452,7 @@ func (p *Proc) maybeAdvanceLevel(r sim.RandSource) {
 	if p.finalSet != nil {
 		return // already at the final phase
 	}
-	groups := p.params.Groups(p.survivors)
+	groups := p.groups
 	accepted := p.acceptedSeed[p.level]
 	if len(accepted) < len(groups) {
 		return
@@ -433,6 +463,7 @@ func (p *Proc) maybeAdvanceLevel(r sim.RandSource) {
 	}
 	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 	p.survivors = next
+	p.groups = p.params.Groups(next)
 	p.level++
 	p.run = nil
 	p.startLevel(r)
@@ -449,12 +480,17 @@ func (p *Proc) startFinal() {
 	if !contains(p.finalSet, p.id) {
 		return // spectators wait for DECIDE floods
 	}
+	if p.finalAg != nil && slices.Equal(p.finalMembers, p.finalSet) {
+		p.finalAg.Recycle(p.input)
+		p.final = p.finalAg
+		return
+	}
 	ag, err := bracha.NewAgreement(p.id, p.finalSet, p.params.GroupT, "final", p.input)
 	if err != nil {
 		return // infeasible final committee: stall (failure mode, measured)
 	}
 	ag.Start()
-	p.final = ag
+	p.final, p.finalAg, p.finalMembers = ag, ag, p.finalSet
 }
 
 // checkFinalDecided floods the decision once the final agreement completes.
@@ -466,9 +502,7 @@ func (p *Proc) checkFinalDecided() {
 	if !p.decided {
 		p.out, p.decided = v, true
 	}
-	for q := 0; q < p.params.N; q++ {
-		p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.ProcID(q), Payload: decideMsg{V: v}})
-	}
+	p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.All, Payload: decideMsg{V: v}})
 	p.final = nil // flood once
 }
 
@@ -507,9 +541,9 @@ func (p *Proc) evaluateDecide() {
 
 // Recycle implements sim.Recycler: it rewinds the processor to the state
 // New would produce for the given input, reusing the top-level vote maps,
-// survivor list, and outbox capacity. The per-level Bracha agreements are
-// constructed lazily during the run either way, so a recycled trial's
-// steady-state cost matches a fresh one with warm maps.
+// survivor list, and outbox capacity. The per-level Bracha agreements stay:
+// a level whose group matches one of an earlier trial rewinds its
+// agreements (startLevel, startFinal) instead of building them.
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
 	p.out, p.decided = 0, false
@@ -519,16 +553,58 @@ func (p *Proc) Recycle(input sim.Bit) {
 	for i := 0; i < p.params.N; i++ {
 		p.survivors = append(p.survivors, sim.ProcID(i))
 	}
+	p.groups = p.params.Groups(p.survivors)
 	p.run = nil
 	clear(p.seedVotes)
 	clear(p.acceptedSeed)
 	p.final = nil
 	p.finalSet = nil
 	clear(p.decideVotes)
-	p.outbox = p.outbox[:0]
-	for q := 0; q < p.params.N; q++ {
-		p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.ProcID(q), Payload: helloMsg{}})
+	p.outbox = append(p.outbox[:0], sim.Message{From: p.id, To: sim.All, Payload: helloMsg{}})
+}
+
+// ReclaimPayload implements sim.PayloadReclaimer: a dead reliable-broadcast
+// box goes back to the pool of the agreement that sent it, if this
+// processor still keeps it, so its agreements box a broadcast only while
+// their pools are cold. Other payloads are plain values and are ignored.
+func (p *Proc) ReclaimPayload(payload any) {
+	if _, ok := payload.(*rbc.Msg); !ok {
+		return
 	}
+	m := sim.Message{Payload: payload}
+	if p.finalAg != nil && p.finalAg.Handles(m) {
+		p.finalAg.ReclaimPayload(payload)
+		return
+	}
+	for _, run := range p.runs {
+		if run == nil {
+			continue
+		}
+		for _, ag := range run.bits {
+			if ag.Handles(m) {
+				ag.ReclaimPayload(payload)
+				return
+			}
+		}
+	}
+}
+
+// RetainedBytes implements sim.RetainedBytes: the processor, its outbox and
+// the agreements it keeps for later trials.
+func (p *Proc) RetainedBytes() int64 {
+	b := int64(unsafe.Sizeof(*p)) + int64(cap(p.outbox))*int64(unsafe.Sizeof(sim.Message{}))
+	for _, run := range p.runs {
+		if run == nil {
+			continue
+		}
+		for _, ag := range run.bits {
+			b += ag.RetainedBytes()
+		}
+	}
+	if p.finalAg != nil {
+		b += p.finalAg.RetainedBytes()
+	}
+	return b
 }
 
 // Reset implements sim.Process. The committee algorithm is not reset-

@@ -125,6 +125,46 @@ func TestFaultFreeRunDecides(t *testing.T) {
 	}
 }
 
+// TestRecycleRewindsKeptAgreements: a recycled processor keeps the group
+// agreements of the levels it ran and rewinds them where the next trial's
+// group matches (level 0's always does), and the recycled trial equals a
+// fresh one: result, configuration and steps.
+func TestRecycleRewindsKeptAgreements(t *testing.T) {
+	params := DefaultParams(27)
+	inputs := make([]sim.Bit, 27)
+	for i := range inputs {
+		inputs[i] = sim.Bit(i % 2)
+	}
+	fresh := newSystem(t, params, inputs, 7)
+	want, err := fresh.RunWindows(adversary.FullDelivery{}, 3000)
+	if err != nil || !want.AllDecided {
+		t.Fatalf("fresh trial: %+v, %v", want, err)
+	}
+
+	s := newSystem(t, params, unanimous(27, 1), 3)
+	if res, err := s.RunWindows(adversary.FullDelivery{}, 3000); err != nil || !res.AllDecided {
+		t.Fatalf("warm-up trial: %+v, %v", res, err)
+	}
+	p0 := s.Proc(0).(*Proc)
+	kept, retained := p0.runs[0].bits[0], p0.RetainedBytes()
+	if err := s.Recycle(7, inputs); err != nil {
+		t.Fatal(err)
+	}
+	got, err := s.RunWindows(adversary.FullDelivery{}, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want || s.Steps() != fresh.Steps() || !slices.Equal(s.ConfigurationSnapshot(), fresh.ConfigurationSnapshot()) {
+		t.Fatalf("recycled trial %+v (%d steps), fresh %+v (%d steps)", got, s.Steps(), want, fresh.Steps())
+	}
+	if p0.runs[0].bits[0] != kept {
+		t.Fatal("level 0's group agreements were built anew, not rewound")
+	}
+	if p0.RetainedBytes() < retained {
+		t.Fatalf("the processor retains %d B after a recycled trial, %d B before", p0.RetainedBytes(), retained)
+	}
+}
+
 func TestFaultFreeRunDecidesLargerN(t *testing.T) {
 	params := DefaultParams(81)
 	s := newSystem(t, params, unanimous(81, 1), 5)

@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unsafe"
 
 	"asyncagree/internal/sim"
 )
@@ -129,7 +130,16 @@ type Proc struct {
 // class).
 func voteKey(r int) int { return sim.VoteKey(r, 0) }
 
-var _ sim.Process = (*Proc)(nil)
+var (
+	_ sim.Process       = (*Proc)(nil)
+	_ sim.RetainedBytes = (*Proc)(nil)
+)
+
+// RetainedBytes implements sim.RetainedBytes: the processor, its vote
+// ledger and its broadcast queue.
+func (p *Proc) RetainedBytes() int64 {
+	return int64(unsafe.Sizeof(*p)) + p.votes.RetainedBytes() + p.queue.RetainedBytes()
+}
 
 // New constructs a processor with the given thresholds. It returns an error
 // if the thresholds violate Theorem 4's constraints.
@@ -197,7 +207,7 @@ func (p *Proc) ReclaimPayload(payload any) { p.queue.Reclaim(payload) }
 // Send implements sim.Process. A reset processor has nothing queued until
 // it resynchronizes, implementing "a newly reset processor refrains from
 // sending messages until it resumes normal operation".
-func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id, p.n) }
+func (p *Proc) Send() []sim.Message { return p.queue.Send(p.id) }
 
 // Deliver implements sim.Process.
 func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {

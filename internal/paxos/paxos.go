@@ -56,9 +56,9 @@ const (
 // kinds, recycled through the sending processor's free list via the
 // sim.PayloadReclaimer hook (the same discipline PR 6 established for
 // Bracha's *rbc.Msg). A box is written only by its creator inside its own
-// Send/Deliver step and is read-only while in flight, so sharing one box
-// across the n copies of a broadcast — and delivering those copies from
-// concurrent shards — is safe. Receivers must copy out any field they need
+// Send/Deliver step and is read-only while in flight, so delivering the
+// copies of a broadcast (one message To sim.All, one box) from concurrent
+// shards is safe. Receivers must copy out any field they need
 // beyond the Deliver call: the box returns to its owner's pool when the
 // window's batch is reclaimed.
 type Msg struct {
@@ -224,17 +224,11 @@ func (p *Proc) ReclaimPayload(payload any) {
 }
 
 // reclaimOutbox sweeps boxes stranded in an unsent outbox (e.g. responses
-// enqueued in a trial's final window) back to the free list, deduplicating
-// the shared box of a broadcast's consecutive copies.
+// enqueued in a trial's final window) back to the free list. Each queued
+// message, a broadcast To sim.All included, has a box of its own.
 func (p *Proc) reclaimOutbox() {
-	var last any
 	for i := range p.outbox {
-		pl := p.outbox[i].Payload
-		if pl == last {
-			continue
-		}
-		last = pl
-		if b, ok := pl.(*Msg); ok {
+		if b, ok := p.outbox[i].Payload.(*Msg); ok {
 			p.boxPool = append(p.boxPool, b)
 		}
 	}
@@ -242,9 +236,7 @@ func (p *Proc) reclaimOutbox() {
 }
 
 func (p *Proc) broadcast(payload any) {
-	for q := 0; q < p.n; q++ {
-		p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.ProcID(q), Payload: payload})
-	}
+	p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.All, Payload: payload})
 }
 
 func (p *Proc) sendTo(q sim.ProcID, payload any) {

@@ -35,6 +35,7 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
+	"unsafe"
 
 	"asyncagree/internal/sim"
 )
@@ -93,11 +94,14 @@ type Accepted struct {
 // NewScopedEngine): thresholds are relative to the member count and
 // broadcasts go only to members. Scoped engines are how committees run the
 // slow protocol internally in the Kapron-style algorithm; a full-system
-// engine is one scoped to 0..n-1.
+// engine (NewEngine) has every processor as a member and sends each
+// broadcast as one message To sim.All.
 type Engine struct {
 	self  sim.ProcID
 	n, t  int
 	label string
+	// all marks a full-system engine: its broadcasts go To sim.All.
+	all bool
 
 	// members lists the participating processors in the order broadcasts
 	// address them. member is the same set as a bitset over the host's ID
@@ -152,6 +156,23 @@ type valueSets struct {
 	value          any
 	bits           []uint64
 	echoes, readys int
+}
+
+// NewEngine returns a full-system Engine for the broadcasts labelled label:
+// every processor 0..n-1 of an n-processor system is a member, and each
+// broadcast is one message To sim.All. It returns an error unless n > 3t
+// and 0 <= self < n.
+func NewEngine(self sim.ProcID, n, t int, label string) (*Engine, error) {
+	members := make([]sim.ProcID, max(n, 0))
+	for i := range members {
+		members[i] = sim.ProcID(i)
+	}
+	e, err := NewScopedEngine(self, members, t, label)
+	if err != nil {
+		return nil, err
+	}
+	e.all = true
+	return e, nil
 }
 
 // NewScopedEngine returns an Engine for the broadcasts labelled label whose
@@ -344,13 +365,18 @@ func (e *Engine) Broadcast(round, step int, value any) {
 	})
 }
 
-// sendAll queues m to every member. All copies share one pooled *Msg box
-// (boxing the Msg value once per copy was the Bracha benchmark's single
-// largest allocation source); the host hands dead boxes back through
-// ReclaimPayload.
+// sendAll queues m to every member: one message To sim.All on a
+// full-system engine, one per member on a scoped one. Either way it is one
+// pooled *Msg box (boxing the Msg value once per copy was the Bracha
+// benchmark's single largest allocation source); the host hands dead boxes
+// back through ReclaimPayload.
 func (e *Engine) sendAll(m Msg) {
 	box := e.takeMsg()
 	*box = m
+	if e.all {
+		e.outbox = append(e.outbox, sim.Message{From: e.self, To: sim.All, Payload: box})
+		return
+	}
 	var payload any = box
 	for _, q := range e.members {
 		e.outbox = append(e.outbox, sim.Message{From: e.self, To: q, Payload: payload})
@@ -471,6 +497,27 @@ func (e *Engine) Reset() {
 		e.closeBlock(len(e.blocks) - 1)
 	}
 	e.reclaimOutbox()
+}
+
+// RetainedBytes estimates the bytes the engine keeps across Reset: its
+// blocks, live and pooled, with their instances' per-value sender sets, the
+// outbox and the pooled payload boxes.
+func (e *Engine) RetainedBytes() int64 {
+	b := int64(unsafe.Sizeof(sim.Message{}))*int64(cap(e.outbox)) +
+		int64(8+unsafe.Sizeof(Msg{}))*int64(cap(e.msgPool)) + 8*int64(cap(e.blocks)+cap(e.blockPool))
+	for _, set := range [2][]*block{e.blocks, e.blockPool} {
+		for _, bl := range set {
+			b += int64(unsafe.Sizeof(*bl)) + int64(unsafe.Sizeof(instance{}))*int64(cap(bl.insts))
+			for i := range bl.insts {
+				vals := bl.insts[i].vals[:cap(bl.insts[i].vals)]
+				b += int64(unsafe.Sizeof(valueSets{})) * int64(len(vals))
+				for k := range vals {
+					b += 8 * int64(cap(vals[k].bits))
+				}
+			}
+		}
+	}
+	return b
 }
 
 // InstanceCount returns the number of live broadcast instances (for memory

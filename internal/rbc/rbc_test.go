@@ -19,8 +19,9 @@ func all(n int) []sim.ProcID {
 	return ids
 }
 
-// harness wires k engines together directly (no sim.System needed at this
-// layer): messages are routed synchronously until quiescence.
+// harness wires n full-system engines together directly (no sim.System
+// needed at this layer): messages are routed synchronously until
+// quiescence, a broadcast To sim.All as one copy per processor.
 type harness struct {
 	t       *testing.T
 	engines []*Engine
@@ -37,7 +38,7 @@ func newHarness(t *testing.T, n, tt int) *harness {
 		accepted: make(map[sim.ProcID][]Accepted),
 	}
 	for i := 0; i < n; i++ {
-		e, err := NewScopedEngine(sim.ProcID(i), all(n), tt, label)
+		e, err := NewEngine(sim.ProcID(i), n, tt, label)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,10 +58,15 @@ func (h *harness) pump() {
 			return
 		}
 		for _, m := range queue {
-			if h.drop[[2]sim.ProcID{m.From, m.To}] {
-				continue
+			if m.To != sim.All {
+				h.t.Fatalf("a full-system engine sent %+v, not a broadcast To sim.All", m)
 			}
-			h.handle(m)
+			for q := range h.engines {
+				m.To = sim.ProcID(q)
+				if !h.drop[[2]sim.ProcID{m.From, m.To}] {
+					h.handle(m)
+				}
+			}
 		}
 	}
 }
@@ -73,7 +79,7 @@ func (h *harness) handle(m sim.Message) {
 }
 
 // TestNewEngineValidation: an engine over the full system 0..n-1 needs
-// n > 3t and t >= 0.
+// n > 3t and t >= 0, and its self must be one of the processors.
 func TestNewEngineValidation(t *testing.T) {
 	cases := []struct {
 		n, t    int
@@ -85,15 +91,19 @@ func TestNewEngineValidation(t *testing.T) {
 		{6, 2, true},
 		{1, 0, false},
 		{4, -1, true},
+		{0, 0, true},
 	}
 	for _, c := range cases {
-		e, err := NewScopedEngine(0, all(c.n), c.t, label)
+		e, err := NewEngine(0, c.n, c.t, label)
 		if (err != nil) != c.wantErr {
-			t.Errorf("NewScopedEngine(0, 0..%d, t=%d) err = %v, wantErr %v", c.n-1, c.t, err, c.wantErr)
+			t.Errorf("NewEngine(0, %d, t=%d) err = %v, wantErr %v", c.n, c.t, err, c.wantErr)
 		}
 		if err == nil && e.EchoThreshold() != (c.n+c.t+2)/2 {
 			t.Errorf("n=%d t=%d: echo threshold %d", c.n, c.t, e.EchoThreshold())
 		}
+	}
+	if _, err := NewEngine(4, 4, 1, label); err == nil {
+		t.Error("NewEngine(4, n=4) accepted a self outside 0..3")
 	}
 }
 
@@ -250,8 +260,8 @@ func TestReadyAmplification(t *testing.T) {
 		e.Handle(sim.Message{From: from, To: 0, Payload: &Msg{T: tag, Kind: KindReady, Value: "v"}})
 	}
 	out := e.Flush()
-	if len(out) != 7 {
-		t.Fatalf("amplified READY to %d recipients, want 7", len(out))
+	if len(out) != 1 || out[0].To != sim.All {
+		t.Fatalf("amplified READY as %+v, want one broadcast To sim.All", out)
 	}
 	for _, m := range out {
 		rm, ok := m.Payload.(*Msg) // engines send pooled payload boxes
@@ -262,14 +272,16 @@ func TestReadyAmplification(t *testing.T) {
 }
 
 // TestForget: ForgetBefore drops the instances of the rounds below its
-// argument and keeps the rest.
+// argument and keeps the rest. Their blocks go to the pool whole, so what
+// the engine retains (RetainedBytes) does not shrink, and Reset keeps it
+// too.
 func TestForget(t *testing.T) {
 	h := newHarness(t, 4, 1)
 	h.engines[0].Broadcast(1, 3, 1)
 	h.engines[0].Broadcast(2, 1, 2)
 	h.pump()
 	e := h.engines[1]
-	before := e.InstanceCount()
+	before, retained := e.InstanceCount(), e.RetainedBytes()
 	if before == 0 {
 		t.Fatal("no instances created")
 	}
@@ -280,6 +292,10 @@ func TestForget(t *testing.T) {
 	e.ForgetBefore(3)
 	if e.InstanceCount() != 0 {
 		t.Fatalf("ForgetBefore(3) kept %d instances", e.InstanceCount())
+	}
+	e.Reset()
+	if got := e.RetainedBytes(); got < retained || retained == 0 {
+		t.Fatalf("the engine retains %d B after forgetting and a reset, %d B before", got, retained)
 	}
 }
 

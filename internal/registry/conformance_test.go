@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -96,6 +98,53 @@ func quiescence(t *testing.T, ts trialSpec, p Params) string {
 		return fmt.Sprintf("quiescent from window %d of %d: nothing sent, received or reset after it", from, ts.maxWindows)
 	}
 	return fmt.Sprintf("still active at the %d-window budget", ts.maxWindows)
+}
+
+// pinnedFeeds pins the whole traced event feed of five scenarios by digest:
+// every event's kind, window and processor, and its message's ID, sender,
+// receiver, depth and payload, on split inputs, seed 3 and a 120-window
+// budget. The digests were taken from the per-copy send path that stored
+// each copy of a broadcast as its own message, so they hold the broadcast
+// records to that path copy by copy: one EvSend per copy, IDs in ascending
+// receiver order, the same delivery order. Each scenario sends to all in a
+// different way: Bracha's full-system RBC engine (under full delivery, and
+// under per-receiver subsets with the seeded scheduler), committee's floods
+// beside its scoped group engines, Paxos's broadcasts beside its unicasts,
+// and core's broadcast queue on the message path (traced, so not columnar).
+var pinnedFeeds = []struct {
+	alg, adv, sched string
+	size            Size
+	digest          string
+}{
+	{"bracha", "full", "adversary", Size{N: 13, T: 4}, "dfeb69250aa4e5313598f79e8c4f849b03a7679586ca59db16a1c9d0e773e025"},
+	{"bracha", "full", "seeded", Size{N: 18, T: 2}, "705f6717ef77d7cc43cbf898b30b756c978d04f6842e27f663726e3bdfe6b5a7"},
+	{"committee", "full", "adversary", Size{N: 27, T: 3}, "b1d1505023c93550db7a7c9cafd61fe496fc4601fb4222af979d587e413f6e80"},
+	{"paxos", "full", "adversary", Size{N: 12, T: 5}, "b331402953eab1df2a5960b4a1fb796a9a5d0d503ec3b1d2cac083d2e43d604f"},
+	{"core", "splitvote", "adversary", Size{N: 12, T: 1}, "ade1c07d90d7efd88fcc8801ea14c6bc2cc11de9aea9270ad45514a14782c7a2"},
+}
+
+// TestEventFeedsMatchPinned runs each pinned scenario as the reference leg
+// and compares the SHA-256 of its event feed, one formatted event per line,
+// to the pinned digest.
+func TestEventFeedsMatchPinned(t *testing.T) {
+	for _, pf := range pinnedFeeds {
+		m := Matrix{Algorithms: []string{pf.alg}, Adversaries: []string{pf.adv}, Schedulers: []string{pf.sched},
+			Sizes: []Size{pf.size}, Inputs: []string{"split"}, Seeds: []uint64{3}, MaxWindows: 120}
+		grid(t, m, func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+			run := runLeg(t, ts, p, reference)
+			if run.err != nil {
+				t.Fatalf("trial failed: %v", run.err)
+			}
+			h := sha256.New()
+			for _, ev := range run.events {
+				h.Write([]byte(ev))
+				h.Write([]byte{'\n'})
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != pf.digest {
+				t.Errorf("event feed of %d events hashes to %s, pinned %s", len(run.events), got, pf.digest)
+			}
+		})
+	}
 }
 
 // TestRecycledTrialMatchesFresh: a recycled engine reproduces the reference's

@@ -116,13 +116,26 @@ func TestBufferAddTakeAllocFree(t *testing.T) {
 func TestBufferWindowCycleAllocFree(t *testing.T) {
 	// A full window-shaped cycle — n*n Adds, then receiver-major Takes, the
 	// order window delivery consumes a sender-major batch in — must also be
-	// allocation-free once warm.
+	// allocation-free once warm, and so must the same cycle of n broadcast
+	// records, whose copies are taken one by one through the gone bits.
 	const n = 8
 	b := NewBuffer()
 	ids := make([]int64, 0, n*n)
+	everyone := make([]ProcID, n)
+	for q := range everyone {
+		everyone[q] = ProcID(q)
+	}
+	broadcast := false
 	cycle := func() {
 		ids = ids[:0]
 		for from := 0; from < n; from++ {
+			if broadcast {
+				first := b.AddAll(Message{From: ProcID(from)}, everyone).ID
+				for to := 0; to < n; to++ {
+					ids = append(ids, first+int64(to))
+				}
+				continue
+			}
 			for to := 0; to < n; to++ {
 				ids = append(ids, b.Add(Message{From: ProcID(from), To: ProcID(to)}).ID)
 			}
@@ -140,9 +153,11 @@ func TestBufferWindowCycleAllocFree(t *testing.T) {
 			t.Fatalf("Len = %d after the cycle", b.Len())
 		}
 	}
-	cycle() // warm up
-	if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
-		t.Fatalf("window cycle allocates %.1f per op, want 0", allocs)
+	for _, broadcast = range []bool{false, true} {
+		cycle() // warm up
+		if allocs := testing.AllocsPerRun(100, cycle); allocs > 0 {
+			t.Fatalf("window cycle (broadcast %v) allocates %.1f per op, want 0", broadcast, allocs)
+		}
 	}
 }
 

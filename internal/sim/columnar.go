@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"unsafe"
+)
 
 // This file implements the columnar representation of a window: a fast path
 // through ApplyWindowWith that collapses the window's O(n²) message-at-a-time
@@ -63,6 +66,19 @@ type ColumnSet struct {
 	cols    []VoteColumn
 	free    [][]uint64
 	senders []uint64
+}
+
+// retainedBytes estimates the bytes the set keeps: its columns and their
+// bitsets, free ones included, and the sender union.
+func (cs *ColumnSet) retainedBytes() int64 {
+	b := int64(unsafe.Sizeof(VoteColumn{}))*int64(cap(cs.cols)) + 24*int64(cap(cs.free)) + 8*int64(cap(cs.senders))
+	for i := range cs.cols {
+		b += 8 * int64(cap(cs.cols[i].bits))
+	}
+	for _, bits := range cs.free {
+		b += 8 * int64(cap(bits))
+	}
+	return b
 }
 
 // Words returns the bitset width in 64-bit words ((n+63)/64).

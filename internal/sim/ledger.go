@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"unsafe"
 )
 
 // This file is the receive half of the columnar kernel: the vote ledger a
@@ -197,6 +198,18 @@ func (l *Ledger) DropBelow(key int) {
 		l.free = append(l.free, t)
 	}
 	l.live = slices.Delete(l.live, 0, i)
+}
+
+// RetainedBytes estimates the bytes the ledger keeps: its tallies, live and
+// free, with their sender bitsets.
+func (l *Ledger) RetainedBytes() int64 {
+	b := 8 * int64(cap(l.live)+cap(l.free))
+	for _, set := range [2][]*voteTally{l.live, l.free} {
+		for _, t := range set {
+			b += int64(unsafe.Sizeof(*t)) + 8*int64(cap(t.voted))
+		}
+	}
+	return b
 }
 
 // Clear releases every tally.

@@ -7,6 +7,7 @@ import (
 
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/bracha"
+	"asyncagree/internal/committee"
 	"asyncagree/internal/core"
 	"asyncagree/internal/paxos"
 	"asyncagree/internal/sim"
@@ -107,10 +108,12 @@ func (o *orderOracle) check(window int) {
 
 // TestBucketedOrderMatchesComparisonSort runs seeded executions on the
 // serial message path and holds every window's delivery feed, which
-// bucketByReceiver's counting sort orders, to orderOracle's comparison sort
-// of that window's sends. The shapes cover what the counting sort's equality
-// argument leans on: several messages per (sender, receiver) pair (Bracha's
-// RBC), unicast batches with empty buckets (Paxos), receivers that crash
+// bucketByReceiver's counting sort and deliverRange's merge order, to
+// orderOracle's comparison sort of that window's sends. The shapes cover
+// what the order's equality argument leans on: several messages per
+// (sender, receiver) pair (Bracha's RBC), broadcast records merged with
+// unicasts (committee's floods beside its group engines' per-member
+// copies), unicast batches with empty buckets (Paxos), receivers that crash
 // after the batch was sent, t = 0 (nil sender rows), messages taken while
 // planning, and windows whose batch is empty.
 func TestBucketedOrderMatchesComparisonSort(t *testing.T) {
@@ -136,6 +139,9 @@ func TestBucketedOrderMatchesComparisonSort(t *testing.T) {
 			adv: func() sim.WindowAdversary { return adversary.NewResetStorm() }, windows: 40},
 		{name: "t=0 nil sender rows", n: 4, t: 0, factory: bracha.NewFactory(4, 0),
 			adv: func() sim.WindowAdversary { return adversary.NewRandomWindows(5, 0, 0) }, windows: 30},
+		{name: "committee floods beside scoped group traffic", n: 27, t: 3,
+			factory: committee.NewFactory(committee.DefaultParams(27)),
+			adv:     func() sim.WindowAdversary { return adversary.NewRandomWindows(6, 0, 0) }, windows: 40},
 		{name: "paxos unicast batches", n: 5, t: 2,
 			factory: paxos.NewFactory(paxos.Params{N: 5, Proposers: []sim.ProcID{1, 3}}),
 			adv:     func() sim.WindowAdversary { return adversary.NewRandomWindows(9, 0, 0) }, windows: 30},

@@ -139,8 +139,8 @@ func (p *shapePlan) PlanDeliveryColumnar(s *sim.System, cols *sim.ColumnSet) sim
 // sort window by window, so every input checks the counting sort too. The
 // algorithm is an input like the rest (algRaw mod 3: 0 core at t < n/6, 1
 // Ben-Or at t < n/2, 2 Bracha at t < n/3 and n <= 31), so both clients of the
-// columnar scan are held to their own per-message Deliver, and Bracha's n²
-// copies per broadcast, stored straight into the ring by the inline walk and
+// columnar scan are held to their own per-message Deliver, and Bracha's
+// broadcast records, stored straight into the ring by the inline walk and
 // merged from shard scratch at 2 and 4 workers, are held to each other; Bracha
 // has no columns, so it always runs on messages. The split-vote shape plans
 // with adversary.SplitVote over the algorithm's classifier, from the batch on

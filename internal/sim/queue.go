@@ -1,10 +1,12 @@
 package sim
 
+import "unsafe"
+
 // BroadcastQueue is the outbox of a process that broadcasts one small record
 // P per step. Queueing is O(1) on either path: records stay plain values
-// until the window's send, where Send materializes each into n Messages
-// sharing one pooled *P box and the columnar SendColumnar publishes Pending
-// as columns instead, never materializing a copy at all. The System hands
+// until the window's send, where Send makes each one Message To All in a
+// pooled *P box and the columnar SendColumnar publishes Pending as columns
+// instead, never making a message at all. The System hands
 // a completed window's boxes back through PayloadReclaimer (window mode
 // only; in step mode the free list stays empty and every broadcast boxes a
 // fresh record), so the steady-state window loop allocates nothing here.
@@ -25,11 +27,10 @@ func (q *BroadcastQueue[P]) Pending() []P { return q.pending }
 // is a truncation.
 func (q *BroadcastQueue[P]) Discard() { q.pending = q.pending[:0] }
 
-// Send implements Process.Send for sender from of n processors: it
-// materializes and flushes the queued records. The returned slice is valid
-// only until the next Send (the outbox capacity is recycled), per the
-// Process contract.
-func (q *BroadcastQueue[P]) Send(from ProcID, n int) []Message {
+// Send implements Process.Send for sender from: it boxes and flushes the
+// queued records, one broadcast each. The returned slice is valid only until
+// the next Send (the outbox capacity is recycled), per the Process contract.
+func (q *BroadcastQueue[P]) Send(from ProcID) []Message {
 	out := q.outbox[:0]
 	for i := range q.pending {
 		var box *P
@@ -39,14 +40,20 @@ func (q *BroadcastQueue[P]) Send(from ProcID, n int) []Message {
 			box = new(P)
 		}
 		*box = q.pending[i]
-		var payload any = box
-		for to := 0; to < n; to++ {
-			out = append(out, Message{From: from, To: ProcID(to), Payload: payload})
-		}
+		out = append(out, Message{From: from, To: All, Payload: box})
 	}
 	q.Discard()
 	q.outbox = out[:0]
 	return out
+}
+
+// RetainedBytes estimates the bytes the queue keeps: the pending records,
+// the outbox and the pooled boxes.
+func (q *BroadcastQueue[P]) RetainedBytes() int64 {
+	var rec P
+	size := int64(unsafe.Sizeof(rec))
+	return size*int64(cap(q.pending)) + int64(unsafe.Sizeof(Message{}))*int64(cap(q.outbox)) +
+		(8+size)*int64(cap(q.boxes))
 }
 
 // Reclaim implements PayloadReclaimer.ReclaimPayload: it takes back one of

@@ -274,13 +274,16 @@ func (s *System) validateRows(sh *windowShard) {
 }
 
 // deliverRange delivers the window's messages to the range's receivers, in
-// the (receiver, sender, ID) order orderIdx/orderOff hold. All writes are
-// range-local or per-receiver (chainDepth, decided*, the process, its rng);
-// the buffer is only read, so concurrent ranges never conflict. The stored
-// copy is what gets delivered: a message an adversary took or dropped while
-// planning (legal, if eccentric) is skipped.
+// (receiver, sender, ID) order: each receiver's unicast bucket
+// (orderIdx/orderOff) merged by batch position with the broadcast records
+// (orderAll), whose copy for the receiver is made here, as it is delivered.
+// All writes are range-local or per-receiver (chainDepth, decided*, the
+// process, its rng); the buffer is only read, so concurrent ranges never
+// conflict. Only what is still buffered is delivered: a message an
+// adversary took or dropped while planning (legal, if eccentric) is skipped.
 func (s *System) deliverRange(sh *windowShard) {
 	batch := s.phaseBatch
+	recs := s.buffer.recs[s.batchAt : s.batchAt+len(batch)]
 	idx, off := s.orderIdx, s.orderOff
 	for r := sh.lo; r < sh.hi; r++ {
 		if s.crashed[r] {
@@ -290,14 +293,29 @@ func (s *System) deliverRange(sh *windowShard) {
 		if !s.allowAll {
 			row = s.allowedRow(r)
 		}
-		for _, j := range idx[off[r]:off[r+1]] {
-			m := &batch[j]
-			if row != nil && row[m.From>>6]&(uint64(1)<<(uint(m.From)&63)) == 0 {
+		uni, all := idx[off[r]:off[r+1]], s.orderAll
+		for len(uni) > 0 || len(all) > 0 {
+			var j int32
+			if len(all) == 0 || (len(uni) > 0 && uni[0] < all[0]) {
+				j, uni = uni[0], uni[1:]
+			} else {
+				j, all = all[0], all[1:]
+			}
+			rec, m := recs[j], batch[j]
+			if rec.left == 0 || (row != nil && row[m.From>>6]&(uint64(1)<<(uint(m.From)&63)) == 0) {
 				continue
 			}
-			if stored := s.buffer.cell(m.ID); stored != nil {
-				s.deliverMsg(sh, *stored)
+			if rec.aud != 0 {
+				c := s.buffer.rank(rec, ProcID(r), s.n)
+				if c < 0 {
+					continue
+				}
+				m.ID, m.To = m.ID+int64(c), ProcID(r)
+				if s.buffer.taken(rec, m.ID) {
+					continue
+				}
 			}
+			s.deliverMsg(sh, m)
 		}
 	}
 }
@@ -361,11 +379,8 @@ func (s *System) sendRange(sh *windowShard) {
 		depth := s.chainDepth[i] + 1
 		for _, m := range out {
 			m.From = ProcID(i) // channels are authenticated: the sender cannot forge From
-			if m.To < 0 || int(m.To) >= s.n {
-				continue // drop messages to nonexistent processors
-			}
-			if s.crashed[m.To] {
-				continue // a crashed processor never receives anything
+			if m.To != All && (m.To < 0 || int(m.To) >= s.n || s.crashed[m.To]) {
+				continue // nonexistent and crashed processors never receive anything
 			}
 			m.Depth = depth
 			if direct {
@@ -377,10 +392,23 @@ func (s *System) sendRange(sh *windowShard) {
 	}
 }
 
-// store buffers one sent message under a fresh ID and emits its EvSend.
+// store buffers one sent message under a fresh ID — a broadcast as one
+// record to the processors alive now, under one ID per copy — and emits an
+// EvSend per copy.
 func (s *System) store(m Message) {
-	stored := s.buffer.Add(m)
+	if m.To != All {
+		stored := s.buffer.Add(m)
+		if s.OnEvent != nil {
+			s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
+		}
+		return
+	}
+	stored := s.buffer.AddAll(m, s.alive)
 	if s.OnEvent != nil {
-		s.emit(Event{Kind: EvSend, Proc: stored.From, Msg: stored})
+		for c, to := range s.alive {
+			cp := stored
+			cp.ID, cp.To = stored.ID+int64(c), to
+			s.emit(Event{Kind: EvSend, Proc: cp.From, Msg: cp})
+		}
 	}
 }

@@ -22,8 +22,9 @@ type echoProc struct {
 	delivered []Message
 	resets    int
 	dirty     bool
-	decideAt  int // decide after this many deliveries; 0 = never
-	quietAt   int // stop echoing after this many deliveries; 0 = never
+	decideAt  int  // decide after this many deliveries; 0 = never
+	quietAt   int  // stop echoing after this many deliveries; 0 = never
+	all       bool // echo as one broadcast To All, not one message per receiver
 }
 
 func newEcho(n, decideAt int) func(ProcID, Bit) Process {
@@ -41,6 +42,9 @@ func (p *echoProc) Send() []Message {
 		return nil
 	}
 	p.dirty = false
+	if p.all {
+		return []Message{{To: All, Payload: p.input}}
+	}
 	out := make([]Message, 0, p.n)
 	for q := 0; q < p.n; q++ {
 		out = append(out, Message{From: p.id, To: ProcID(q), Payload: p.input})
@@ -172,10 +176,12 @@ func TestWindowDeliverRejectsWrongCount(t *testing.T) {
 
 // TestWindowSendOverStepResidue opens a window on a buffer step mode left
 // mid-ring: its front far from cell 0 and two messages still live, so the
-// window's sends would wrap the ring had WindowSend not moved the span to the
-// start first. The batch must still be the contiguous run of fresh IDs behind
-// the residue, recognized as the System's own; the window delivers exactly
-// it, and the residue stays buffered, untouched, for step mode to finish.
+// window's sends would wrap the ring had WindowSend not moved the live cells
+// to the start first. The window's sends are broadcasts: the batch must
+// still be the contiguous run of fresh records behind the residue, each
+// spanning n IDs, recognized as the System's own; the window delivers
+// exactly their copies, and the residue stays buffered, untouched, for step
+// mode to finish.
 func TestWindowSendOverStepResidue(t *testing.T) {
 	const n = 4
 	s := newTestSystem(t, n, 1, "split", 0)
@@ -197,17 +203,20 @@ func TestWindowSendOverStepResidue(t *testing.T) {
 	}
 	stepRound(2)
 	residue := s.Buffer().Pending()
-	if b := s.Buffer(); len(residue) != 2 || b.head+b.span()+n*n <= len(b.ring) {
+	if b := s.Buffer(); len(residue) != 2 || b.head+b.cells+n <= len(b.ring) {
 		t.Fatalf("vacuous: %d messages left, front at cell %d of %d", len(residue), b.head, len(b.ring))
+	}
+	for p := 0; p < n; p++ {
+		s.Proc(ProcID(p)).(*echoProc).all = true
 	}
 	steps := s.Steps()
 	batch := s.WindowSend()
-	if len(batch) != n*n {
-		t.Fatalf("batch of %d messages, want the %d just sent", len(batch), n*n)
+	if len(batch) != n {
+		t.Fatalf("batch of %d records, want the %d just sent", len(batch), n)
 	}
 	for i, m := range batch {
-		if want := residue[1].ID + 1 + int64(i); m.ID != want || m.From != ProcID(i/n) || m.To != ProcID(i%n) {
-			t.Fatalf("batch[%d] = %d %d>%d, want ID %d from %d to %d", i, m.ID, m.From, m.To, want, i/n, i%n)
+		if want := residue[1].ID + 1 + int64(i*n); m.ID != want || m.From != ProcID(i) || m.To != All {
+			t.Fatalf("batch[%d] = %d %d>%d, want ID %d from %d to All", i, m.ID, m.From, m.To, want, i)
 		}
 	}
 	if err := s.WindowDeliver(nil); err != nil {

@@ -9,7 +9,7 @@ import "fmt"
 // responsibility of the adversary/scheduler, as in the paper.
 
 // StepSend executes a sending step for processor id and returns the messages
-// placed in the buffer.
+// placed in the buffer, a broadcast's copies one by one.
 func (s *System) StepSend(id ProcID) ([]Message, error) {
 	if err := s.checkProc(id); err != nil {
 		return nil, err
@@ -21,11 +21,11 @@ func (s *System) StepSend(id ProcID) ([]Message, error) {
 	// stored is the caller's to retain.
 	rs := s.inline()
 	rs[0].lo, rs[0].hi = int(id), int(id)+1
-	first := s.buffer.nextID + 1
+	before := s.buffer.cells
 	s.runPhase(phaseSend, rs)
 	var sent []Message
-	for mid := first; mid <= s.buffer.nextID; mid++ {
-		sent = append(sent, *s.buffer.cell(mid))
+	for k := before; k < s.buffer.cells; k++ {
+		sent = s.buffer.appendCell(sent, k)
 	}
 	return sent, nil
 }
@@ -88,6 +88,13 @@ func (s *System) StepCrash(id ProcID) error {
 	s.crashed[id] = true
 	s.totalCrashes++
 	s.steps++
+	alive := make([]ProcID, 0, len(s.alive)-1) // buffered records keep the old list
+	for _, p := range s.alive {
+		if p != id {
+			alive = append(alive, p)
+		}
+	}
+	s.alive = alive
 	// Messages addressed to a crashed processor are never delivered; drop
 	// them so schedulers don't spin on them.
 	s.buffer.DropWhere(func(m Message) bool { return m.To == id })

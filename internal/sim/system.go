@@ -47,7 +47,9 @@ type Config struct {
 type WindowAdversary interface {
 	// PlanDelivery returns the window's plan: its sender rows (none for
 	// full delivery) and its resets. batch is the just-sent batch, valid
-	// only until the window completes.
+	// only until the window completes. A batch entry To All is a broadcast
+	// record, standing for one copy to every processor alive at the send
+	// (see All); the Buffer holds each copy under its own ID.
 	PlanDelivery(s *System, batch []Message) Window
 }
 
@@ -105,6 +107,11 @@ type System struct {
 	// corrupt marks Byzantine-corrupted processors (replaced by adversary
 	// processes); they are excluded from agreement/termination checks.
 	corrupt []bool
+	// alive lists the processors not crashed, ascending: the receivers of a
+	// broadcast sent now. It is everyone until a crash, and a crash replaces
+	// it with a fresh list, as buffered records keep the one they were sent
+	// to.
+	alive, everyone []ProcID
 
 	buffer *Buffer
 
@@ -139,18 +146,23 @@ type System struct {
 	quietFrom   int
 
 	// Scratch state for the allocation-free window pipeline (window.go).
-	// batch is the slice WindowSend returned, the ring cells its sends filled,
-	// which WindowDeliver delivers and then clears; orderIdx/orderOff/orderPos
-	// hold its receiver-major order (bucketByReceiver); allowBits
+	// batch is the slice WindowSend returned, the ring cells its sends filled
+	// from ring index batchAt and ID batchFrom on, which WindowDeliver
+	// delivers and then clears; orderIdx/orderOff/orderPos hold its unicast
+	// entries' receiver-major order and orderAll its broadcast records
+	// (bucketByReceiver); allowBits
 	// is a receiver-major bitset of permitted senders (allowWords words per
 	// receiver), and allowAll is set while the validated window carries no
 	// rows: every receiver hears every sender. A planner may fill allowBits
 	// itself (SenderRows, UniformWindow): it is scratch until the window's
 	// validation.
 	batch      []Message
-	orderIdx   []int32 // batch indices bucketed by receiver
+	batchAt    int
+	batchFrom  int64
+	orderIdx   []int32 // unicast batch indices bucketed by receiver
 	orderOff   []int32 // orderIdx bucket offsets, len n+1
 	orderPos   []int32 // bucket fill cursors, len n
+	orderAll   []int32 // broadcast batch indices
 	allowWords int
 	allowBits  []uint64
 	allowAll   bool
@@ -225,7 +237,10 @@ func New(cfg Config) (*System, error) {
 		allowWords:    (cfg.N + 63) / 64,
 	}
 	s.allowBits = make([]uint64, cfg.N*s.allowWords)
+	s.everyone = make([]ProcID, cfg.N)
+	s.alive = s.everyone
 	for i := 0; i < cfg.N; i++ {
+		s.everyone[i] = ProcID(i)
 		s.rngs[i] = root.Fork(uint64(i))
 		s.procs[i] = cfg.NewProcess(ProcID(i), cfg.Inputs[i])
 		if s.procs[i] == nil {
@@ -284,6 +299,7 @@ func (s *System) Recycle(seed uint64, inputs []Bit) error {
 		s.decidedOK[i] = false
 		s.decidedWindow[i] = 0
 	}
+	s.alive = s.everyone
 	s.totalCrashes = 0
 	s.totalCorrupt = 0
 	s.windows = 0
@@ -295,19 +311,35 @@ func (s *System) Recycle(seed uint64, inputs []Bit) error {
 }
 
 // ScratchBytes estimates the bytes the System keeps across Recycle, from
-// the capacities it already holds: the buffer's ring (cells × the size of a
-// Message), the sender rows, the delivery order scratch and the shards' send
-// buffers. It is a charge for a pool's budget, not a measurement: it leaves
-// out the processes' own state (RBC instance blocks and outboxes, tallies,
-// payload boxes), the columnar scratch, the adversary's and scheduler's
-// scratch, payload values the ring's cells point at, and the worker
-// goroutines of a sharded System.
+// the capacities it already holds: the per-processor state, the buffer's
+// ring (cells × the size of a Message and its record), the sender rows, the
+// delivery order scratch, the columnar scratch and the shards' send
+// buffers, plus what the processes report through RetainedBytes. It is a
+// charge for a pool's budget, not a measurement: it leaves out processes
+// that do not report, the adversary's and scheduler's scratch, payload
+// values the ring's cells point at, and the worker goroutines of a sharded
+// System.
 func (s *System) ScratchBytes() int64 {
 	const msgBytes = int64(unsafe.Sizeof(Message{}))
-	b := msgBytes*int64(cap(s.buffer.ring)) + 8*int64(cap(s.allowBits)) +
-		4*int64(cap(s.orderIdx)+cap(s.orderOff)+cap(s.orderPos))
+	const cellBytes = msgBytes + int64(unsafe.Sizeof(record{}))
+	// procs, rngs and their sources, everyone, chainDepth, resetCounts,
+	// decidedWindow, and the byte-wide inputs, crashed, corrupt, decidedVal
+	// and decidedOK.
+	const procBytes = 16 + 8 + int64(unsafe.Sizeof(rng.Source{})) + 4*8 + 5
+	b := procBytes*int64(s.n) + cellBytes*int64(cap(s.buffer.ring)) +
+		8*int64(cap(s.buffer.gone)+cap(s.allowBits)) +
+		4*int64(cap(s.orderIdx)+cap(s.orderOff)+cap(s.orderPos)+cap(s.orderAll)) +
+		s.colSet.retainedBytes() + 8*int64(cap(s.colDepths))
+	for _, row := range s.colDepthRows[:cap(s.colDepthRows)] {
+		b += 24 + 8*int64(cap(row))
+	}
 	for i := range s.shards {
 		b += msgBytes * int64(cap(s.shards[i].sendMsgs))
+	}
+	for _, p := range s.procs {
+		if r, ok := p.(RetainedBytes); ok {
+			b += r.RetainedBytes()
+		}
 	}
 	return b
 }

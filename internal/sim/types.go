@@ -55,7 +55,9 @@ type Message struct {
 	// ID is a unique, monotonically increasing sequence number assigned by
 	// the System when the message enters the buffer.
 	ID int64
-	// From is the sender, To the recipient.
+	// From is the sender, To the recipient. A Process may send To All, one
+	// broadcast record for every processor alive at the send; every copy
+	// delivered, traced or read from the Buffer carries its own receiver.
 	From, To ProcID
 	// Depth is the message-chain depth: 1 + the maximum depth of any message
 	// the sender had received before sending this one. The longest message
@@ -86,7 +88,9 @@ type Process interface {
 	// written. Once ok is true the value must never change.
 	Output() (Bit, bool)
 	// Send returns the messages queued since the last Send, clearing the
-	// queue. A second call with no intervening Deliver/Reset returns an
+	// queue. A message to every processor is one message To All, not one per
+	// receiver: the System stores it once and makes each receiver's copy at
+	// delivery. A second call with no intervening Deliver/Reset returns an
 	// empty batch and changes neither Output nor Snapshot, so a run in which
 	// nobody sent, received or was reset can end at once
 	// (System.RunWindowsUntil): timers, retries and coin flips belong in
@@ -130,14 +134,23 @@ type Recycler interface {
 // leaking one allocation per broadcast to the garbage collector.
 //
 // Contract: implementations must use comparable payloads (typically a
-// pointer to a pooled box shared by all copies of one broadcast — the System
-// deduplicates consecutive batch entries carrying the same payload, so a
-// shared box is reclaimed once). ReclaimPayload must ignore payload types it
+// pointer to a pooled box: a broadcast To All is one batch entry, and the
+// System deduplicates consecutive batch entries carrying the same payload,
+// so a box shared by per-receiver copies is reclaimed once too). ReclaimPayload must ignore payload types it
 // does not own. Step mode never reclaims; a pooling process then simply
 // allocates fresh boxes, which is always safe.
 type PayloadReclaimer interface {
 	// ReclaimPayload takes back a dead batch payload for reuse.
 	ReclaimPayload(payload any)
+}
+
+// RetainedBytes is an optional Process extension for pool accounting:
+// RetainedBytes estimates, from the capacities the process holds, the bytes
+// it keeps across Recycle, itself included (instance blocks, sender sets,
+// ledgers, pooled boxes). System.ScratchBytes adds it to the System's own.
+type RetainedBytes interface {
+	// RetainedBytes returns the estimate.
+	RetainedBytes() int64
 }
 
 // RandSource is the subset of *rng.Source a Process may use. Defined as an

@@ -8,24 +8,25 @@ import (
 // WindowSend executes the sending steps that open an acceptable window: all
 // non-crashed processors take a sending step. It returns the just-sent batch.
 //
-// Each message is stored once, in the buffer's ring, and the batch is the
-// span of ring cells the sends filled: the ring is first made linear (its live
-// span moved to cell 0, a no-op after a drained window), so the new messages
-// sit contiguously in ID order behind whatever was buffered before. The slice
-// is therefore the buffer itself, not a copy: taking a message out of the
-// buffer while planning (Buffer.Take) zeroes its batch entry, the window's
-// drain zeroes the rest, and the next WindowSend refills the cells.
-// Adversaries may read the batch while planning the window but must not
-// retain it past the window.
+// Each send is stored once, in the buffer's ring — a broadcast (To All) as
+// one record, not one message per receiver — and the batch is the span of
+// ring cells the sends filled: the ring is first made linear (its live cells
+// moved to cell 0, a no-op after a drained window), so the new cells sit
+// contiguously in ID order behind whatever was buffered before. The slice is
+// therefore the buffer itself, not a copy: taking the last buffered copy of
+// a cell (Buffer.Take) empties its batch entry but for its ID, the window's
+// drain zeroes the cells, and the next WindowSend refills them. Adversaries
+// may read the batch, and take or drop buffered messages, while planning the
+// window, but must not add messages or retain the batch past the window.
 //
 // In the strongly adaptive model of Sections 2-4 there are no crashes, so
 // all n processors send; the crash-model reuse of windows in Section 5
 // (Definition 19) simply has crashed processors contribute nothing.
 func (s *System) WindowSend() []Message {
 	s.buffer.linearize()
-	before := s.buffer.nextID
+	s.batchAt, s.batchFrom = s.buffer.cells, s.buffer.nextID+1
 	s.runPhase(phaseSend, s.ranges())
-	s.batch = s.buffer.tail(int(s.buffer.nextID - before))
+	s.batch = s.buffer.ring[s.batchAt:s.buffer.cells:s.buffer.cells]
 	return s.batch
 }
 
@@ -43,8 +44,9 @@ func (s *System) allowedRow(i int) []uint64 {
 // window is never delivered), and the batch is spent: a second call without
 // a new WindowSend validates its rows and delivers nothing.
 //
-// Delivery order is (receiver, sender, ID), which bucketByReceiver's
-// O(batch) counting sort produces from the batch's own order.
+// Delivery order is (receiver, sender, ID): bucketByReceiver's O(batch)
+// counting sort of the unicast entries, merged per receiver with the
+// broadcast records, which reach every receiver.
 func (s *System) WindowDeliver(rows []uint64) error {
 	rs := s.ranges()
 	if err := s.validateSenders(rs, rows); err != nil {
@@ -59,21 +61,32 @@ func (s *System) WindowDeliver(rows []uint64) error {
 	s.runPhase(phaseDeliver, rs)
 	s.phaseBatch = nil
 	s.reclaimBatch(batch) // before the drain, which zeroes the batch's cells
-	s.drainWindow(batch)
+	s.drainWindow()
 	s.batch = nil
 	return nil
 }
 
-// bucketByReceiver computes, into orderOff/orderIdx, the batch indices
-// grouped by receiver in stable batch order: orderIdx[orderOff[r]:
-// orderOff[r+1]] are the batch positions addressed to receiver r. The batch
-// is sender-major with ascending IDs and every To is in range (sendRange
-// drops the rest), so this stable counting sort by To yields the (To, From,
-// ID) order in O(batch).
+// bucketByReceiver computes, into orderOff/orderIdx, the batch indices of
+// the unicast entries grouped by receiver in stable batch order:
+// orderIdx[orderOff[r]:orderOff[r+1]] are the positions addressed to
+// receiver r. orderAll lists the broadcast records' positions, which every
+// receiver shares. The batch is sender-major with ascending IDs and every
+// unicast To is in range (sendRange drops the rest), so merging a receiver's
+// bucket with orderAll by position yields the (To, From, ID) order in
+// O(batch) plus the deliveries.
 func (s *System) bucketByReceiver(batch []Message) {
 	idx, off := s.orderFor(batch)
+	all := s.orderAll[:0]
 	for i := range batch {
-		off[int(batch[i].To)+1]++
+		if to := batch[i].To; to == All {
+			all = append(all, int32(i))
+		} else {
+			off[int(to)+1]++
+		}
+	}
+	s.orderAll = all
+	if len(all) == len(batch) {
+		return // no unicast: every bucket is empty
 	}
 	for r := 0; r < s.n; r++ {
 		off[r+1] += off[r]
@@ -81,9 +94,10 @@ func (s *System) bucketByReceiver(batch []Message) {
 	pos := s.orderPos[:s.n]
 	copy(pos, off[:s.n])
 	for i := range batch {
-		r := int(batch[i].To)
-		idx[pos[r]] = int32(i)
-		pos[r]++
+		if r := int(batch[i].To); r != int(All) {
+			idx[pos[r]] = int32(i)
+			pos[r]++
+		}
 	}
 }
 
@@ -102,39 +116,35 @@ func (s *System) orderFor(batch []Message) (idx, off []int32) {
 }
 
 // drainWindow removes the completed window's batch from the buffer. The
-// common case — the buffer holds exactly the batch, a dense ID span, which
-// window mode guarantees — drains the whole buffer in one sweep. Anything
-// else (step-mode residue, messages an adversary took or dropped while
-// planning) takes the per-ID loop, which preserves non-batch messages and
-// shrugs at entries that are no longer buffered.
-func (s *System) drainWindow(batch []Message) {
-	if s.buffer.live == len(batch) &&
-		batch[0].ID == s.buffer.idBase && batch[len(batch)-1].ID == s.buffer.nextID {
+// common case — nothing older than the batch is still buffered, which window
+// mode guarantees — drains the whole buffer in one sweep, whatever an
+// adversary took or dropped while planning. Step-mode residue in front of
+// the batch stays: only the batch's cells are dropped.
+func (s *System) drainWindow() {
+	if s.buffer.idBase >= s.batchFrom {
 		s.buffer.DrainAll()
 		return
 	}
-	for i := range batch {
-		s.buffer.Take(batch[i].ID)
-	}
+	s.buffer.dropFrom(s.batchFrom)
 }
 
 // reclaimBatch hands the completed window's payloads back to senders that
 // pool them (PayloadReclaimer). Every batch message is dead at this point —
-// delivered or about to be dropped — so its payload box can be reused. An
-// entry with ID 0 is a cell a planner emptied (or was never buffered): its
-// message went elsewhere, so nothing is reclaimed for it. The batch is
-// sender-major and all copies of one broadcast share one payload, so
-// deduplicating consecutive equal payloads reclaims each box exactly once.
+// delivered or about to be dropped — so its payload box can be reused. A
+// cell a planner emptied has no payload left: its messages went elsewhere,
+// so nothing is reclaimed for it. A broadcast record is one entry; the
+// dedup of consecutive equal payloads from one sender reclaims once the box
+// a sender shares across the per-receiver copies of a scoped broadcast.
 // The dedup compare runs before the (pricier) interface assertion: lastFrom
 // is only ever a sender already proven to be a reclaimer, whose contract
-// requires comparable payloads, so the n copies of a broadcast cost one
-// assertion, not n.
+// requires comparable payloads, so the copies of a broadcast cost one
+// assertion, not one each.
 func (s *System) reclaimBatch(batch []Message) {
 	var last any
 	lastFrom := ProcID(-1)
 	for i := range batch {
 		m := &batch[i]
-		if m.ID == 0 || (m.From == lastFrom && m.Payload == last) {
+		if m.Payload == nil || (m.From == lastFrom && m.Payload == last) {
 			continue
 		}
 		r, ok := s.procs[m.From].(PayloadReclaimer)
