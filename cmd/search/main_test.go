@@ -2,6 +2,7 @@ package main
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -36,16 +37,40 @@ func TestSearchDeterministicOutput(t *testing.T) {
 	}
 }
 
-func TestSearchSerialMatchesParallelOutput(t *testing.T) {
-	var par, ser strings.Builder
-	if err := run(smokeArgs(), &par, nil); err != nil {
-		t.Fatal(err)
+// TestSearchFlagsReachPipeline checks only that the harness flags reach the
+// record pipeline: FuzzSpine (internal/registry) holds the byte identities
+// they promise, and CI's Resume smoke holds them end to end.
+// -inject-panics faults the named evaluation, and its stack shows -serial:
+// a worker's names internal/parallel, the serial loop's does not;
+// -interrupt-after stops after that many records, and -resume runs the rest.
+func TestSearchFlagsReachPipeline(t *testing.T) {
+	dir := t.TempDir()
+	var out string
+	for _, serial := range []bool{false, true} {
+		out = filepath.Join(dir, fmt.Sprintf("serial-%v.jsonl", serial))
+		args := smokeArgs("-out", out, "-inject-panics", "1", "-interrupt-after", "3")
+		if serial {
+			args = append(args, "-serial")
+		}
+		if err := run(args, &strings.Builder{}, nil); !errors.Is(err, search.ErrInterrupted) {
+			t.Fatalf("serial=%v: err = %v, want ErrInterrupted", serial, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+		if len(lines) != 3 || !strings.Contains(lines[1], `"fault_kind":"panic"`) {
+			t.Fatalf("serial=%v: want 3 records with an injected panic at 1:\n%s", serial, data)
+		}
+		if strings.Contains(string(data), "asyncagree/internal/parallel.") == serial {
+			t.Fatalf("serial=%v: the injected panic ran on the wrong loop:\n%s", serial, data)
+		}
 	}
-	if err := run(smokeArgs("-serial"), &ser, nil); err != nil {
-		t.Fatal(err)
-	}
-	if par.String() != ser.String() {
-		t.Fatalf("parallel output diverged from serial:\n%s\n---\n%s", par.String(), ser.String())
+	var table strings.Builder
+	err := run(smokeArgs("-out", out, "-inject-panics", "1", "-serial", "-resume"), &table, nil)
+	if err == nil || !strings.Contains(table.String(), "faulted-evaluations 1") {
+		t.Fatalf("resumed run: err = %v, want 1 faulted evaluation:\n%s", err, table.String())
 	}
 }
 
@@ -78,70 +103,6 @@ func TestSearchRejectsBadFlags(t *testing.T) {
 		if err := run(args, &out, nil); err == nil {
 			t.Fatalf("args %v accepted", args)
 		}
-	}
-}
-
-// TestSearchResumeIdentical is the driver's central guarantee surfaced at
-// the CLI: a search interrupted partway (the -interrupt-after hook, the
-// same clean-stop path SIGINT takes) and then resumed produces a frontier
-// table, a JSONL export, and a checkpoint byte-identical to an
-// uninterrupted run's.
-func TestSearchResumeIdentical(t *testing.T) {
-	dir := t.TempDir()
-	cleanOut := filepath.Join(dir, "clean.jsonl")
-	resOut := filepath.Join(dir, "resumed.jsonl")
-
-	var cleanTable strings.Builder
-	if err := run(smokeArgs("-out", cleanOut), &cleanTable, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	var interruptedTable strings.Builder
-	err := run(smokeArgs("-out", resOut, "-interrupt-after", "4"), &interruptedTable, nil)
-	if !errors.Is(err, search.ErrInterrupted) {
-		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
-	}
-	if interruptedTable.Len() != 0 {
-		t.Fatalf("interrupted run printed a table:\n%s", interruptedTable.String())
-	}
-	ckpt, err := os.ReadFile(resOut + ".ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := strings.Count(string(ckpt), "\n"); got != 1+4 {
-		t.Fatalf("checkpoint has %d lines, want header + 4 records:\n%s", got, ckpt)
-	}
-
-	var resumedTable strings.Builder
-	if err := run(smokeArgs("-out", resOut, "-resume"), &resumedTable, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	if cleanTable.String() != resumedTable.String() {
-		t.Fatalf("resumed table diverged from clean run:\n%s\n---\n%s",
-			cleanTable.String(), resumedTable.String())
-	}
-	clean, err := os.ReadFile(cleanOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := os.ReadFile(resOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(clean) != string(resumed) {
-		t.Fatalf("resumed JSONL diverged from clean run:\n%s\n---\n%s", clean, resumed)
-	}
-	cleanCkpt, err := os.ReadFile(cleanOut + ".ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumedCkpt, err := os.ReadFile(resOut + ".ckpt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(cleanCkpt) != string(resumedCkpt) {
-		t.Fatal("resumed checkpoint diverged from clean run")
 	}
 }
 

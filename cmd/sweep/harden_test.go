@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -121,45 +120,6 @@ func TestSweepChaosSurvivesAndReportsFaults(t *testing.T) {
 			if rec != clean[i] {
 				t.Fatalf("clean record %d diverged under chaos:\nclean %+v\ngot   %+v", i, clean[i], rec)
 			}
-		}
-	}
-}
-
-// TestSweepChaosResumeMatchesUninterrupted: interrupting a chaos run and
-// resuming it with the same -inject flags reproduces the uninterrupted
-// chaos run — table, summary, and records (fault stacks normalized).
-func TestSweepChaosResumeMatchesUninterrupted(t *testing.T) {
-	dir := t.TempDir()
-	fullOut := filepath.Join(dir, "full.jsonl")
-	resOut := filepath.Join(dir, "resumed.jsonl")
-	inject := []string{"-inject-panics", "1,6"}
-
-	var fullTable strings.Builder
-	err := run(smokeArgs(append([]string{"-out", fullOut, "-checkpoint", "off"}, inject...)...), &fullTable, nil)
-	if err == nil || !strings.Contains(err.Error(), "faulted") {
-		t.Fatalf("uninterrupted chaos run: err = %v", err)
-	}
-
-	err = run(smokeArgs(append([]string{"-out", resOut, "-interrupt-after", "4"}, inject...)...), &strings.Builder{}, nil)
-	if !errors.Is(err, registry.ErrInterrupted) {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	var resumedTable strings.Builder
-	err = run(smokeArgs(append([]string{"-out", resOut, "-resume"}, inject...)...), &resumedTable, nil)
-	if err == nil || !strings.Contains(err.Error(), "faulted") {
-		t.Fatalf("resumed chaos run: err = %v", err)
-	}
-
-	if fullTable.String() != resumedTable.String() {
-		t.Fatalf("resumed chaos table diverged:\n%s\n---\n%s", fullTable.String(), resumedTable.String())
-	}
-	full, resumed := loadRecords(t, fullOut), loadRecords(t, resOut)
-	if len(full) != len(resumed) {
-		t.Fatalf("record counts diverged: %d vs %d", len(full), len(resumed))
-	}
-	for i := range full {
-		if full[i] != resumed[i] {
-			t.Fatalf("record %d diverged:\nfull    %+v\nresumed %+v", i, full[i], resumed[i])
 		}
 	}
 }

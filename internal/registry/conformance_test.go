@@ -28,10 +28,11 @@ type trialRun struct {
 // leg is one way of executing a trial. The usual reference is the traced
 // one-worker message path on a fresh engine, reference below. A message-path
 // leg is traced unless untraced is set; a columnar leg never is (tracing
-// would disable the columnar path).
+// would disable the columnar path). A message-path leg with sendTwice plans
+// through sendsOnce.
 type leg struct {
-	columnar, recycled, untraced bool
-	workers                      int
+	columnar, recycled, untraced, sendTwice bool
+	workers                                 int
 }
 
 // reference is the leg every other leg of the battery is held to.
@@ -48,7 +49,9 @@ var reference = leg{workers: 1}
 // so a sweep skips such a size instead of faulting its trials, and each trial
 // keeps Agreement and Validity where the descriptor declares SafetyCertain,
 // and decides wherever Pair promises Decides: under every plan class the
-// algorithm's Runs table maps to Decides, and under full delivery.
+// algorithm's Runs table maps to Decides, and under full delivery. Its
+// message-path reference leg also holds every process, after every
+// window's sends, to sim.Process's Send contract (sendsOnce).
 func TestConformance(t *testing.T) {
 	stub := func(sim.ProcID, sim.Bit) sim.Process { return nil }
 	for _, alg := range Algorithms() {
@@ -61,7 +64,9 @@ func TestConformance(t *testing.T) {
 		}
 	}
 	battery(t, Algorithms(), func(t *testing.T, alg *Algorithm, ts trialSpec, p Params) {
-		run := runLeg(t, ts, p, reference)
+		checked := reference
+		checked.sendTwice = true
+		run := runLeg(t, ts, p, checked)
 		if run.err != nil {
 			t.Fatalf("trial failed: %v", run.err)
 		}
@@ -78,6 +83,34 @@ func TestConformance(t *testing.T) {
 				quiescence(t, ts, p), res)
 		}
 	})
+}
+
+// sendsOnce plans as its plan does, but first holds every process to
+// sim.Process's Send contract, on which the quiescent skip rests: a second
+// Send with no Deliver or Reset since the window's sending step returns
+// nothing and changes neither Output nor Snapshot.
+type sendsOnce struct {
+	sim.WindowAdversary
+	t *testing.T
+}
+
+// PlanDelivery implements sim.WindowAdversary.
+func (a sendsOnce) PlanDelivery(s *sim.System, batch []sim.Message) sim.Window {
+	for id := range sim.ProcID(s.N()) {
+		if s.Crashed(id) || s.Corrupted(id) {
+			continue
+		}
+		p := s.Proc(id)
+		out, ok := p.Output()
+		snap := p.Snapshot()
+		if again := p.Send(); len(again) > 0 {
+			a.t.Fatalf("window %d: processor %d sent %d messages on a second Send", s.Windows(), id, len(again))
+		}
+		if out2, ok2 := p.Output(); out2 != out || ok2 != ok || p.Snapshot() != snap {
+			a.t.Fatalf("window %d: a second Send moved processor %d's output or state", s.Windows(), id)
+		}
+	}
+	return a.WindowAdversary.PlanDelivery(s, batch)
 }
 
 // quiescence says why an undecided trial stopped: it reruns ts on a pooled
@@ -280,14 +313,15 @@ func battery(t *testing.T, algs []*Algorithm, check func(*testing.T, *Algorithm,
 // named algorithm_adversary_scheduler_size, with _input added for inputs
 // other than split.
 func grid(t *testing.T, m Matrix, check func(*testing.T, *Algorithm, trialSpec, Params)) {
-	specs, err := m.allSpecs()
+	cells, resolved, _, err := m.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(specs) == 0 {
+	if len(cells) == 0 {
 		t.Fatalf("no compatible trial in %v at %v", m.Algorithms, m.Sizes)
 	}
-	for _, ts := range specs {
+	for i := range len(cells) * len(resolved.Seeds) {
+		ts := resolved.specAt(cells, i)
 		alg, err := LookupAlgorithm(ts.Algorithm)
 		if err != nil {
 			t.Fatal(err)
@@ -381,6 +415,9 @@ func runLeg(t *testing.T, ts trialSpec, p Params, l leg) trialRun {
 	var run trialRun
 	if !l.columnar {
 		sys.SetColumnar(false)
+		if l.sendTwice {
+			plan = sendsOnce{plan, t}
+		}
 	} else if !sys.ColumnarPlanned(plan) {
 		t.Fatal("columnar path not planned; the comparison would be vacuous")
 	}

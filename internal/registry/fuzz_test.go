@@ -28,8 +28,8 @@ func FuzzCheckpointSalvage(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		records, rep, err := LoadCheckpointSalvage(path, grid)
-		records2, rep2, err2 := LoadCheckpointSalvage(path, grid)
+		records, rep, err := LoadCheckpointRecords(path, grid, trialIndex)
+		records2, rep2, err2 := LoadCheckpointRecords(path, grid, trialIndex)
 		if (err == nil) != (err2 == nil) ||
 			(err != nil && err.Error() != err2.Error()) {
 			t.Fatalf("salvage not deterministic: %v vs %v", err, err2)

@@ -113,37 +113,6 @@ func normalizeFaults(recs []TrialRecord) []TrialRecord {
 	return out
 }
 
-// TestInjectedFaultsSerialParallelIdentical: with a deterministic fault
-// plan, the serial loop and the worker pool emit identical record streams —
-// fault records included (up to the stack text, which names the goroutine).
-func TestInjectedFaultsSerialParallelIdentical(t *testing.T) {
-	m := sinkMatrix()
-	plan := func() *faultinject.Plan {
-		return &faultinject.Plan{
-			Panic: mustTrialSet(t, "2"),
-			Stall: mustTrialSet(t, "rand:2@7"),
-			// Stall after the first window so most selected trials actually
-			// fault (fast-deciding ones stay clean — on both paths alike).
-			StallWindow: 1,
-		}
-	}
-	ser, par := &memorySink{}, &memorySink{}
-	serSweep, err := m.RunWith(RunOptions{Serial: true, Sinks: []ResultSink{ser}, Inject: plan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSweep, err := m.RunWith(RunOptions{Sinks: []ResultSink{par}, Inject: plan()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(normalizeFaults(ser.records), normalizeFaults(par.records)) {
-		t.Fatal("serial and parallel record streams diverged under injection")
-	}
-	if !reflect.DeepEqual(serSweep, parSweep) {
-		t.Fatalf("sweeps diverged:\nserial   %+v\nparallel %+v", serSweep, parSweep)
-	}
-}
-
 // TestQuarantineAfterConsecutiveFaults: three consecutive faults quarantine
 // the cell; its remaining trials are skipped with FaultQuarantined records
 // and the sweep reports the cell, serial and parallel alike.
@@ -373,7 +342,7 @@ func TestResumeRebuildsQuarantine(t *testing.T) {
 	}
 }
 
-// TestCheckpointSalvage covers the damage classes LoadCheckpointSalvage
+// TestCheckpointSalvage covers the damage classes LoadCheckpointRecords
 // recovers from — and the one it must refuse.
 func TestCheckpointSalvage(t *testing.T) {
 	m := sinkMatrix()
@@ -412,7 +381,7 @@ func TestCheckpointSalvage(t *testing.T) {
 		path := write(t, "insert.ckpt", []string{
 			header, recLine(t, 0), recLine(t, 1), `<<<flipped bits>>>`, recLine(t, 2), recLine(t, 3),
 		})
-		recs, rep, err := LoadCheckpointSalvage(path, grid)
+		recs, rep, err := LoadCheckpointRecords(path, grid, trialIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -434,7 +403,7 @@ func TestCheckpointSalvage(t *testing.T) {
 		path := write(t, "lost.ckpt", []string{
 			header, recLine(t, 0), recLine(t, 1), `<<<was record 2>>>`, recLine(t, 3), recLine(t, 4),
 		})
-		recs, rep, err := LoadCheckpointSalvage(path, grid)
+		recs, rep, err := LoadCheckpointRecords(path, grid, trialIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +419,7 @@ func TestCheckpointSalvage(t *testing.T) {
 		path := write(t, "both.ckpt", []string{
 			header, recLine(t, 0), `garbage`, recLine(t, 1), `{"index":2,"algo`,
 		})
-		recs, rep, err := LoadCheckpointSalvage(path, grid)
+		recs, rep, err := LoadCheckpointRecords(path, grid, trialIndex)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -461,7 +430,7 @@ func TestCheckpointSalvage(t *testing.T) {
 
 	t.Run("truncated header is refused", func(t *testing.T) {
 		path := write(t, "hdr.ckpt", []string{header[:len(header)/2]})
-		if _, _, err := LoadCheckpointSalvage(path, grid); err == nil ||
+		if _, _, err := LoadCheckpointRecords(path, grid, trialIndex); err == nil ||
 			!strings.Contains(err.Error(), "bad checkpoint header") {
 			t.Fatalf("err = %v", err)
 		}
@@ -469,7 +438,7 @@ func TestCheckpointSalvage(t *testing.T) {
 
 	t.Run("grid mismatch is refused", func(t *testing.T) {
 		path := write(t, "grid.ckpt", []string{header, recLine(t, 0)})
-		if _, _, err := LoadCheckpointSalvage(path, "some other grid"); err == nil ||
+		if _, _, err := LoadCheckpointRecords(path, "some other grid", trialIndex); err == nil ||
 			!strings.Contains(err.Error(), "grid") {
 			t.Fatalf("err = %v", err)
 		}
@@ -477,7 +446,7 @@ func TestCheckpointSalvage(t *testing.T) {
 
 	t.Run("clean non-contiguous file is still an error", func(t *testing.T) {
 		path := write(t, "skip.ckpt", []string{header, recLine(t, 0), recLine(t, 2)})
-		if _, _, err := LoadCheckpointSalvage(path, grid); err == nil ||
+		if _, _, err := LoadCheckpointRecords(path, grid, trialIndex); err == nil ||
 			!strings.Contains(err.Error(), "contiguous") {
 			t.Fatalf("err = %v", err)
 		}

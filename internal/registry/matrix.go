@@ -385,14 +385,11 @@ func (a *cellAgg) finalize() {
 
 // Run expands the matrix and fans the trials across the deterministic
 // worker pool, reducing per-cell aggregates online. The output is
-// byte-identical to RunSerial: every trial derives all randomness from its
-// seed, draws a private (pooled or fresh — indistinguishable) system +
-// adversary state, and is delivered to the aggregator in trial-index order.
+// byte-identical to a RunOptions.Serial run: every trial derives all
+// randomness from its seed, draws a private (pooled or fresh —
+// indistinguishable) system + adversary state, and is delivered to the
+// aggregator in trial-index order.
 func (m Matrix) Run() (*Sweep, error) { return m.RunWith(RunOptions{}) }
-
-// RunSerial runs the same sweep on a plain serial loop. It exists to make
-// the parallel path's determinism testable and to time parallel speedups.
-func (m Matrix) RunSerial() (*Sweep, error) { return m.RunWith(RunOptions{Serial: true}) }
 
 // RunWith expands the matrix and streams every trial through the result
 // pipeline: trials execute across the worker pool (or serially), results

@@ -84,43 +84,6 @@ func TestCrossProductSmoke(t *testing.T) {
 	}
 }
 
-// TestSweepParallelMatchesSerial is the sweep engine's determinism
-// guarantee: the parallel fan-out aggregates byte-identically to the serial
-// loop, run after run.
-func TestSweepParallelMatchesSerial(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is expensive")
-	}
-	m := Matrix{
-		Algorithms: []string{"core", "benor"},
-		Sizes:      []Size{{N: 12, T: 1}},
-		Inputs:     []string{"split", "ones"},
-		Seeds:      []uint64{1, 2, 3},
-		MaxWindows: 3000,
-	}
-	serial, err := m.RunSerial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(serial, par) {
-		t.Fatalf("parallel sweep diverged from serial:\nserial  %+v\nparallel %+v", serial, par)
-	}
-	if serial.Table().String() != par.Table().String() {
-		t.Fatal("rendered tables differ")
-	}
-	again, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if par.Table().String() != again.Table().String() {
-		t.Fatal("two parallel sweeps with identical seeds diverged")
-	}
-}
-
 func TestMatrixExpansion(t *testing.T) {
 	m := Matrix{
 		Algorithms:  []string{"core", "committee"},

@@ -238,19 +238,15 @@ func (r *SalvageReport) String() string {
 	return "checkpoint salvage: " + strings.Join(parts, "; ")
 }
 
-// LoadCheckpoint reads the completed-trial prefix recorded in a checkpoint
-// file, discarding whatever damage can be proven harmless (see
-// LoadCheckpointSalvage, which it wraps discarding the report).
-func LoadCheckpoint(path, grid string) ([]TrialRecord, error) {
-	records, _, err := LoadCheckpointSalvage(path, grid)
-	return records, err
-}
-
-// LoadCheckpointSalvage reads the completed-trial prefix recorded in a
-// checkpoint file. A missing file yields (nil, nil, nil) — a fresh run. A
-// grid signature mismatch (or an unreadable header) is an error: the trial
-// indices of a different grid would not line up, and a header can't be
-// salvaged because the grid check is what makes the records trustworthy.
+// LoadCheckpointRecords reads the completed-record prefix recorded in a
+// checkpoint file: the sweep's (TrialRecord bodies), the search's
+// (evaluation records) and the service journal alike, body lines
+// unmarshaled into R. index must return a record's position field; a
+// loadable file holds the contiguous prefix 0..k-1. A missing file yields
+// (nil, nil, nil) — a fresh run. A grid signature mismatch (or an
+// unreadable header) is an error: the record indices of a different grid
+// would not line up, and a header can't be salvaged because the grid check
+// is what makes the records trustworthy.
 //
 // Body damage is salvaged instead of fatal, and reported:
 //
@@ -265,18 +261,7 @@ func LoadCheckpoint(path, grid string) ([]TrialRecord, error) {
 //
 // A non-contiguous index in an otherwise clean file is still an error: with
 // no corruption to blame, the file does not hold the index-ordered prefix
-// emission guarantees, and resuming from it would misalign every trial.
-func LoadCheckpointSalvage(path, grid string) ([]TrialRecord, *SalvageReport, error) {
-	return LoadCheckpointRecords(path, grid, func(r TrialRecord) int { return r.Index })
-}
-
-// LoadCheckpointRecords is the format-generic core of checkpoint loading,
-// shared by the sweep checkpoints (TrialRecord bodies) and the search
-// checkpoints (search evaluation records): the header/signature check and
-// the salvage semantics are exactly those documented on
-// LoadCheckpointSalvage, with body lines unmarshaled into R. index must
-// return a record's position field; a loadable file holds the contiguous
-// prefix 0..k-1.
+// emission guarantees, and resuming from it would misalign every record.
 func LoadCheckpointRecords[R any](path, grid string, index func(R) int) ([]R, *SalvageReport, error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {

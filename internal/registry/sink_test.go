@@ -4,7 +4,6 @@ import (
 	"os"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 )
 
@@ -48,7 +47,7 @@ func TestRunWithSinkStreamsIndexOrderedRecords(t *testing.T) {
 		t.Fatalf("sink saw %d records / %d flushes, want %d / 1",
 			len(sink.records), sink.flushes, sweep.TrialCount)
 	}
-	specs, err := m.allSpecs()
+	cells, resolved, replaySweep, err := m.expand()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,16 +55,12 @@ func TestRunWithSinkStreamsIndexOrderedRecords(t *testing.T) {
 		if rec.Index != i {
 			t.Fatalf("record %d has index %d", i, rec.Index)
 		}
-		if rec.Key() != specs[i].key() {
-			t.Fatalf("record %d key %q != spec %q", i, rec.Key(), specs[i].key())
+		if want := resolved.specAt(cells, i).key(); rec.Key() != want {
+			t.Fatalf("record %d key %q != spec %q", i, rec.Key(), want)
 		}
 	}
 	// Re-aggregating the streamed records reproduces the sweep exactly —
 	// the records carry the full result, which is what resume relies on.
-	cells, resolved, replaySweep, err := m.expand()
-	if err != nil {
-		t.Fatal(err)
-	}
 	agg := newCellAgg(replaySweep, cells)
 	for _, rec := range sink.records {
 		agg.consume(rec.Index/len(resolved.Seeds), rec.Result())
@@ -74,52 +69,6 @@ func TestRunWithSinkStreamsIndexOrderedRecords(t *testing.T) {
 	replaySweep.TrialCount = len(sink.records)
 	if !reflect.DeepEqual(sweep, replaySweep) {
 		t.Fatalf("replayed aggregate diverged:\nrun    %+v\nreplay %+v", sweep, replaySweep)
-	}
-}
-
-// TestRunWithResumeMatchesUninterrupted is the registry-level resume
-// guarantee (the cmd/sweep tests cover the file round trip): stopping a
-// sweep partway and resuming from the emitted prefix yields the same
-// aggregate and the same remaining sink records as an uninterrupted run.
-func TestRunWithResumeMatchesUninterrupted(t *testing.T) {
-	m := sinkMatrix()
-	full := &memorySink{}
-	want, err := m.RunWith(RunOptions{Sinks: []ResultSink{full}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Interrupt after 3 emitted trials. Progress runs on the serial
-	// emission path but Stop is also polled from worker goroutines, so
-	// the shared counter must be atomic.
-	part := &memorySink{}
-	var emitted atomic.Int64
-	_, err = m.RunWith(RunOptions{
-		Sinks:    []ResultSink{part},
-		Progress: func(done, total int) { emitted.Store(int64(done)) },
-		Stop:     func() bool { return emitted.Load() >= 3 },
-	})
-	if err != ErrInterrupted {
-		t.Fatalf("err = %v, want ErrInterrupted", err)
-	}
-	if len(part.records) < 3 || len(part.records) >= len(full.records) {
-		t.Fatalf("interrupted run emitted %d records", len(part.records))
-	}
-	// The emitted prefix must match the uninterrupted run's.
-	if !reflect.DeepEqual(part.records, full.records[:len(part.records)]) {
-		t.Fatal("interrupted prefix diverged from the full run")
-	}
-
-	rest := &memorySink{}
-	got, err := m.RunWith(RunOptions{Sinks: []ResultSink{rest}, Resume: part.records})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("resumed sweep diverged:\nfull    %+v\nresumed %+v", want, got)
-	}
-	if !reflect.DeepEqual(rest.records, full.records[len(part.records):]) {
-		t.Fatal("resumed run re-emitted or skipped sink records")
 	}
 }
 
@@ -178,17 +127,24 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	f.Close()
 
-	got, err := LoadCheckpoint(path, grid)
+	got, rep, err := LoadCheckpointRecords(path, grid, trialIndex)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, sink.records[:5]) {
 		t.Fatalf("round trip diverged: %+v", got)
 	}
-	if _, err := LoadCheckpoint(path, "other grid"); err == nil {
+	if !rep.TornTail {
+		t.Fatalf("torn tail not reported: %v", rep)
+	}
+	if _, _, err := LoadCheckpointRecords(path, "other grid", trialIndex); err == nil {
 		t.Fatal("grid mismatch accepted")
 	}
-	if recs, err := LoadCheckpoint(dir+"/missing.ckpt", grid); err != nil || recs != nil {
+	if recs, _, err := LoadCheckpointRecords(dir+"/missing.ckpt", grid, trialIndex); err != nil || recs != nil {
 		t.Fatalf("missing checkpoint: %v, %v", recs, err)
 	}
 }
+
+// trialIndex is a trial record's position, which checkpoint loading
+// verifies.
+func trialIndex(r TrialRecord) int { return r.Index }

@@ -72,15 +72,6 @@ func NewJSONLSink(w io.Writer) *registry.JSONLSink[EvalRecord] {
 	return registry.NewJSONLSinkOf[EvalRecord](w)
 }
 
-// LoadCheckpoint reads the verified evaluation prefix of a search
-// checkpoint recorded against sig (Options.Signature): the same header
-// check and corruption-salvage semantics as the sweep's
-// registry.LoadCheckpointSalvage, with EvalRecord bodies. A missing file
-// yields (nil, nil, nil) — a fresh search.
-func LoadCheckpoint(path, sig string) ([]EvalRecord, *registry.SalvageReport, error) {
-	return registry.LoadCheckpointRecords(path, sig, func(r EvalRecord) int { return r.Index })
-}
-
 // Report is the aggregated outcome of one search run.
 type Report struct {
 	// Signature is the resolved search signature (Options.Signature).

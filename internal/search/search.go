@@ -175,7 +175,8 @@ type RunOptions struct {
 	// the interrupted run.
 	Sinks []Sink
 	// Resume holds the evaluation prefix of an earlier interrupted run
-	// (loaded from its checkpoint with LoadCheckpoint). Records must match
+	// (loaded from its checkpoint with registry.LoadCheckpointRecords,
+	// against Options.Signature). Records must match
 	// the regenerated schedule exactly — Run re-verifies stage, size, and
 	// candidate per index and fails on mismatch — and replay through the
 	// frontier/budget state machine instead of re-executing trials.

@@ -2,18 +2,11 @@ package search
 
 import (
 	"bytes"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"asyncagree/internal/faultinject"
 	"asyncagree/internal/registry"
-	"asyncagree/internal/rng"
 )
 
 // quickOpts is the small, fast search every test starts from: one size, a
@@ -43,117 +36,6 @@ func runToBuffer(t *testing.T, o Options, ro RunOptions) (*Report, []byte, error
 	ro.Sinks = append(ro.Sinks, NamedSink{Name: "buf", Sink: sink})
 	rep, err := Run(o, ro)
 	return rep, buf.Bytes(), err
-}
-
-func TestSearchSerialParallelIdentical(t *testing.T) {
-	o := quickOpts()
-	serialRep, serialBytes, err := runToBuffer(t, o, RunOptions{Serial: true})
-	if err != nil {
-		t.Fatalf("serial run: %v", err)
-	}
-	parRep, parBytes, err := runToBuffer(t, o, RunOptions{})
-	if err != nil {
-		t.Fatalf("parallel run: %v", err)
-	}
-	if !bytes.Equal(serialBytes, parBytes) {
-		t.Fatalf("serial and parallel exports differ:\nserial:\n%s\nparallel:\n%s", serialBytes, parBytes)
-	}
-	if !reflect.DeepEqual(serialRep, parRep) {
-		t.Fatalf("serial and parallel reports differ:\n%+v\n%+v", serialRep, parRep)
-	}
-	if serialRep.Evals == 0 || len(serialRep.Frontier["12:1"]) == 0 {
-		t.Fatalf("search found nothing: %+v", serialRep)
-	}
-	if !serialRep.Healthy() {
-		t.Fatalf("expected healthy run, got faulted=%d sinks=%v", serialRep.Faulted, serialRep.SinkFailures)
-	}
-}
-
-func TestSearchRerunIdentical(t *testing.T) {
-	o := quickOpts()
-	_, first, err := runToBuffer(t, o, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, second, err := runToBuffer(t, o, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(first, second) {
-		t.Fatal("two identically-seeded searches produced different exports")
-	}
-}
-
-// writeCheckpoint writes prefix bytes under a search checkpoint header, the
-// way cmd/search persists them, so tests resume through the real loader.
-func writeCheckpoint(t *testing.T, sig string, body []byte) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "search.ckpt")
-	head := fmt.Sprintf("{\"version\":1,\"grid\":%q}\n", sig)
-	if err := os.WriteFile(path, append([]byte(head), body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestSearchResumeByteIdentical is the resume stress test: a search
-// interrupted at five seeded points — serial and parallel — must, after
-// resuming from its checkpoint, produce output byte-identical to the
-// uninterrupted run.
-func TestSearchResumeByteIdentical(t *testing.T) {
-	o := quickOpts()
-	cleanRep, clean, err := runToBuffer(t, o, RunOptions{Serial: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := cleanRep.Evals
-	if total < 8 {
-		t.Fatalf("search too small to stress resume: %d evals", total)
-	}
-	src := rng.New(99)
-	points := make([]int, 0, 5)
-	for len(points) < 4 {
-		points = append(points, 1+src.Intn(total-1))
-	}
-	points = append(points, total) // resume with nothing left to run
-	for _, serial := range []bool{true, false} {
-		for _, cut := range points {
-			t.Run(fmt.Sprintf("serial=%v/cut=%d", serial, cut), func(t *testing.T) {
-				var emitted atomic.Int64
-				rep1, part1, err := runToBuffer(t, o, RunOptions{
-					Serial:   serial,
-					Progress: func(evals, trials int) { emitted.Store(int64(evals)) },
-					Stop:     func() bool { return emitted.Load() >= int64(cut) },
-				})
-				// Even at cut == total the stop fires on the final
-				// emission, so every cut ends in a clean interrupt.
-				if !errors.Is(err, ErrInterrupted) {
-					t.Fatalf("want ErrInterrupted at cut %d, got rep=%v err=%v", cut, rep1, err)
-				}
-				path := writeCheckpoint(t, o.Signature(), part1)
-				resume, salvage, err := LoadCheckpoint(path, o.Signature())
-				if err != nil {
-					t.Fatalf("load checkpoint: %v", err)
-				}
-				if !salvage.Empty() {
-					t.Fatalf("unexpected salvage on a clean checkpoint: %v", salvage)
-				}
-				if len(resume) != cut {
-					t.Fatalf("checkpoint holds %d records, interrupted at %d", len(resume), cut)
-				}
-				rep2, part2, err := runToBuffer(t, o, RunOptions{Serial: serial, Resume: resume})
-				if err != nil {
-					t.Fatalf("resume run: %v", err)
-				}
-				if got := append(append([]byte(nil), part1...), part2...); !bytes.Equal(got, clean) {
-					t.Fatalf("interrupted+resumed bytes differ from clean run at cut %d:\n%s\nvs\n%s", cut, got, clean)
-				}
-				if !reflect.DeepEqual(rep2, cleanRep) {
-					t.Fatalf("resumed report differs from clean at cut %d:\n%+v\n%+v", cut, rep2, cleanRep)
-				}
-			})
-		}
-	}
 }
 
 func TestSearchResumeMismatchRejected(t *testing.T) {
