@@ -10,14 +10,14 @@ import (
 )
 
 // Agreement is one embeddable instance of Bracha agreement over an arbitrary
-// member subset, namespaced by a tag prefix. The full-network Proc wraps a
-// single Agreement; the Kapron-style committee algorithm runs many scoped
-// Agreements (one per group per seed bit) concurrently inside one host.
+// member subset, its broadcasts tagged with an integer instance id. The
+// full-network Proc wraps a single Agreement; the Kapron-style committee
+// algorithm runs many scoped Agreements (one per group per seed bit)
+// concurrently inside one host.
 type Agreement struct {
 	self    sim.ProcID
 	members []sim.ProcID
 	n, t    int
-	prefix  string
 
 	input   sim.Bit
 	out     sim.Bit
@@ -52,35 +52,34 @@ type roundTally struct {
 }
 
 // NewAgreement constructs an agreement instance among members (which must
-// contain self), tolerating t Byzantine members, with all reliable-broadcast
-// tags namespaced under prefix. Call Start (or let the host do so) to queue
-// the first broadcast.
-func NewAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, input sim.Bit) (*Agreement, error) {
-	return newAgreement(self, members, t, prefix, input, false)
+// contain self), tolerating t Byzantine members, whose reliable-broadcast
+// tags all carry the instance id id. Call Start (or let the host do so) to
+// queue the first broadcast.
+func NewAgreement(self sim.ProcID, members []sim.ProcID, t, id int, input sim.Bit) (*Agreement, error) {
+	return newAgreement(self, members, t, id, input, false)
 }
 
 // newAgreement is NewAgreement with full marking an agreement among every
 // processor of the system (members 0..n-1), whose engine is built
 // full-system (rbc.NewEngine): each broadcast is one message To sim.All.
-func newAgreement(self sim.ProcID, members []sim.ProcID, t int, prefix string, input sim.Bit, full bool) (*Agreement, error) {
+func newAgreement(self sim.ProcID, members []sim.ProcID, t, id int, input sim.Bit, full bool) (*Agreement, error) {
 	ms := append([]sim.ProcID(nil), members...)
 	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
 	var engine *rbc.Engine
 	var err error
 	if full {
-		engine, err = rbc.NewEngine(self, len(ms), t, prefix)
+		engine, err = rbc.NewEngine(self, len(ms), t, id)
 	} else {
-		engine, err = rbc.NewScopedEngine(self, ms, t, prefix)
+		engine, err = rbc.NewScopedEngine(self, ms, t, id)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("bracha agreement %q: %w", prefix, err)
+		return nil, fmt.Errorf("bracha agreement %d: %w", id, err)
 	}
 	return &Agreement{
 		self:    self,
 		members: ms,
 		n:       len(ms),
 		t:       t,
-		prefix:  prefix,
 		input:   input,
 		round:   1,
 		step:    1,
@@ -106,16 +105,8 @@ func (a *Agreement) Value() sim.Bit { return a.x }
 // Flush drains queued outgoing messages.
 func (a *Agreement) Flush() []sim.Message { return a.engine.Flush() }
 
-// Handles reports whether the message belongs to this instance: an RBC
-// message whose tag label is the instance prefix (the round and step live in
-// the tag's structured fields).
-func (a *Agreement) Handles(m sim.Message) bool {
-	msg, ok := m.Payload.(*rbc.Msg)
-	return ok && msg.T.Label == a.prefix
-}
-
 // Handle processes one incoming message and advances the state machine.
-// The engine accepts only tags of the instance prefix with a member sender.
+// The engine accepts only tags of the instance id with a member sender.
 // A straggler for a completed round is dropped: its tally was already
 // released (releaseRound), and progress only ever reads the current round,
 // so counting the value would reopen a tally that nothing reads and nothing
@@ -130,19 +121,18 @@ func (a *Agreement) Handles(m sim.Message) bool {
 // progress would return at once, drawing no coin and queuing no broadcast,
 // so skipping it changes neither the coin stream nor the outbox.
 func (a *Agreement) Handle(m sim.Message, r sim.RandSource) {
-	if acc, ok := a.engine.Handle(m); ok {
+	if acc := a.engine.Handle(m); acc != nil {
 		round, step := acc.T.Round, acc.T.Step
-		if val, isVal := acc.Value.(Val); isVal && round >= a.round && step >= 1 && step <= 3 &&
-			a.accept(round, step, acc.T.Sender, val) {
+		if round >= a.round && step >= 1 && step <= 3 && a.accept(round, step, acc.T.Sender, acc.Value) {
 			a.progress(r)
 		}
 	}
 }
 
 // accept counts sender's accepted value for (round, step), once per sender,
-// and reports whether it counted. sender is a member, so seen has its bit:
-// the engine accepts nothing else.
-func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) bool {
+// and reports whether it counted. sender is a member, so seen has its bit,
+// and val.V is 0 or 1: the engine accepts nothing else.
+func (a *Agreement) accept(round, step int, sender sim.ProcID, val rbc.Value) bool {
 	rt := a.openTally(round)
 	w, bit := (step-1)*a.seenWords+int(sender)>>6, uint64(1)<<(uint(sender)&63)
 	if rt.seen[w]&bit != 0 {
@@ -158,26 +148,7 @@ func (a *Agreement) accept(round, step int, sender sim.ProcID, val Val) bool {
 }
 
 func (a *Agreement) broadcastStep() {
-	a.engine.Broadcast(a.round, a.step, valAny(a.x, a.mark && a.step == 3))
-}
-
-// valBoxes interns the four possible Val payloads as pre-boxed interface
-// values, so queuing a broadcast never re-boxes one. Interface equality
-// compares dynamic type and value, so interned boxes compare equal to
-// hand-built Val payloads (Byzantine strategies, tests) in the RBC engine's
-// per-value sender lists.
-var valBoxes = [2][2]any{
-	{Val{V: 0, D: false}, Val{V: 0, D: true}},
-	{Val{V: 1, D: false}, Val{V: 1, D: true}},
-}
-
-// valAny returns the interned boxed Val for (v, d).
-func valAny(v sim.Bit, d bool) any {
-	i := 0
-	if d {
-		i = 1
-	}
-	return valBoxes[v][i]
+	a.engine.Broadcast(a.round, a.step, rbc.Value{V: a.x, D: a.mark && a.step == 3})
 }
 
 // tally returns the live tally of round, or nil.

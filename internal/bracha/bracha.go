@@ -39,19 +39,12 @@ import (
 	"fmt"
 	"unsafe"
 
+	"asyncagree/internal/rbc"
 	"asyncagree/internal/sim"
 )
 
-// Val is the comparable payload reliable-broadcast by each step: the bit
-// plus the step-2 "decide candidate" mark used in step 3.
-type Val struct {
-	V sim.Bit
-	// D marks a step-3 value as a decide candidate.
-	D bool
-}
-
-// procLabel is the reliable-broadcast label of a Proc's agreement.
-const procLabel = "ba"
+// procID is the reliable-broadcast instance id of a Proc's agreement.
+const procID = 0
 
 // Proc is one processor running Bracha agreement over the full network. It
 // implements sim.Process.
@@ -74,13 +67,14 @@ var (
 	_ sim.RetainedBytes = (*Proc)(nil)
 )
 
-// New constructs a Bracha processor. It returns an error unless n > 3t.
+// New constructs a Bracha processor. It returns an error unless
+// 3t < n <= rbc.MaxMembers.
 func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
 	members := make([]sim.ProcID, n)
 	for i := range members {
 		members[i] = sim.ProcID(i)
 	}
-	ag, err := newAgreement(id, members, t, procLabel, input, true)
+	ag, err := newAgreement(id, members, t, procID, input, true)
 	if err != nil {
 		return nil, err
 	}
@@ -90,8 +84,8 @@ func New(id sim.ProcID, n, t int, input sim.Bit) (*Proc, error) {
 
 // NewFactory returns a sim.Config-compatible constructor.
 func NewFactory(n, t int) func(sim.ProcID, sim.Bit) sim.Process {
-	if t < 0 || n <= 3*t {
-		panic(fmt.Sprintf("bracha: invalid parameters n=%d t=%d (need t >= 0 and n > 3t)", n, t))
+	if t < 0 || n <= 3*t || n > rbc.MaxMembers {
+		panic(fmt.Sprintf("bracha: invalid parameters n=%d t=%d (need t >= 0 and 3t < n <= %d)", n, t, rbc.MaxMembers))
 	}
 	return func(id sim.ProcID, input sim.Bit) sim.Process {
 		p, err := New(id, n, t, input)

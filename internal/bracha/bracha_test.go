@@ -39,9 +39,8 @@ func split(n int) []sim.Bit {
 
 func TestTagCoordinates(t *testing.T) {
 	// Broadcast tags carry their (round, step) in the structured Tag fields
-	// with the instance prefix as the label; the agreement accepts exactly
-	// the tags of its own prefix with a valid step.
-	ag, err := NewAgreement(0, []sim.ProcID{0, 1, 2, 3}, 1, "ba", 0)
+	// beside the agreement's instance id.
+	ag, err := NewAgreement(0, []sim.ProcID{0, 1, 2, 3}, 1, 9, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,16 +54,9 @@ func TestTagCoordinates(t *testing.T) {
 		if !ok {
 			t.Fatalf("payload %T, want *rbc.Msg", m.Payload)
 		}
-		if msg.T.Label != "ba" || msg.T.Round != 1 || msg.T.Step != 1 {
+		if msg.T != (rbc.Tag{Sender: 0, ID: 9, Round: 1, Step: 1}) {
 			t.Fatalf("round-1 step-1 broadcast tagged %+v", msg.T)
 		}
-		if !ag.Handles(m) {
-			t.Fatalf("agreement does not handle its own broadcast %+v", msg.T)
-		}
-	}
-	alien := sim.Message{Payload: &rbc.Msg{T: rbc.Tag{Sender: 0, Label: "other", Round: 1, Step: 1}}}
-	if ag.Handles(alien) {
-		t.Fatal("agreement claimed a foreign prefix")
 	}
 }
 

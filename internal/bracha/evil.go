@@ -80,9 +80,9 @@ func (e *Equivocator) Send() []sim.Message {
 	var out []sim.Message
 	for r := 1; r <= e.rounds; r++ {
 		for s := 1; s <= 3; s++ {
-			tag := rbc.Tag{Sender: e.id, Label: procLabel, Round: r, Step: s}
-			lower := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: valAny(0, false)}
-			upper := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: valAny(1, false)}
+			tag := rbc.Tag{Sender: e.id, ID: procID, Round: r, Step: s}
+			lower := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: rbc.Value{V: 0}}
+			upper := &rbc.Msg{T: tag, Kind: rbc.KindInit, Value: rbc.Value{V: 1}}
 			for q := 0; q < e.n; q++ {
 				m := sim.Message{From: e.id, To: sim.ProcID(q), Payload: lower}
 				if q >= e.n/2 {
@@ -140,9 +140,7 @@ func (f *FalseVoter) Send() []sim.Message {
 		}
 		last = rm
 		if rm.Kind == rbc.KindInit && rm.T.Sender == f.inner.ID() {
-			if v, ok := rm.Value.(Val); ok {
-				rm.Value = valAny(1-v.V, v.D)
-			}
+			rm.Value.V = 1 - rm.Value.V
 		}
 	}
 	return msgs

@@ -17,9 +17,9 @@ import (
 // fed the same messages, resets and coins as an Agreement it must stay in
 // lockstep with it.
 type refAgreement struct {
-	n, t   int
-	prefix string
-	input  sim.Bit
+	n, t  int
+	id    int
+	input sim.Bit
 
 	out     sim.Bit
 	decided bool
@@ -29,25 +29,25 @@ type refAgreement struct {
 	mark    bool
 
 	engine *rbc.Engine
-	acc    map[int]map[int]map[sim.ProcID]Val
+	acc    map[int]map[int]map[sim.ProcID]rbc.Value
 
 	stragglers int // accepted values dropped because their round was over
 }
 
-func newRefAgreement(t *testing.T, self sim.ProcID, members []sim.ProcID, tt int, prefix string, input sim.Bit) *refAgreement {
+func newRefAgreement(t *testing.T, self sim.ProcID, members []sim.ProcID, tt, id int, input sim.Bit) *refAgreement {
 	t.Helper()
-	engine, err := rbc.NewScopedEngine(self, members, tt, prefix)
+	engine, err := rbc.NewScopedEngine(self, members, tt, id)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := &refAgreement{n: len(members), t: tt, prefix: prefix, input: input, engine: engine}
+	ref := &refAgreement{n: len(members), t: tt, id: id, input: input, engine: engine}
 	ref.rewind(input)
 	return ref
 }
 
 func (a *refAgreement) rewind(x sim.Bit) {
 	a.round, a.step, a.x, a.mark, a.decided = 1, 1, x, false, false
-	a.acc = make(map[int]map[int]map[sim.ProcID]Val)
+	a.acc = make(map[int]map[int]map[sim.ProcID]rbc.Value)
 	a.engine.Reset()
 	a.broadcastStep()
 }
@@ -58,30 +58,29 @@ func (a *refAgreement) recycle(input sim.Bit) {
 }
 
 func (a *refAgreement) broadcastStep() {
-	a.engine.Broadcast(a.round, a.step, valAny(a.x, a.mark && a.step == 3))
+	a.engine.Broadcast(a.round, a.step, rbc.Value{V: a.x, D: a.mark && a.step == 3})
 }
 
 func (a *refAgreement) handle(m sim.Message, r sim.RandSource) {
-	if acc, ok := a.engine.Handle(m); ok {
+	if acc := a.engine.Handle(m); acc != nil {
 		round, step := acc.T.Round, acc.T.Step
-		val, isVal := acc.Value.(Val)
 		switch {
-		case acc.T.Label != a.prefix || round < 1 || step < 1 || step > 3 || !isVal:
+		case acc.T.ID != a.id || round < 1 || step < 1 || step > 3 || acc.Value.V > 1:
 		case round < a.round:
 			a.stragglers++
 		default:
-			a.accept(round, step, acc.T.Sender, val)
+			a.accept(round, step, acc.T.Sender, acc.Value)
 		}
 	}
 	a.progress(r)
 }
 
-func (a *refAgreement) accept(round, step int, sender sim.ProcID, val Val) {
+func (a *refAgreement) accept(round, step int, sender sim.ProcID, val rbc.Value) {
 	if a.acc[round] == nil {
-		a.acc[round] = make(map[int]map[sim.ProcID]Val)
+		a.acc[round] = make(map[int]map[sim.ProcID]rbc.Value)
 	}
 	if a.acc[round][step] == nil {
-		a.acc[round][step] = make(map[sim.ProcID]Val)
+		a.acc[round][step] = make(map[sim.ProcID]rbc.Value)
 	}
 	if _, dup := a.acc[round][step][sender]; !dup {
 		a.acc[round][step][sender] = val
@@ -303,20 +302,20 @@ func TestTallyCountersMatchRecount(t *testing.T) {
 			}
 			for i := range pairs {
 				input := sim.Bit(i % 2)
-				ag, err := NewAgreement(sim.ProcID(i), members, tt, "ba", input)
+				ag, err := NewAgreement(sim.ProcID(i), members, tt, procID, input)
 				if err != nil {
 					t.Fatal(err)
 				}
 				ag.Start()
 				pairs[i] = &tallyPair{
-					ag: ag, ref: newRefAgreement(t, sim.ProcID(i), members, tt, "ba", input),
+					ag: ag, ref: newRefAgreement(t, sim.ProcID(i), members, tt, procID, input),
 					agCoins: rng.New(seed*100 + uint64(i)), refCoins: rng.New(seed*100 + uint64(i)),
 				}
 				send(pairs[i].check(t, "start"))
 			}
 			byzantine := func(from sim.ProcID, round, step int) {
-				tag := rbc.Tag{Sender: from, Label: "ba", Round: round, Step: step}
-				v, equivocate := Val{V: sim.Bit(net.Bit()), D: net.Bit() == 1}, net.Intn(8) == 0
+				tag := rbc.Tag{Sender: from, ID: procID, Round: round, Step: step}
+				v, equivocate := rbc.Value{V: sim.Bit(net.Bit()), D: net.Bit() == 1}, net.Intn(8) == 0
 				for q := 0; q < n; q++ {
 					val := v
 					if equivocate && q%2 == 1 {
@@ -363,7 +362,7 @@ func TestTallyCountersMatchRecount(t *testing.T) {
 							break
 						}
 						repeats++
-						v := Val{V: sim.Bit(net.Bit()), D: net.Bit() == 1}
+						v := rbc.Value{V: sim.Bit(net.Bit()), D: net.Bit() == 1}
 						p.ag.accept(round, step, sender, v)
 						p.ref.accept(round, step, sender, v)
 						p.ag.progress(p.agCoins)

@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"unsafe"
 
 	"asyncagree/internal/bracha"
@@ -164,6 +163,26 @@ type groupRun struct {
 	members      []sim.ProcID
 	bits         []*bracha.Agreement
 	published    bool
+}
+
+// finalID is the reliable-broadcast instance id of the final committee's
+// agreement; seedID gives each seed-bit agreement its own.
+const finalID = 0
+
+// seedID returns the instance id of bit's agreement in group at level, in
+// an n-processor system: 1 + bit + 64*(group + n*level). A group index is
+// below n and a bit below 64 (SeedBits <= 62), so no two agreements share
+// an id, and none is finalID.
+func seedID(n, level, group, bit int) int { return 1 + bit + 64*(group+n*level) }
+
+// agreement returns run's seed-bit agreement of instance id, or nil when id
+// is not one of run's.
+func (run *groupRun) agreement(n, id int) *bracha.Agreement {
+	b := id - seedID(n, run.level, run.group, 0)
+	if b < 0 || b >= len(run.bits) {
+		return nil
+	}
+	return run.bits[b]
 }
 
 // Proc is one processor running the committee algorithm. It implements
@@ -298,16 +317,18 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	case decideMsg:
 		p.onDecide(m.From, payload)
 	default:
-		// Agreement traffic: route to whichever instance claims it.
+		// Agreement traffic: the tag's instance id names the one agreement
+		// it is for.
+		msg, ok := m.Payload.(*rbc.Msg)
 		if p.run != nil {
-			for _, ag := range p.run.bits {
-				if ag.Handles(m) {
+			if ok {
+				if ag := p.run.agreement(p.params.N, msg.T.ID); ag != nil {
 					ag.Handle(m, r)
 				}
 			}
 			p.checkSeedAgreed(r)
 		}
-		if p.final != nil && p.final.Handles(m) {
+		if ok && msg.T.ID == finalID && p.final != nil {
 			p.final.Handle(m, r)
 			p.checkFinalDecided()
 		}
@@ -339,8 +360,8 @@ func (p *Proc) startLevel(r sim.RandSource) {
 		}
 		run := &groupRun{level: p.level, group: gIdx, members: slices.Clone(members)}
 		for b := 0; b < p.params.SeedBits; b++ {
-			prefix := "L" + strconv.Itoa(p.level) + "G" + strconv.Itoa(gIdx) + "b" + strconv.Itoa(b)
-			ag, err := bracha.NewAgreement(p.id, members, p.params.GroupT, prefix, sim.Bit(r.Bit()))
+			id := seedID(p.params.N, p.level, gIdx, b)
+			ag, err := bracha.NewAgreement(p.id, members, p.params.GroupT, id, sim.Bit(r.Bit()))
 			if err != nil {
 				// Group below feasibility: cannot participate; the level
 				// stalls for this group (counted as an algorithm failure by
@@ -485,7 +506,7 @@ func (p *Proc) startFinal() {
 		p.final = p.finalAg
 		return
 	}
-	ag, err := bracha.NewAgreement(p.id, p.finalSet, p.params.GroupT, "final", p.input)
+	ag, err := bracha.NewAgreement(p.id, p.finalSet, p.params.GroupT, finalID, p.input)
 	if err != nil {
 		return // infeasible final committee: stall (failure mode, measured)
 	}
@@ -564,28 +585,26 @@ func (p *Proc) Recycle(input sim.Bit) {
 }
 
 // ReclaimPayload implements sim.PayloadReclaimer: a dead reliable-broadcast
-// box goes back to the pool of the agreement that sent it, if this
-// processor still keeps it, so its agreements box a broadcast only while
-// their pools are cold. Other payloads are plain values and are ignored.
+// box goes back to the pool of the agreement that sent it, found by the
+// tag's instance id, if this processor still keeps it, so its agreements
+// box a broadcast only while their pools are cold. Other payloads are plain
+// values and are ignored.
 func (p *Proc) ReclaimPayload(payload any) {
-	if _, ok := payload.(*rbc.Msg); !ok {
+	msg, ok := payload.(*rbc.Msg)
+	if !ok {
 		return
 	}
-	m := sim.Message{Payload: payload}
-	if p.finalAg != nil && p.finalAg.Handles(m) {
-		p.finalAg.ReclaimPayload(payload)
-		return
+	var ag *bracha.Agreement
+	switch id := msg.T.ID; {
+	case id == finalID:
+		ag = p.finalAg
+	case id > finalID:
+		if level := (id - 1) / (64 * p.params.N); level < len(p.runs) && p.runs[level] != nil {
+			ag = p.runs[level].agreement(p.params.N, id)
+		}
 	}
-	for _, run := range p.runs {
-		if run == nil {
-			continue
-		}
-		for _, ag := range run.bits {
-			if ag.Handles(m) {
-				ag.ReclaimPayload(payload)
-				return
-			}
-		}
+	if ag != nil {
+		ag.ReclaimPayload(payload)
 	}
 }
 

@@ -2,7 +2,7 @@
 // (PODC 1984), tolerating t < n/3 Byzantine processors.
 //
 // For each broadcast instance (identified by a Tag: the designated sender
-// plus a label), the protocol is:
+// plus an instance id), the protocol is:
 //
 //	sender:   send INIT(v) to all.
 //	on INIT(v) from the tag's sender (first one only): send ECHO(v) to all.
@@ -20,19 +20,22 @@
 // consumes incoming messages and reports newly accepted broadcasts; Flush
 // drains the outgoing queue into the host's sending step.
 //
-// An Engine serves the one label it is built with. Traffic is counted
-// without hashing. Members are a bitset over the host's ID space, and a
-// member's position (its rank among the members) indexes everything else.
-// The instances live in one block per (round, step), a slot per member
-// position for the tag's sender, found by a short scan of the live blocks
-// behind a last-hit cache; each instance keeps its echo and ready senders
-// per value in a small list compared with ==. A message with another label,
-// a tag sender outside the members, or a payload that is not a *Msg is
-// ignored: no honest member sends one.
+// The values broadcast are Bracha's: a bit and a decide-candidate mark
+// (Value). An Engine serves the one integer instance id it is built with,
+// and counts traffic without hashing. Members are a bitset over the host's
+// ID space, and a member's position (its rank among the members; on a
+// full-system engine, the ID itself) indexes everything else. The instances
+// live in one block per (round, step), a slot per member position for the
+// tag's sender, found by a short scan of the live blocks behind a last-hit
+// cache; each instance counts its echo and ready senders per value in fixed
+// arrays indexed by the value. A message with another instance id, a tag
+// sender outside the members, a bit other than 0 or 1, or a payload that is
+// not a *Msg is ignored: no honest member sends one.
 package rbc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 	"unsafe"
@@ -41,11 +44,29 @@ import (
 )
 
 // Tag identifies a broadcast instance: the designated sender, the engine's
-// label, and the (round, step) within the protocol instance the label names.
+// instance id, and the (round, step) within the protocol instance the id
+// names.
 type Tag struct {
 	Sender      sim.ProcID
-	Label       string
+	ID          int
 	Round, Step int
+}
+
+// Value is what a broadcast carries: Bracha's bit plus the step-2 "decide
+// candidate" mark used in step 3. Engines ignore a value whose bit is not 0
+// or 1.
+type Value struct {
+	V sim.Bit
+	// D marks a step-3 value as a decide candidate.
+	D bool
+}
+
+// slot indexes v among the four values, 2*D+V; v.V must be 0 or 1.
+func (v Value) slot() int {
+	if v.D {
+		return 2 + int(v.V)
+	}
+	return int(v.V)
 }
 
 // Kind enumerates the three message types.
@@ -75,32 +96,36 @@ func (k Kind) String() string {
 }
 
 // Msg is the wire payload of the reliable broadcast protocol, always sent
-// and received boxed as a *Msg. Value must be a comparable type (per-value
-// thresholds compare values with ==).
+// and received boxed as a *Msg.
 type Msg struct {
 	T     Tag
 	Kind  Kind
-	Value any
+	Value Value
 }
 
 // Accepted reports one completed broadcast.
 type Accepted struct {
 	T     Tag
-	Value any
+	Value Value
 }
 
-// Engine runs the reliable-broadcast instances of one label for one host
-// processor, among a member subset of the system's processors (see
+// MaxMembers bounds an engine's member count: an instance counts senders in
+// uint16s.
+const MaxMembers = math.MaxUint16
+
+// Engine runs the reliable-broadcast instances of one instance id for one
+// host processor, among a member subset of the system's processors (see
 // NewScopedEngine): thresholds are relative to the member count and
 // broadcasts go only to members. Scoped engines are how committees run the
 // slow protocol internally in the Kapron-style algorithm; a full-system
 // engine (NewEngine) has every processor as a member and sends each
 // broadcast as one message To sim.All.
 type Engine struct {
-	self  sim.ProcID
-	n, t  int
-	label string
-	// all marks a full-system engine: its broadcasts go To sim.All.
+	self sim.ProcID
+	n, t int
+	id   int
+	// all marks a full-system engine: its broadcasts go To sim.All, and a
+	// member's position is its ID.
 	all bool
 
 	// members lists the participating processors in the order broadcasts
@@ -118,6 +143,8 @@ type Engine struct {
 	live   int
 
 	outbox []sim.Message
+	// acc is the broadcast the last Handle completed.
+	acc Accepted
 
 	// words sizes one sender bitset: one bit per member position.
 	words int
@@ -125,7 +152,7 @@ type Engine struct {
 	// Recycling pools (see sim.PayloadReclaimer and DESIGN.md §2a): msgPool
 	// holds the heap-boxed *Msg payloads of dead broadcasts, blockPool the
 	// blocks released by ForgetBefore/Reset, each keeping its instances'
-	// per-value sender sets. In step mode msgPool stays empty (nothing is
+	// sender bitsets. In step mode msgPool stays empty (nothing is
 	// reclaimed) and every broadcast boxes fresh, which is always safe.
 	msgPool   []*Msg
 	blockPool []*block
@@ -139,35 +166,30 @@ type block struct {
 	insts       []instance
 }
 
-// instance is one broadcast's state. vals lists, per distinct value seen,
-// who echoed and who readied it; released entries keep their bitsets
-// (cleared) in vals[len:cap] for reuse.
+// instance is one broadcast's state. count[0][k] and count[1][k] count the
+// distinct members that echoed and readied the value of slot k; bits holds
+// them by member position, the echoes of slot k at bits[2k*words:] and the
+// readys after them. bits is allocated at the instance's first ECHO or
+// READY and kept, cleared, when the instance is released.
 type instance struct {
 	live      bool // the slot is in use
 	sentEcho  bool
 	sentReady bool
 	accepted  bool
-	vals      []valueSets
+	count     [2][4]uint16
+	bits      []uint64
 }
 
-// valueSets counts the distinct members that echoed (bits[:words]) and
-// readied (bits[words:]) one value, by member position.
-type valueSets struct {
-	value          any
-	bits           []uint64
-	echoes, readys int
-}
-
-// NewEngine returns a full-system Engine for the broadcasts labelled label:
+// NewEngine returns a full-system Engine for the broadcasts of instance id:
 // every processor 0..n-1 of an n-processor system is a member, and each
 // broadcast is one message To sim.All. It returns an error unless n > 3t
 // and 0 <= self < n.
-func NewEngine(self sim.ProcID, n, t int, label string) (*Engine, error) {
+func NewEngine(self sim.ProcID, n, t, id int) (*Engine, error) {
 	members := make([]sim.ProcID, max(n, 0))
 	for i := range members {
 		members[i] = sim.ProcID(i)
 	}
-	e, err := NewScopedEngine(self, members, t, label)
+	e, err := NewScopedEngine(self, members, t, id)
 	if err != nil {
 		return nil, err
 	}
@@ -175,14 +197,18 @@ func NewEngine(self sim.ProcID, n, t int, label string) (*Engine, error) {
 	return e, nil
 }
 
-// NewScopedEngine returns an Engine for the broadcasts labelled label whose
+// NewScopedEngine returns an Engine for the broadcasts of instance id whose
 // broadcast group is the given member list (which must contain self),
 // tolerating t Byzantine members. It returns an error unless
-// len(members) > 3t and the members are distinct, non-negative IDs.
-func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int, label string) (*Engine, error) {
+// 3t < len(members) <= MaxMembers and the members are distinct,
+// non-negative IDs.
+func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t, id int) (*Engine, error) {
 	n := len(members)
 	if t < 0 || n <= 3*t {
 		return nil, fmt.Errorf("rbc: need |members| > 3t, got %d members, t=%d", n, t)
+	}
+	if n > MaxMembers {
+		return nil, fmt.Errorf("rbc: %d members, at most %d", n, MaxMembers)
 	}
 	ids := slices.Clone(members)
 	slices.Sort(ids)
@@ -193,7 +219,7 @@ func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int, label string)
 		self:    self,
 		n:       n,
 		t:       t,
-		label:   label,
+		id:      id,
 		words:   (n + 63) / 64,
 		members: slices.Clone(members),
 		member:  make([]uint64, int(ids[n-1])/64+1),
@@ -219,6 +245,12 @@ func NewScopedEngine(self sim.ProcID, members []sim.ProcID, t int, label string)
 
 // pos returns q's member position, or -1 if q is not a member.
 func (e *Engine) pos(q sim.ProcID) int {
+	if e.all {
+		if uint(q) < uint(e.n) {
+			return int(q)
+		}
+		return -1
+	}
 	w := int(q) >> 6
 	if q < 0 || w >= len(e.member) {
 		return -1
@@ -241,13 +273,13 @@ func (e *Engine) ReadyAmplify() int { return e.t + 1 }
 func (e *Engine) AcceptThreshold() int { return 2*e.t + 1 }
 
 // inst returns the instance of tag t, opening its block slot if it is not
-// live, or nil when t is not the engine's to run: another label, or a tag
-// sender outside the members. An honest member echoes only an INIT from
+// live, or nil when t is not the engine's to run: another instance id, or a
+// tag sender outside the members. An honest member echoes only an INIT from
 // the tag's own sender, and only members are heard, so no honest member
 // ever sends for such a tag.
 func (e *Engine) inst(t Tag) *instance {
 	p := e.pos(t.Sender)
-	if t.Label != e.label || p < 0 {
+	if t.ID != e.id || p < 0 {
 		return nil
 	}
 	b := e.block(t.Round, t.Step)
@@ -306,60 +338,32 @@ func (e *Engine) closeBlock(i int) {
 	e.blockPool = append(e.blockPool, b)
 }
 
-// clear rewinds an instance to unused, keeping its value entries' bitsets.
+// clear rewinds an instance to unused, keeping its bitsets.
 func (in *instance) clear() {
-	for k := range in.vals {
-		vs := &in.vals[k]
-		clear(vs.bits)
-		vs.value, vs.echoes, vs.readys = nil, 0, 0
-	}
-	in.vals = in.vals[:0]
-	in.live, in.sentEcho, in.sentReady, in.accepted = false, false, false, false
+	clear(in.bits)
+	*in = instance{bits: in.bits}
 }
 
-// sets returns in's sender sets for value v, opening them (reusing a
-// released entry's bitsets, if any) when v is new.
-func (e *Engine) sets(in *instance, v any) *valueSets {
-	for k := range in.vals {
-		if in.vals[k].value == v {
-			return &in.vals[k]
-		}
+// mark records member position p among the echoes (set 0) or readys (set 1)
+// of value slot k and reports whether it is new, counting it.
+func (in *instance) mark(set, k, p, words int) bool {
+	if in.bits == nil {
+		in.bits = make([]uint64, 8*words)
 	}
-	k := len(in.vals)
-	if k < cap(in.vals) {
-		in.vals = in.vals[:k+1]
-	} else {
-		in.vals = append(in.vals, valueSets{})
-	}
-	vs := &in.vals[k]
-	if vs.bits == nil { // append may leave zero entries past the new one
-		vs.bits = make([]uint64, 2*e.words)
-	}
-	vs.value = v
-	return vs
-}
-
-// mark sets bit p of set (0: echoes, 1: readys) and reports whether it was
-// clear, counting the new sender.
-func (vs *valueSets) mark(set, p, words int) bool {
-	w, bit := set*words+p>>6, uint64(1)<<(uint(p)&63)
-	if vs.bits[w]&bit != 0 {
+	w, bit := (2*k+set)*words+p>>6, uint64(1)<<(uint(p)&63)
+	if in.bits[w]&bit != 0 {
 		return false
 	}
-	vs.bits[w] |= bit
-	if set == 0 {
-		vs.echoes++
-	} else {
-		vs.readys++
-	}
+	in.bits[w] |= bit
+	in.count[set][k]++
 	return true
 }
 
 // Broadcast starts a reliable broadcast of value with this processor as the
-// sender, at (round, step) of the engine's label.
-func (e *Engine) Broadcast(round, step int, value any) {
+// sender, at (round, step) of the engine's instance.
+func (e *Engine) Broadcast(round, step int, value Value) {
 	e.sendAll(Msg{
-		T:     Tag{Sender: e.self, Label: e.label, Round: round, Step: step},
+		T:     Tag{Sender: e.self, ID: e.id, Round: round, Step: step},
 		Kind:  KindInit,
 		Value: value,
 	})
@@ -435,57 +439,62 @@ func (e *Engine) Flush() []sim.Message {
 func (e *Engine) PendingOut() bool { return len(e.outbox) > 0 }
 
 // Handle processes one incoming message and reports the broadcast it
-// completed, if any. Payloads other than *Msg, traffic from outside the
-// members, and tags that are not the engine's to run (see inst) are
-// ignored. The contents are copied out immediately, so a box may be
-// reclaimed and overwritten after the window that delivered it.
-func (e *Engine) Handle(m sim.Message) (Accepted, bool) {
+// completed, if any: the engine's own record of it, valid until the next
+// Handle, or nil: a pointer, because copying a returned struct out on every
+// message stalls the caller on this hot path. Payloads other than *Msg,
+// values whose bit is not 0 or 1, traffic from outside the members, and
+// tags that are not the engine's to run (see inst) are ignored. The
+// contents are copied out immediately, so a box may be reclaimed and
+// overwritten after the window that delivered it.
+func (e *Engine) Handle(m sim.Message) *Accepted {
 	pm, ok := m.Payload.(*Msg)
-	if !ok {
-		return Accepted{}, false
+	if !ok || pm.Value.V > 1 {
+		return nil
 	}
 	msg := *pm
 	from := e.pos(m.From)
 	if from < 0 {
-		return Accepted{}, false // traffic from outside the scope does not count
+		return nil // traffic from outside the scope does not count
 	}
 	in := e.inst(msg.T)
 	if in == nil {
-		return Accepted{}, false
+		return nil
 	}
 	switch msg.Kind {
 	case KindInit:
 		// Only the tag's designated sender may INIT, and only the first
 		// INIT counts (a Byzantine sender gains nothing by re-initiating).
 		if m.From != msg.T.Sender || in.sentEcho {
-			return Accepted{}, false
+			return nil
 		}
 		in.sentEcho = true
 		e.sendAll(Msg{T: msg.T, Kind: KindEcho, Value: msg.Value})
 	case KindEcho:
-		vs := e.sets(in, msg.Value)
-		if !vs.mark(0, from, e.words) {
-			return Accepted{}, false
+		k := msg.Value.slot()
+		if !in.mark(0, k, from, e.words) {
+			return nil
 		}
-		if vs.echoes >= e.EchoThreshold() && !in.sentReady {
+		if int(in.count[0][k]) >= e.EchoThreshold() && !in.sentReady {
 			in.sentReady = true
 			e.sendAll(Msg{T: msg.T, Kind: KindReady, Value: msg.Value})
 		}
 	case KindReady:
-		vs := e.sets(in, msg.Value)
-		if !vs.mark(1, from, e.words) {
-			return Accepted{}, false
+		k := msg.Value.slot()
+		if !in.mark(1, k, from, e.words) {
+			return nil
 		}
-		if vs.readys >= e.ReadyAmplify() && !in.sentReady {
+		readys := int(in.count[1][k])
+		if readys >= e.ReadyAmplify() && !in.sentReady {
 			in.sentReady = true
 			e.sendAll(Msg{T: msg.T, Kind: KindReady, Value: msg.Value})
 		}
-		if vs.readys >= e.AcceptThreshold() && !in.accepted {
+		if readys >= e.AcceptThreshold() && !in.accepted {
 			in.accepted = true
-			return Accepted{T: msg.T, Value: msg.Value}, true
+			e.acc = Accepted{T: msg.T, Value: msg.Value}
+			return &e.acc
 		}
 	}
-	return Accepted{}, false
+	return nil
 }
 
 // Reset erases all instance state (for hosts subjected to resetting
@@ -500,8 +509,8 @@ func (e *Engine) Reset() {
 }
 
 // RetainedBytes estimates the bytes the engine keeps across Reset: its
-// blocks, live and pooled, with their instances' per-value sender sets, the
-// outbox and the pooled payload boxes.
+// blocks, live and pooled, with their instances' sender bitsets, the outbox
+// and the pooled payload boxes.
 func (e *Engine) RetainedBytes() int64 {
 	b := int64(unsafe.Sizeof(sim.Message{}))*int64(cap(e.outbox)) +
 		int64(8+unsafe.Sizeof(Msg{}))*int64(cap(e.msgPool)) + 8*int64(cap(e.blocks)+cap(e.blockPool))
@@ -509,11 +518,7 @@ func (e *Engine) RetainedBytes() int64 {
 		for _, bl := range set {
 			b += int64(unsafe.Sizeof(*bl)) + int64(unsafe.Sizeof(instance{}))*int64(cap(bl.insts))
 			for i := range bl.insts {
-				vals := bl.insts[i].vals[:cap(bl.insts[i].vals)]
-				b += int64(unsafe.Sizeof(valueSets{})) * int64(len(vals))
-				for k := range vals {
-					b += 8 * int64(cap(vals[k].bits))
-				}
+				b += 8 * int64(cap(bl.insts[i].bits))
 			}
 		}
 	}

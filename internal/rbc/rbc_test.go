@@ -7,8 +7,8 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// label is the one label every harness engine serves.
-const label = "ba"
+// instID is the one instance id every harness engine serves.
+const instID = 5
 
 // all returns the processor IDs 0..n-1.
 func all(n int) []sim.ProcID {
@@ -38,7 +38,7 @@ func newHarness(t *testing.T, n, tt int) *harness {
 		accepted: make(map[sim.ProcID][]Accepted),
 	}
 	for i := 0; i < n; i++ {
-		e, err := NewEngine(sim.ProcID(i), n, tt, label)
+		e, err := NewEngine(sim.ProcID(i), n, tt, instID)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,13 +73,13 @@ func (h *harness) pump() {
 
 // handle delivers m to its receiver and records what it accepted.
 func (h *harness) handle(m sim.Message) {
-	if a, ok := h.engines[m.To].Handle(m); ok {
-		h.accepted[m.To] = append(h.accepted[m.To], a)
+	if a := h.engines[m.To].Handle(m); a != nil {
+		h.accepted[m.To] = append(h.accepted[m.To], *a)
 	}
 }
 
 // TestNewEngineValidation: an engine over the full system 0..n-1 needs
-// n > 3t and t >= 0, and its self must be one of the processors.
+// 3t < n < 65536 and t >= 0, and its self must be one of the processors.
 func TestNewEngineValidation(t *testing.T) {
 	cases := []struct {
 		n, t    int
@@ -92,9 +92,10 @@ func TestNewEngineValidation(t *testing.T) {
 		{1, 0, false},
 		{4, -1, true},
 		{0, 0, true},
+		{1 << 16, 0, true}, // past what an instance's counts hold
 	}
 	for _, c := range cases {
-		e, err := NewEngine(0, c.n, c.t, label)
+		e, err := NewEngine(0, c.n, c.t, instID)
 		if (err != nil) != c.wantErr {
 			t.Errorf("NewEngine(0, %d, t=%d) err = %v, wantErr %v", c.n, c.t, err, c.wantErr)
 		}
@@ -102,7 +103,7 @@ func TestNewEngineValidation(t *testing.T) {
 			t.Errorf("n=%d t=%d: echo threshold %d", c.n, c.t, e.EchoThreshold())
 		}
 	}
-	if _, err := NewEngine(4, 4, 1, label); err == nil {
+	if _, err := NewEngine(4, 4, 1, instID); err == nil {
 		t.Error("NewEngine(4, n=4) accepted a self outside 0..3")
 	}
 }
@@ -128,7 +129,7 @@ func TestNewScopedEngineValidation(t *testing.T) {
 		{"n <= 3t", 1, ids(1, 3, 70), 1, true},
 	}
 	for _, c := range cases {
-		e, err := NewScopedEngine(c.self, c.members, c.t, label)
+		e, err := NewScopedEngine(c.self, c.members, c.t, instID)
 		if (err != nil) != c.wantErr {
 			t.Errorf("%s: NewScopedEngine(%d, %v, %d) err = %v, wantErr %v", c.name, c.self, c.members, c.t, err, c.wantErr)
 		}
@@ -140,14 +141,14 @@ func TestNewScopedEngineValidation(t *testing.T) {
 
 func TestHonestBroadcastAcceptedByAll(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	h.engines[0].Broadcast(1, 1, "hello")
+	h.engines[0].Broadcast(1, 1, Value{V: 1, D: true})
 	h.pump()
 	for i := 0; i < 4; i++ {
 		acc := h.accepted[sim.ProcID(i)]
 		if len(acc) != 1 {
 			t.Fatalf("processor %d accepted %d broadcasts, want 1", i, len(acc))
 		}
-		if acc[0].Value != "hello" || acc[0].T != (Tag{Sender: 0, Label: label, Round: 1, Step: 1}) {
+		if acc[0].Value != (Value{V: 1, D: true}) || acc[0].T != (Tag{Sender: 0, ID: instID, Round: 1, Step: 1}) {
 			t.Fatalf("processor %d accepted %+v", i, acc[0])
 		}
 	}
@@ -160,7 +161,7 @@ func TestAcceptDespiteSilentFaults(t *testing.T) {
 	for q := 0; q < 4; q++ {
 		h.drop[[2]sim.ProcID{3, sim.ProcID(q)}] = true // 3 sends nothing
 	}
-	h.engines[0].Broadcast(1, 1, 42)
+	h.engines[0].Broadcast(1, 1, Value{V: 1})
 	h.pump()
 	for i := 0; i < 3; i++ {
 		if len(h.accepted[sim.ProcID(i)]) != 1 {
@@ -170,20 +171,20 @@ func TestAcceptDespiteSilentFaults(t *testing.T) {
 }
 
 func TestConsistencyUnderEquivocation(t *testing.T) {
-	// A Byzantine sender INITs value "a" to half and "b" to the other half.
+	// A Byzantine sender INITs 0 to half and 1 to the other half.
 	// No two honest processors may accept different values.
 	for n, tt := 7, 2; n <= 13; n, tt = n+3, tt+1 {
 		h := newHarness(t, n, tt)
-		tag := Tag{Sender: 0, Label: label}
+		tag := Tag{Sender: 0, ID: instID}
 		for q := 1; q < n; q++ {
-			v := "a"
+			v := Value{V: 0}
 			if q > n/2 {
-				v = "b"
+				v = Value{V: 1}
 			}
 			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: v}})
 		}
 		h.pump()
-		values := map[any]bool{}
+		values := map[Value]bool{}
 		for i := 1; i < n; i++ {
 			for _, a := range h.accepted[sim.ProcID(i)] {
 				values[a.Value] = true
@@ -199,11 +200,11 @@ func TestNoAcceptWithoutInit(t *testing.T) {
 	// t Byzantine processors alone cannot forge an acceptance: 2t+1 READYs
 	// are needed but only t processors will lie.
 	h := newHarness(t, 7, 2)
-	tag := Tag{Sender: 0, Label: label}
-	// Byzantine 5 and 6 send READY("evil") to everyone; no INIT ever.
+	tag := Tag{Sender: 0, ID: instID}
+	// Byzantine 5 and 6 send READY(1, marked) to everyone; no INIT ever.
 	for _, byz := range []sim.ProcID{5, 6} {
 		for q := 0; q < 7; q++ {
-			h.handle(sim.Message{From: byz, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindReady, Value: "evil"}})
+			h.handle(sim.Message{From: byz, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindReady, Value: Value{V: 1, D: true}}})
 		}
 	}
 	h.pump()
@@ -216,12 +217,12 @@ func TestNoAcceptWithoutInit(t *testing.T) {
 
 func TestDuplicateMessagesIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: label}
+	tag := Tag{Sender: 1, ID: instID}
 	e := h.engines[0]
 	// Deliver the same ECHO from the same sender many times: the count must
 	// not reach the threshold (3) from one echoing processor.
 	for i := 0; i < 10; i++ {
-		e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindEcho, Value: "v"}})
+		e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindEcho, Value: Value{V: 1}}})
 	}
 	if e.PendingOut() {
 		t.Fatal("duplicate echoes triggered READY")
@@ -230,11 +231,11 @@ func TestDuplicateMessagesIgnored(t *testing.T) {
 
 func TestSecondInitIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: label}
+	tag := Tag{Sender: 1, ID: instID}
 	e := h.engines[0]
-	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "first"}})
+	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: Value{V: 0}}})
 	e.Flush()
-	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "second"}})
+	e.Handle(sim.Message{From: 1, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: Value{V: 1}}})
 	if e.PendingOut() {
 		t.Fatal("second INIT triggered a second ECHO")
 	}
@@ -242,9 +243,9 @@ func TestSecondInitIgnored(t *testing.T) {
 
 func TestInitFromWrongSenderIgnored(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tag := Tag{Sender: 1, Label: label}
+	tag := Tag{Sender: 1, ID: instID}
 	e := h.engines[0]
-	e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: "forged"}})
+	e.Handle(sim.Message{From: 2, To: 0, Payload: &Msg{T: tag, Kind: KindInit, Value: Value{V: 1}}})
 	if e.PendingOut() {
 		t.Fatal("INIT from non-designated sender triggered ECHO")
 	}
@@ -254,10 +255,10 @@ func TestReadyAmplification(t *testing.T) {
 	// t+1 READYs make an engine send READY even without enough echoes
 	// (totality mechanism).
 	h := newHarness(t, 7, 2)
-	tag := Tag{Sender: 1, Label: label}
+	tag := Tag{Sender: 1, ID: instID}
 	e := h.engines[0]
 	for _, from := range []sim.ProcID{2, 3, 4} { // t+1 = 3
-		e.Handle(sim.Message{From: from, To: 0, Payload: &Msg{T: tag, Kind: KindReady, Value: "v"}})
+		e.Handle(sim.Message{From: from, To: 0, Payload: &Msg{T: tag, Kind: KindReady, Value: Value{V: 0, D: true}}})
 	}
 	out := e.Flush()
 	if len(out) != 1 || out[0].To != sim.All {
@@ -265,7 +266,7 @@ func TestReadyAmplification(t *testing.T) {
 	}
 	for _, m := range out {
 		rm, ok := m.Payload.(*Msg) // engines send pooled payload boxes
-		if !ok || rm.Kind != KindReady || rm.Value != "v" {
+		if !ok || rm.Kind != KindReady || rm.Value != (Value{V: 0, D: true}) {
 			t.Fatalf("unexpected amplification output %+v", m.Payload)
 		}
 	}
@@ -277,8 +278,8 @@ func TestReadyAmplification(t *testing.T) {
 // too.
 func TestForget(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	h.engines[0].Broadcast(1, 3, 1)
-	h.engines[0].Broadcast(2, 1, 2)
+	h.engines[0].Broadcast(1, 3, Value{V: 1, D: true})
+	h.engines[0].Broadcast(2, 1, Value{V: 0})
 	h.pump()
 	e := h.engines[1]
 	before, retained := e.InstanceCount(), e.RetainedBytes()
@@ -300,7 +301,7 @@ func TestForget(t *testing.T) {
 }
 
 func TestThresholds(t *testing.T) {
-	e, err := NewScopedEngine(0, all(10), 3, label)
+	e, err := NewScopedEngine(0, all(10), 3, instID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,16 +334,16 @@ func TestConsistencyProperty(t *testing.T) {
 		}
 		// Byzantine-style split INIT from processor 0 at an arbitrary cut.
 		cut := int(splitAt) % n
-		tag := Tag{Sender: 0, Label: label}
+		tag := Tag{Sender: 0, ID: instID}
 		for q := 1; q < n; q++ {
-			v := "a"
+			v := Value{V: 0}
 			if q > cut {
-				v = "b"
+				v = Value{V: 1}
 			}
 			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: v}})
 		}
 		h.pump()
-		values := map[any]bool{}
+		values := map[Value]bool{}
 		for i := 1; i < 5; i++ { // honest processors
 			for _, a := range h.accepted[sim.ProcID(i)] {
 				values[a.Value] = true
@@ -363,13 +364,13 @@ func TestTotalityProperty(t *testing.T) {
 	check := func(initMask uint8) bool {
 		const n, tt = 7, 2
 		h := newHarness(t, n, tt)
-		tag := Tag{Sender: 0, Label: label}
+		tag := Tag{Sender: 0, ID: instID}
 		// Sender 0 INITs only to an arbitrary subset, then goes silent.
 		for q := 1; q < n; q++ {
 			if initMask&(1<<q) == 0 {
 				continue
 			}
-			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: "v"}})
+			h.handle(sim.Message{From: 0, To: sim.ProcID(q), Payload: &Msg{T: tag, Kind: KindInit, Value: Value{V: 1}}})
 		}
 		h.pump()
 		anyAccepted, allAccepted := false, true

@@ -12,8 +12,9 @@ import (
 // moved into per-(round, step) blocks: one map from Tag to instance, one map
 // from value to sender set per instance, and a membership map. It is kept as
 // the reference TestEngineMatchesMapReference holds Engine to, renamed, and
-// given Engine's one label and its rule for what it runs: a *Msg payload
-// whose tag carries the label and a member sender.
+// given Engine's one instance id and its rule for what it runs: a *Msg
+// payload whose value's bit is 0 or 1 and whose tag carries the id and a
+// member sender.
 
 // mapEngine runs all reliable-broadcast instances for one host processor.
 //
@@ -22,9 +23,9 @@ import (
 // broadcasts go only to members. Scoped engines are how committees run the
 // slow protocol internally in the Kapron-style algorithm.
 type mapEngine struct {
-	self  sim.ProcID
-	n, t  int
-	label string
+	self sim.ProcID
+	n, t int
+	id   int
 
 	// members lists the participating processors, ascending. isMember gates
 	// incoming traffic and tag senders.
@@ -81,14 +82,14 @@ type mapInstance struct {
 	sentReady bool
 	accepted  bool
 	// echoes/readys count distinct processors per value.
-	echoes map[any]*mapSenderSet
-	readys map[any]*mapSenderSet
+	echoes map[Value]*mapSenderSet
+	readys map[Value]*mapSenderSet
 }
 
-// newScopedMapEngine returns a mapEngine for label whose broadcast group is
-// the given member list (which must contain self), tolerating t Byzantine
-// members. It returns an error unless len(members) > 3t.
-func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t int, label string) (*mapEngine, error) {
+// newScopedMapEngine returns a mapEngine for instance id whose broadcast
+// group is the given member list (which must contain self), tolerating t
+// Byzantine members. It returns an error unless len(members) > 3t.
+func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t, id int) (*mapEngine, error) {
 	n := len(members)
 	if t < 0 || n <= 3*t {
 		return nil, fmt.Errorf("rbc: need |members| > 3t, got %d members, t=%d", n, t)
@@ -108,7 +109,7 @@ func newScopedMapEngine(self sim.ProcID, members []sim.ProcID, t int, label stri
 		self:      self,
 		n:         n,
 		t:         t,
-		label:     label,
+		id:        id,
 		setWords:  (int(maxID) + 64) / 64,
 		members:   append([]sim.ProcID(nil), members...),
 		isMember:  isMember,
@@ -134,8 +135,8 @@ func (e *mapEngine) inst(t Tag) *mapInstance {
 			e.instPool = e.instPool[:n-1]
 		} else {
 			in = &mapInstance{
-				echoes: make(map[any]*mapSenderSet),
-				readys: make(map[any]*mapSenderSet),
+				echoes: make(map[Value]*mapSenderSet),
+				readys: make(map[Value]*mapSenderSet),
 			}
 		}
 		e.instances[t] = in
@@ -170,10 +171,10 @@ func (e *mapEngine) takeSet() *mapSenderSet {
 }
 
 // Broadcast starts a reliable broadcast tagged with structured protocol
-// coordinates (see Tag) of the engine's label.
-func (e *mapEngine) Broadcast(round, step int, value any) {
+// coordinates (see Tag) of the engine's instance id.
+func (e *mapEngine) Broadcast(round, step int, value Value) {
 	e.sendAll(Msg{
-		T:     Tag{Sender: e.self, Label: e.label, Round: round, Step: step},
+		T:     Tag{Sender: e.self, ID: e.id, Round: round, Step: step},
 		Kind:  KindInit,
 		Value: value,
 	})
@@ -246,20 +247,20 @@ func (e *mapEngine) PendingOut() bool { return len(e.outbox) > 0 }
 // Handle processes one incoming message and returns newly accepted
 // broadcasts (zero or one — the slice form simplifies hosts; the slice is
 // backed by a buffer reused on the next Handle call, so consume it before
-// handling another message). Payloads other than *Msg, and tags of another
-// label or a non-member sender, are ignored; the contents are copied out
-// immediately, so a box may be reclaimed and overwritten after the window
-// that delivered it.
+// handling another message). Payloads other than *Msg, values whose bit is
+// not 0 or 1, and tags of another instance id or a non-member sender, are
+// ignored; the contents are copied out immediately, so a box may be
+// reclaimed and overwritten after the window that delivered it.
 func (e *mapEngine) Handle(m sim.Message) []Accepted {
 	pm, ok := m.Payload.(*Msg)
-	if !ok {
+	if !ok || pm.Value.V > 1 {
 		return nil
 	}
 	msg := *pm
 	if !e.isMember[m.From] {
 		return nil // traffic from outside the scope does not count
 	}
-	if msg.T.Label != e.label || !e.isMember[msg.T.Sender] {
+	if msg.T.ID != e.id || !e.isMember[msg.T.Sender] {
 		return nil
 	}
 	in := e.inst(msg.T)
@@ -325,7 +326,7 @@ func (e *mapEngine) Reset() {
 // accounting in long executions).
 func (e *mapEngine) InstanceCount() int { return len(e.instances) }
 
-// Forget discards instances whose label matches drop, bounding memory in
+// Forget discards instances whose tag matches drop, bounding memory in
 // long executions (hosts call it when a round's broadcasts can no longer
 // matter).
 func (e *mapEngine) Forget(drop func(Tag) bool) {
@@ -337,16 +338,6 @@ func (e *mapEngine) Forget(drop func(Tag) bool) {
 	}
 }
 
-// refVal is a comparable value payload shaped like Bracha's (a bit and a
-// mark). refVals holds interned boxes; the stream also sends hand-built
-// boxes of equal values, which must count as the same value.
-type refVal struct {
-	V uint8
-	D bool
-}
-
-var refVals = []any{refVal{0, false}, refVal{1, false}, refVal{0, true}, refVal{1, true}, "s", 7}
-
 // refStream drives one Engine and one mapEngine for the same host through
 // the same seeded operations.
 type refStream struct {
@@ -355,14 +346,14 @@ type refStream struct {
 	e       *Engine
 	ref     *mapEngine
 	members []sim.ProcID
-	outside []sim.ProcID // IDs of non-members (empty for a full system)
+	outside []sim.ProcID // IDs of non-members
 	hot     []Tag        // the tags most traffic is about, so thresholds cross
 	boxes   [2][]any     // flushed payloads not yet handed back, per engine
 }
 
 func (st *refStream) member() sim.ProcID { return st.members[st.r.Intn(len(st.members))] }
 
-// sender is a member, or now and then (subset groups only) a non-member.
+// sender is a member, or now and then a non-member.
 func (st *refStream) sender() sim.ProcID {
 	if len(st.outside) > 0 && st.r.Intn(10) == 0 {
 		return st.outside[st.r.Intn(len(st.outside))]
@@ -370,14 +361,15 @@ func (st *refStream) sender() sim.ProcID {
 	return st.member()
 }
 
-// tag draws a hot tag most of the time, otherwise any label (the engines'
-// own, a foreign one shaped like a per-round label, another), any sender (a
+// tag draws a hot tag most of the time, otherwise any instance id (the
+// engines' own, a neighbour, a far one, a negative one), any sender (a
 // non-member now and then) and a small (round, step).
 func (st *refStream) tag() Tag {
 	if st.r.Intn(5) > 0 {
 		return st.hot[st.r.Intn(len(st.hot))]
 	}
-	tag := Tag{Label: []string{label, label, "r3s1", "x"}[st.r.Intn(4)], Round: st.r.Intn(5), Step: 1 + st.r.Intn(3)}
+	ids := [...]int{instID, instID, instID + 1, instID + 64, -instID}
+	tag := Tag{ID: ids[st.r.Intn(len(ids))], Round: st.r.Intn(5), Step: 1 + st.r.Intn(3)}
 	switch st.r.Intn(10) {
 	case 0:
 		tag.Sender = sim.ProcID(-1 - st.r.Intn(3))
@@ -389,16 +381,17 @@ func (st *refStream) tag() Tag {
 	return tag
 }
 
-// value is mostly one of two interned values, sometimes an equal value boxed
-// by hand, sometimes anything else.
-func (st *refStream) value() any {
+// value is mostly one of two values, so thresholds cross, sometimes any of
+// the four, and sometimes any Value at all: a bit other than 0 or 1 both
+// engines must ignore.
+func (st *refStream) value() Value {
 	switch st.r.Intn(8) {
 	case 0:
-		return refVal{V: uint8(st.r.Intn(2)), D: st.r.Bit() == 1} // a fresh box
+		return Value{V: sim.Bit(st.r.Intn(256)), D: st.r.Bit() == 1}
 	case 1:
-		return refVals[st.r.Intn(len(refVals))]
+		return Value{V: sim.Bit(st.r.Intn(2)), D: st.r.Bit() == 1}
 	default:
-		return refVals[st.r.Intn(2)]
+		return Value{V: sim.Bit(st.r.Intn(2))}
 	}
 }
 
@@ -426,18 +419,29 @@ func (st *refStream) handle(op int) {
 		box := msg
 		m.Payload = &box
 	}
-	got, ok := st.e.Handle(m)
-	want := st.ref.Handle(m)
-	if ok != (len(want) == 1) || ok && got != want[0] {
-		st.t.Fatalf("op %d: Handle(%+v) accepted %+v (%v), the map engine %+v", op, msg, got, ok, want)
+	got, want := st.e.Handle(m), st.ref.Handle(m)
+	if (got != nil) != (len(want) == 1) || got != nil && *got != want[0] {
+		st.t.Fatalf("op %d: Handle(%+v) accepted %+v, the map engine %+v", op, msg, got, want)
 	}
 	st.compareOut(op)
 }
 
-// compareOut flushes both outboxes and compares them message by message,
-// keeping the payloads for a later hand-back.
+// compareOut flushes both outboxes and compares them copy by copy, keeping
+// the payloads for a later hand-back. A full-system engine's broadcast To
+// sim.All stands for one copy per member, in ascending order.
 func (st *refStream) compareOut(op int) {
-	out, refOut := st.e.Flush(), st.ref.Flush()
+	var out []sim.Message
+	for _, m := range st.e.Flush() {
+		if m.To != sim.All || !st.e.all {
+			out = append(out, m)
+			continue
+		}
+		for _, q := range st.members {
+			m.To = q
+			out = append(out, m)
+		}
+	}
+	refOut := st.ref.Flush()
 	if len(out) != len(refOut) {
 		st.t.Fatalf("op %d: flushed %d messages, the map engine %d", op, len(out), len(refOut))
 	}
@@ -479,14 +483,15 @@ func (st *refStream) forget() {
 }
 
 // TestEngineMatchesMapReference runs the block engine beside the map engine
-// it replaced on seeded streams for full and subset groups (members spread
-// over several words, listed out of order): honest-shaped INIT/ECHO/READY
-// traffic on a few hot tags; foreign labels, senders and tag senders outside
-// the members, and plain Msg values, all of which both must ignore;
-// hand-built value boxes, repeated INITs and stragglers for forgotten
-// rounds, unknown kinds, broadcasts before and after the first Handle, and
-// ForgetBefore, Reset and payload hand-backs mid-stream. After every Handle
-// the accepts, the flushed messages and the live instance count must match.
+// it replaced on seeded streams for full-system engines (NewEngine), scoped
+// engines over 0..n-1, and subset groups (members spread over several words,
+// listed out of order): honest-shaped INIT/ECHO/READY traffic on a few hot
+// tags; foreign instance ids, senders and tag senders outside the members,
+// bits other than 0 and 1, and plain Msg values, all of which both must
+// ignore; repeated INITs and stragglers for forgotten rounds, unknown kinds,
+// broadcasts before and after the first Handle, and ForgetBefore, Reset and
+// payload hand-backs mid-stream. After every Handle the accepts, the flushed
+// copies and the live instance count must match.
 func TestEngineMatchesMapReference(t *testing.T) {
 	for seed := uint64(1); seed <= 300; seed++ {
 		r := rng.New(seed)
@@ -498,9 +503,14 @@ func TestEngineMatchesMapReference(t *testing.T) {
 			for q := 0; q < n; q++ {
 				st.members = append(st.members, sim.ProcID(q))
 			}
+			st.outside = []sim.ProcID{sim.ProcID(n), sim.ProcID(n + 64), -2}
 			self := st.member()
-			st.e, err = NewScopedEngine(self, st.members, tt, label)
-			st.ref, refErr = newScopedMapEngine(self, st.members, tt, label)
+			if seed%4 == 0 {
+				st.e, err = NewEngine(self, n, tt, instID)
+			} else {
+				st.e, err = NewScopedEngine(self, st.members, tt, instID)
+			}
+			st.ref, refErr = newScopedMapEngine(self, st.members, tt, instID)
 		} else {
 			space := 8 + r.Intn(150)
 			ids := r.Perm(space)
@@ -513,14 +523,14 @@ func TestEngineMatchesMapReference(t *testing.T) {
 			}
 			self := st.member()
 			tt := r.Intn((n-1)/3 + 1)
-			st.e, err = NewScopedEngine(self, st.members, tt, label)
-			st.ref, refErr = newScopedMapEngine(self, st.members, tt, label)
+			st.e, err = NewScopedEngine(self, st.members, tt, instID)
+			st.ref, refErr = newScopedMapEngine(self, st.members, tt, instID)
 		}
 		if err != nil || refErr != nil {
 			t.Fatalf("seed %d: %v / %v", seed, err, refErr)
 		}
 		for range 6 {
-			st.hot = append(st.hot, Tag{Sender: st.member(), Label: label, Round: r.Intn(3), Step: 1 + r.Intn(3)})
+			st.hot = append(st.hot, Tag{Sender: st.member(), ID: instID, Round: r.Intn(3), Step: 1 + r.Intn(3)})
 		}
 		if r.Bit() == 1 { // the host speaks first, as an Agreement does
 			v := st.value()

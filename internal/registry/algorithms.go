@@ -9,6 +9,7 @@ import (
 	"asyncagree/internal/committee"
 	"asyncagree/internal/core"
 	"asyncagree/internal/paxos"
+	"asyncagree/internal/rbc"
 	"asyncagree/internal/sim"
 )
 
@@ -119,8 +120,8 @@ func init() {
 		Runs:          map[Class]Promise{Lossy: Decides, Starving: Decides},
 		SafetyCertain: true,
 		Validate: func(p Params) error {
-			if p.T < 0 || p.N <= 3*p.T {
-				return fmt.Errorf("registry: bracha needs n > 3t, got n=%d t=%d", p.N, p.T)
+			if p.T < 0 || p.N <= 3*p.T || p.N > rbc.MaxMembers {
+				return fmt.Errorf("registry: bracha needs 3t < n <= %d, got n=%d t=%d", rbc.MaxMembers, p.N, p.T)
 			}
 			return nil
 		},

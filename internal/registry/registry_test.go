@@ -7,6 +7,7 @@ import (
 
 	"asyncagree/internal/adversary"
 	"asyncagree/internal/core"
+	"asyncagree/internal/rbc"
 	"asyncagree/internal/sched"
 	"asyncagree/internal/sim"
 )
@@ -124,6 +125,7 @@ func TestValidationMatchesConstraints(t *testing.T) {
 		{"core", Params{N: 12, T: 2}},                             // t >= n/6
 		{"benor", Params{N: 4, T: 2}},                             // t >= n/2
 		{"bracha", Params{N: 6, T: 2}},                            // n <= 3t
+		{"bracha", Params{N: rbc.MaxMembers + 1, T: 1}},           // more members than an RBC instance counts
 		{"committee", Params{N: 12, T: 1}},                        // too few survivors for the final committee
 		{"paxos", Params{N: 5, T: 1, Proposers: []sim.ProcID{9}}}, // proposer out of range
 	}

@@ -213,7 +213,7 @@ func FuzzWindowPaths(f *testing.F) {
 		shape := int(shapeRaw) % shapeCount
 		form := int(formRaw) % formCount
 
-		run := func(workers int, columnar bool, form int, oracle bool) (events []string, res sim.RunResult, snap []string, err error) {
+		run := func(workers int, columnar bool, form int, oracle bool) (events []feedEvent, res sim.RunResult, snap []string, err error) {
 			s, err := sim.New(sim.Config{
 				N: n, T: ft, Seed: seed, Inputs: splitInputs(n), NewProcess: factory,
 			})
@@ -236,8 +236,7 @@ func FuzzWindowPaths(f *testing.F) {
 				// An observer forces the message path, so only that one has a
 				// feed to compare.
 				s.OnEvent = func(ev sim.Event) {
-					events = append(events, fmt.Sprintf("%d w%d p%d %d>%d#%d d%d v%d",
-						ev.Kind, ev.Window, ev.Proc, ev.Msg.From, ev.Msg.To, ev.Msg.ID, ev.Msg.Depth, ev.Value))
+					events = append(events, feedEvent{ev.Kind, ev.Window, ev.Proc, ev.Msg.From, ev.Msg.To, ev.Msg.ID, ev.Msg.Depth, ev.Value})
 					observe(ev)
 				}
 			}
@@ -257,9 +256,25 @@ func FuzzWindowPaths(f *testing.F) {
 			t.Fatalf("configurations diverged:\ngot  %q\nwant %q", snap, wantSnap)
 		}
 		if !columnar && !slices.Equal(events, wantEvents) {
-			t.Fatalf("event feeds diverged (%d events, want %d)", len(events), len(wantEvents))
+			i := 0
+			for i < min(len(events), len(wantEvents)) && events[i] == wantEvents[i] {
+				i++
+			}
+			t.Fatalf("event feeds diverge at event %d (%d events, want %d):\ngot  %+v\nwant %+v", i,
+				len(events), len(wantEvents), events[i:min(i+1, len(events))], wantEvents[i:min(i+1, len(wantEvents))])
 		}
 	})
+}
+
+// feedEvent is the part of a sim.Event FuzzWindowPaths compares: everything
+// but the payload.
+type feedEvent struct {
+	Kind           sim.EventKind
+	Window         int
+	Proc, From, To sim.ProcID
+	ID             int64
+	Depth          int
+	Value          sim.Bit
 }
 
 func splitInputs(n int) []sim.Bit {
