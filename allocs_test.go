@@ -164,7 +164,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // and a committee processor's outbox keeps the array its agreements'
 // flushes grew; a per-window copy of the batch, a cell per copy of a
 // broadcast, a map per instance, or an outbox regrown every window goes
-// through the ceiling. Measured 0.64 MB (Bracha) and 8.68 MB (committee,
+// through the ceiling. Measured 0.63 MB (Bracha) and 8.59 MB (committee,
 // whose group agreements still send a copy per member); 6.95 MB and 8.95 MB
 // while a broadcast was stored as n messages, 18.71 MB and 30.71 MB when
 // every message was stored three times and instances were mapped by tag,
@@ -198,11 +198,13 @@ func TestColdTrialBytes(t *testing.T) {
 
 // TestWarmTrialBytes pins what a recycled trial of the same two scenarios
 // allocates once its engine is warm: nothing for Bracha, whose RBC outboxes
-// and ring keep their arrays, and 0.12 MB measured for committee, whose
-// processors keep their per-level agreements and rewind them (its vote maps
-// and survivor lists are still built per trial). Committee was at 3.95 MB
-// while every trial built its agreements afresh, and at 14.79 MB while
-// each processor's Send regrew its outbox every window.
+// and ring keep their arrays, and 0.04 MB measured for committee, whose
+// processors keep their per-level agreements and confirmation tallies and
+// rewind them. What committee still allocates is its survivor lists: each
+// level's elected survivors and groups, and the final committee's list.
+// Committee was at 0.12 MB while it counted confirmations in nested maps,
+// at 3.95 MB while every trial built its agreements afresh, and at
+// 14.79 MB while each processor's Send regrew its outbox every window.
 func TestWarmTrialBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime's shadow allocations are not the trial's")
@@ -212,7 +214,7 @@ func TestWarmTrialBytes(t *testing.T) {
 		ceiling float64 // bytes
 	}{
 		{"bracha", 0.01e6},
-		{"committee", 0.15e6},
+		{"committee", 0.06e6},
 	} {
 		t.Run(c.alg, func(t *testing.T) {
 			p := registry.Params{N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}
@@ -375,7 +377,7 @@ func TestRecycledSplitVoteTrialAllocs(t *testing.T) {
 // the pooled path — at zero steady-state allocations per recycled trial:
 // payload boxes cycle through the per-processor free lists (reclaimed at
 // window end, with final-window outbox residue swept back on Recycle), and
-// the quorum maps clear in place. The pre-pool implementation spent 92
+// the quorum bitset clears in place. The pre-pool implementation spent 92
 // allocations / 7.6 KB per decision.
 func TestRecycledPaxosTrialAllocFree(t *testing.T) {
 	p := registry.Params{N: 5, T: 2, Inputs: SplitInputs(5), Seed: 7}

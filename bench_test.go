@@ -2,7 +2,7 @@ package asyncagree
 
 // Benchmark harness: one benchmark per experiment in DESIGN.md §5 (the
 // paper has no numbered tables/figures; each theorem or in-text claim has an
-// experiment ID E1..E15), plus substrate micro-benchmarks. Regenerate the
+// experiment ID E1..E16), plus substrate micro-benchmarks. Regenerate the
 // EXPERIMENTS.md tables with `go run ./cmd/experiments -scale full`.
 //
 // Nothing here is a committed number. Timing claims are made by the repo
@@ -54,6 +54,7 @@ func BenchmarkE12NoConflict(b *testing.B)      { benchExperiment(b, "E12") }
 func BenchmarkE13Z1Separation(b *testing.B)    { benchExperiment(b, "E13") }
 func BenchmarkE14SchedCurves(b *testing.B)     { benchExperiment(b, "E14") }
 func BenchmarkE15ScalingCurves(b *testing.B)   { benchExperiment(b, "E15") }
+func BenchmarkE16Search(b *testing.B)          { benchExperiment(b, "E16") }
 
 // --- Substrate micro-benchmarks -----------------------------------------
 

@@ -85,8 +85,6 @@ type Proc struct {
 	// senders count towards the wait but towards neither value).
 	votes sim.Ledger
 
-	resetCounter int
-
 	// queue holds the broadcasts. (round, phase) keys strictly ascend within
 	// a window — the sim.VotePublisher contract.
 	queue sim.BroadcastQueue[Msg]
@@ -251,13 +249,7 @@ func (p *Proc) evalProposal(count [2]int, r sim.RandSource) {
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
 	p.out, p.decided = 0, false
-	p.round = 1
-	p.phase = PhaseReport
-	p.x = input
-	p.votes.Clear()
-	p.resetCounter = 0
-	p.queue.Discard()
-	p.queueBroadcast(Msg{R: 1, P: PhaseReport, V: input, Valued: true})
+	p.Reset()
 }
 
 // Reset implements sim.Process. Ben-Or is NOT designed for resetting
@@ -265,7 +257,6 @@ func (p *Proc) Recycle(input sim.Bit) {
 // The repository uses this only to demonstrate that reset-tolerance is a
 // genuine extra property of the core algorithm, not a freebie.
 func (p *Proc) Reset() {
-	p.resetCounter++
 	p.round = 1
 	p.phase = PhaseReport
 	p.x = p.input

@@ -34,6 +34,7 @@ package committee
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 	"unsafe"
@@ -157,6 +158,57 @@ type (
 	}
 )
 
+// tally counts the confirmations of one topic, a group's election seed or
+// the final decision: the values heard, in first-heard order, each with the
+// sender bitset of the processors that confirmed it.
+type tally struct {
+	vals   []uint64
+	voters []uint64 // one sender bitset per value, in vals' order
+}
+
+// add records from's confirmation of v, in an n-processor system whose
+// sender bitsets are words long.
+func (t *tally) add(words int, v uint64, from sim.ProcID) {
+	i := slices.Index(t.vals, v)
+	if i < 0 {
+		i = len(t.vals)
+		t.vals = append(t.vals, v)
+		t.voters = append(t.voters, make([]uint64, words)...)
+	}
+	t.voters[i*words+int(from)/64] |= 1 << (from % 64)
+}
+
+// majority returns the first value, in first-heard order, that a strict
+// majority of the size processors in the members bitset confirmed. An
+// honest processor confirms a topic once, so at most one value can hold
+// such a majority, and which the tally finds first cannot change the result.
+func (t *tally) majority(members []uint64, size int) (uint64, bool) {
+	words := len(members)
+	for i, v := range t.vals {
+		confirms := 0
+		for w, m := range members {
+			confirms += bits.OnesCount64(m & t.voters[i*words+w])
+		}
+		if 2*confirms > size {
+			return v, true
+		}
+	}
+	return 0, false
+}
+
+// reset empties the tally, keeping its arrays.
+func (t *tally) reset() { t.vals, t.voters = t.vals[:0], t.voters[:0] }
+
+// appendBits appends the words-long sender bitset of ids to dst.
+func appendBits(dst []uint64, words int, ids []sim.ProcID) []uint64 {
+	at := len(dst)
+	dst = append(dst, make([]uint64, words)...)
+	for _, id := range ids {
+		dst[at+int(id)/64] |= 1 << (id % 64)
+	}
+	return dst
+}
+
 // groupRun is the per-level, per-group protocol state at a member.
 type groupRun struct {
 	level, group int
@@ -197,10 +249,13 @@ type Proc struct {
 
 	started bool
 	// level is the next level whose groups have not yet all reported;
-	// groups are its survivors' groups.
+	// groups are its survivors' groups, groupBits their member bitsets, words
+	// long each, in groups' order.
 	level     int
 	survivors []sim.ProcID
 	groups    [][]sim.ProcID
+	groupBits []uint64
+	words     int
 
 	run *groupRun // my active group run at the current level, if any
 	// runs[level] is the group run this processor last built at that level,
@@ -212,14 +267,15 @@ type Proc struct {
 	finalAg      *bracha.Agreement
 	finalMembers []sim.ProcID
 
-	// seedVotes[level][group][seed] = set of confirming members;
-	// acceptedSeed[level][group] = accepted seed (presence = accepted).
-	seedVotes    map[int]map[int]map[uint64]map[sim.ProcID]bool
-	acceptedSeed map[int]map[int]uint64
+	// seeds[level][group] tallies the seed confirmations of that group,
+	// buffered from the current level on; decide tallies the decision
+	// floods, counted against finalBits, the final committee's bitset.
+	seeds [][]tally
 
-	final       *bracha.Agreement
-	finalSet    []sim.ProcID
-	decideVotes map[sim.Bit]map[sim.ProcID]bool
+	final     *bracha.Agreement
+	finalSet  []sim.ProcID
+	finalBits []uint64
+	decide    tally
 
 	outbox []sim.Message
 }
@@ -236,23 +292,8 @@ func New(id sim.ProcID, params Params, input sim.Bit) (*Proc, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	survivors := make([]sim.ProcID, params.N)
-	for i := range survivors {
-		survivors[i] = sim.ProcID(i)
-	}
-	p := &Proc{
-		id:           id,
-		params:       params,
-		input:        input,
-		survivors:    survivors,
-		groups:       params.Groups(survivors),
-		seedVotes:    make(map[int]map[int]map[uint64]map[sim.ProcID]bool),
-		acceptedSeed: make(map[int]map[int]uint64),
-		decideVotes:  make(map[sim.Bit]map[sim.ProcID]bool),
-	}
-	// Bootstrap: everyone says hello so that the first receiving step (the
-	// only step that may sample randomness) can draw seed contributions.
-	p.outbox = append(p.outbox, sim.Message{From: id, To: sim.All, Payload: helloMsg{}})
+	p := &Proc{id: id, params: params, words: (params.N + 63) / 64}
+	p.Recycle(input)
 	return p, nil
 }
 
@@ -315,18 +356,21 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	case survMsg:
 		p.onSurv(m.From, payload, r)
 	case decideMsg:
-		p.onDecide(m.From, payload)
+		p.decide.add(p.words, uint64(payload.V), m.From)
+		p.evaluateDecide()
 	default:
 		// Agreement traffic: the tag's instance id names the one agreement
-		// it is for.
+		// it is for. A run's seed can only be complete right after one of
+		// its agreements decided.
 		msg, ok := m.Payload.(*rbc.Msg)
-		if p.run != nil {
-			if ok {
-				if ag := p.run.agreement(p.params.N, msg.T.ID); ag != nil {
-					ag.Handle(m, r)
+		if ok && p.run != nil {
+			if ag := p.run.agreement(p.params.N, msg.T.ID); ag != nil {
+				_, was := ag.Output()
+				ag.Handle(m, r)
+				if _, now := ag.Output(); now && !was {
+					p.checkSeedAgreed(r)
 				}
 			}
-			p.checkSeedAgreed(r)
 		}
 		if ok && msg.T.ID == finalID && p.final != nil {
 			p.final.Handle(m, r)
@@ -345,7 +389,7 @@ func (p *Proc) startLevel(r sim.RandSource) {
 		return
 	}
 	for gIdx, members := range p.groups {
-		if !contains(members, p.id) {
+		if !slices.Contains(members, p.id) {
 			continue
 		}
 		if p.level < len(p.runs) {
@@ -397,108 +441,81 @@ func (p *Proc) checkSeedAgreed(r sim.RandSource) {
 		seed |= uint64(v) << uint(b)
 	}
 	run.published = true
-	p.outbox = append(p.outbox, sim.Message{
-		From: p.id, To: sim.All,
-		Payload: survMsg{Level: run.level, Group: run.group, Seed: seed},
-	})
-	// My own confirmation counts immediately.
-	p.recordSeedVote(p.id, survMsg{Level: run.level, Group: run.group, Seed: seed}, r)
+	msg := survMsg{Level: run.level, Group: run.group, Seed: seed}
+	p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.All, Payload: msg})
+	p.onSurv(p.id, msg, r) // my own confirmation counts immediately
 }
 
-// onSurv records a seed confirmation and accepts the group's seed at strict
-// majority.
+// onSurv tallies a seed confirmation, buffering it when it is for a later
+// level than the receiver's (membership is checked when that level's
+// groups are known), and evaluates the current level. A group index is
+// below n, so a larger one can never be counted.
 func (p *Proc) onSurv(from sim.ProcID, msg survMsg, r sim.RandSource) {
-	p.recordSeedVote(from, msg, r)
+	if msg.Level < p.level || msg.Group < 0 || msg.Group >= p.params.N {
+		return // stale, or no group's
+	}
+	for len(p.seeds) <= msg.Level {
+		p.seeds = append(p.seeds, nil)
+	}
+	for len(p.seeds[msg.Level]) <= msg.Group {
+		p.seeds[msg.Level] = append(p.seeds[msg.Level], tally{})
+	}
+	p.seeds[msg.Level][msg.Group].add(p.words, msg.Seed, from)
+	if msg.Level == p.level {
+		p.evaluateSeeds(r)
+	}
 }
 
-// recordSeedVote buffers a seed confirmation unconditionally (the receiver
-// may still be at an earlier level) and re-evaluates acceptance for the
-// current level. Membership validation happens lazily at evaluation time,
-// when this processor knows the groups of that level.
-func (p *Proc) recordSeedVote(from sim.ProcID, msg survMsg, r sim.RandSource) {
-	if msg.Level < p.level || msg.Group < 0 {
-		return // stale
+// groupSeed returns the seed a strict majority of group g's members
+// confirmed at the current level.
+func (p *Proc) groupSeed(g int) (uint64, bool) {
+	if p.level >= len(p.seeds) || g >= len(p.seeds[p.level]) {
+		return 0, false
 	}
-	byGroup := p.seedVotes[msg.Level]
-	if byGroup == nil {
-		byGroup = make(map[int]map[uint64]map[sim.ProcID]bool)
-		p.seedVotes[msg.Level] = byGroup
-	}
-	bySeed := byGroup[msg.Group]
-	if bySeed == nil {
-		bySeed = make(map[uint64]map[sim.ProcID]bool)
-		byGroup[msg.Group] = bySeed
-	}
-	voters := bySeed[msg.Seed]
-	if voters == nil {
-		voters = make(map[sim.ProcID]bool)
-		bySeed[msg.Seed] = voters
-	}
-	voters[from] = true
-	p.evaluateSeeds(r)
+	return p.seeds[p.level][g].majority(p.groupBits[g*p.words:(g+1)*p.words], len(p.groups[g]))
 }
 
-// evaluateSeeds accepts any current-level group seed confirmed by a strict
-// majority of that group's members, then advances the level if complete.
+// evaluateSeeds moves to the next level once every group of the current
+// level has a seed confirmed by a strict majority of its members.
 func (p *Proc) evaluateSeeds(r sim.RandSource) {
-	groups := p.groups
-	accepted := p.acceptedSeed[p.level]
-	if accepted == nil {
-		accepted = make(map[int]uint64)
-		p.acceptedSeed[p.level] = accepted
-	}
-	for gIdx, group := range groups {
-		if _, done := accepted[gIdx]; done {
-			continue
-		}
-		for seed, voters := range p.seedVotes[p.level][gIdx] {
-			confirms := 0
-			for from := range voters {
-				if contains(group, from) {
-					confirms++
-				}
-			}
-			if 2*confirms > len(group) {
-				accepted[gIdx] = seed
-				break
-			}
-		}
-	}
-	p.maybeAdvanceLevel(r)
-}
-
-// maybeAdvanceLevel moves to the next level once every group of the current
-// level has an accepted seed.
-func (p *Proc) maybeAdvanceLevel(r sim.RandSource) {
 	if p.finalSet != nil {
 		return // already at the final phase
 	}
-	groups := p.groups
-	accepted := p.acceptedSeed[p.level]
-	if len(accepted) < len(groups) {
-		return
+	for g := range p.groups {
+		if _, ok := p.groupSeed(g); !ok {
+			return
+		}
 	}
 	var next []sim.ProcID
-	for gIdx, group := range groups {
-		next = append(next, electSurvivors(group, accepted[gIdx], p.params.SurvivorsPerGroup)...)
+	for g, group := range p.groups {
+		seed, _ := p.groupSeed(g)
+		next = append(next, electSurvivors(group, seed, p.params.SurvivorsPerGroup)...)
 	}
 	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
 	p.survivors = next
-	p.groups = p.params.Groups(next)
+	p.regroup()
 	p.level++
 	p.run = nil
 	p.startLevel(r)
-	if p.finalSet == nil {
-		// Buffered confirmations for the new level may already complete it.
-		p.evaluateSeeds(r)
+	// Buffered confirmations for the new level may already complete it.
+	p.evaluateSeeds(r)
+}
+
+// regroup partitions the survivors into groups and their member bitsets.
+func (p *Proc) regroup() {
+	p.groups = p.params.Groups(p.survivors)
+	p.groupBits = p.groupBits[:0]
+	for _, g := range p.groups {
+		p.groupBits = appendBits(p.groupBits, p.words, g)
 	}
 }
 
 // startFinal begins the final committee phase.
 func (p *Proc) startFinal() {
 	p.finalSet = append([]sim.ProcID(nil), p.survivors...)
+	p.finalBits = appendBits(p.finalBits[:0], p.words, p.finalSet)
 	p.evaluateDecide() // buffered DECIDE floods may already suffice
-	if !contains(p.finalSet, p.id) {
+	if !slices.Contains(p.finalSet, p.id) {
 		return // spectators wait for DECIDE floods
 	}
 	if p.finalAg != nil && slices.Equal(p.finalMembers, p.finalSet) {
@@ -527,44 +544,24 @@ func (p *Proc) checkFinalDecided() {
 	p.final = nil // flood once
 }
 
-// onDecide buffers a flooded decision vote (the receiver may not yet know
-// the final committee) and adopts the value once a strict majority of the
-// final committee confirms it.
-func (p *Proc) onDecide(from sim.ProcID, msg decideMsg) {
-	voters := p.decideVotes[msg.V]
-	if voters == nil {
-		voters = make(map[sim.ProcID]bool)
-		p.decideVotes[msg.V] = voters
-	}
-	voters[from] = true
-	p.evaluateDecide()
-}
-
 // evaluateDecide adopts a decision value confirmed by a strict majority of
-// the known final committee.
+// the known final committee. The decide tally buffers floods that arrive
+// before the receiver knows the committee.
 func (p *Proc) evaluateDecide() {
 	if p.finalSet == nil || p.decided {
 		return
 	}
-	for v, voters := range p.decideVotes {
-		confirms := 0
-		for from := range voters {
-			if contains(p.finalSet, from) {
-				confirms++
-			}
-		}
-		if 2*confirms > len(p.finalSet) {
-			p.out, p.decided = v, true
-			return
-		}
+	if v, ok := p.decide.majority(p.finalBits, len(p.finalSet)); ok {
+		p.out, p.decided = sim.Bit(v), true
 	}
 }
 
 // Recycle implements sim.Recycler: it rewinds the processor to the state
-// New would produce for the given input, reusing the top-level vote maps,
-// survivor list, and outbox capacity. The per-level Bracha agreements stay:
-// a level whose group matches one of an earlier trial rewinds its
-// agreements (startLevel, startFinal) instead of building them.
+// New (which builds a processor through it) would produce for the given
+// input, rewinding the tallies in place and reusing the survivor list and
+// outbox capacity. The per-level Bracha agreements stay: a level whose
+// group matches one of an earlier trial rewinds its agreements
+// (startLevel, startFinal) instead of building them.
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
 	p.out, p.decided = 0, false
@@ -574,13 +571,18 @@ func (p *Proc) Recycle(input sim.Bit) {
 	for i := 0; i < p.params.N; i++ {
 		p.survivors = append(p.survivors, sim.ProcID(i))
 	}
-	p.groups = p.params.Groups(p.survivors)
+	p.regroup()
 	p.run = nil
-	clear(p.seedVotes)
-	clear(p.acceptedSeed)
+	for _, level := range p.seeds {
+		for g := range level {
+			level[g].reset()
+		}
+	}
 	p.final = nil
 	p.finalSet = nil
-	clear(p.decideVotes)
+	p.decide.reset()
+	// Bootstrap: everyone says hello so that the first receiving step (the
+	// only step that may sample randomness) can draw seed contributions.
 	p.outbox = append(p.outbox[:0], sim.Message{From: p.id, To: sim.All, Payload: helloMsg{}})
 }
 
@@ -646,13 +648,4 @@ func (p *Proc) Snapshot() string {
 		out = string('0' + byte(p.out))
 	}
 	return fmt.Sprintf("lvl=%d surv=%d final=%v out=%s", p.level, len(p.survivors), p.finalSet != nil, out)
-}
-
-func contains(list []sim.ProcID, id sim.ProcID) bool {
-	for _, v := range list {
-		if v == id {
-			return true
-		}
-	}
-	return false
 }

@@ -86,7 +86,7 @@ func TestElectSurvivorsDeterministic(t *testing.T) {
 	}
 	seen := map[sim.ProcID]bool{}
 	for _, id := range a {
-		if !contains(group, id) || seen[id] {
+		if !slices.Contains(group, id) || seen[id] {
 			t.Fatalf("invalid election %v", a)
 		}
 		seen[id] = true

@@ -71,14 +71,6 @@ type Msg struct {
 	Promised  int     // Nack: the ballot promised instead
 }
 
-// promiseRec is the proposer-side record of one acceptor's Promise: the
-// fields copied out of the (pooled, transient) *Msg box at delivery time.
-type promiseRec struct {
-	acceptedB int
-	acceptedV sim.Bit
-	has       bool
-}
-
 // Params configures a Paxos system.
 type Params struct {
 	// N is the processor count; a majority (floor(n/2)+1) forms a quorum.
@@ -106,13 +98,18 @@ type Proc struct {
 	acceptedV sim.Bit
 	hasAcc    bool
 
-	// Proposer state.
+	// Proposer state. voted is the sender bitset of the acceptors that
+	// answered the current phase of this ballot (promised in phase 1,
+	// accepted in phase 2), votes their count. In phase 1, propV is the
+	// value of bestB, the highest accepted ballot a promise reported, or the
+	// input while none did; equal ballots carry equal values.
 	round    int
 	ballot   int
-	promises map[sim.ProcID]promiseRec
-	accepts  map[sim.ProcID]bool
+	voted    []uint64
+	votes    int
 	phase    int // 0 idle, 1 preparing, 2 accepting
 	propV    sim.Bit
+	bestB    int
 	maxSeenB int
 
 	outbox []sim.Message
@@ -138,6 +135,7 @@ func New(id sim.ProcID, p Params, input sim.Bit) (*Proc, error) {
 		}
 	}
 	if proc.proposer {
+		proc.voted = make([]uint64, (p.N+63)/64)
 		proc.startRound(1)
 	}
 	return proc, nil
@@ -182,19 +180,13 @@ func (p *Proc) Ballot() int {
 
 func (p *Proc) quorum() int { return p.n/2 + 1 }
 
-// startRound begins phase 1 with ballot round*n + id. The per-round quorum
-// maps are cleared in place rather than reallocated, so dueling-proposer
-// retries (and recycled trials) reuse their buckets.
+// startRound begins phase 1 with ballot round*n + id, clearing the quorum
+// in place.
 func (p *Proc) startRound(round int) {
 	p.round = round
 	p.ballot = round*p.n + int(p.id)
-	if p.promises == nil {
-		p.promises = make(map[sim.ProcID]promiseRec, p.n)
-		p.accepts = make(map[sim.ProcID]bool, p.n)
-	} else {
-		clear(p.promises)
-		clear(p.accepts)
-	}
+	p.clearVotes()
+	p.propV, p.bestB = p.input, -1
 	p.phase = 1
 	m := p.msg(MsgPrepare)
 	m.B = p.ballot
@@ -253,7 +245,7 @@ func (p *Proc) Send() []sim.Message {
 }
 
 // Deliver implements sim.Process. Fields needed past this call are copied
-// out of the pooled box (promiseRec); the box itself is never retained.
+// out of the pooled box; the box itself is never retained.
 func (p *Proc) Deliver(m sim.Message, _ sim.RandSource) {
 	msg, ok := m.Payload.(*Msg)
 	if !ok {
@@ -309,37 +301,44 @@ func (p *Proc) trackBallot(b int) {
 	}
 }
 
+// vote counts from's answer to the current phase, reporting whether it is
+// from's first.
+func (p *Proc) vote(from sim.ProcID) bool {
+	w, bit := from/64, uint64(1)<<(from%64)
+	if p.voted[w]&bit != 0 {
+		return false
+	}
+	p.voted[w] |= bit
+	p.votes++
+	return true
+}
+
+func (p *Proc) clearVotes() {
+	clear(p.voted)
+	p.votes = 0
+}
+
+// onPromise proposes, once a quorum has promised, the value of the highest
+// accepted ballot the promises reported, or the proposer's own input.
 func (p *Proc) onPromise(from sim.ProcID, msg *Msg) {
 	if !p.proposer || p.phase != 1 || msg.B != p.ballot {
 		return
 	}
-	p.promises[from] = promiseRec{acceptedB: msg.AcceptedB, acceptedV: msg.AcceptedV, has: msg.Has}
-	if len(p.promises) < p.quorum() {
+	if msg.Has && msg.AcceptedB > p.bestB {
+		p.bestB, p.propV = msg.AcceptedB, msg.AcceptedV
+	}
+	if !p.vote(from) || p.votes < p.quorum() {
 		return
 	}
-	// Choose the value of the highest accepted ballot among the quorum, or
-	// the proposer's own input.
-	v := p.input
-	bestB := -1
-	for _, pr := range p.promises {
-		if pr.has && pr.acceptedB > bestB {
-			bestB = pr.acceptedB
-			v = pr.acceptedV
-		}
-	}
-	p.propV = v
+	p.clearVotes()
 	p.phase = 2
 	m := p.msg(MsgAccept)
-	m.B, m.V = p.ballot, v
+	m.B, m.V = p.ballot, p.propV
 	p.broadcast(m)
 }
 
 func (p *Proc) onAccepted(from sim.ProcID, msg *Msg) {
-	if !p.proposer || p.phase != 2 || msg.B != p.ballot {
-		return
-	}
-	p.accepts[from] = true
-	if len(p.accepts) < p.quorum() {
+	if !p.proposer || p.phase != 2 || msg.B != p.ballot || !p.vote(from) || p.votes < p.quorum() {
 		return
 	}
 	// Chosen.
@@ -366,32 +365,16 @@ func (p *Proc) onNack(msg *Msg) {
 }
 
 // Recycle implements sim.Recycler: it rewinds the processor to the state
-// New would produce for the given input, keeping the quorum maps, the
-// payload-box pool, and outbox capacity. Boxes stranded in an unsent outbox
-// (responses enqueued in the trial's final window) are swept back to the
-// pool first, so steady-state recycled trials allocate nothing. The
-// proposer role persists — a processor is only ever recycled into a trial
-// with the same proposer set.
+// New would produce for the given input, keeping the quorum bitset, the
+// payload-box pool, and outbox capacity. Reset sweeps boxes stranded in an
+// unsent outbox (responses enqueued in the trial's final window) back to
+// the pool, so steady-state recycled trials allocate nothing. The proposer
+// role persists — a processor is only ever recycled into a trial with the
+// same proposer set.
 func (p *Proc) Recycle(input sim.Bit) {
-	p.reclaimOutbox()
 	p.input = input
 	p.out, p.decided = 0, false
-	p.promisedB = -1
-	p.acceptedB = -1
-	p.acceptedV = 0
-	p.hasAcc = false
-	p.round = 0
-	p.ballot = 0
-	if p.promises != nil {
-		clear(p.promises)
-		clear(p.accepts)
-	}
-	p.phase = 0
-	p.propV = 0
-	p.maxSeenB = -1
-	if p.proposer {
-		p.startRound(1)
-	}
+	p.Reset()
 }
 
 // Reset implements sim.Process. Paxos acceptor state must be durable for
@@ -400,7 +383,7 @@ func (p *Proc) Recycle(input sim.Bit) {
 // the processor restarts with empty state (safety may then be violated,
 // which experiments demonstrate as a contrast to the core algorithm). The
 // written output survives (the write-once register is durable), as do the
-// recycled containers (maps, box pool, outbox capacity).
+// recycled containers (quorum bitset, box pool, outbox capacity).
 func (p *Proc) Reset() {
 	p.reclaimOutbox()
 	p.promisedB = -1
@@ -409,12 +392,7 @@ func (p *Proc) Reset() {
 	p.hasAcc = false
 	p.round = 0
 	p.ballot = 0
-	if p.promises != nil {
-		clear(p.promises)
-		clear(p.accepts)
-	}
 	p.phase = 0
-	p.propV = 0
 	p.maxSeenB = -1
 	if p.proposer {
 		p.startRound(1)
