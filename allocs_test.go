@@ -11,7 +11,9 @@ import (
 // This file holds the allocation ceilings of the substrate benchmarks in
 // bench_test.go (with sim.TestBufferAddTakeAllocFree for BufferOps):
 // allocation counts are machine-independent, so unlike a timing they can be
-// asserted by `go test` on any runner.
+// asserted by `go test` on any runner. That a warm pooled trial allocates
+// nothing is held for every algorithm by the conformance battery's
+// registry.TestWarmTrialAllocFree.
 
 // TestApplyWindowAllocs is the allocation-regression guard for the window
 // hot loop: after warmup, one full acceptable window of the core algorithm
@@ -164,8 +166,9 @@ func bytesPerRun(runs int, f func()) float64 {
 // and a committee processor's outbox keeps the array its agreements'
 // flushes grew; a per-window copy of the batch, a cell per copy of a
 // broadcast, a map per instance, or an outbox regrown every window goes
-// through the ceiling. Measured 0.63 MB (Bracha) and 8.59 MB (committee,
-// whose group agreements still send a copy per member); 6.95 MB and 8.95 MB
+// through the ceiling. Measured 0.63 MB (Bracha) and 8.58 MB (committee,
+// whose group agreements still send a copy per member), against nothing
+// for a warm trial of either; 6.95 MB and 8.95 MB
 // while a broadcast was stored as n messages, 18.71 MB and 30.71 MB when
 // every message was stored three times and instances were mapped by tag,
 // 18.13 MB for committee while its outbox was regrown.
@@ -191,42 +194,6 @@ func TestColdTrialBytes(t *testing.T) {
 			t.Logf("%.2f MB per cold trial", bytes/1e6)
 			if bytes > c.ceiling {
 				t.Fatalf("a cold %s 27:3 trial allocates %.2f MB, ceiling %.2f MB", c.alg, bytes/1e6, c.ceiling/1e6)
-			}
-		})
-	}
-}
-
-// TestWarmTrialBytes pins what a recycled trial of the same two scenarios
-// allocates once its engine is warm: nothing for Bracha, whose RBC outboxes
-// and ring keep their arrays, and 0.04 MB measured for committee, whose
-// processors keep their per-level agreements and confirmation tallies and
-// rewind them. What committee still allocates is its survivor lists: each
-// level's elected survivors and groups, and the final committee's list.
-// Committee was at 0.12 MB while it counted confirmations in nested maps,
-// at 3.95 MB while every trial built its agreements afresh, and at
-// 14.79 MB while each processor's Send regrew its outbox every window.
-func TestWarmTrialBytes(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime's shadow allocations are not the trial's")
-	}
-	for _, c := range []struct {
-		alg     string
-		ceiling float64 // bytes
-	}{
-		{"bracha", 0.01e6},
-		{"committee", 0.06e6},
-	} {
-		t.Run(c.alg, func(t *testing.T) {
-			p := registry.Params{N: 27, T: 3, Inputs: SplitInputs(27), Seed: 1}
-			bytes := bytesPerRun(5, func() { // the first run warms the engine
-				res, err := registry.RunPooledTrial(c.alg, "full", "adversary", p, 20000)
-				if err != nil || !res.AllDecided {
-					t.Fatalf("trial: %+v, %v", res, err)
-				}
-			})
-			t.Logf("%.2f MB per warm trial", bytes/1e6)
-			if bytes > c.ceiling {
-				t.Fatalf("a warm %s 27:3 trial allocates %.2f MB, ceiling %.2f MB", c.alg, bytes/1e6, c.ceiling/1e6)
 			}
 		})
 	}
@@ -320,82 +287,6 @@ func TestBrachaWindowAllocs(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("Bracha window allocates %.1f per window at n=%d, want 0", allocs, n)
-	}
-}
-
-// TestRecycledTrialAllocFree is the allocation-regression guard for the
-// pooled trial engine: once the scenario pool is warm, a complete recycled
-// trial — acquire, System.Recycle, full windows-to-decision run, release —
-// of the core algorithm under full delivery must allocate NOTHING. This
-// pins the tentpole property that steady-state sweep execution reuses the
-// system, processes, payload boxes, and adversary state wholesale.
-func TestRecycledTrialAllocFree(t *testing.T) {
-	p := registry.Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 7}
-	run := func() {
-		res, err := registry.RunPooledTrial("core", "full", "adversary", p, 500)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.AllDecided {
-			t.Fatal("trial did not decide")
-		}
-	}
-	for i := 0; i < 16; i++ { // warm the scenario pool, payload boxes, arenas
-		run()
-	}
-	allocs := testing.AllocsPerRun(200, run)
-	if allocs > 0 {
-		t.Fatalf("recycled core+full trial allocates %.1f per trial, want 0", allocs)
-	}
-}
-
-// TestRecycledSplitVoteTrialAllocs pins the recycled steady state of the
-// sweep engine's heaviest standard cell, Ben-Or under the split-vote
-// stalling adversary: pooled tallies, payload boxes, and the adversary's
-// planning scratch hold per-trial allocations to (near) zero.
-func TestRecycledSplitVoteTrialAllocs(t *testing.T) {
-	p := registry.Params{N: 12, T: 1, Inputs: SplitInputs(12), Seed: 5}
-	run := func() {
-		res, err := registry.RunPooledTrial("benor", "splitvote", "adversary", p, 2000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.AllDecided {
-			t.Fatal("trial did not decide")
-		}
-	}
-	for i := 0; i < 16; i++ {
-		run()
-	}
-	allocs := testing.AllocsPerRun(100, run)
-	if allocs > 2 { // slack for amortized map growth in round bookkeeping
-		t.Fatalf("recycled benor+splitvote trial allocates %.1f per trial, budget 2", allocs)
-	}
-}
-
-// TestRecycledPaxosTrialAllocFree pins Paxos — the last algorithm moved onto
-// the pooled path — at zero steady-state allocations per recycled trial:
-// payload boxes cycle through the per-processor free lists (reclaimed at
-// window end, with final-window outbox residue swept back on Recycle), and
-// the quorum bitset clears in place. The pre-pool implementation spent 92
-// allocations / 7.6 KB per decision.
-func TestRecycledPaxosTrialAllocFree(t *testing.T) {
-	p := registry.Params{N: 5, T: 2, Inputs: SplitInputs(5), Seed: 7}
-	run := func() {
-		res, err := registry.RunPooledTrial("paxos", "full", "adversary", p, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.AllDecided {
-			t.Fatal("trial did not decide")
-		}
-	}
-	for i := 0; i < 16; i++ { // warm the scenario pool, box pools, arenas
-		run()
-	}
-	allocs := testing.AllocsPerRun(200, run)
-	if allocs > 0 {
-		t.Fatalf("recycled paxos+full trial allocates %.1f per trial, want 0", allocs)
 	}
 }
 

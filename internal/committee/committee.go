@@ -12,14 +12,14 @@
 //
 // Our reproduction keeps that structure exactly (scaled to simulator sizes):
 //
-//  1. The current survivor set is partitioned into groups of about GroupSize.
-//  2. Each group runs SeedBits parallel *scoped Bracha agreements*
-//     (internal/bracha.Agreement) on locally random bits to agree on an
-//     election seed; the seed deterministically selects SurvivorsPerGroup
-//     members to advance.
+//  1. The current survivor set is partitioned into groups of about nine.
+//  2. Each group runs eight parallel *scoped Bracha agreements*
+//     (internal/bracha.Agreement), each tolerating two faulty members, on
+//     locally random bits to agree on an election seed; the seed
+//     deterministically selects three members to advance.
 //  3. Each group member publishes the agreed seed network-wide; outsiders
 //     accept a group's seed once a strict majority of the group confirms it.
-//  4. When at most FinalSize survivors remain, they run one scoped Bracha
+//  4. When at most nine survivors remain, they run one scoped Bracha
 //     agreement on their actual input bits and flood DECIDE messages;
 //     non-members adopt the value confirmed by a strict majority of the
 //     final committee.
@@ -36,7 +36,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 	"unsafe"
 
 	"asyncagree/internal/bracha"
@@ -45,100 +44,58 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// Params configures the committee algorithm.
-type Params struct {
-	// N is the total processor count.
-	N int
-	// GroupSize is the target group size g; groups run internal Bracha with
-	// tolerance GroupT, so GroupSize must exceed 3*GroupT.
-	GroupSize int
-	// GroupT is the per-group Byzantine tolerance.
-	GroupT int
-	// SeedBits is the number of parallel bit agreements forming a group's
-	// election seed.
-	SeedBits int
-	// SurvivorsPerGroup is how many members each group promotes.
-	SurvivorsPerGroup int
-	// FinalSize is the survivor count at or below which the survivors form
+// The algorithm's fixed parameters.
+const (
+	// groupSize is the target group size: groups run internal Bracha with
+	// tolerance groupT, so groupSize must exceed 3*groupT.
+	groupSize = 9
+	// groupT is the per-group Byzantine tolerance.
+	groupT = 2
+	// seedBits is the number of parallel bit agreements forming a group's
+	// election seed; seedID needs it below 64.
+	seedBits = 8
+	// survivorsPerGroup is how many members each group promotes, below
+	// groupSize.
+	survivorsPerGroup = 3
+	// finalSize is the survivor count at or below which the survivors form
 	// the final committee.
-	FinalSize int
-}
+	finalSize = 9
+)
 
-// DefaultParams returns working parameters for n processors: groups of 9
-// tolerating 2 Byzantine members, 8-bit seeds, 3 survivors per group, final
-// committee of at most 9.
-func DefaultParams(n int) Params {
-	return Params{
-		N:                 n,
-		GroupSize:         9,
-		GroupT:            2,
-		SeedBits:          8,
-		SurvivorsPerGroup: 3,
-		FinalSize:         9,
+// numGroups is how many groups s survivors form: s/groupSize, at least one.
+func numGroups(s int) int { return max(1, s/groupSize) }
+
+// Validate reports whether n processors can run the algorithm: followed
+// level by level, the survivor count must end at a final committee whose
+// Bracha agreement is feasible, one of more than 3*groupT members. Below
+// that every processor wedges on the final agreement and no run decides.
+func Validate(n int) error {
+	s := n
+	for s > finalSize {
+		s = numGroups(s) * survivorsPerGroup
 	}
-}
-
-// Validate checks structural feasibility.
-func (p Params) Validate() error {
-	switch {
-	case p.N <= 0:
-		return fmt.Errorf("committee: n = %d", p.N)
-	case p.GroupSize <= 3*p.GroupT:
-		return fmt.Errorf("committee: group size %d <= 3*groupT %d", p.GroupSize, 3*p.GroupT)
-	case p.SeedBits <= 0 || p.SeedBits > 62:
-		return fmt.Errorf("committee: seed bits %d out of (0, 62]", p.SeedBits)
-	case p.SurvivorsPerGroup <= 0 || p.SurvivorsPerGroup >= p.GroupSize:
-		return fmt.Errorf("committee: survivors per group %d out of (0, group size)", p.SurvivorsPerGroup)
-	case p.FinalSize <= 3*p.GroupT:
-		return fmt.Errorf("committee: final size %d <= 3*groupT %d", p.FinalSize, 3*p.GroupT)
+	if s <= 3*groupT {
+		return fmt.Errorf("committee: n = %d leaves a final committee of %d, need more than %d", n, s, 3*groupT)
 	}
 	return nil
 }
 
-// Groups partitions a survivor list into contiguous groups of size at least
-// GroupSize (the tail is merged into the last group so no group falls below
-// the Bracha feasibility bound).
-func (p Params) Groups(survivors []sim.ProcID) [][]sim.ProcID {
-	n := len(survivors)
-	numGroups := n / p.GroupSize
-	if numGroups == 0 {
-		numGroups = 1
-	}
-	var groups [][]sim.ProcID
-	base := n / numGroups
-	extra := n % numGroups
-	idx := 0
-	for g := 0; g < numGroups; g++ {
-		size := base
-		if g < extra {
-			size++
-		}
-		groups = append(groups, survivors[idx:idx+size])
-		idx += size
-	}
-	return groups
-}
-
-// electSurvivors deterministically selects k members from group using the
-// agreed seed — every processor that knows (seed, group) computes the same
-// set.
-func electSurvivors(group []sim.ProcID, seed uint64, k int) []sim.ProcID {
-	if k >= len(group) {
-		out := append([]sim.ProcID(nil), group...)
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
+// electSurvivors appends to dst the survivorsPerGroup members of group that
+// the agreed seed selects, in draw order: every processor that knows
+// (seed, group) selects the same set. It shuffles a copy of group in dst's
+// array, so dst needs no other scratch.
+func electSurvivors(dst, group []sim.ProcID, seed uint64) []sim.ProcID {
 	// A splitmix64 walk seeded by the agreed seed; Fisher-Yates prefix.
 	var src rng.Source
 	src.Reseed(seed ^ 0x9e3779b97f4a7c15)
-	pool := append([]sim.ProcID(nil), group...)
-	for i := 0; i < k; i++ {
+	at := len(dst)
+	dst = append(dst, group...)
+	pool := dst[at:]
+	for i := range survivorsPerGroup {
 		j := i + int(src.Uint64()%uint64(len(pool)-i))
 		pool[i], pool[j] = pool[j], pool[i]
 	}
-	out := pool[:k]
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return dst[:at+survivorsPerGroup]
 }
 
 // Wire payload types (beyond the rbc.Msg traffic of the internal
@@ -147,7 +104,8 @@ type (
 	// helloMsg bootstraps the model's "randomness only on receipt" rule:
 	// level-0 seed contributions are sampled on first receipt.
 	helloMsg struct{}
-	// survMsg publishes a group's agreed election seed network-wide.
+	// survMsg publishes a group's agreed election seed network-wide, boxed
+	// in its group run.
 	survMsg struct {
 		Level, Group int
 		Seed         uint64
@@ -157,6 +115,10 @@ type (
 		V sim.Bit
 	}
 )
+
+// String formats a publication as fmt formats the struct, {level group
+// seed}, so a trace shows the value, not the box's address.
+func (m *survMsg) String() string { return fmt.Sprintf("{%d %d %d}", m.Level, m.Group, m.Seed) }
 
 // tally counts the confirmations of one topic, a group's election seed or
 // the final decision: the values heard, in first-heard order, each with the
@@ -173,7 +135,7 @@ func (t *tally) add(words int, v uint64, from sim.ProcID) {
 	if i < 0 {
 		i = len(t.vals)
 		t.vals = append(t.vals, v)
-		t.voters = append(t.voters, make([]uint64, words)...)
+		t.voters = appendBits(t.voters, words, nil)
 	}
 	t.voters[i*words+int(from)/64] |= 1 << (from % 64)
 }
@@ -199,10 +161,13 @@ func (t *tally) majority(members []uint64, size int) (uint64, bool) {
 // reset empties the tally, keeping its arrays.
 func (t *tally) reset() { t.vals, t.voters = t.vals[:0], t.voters[:0] }
 
-// appendBits appends the words-long sender bitset of ids to dst.
+// appendBits appends the words-long sender bitset of ids to dst. It
+// extends dst through slices.Grow: appending a make allocates the make
+// under the race detector even where dst has room.
 func appendBits(dst []uint64, words int, ids []sim.ProcID) []uint64 {
 	at := len(dst)
-	dst = append(dst, make([]uint64, words)...)
+	dst = slices.Grow(dst, words)[:at+words]
+	clear(dst[at:])
 	for _, id := range ids {
 		dst[at+int(id)/64] |= 1 << (id % 64)
 	}
@@ -215,6 +180,10 @@ type groupRun struct {
 	members      []sim.ProcID
 	bits         []*bracha.Agreement
 	published    bool
+	// box is the payload the run publishes its seed in; nil until the
+	// first publication, and after a Reset, whose step-mode messages may
+	// still hold the old one.
+	box *survMsg
 }
 
 // finalID is the reliable-broadcast instance id of the final committee's
@@ -223,7 +192,7 @@ const finalID = 0
 
 // seedID returns the instance id of bit's agreement in group at level, in
 // an n-processor system: 1 + bit + 64*(group + n*level). A group index is
-// below n and a bit below 64 (SeedBits <= 62), so no two agreements share
+// below n and a bit below 64 (seedBits <= 62), so no two agreements share
 // an id, and none is finalID.
 func seedID(n, level, group, bit int) int { return 1 + bit + 64*(group+n*level) }
 
@@ -240,20 +209,23 @@ func (run *groupRun) agreement(n, id int) *bracha.Agreement {
 // Proc is one processor running the committee algorithm. It implements
 // sim.Process.
 type Proc struct {
-	id     sim.ProcID
-	params Params
-	input  sim.Bit
+	id    sim.ProcID
+	n     int
+	input sim.Bit
 
 	out     sim.Bit
 	decided bool
 
 	started bool
-	// level is the next level whose groups have not yet all reported;
-	// groups are its survivors' groups, groupBits their member bitsets, words
-	// long each, in groups' order.
+	// level is the next level whose groups have not yet all reported.
+	// survivors is its survivor list, group g the survivors from groups[g]
+	// to groups[g+1], and groupBits the groups' member bitsets, words long
+	// each, in group order. The next level's list is elected into elected's
+	// array, and the two arrays swap at every level.
 	level     int
 	survivors []sim.ProcID
-	groups    [][]sim.ProcID
+	elected   []sim.ProcID
+	groups    []int
 	groupBits []uint64
 	words     int
 
@@ -269,7 +241,8 @@ type Proc struct {
 
 	// seeds[level][group] tallies the seed confirmations of that group,
 	// buffered from the current level on; decide tallies the decision
-	// floods, counted against finalBits, the final committee's bitset.
+	// floods, counted against finalBits, the bitset of finalSet, the final
+	// committee: the last level's survivors.
 	seeds [][]tally
 
 	final     *bracha.Agreement
@@ -287,25 +260,27 @@ var (
 	_ sim.RetainedBytes    = (*Proc)(nil)
 )
 
-// New constructs a committee processor.
-func New(id sim.ProcID, params Params, input sim.Bit) (*Proc, error) {
-	if err := params.Validate(); err != nil {
+// New constructs processor id of an n-processor system; Validate(n) must
+// hold.
+func New(id sim.ProcID, n int, input sim.Bit) (*Proc, error) {
+	if err := Validate(n); err != nil {
 		return nil, err
 	}
-	p := &Proc{id: id, params: params, words: (params.N + 63) / 64}
+	p := &Proc{id: id, n: n, words: (n + 63) / 64}
 	p.Recycle(input)
 	return p, nil
 }
 
-// NewFactory returns a sim.Config-compatible constructor.
-func NewFactory(params Params) func(sim.ProcID, sim.Bit) sim.Process {
-	if err := params.Validate(); err != nil {
-		panic("committee: " + err.Error())
+// NewFactory returns a sim.Config-compatible constructor for an
+// n-processor system. It panics unless Validate(n) holds.
+func NewFactory(n int) func(sim.ProcID, sim.Bit) sim.Process {
+	if err := Validate(n); err != nil {
+		panic(err.Error())
 	}
 	return func(id sim.ProcID, input sim.Bit) sim.Process {
-		p, err := New(id, params, input)
+		p, err := New(id, n, input)
 		if err != nil {
-			panic("committee: " + err.Error()) // unreachable: params validated above
+			panic(err.Error()) // unreachable: n validated above
 		}
 		return p
 	}
@@ -324,7 +299,8 @@ func (p *Proc) Output() (sim.Bit, bool) { return p.out, p.decided }
 func (p *Proc) Level() int { return p.level }
 
 // FinalCommittee returns the final committee once this processor knows it
-// (adaptive adversaries in experiments use this with full information).
+// (adaptive adversaries in experiments use this with full information). The
+// slice is the processor's own, valid until the next Recycle or Reset.
 func (p *Proc) FinalCommittee() []sim.ProcID { return p.finalSet }
 
 // Send implements sim.Process. The returned slice is valid only until the
@@ -353,8 +329,8 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	switch payload := m.Payload.(type) {
 	case helloMsg:
 		// Bootstrap only; nothing further.
-	case survMsg:
-		p.onSurv(m.From, payload, r)
+	case *survMsg:
+		p.onSurv(m.From, *payload, r)
 	case decideMsg:
 		p.decide.add(p.words, uint64(payload.V), m.From)
 		p.evaluateDecide()
@@ -364,7 +340,7 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 		// its agreements decided.
 		msg, ok := m.Payload.(*rbc.Msg)
 		if ok && p.run != nil {
-			if ag := p.run.agreement(p.params.N, msg.T.ID); ag != nil {
+			if ag := p.run.agreement(p.n, msg.T.ID); ag != nil {
 				_, was := ag.Output()
 				ag.Handle(m, r)
 				if _, now := ag.Output(); now && !was {
@@ -379,16 +355,20 @@ func (p *Proc) Deliver(m sim.Message, r sim.RandSource) {
 	}
 }
 
+// group returns the members of group g at the current level.
+func (p *Proc) group(g int) []sim.ProcID { return p.survivors[p.groups[g]:p.groups[g+1]] }
+
 // startLevel begins the current level: either starts my group's seed
 // agreements or, at the final threshold, the final committee agreement. A
 // group run kept from an earlier trial at this level, for the same group,
 // is rewound with the same coin draws a new one would take.
 func (p *Proc) startLevel(r sim.RandSource) {
-	if len(p.survivors) <= p.params.FinalSize {
+	if len(p.survivors) <= finalSize {
 		p.startFinal()
 		return
 	}
-	for gIdx, members := range p.groups {
+	for gIdx := range len(p.groups) - 1 {
+		members := p.group(gIdx)
 		if !slices.Contains(members, p.id) {
 			continue
 		}
@@ -403,9 +383,9 @@ func (p *Proc) startLevel(r sim.RandSource) {
 			}
 		}
 		run := &groupRun{level: p.level, group: gIdx, members: slices.Clone(members)}
-		for b := 0; b < p.params.SeedBits; b++ {
-			id := seedID(p.params.N, p.level, gIdx, b)
-			ag, err := bracha.NewAgreement(p.id, members, p.params.GroupT, id, sim.Bit(r.Bit()))
+		for b := range seedBits {
+			id := seedID(p.n, p.level, gIdx, b)
+			ag, err := bracha.NewAgreement(p.id, members, groupT, id, sim.Bit(r.Bit()))
 			if err != nil {
 				// Group below feasibility: cannot participate; the level
 				// stalls for this group (counted as an algorithm failure by
@@ -441,9 +421,12 @@ func (p *Proc) checkSeedAgreed(r sim.RandSource) {
 		seed |= uint64(v) << uint(b)
 	}
 	run.published = true
-	msg := survMsg{Level: run.level, Group: run.group, Seed: seed}
-	p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.All, Payload: msg})
-	p.onSurv(p.id, msg, r) // my own confirmation counts immediately
+	if run.box == nil {
+		run.box = new(survMsg)
+	}
+	*run.box = survMsg{Level: run.level, Group: run.group, Seed: seed}
+	p.outbox = append(p.outbox, sim.Message{From: p.id, To: sim.All, Payload: run.box})
+	p.onSurv(p.id, *run.box, r) // my own confirmation counts immediately
 }
 
 // onSurv tallies a seed confirmation, buffering it when it is for a later
@@ -451,7 +434,7 @@ func (p *Proc) checkSeedAgreed(r sim.RandSource) {
 // groups are known), and evaluates the current level. A group index is
 // below n, so a larger one can never be counted.
 func (p *Proc) onSurv(from sim.ProcID, msg survMsg, r sim.RandSource) {
-	if msg.Level < p.level || msg.Group < 0 || msg.Group >= p.params.N {
+	if msg.Level < p.level || msg.Group < 0 || msg.Group >= p.n {
 		return // stale, or no group's
 	}
 	for len(p.seeds) <= msg.Level {
@@ -472,7 +455,7 @@ func (p *Proc) groupSeed(g int) (uint64, bool) {
 	if p.level >= len(p.seeds) || g >= len(p.seeds[p.level]) {
 		return 0, false
 	}
-	return p.seeds[p.level][g].majority(p.groupBits[g*p.words:(g+1)*p.words], len(p.groups[g]))
+	return p.seeds[p.level][g].majority(p.groupBits[g*p.words:(g+1)*p.words], p.groups[g+1]-p.groups[g])
 }
 
 // evaluateSeeds moves to the next level once every group of the current
@@ -481,18 +464,19 @@ func (p *Proc) evaluateSeeds(r sim.RandSource) {
 	if p.finalSet != nil {
 		return // already at the final phase
 	}
-	for g := range p.groups {
+	groups := len(p.groups) - 1
+	for g := range groups {
 		if _, ok := p.groupSeed(g); !ok {
 			return
 		}
 	}
-	var next []sim.ProcID
-	for g, group := range p.groups {
+	next := p.elected[:0]
+	for g := range groups {
 		seed, _ := p.groupSeed(g)
-		next = append(next, electSurvivors(group, seed, p.params.SurvivorsPerGroup)...)
+		next = electSurvivors(next, p.group(g), seed)
 	}
-	sort.Slice(next, func(i, j int) bool { return next[i] < next[j] })
-	p.survivors = next
+	slices.Sort(next)
+	p.survivors, p.elected = next, p.survivors
 	p.regroup()
 	p.level++
 	p.run = nil
@@ -501,18 +485,27 @@ func (p *Proc) evaluateSeeds(r sim.RandSource) {
 	p.evaluateSeeds(r)
 }
 
-// regroup partitions the survivors into groups and their member bitsets.
+// regroup partitions the survivors into numGroups contiguous groups, the
+// first len%numGroups of them one member larger (so no group falls below
+// groupSize), and builds their member bitsets.
 func (p *Proc) regroup() {
-	p.groups = p.params.Groups(p.survivors)
+	s := len(p.survivors)
+	k := numGroups(s)
+	p.groups = append(p.groups[:0], 0)
 	p.groupBits = p.groupBits[:0]
-	for _, g := range p.groups {
-		p.groupBits = appendBits(p.groupBits, p.words, g)
+	for g := range k {
+		size := s / k
+		if g < s%k {
+			size++
+		}
+		p.groups = append(p.groups, p.groups[g]+size)
+		p.groupBits = appendBits(p.groupBits, p.words, p.group(g))
 	}
 }
 
 // startFinal begins the final committee phase.
 func (p *Proc) startFinal() {
-	p.finalSet = append([]sim.ProcID(nil), p.survivors...)
+	p.finalSet = p.survivors
 	p.finalBits = appendBits(p.finalBits[:0], p.words, p.finalSet)
 	p.evaluateDecide() // buffered DECIDE floods may already suffice
 	if !slices.Contains(p.finalSet, p.id) {
@@ -523,12 +516,13 @@ func (p *Proc) startFinal() {
 		p.final = p.finalAg
 		return
 	}
-	ag, err := bracha.NewAgreement(p.id, p.finalSet, p.params.GroupT, finalID, p.input)
+	ag, err := bracha.NewAgreement(p.id, p.finalSet, groupT, finalID, p.input)
 	if err != nil {
 		return // infeasible final committee: stall (failure mode, measured)
 	}
 	ag.Start()
-	p.final, p.finalAg, p.finalMembers = ag, ag, p.finalSet
+	p.final, p.finalAg = ag, ag
+	p.finalMembers = append(p.finalMembers[:0], p.finalSet...)
 }
 
 // checkFinalDecided floods the decision once the final agreement completes.
@@ -558,9 +552,9 @@ func (p *Proc) evaluateDecide() {
 
 // Recycle implements sim.Recycler: it rewinds the processor to the state
 // New (which builds a processor through it) would produce for the given
-// input, rewinding the tallies in place and reusing the survivor list and
-// outbox capacity. The per-level Bracha agreements stay: a level whose
-// group matches one of an earlier trial rewinds its agreements
+// input, refilling the survivor list and rewinding the tallies in place and
+// reusing the outbox capacity. The per-level Bracha agreements stay: a
+// level whose group matches one of an earlier trial rewinds its agreements
 // (startLevel, startFinal) instead of building them.
 func (p *Proc) Recycle(input sim.Bit) {
 	p.input = input
@@ -568,7 +562,7 @@ func (p *Proc) Recycle(input sim.Bit) {
 	p.started = false
 	p.level = 0
 	p.survivors = p.survivors[:0]
-	for i := 0; i < p.params.N; i++ {
+	for i := range p.n {
 		p.survivors = append(p.survivors, sim.ProcID(i))
 	}
 	p.regroup()
@@ -589,8 +583,8 @@ func (p *Proc) Recycle(input sim.Bit) {
 // ReclaimPayload implements sim.PayloadReclaimer: a dead reliable-broadcast
 // box goes back to the pool of the agreement that sent it, found by the
 // tag's instance id, if this processor still keeps it, so its agreements
-// box a broadcast only while their pools are cold. Other payloads are plain
-// values and are ignored.
+// box a broadcast only while their pools are cold. Other payloads are
+// ignored: a seed publication's box stays with its group run.
 func (p *Proc) ReclaimPayload(payload any) {
 	msg, ok := payload.(*rbc.Msg)
 	if !ok {
@@ -601,8 +595,8 @@ func (p *Proc) ReclaimPayload(payload any) {
 	case id == finalID:
 		ag = p.finalAg
 	case id > finalID:
-		if level := (id - 1) / (64 * p.params.N); level < len(p.runs) && p.runs[level] != nil {
-			ag = p.runs[level].agreement(p.params.N, id)
+		if level := (id - 1) / (64 * p.n); level < len(p.runs) && p.runs[level] != nil {
+			ag = p.runs[level].agreement(p.n, id)
 		}
 	}
 	if ag != nil {
@@ -630,14 +624,16 @@ func (p *Proc) RetainedBytes() int64 {
 
 // Reset implements sim.Process. The committee algorithm is not reset-
 // tolerant (the paper's point: fast algorithms sacrifice exactly this);
-// a reset processor restarts from scratch and will generally desynchronize.
+// a reset processor restarts from scratch, as Recycle rewinds it, keeping
+// only its output, and will generally desynchronize.
 func (p *Proc) Reset() {
 	out, decided := p.out, p.decided
-	fresh, err := New(p.id, p.params, p.input)
-	if err != nil {
-		return // parameters were validated at construction; unreachable
+	for _, run := range p.runs {
+		if run != nil {
+			run.box = nil
+		}
 	}
-	*p = *fresh
+	p.Recycle(p.input)
 	p.out, p.decided = out, decided
 }
 

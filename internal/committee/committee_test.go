@@ -1,6 +1,7 @@
 package committee
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -9,11 +10,11 @@ import (
 	"asyncagree/internal/sim"
 )
 
-func newSystem(t *testing.T, params Params, inputs []sim.Bit, seed uint64) *sim.System {
+func newSystem(t *testing.T, n int, inputs []sim.Bit, seed uint64) *sim.System {
 	t.Helper()
 	s, err := sim.New(sim.Config{
-		N: params.N, T: params.N / 3, Seed: seed, Inputs: inputs,
-		NewProcess: NewFactory(params),
+		N: n, T: n / 3, Seed: seed, Inputs: inputs,
+		NewProcess: NewFactory(n),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -29,92 +30,82 @@ func unanimous(n int, v sim.Bit) []sim.Bit {
 	return in
 }
 
+// TestParamsValidate holds the fixed parameters to the bounds the code
+// relies on, and Validate to the survivor recursion: for n up to 728 it
+// accepts exactly 7-9, 27-35, 81-107 and 243-323, the sizes whose elections
+// end at a final committee of more than 3*groupT = 6 members.
 func TestParamsValidate(t *testing.T) {
-	cases := []struct {
-		name    string
-		p       Params
-		wantErr bool
+	for _, c := range []struct {
+		name string
+		ok   bool
 	}{
-		{"defaults 27", DefaultParams(27), false},
-		{"group too small", Params{N: 27, GroupSize: 6, GroupT: 2, SeedBits: 8, SurvivorsPerGroup: 2, FinalSize: 9}, true},
-		{"zero seed bits", Params{N: 27, GroupSize: 9, GroupT: 2, SeedBits: 0, SurvivorsPerGroup: 3, FinalSize: 9}, true},
-		{"survivors too many", Params{N: 27, GroupSize: 9, GroupT: 2, SeedBits: 8, SurvivorsPerGroup: 9, FinalSize: 9}, true},
-		{"final too small", Params{N: 27, GroupSize: 9, GroupT: 2, SeedBits: 8, SurvivorsPerGroup: 3, FinalSize: 6}, true},
-	}
-	for _, c := range cases {
+		{"defaults 27", Validate(27) == nil},
+		{"group too small", groupSize > 3*groupT},
+		{"zero seed bits", seedBits > 0 && seedBits <= 62},
+		{"survivors too many", survivorsPerGroup > 0 && survivorsPerGroup < groupSize},
+		{"final too small", finalSize > 3*groupT && Validate(36) != nil},
+	} {
 		t.Run(c.name, func(t *testing.T) {
-			if err := c.p.Validate(); (err != nil) != c.wantErr {
-				t.Fatalf("err = %v, wantErr %v", err, c.wantErr)
+			if !c.ok {
+				t.Fatal("bound violated")
 			}
 		})
+	}
+	feasible := func(n int) bool {
+		return 7 <= n && n <= 9 || 27 <= n && n <= 35 || 81 <= n && n <= 107 || 243 <= n && n <= 323
+	}
+	for n := -1; n <= 728; n++ {
+		if err := Validate(n); (err == nil) != feasible(n) {
+			t.Errorf("Validate(%d) = %v", n, err)
+		}
 	}
 }
 
 func TestGroupsPartition(t *testing.T) {
-	p := DefaultParams(27)
-	survivors := make([]sim.ProcID, 30)
-	for i := range survivors {
-		survivors[i] = sim.ProcID(i)
+	p := &Proc{n: 30, words: 1}
+	for i := range 30 {
+		p.survivors = append(p.survivors, sim.ProcID(i))
 	}
-	groups := p.Groups(survivors)
-	if len(groups) != 3 {
-		t.Fatalf("got %d groups, want 3", len(groups))
+	p.regroup()
+	if len(p.groups) != 4 || p.groups[0] != 0 || p.groups[3] != 30 {
+		t.Fatalf("group offsets %v, want 3 groups covering 30", p.groups)
 	}
-	total := 0
-	for _, g := range groups {
-		if len(g) < 9 {
-			t.Fatalf("group size %d below target", len(g))
+	for g := range 3 {
+		members := p.group(g)
+		if len(members) < groupSize {
+			t.Fatalf("group size %d below target", len(members))
 		}
-		total += len(g)
-	}
-	if total != 30 {
-		t.Fatalf("partition covers %d of 30", total)
+		if want := appendBits(nil, 1, members); p.groupBits[g] != want[0] {
+			t.Fatalf("group %d bitset %b, want %b", g, p.groupBits[g], want[0])
+		}
 	}
 }
 
 func TestElectSurvivorsDeterministic(t *testing.T) {
 	group := []sim.ProcID{3, 5, 8, 9, 12, 14, 17, 20, 26}
-	a := electSurvivors(group, 42, 3)
-	b := electSurvivors(group, 42, 3)
+	a := electSurvivors(nil, group, 42)
+	slices.Sort(a)
 	if want := []sim.ProcID{5, 9, 12}; !slices.Equal(a, want) {
 		t.Fatalf("elected %v, want %v", a, want)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("election not deterministic")
-		}
+	if !slices.Equal(group, []sim.ProcID{3, 5, 8, 9, 12, 14, 17, 20, 26}) {
+		t.Fatalf("the election reordered its group: %v", group)
 	}
-	seen := map[sim.ProcID]bool{}
-	for _, id := range a {
-		if !slices.Contains(group, id) || seen[id] {
-			t.Fatalf("invalid election %v", a)
-		}
-		seen[id] = true
+	b := electSurvivors([]sim.ProcID{99}, group, 42)
+	slices.Sort(b[1:])
+	if b[0] != 99 || !slices.Equal(b[1:], a) {
+		t.Fatalf("elected %v after a prefix, want [99] then %v", b, a)
 	}
-	c := electSurvivors(group, 43, 3)
-	same := 0
-	for i := range a {
-		if a[i] == c[i] {
-			same++
-		}
-	}
-	if same == 3 {
+	c := electSurvivors(nil, group, 43)
+	slices.Sort(c)
+	if slices.Equal(a, c) {
 		t.Log("warning: adjacent seeds elected identical sets (possible but unlikely)")
-	}
-}
-
-func TestElectAllWhenKLarge(t *testing.T) {
-	group := []sim.ProcID{2, 1, 3}
-	out := electSurvivors(group, 7, 5)
-	if len(out) != 3 || out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("got %v", out)
 	}
 }
 
 func TestFaultFreeRunDecides(t *testing.T) {
 	for _, v := range []sim.Bit{0, 1} {
-		params := DefaultParams(27)
-		s := newSystem(t, params, unanimous(27, v), 3)
+		s := newSystem(t, 27, unanimous(27, v), 3)
 		res, err := s.RunWindows(adversary.FullDelivery{}, 3000)
 		if err != nil {
 			t.Fatal(err)
@@ -130,18 +121,17 @@ func TestFaultFreeRunDecides(t *testing.T) {
 // group matches (level 0's always does), and the recycled trial equals a
 // fresh one: result, configuration and steps.
 func TestRecycleRewindsKeptAgreements(t *testing.T) {
-	params := DefaultParams(27)
 	inputs := make([]sim.Bit, 27)
 	for i := range inputs {
 		inputs[i] = sim.Bit(i % 2)
 	}
-	fresh := newSystem(t, params, inputs, 7)
+	fresh := newSystem(t, 27, inputs, 7)
 	want, err := fresh.RunWindows(adversary.FullDelivery{}, 3000)
 	if err != nil || !want.AllDecided {
 		t.Fatalf("fresh trial: %+v, %v", want, err)
 	}
 
-	s := newSystem(t, params, unanimous(27, 1), 3)
+	s := newSystem(t, 27, unanimous(27, 1), 3)
 	if res, err := s.RunWindows(adversary.FullDelivery{}, 3000); err != nil || !res.AllDecided {
 		t.Fatalf("warm-up trial: %+v, %v", res, err)
 	}
@@ -165,9 +155,44 @@ func TestRecycleRewindsKeptAgreements(t *testing.T) {
 	}
 }
 
+// TestResetRestartsKeepingOutput: a reset processor is rewound as Recycle
+// rewinds it, keeping only its output, and publishes its next seeds in new
+// boxes, since a message still in flight may hold the old ones.
+func TestResetRestartsKeepingOutput(t *testing.T) {
+	s := newSystem(t, 27, unanimous(27, 1), 3)
+	if res, err := s.RunWindows(adversary.FullDelivery{}, 3000); err != nil || !res.AllDecided {
+		t.Fatalf("trial: %+v, %v", res, err)
+	}
+	p0 := s.Proc(0).(*Proc)
+	if p0.runs[0].box == nil {
+		t.Fatal("level 0's run published no seed")
+	}
+	p0.Reset()
+	if v, ok := p0.Output(); !ok || v != 1 {
+		t.Fatalf("output after a reset: %d, %v", v, ok)
+	}
+	if snap := p0.Snapshot(); snap != "lvl=0 surv=27 final=false out=1" || p0.FinalCommittee() != nil {
+		t.Fatalf("Snapshot after a reset = %q, final committee %v", snap, p0.FinalCommittee())
+	}
+	if p0.runs[0].box != nil {
+		t.Fatal("a reset kept the box of a publication that may still be in flight")
+	}
+	if out := p0.Send(); len(out) != 1 || out[0].Payload != (helloMsg{}) {
+		t.Fatalf("a reset processor sends %v, want one hello", out)
+	}
+}
+
+// TestSurvMsgPrintsAsItsValue: a boxed publication prints as the struct
+// does, so traces show the seed, not an address.
+func TestSurvMsgPrintsAsItsValue(t *testing.T) {
+	m := survMsg{Level: 1, Group: 2, Seed: 300}
+	if got, want := fmt.Sprint(&m), fmt.Sprint(m); got != want {
+		t.Fatalf("boxed publication prints %q, want %q", got, want)
+	}
+}
+
 func TestFaultFreeRunDecidesLargerN(t *testing.T) {
-	params := DefaultParams(81)
-	s := newSystem(t, params, unanimous(81, 1), 5)
+	s := newSystem(t, 81, unanimous(81, 1), 5)
 	res, err := s.RunWindows(adversary.FullDelivery{}, 8000)
 	if err != nil {
 		t.Fatal(err)
@@ -180,11 +205,10 @@ func TestFaultFreeRunDecidesLargerN(t *testing.T) {
 func TestNonAdaptiveFaultsUsuallyTolerated(t *testing.T) {
 	// A couple of randomly-placed silent Byzantine processors at n=27
 	// should usually leave every group within its tolerance.
-	params := DefaultParams(27)
 	successes := 0
 	const trials = 5
 	for seed := uint64(1); seed <= trials; seed++ {
-		s := newSystem(t, params, unanimous(27, 1), seed)
+		s := newSystem(t, 27, unanimous(27, 1), seed)
 		// Non-adaptive: positions chosen before the execution.
 		victims := []sim.ProcID{sim.ProcID(seed % 27), sim.ProcID((seed*7 + 3) % 27)}
 		if victims[0] == victims[1] {
@@ -212,11 +236,10 @@ func TestAdaptiveAdversaryKillsFinalCommittee(t *testing.T) {
 	// The intro's observation: "this approach cannot be used against an
 	// adaptive adversary, who can simply wait for the final committee to be
 	// determined and then cause faults." Run fault-free until the final
-	// committee is known, then silence GroupT+1 of its members: the
+	// committee is known, then silence groupT+1 of its members: the
 	// remaining members cannot finish Bracha (thresholds unreachable), and
 	// honest non-members never see a majority of DECIDEs.
-	params := DefaultParams(27)
-	s := newSystem(t, params, unanimous(27, 1), 11)
+	s := newSystem(t, 27, unanimous(27, 1), 11)
 	adv := adversary.FullDelivery{}
 	corrupted := false
 	for w := 0; w < 3000 && !s.AllDecided(); w++ {
@@ -234,8 +257,8 @@ func TestAdaptiveAdversaryKillsFinalCommittee(t *testing.T) {
 		if final == nil {
 			continue
 		}
-		// Adaptive strike: silence GroupT+1 final committee members.
-		for i := 0; i <= params.GroupT && i < len(final); i++ {
+		// Adaptive strike: silence groupT+1 final committee members.
+		for i := 0; i <= groupT && i < len(final); i++ {
 			if err := s.Corrupt(final[i], bracha.NewSilent(final[i])); err != nil {
 				t.Fatal(err)
 			}
@@ -251,7 +274,7 @@ func TestAdaptiveAdversaryKillsFinalCommittee(t *testing.T) {
 }
 
 func TestSnapshotAndAccessors(t *testing.T) {
-	p, err := New(0, DefaultParams(27), 1)
+	p, err := New(0, 27, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,9 +290,9 @@ func TestSnapshotAndAccessors(t *testing.T) {
 }
 
 func TestNewRejectsInvalidParams(t *testing.T) {
-	bad := DefaultParams(27)
-	bad.GroupT = 3
-	if _, err := New(0, bad, 0); err == nil {
-		t.Fatal("invalid params accepted")
+	// 36 processors elect 12 survivors, and those one group of 3: too few
+	// for the final committee's Bracha agreement.
+	if _, err := New(0, 36, 0); err == nil {
+		t.Fatal("invalid n accepted")
 	}
 }

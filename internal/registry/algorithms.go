@@ -13,32 +13,6 @@ import (
 	"asyncagree/internal/sim"
 )
 
-// validateCommittee checks the committee algorithm's default
-// parameterization at n processors. Beyond the structural Params.Validate
-// checks, the promoted survivors must be numerous enough that the final
-// committee's internal Bracha instance is feasible (survivors > 3*GroupT);
-// below that — n < 27 with the defaults — every processor wedges on an
-// infeasible final agreement and the run can never decide. Last, t must
-// satisfy sim.New's 0 <= t < n.
-func validateCommittee(p Params) error {
-	params := committee.DefaultParams(p.N)
-	if err := params.Validate(); err != nil {
-		return err
-	}
-	numGroups := p.N / params.GroupSize
-	if numGroups == 0 {
-		numGroups = 1
-	}
-	if survivors := numGroups * params.SurvivorsPerGroup; survivors <= 3*params.GroupT {
-		return fmt.Errorf("registry: committee with n=%d promotes only %d survivors, need > %d for a feasible final committee",
-			p.N, survivors, 3*params.GroupT)
-	}
-	if p.T < 0 || p.T >= p.N {
-		return fmt.Errorf("registry: committee needs 0 <= t < n, got n=%d t=%d", p.N, p.T)
-	}
-	return nil
-}
-
 // resolveCoreThresholds returns p's explicit thresholds or the Theorem 4
 // defaults, validated either way.
 func resolveCoreThresholds(p Params) (core.Thresholds, error) {
@@ -133,9 +107,17 @@ func init() {
 	mustRegisterAlgorithm(Algorithm{
 		Name:        "committee",
 		Description: "Kapron et al.-style committee election (fast, non-adaptive faults only, non-zero error probability)",
-		Validate:    validateCommittee,
+		Validate: func(p Params) error {
+			if err := committee.Validate(p.N); err != nil {
+				return err
+			}
+			if p.T < 0 || p.T >= p.N {
+				return fmt.Errorf("registry: committee needs 0 <= t < n, got n=%d t=%d", p.N, p.T)
+			}
+			return nil
+		},
 		Factory: func(p Params) (func(sim.ProcID, sim.Bit) sim.Process, error) {
-			return committee.NewFactory(committee.DefaultParams(p.N)), nil
+			return committee.NewFactory(p.N), nil
 		},
 	})
 

@@ -12,8 +12,9 @@ import (
 )
 
 // conformanceShapes are the sizes the conformance battery tries, in order: each
-// algorithm runs at the first one its Validate accepts (committee's default
-// parameterization needs n >= 27).
+// algorithm runs at the first one its Validate accepts (committee's
+// elections at 12 end at a final committee of 3, too few for its Bracha
+// agreement).
 var conformanceShapes = []Size{{N: 12, T: 1}, {N: 27, T: 3}}
 
 // trialRun is what one execution of a trial shows: its first error, summary
@@ -272,6 +273,35 @@ func TestColumnarTrialMatchesMessage(t *testing.T) {
 	}
 }
 
+// TestWarmTrialAllocFree holds every algorithm's warm pooled trial to zero
+// allocations: acquiring an engine from the pool, recycling it, running the
+// trial and releasing the engine allocate nothing once the engine has run
+// the trial before. It runs every trial of the battery, and committee under
+// full delivery at 81:3, where elections take two levels and sender bitsets
+// two words. Its subtests run one at a time, as testing.AllocsPerRun counts
+// the whole process's allocations; its mean over ten trials is rounded
+// down, so a stray allocation elsewhere in the process does not fail a
+// trial, while one per trial does.
+func TestWarmTrialAllocFree(t *testing.T) {
+	check := func(t *testing.T, _ *Algorithm, ts trialSpec, p Params) {
+		run := func() {
+			if _, err := RunPooledTrial(ts.Algorithm, ts.Adversary, ts.Scheduler, p, ts.maxWindows); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // builds the engine; AllocsPerRun's own first call warms it
+		if allocs := testing.AllocsPerRun(10, run); allocs > 0 {
+			t.Fatalf("a warm pooled trial allocates %.0f, want 0", allocs)
+		}
+	}
+	for _, alg := range Algorithms() {
+		serialGrid(t, batteryMatrix(t, alg), check)
+	}
+	serialGrid(t, Matrix{Algorithms: []string{"committee"}, Adversaries: []string{"full"},
+		Schedulers: []string{"adversary"}, Sizes: []Size{{N: 81, T: 3}}, Inputs: []string{"split"},
+		Seeds: []uint64{3}, MaxWindows: 400}, check)
+}
+
 // columnarAlgorithms returns the algorithms whose processes take the columnar
 // path: a fresh System of each, at its conformance shape, reports
 // ColumnarPlanned under full delivery.
@@ -302,20 +332,32 @@ func conformanceShape(t *testing.T, alg *Algorithm) Size {
 	return conformanceShapes[i]
 }
 
-// battery runs check on every trial of the conformance grid of algs: each
-// algorithm at its conformance shape, on split inputs, seed 3 and a
-// 400-window budget.
+// battery runs check on every trial of the conformance grid of algs.
 func battery(t *testing.T, algs []*Algorithm, check func(*testing.T, *Algorithm, trialSpec, Params)) {
 	for _, alg := range algs {
-		grid(t, Matrix{Algorithms: []string{alg.Name}, Sizes: []Size{conformanceShape(t, alg)},
-			Inputs: []string{"split"}, Seeds: []uint64{3}, MaxWindows: 400}, check)
+		grid(t, batteryMatrix(t, alg), check)
 	}
 }
 
-// grid runs check, in parallel subtests, on every trial of m. A subtest is
-// named algorithm_adversary_scheduler_size, with _input added for inputs
-// other than split.
+// batteryMatrix is alg's conformance grid: alg at its conformance shape, on
+// split inputs, seed 3 and a 400-window budget.
+func batteryMatrix(t *testing.T, alg *Algorithm) Matrix {
+	return Matrix{Algorithms: []string{alg.Name}, Sizes: []Size{conformanceShape(t, alg)},
+		Inputs: []string{"split"}, Seeds: []uint64{3}, MaxWindows: 400}
+}
+
+// grid runs check, in parallel subtests, on every trial of m.
 func grid(t *testing.T, m Matrix, check func(*testing.T, *Algorithm, trialSpec, Params)) {
+	serialGrid(t, m, func(t *testing.T, alg *Algorithm, ts trialSpec, p Params) {
+		t.Parallel()
+		check(t, alg, ts, p)
+	})
+}
+
+// serialGrid runs check, in subtests that run one at a time, on every trial
+// of m. A subtest is named algorithm_adversary_scheduler_size, with _input
+// added for inputs other than split.
+func serialGrid(t *testing.T, m Matrix, check func(*testing.T, *Algorithm, trialSpec, Params)) {
 	cells, resolved, _, err := m.expand()
 	if err != nil {
 		t.Fatal(err)
@@ -334,7 +376,6 @@ func grid(t *testing.T, m Matrix, check func(*testing.T, *Algorithm, trialSpec, 
 			name += "_" + ts.Input
 		}
 		t.Run(name, func(t *testing.T) {
-			t.Parallel()
 			inputs, err := Inputs(ts.Input, ts.Size.N, ts.seed)
 			if err != nil {
 				t.Fatal(err)

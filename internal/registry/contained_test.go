@@ -121,7 +121,7 @@ func TestRunContained(t *testing.T) {
 		t.Fatalf("after a poisoned engine: %+v, want clean %+v", out, want)
 	}
 
-	// Containment is free: next to TestRecycledTrialAllocFree's pin on
+	// Containment is free: next to TestWarmTrialAllocFree's pin on
 	// RunPooledTrial, a clean warm trial through the barrier allocates
 	// nothing either (the caller supplies the inputs, as that test does).
 	run := func() { RunContained("core", "full", "adversary", "split", p, 500, nil, nil) }

@@ -127,6 +127,7 @@ func TestValidationMatchesConstraints(t *testing.T) {
 		{"bracha", Params{N: 6, T: 2}},                            // n <= 3t
 		{"bracha", Params{N: rbc.MaxMembers + 1, T: 1}},           // more members than an RBC instance counts
 		{"committee", Params{N: 12, T: 1}},                        // too few survivors for the final committee
+		{"committee", Params{N: 36, T: 3}},                        // 12 survivors, then a final committee of 3
 		{"paxos", Params{N: 5, T: 1, Proposers: []sim.ProcID{9}}}, // proposer out of range
 	}
 	for _, c := range bad {

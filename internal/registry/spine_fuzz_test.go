@@ -18,10 +18,12 @@ import (
 )
 
 // spineSizes are the shapes FuzzSpine draws from: the default sweep's four,
-// the search's 16:2, the pinned event feeds' 13:4 and 12:5, and 7:2, at
-// Bracha's n > 3t edge. Core and committee reject the last three.
+// the search's 16:2, the pinned event feeds' 13:4 and 12:5, 7:2, at
+// Bracha's n > 3t edge, and 81:3, where committee elects over two levels
+// and sender bitsets take two words. Core rejects 13:4, 12:5 and 7:2, and
+// committee every size but 7:2, 27:3 and 81:3.
 var spineSizes = []registry.Size{{N: 12, T: 1}, {N: 18, T: 2}, {N: 24, T: 3}, {N: 27, T: 3},
-	{N: 16, T: 2}, {N: 13, T: 4}, {N: 12, T: 5}, {N: 7, T: 2}}
+	{N: 16, T: 2}, {N: 13, T: 4}, {N: 12, T: 5}, {N: 7, T: 2}, {N: 81, T: 3}}
 
 // FuzzSpine holds the byte-identity spine on drawn grids: fresh = pooled,
 // serial = parallel, interrupted = resumed, rerun = rerun. An input is, in

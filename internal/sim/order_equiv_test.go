@@ -140,7 +140,7 @@ func TestBucketedOrderMatchesComparisonSort(t *testing.T) {
 		{name: "t=0 nil sender rows", n: 4, t: 0, factory: bracha.NewFactory(4, 0),
 			adv: func() sim.WindowAdversary { return adversary.NewRandomWindows(5, 0, 0) }, windows: 30},
 		{name: "committee floods beside scoped group traffic", n: 27, t: 3,
-			factory: committee.NewFactory(committee.DefaultParams(27)),
+			factory: committee.NewFactory(27),
 			adv:     func() sim.WindowAdversary { return adversary.NewRandomWindows(6, 0, 0) }, windows: 40},
 		{name: "paxos unicast batches", n: 5, t: 2,
 			factory: paxos.NewFactory(paxos.Params{N: 5, Proposers: []sim.ProcID{1, 3}}),
